@@ -16,6 +16,7 @@ import (
 	"darco/internal/guest"
 	"darco/internal/warmup"
 	"darco/internal/workload"
+	"darco/telemetry"
 )
 
 // benchRun executes im on a fresh Engine built from cfg (the new
@@ -79,6 +80,43 @@ func BenchmarkTableSpeedFunctional(b *testing.B) {
 	}
 	b.ReportMetric(guestMIPS, "guest-MIPS")
 	b.ReportMetric(hostMIPS, "host-MIPS")
+}
+
+// BenchmarkTableSpeedFunctionalTelemetry is BenchmarkTableSpeedFunctional
+// with a default-interval telemetry windower attached — the retire
+// subscription every darco-served job's sessions carry. The ns/op ratio
+// between the two is what default job telemetry costs.
+func BenchmarkTableSpeedFunctionalTelemetry(b *testing.B) {
+	p, _ := workload.ByName("429.mcf")
+	im, err := workload.CachedImage(p.Scale(benchScale))
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := darco.NewEngine()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var guestMIPS, hostMIPS float64
+	var windows int
+	for i := 0; i < b.N; i++ {
+		sess, err := eng.NewSession(im)
+		if err != nil {
+			b.Fatal(err)
+		}
+		windows = 0
+		wd := telemetry.NewWindower(telemetry.DefaultInterval, func(telemetry.Window) { windows++ })
+		wd.Attach(sess)
+		res, err := sess.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		wd.Flush()
+		guestMIPS = res.GuestMIPS
+		hostMIPS = res.HostMIPS
+	}
+	b.ReportMetric(guestMIPS, "guest-MIPS")
+	b.ReportMetric(hostMIPS, "host-MIPS")
+	b.ReportMetric(float64(windows), "windows")
 }
 
 // BenchmarkTableSpeedTiming measures the same rates with the timing

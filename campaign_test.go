@@ -234,7 +234,7 @@ func TestCampaignScenarioSessionHook(t *testing.T) {
 			// on this scenario's session goroutine only.
 			s.SubscribeRetires(func(b darco.RetireBatch) {
 				mu.Lock()
-				retires[i] += uint64(len(b.Events))
+				retires[i] += b.Mix.Insns
 				mu.Unlock()
 			})
 		}),

@@ -16,8 +16,10 @@
 //     completion with Run(ctx), advance it incrementally with Step,
 //     snapshot it at any time, cancel it through the context, stream
 //     translation/synchronization/progress events to an Observer, and
-//     subscribe to the retired host instruction stream with
-//     SubscribeRetires.
+//     subscribe to the retire stream with SubscribeRetires: batches
+//     carrying the instruction mix of the retired host instructions
+//     (counted in the host VM's dispatch loop, a few percent of the
+//     wall) and, with WithRetireEvents, the instructions themselves.
 //   - Campaign: a set of named scenarios (workload profile × config
 //     variant) executed across a bounded worker pool with per-scenario
 //     timeouts, a fail-fast or collect-errors policy, and streaming

@@ -92,9 +92,10 @@ func ExampleEngine_RunCampaign() {
 	// 458.sjeng: 234915 guest insns, 17 superblocks
 }
 
-// ExampleSession_SubscribeRetires streams the retired host
-// instructions of a run, batched and interleaved with synchronization
-// markers in retire order.
+// ExampleSession_SubscribeRetires streams the instruction mix of a
+// run's retired host instructions, batched and interleaved with
+// synchronization markers in retire order. (Add darco.WithRetireEvents
+// to also receive the instructions one by one in b.Events.)
 func ExampleSession_SubscribeRetires() {
 	im, err := guest.Assemble(sumProgram)
 	if err != nil {
@@ -114,12 +115,8 @@ func ExampleSession_SubscribeRetires() {
 			syncs++
 			return
 		}
-		insns += uint64(len(b.Events))
-		for i := range b.Events {
-			if b.Events[i].Class == darco.RetireBranch {
-				branches++
-			}
-		}
+		insns += b.Mix.Insns
+		branches += b.Mix.Class[darco.RetireBranch]
 	})
 	res, err := ses.Run(context.Background())
 	if err != nil {

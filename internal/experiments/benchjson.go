@@ -10,6 +10,7 @@ import (
 	"darco/internal/workload"
 	"darco/obs"
 	"darco/perf"
+	"darco/telemetry"
 )
 
 // BenchEntry and BenchSnapshot are the BENCH_<n>.json schema, owned by
@@ -71,7 +72,10 @@ func CollectBenchSnapshot(ctx context.Context, scale float64) (*perf.Snapshot, e
 		return nil, err
 	}
 
-	speed := func(name string, timing bool, opts ...darco.Option) error {
+	// speed measures one session over im. windowed attaches a
+	// default-interval telemetry windower first, the subscription every
+	// served job's sessions carry.
+	speed := func(name string, timing, windowed bool, opts ...darco.Option) error {
 		ctrs := &obs.EngineCounters{}
 		opts = append(append([]darco.Option(nil), opts...), darco.WithObsCounters(ctrs))
 		var res *darco.Result
@@ -80,7 +84,16 @@ func CollectBenchSnapshot(ctx context.Context, scale float64) (*perf.Snapshot, e
 			if err != nil {
 				return err
 			}
-			res, err = eng.Run(ctx, im)
+			sess, err := eng.NewSession(im)
+			if err != nil {
+				return err
+			}
+			if windowed {
+				wd := telemetry.NewWindower(telemetry.DefaultInterval, func(telemetry.Window) {})
+				wd.Attach(sess)
+				defer wd.Flush()
+			}
+			res, err = sess.Run(ctx)
 			return err
 		})
 		if err != nil {
@@ -101,16 +114,22 @@ func CollectBenchSnapshot(ctx context.Context, scale float64) (*perf.Snapshot, e
 		snap.Benches[name] = entry
 		return nil
 	}
-	if err := speed("TableSpeedFunctional", false, darco.WithConfig(darco.DefaultConfig())); err != nil {
+	if err := speed("TableSpeedFunctional", false, false, darco.WithConfig(darco.DefaultConfig())); err != nil {
 		return nil, err
 	}
-	if err := speed("TableSpeedTiming", true, darco.WithConfig(darco.TimingConfig())); err != nil {
+	// The same run with job telemetry attached: its allocs/op and
+	// counters must stay those of the bare row (the gate holds them),
+	// and its ns/op within a few percent.
+	if err := speed("TableSpeedFunctionalTelemetry", false, true, darco.WithConfig(darco.DefaultConfig())); err != nil {
+		return nil, err
+	}
+	if err := speed("TableSpeedTiming", true, false, darco.WithConfig(darco.TimingConfig())); err != nil {
 		return nil, err
 	}
 	// The decoupled timing pipeline at the default bench depth: counters
 	// are bit-identical to TableSpeedTiming (the determinism harness pins
 	// that), so the ns/op ratio between the two is the pipeline's win.
-	if err := speed("TableSpeedTimingPipelined", true,
+	if err := speed("TableSpeedTimingPipelined", true, false,
 		darco.WithConfig(darco.TimingConfig()), darco.WithTimingPipeline(BenchPipelineDepth)); err != nil {
 		return nil, err
 	}

@@ -118,13 +118,26 @@ func (vm *VM) Run(block *codecache.Block, fuel uint64) (Result, RunStats, error)
 func (vm *VM) runBlock(b *codecache.Block) (Result, error) {
 	code := b.Code
 	r := &vm.Regs
+	// One flag covers both consumers, so with nothing attached the
+	// retirement fast path stays a single predictable branch per
+	// instruction. Hoisting it is safe: nothing can attach mid-block
+	// unless a consumer's callback runs, and then the flag is already
+	// set; the fields themselves are re-read under it.
+	observed := vm.Retire != nil || vm.Mix != nil
 	i := 0
 	for i < len(code) {
 		in := &code[i]
 		if host.Descs[in.Op].Class != host.ClassBranch {
 			vm.AppInsns++
-			if vm.Retire != nil {
-				vm.retireEvent(in, blockPC(b.ID, i), false, 0)
+			if observed {
+				// Nine retirements in ten pass through here, so the
+				// common subscribed case — histogram only, not at the
+				// cut — is counted inline; observe handles the rest.
+				if m := vm.Mix; m != nil && vm.Retire == nil && vm.AppInsns != m.CutAt {
+					m.Ops[in.Op]++
+				} else {
+					vm.observe(in, blockPC(b.ID, i), false, 0)
+				}
 			}
 		}
 		switch in.Op {
@@ -298,8 +311,8 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, error) {
 		case host.BEQZ:
 			taken := r.R[in.Ra] == 0
 			vm.AppInsns++
-			if vm.Retire != nil {
-				vm.retireEvent(in, blockPC(b.ID, i), taken, blockPC(b.ID, i+1+int(in.Imm)))
+			if observed {
+				vm.observe(in, blockPC(b.ID, i), taken, blockPC(b.ID, i+1+int(in.Imm)))
 			}
 			if taken {
 				i += 1 + int(in.Imm)
@@ -308,8 +321,8 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, error) {
 		case host.BNEZ:
 			taken := r.R[in.Ra] != 0
 			vm.AppInsns++
-			if vm.Retire != nil {
-				vm.retireEvent(in, blockPC(b.ID, i), taken, blockPC(b.ID, i+1+int(in.Imm)))
+			if observed {
+				vm.observe(in, blockPC(b.ID, i), taken, blockPC(b.ID, i+1+int(in.Imm)))
 			}
 			if taken {
 				i += 1 + int(in.Imm)
@@ -317,8 +330,8 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, error) {
 			}
 		case host.JREL:
 			vm.AppInsns++
-			if vm.Retire != nil {
-				vm.retireEvent(in, blockPC(b.ID, i), true, blockPC(b.ID, i+1+int(in.Imm)))
+			if observed {
+				vm.observe(in, blockPC(b.ID, i), true, blockPC(b.ID, i+1+int(in.Imm)))
 			}
 			i += 1 + int(in.Imm)
 			continue

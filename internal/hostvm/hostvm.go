@@ -137,6 +137,9 @@ type VM struct {
 	// Retire, when non-nil, observes every retired host instruction
 	// (the timing simulator's instruction feed).
 	Retire func(ev RetireEvent)
+	// Mix, when non-nil, counts every retired host instruction by
+	// opcode — the VM's performance-monitoring unit.
+	Mix *RetireMix
 
 	// Statistics.
 	AppInsns     uint64 // retired host instructions emulating the guest
@@ -207,6 +210,24 @@ type RetireEvent struct {
 	Addr   uint32 // effective address for loads and stores
 }
 
+// RetireMix is the retirement PMU: an opcode histogram the VM bumps at
+// every retire site while one is attached to VM.Mix, and a programmed
+// cut. Its owner reads and clears the counters between instructions —
+// from OnCut, or whenever the VM is not running.
+type RetireMix struct {
+	Ops [host.NumOps]uint64
+	// Taken counts the retired control transfers that left the
+	// fall-through path (what RetireEvent.Taken reports per event).
+	Taken uint64
+
+	// CutAt is the VM.AppInsns value at which the VM calls OnCut, right
+	// after counting (and feeding VM.Retire) the instruction that
+	// reaches it. OnCut must move CutAt forward; it may also detach the
+	// histogram or change VM.Retire.
+	CutAt uint64
+	OnCut func()
+}
+
 // TOLDispatchPC is the synthetic host address of the TOL dispatch loop,
 // the target of unchained exits.
 const TOLDispatchPC = 0xF000_0000
@@ -249,33 +270,53 @@ func blockPC(id, idx int) uint32 {
 
 var retireNop = host.Inst{Op: host.NOPH}
 
+// retire accounts one retired host instruction outside runBlock's
+// inlined copies of the same sequence (exits, asserts, synthetic NOPs).
 func (vm *VM) retire(in *host.Inst, pc uint32, taken bool, target uint32) {
 	vm.AppInsns++
-	if vm.Retire != nil {
-		vm.retireEvent(in, pc, taken, target)
+	if vm.Retire != nil || vm.Mix != nil {
+		vm.observe(in, pc, taken, target)
 	}
 }
 
-// retireEvent builds and delivers the retire event for the timing
-// simulator. Kept out of the retirement fast path: without a consumer,
-// runBlock only bumps AppInsns and never materializes events or
-// synthetic PCs.
-func (vm *VM) retireEvent(in *host.Inst, pc uint32, taken bool, target uint32) {
-	ev := RetireEvent{Inst: in, PC: pc, Taken: taken, Target: target}
-	d := in.Op.Desc()
-	if d.IsLoad || d.IsStore {
-		ev.Addr = vm.Regs.R[in.Ra] + uint32(in.Imm)
+// observe feeds the attached consumers one retired instruction: the
+// retire event for the timing simulator first, then the PMU count and
+// cut, so a cut callback finds the instruction that reached it already
+// delivered. Kept out of the retirement fast path: with nothing
+// attached, runBlock only bumps AppInsns and never materializes events
+// or synthetic PCs. Both fields are re-read here because a consumer may
+// detach itself — or attach the other one — from inside its callback.
+func (vm *VM) observe(in *host.Inst, pc uint32, taken bool, target uint32) {
+	if vm.Retire != nil {
+		ev := RetireEvent{Inst: in, PC: pc, Taken: taken, Target: target}
+		d := in.Op.Desc()
+		if d.IsLoad || d.IsStore {
+			ev.Addr = vm.Regs.R[in.Ra] + uint32(in.Imm)
+		}
+		vm.Retire(ev)
 	}
-	vm.Retire(ev)
+	if m := vm.Mix; m != nil {
+		m.Ops[in.Op]++
+		if taken {
+			m.Taken++
+		}
+		if vm.AppInsns == m.CutAt {
+			m.OnCut()
+		}
+	}
 }
 
 // chargeSynthetic accounts host instructions that exist in the real
 // machine's code stream but are modelled as fixed-cost sequences (IBTC
-// probes, profiling counter bumps). Without a retire consumer the
-// per-instruction events are unobservable, so only the counter moves.
+// probes, profiling counter bumps). When no consumer takes them one by
+// one and no cut falls inside the run, only the counters move.
 func (vm *VM) chargeSynthetic(n int) {
-	if vm.Retire == nil {
+	m := vm.Mix
+	if vm.Retire == nil && (m == nil || m.CutAt-vm.AppInsns > uint64(n)) {
 		vm.AppInsns += uint64(n)
+		if m != nil {
+			m.Ops[host.NOPH] += uint64(n)
+		}
 		return
 	}
 	for i := 0; i < n; i++ {

@@ -5,9 +5,9 @@ import (
 	"darco/internal/hostvm"
 )
 
-// DefaultRetireBatchSize is how many retired host instructions a
-// session buffers before delivering them as one RetireBatch when the
-// subscriber does not choose a size.
+// DefaultRetireBatchSize is how many retired host instructions one
+// RetireBatch covers at most when the subscriber does not choose a
+// size.
 const DefaultRetireBatchSize = 4096
 
 // RetireClass coarsely classifies a retired host instruction by the
@@ -22,6 +22,10 @@ const (
 	RetireMemory                     // loads and stores (incl. TOL spill slots)
 	RetireBranch                     // control flow: branches, exits, chains
 	RetireVector                     // SIMD
+
+	// NumRetireClasses is the number of classes; RetireMix.Class is
+	// indexed by RetireClass.
+	NumRetireClasses = iota
 )
 
 func (c RetireClass) String() string {
@@ -40,13 +44,21 @@ func (c RetireClass) String() string {
 	return "?"
 }
 
+// RetireOp is the host opcode of a retired instruction; String returns
+// its mnemonic.
+type RetireOp uint8
+
+func (o RetireOp) String() string { return host.Op(o).String() }
+
 // RetireEvent is one retired host instruction of the co-designed
 // component's application stream — the same per-instruction feed the
 // timing simulator consumes. PC and Target are synthetic host
 // addresses (code-cache block id and instruction index packed);
 // GuestPC is the guest instruction this host instruction emulates.
+// The struct holds no pointers, so a buffered batch costs the garbage
+// collector nothing to scan.
 type RetireEvent struct {
-	Op      string // host mnemonic
+	Op      RetireOp
 	Class   RetireClass
 	GuestPC uint32
 	PC      uint32
@@ -57,17 +69,50 @@ type RetireEvent struct {
 	Store   bool
 }
 
+// retireProto holds, per host opcode, a RetireEvent with the fields the
+// opcode alone determines (Op, Class, Load, Store) filled in. push
+// copies the prototype and adds the per-instruction fields; takeMix
+// reads it to fold the VM's opcode histogram into classes.
+var retireProto = func() (t [host.NumOps]RetireEvent) {
+	for op := range t {
+		d := host.Op(op).Desc()
+		t[op] = RetireEvent{
+			Op:    RetireOp(op),
+			Class: retireClass(d.Class),
+			Load:  d.IsLoad,
+			Store: d.IsStore,
+		}
+	}
+	return t
+}()
+
+// RetireMix aggregates the retired host instructions of one delivery:
+// how many, their split by execution resource, and the load, store and
+// taken-transfer slices of the same instructions. The session reads it
+// from the VM's opcode histogram, so it is exact whether or not the
+// delivery carries per-instruction Events.
+type RetireMix struct {
+	Insns  uint64
+	Class  [NumRetireClasses]uint64 // indexed by RetireClass
+	Loads  uint64
+	Stores uint64
+	Taken  uint64
+}
+
 // RetireBatch is one delivery on a session's retire stream: either a
-// run of retired host instructions (Events non-empty, Sync nil) or a
-// synchronization marker (Sync non-nil, Events nil) positioned exactly
+// run of retired host instructions (Mix.Insns > 0, Sync nil) or a
+// synchronization marker (Sync non-nil, Mix zero) positioned exactly
 // where it occurred in retire order. Seq numbers deliveries
 // contiguously from 0 per session.
 //
-// The Events slice is reused between deliveries: it is valid only for
-// the duration of the callback, so a sink that retains events must
-// copy them out.
+// Mix is always filled. Events lists the same instructions one by one,
+// but only while some subscriber of the session asked for them with
+// WithRetireEvents; otherwise it is nil. The Events slice is reused
+// between deliveries: it is valid only for the duration of the
+// callback, so a sink that retains events must copy them out.
 type RetireBatch struct {
 	Seq    uint64
+	Mix    RetireMix
 	Events []RetireEvent
 	Sync   *SyncEvent
 }
@@ -78,19 +123,29 @@ type RetireBatch struct {
 type RetireSink func(RetireBatch)
 
 // RetireOption configures one retire-stream subscription.
-type RetireOption func(*retireSubConfig)
+type RetireOption func(*retireSub)
 
-type retireSubConfig struct {
-	batchSize int
+// WithRetireBatchSize sets how many retired instructions one delivery
+// covers at most (values < 1 mean DefaultRetireBatchSize): the session
+// cuts a delivery every n instructions counted from the subscribe
+// point, besides the cuts at synchronization events and excursion ends.
+// A session with several subscribers cuts wherever any of them asked;
+// every subscriber sees the same deliveries.
+func WithRetireBatchSize(n int) RetireOption {
+	return func(s *retireSub) {
+		if n >= 1 {
+			s.batchSize = uint64(n)
+		}
+	}
 }
 
-// WithRetireBatchSize sets how many instruction events accumulate
-// before the subscription's session flushes a batch (values < 1 mean
-// DefaultRetireBatchSize). A session with several subscribers batches
-// at the smallest size any of them requested; every subscriber sees
-// the same deliveries.
-func WithRetireBatchSize(n int) RetireOption {
-	return func(c *retireSubConfig) { c.batchSize = n }
+// WithRetireEvents asks for per-instruction Events in every delivery.
+// Without it a subscription costs the session one counter increment
+// per retired instruction; with it every instruction is also
+// materialised as a RetireEvent, about 15 ns each — three times what
+// emulating the instruction costs.
+func WithRetireEvents() RetireOption {
+	return func(s *retireSub) { s.events = true }
 }
 
 // retireSubscription is a sink plus its options, recorded on the
@@ -101,33 +156,43 @@ type retireSubscription struct {
 }
 
 // retireStream owns a session's retire-stream state: the active
-// subscribers, the shared event buffer, and the delivery sequence.
-// Everything runs on the session's goroutine.
+// subscribers, the opcode histogram the VM counts into, the shared
+// event buffer, and the delivery sequence. The VM's AppInsns is the
+// stream's clock: cuts are programmed as AppInsns values. Everything
+// runs on the session's goroutine.
 type retireStream struct {
+	vm    *hostvm.VM
 	subs  []*retireSub
+	mix   hostvm.RetireMix // vm.Mix while a subscriber is attached
+	mark  uint64           // vm.AppInsns at the last delivery (or attach)
 	batch []RetireEvent
-	limit int
 	seq   uint64
 }
 
 type retireSub struct {
 	sink      RetireSink
-	batchSize int
+	batchSize uint64
+	next      uint64 // vm.AppInsns at this subscriber's next cut
+	events    bool
 	active    bool
 }
 
-// add registers a sink and returns its handle.
+// add registers a sink and returns its handle. The first subscriber
+// starts the stream from a clean slate at the current instruction.
 func (st *retireStream) add(sink RetireSink, opts ...RetireOption) *retireSub {
-	cfg := retireSubConfig{batchSize: DefaultRetireBatchSize}
+	sub := &retireSub{sink: sink, batchSize: DefaultRetireBatchSize, active: true}
 	for _, opt := range opts {
-		opt(&cfg)
+		opt(sub)
 	}
-	if cfg.batchSize < 1 {
-		cfg.batchSize = DefaultRetireBatchSize
+	now := st.vm.AppInsns
+	if len(st.subs) == 0 {
+		st.mix = hostvm.RetireMix{OnCut: st.flush}
+		st.mark = now
+		st.batch = st.batch[:0]
 	}
-	sub := &retireSub{sink: sink, batchSize: cfg.batchSize, active: true}
+	sub.next = now + sub.batchSize
 	st.subs = append(st.subs, sub)
-	st.relimit()
+	st.program()
 	return sub
 }
 
@@ -146,58 +211,102 @@ func (st *retireStream) remove(sub *retireSub) {
 		}
 	}
 	st.subs = live
-	st.relimit()
+	st.program()
 }
 
-// relimit recomputes the flush threshold (the smallest subscriber
-// batch size) after a subscribe or unsubscribe.
-func (st *retireStream) relimit() {
-	st.limit = 0
+// program moves every subscriber whose cut has been reached on to its
+// next one and points the VM's cut at the nearest.
+func (st *retireStream) program() {
+	now := st.vm.AppInsns
+	cut := ^uint64(0)
 	for _, s := range st.subs {
-		if st.limit == 0 || s.batchSize < st.limit {
-			st.limit = s.batchSize
+		if s.next <= now {
+			s.next += s.batchSize
+		}
+		if s.next < cut {
+			cut = s.next
 		}
 	}
+	st.mix.CutAt = cut
 }
 
 func (st *retireStream) hasSubs() bool { return len(st.subs) > 0 }
 
-// push converts one hostvm retire event to the public form and buffers
-// it, flushing when the batch threshold is reached. It is the
-// session's VM.Retire feed (tee'd with the timing simulator's), so it
-// only runs at all when a subscriber is attached.
-func (st *retireStream) push(ev hostvm.RetireEvent) {
-	d := ev.Inst.Op.Desc()
-	pub := RetireEvent{
-		Op:      d.Name,
-		Class:   retireClass(d.Class),
-		GuestPC: ev.Inst.GPC,
-		PC:      ev.PC,
-		Target:  ev.Target,
-		Addr:    ev.Addr,
-		Taken:   ev.Taken,
-		Load:    d.IsLoad,
-		Store:   d.IsStore,
+// wantsEvents reports whether any subscriber asked for per-instruction
+// events.
+func (st *retireStream) wantsEvents() bool {
+	for _, s := range st.subs {
+		if s.events {
+			return true
+		}
 	}
-	st.batch = append(st.batch, pub)
-	if len(st.batch) >= st.limit {
-		st.flush()
-	}
+	return false
 }
 
-// flush delivers the buffered instruction events as one batch and
-// resets the buffer for reuse.
+// push converts one hostvm retire event to the public form and buffers
+// it. It is in the session's VM.Retire feed (tee'd with the timing
+// simulator's) only while a subscriber wants events; the VM's cut, not
+// the buffer's length, decides when the batch is delivered.
+//
+// Kept out of line: inlined into its method-value wrapper (the func
+// value VM.Retire holds), go1.24 spills the by-value event field by
+// field and re-reads it with one 16-byte load, a store-forwarding stall
+// worth ~6 ns per event — a quarter of the whole per-event cost.
+//
+//go:noinline
+func (st *retireStream) push(ev hostvm.RetireEvent) {
+	pub := retireProto[ev.Inst.Op]
+	pub.GuestPC = ev.Inst.GPC
+	pub.PC = ev.PC
+	pub.Target = ev.Target
+	pub.Addr = ev.Addr
+	pub.Taken = ev.Taken
+	st.batch = append(st.batch, pub)
+}
+
+// flush delivers the instructions retired since the last delivery as
+// one batch, clears the histogram and the event buffer, and programs
+// the next cut. It is the VM's OnCut callback and also runs at every
+// excursion end and ahead of every sync marker.
 func (st *retireStream) flush() {
-	if len(st.batch) == 0 {
+	if st.vm.AppInsns == st.mark {
 		return
 	}
-	b := RetireBatch{Seq: st.seq, Events: st.batch}
+	st.mark = st.vm.AppInsns
+	b := RetireBatch{Seq: st.seq, Mix: st.takeMix()}
+	if len(st.batch) > 0 {
+		b.Events = st.batch
+	}
 	st.deliver(b)
 	st.batch = st.batch[:0]
+	st.program()
 }
 
-// sync flushes pending instruction events, then delivers ev as a
-// marker batch, preserving retire order.
+// takeMix folds the VM's opcode histogram into the public aggregate
+// and clears it.
+func (st *retireStream) takeMix() RetireMix {
+	m := RetireMix{Taken: st.mix.Taken}
+	for op, n := range st.mix.Ops {
+		if n == 0 {
+			continue
+		}
+		p := &retireProto[op]
+		m.Insns += n
+		m.Class[p.Class] += n
+		if p.Load {
+			m.Loads += n
+		}
+		if p.Store {
+			m.Stores += n
+		}
+	}
+	st.mix.Ops = [host.NumOps]uint64{}
+	st.mix.Taken = 0
+	return m
+}
+
+// sync flushes pending instructions, then delivers ev as a marker
+// batch, preserving retire order.
 func (st *retireStream) sync(ev SyncEvent) {
 	st.flush()
 	st.deliver(RetireBatch{Seq: st.seq, Sync: &ev})

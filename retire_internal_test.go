@@ -1,6 +1,7 @@
 package darco
 
 import (
+	"reflect"
 	"testing"
 
 	"darco/internal/timing"
@@ -9,10 +10,13 @@ import (
 
 // TestRetireHookZeroCostWithoutSubscriber pins the acceptance property
 // behind BenchmarkTableSpeedFunctional: a session with no retire
-// subscriber must leave the VM's retire slot exactly what the timing
-// configuration dictates — nil on the functional stack, the timing
-// consumer alone with a simulator attached — so the retirement fast
-// path never materializes events.
+// subscriber must leave the VM with no histogram attached and its
+// retire slot exactly what the timing configuration dictates — nil on
+// the functional stack, the timing consumer alone with a simulator
+// attached — so the retirement fast path (one branch per instruction,
+// pinned in internal/hostvm) never counts or materializes anything. A
+// subscriber that did not ask for events attaches the histogram and
+// leaves the retire slot alone.
 func TestRetireHookZeroCostWithoutSubscriber(t *testing.T) {
 	p, _ := workload.ByName("429.mcf")
 	im, err := workload.CachedImage(p.Scale(0.05))
@@ -28,21 +32,33 @@ func TestRetireHookZeroCostWithoutSubscriber(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ses.ctl.CoD.VM.Retire != nil {
+	vm := ses.ctl.CoD.VM
+	if vm.Retire != nil || vm.Mix != nil {
 		t.Error("functional session has a retire consumer without a subscriber")
 	}
 	if ses.ctl.Cfg.OnExcursion != nil || ses.ctl.Cfg.OnSync != nil {
 		t.Error("controller hooks installed without an observer or subscriber")
 	}
 
-	// Subscribing installs the hooks; unsubscribing restores the fast
-	// path.
+	// Subscribing attaches the histogram and the controller hooks, the
+	// event feed only on request; unsubscribing restores the fast path.
 	cancel := ses.SubscribeRetires(func(RetireBatch) {})
-	if ses.ctl.CoD.VM.Retire == nil || ses.ctl.Cfg.OnExcursion == nil || ses.ctl.Cfg.OnSync == nil {
+	if vm.Mix == nil || ses.ctl.Cfg.OnExcursion == nil || ses.ctl.Cfg.OnSync == nil {
 		t.Error("subscription did not install the retire hooks")
 	}
+	if vm.Retire != nil {
+		t.Error("a subscription without WithRetireEvents installed the per-instruction event feed")
+	}
+	cancelEvents := ses.SubscribeRetires(func(RetireBatch) {}, WithRetireEvents())
+	if vm.Retire == nil {
+		t.Error("WithRetireEvents did not install the per-instruction event feed")
+	}
+	cancelEvents()
+	if vm.Retire != nil || vm.Mix == nil {
+		t.Error("dropping the events subscriber did not leave the histogram alone on the VM")
+	}
 	cancel()
-	if ses.ctl.CoD.VM.Retire != nil || ses.ctl.Cfg.OnExcursion != nil || ses.ctl.Cfg.OnSync != nil {
+	if vm.Retire != nil || vm.Mix != nil || ses.ctl.Cfg.OnExcursion != nil || ses.ctl.Cfg.OnSync != nil {
 		t.Error("unsubscribe did not restore the no-consumer fast path")
 	}
 
@@ -58,10 +74,22 @@ func TestRetireHookZeroCostWithoutSubscriber(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tSes.ctl.CoD.VM.Retire == nil {
-		t.Error("timing session lost its retire consumer")
+	isTimingFeed := func() bool {
+		return reflect.ValueOf(tSes.ctl.CoD.VM.Retire).Pointer() == reflect.ValueOf(tSes.core.Consume).Pointer()
+	}
+	if !isTimingFeed() || tSes.ctl.CoD.VM.Mix != nil {
+		t.Error("timing session's retire slot is not the timing consumer alone")
 	}
 	if tSes.ctl.Cfg.OnExcursion != nil {
 		t.Error("timing-only session installed the stream flush hook")
+	}
+	// A mix-only subscriber leaves the retire slot the timing feed.
+	cancel = tSes.SubscribeRetires(func(RetireBatch) {})
+	if !isTimingFeed() || tSes.ctl.CoD.VM.Mix == nil {
+		t.Error("a subscription without events changed the timing session's retire slot")
+	}
+	cancel()
+	if !isTimingFeed() || tSes.ctl.CoD.VM.Mix != nil {
+		t.Error("unsubscribe did not restore the timing-only wiring")
 	}
 }

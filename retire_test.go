@@ -70,7 +70,7 @@ func TestRetireStreamAccountsEveryAppInstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	tally := newStreamTally()
-	ses.SubscribeRetires(tally.sink, darco.WithRetireBatchSize(1000))
+	ses.SubscribeRetires(tally.sink, darco.WithRetireEvents(), darco.WithRetireBatchSize(1000))
 	res, err := ses.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestRetireStreamDeterministicAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		tally := newStreamTally()
-		ses.SubscribeRetires(tally.sink)
+		ses.SubscribeRetires(tally.sink, darco.WithRetireEvents())
 		if _, err := ses.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestRetireStreamDoesNotPerturbTiming(t *testing.T) {
 			t.Fatal(err)
 		}
 		if subscribe {
-			ses.SubscribeRetires(func(darco.RetireBatch) {})
+			ses.SubscribeRetires(func(darco.RetireBatch) {}, darco.WithRetireEvents())
 		}
 		res, err := ses.Run(context.Background())
 		if err != nil {
@@ -191,7 +191,7 @@ func TestRetireStreamSubscribeAndUnsubscribeMidSession(t *testing.T) {
 
 	// Phase 2: subscribed for one step.
 	tally := newStreamTally()
-	cancel := ses.SubscribeRetires(tally.sink)
+	cancel := ses.SubscribeRetires(tally.sink, darco.WithRetireEvents())
 	second, err := ses.Step(ctx, 20_000)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestUnsubscribeFromInsideSink(t *testing.T) {
 	})
 	tallyB := newStreamTally()
 	tallyC := newStreamTally()
-	ses.SubscribeRetires(tallyB.sink)
+	ses.SubscribeRetires(tallyB.sink, darco.WithRetireEvents())
 	ses.SubscribeRetires(tallyC.sink)
 	res, err := ses.Run(context.Background())
 	if err != nil {
@@ -268,7 +268,7 @@ func TestWithRetireStreamEngineOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	tally := newStreamTally()
-	eng, err := darco.NewEngine(darco.WithRetireStream(tally.sink, darco.WithRetireBatchSize(512)))
+	eng, err := darco.NewEngine(darco.WithRetireStream(tally.sink, darco.WithRetireEvents(), darco.WithRetireBatchSize(512)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,5 +298,72 @@ func TestWithRetireStreamEngineOption(t *testing.T) {
 	}
 	if tally.events != before {
 		t.Errorf("campaign scenarios leaked %d events into the engine-level sink", tally.events-before)
+	}
+}
+
+// TestSubscribersWithDifferentBatchSizesSeeTheSameDeliveries: the
+// session cuts wherever any subscriber's batch size asks, so two
+// subscribers with different sizes hear one identical sequence of
+// deliveries — and every multiple of either size is a delivery
+// boundary, which is what lets each of them count on its own size.
+func TestSubscribersWithDifferentBatchSizesSeeTheSameDeliveries(t *testing.T) {
+	p, _ := workload.ByName("429.mcf")
+	im, err := workload.CachedImage(p.Scale(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := darco.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses, err := eng.NewSession(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type delivery struct {
+		seq    uint64
+		mix    darco.RetireMix
+		events int
+		sync   bool
+	}
+	record := func(into *[]delivery) darco.RetireSink {
+		return func(b darco.RetireBatch) {
+			*into = append(*into, delivery{b.Seq, b.Mix, len(b.Events), b.Sync != nil})
+		}
+	}
+	var a, b []delivery
+	ses.SubscribeRetires(record(&a), darco.WithRetireBatchSize(1000))
+	ses.SubscribeRetires(record(&b), darco.WithRetireBatchSize(4096), darco.WithRetireEvents())
+	res, err := ses.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(b) {
+		t.Fatalf("subscribers heard %d and %d deliveries", len(a), len(b))
+	}
+	boundaries := map[uint64]bool{}
+	var total uint64
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("delivery %d differs: %+v vs %+v", i, a[i], b[i])
+		}
+		if a[i].sync {
+			continue
+		}
+		if a[i].mix.Insns == 0 || a[i].mix.Insns > 1000 || uint64(a[i].events) != a[i].mix.Insns {
+			t.Fatalf("delivery %d: %d insns, %d events (smallest batch size 1000)", i, a[i].mix.Insns, a[i].events)
+		}
+		total += a[i].mix.Insns
+		boundaries[total] = true
+	}
+	if total != res.HostAppInsns {
+		t.Errorf("deliveries cover %d insns, session retired %d", total, res.HostAppInsns)
+	}
+	for _, size := range []uint64{1000, 4096} {
+		for at := size; at <= total; at += size {
+			if !boundaries[at] {
+				t.Fatalf("no delivery boundary at %d, a multiple of batch size %d", at, size)
+			}
+		}
 	}
 }

@@ -608,6 +608,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative timeout", `{"scenario_timeout_ms":-5,"scenarios":[{"profile":"429.mcf"}]}`},
 		{"over scenario limit", `{"suite":{}}`},
 		{"bad engine", `{"engine":{"validate_every_n_syncs":-1},"scenarios":[{"profile":"429.mcf"}]}`},
+		{"window per instruction", `{"telemetry":{"interval_insns":1},"scenarios":[{"profile":"429.mcf"}]}`},
 	} {
 		submit(t, coord.URL, c.body, http.StatusBadRequest)
 	}

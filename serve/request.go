@@ -101,14 +101,24 @@ type EngineSpec struct {
 }
 
 // TelemetrySpec configures the live instruction-mix stream. Telemetry
-// is on by default; it costs a retire-stream subscription per running
-// scenario, so heavy sweeps that do not watch /events can disable it.
+// is on by default: each running scenario's session counts its
+// retirement mix in the host VM's dispatch loop, which costs a job
+// about 1.1× the wall of the same campaign run bare (measured by the
+// repository benchmark's serve.overhead_x on every workload), plus one
+// journaled and published window per interval.
 type TelemetrySpec struct {
 	Disable bool `json:"disable,omitempty"`
 	// IntervalInsns is the window length in retired host instructions
-	// (0 = telemetry.DefaultInterval).
+	// (0 = telemetry.DefaultInterval). Values below
+	// MinTelemetryInterval are rejected.
 	IntervalInsns uint64 `json:"interval_insns,omitempty"`
 }
+
+// MinTelemetryInterval is the shortest telemetry window a submission
+// may ask for. Every window is journaled and published, so without a
+// floor one request could make a daemon write a record per retired
+// host instruction.
+const MinTelemetryInterval = 1024
 
 // jobSpec is a validated submission: everything a worker needs to run
 // the campaign.
@@ -123,8 +133,10 @@ type jobSpec struct {
 	telemetryInterval uint64
 }
 
-// ParseSubmit decodes a submission body without validating it against
-// any server's limits — the syntactic half of decodeSubmit, shared
+// ParseSubmit decodes a submission body and applies the checks that
+// hold on every daemon (one JSON value, known fields, the telemetry
+// interval floor) without validating it against any one server's
+// limits — the server-independent half of decodeSubmit, shared
 // with the recovery path (which re-derives scenario rosters from
 // journaled submissions) and with the sched coordinator (which
 // validates a federated submission before sharding it).
@@ -140,6 +152,9 @@ func ParseSubmit(r io.Reader) (*SubmitRequest, error) {
 	// JSON), so it is rejected before the job can be accepted.
 	if err := dec.Decode(&struct{}{}); err != io.EOF {
 		return nil, fmt.Errorf("invalid request body: trailing data after the JSON object")
+	}
+	if t := req.Telemetry; t != nil && t.IntervalInsns != 0 && t.IntervalInsns < MinTelemetryInterval {
+		return nil, fmt.Errorf("telemetry interval_insns %d is below the minimum of %d", t.IntervalInsns, MinTelemetryInterval)
 	}
 	return &req, nil
 }

@@ -729,7 +729,7 @@ func (ws *windowers) attach(i int, sc *darco.Scenario, sess *darco.Session) {
 			Window:   w,
 		})
 	})
-	sess.SubscribeRetires(wd.Sink)
+	wd.Attach(sess)
 	ws.mu.Lock()
 	ws.m[i] = wd
 	ws.mu.Unlock()

@@ -57,7 +57,9 @@ func submit(t *testing.T, base, body string, want int) serve.JobStatus {
 		if err := json.Unmarshal(raw, &st); err != nil {
 			t.Fatalf("submit response: %v: %s", err, raw)
 		}
-		if st.ID == "" || st.State != serve.JobQueued {
+		// The reply is the job's status after it was queued: an idle
+		// worker may already have picked it up.
+		if st.ID == "" || (st.State != serve.JobQueued && st.State != serve.JobRunning) {
 			t.Fatalf("submit response: %+v", st)
 		}
 	}
@@ -541,6 +543,10 @@ func TestSubmitValidation(t *testing.T) {
 		{"too many scenarios", `{"suite":{"scale":0.05}}`, "exceed the server limit"},
 		{"bad engine", `{"scenarios":[{"profile":"429.mcf"}],"engine":{"power":true,"freq_mhz":-5}}`,
 			"engine configuration"},
+		{"window per instruction", `{"scenarios":[{"profile":"429.mcf"}],"telemetry":{"interval_insns":1}}`,
+			"below the minimum"},
+		{"window just under the floor", `{"scenarios":[{"profile":"429.mcf"}],"telemetry":{"interval_insns":1023}}`,
+			"below the minimum"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -558,6 +564,9 @@ func TestSubmitValidation(t *testing.T) {
 			}
 		})
 	}
+	// The telemetry floor itself is a valid interval.
+	submit(t, ts.URL, fmt.Sprintf(`{"scenarios":[{"profile":"429.mcf","scale":0.01}],"telemetry":{"interval_insns":%d}}`,
+		serve.MinTelemetryInterval), http.StatusAccepted)
 	// Oversized bodies are shed before parsing: 413, not an OOM.
 	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json",
 		strings.NewReader(`{"name":"`+strings.Repeat("x", 2<<20)+`"}`))

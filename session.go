@@ -53,6 +53,7 @@ func (e *Engine) NewSession(im *guest.Image) (*Session, error) {
 		return nil, err
 	}
 	s.ctl = ctl
+	s.stream.vm = ctl.CoD.VM
 	if e.cfg.Timing != nil {
 		s.core = timing.New(*e.cfg.Timing)
 		if e.cfg.TimingPipeline > 0 {
@@ -70,13 +71,16 @@ func (e *Engine) NewSession(im *guest.Image) (*Session, error) {
 // SubscribeRetires attaches sink to the session's retire stream: the
 // co-designed component's retired host instructions delivered in
 // batches, interleaved in retire order with the synchronization events
-// the controller mediates. The returned function unsubscribes.
+// the controller mediates. Every batch carries the instruction mix of
+// the instructions it covers; WithRetireEvents adds the instructions
+// themselves. The returned function unsubscribes.
 //
 // Subscribe, unsubscribe and delivery all happen on the session's
 // goroutine: subscribe before running, or between Steps, and the
 // stream picks up (or stops) at that execution point. A session with
-// no subscribers pays nothing on the retirement hot path — the VM's
-// retire hook stays exactly what the timing configuration dictates.
+// no subscribers pays nothing on the retirement hot path — no
+// histogram is attached to the VM and its retire hook stays exactly
+// what the timing configuration dictates.
 func (s *Session) SubscribeRetires(sink RetireSink, opts ...RetireOption) (unsubscribe func()) {
 	sub := s.stream.add(sink, opts...)
 	s.installRetireHooks()
@@ -86,12 +90,14 @@ func (s *Session) SubscribeRetires(sink RetireSink, opts ...RetireOption) (unsub
 	}
 }
 
-// installRetireHooks points the VM's retire slot and the controller's
-// sync/excursion hooks at what the session currently needs: the timing
-// feed (pipelined or synchronous, or nothing) when no retire subscriber
-// is attached, the tee of timing feed and stream otherwise. With the
-// pipeline enabled, every synchronization event is a pipeline barrier
-// and every excursion boundary flushes the producer batch.
+// installRetireHooks points the VM's retire slot and histogram and the
+// controller's sync/excursion hooks at what the session currently
+// needs. The retire slot is the timing feed (pipelined or synchronous,
+// or nothing), tee'd with the stream's event buffer only while a
+// subscriber asked for per-instruction events; the stream's histogram
+// is attached while any subscriber is. With the pipeline enabled, every
+// synchronization event is a pipeline barrier and every excursion
+// boundary flushes the producer batch.
 func (s *Session) installRetireHooks() {
 	var timingFn func(hostvm.RetireEvent)
 	switch {
@@ -100,11 +106,17 @@ func (s *Session) installRetireHooks() {
 	case s.core != nil:
 		timingFn = s.core.Consume
 	}
+	vm := s.ctl.CoD.VM
 	streamOn := s.stream.hasSubs()
-	if streamOn {
-		s.ctl.CoD.VM.Retire = hostvm.TeeRetire(timingFn, s.stream.push)
+	if s.stream.wantsEvents() {
+		vm.Retire = hostvm.TeeRetire(timingFn, s.stream.push)
 	} else {
-		s.ctl.CoD.VM.Retire = timingFn
+		vm.Retire = timingFn
+	}
+	if streamOn {
+		vm.Mix = &s.stream.mix
+	} else {
+		vm.Mix = nil
 	}
 	if s.pipe != nil || streamOn || s.eng.observer != nil {
 		s.ctl.Cfg.OnSync = s.onSync

@@ -10,9 +10,10 @@ import (
 	"darco/telemetry"
 )
 
-// runWindows executes one small workload with a windower subscribed at
-// the given interval and retire batch size, returning the emitted
-// windows and the run result.
+// runWindows executes one small workload with a windower at the given
+// interval — Attach'ed when batch is 0, otherwise subscribed directly
+// with that retire batch size — returning the emitted windows and the
+// run result.
 func runWindows(t *testing.T, interval uint64, batch int) ([]telemetry.Window, *darco.Result) {
 	t.Helper()
 	p, ok := workload.ByName("429.mcf")
@@ -33,7 +34,11 @@ func runWindows(t *testing.T, interval uint64, batch int) ([]telemetry.Window, *
 	}
 	var wins []telemetry.Window
 	wd := telemetry.NewWindower(interval, func(w telemetry.Window) { wins = append(wins, w) })
-	sess.SubscribeRetires(wd.Sink, darco.WithRetireBatchSize(batch))
+	if batch == 0 {
+		wd.Attach(sess)
+	} else {
+		sess.SubscribeRetires(wd.Sink, darco.WithRetireBatchSize(batch))
+	}
 	res, err := sess.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -76,22 +81,49 @@ func TestWindowsCoverEveryRetiredInstruction(t *testing.T) {
 	}
 }
 
-// TestWindowsIndependentOfBatchSize pins that window boundaries are cut
-// on exact instruction counts, not on delivery boundaries: wildly
-// different retire batch sizes must yield identical window sequences.
-func TestWindowsIndependentOfBatchSize(t *testing.T) {
-	a, _ := runWindows(t, 7_919, 64)
-	b, _ := runWindows(t, 7_919, 8192)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("window sequences differ across batch sizes:\n%v\n%v", a, b)
+// TestWindowsExactWhenBatchDividesInterval pins the bare-Sink contract:
+// a direct subscription whose batch size divides the interval yields
+// the same windows as Attach, whatever that batch size is — the session
+// cuts deliveries at multiples of the batch size, so one always ends
+// where a window does.
+func TestWindowsExactWhenBatchDividesInterval(t *testing.T) {
+	want, _ := runWindows(t, 8192, 0)
+	for _, batch := range []int{64, 4096, 8192} {
+		if got, _ := runWindows(t, 8192, batch); !reflect.DeepEqual(got, want) {
+			t.Errorf("batch %d: windows differ from the attached windower's:\n%v\n%v", batch, got, want)
+		}
+	}
+}
+
+// TestWindowsCloseOnDeliveryWhenBatchDoesNotDivide documents the one
+// inexact case: with a batch size that does not divide the interval a
+// window closes at the end of the delivery that reaches the interval,
+// so it may run over — by less than one batch — and nothing is lost.
+func TestWindowsCloseOnDeliveryWhenBatchDoesNotDivide(t *testing.T) {
+	const interval, batch = 10_000, 4096
+	wins, res := runWindows(t, interval, batch)
+	var total uint64
+	for i, w := range wins {
+		if w.StartInsn != total {
+			t.Errorf("window %d starts at %d, want %d", i, w.StartInsn, total)
+		}
+		if i < len(wins)-1 && (w.Insns < interval || w.Insns >= interval+batch) {
+			t.Errorf("non-final window %d covers %d insns, want [%d, %d)", i, w.Insns, interval, interval+batch)
+		}
+		total += w.Insns
+	}
+	if total != res.HostAppInsns {
+		t.Errorf("windows cover %d insns, session retired %d", total, res.HostAppInsns)
 	}
 }
 
 func TestFlushEmitsTailAndOnlyOnce(t *testing.T) {
 	var wins []telemetry.Window
 	wd := telemetry.NewWindower(100, func(w telemetry.Window) { wins = append(wins, w) })
-	for i := 0; i < 150; i++ {
-		wd.Sink(darco.RetireBatch{Events: []darco.RetireEvent{{Class: darco.RetireSimple}}})
+	mix := darco.RetireMix{Insns: 50}
+	mix.Class[darco.RetireSimple] = 50
+	for i := 0; i < 3; i++ {
+		wd.Sink(darco.RetireBatch{Mix: mix})
 	}
 	if len(wins) != 1 {
 		t.Fatalf("%d windows before flush, want 1", len(wins))

@@ -68,7 +68,7 @@ func (tr *retireTrace) sink(b darco.RetireBatch) {
 		w64(uint64(ev.Class)<<32 | uint64(ev.GuestPC))
 		w64(uint64(ev.PC)<<32 | uint64(ev.Target))
 		w64(uint64(ev.Addr)<<8 | flags)
-		h.Write([]byte(ev.Op))
+		h.Write([]byte(ev.Op.String()))
 	}
 	tr.digest = h.Sum64()
 }
@@ -92,7 +92,7 @@ func runTimingAtDepth(t *testing.T, bench string, scale float64, depth int) pipe
 	eng, err := darco.NewEngine(
 		darco.WithConfig(darco.TimingConfig()),
 		darco.WithTimingPipeline(depth),
-		darco.WithRetireStream(out.trace.sink),
+		darco.WithRetireStream(out.trace.sink, darco.WithRetireEvents()),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestTimingPipelineStepped(t *testing.T) {
 		eng, err := darco.NewEngine(
 			darco.WithConfig(darco.TimingConfig()),
 			darco.WithTimingPipeline(depth),
-			darco.WithRetireStream(out.trace.sink),
+			darco.WithRetireStream(out.trace.sink, darco.WithRetireEvents()),
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +212,7 @@ func TestTimingPipelineCancelAndResume(t *testing.T) {
 	eng, err := darco.NewEngine(
 		darco.WithConfig(darco.TimingConfig()),
 		darco.WithTimingPipeline(8),
-		darco.WithRetireStream(tr.sink),
+		darco.WithRetireStream(tr.sink, darco.WithRetireEvents()),
 	)
 	if err != nil {
 		t.Fatal(err)
