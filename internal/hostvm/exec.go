@@ -133,6 +133,9 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, error) {
 				// Nine retirements in ten pass through here, so the
 				// common subscribed case — histogram only, not at the
 				// cut — is counted inline; observe handles the rest.
+				// The copy earns its place: calling observe here
+				// instead costs a default job 15% (served_job_s on
+				// tiers) and a windowed session 23% (fp-steady).
 				if m := vm.Mix; m != nil && vm.Retire == nil && vm.AppInsns != m.CutAt {
 					m.Ops[in.Op]++
 				} else {

@@ -154,6 +154,9 @@ func (c *Coordinator) rebuildJob(h *store.JobHistory) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The shards forward this section verbatim, and a worker refuses a
+	// new submission below the floor.
+	req.Telemetry.Clamp()
 	roster, err := req.Roster()
 	if err != nil {
 		return nil, err

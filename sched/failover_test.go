@@ -304,6 +304,32 @@ func TestCleanShutdownRequeuesQueued(t *testing.T) {
 	}
 }
 
+// TestRecoverySubFloorTelemetryInterval: a federated job journaled by
+// a coordinator that had no telemetry interval floor is rebuilt after
+// the upgrade, and its shards carry the floor so the workers — which
+// refuse the same body as a new submission — accept them.
+func TestRecoverySubFloorTelemetryInterval(t *testing.T) {
+	_, wts := newWorker(t, serve.Options{Workers: 1, QueueCapacity: 4})
+	dir := t.TempDir()
+	body := `{"scenarios":[{"profile":"429.mcf","scale":0.01}],"telemetry":{"interval_insns":100}}`
+
+	st1, closeSt1 := openStore(t, dir)
+	if err := st1.Append(store.Record{Kind: store.KindSubmitted, Job: "job-1", Time: time.Now(),
+		Submitted: &store.SubmittedRecord{Scenarios: 1, Request: json.RawMessage(body)}}); err != nil {
+		t.Fatal(err)
+	}
+	closeSt1()
+
+	st2, _ := openStore(t, dir)
+	_, coord := newCoordinator(t, sched.Options{Workers: []string{wts.URL}, Store: st2})
+	submit(t, coord.URL, body, http.StatusBadRequest)
+	submit(t, wts.URL, body, http.StatusBadRequest)
+	final := waitState(t, coord.URL, "job-1", func(s serve.JobStatus) bool { return s.State.Terminal() || s.State == sched.JobDegraded })
+	if final.State != serve.JobDone {
+		t.Fatalf("re-queued job ended %s (%s)", final.State, final.Error)
+	}
+}
+
 // TestSchedJournalCorruption crashes the coordinator, damages the
 // journal tail the way a torn write would, and requires the restart to
 // salvage the intact prefix, finish the campaign to reference bytes,

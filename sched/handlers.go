@@ -75,6 +75,9 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		req, err = serve.ParseSubmit(bytes.NewReader(raw))
 	}
+	if err == nil {
+		err = req.Telemetry.Validate()
+	}
 	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError

@@ -12,6 +12,7 @@ import (
 
 	"darco/serve"
 	"darco/store"
+	"darco/telemetry"
 )
 
 // crashServer tears a daemon down the way SIGKILL would look to the
@@ -348,6 +349,80 @@ func TestRestartAfterGracefulShutdown(t *testing.T) {
 	defer srv2.Shutdown(context.Background())
 	if got := fetch(t, ts2.URL+"/api/v1/jobs/"+j1.ID+"/export.csv", 200, ""); !bytes.Equal(got, wantCSV) {
 		t.Errorf("export differs across graceful restart:\n%s\nvs:\n%s", got, wantCSV)
+	}
+}
+
+// TestRecoverySubFloorTelemetryInterval: the telemetry interval floor
+// applies to new submissions only. A journal written by a daemon that
+// had no floor still recovers: the queued job runs, at the floor, and
+// the mid-run job lands interrupted with its rows labelled from the
+// request as before.
+func TestRecoverySubFloorTelemetryInterval(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := json.RawMessage(`{"scenarios":[{"profile":"429.mcf","scale":0.01,"name":"below-the-floor"}],"telemetry":{"interval_insns":100}}`)
+	now := time.Now()
+	for _, rec := range []store.Record{
+		{Kind: store.KindSubmitted, Job: "job-1", Time: now,
+			Submitted: &store.SubmittedRecord{Scenarios: 1, Request: body}},
+		{Kind: store.KindStarted, Job: "job-1", Time: now},
+		{Kind: store.KindSubmitted, Job: "job-2", Time: now,
+			Submitted: &store.SubmittedRecord{Scenarios: 1, Request: body}},
+	} {
+		if err := st1.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	srv := serve.New(serve.Options{Store: st2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	// The same body is refused as a new submission.
+	submit(t, ts.URL, string(body), http.StatusBadRequest)
+
+	if st := getStatus(t, ts.URL, "job-1"); st.State != serve.JobInterrupted {
+		t.Fatalf("mid-run job restored as %s: %s", st.State, st.Error)
+	}
+	if csv := fetch(t, ts.URL+"/api/v1/jobs/job-1/export.csv", 200, ""); !strings.Contains(string(csv), "below-the-floor") {
+		t.Errorf("interrupted job's rows lost their labels:\n%s", csv)
+	}
+
+	done := waitState(t, ts.URL, "job-2", func(s serve.JobStatus) bool { return s.State.Terminal() })
+	if done.State != serve.JobDone {
+		t.Fatalf("re-queued job ended %s: %s", done.State, done.Error)
+	}
+	var wins []telemetry.Window
+	for _, f := range readStream(t, ts.URL+"/api/v1/jobs/job-2/events", true) {
+		if f.kind != serve.EventTelemetry {
+			continue
+		}
+		var ev serve.TelemetryEvent
+		if err := json.Unmarshal(f.data, &ev); err != nil {
+			t.Fatal(err)
+		}
+		wins = append(wins, ev.Window)
+	}
+	// Every window but the shorter final one is exactly the floor.
+	for _, w := range wins[:max(len(wins)-1, 0)] {
+		if w.Insns != serve.MinTelemetryInterval {
+			t.Fatalf("window %d holds %d instructions, want the floor %d", w.Index, w.Insns, serve.MinTelemetryInterval)
+		}
+	}
+	if len(wins) < 2 {
+		t.Errorf("re-queued job streamed %d telemetry windows", len(wins))
 	}
 }
 

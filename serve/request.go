@@ -109,8 +109,8 @@ type EngineSpec struct {
 type TelemetrySpec struct {
 	Disable bool `json:"disable,omitempty"`
 	// IntervalInsns is the window length in retired host instructions
-	// (0 = telemetry.DefaultInterval). Values below
-	// MinTelemetryInterval are rejected.
+	// (0 = telemetry.DefaultInterval). A new submission below
+	// MinTelemetryInterval is rejected.
 	IntervalInsns uint64 `json:"interval_insns,omitempty"`
 }
 
@@ -119,6 +119,27 @@ type TelemetrySpec struct {
 // floor one request could make a daemon write a record per retired
 // host instruction.
 const MinTelemetryInterval = 1024
+
+// Validate applies the interval floor to a new submission (nil = no
+// telemetry section). Both daemons call it at their submit edge only:
+// a journaled request is read back through ParseSubmit without it, so
+// the floor never changes how an already-accepted job is recovered.
+func (t *TelemetrySpec) Validate() error {
+	if t != nil && t.IntervalInsns != 0 && t.IntervalInsns < MinTelemetryInterval {
+		return fmt.Errorf("telemetry interval_insns %d is below the minimum of %d", t.IntervalInsns, MinTelemetryInterval)
+	}
+	return nil
+}
+
+// Clamp raises a sub-floor interval to MinTelemetryInterval. Recovery
+// calls it before re-running a job journaled by a daemon that had no
+// floor: the job runs with the shortest window a new one could ask for
+// instead of being refused.
+func (t *TelemetrySpec) Clamp() {
+	if t.Validate() != nil {
+		t.IntervalInsns = MinTelemetryInterval
+	}
+}
 
 // jobSpec is a validated submission: everything a worker needs to run
 // the campaign.
@@ -133,10 +154,8 @@ type jobSpec struct {
 	telemetryInterval uint64
 }
 
-// ParseSubmit decodes a submission body and applies the checks that
-// hold on every daemon (one JSON value, known fields, the telemetry
-// interval floor) without validating it against any one server's
-// limits — the server-independent half of decodeSubmit, shared
+// ParseSubmit decodes a submission body without validating it against
+// any server's limits — the syntactic half of decodeSubmit, shared
 // with the recovery path (which re-derives scenario rosters from
 // journaled submissions) and with the sched coordinator (which
 // validates a federated submission before sharding it).
@@ -152,9 +171,6 @@ func ParseSubmit(r io.Reader) (*SubmitRequest, error) {
 	// JSON), so it is rejected before the job can be accepted.
 	if err := dec.Decode(&struct{}{}); err != io.EOF {
 		return nil, fmt.Errorf("invalid request body: trailing data after the JSON object")
-	}
-	if t := req.Telemetry; t != nil && t.IntervalInsns != 0 && t.IntervalInsns < MinTelemetryInterval {
-		return nil, fmt.Errorf("telemetry interval_insns %d is below the minimum of %d", t.IntervalInsns, MinTelemetryInterval)
 	}
 	return &req, nil
 }
@@ -188,10 +204,13 @@ func (req *SubmitRequest) Roster() ([]darco.Scenario, error) {
 	return out, nil
 }
 
-// decodeSubmit parses and validates a submission body against the
+// decodeSubmit parses and validates a new submission body against the
 // server's limits.
 func (s *Server) decodeSubmit(r io.Reader) (*jobSpec, error) {
 	req, err := ParseSubmit(r)
+	if err == nil {
+		err = req.Telemetry.Validate()
+	}
 	if err != nil {
 		return nil, err
 	}

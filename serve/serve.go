@@ -309,7 +309,12 @@ func (s *Server) restoreJobs() []*job {
 				s.log.Info("job cancelled while queued before the restart", "job_id", j.id, "trace_id", j.traceID)
 				continue
 			}
-			spec, err := s.decodeSubmit(bytes.NewReader(h.Request))
+			var spec *jobSpec
+			req, err := ParseSubmit(bytes.NewReader(h.Request))
+			if err == nil {
+				req.Telemetry.Clamp()
+				spec, err = s.buildSpec(req)
+			}
 			if err != nil {
 				// The request passed validation once; failing now means
 				// the restarted server has stricter limits. The job
