@@ -16,10 +16,15 @@ type CacheConfig struct {
 
 // Cache is a set-associative LRU cache.
 type Cache struct {
-	cfg      CacheConfig
-	tags     [][]uint64 // [set][way], valid bit in bit 63
-	lru      [][]uint64 // recency stamps per way (higher = more recent)
-	clock    []uint64   // per-set recency clock
+	cfg CacheConfig
+	// tags holds the sets one after another, each set's ways in recency
+	// order, most recent first. A way stores its line number with the
+	// valid bit (bit 63) set; empty ways are zero and, because every
+	// placed line goes to the front, always sit behind the valid ones.
+	// So the last way is the LRU victim, and a hit on the first way —
+	// the same line or page again, the common case — changes nothing.
+	tags     []uint64
+	ways     int
 	setMask  uint32
 	lineBits uint32
 
@@ -32,15 +37,8 @@ const validBit = uint64(1) << 63
 
 // NewCache builds a cache.
 func NewCache(cfg CacheConfig) *Cache {
-	c := &Cache{cfg: cfg}
-	c.tags = make([][]uint64, cfg.Sets)
-	c.lru = make([][]uint64, cfg.Sets)
-	c.clock = make([]uint64, cfg.Sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, cfg.Ways)
-		c.lru[i] = make([]uint64, cfg.Ways)
-	}
-	c.setMask = uint32(cfg.Sets - 1)
+	c := &Cache{cfg: cfg, ways: cfg.Ways, setMask: uint32(cfg.Sets - 1)}
+	c.tags = make([]uint64, cfg.Sets*cfg.Ways)
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		c.lineBits++
 	}
@@ -53,49 +51,46 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 // SizeBytes reports total capacity.
 func (c *Cache) SizeBytes() int { return c.cfg.Sets * c.cfg.Ways * c.cfg.LineBytes }
 
-func (c *Cache) index(addr uint32) (set uint32, tag uint64) {
+// set returns the ways of the set addr maps to and the tag a way
+// holding addr's line stores.
+func (c *Cache) set(addr uint32) (ways []uint64, tag uint64) {
 	line := addr >> c.lineBits
-	return line & c.setMask, uint64(line) | validBit
+	return c.tags[int(line&c.setMask)*c.ways:][:c.ways], uint64(line) | validBit
 }
 
-// touch promotes way w of set s to most recent.
-func (c *Cache) touch(s uint32, w int) {
-	c.clock[s]++
-	c.lru[s][w] = c.clock[s]
-}
-
-// victim picks the least recently used way.
-func (c *Cache) victim(s uint32) int {
-	worst := 0
-	for i, v := range c.lru[s] {
-		if v < c.lru[s][worst] {
-			worst = i
+// place makes tag's line the most recent of its set, replacing the
+// least recently used line when it is not resident, and reports whether
+// it was.
+func place(ways []uint64, tag uint64) bool {
+	i, hit := 0, false
+	for i = range ways {
+		if ways[i] == tag {
+			hit = true
+			break
 		}
 	}
-	return worst
+	for ; i > 0; i-- {
+		ways[i] = ways[i-1]
+	}
+	ways[0] = tag
+	return hit
 }
 
 // Access looks up addr, filling on miss. It reports whether it hit.
 func (c *Cache) Access(addr uint32) bool {
 	c.Accesses++
-	s, tag := c.index(addr)
-	for w, t := range c.tags[s] {
-		if t == tag {
-			c.touch(s, w)
-			return true
-		}
+	ways, tag := c.set(addr)
+	if place(ways, tag) {
+		return true
 	}
 	c.Misses++
-	w := c.victim(s)
-	c.tags[s][w] = tag
-	c.touch(s, w)
 	return false
 }
 
 // Probe looks up addr without filling or updating recency.
 func (c *Cache) Probe(addr uint32) bool {
-	s, tag := c.index(addr)
-	for _, t := range c.tags[s] {
+	ways, tag := c.set(addr)
+	for _, t := range ways {
 		if t == tag {
 			return true
 		}
@@ -105,17 +100,9 @@ func (c *Cache) Probe(addr uint32) bool {
 
 // Prefill installs a line without counting an access (prefetch fill).
 func (c *Cache) Prefill(addr uint32) {
-	s, tag := c.index(addr)
-	for w, t := range c.tags[s] {
-		if t == tag {
-			c.touch(s, w)
-			return
-		}
+	if ways, tag := c.set(addr); !place(ways, tag) {
+		c.Prefills++
 	}
-	w := c.victim(s)
-	c.tags[s][w] = tag
-	c.touch(s, w)
-	c.Prefills++
 }
 
 // LineBytes reports the line size.

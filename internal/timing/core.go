@@ -47,7 +47,8 @@ type Config struct {
 	// when charged through AddTOL (the TOL is software on this core).
 	TOLCPI float64
 
-	// Latency overrides per opcode (0 = host ISA default).
+	// Latency overrides per opcode (0 = host ISA default), read once
+	// when New builds the core.
 	LatencyOverride map[host.Op]int
 }
 
@@ -126,15 +127,16 @@ type Core struct {
 
 	Stats Stats
 
-	// Scoreboard: cycle at which each register's value is ready.
-	readyI [host.NumIntRegs]uint64
-	readyF [host.NumFPRegs]uint64
-	readyV [host.NumVecRegs]uint64
+	// ops is the per-opcode operand and resource table Consume runs
+	// from, built once by New (see opRow).
+	ops [256]opRow
 
-	// Execution unit free cycles.
-	simpleFree  []uint64
-	complexFree []uint64
-	vectorFree  []uint64
+	// Scoreboard: cycle at which each register's value is ready, the
+	// three register banks in one array (see the slot constants).
+	ready [numSlots]uint64
+
+	// Execution unit free cycles, per pool (see the pool constants).
+	units [numPools][]uint64
 
 	// Per-cycle issue and port bookkeeping (in-order issue clock is
 	// monotonic, so single current-cycle counters suffice).
@@ -148,6 +150,7 @@ type Core struct {
 	fetchCycle uint64
 	fetchCnt   int
 	lastLine   uint32
+	lineMask   uint32 // L1I line bytes - 1
 
 	// Instruction queue: ring of issue cycles for occupancy limits.
 	iq    []uint64
@@ -173,96 +176,154 @@ func New(cfg Config) *Core {
 		L2:      NewTLB(cfg.L2TLB),
 		WalkLat: cfg.WalkLat,
 	}
-	c.simpleFree = make([]uint64, cfg.SimpleUnits)
-	c.complexFree = make([]uint64, cfg.ComplexUnits)
-	c.vectorFree = make([]uint64, cfg.VectorUnits)
+	c.lineMask = uint32(cfg.L1I.LineBytes - 1)
+	c.units = [numPools][]uint64{
+		poolSimple:  make([]uint64, cfg.SimpleUnits),
+		poolComplex: make([]uint64, cfg.ComplexUnits),
+		poolVector:  make([]uint64, cfg.VectorUnits),
+	}
+	c.ops = buildOps(cfg.LatencyOverride)
 	return c
 }
 
-func (c *Core) latency(op host.Op) int {
-	if c.Cfg.LatencyOverride != nil {
-		if l, ok := c.Cfg.LatencyOverride[op]; ok && l > 0 {
-			return l
+// Scoreboard slots: the integer, FP and vector banks back to back, then
+// slotZero, which nothing writes (an absent source reads it and never
+// waits), and slotSink, which nothing reads (an instruction without a
+// destination writes it).
+const (
+	slotInt  = 0
+	slotFP   = slotInt + host.NumIntRegs
+	slotVec  = slotFP + host.NumFPRegs
+	slotZero = slotVec + host.NumVecRegs
+	slotSink = slotZero + 1
+	numSlots = slotSink + 1
+)
+
+// Execution unit pools.
+const (
+	poolSimple = iota // also issues branches and memory operations
+	poolComplex
+	poolVector
+	numPools
+)
+
+// opRow flags.
+const (
+	flagLoad        = 1 << iota // reads through the data cache (scratchpad traffic does not)
+	flagStore                   // writes through the data cache
+	flagUnpipelined             // holds its unit for the whole latency
+	flagBranch
+	flagConditional
+)
+
+// operand selects a scoreboard slot for an instruction: a bank base plus
+// the register number shift bits up in the packed Rd | Ra<<8 | Rb<<16
+// word. Shift 24 reads zero; with slotZero or slotSink as the base that
+// is "no operand".
+type operand struct{ base, shift uint8 }
+
+func (o operand) slot(regs uint32) uint { return uint(o.base) + uint(uint8(regs>>(o.shift&31))) }
+
+var (
+	noSrc         = operand{slotZero, 24}
+	noDst         = operand{slotSink, 24}
+	iRd, iRa, iRb = operand{slotInt, 0}, operand{slotInt, 8}, operand{slotInt, 16}
+	fRd, fRa, fRb = operand{slotFP, 0}, operand{slotFP, 8}, operand{slotFP, 16}
+	vRd, vRa, vRb = operand{slotVec, 0}, operand{slotVec, 8}, operand{slotVec, 16}
+)
+
+// opRow is everything Consume needs to know about an opcode.
+type opRow struct {
+	lat   uint32 // execution latency, LatencyOverride applied
+	src   [2]operand
+	dst   operand
+	pool  uint8
+	class host.Class
+	flags uint8
+}
+
+// opShapes lists every host opcode once, grouped by the registers it
+// reads (a, b) and writes (d). Stores and spills read the Rd field.
+var opShapes = []struct {
+	a, b, d operand
+	ops     []host.Op
+}{
+	{noSrc, noSrc, noDst, []host.Op{host.NOPH, host.CHKPT, host.COMMIT, host.EXIT, host.CHAINED, host.JREL}},
+	{noSrc, noSrc, iRd, []host.Op{host.LI, host.UNSPILLI}},
+	{noSrc, noSrc, fRd, []host.Op{host.FLI, host.UNSPILLF}},
+	{iRa, noSrc, iRd, []host.Op{host.MOVH, host.ADDI, host.ANDI, host.ORI, host.XORI, host.SHLI, host.SHRI,
+		host.SARI, host.LD, host.LDB}},
+	{iRa, noSrc, noDst, []host.Op{host.EXITIND, host.ASSERTH, host.BEQZ, host.BNEZ}},
+	{iRa, iRb, iRd, []host.Op{host.ADD, host.SUB, host.MUL, host.MULH, host.DIV, host.REM, host.AND, host.OR,
+		host.XOR, host.SHL, host.SHR, host.SAR, host.SLT, host.SLTU, host.SEQ, host.SNE}},
+	{iRa, iRd, noDst, []host.Op{host.ST, host.STB}},
+	{iRd, noSrc, noDst, []host.Op{host.SPILLI}},
+	{iRa, noSrc, fRd, []host.Op{host.FLDH, host.FCVTF}},
+	{iRa, fRd, noDst, []host.Op{host.FSTH}},
+	{fRa, noSrc, fRd, []host.Op{host.FMOVH, host.FSQRTH, host.FABSH, host.FNEGH}},
+	{fRa, noSrc, iRd, []host.Op{host.FCVTI}},
+	{fRa, fRb, fRd, []host.Op{host.FADDH, host.FSUBH, host.FMULH, host.FDIVH}},
+	{fRa, fRb, iRd, []host.Op{host.FSLT, host.FSEQ, host.FUNORD}},
+	{fRd, noSrc, noDst, []host.Op{host.SPILLF}},
+	{vRa, vRb, vRd, []host.Op{host.VFADD, host.VFMUL}},
+	{iRa, noSrc, vRd, []host.Op{host.VFLD}},
+	{iRa, vRd, noDst, []host.Op{host.VFST}},
+}
+
+// buildOps expands opShapes and the host ISA's descriptors into the
+// table. Undefined opcodes time as NOPH, which is how Op.Desc describes
+// them.
+func buildOps(override map[host.Op]int) (ops [256]opRow) {
+	for _, sh := range opShapes {
+		for _, op := range sh.ops {
+			d := op.Desc()
+			row := opRow{lat: uint32(d.Latency), src: [2]operand{sh.a, sh.b}, dst: sh.d, class: d.Class}
+			if l := override[op]; l > 0 {
+				row.lat = uint32(l)
+			}
+			switch d.Class {
+			case host.ClassComplex:
+				row.pool = poolComplex
+			case host.ClassVector:
+				row.pool = poolVector
+			case host.ClassBranch:
+				row.flags |= flagBranch
+			}
+			switch op {
+			case host.SPILLI, host.UNSPILLI, host.SPILLF, host.UNSPILLF:
+				// TOL-private scratchpad: fixed latency, no cache traffic.
+			default:
+				if d.IsLoad {
+					row.flags |= flagLoad
+				}
+				if d.IsStore {
+					row.flags |= flagStore
+				}
+			}
+			switch op {
+			case host.DIV, host.REM, host.FDIVH, host.FSQRTH:
+				row.flags |= flagUnpipelined
+			case host.BEQZ, host.BNEZ, host.ASSERTH:
+				row.flags |= flagConditional
+			}
+			ops[op] = row
 		}
 	}
-	return op.Desc().Latency
-}
-
-// srcRegs enumerates source registers of a host instruction.
-func srcRegs(in *host.Inst) (ia, ib int, fa, fb int, va, vb int) {
-	ia, ib, fa, fb, va, vb = -1, -1, -1, -1, -1, -1
-	d := in.Op.Desc()
-	switch in.Op {
-	case host.NOPH, host.LI, host.FLI, host.CHKPT, host.COMMIT, host.EXIT, host.CHAINED, host.JREL,
-		host.UNSPILLI, host.UNSPILLF:
-	case host.MOVH, host.ADDI, host.ANDI, host.ORI, host.XORI, host.SHLI, host.SHRI, host.SARI,
-		host.LD, host.LDB, host.EXITIND, host.ASSERTH, host.BEQZ, host.BNEZ, host.SPILLI:
-		ia = int(in.Ra)
-		if in.Op == host.SPILLI {
-			ia = int(in.Rd)
-		}
-	case host.ADD, host.SUB, host.MUL, host.MULH, host.DIV, host.REM, host.AND, host.OR, host.XOR,
-		host.SHL, host.SHR, host.SAR, host.SLT, host.SLTU, host.SEQ, host.SNE:
-		ia, ib = int(in.Ra), int(in.Rb)
-	case host.ST, host.STB:
-		ia, ib = int(in.Ra), int(in.Rd) // address base + store data
-	case host.FLDH:
-		ia = int(in.Ra)
-	case host.FSTH:
-		ia, fb = int(in.Ra), int(in.Rd)
-	case host.FMOVH, host.FSQRTH, host.FABSH, host.FNEGH, host.FCVTI:
-		fa = int(in.Ra)
-	case host.FCVTF:
-		ia = int(in.Ra)
-	case host.FADDH, host.FSUBH, host.FMULH, host.FDIVH, host.FSLT, host.FSEQ, host.FUNORD:
-		fa, fb = int(in.Ra), int(in.Rb)
-	case host.SPILLF:
-		fa = int(in.Rd)
-	case host.VFADD, host.VFMUL:
-		va, vb = int(in.Ra), int(in.Rb)
-	case host.VFLD:
-		ia = int(in.Ra)
-	case host.VFST:
-		ia, va = int(in.Ra), int(in.Rd)
+	for op := host.NumOps; op < len(ops); op++ {
+		ops[op] = ops[host.NOPH]
 	}
-	_ = d
-	return
-}
-
-// dstReg reports the destination register and its class.
-func dstReg(in *host.Inst) (reg int, class uint8) {
-	switch in.Op {
-	case host.LI, host.MOVH, host.ADD, host.ADDI, host.SUB, host.MUL, host.MULH, host.DIV, host.REM,
-		host.AND, host.ANDI, host.OR, host.ORI, host.XOR, host.XORI, host.SHL, host.SHLI,
-		host.SHR, host.SHRI, host.SAR, host.SARI, host.SLT, host.SLTU, host.SEQ, host.SNE,
-		host.LD, host.LDB, host.FCVTI, host.FSLT, host.FSEQ, host.FUNORD, host.UNSPILLI:
-		return int(in.Rd), 0
-	case host.FLI, host.FMOVH, host.FADDH, host.FSUBH, host.FMULH, host.FDIVH, host.FSQRTH,
-		host.FABSH, host.FNEGH, host.FCVTF, host.FLDH, host.UNSPILLF:
-		return int(in.Rd), 1
-	case host.VFADD, host.VFMUL, host.VFLD:
-		return int(in.Rd), 2
-	}
-	return -1, 0
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	return ops
 }
 
 // Consume simulates one retired application instruction.
 func (c *Core) Consume(ev hostvm.RetireEvent) {
 	in := ev.Inst
-	d := in.Op.Desc()
+	row := &c.ops[in.Op]
 	c.Stats.Insns++
-	c.Stats.ClassCount[d.Class]++
+	c.Stats.ClassCount[row.class]++
 
 	// ---- Front end: fetch the instruction.
-	line := ev.PC &^ uint32(c.L1I.LineBytes()-1)
-	if line != c.lastLine {
+	if line := ev.PC &^ c.lineMask; line != c.lastLine {
 		c.lastLine = line
 		pen := c.TLBs.Translate(ev.PC, true)
 		if !c.L1I.Access(ev.PC) {
@@ -294,112 +355,80 @@ func (c *Core) Consume(ev hostvm.RetireEvent) {
 	}
 
 	// ---- In-order issue.
-	t := maxU(ready, c.lastIssue)
+	t := max(ready, c.lastIssue)
 	if t == c.lastIssue && c.issueCnt >= c.Cfg.IssueWidth {
 		t++
 	}
 	base := t
 
 	// Operand readiness.
-	ia, ib, fa, fb, va, vb := srcRegs(in)
-	if ia >= 0 {
-		t = maxU(t, c.readyI[ia])
-	}
-	if ib >= 0 {
-		t = maxU(t, c.readyI[ib])
-	}
-	if fa >= 0 {
-		t = maxU(t, c.readyF[fa])
-	}
-	if fb >= 0 {
-		t = maxU(t, c.readyF[fb])
-	}
-	if va >= 0 {
-		t = maxU(t, c.readyV[va])
-	}
-	if vb >= 0 {
-		t = maxU(t, c.readyV[vb])
-	}
+	regs := uint32(in.Rd) | uint32(in.Ra)<<8 | uint32(in.Rb)<<16
+	t = max(t, c.ready[row.src[0].slot(regs)], c.ready[row.src[1].slot(regs)])
 	c.Stats.StallOperand += t - base
 	base = t
 
 	// Execution unit availability.
-	var pool []uint64
-	switch d.Class {
-	case host.ClassComplex:
-		pool = c.complexFree
-	case host.ClassVector:
-		pool = c.vectorFree
-	case host.ClassSimple, host.ClassBranch, host.ClassMemory:
-		pool = c.simpleFree
-	}
+	pool := c.units[row.pool]
 	best := 0
-	for i := range pool {
+	for i := 1; i < len(pool); i++ {
 		if pool[i] < pool[best] {
 			best = i
 		}
 	}
-	t = maxU(t, pool[best])
+	t = max(t, pool[best])
 	c.Stats.StallFU += t - base
 
-	lat := uint64(c.latency(in.Op))
+	lat := uint64(row.lat)
 
 	// ---- Memory pipeline.
-	if d.IsLoad || d.IsStore {
-		if in.Op == host.SPILLI || in.Op == host.UNSPILLI || in.Op == host.SPILLF || in.Op == host.UNSPILLF {
-			// TOL-private scratchpad: fixed latency, no cache traffic.
-		} else {
-			if c.portCycle != t {
-				c.portCycle = t
-				c.rdPortUsed, c.wrPortUsed = 0, 0
-			}
-			if d.IsLoad {
-				c.rdPortUsed++
-				if c.rdPortUsed > c.Cfg.MemReadPorts {
-					t++
-					c.portCycle = t
-					c.rdPortUsed = 1
-				}
-				c.Stats.Loads++
-			} else {
-				c.wrPortUsed++
-				if c.wrPortUsed > c.Cfg.MemWritePts {
-					t++
-					c.portCycle = t
-					c.wrPortUsed = 1
-				}
-				c.Stats.Stores++
-			}
-			pen := uint64(c.TLBs.Translate(ev.Addr, false))
-			if !c.L1D.Access(ev.Addr) {
-				if c.L2.Access(ev.Addr) {
-					pen += uint64(c.Cfg.L2.Latency)
-				} else {
-					pen += uint64(c.Cfg.L2.Latency + c.Cfg.MemLatency)
-				}
-			}
-			if d.IsLoad {
-				c.PF.Observe(ev.PC, ev.Addr, c.L1D, c.L2)
-			}
-			c.Stats.StallMem += pen
-			lat += pen
+	if row.flags&(flagLoad|flagStore) != 0 {
+		if c.portCycle != t {
+			c.portCycle = t
+			c.rdPortUsed, c.wrPortUsed = 0, 0
 		}
+		if row.flags&flagLoad != 0 {
+			c.rdPortUsed++
+			if c.rdPortUsed > c.Cfg.MemReadPorts {
+				t++
+				c.portCycle = t
+				c.rdPortUsed = 1
+			}
+			c.Stats.Loads++
+		} else {
+			c.wrPortUsed++
+			if c.wrPortUsed > c.Cfg.MemWritePts {
+				t++
+				c.portCycle = t
+				c.wrPortUsed = 1
+			}
+			c.Stats.Stores++
+		}
+		pen := uint64(c.TLBs.Translate(ev.Addr, false))
+		if !c.L1D.Access(ev.Addr) {
+			if c.L2.Access(ev.Addr) {
+				pen += uint64(c.Cfg.L2.Latency)
+			} else {
+				pen += uint64(c.Cfg.L2.Latency + c.Cfg.MemLatency)
+			}
+		}
+		if row.flags&flagLoad != 0 {
+			c.PF.Observe(ev.PC, ev.Addr, c.L1D, c.L2)
+		}
+		c.Stats.StallMem += pen
+		lat += pen
 	}
 
 	// Occupy the unit (divides and sqrt are unpipelined).
 	occ := uint64(1)
-	switch in.Op {
-	case host.DIV, host.REM, host.FDIVH, host.FSQRTH:
+	if row.flags&flagUnpipelined != 0 {
 		occ = lat
 	}
 	pool[best] = t + occ
 
 	// ---- Branches.
-	if d.Class == host.ClassBranch {
+	if row.flags&flagBranch != 0 {
 		c.Stats.Branches++
-		conditional := in.Op == host.BEQZ || in.Op == host.BNEZ || in.Op == host.ASSERTH
-		misp := c.BP.Predict(ev.PC, ev.Taken, ev.Target, conditional)
-		if misp {
+		if c.BP.Predict(ev.PC, ev.Taken, ev.Target, row.flags&flagConditional != 0) {
 			c.Stats.Mispredict++
 			redirect := t + 1 + uint64(c.Cfg.RedirectPen)
 			if redirect > c.fetchCycle {
@@ -411,16 +440,7 @@ func (c *Core) Consume(ev hostvm.RetireEvent) {
 	}
 
 	// ---- Writeback.
-	if reg, class := dstReg(in); reg >= 0 {
-		switch class {
-		case 0:
-			c.readyI[reg] = t + lat
-		case 1:
-			c.readyF[reg] = t + lat
-		case 2:
-			c.readyV[reg] = t + lat
-		}
-	}
+	c.ready[row.dst.slot(regs)] = t + lat
 
 	// Issue bookkeeping.
 	if t == c.lastIssue {
@@ -430,10 +450,10 @@ func (c *Core) Consume(ev hostvm.RetireEvent) {
 		c.issueCnt = 1
 	}
 	c.iq[c.iqPos] = t
-	c.iqPos = (c.iqPos + 1) % len(c.iq)
-	if t+lat > c.Stats.Cycles {
-		c.Stats.Cycles = t + lat
+	if c.iqPos++; c.iqPos == len(c.iq) {
+		c.iqPos = 0
 	}
+	c.Stats.Cycles = max(c.Stats.Cycles, t+lat)
 }
 
 // AddTOL charges n TOL host instructions at the configured flat CPI.

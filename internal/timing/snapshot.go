@@ -1,9 +1,8 @@
 package timing
 
 import (
+	"maps"
 	"slices"
-
-	"darco/internal/host"
 )
 
 // Clone returns a deep copy of the core. The copy shares no mutable
@@ -25,29 +24,18 @@ func (c *Core) Clone() *Core {
 		Walks:   c.TLBs.Walks,
 	}
 	n.PF = c.PF.clone()
-	n.simpleFree = slices.Clone(c.simpleFree)
-	n.complexFree = slices.Clone(c.complexFree)
-	n.vectorFree = slices.Clone(c.vectorFree)
-	n.iq = slices.Clone(c.iq)
-	if c.Cfg.LatencyOverride != nil {
-		n.Cfg.LatencyOverride = make(map[host.Op]int, len(c.Cfg.LatencyOverride))
-		for k, v := range c.Cfg.LatencyOverride {
-			n.Cfg.LatencyOverride[k] = v
-		}
+	for i, pool := range c.units {
+		n.units[i] = slices.Clone(pool)
 	}
+	n.iq = slices.Clone(c.iq)
+	n.Cfg.LatencyOverride = maps.Clone(c.Cfg.LatencyOverride)
 	return n
 }
 
 func (c *Cache) clone() *Cache {
 	n := &Cache{}
 	*n = *c
-	n.tags = make([][]uint64, len(c.tags))
-	n.lru = make([][]uint64, len(c.lru))
-	for i := range c.tags {
-		n.tags[i] = slices.Clone(c.tags[i])
-		n.lru[i] = slices.Clone(c.lru[i])
-	}
-	n.clock = slices.Clone(c.clock)
+	n.tags = slices.Clone(c.tags)
 	return n
 }
 
