@@ -127,7 +127,8 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j.traceID, j.parentSpan, j.rootSpan = traceID, parentSpan, obs.NewSpanID()
 	c.jobs.add(j)
-	if err := c.enqueue(j); err != nil {
+	accepted, err := c.enqueue(j)
+	if err != nil {
 		j.cancel()
 		if errors.Is(err, errQueueFull) {
 			w.Header().Set("Retry-After", "1")
@@ -139,7 +140,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	c.log.Info("job accepted", "job_id", j.id, "trace_id", j.traceID, "scenarios", len(roster))
 	w.Header().Set("Location", "/api/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // handleList serves the federated job listing in submission order,

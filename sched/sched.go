@@ -380,23 +380,28 @@ func (c *Coordinator) finishJob(j *job) serve.JobStatus {
 // queue slot: it must land before a runner can pop the job (records
 // stay in lifecycle order) and must not land at all for a rejected
 // submission (a 429'd job re-queued after a restart would be a ghost).
-func (c *Coordinator) enqueue(j *job) error {
+// The status it returns is the job's at acceptance, snapshotted before
+// the job reaches the queue: once it is there an idle runner may start
+// it at any moment, and the 202 must still say what the submission got
+// — a queue slot.
+func (c *Coordinator) enqueue(j *job) (serve.JobStatus, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closing {
-		return errClosing
+		return serve.JobStatus{}, errClosing
 	}
 	// Capacity is checked against the configured capacity, not the
 	// channel's: a channel widened for a restored backlog must not
 	// raise the shed point for new submissions.
 	if len(c.queue) >= c.opts.QueueCapacity {
-		return errQueueFull
+		return serve.JobStatus{}, errQueueFull
 	}
 	c.journal(store.Record{Kind: store.KindSubmitted, Job: j.id, Time: j.submitted,
 		Submitted: &store.SubmittedRecord{Name: j.name, Scenarios: len(j.roster), Request: j.raw,
 			TraceID: j.traceID, ParentSpan: j.parentSpan}})
+	accepted := j.status()
 	c.queue <- j
-	return nil
+	return accepted, nil
 }
 
 var (

@@ -84,7 +84,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		traceID = obs.NewTraceID()
 	}
-	j, err := s.submit(spec, raw, traceID, parentSpan)
+	accepted, err := s.submit(spec, raw, traceID, parentSpan)
 	switch {
 	case errors.Is(err, errQueueFull):
 		// Backpressure: the queue is bounded so load sheds at the
@@ -99,8 +99,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	w.Header().Set("Location", "/api/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, j.status())
+	w.Header().Set("Location", "/api/v1/jobs/"+accepted.ID)
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // handleList serves the job listing in submission order. ?state=

@@ -506,14 +506,17 @@ func replayEvents(h *store.JobHistory) []stream.Event {
 	return evs
 }
 
-// submit validates a request body and enqueues the job, reporting
-// queue-full and shutting-down conditions distinctly.
 var (
 	errQueueFull = fmt.Errorf("job queue is full")
 	errClosing   = fmt.Errorf("server is shutting down")
 )
 
-func (s *Server) submit(spec *jobSpec, raw []byte, traceID, parentSpan string) (*job, error) {
+// submit enqueues a validated job, reporting queue-full and
+// shutting-down conditions distinctly. The status it returns is the
+// job's at acceptance, snapshotted before the job reaches the queue:
+// once it is there an idle worker may start it at any moment, and the
+// 202 must still say what the submission got — a queue slot.
+func (s *Server) submit(spec *jobSpec, raw []byte, traceID, parentSpan string) (JobStatus, error) {
 	j := &job{
 		name:       spec.name,
 		scenarios:  len(spec.scenarios),
@@ -529,7 +532,7 @@ func (s *Server) submit(spec *jobSpec, raw []byte, traceID, parentSpan string) (
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closing {
-		return nil, errClosing
+		return JobStatus{}, errClosing
 	}
 	// Capacity is checked before the job becomes visible: a rejected
 	// submission leaves no trace (the client owns the retry) and ids
@@ -540,7 +543,7 @@ func (s *Server) submit(spec *jobSpec, raw []byte, traceID, parentSpan string) (
 	// serializes all senders, the channel is at least the configured
 	// capacity, and the depth was just checked; workers only receive.
 	if len(s.queue) >= s.opts.QueueCapacity {
-		return nil, errQueueFull
+		return JobStatus{}, errQueueFull
 	}
 	// The cancellable context is derived only for accepted jobs — a
 	// child of baseCtx stays registered there until cancelled, so
@@ -553,8 +556,9 @@ func (s *Server) submit(spec *jobSpec, raw []byte, traceID, parentSpan string) (
 	s.journal(store.Record{Kind: store.KindSubmitted, Job: j.id, Time: j.submitted,
 		Submitted: &store.SubmittedRecord{Name: j.name, Scenarios: j.scenarios, Request: raw,
 			TraceID: j.traceID, ParentSpan: j.parentSpan}})
+	accepted := j.status()
 	s.queue <- j
-	return j, nil
+	return accepted, nil
 }
 
 // runJob executes one campaign job to a terminal state.
