@@ -24,7 +24,6 @@ type Cache struct {
 	// So the last way is the LRU victim, and a hit on the first way —
 	// the same line or page again, the common case — changes nothing.
 	tags     []uint64
-	ways     int
 	setMask  uint32
 	lineBits uint32
 
@@ -37,7 +36,7 @@ const validBit = uint64(1) << 63
 
 // NewCache builds a cache.
 func NewCache(cfg CacheConfig) *Cache {
-	c := &Cache{cfg: cfg, ways: cfg.Ways, setMask: uint32(cfg.Sets - 1)}
+	c := &Cache{cfg: cfg, setMask: uint32(cfg.Sets - 1)}
 	c.tags = make([]uint64, cfg.Sets*cfg.Ways)
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		c.lineBits++
@@ -55,7 +54,7 @@ func (c *Cache) SizeBytes() int { return c.cfg.Sets * c.cfg.Ways * c.cfg.LineByt
 // holding addr's line stores.
 func (c *Cache) set(addr uint32) (ways []uint64, tag uint64) {
 	line := addr >> c.lineBits
-	return c.tags[int(line&c.setMask)*c.ways:][:c.ways], uint64(line) | validBit
+	return c.tags[int(line&c.setMask)*c.cfg.Ways:][:c.cfg.Ways], uint64(line) | validBit
 }
 
 // place makes tag's line the most recent of its set, replacing the

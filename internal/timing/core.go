@@ -150,7 +150,6 @@ type Core struct {
 	fetchCycle uint64
 	fetchCnt   int
 	lastLine   uint32
-	lineMask   uint32 // L1I line bytes - 1
 
 	// Instruction queue: ring of issue cycles for occupancy limits.
 	iq    []uint64
@@ -176,7 +175,6 @@ func New(cfg Config) *Core {
 		L2:      NewTLB(cfg.L2TLB),
 		WalkLat: cfg.WalkLat,
 	}
-	c.lineMask = uint32(cfg.L1I.LineBytes - 1)
 	c.units = [numPools][]uint64{
 		poolSimple:  make([]uint64, cfg.SimpleUnits),
 		poolComplex: make([]uint64, cfg.ComplexUnits),
@@ -222,6 +220,8 @@ const (
 // is "no operand".
 type operand struct{ base, shift uint8 }
 
+// slot masks the shift only to spare the compiler's guard for shifts of
+// 32 and more.
 func (o operand) slot(regs uint32) uint { return uint(o.base) + uint(uint8(regs>>(o.shift&31))) }
 
 var (
@@ -323,7 +323,7 @@ func (c *Core) Consume(ev hostvm.RetireEvent) {
 	c.Stats.ClassCount[row.class]++
 
 	// ---- Front end: fetch the instruction.
-	if line := ev.PC &^ c.lineMask; line != c.lastLine {
+	if line := ev.PC &^ uint32(c.L1I.LineBytes()-1); line != c.lastLine {
 		c.lastLine = line
 		pen := c.TLBs.Translate(ev.PC, true)
 		if !c.L1I.Access(ev.PC) {
