@@ -249,18 +249,6 @@ var Descs = [NumOps]Desc{
 	UNSPILLF: {Name: "unspillf", Class: ClassMemory, Latency: 2, IsFP: true, IsLoad: true},
 }
 
-// MemOps tells the retirement path, in one byte per opcode, whether an
-// instruction has an effective address (IsLoad or IsStore). It is
-// indexed by any Op value; undefined opcodes read as NOPH, as Desc
-// describes them.
-var MemOps = func() (mem [256]bool) {
-	for op := range mem {
-		d := Op(op).Desc()
-		mem[op] = d.IsLoad || d.IsStore
-	}
-	return mem
-}()
-
 // Desc returns the description of op.
 func (op Op) Desc() *Desc {
 	if int(op) < NumOps {

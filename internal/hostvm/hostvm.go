@@ -289,7 +289,8 @@ func (vm *VM) retire(in *host.Inst, pc uint32, taken bool, target uint32) {
 func (vm *VM) observe(in *host.Inst, pc uint32, taken bool, target uint32) {
 	if vm.Retire != nil {
 		ev := RetireEvent{Inst: in, PC: pc, Taken: taken, Target: target}
-		if host.MemOps[in.Op] {
+		d := in.Op.Desc()
+		if d.IsLoad || d.IsStore {
 			ev.Addr = vm.Regs.R[in.Ra] + uint32(in.Imm)
 		}
 		vm.Retire(ev)
