@@ -1,0 +1,192 @@
+package tol_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"darco/internal/codecache"
+	"darco/internal/controller"
+	"darco/internal/guest"
+	"darco/internal/tol"
+	"darco/internal/workload"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/translations_*.golden from this tree's translator")
+
+// blockDigest hashes everything a translation hands the code cache:
+// entry, kind, shape, every field of every host instruction, the exit
+// metadata in exit order, and the guest blocks covered.
+func blockDigest(blk *codecache.Block) string {
+	var b bytes.Buffer
+	put := func(vs ...uint64) {
+		for _, v := range vs {
+			binary.Write(&b, binary.LittleEndian, v)
+		}
+	}
+	flag := func(v bool) uint64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	put(uint64(blk.Entry), uint64(blk.Kind), flag(blk.UseAsserts), uint64(blk.Unrolled),
+		uint64(blk.GuestInsns), uint64(blk.GuestLo), uint64(blk.GuestHi), uint64(len(blk.Code)))
+	for i := range blk.Code {
+		in := &blk.Code[i]
+		put(uint64(in.Op), uint64(in.Rd), uint64(in.Ra), uint64(in.Rb), uint64(uint32(in.Imm)),
+			math.Float64bits(in.F64), flag(in.Spec), uint64(in.Target), uint64(in.Link), uint64(in.GPC))
+	}
+	exits := make([]int, 0, len(blk.ExitMeta))
+	for idx := range blk.ExitMeta {
+		exits = append(exits, idx)
+	}
+	sort.Ints(exits)
+	for _, idx := range exits {
+		m := blk.ExitMeta[idx]
+		put(uint64(idx), uint64(m.GuestInsns), uint64(m.GuestBBs), flag(m.Taken))
+	}
+	for _, pc := range blk.BBs {
+		put(uint64(pc))
+	}
+	sum := sha256.Sum256(b.Bytes())
+	return fmt.Sprintf("%x", sum[:8])
+}
+
+// translationLog runs the image to completion under cfg and returns one
+// line per translation, in the order the TOL made them. The block is
+// read in the observer, straight after its insertion: nothing has
+// executed or chained it yet, so its code is as the translator left it.
+func translationLog(t *testing.T, im *guest.Image, cfg controller.Config) []string {
+	t.Helper()
+	var ctl *controller.Controller
+	var log []string
+	cfg.TOL.OnTranslation = func(ev tol.TranslationEvent) {
+		if ev.Kind != tol.TransBB && ev.Kind != tol.TransSB {
+			return // a rebuild's new region reports itself as TransSB
+		}
+		blk, ok := ctl.CoD.Cache.Lookup(ev.Entry)
+		if !ok {
+			t.Fatalf("translation %v @%#x not resident in its own observer", ev.Kind, ev.Entry)
+		}
+		log = append(log, fmt.Sprintf("%08x %s %s", ev.Entry, blk.Kind, blockDigest(blk)))
+	}
+	var err error
+	if ctl, err = controller.New(im, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
+// checkGolden compares the runs' translation logs with the golden file,
+// naming the first translation that differs.
+func checkGolden(t *testing.T, file string, names []string, logs map[string][]string) {
+	t.Helper()
+	var out strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&out, "# %s: %d translations\n", name, len(logs[name]))
+		for _, l := range logs[name] {
+			out.WriteString(l + "\n")
+		}
+	}
+	path := filepath.Join("testdata", file)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record)", err)
+	}
+	want := strings.Split(string(raw), "\n")
+	got := strings.Split(out.String(), "\n")
+	run := ""
+	for i := range got {
+		if strings.HasPrefix(got[i], "# ") {
+			run = got[i]
+		}
+		if i >= len(want) || got[i] != want[i] {
+			w := "<end of file>"
+			if i < len(want) {
+				w = want[i]
+			}
+			t.Fatalf("%s line %d (%s):\n  got  %s\n  want %s", file, i+1, run, got[i], w)
+		}
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d lines recorded, %d produced", file, len(want), len(got))
+	}
+}
+
+// TestTranslationGoldenSuite pins every translation of three suite
+// programs: an integer, a floating-point and a trig-heavy one.
+func TestTranslationGoldenSuite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale suite runs")
+	}
+	names := []string{"429.mcf", "433.milc", "continuous"}
+	logs := map[string][]string{}
+	for _, name := range names {
+		p, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("no profile %s", name)
+		}
+		im, err := p.Scale(0.25).Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs[name] = translationLog(t, im, controller.DefaultConfig())
+	}
+	checkGolden(t, "translations_suite.golden", names, logs)
+}
+
+// TestTranslationGoldenRandom pins every translation of the random
+// programs under the three translator configurations that change what
+// is emitted: single-exit superblocks, multi-exit ones, eager flags.
+func TestTranslationGoldenRandom(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*tol.Config)
+	}{
+		{"default", func(*tol.Config) {}},
+		{"noasserts", func(c *tol.Config) { c.SB.NoAsserts = true }},
+		{"eagerflags", func(c *tol.Config) { c.EagerFlags = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var names []string
+			logs := map[string][]string{}
+			for seed := uint64(0); seed < 60; seed++ {
+				im, err := workload.RandomProgram(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := controller.DefaultConfig()
+				// Aggressive promotion so random programs reach SBM.
+				cfg.TOL.BBThreshold = 2
+				cfg.TOL.SBThreshold = 6
+				cfg.MaxGuestInsns = 30_000_000
+				tc.set(&cfg.TOL)
+				name := fmt.Sprintf("random-%d", seed)
+				names = append(names, name)
+				logs[name] = translationLog(t, im, cfg)
+			}
+			checkGolden(t, "translations_random_"+tc.name+".golden", names, logs)
+		})
+	}
+}
