@@ -11,6 +11,7 @@
 //	darco-perf ab -baseline BENCH_4.json # snapshot baseline: deterministic gate compare
 //	darco-perf gate -baseline BENCH_4.json [-candidate cand.json]
 //	darco-perf trend -dir . -o perf-trend.html
+//	darco-perf layout <binary> [<binary>] # hot-function alignment, one binary or parent vs change
 //
 // ab runs the paired interleaved harness: baseline and candidate
 // repetitions alternate on the same machine (B,C / C,B / ...), so slow
@@ -30,6 +31,12 @@
 // trend renders the committed BENCH_<n>.json history as a static HTML
 // dashboard: per-bench wall and allocation series against a noise band,
 // counter hit-rate series, and gate-verdict annotations.
+//
+// layout prints, from `go tool nm`, the address modulo 64 of the
+// simulator's inner loops (perf.HotFunctions) in one binary, or in two
+// with the functions whose alignment differs flagged: a few per cent on
+// a benchmark row that should not have moved is then named as a layout
+// effect, or not, instead of argued about.
 package main
 
 import (
@@ -66,6 +73,8 @@ func main() {
 		err = cmdGate(ctx, os.Args[2:])
 	case "trend":
 		err = cmdTrend(os.Args[2:])
+	case "layout":
+		err = cmdLayout(ctx, os.Args[2:])
 	case "-version", "version":
 		fmt.Println("darco-perf", darco.Version)
 	case "-h", "-help", "--help", "help":
@@ -87,6 +96,7 @@ commands:
   ab      paired interleaved A/B comparison (self, git ref, or snapshot baseline)
   gate    deterministic regression gate against a committed BENCH snapshot
   trend   render the BENCH_<n>.json history as a static HTML dashboard
+  layout  hot-function addresses modulo 64 in one binary, or two compared
 
 run "darco-perf <command> -h" for the command's flags`)
 }
@@ -306,5 +316,25 @@ func cmdTrend(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d snapshots)\n", *out, len(hist))
+	return nil
+}
+
+func cmdLayout(ctx context.Context, bins []string) error {
+	if len(bins) < 1 || len(bins) > 2 {
+		return fmt.Errorf("layout: want one or two binaries built from this module")
+	}
+	addrs := make([]map[string]uint64, len(bins))
+	for i, bin := range bins {
+		out, err := exec.CommandContext(ctx, "go", "tool", "nm", bin).Output()
+		if err != nil {
+			return fmt.Errorf("go tool nm %s: %w", bin, err)
+		}
+		addrs[i] = perf.ParseNM(string(out))
+	}
+	report, differs := perf.FormatLayout(bins, addrs)
+	fmt.Print(report)
+	if differs {
+		fmt.Println("layout: hot-function alignment differs between the binaries")
+	}
 	return nil
 }

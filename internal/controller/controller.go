@@ -160,7 +160,7 @@ func (c *Controller) transferPage(addr uint32) error {
 	if err := c.catchUp(); err != nil {
 		return err
 	}
-	page, err := c.X86.Mem.PageData(addr)
+	page, err := c.X86.Mem.Page(addr)
 	if err != nil {
 		return err
 	}
@@ -281,11 +281,11 @@ func (c *Controller) Validate() error {
 	// Memory: every co-designed page must match the authoritative
 	// content (the co-designed side holds a subset of pages).
 	for _, pageAddr := range c.CoD.Mem.Pages() {
-		cp, err := c.CoD.Mem.PageData(pageAddr)
+		cp, err := c.CoD.Mem.Page(pageAddr)
 		if err != nil {
 			return err
 		}
-		ap, err := c.X86.Mem.PageData(pageAddr)
+		ap, err := c.X86.Mem.Page(pageAddr)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package controller
 import (
 	"testing"
 
+	"darco/internal/guest"
 	"darco/internal/tol"
 	"darco/internal/workload"
 )
@@ -116,6 +117,84 @@ func TestRandomProgramsTinyCache(t *testing.T) {
 		if c.CoD.Cache.Flushes == 0 {
 			t.Logf("seed %d: no flush triggered (program too small)", seed)
 		}
+	}
+}
+
+// TestRegressionPrograms runs hand-written guests that once diverged
+// from the authoritative emulator, or made no progress, through all
+// three modes.
+func TestRegressionPrograms(t *testing.T) {
+	const epilogue = `
+    inc ecx
+    cmpri ecx, 5000
+    jl loop
+    movri eax, 1
+    movri ebx, 0
+    syscall
+    halt
+`
+	for _, tc := range []struct {
+		name, src string
+		check     func(*testing.T, *Controller)
+	}{
+		// CSE once keyed constants on float64 ==, merging -0.0 into +0.0:
+		// the superblock divided by the wrong zero and f4 went NaN
+		// instead of -Inf.
+		{"signed-zero", `
+.org 0x1000
+start:
+    fldi f3, 1.0
+    fldi f4, 0.0
+    movri ecx, 0
+loop:
+    fldi f0, 0.0
+    fldi f1, -0.0
+    fmov f2, f3
+    fdiv f2, f1
+    fadd f4, f2` + epilogue, nil},
+		// A load partially overlapping a store still in the gated store
+		// buffer fails speculation on every execution, whatever the
+		// scheduler did. Rebuilding without memory speculation is worth
+		// one try; it used to be retried every SpecLimit failures, 587
+		// superblock translations for this loop.
+		{"partial-overlap", `
+.org 0x1000
+start:
+    movri ebp, 0x100000
+    fldi f1, 1.5
+    movri ecx, 0
+loop:
+    fst [ebp+8], f1
+    load eax, [ebp+12]` + epilogue, func(t *testing.T, c *Controller) {
+			if n := c.CoD.Stats.SBTranslations; n > 2 {
+				t.Errorf("%d superblock translations, want at most the original and one rebuild", n)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			im, err := guest.Assemble(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			cfg.MaxGuestInsns = 10_000_000
+			c, err := New(im, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Validate(); err != nil {
+				t.Fatalf("final state: %v", err)
+			}
+			if c.CoD.Stats.SBTranslations == 0 {
+				t.Errorf("the loop never reached a superblock")
+			}
+			if tc.check != nil {
+				tc.check(t, c)
+			}
+		})
 	}
 }
 

@@ -157,16 +157,10 @@ func (m *Memory) InstallPage(pageAddr uint32, data *[PageSize]byte) {
 	m.setPage(pn, &cp)
 }
 
-// PageData returns a copy of the page containing addr, allocating it if
-// the memory is non-strict.
-func (m *Memory) PageData(addr uint32) (*[PageSize]byte, error) {
-	p, err := m.page(addr)
-	if err != nil {
-		return nil, err
-	}
-	cp := *p
-	return &cp, nil
-}
+// Page returns the page containing addr: the memory's own storage, not
+// a copy. A non-strict memory allocates a missing page, a strict one
+// faults. Callers compare it or copy it out (InstallPage copies).
+func (m *Memory) Page(addr uint32) (*[PageSize]byte, error) { return m.page(addr) }
 
 // HasPage reports whether the page containing addr is mapped.
 func (m *Memory) HasPage(addr uint32) bool {

@@ -180,7 +180,7 @@ func TestMemoryMatchesMapReference(t *testing.T) {
 			if !ok {
 				t.Fatalf("strict=%v: page %#x not in reference", strict, pa)
 			}
-			mp, err := m.PageData(pa)
+			mp, err := m.Page(pa)
 			if err != nil {
 				t.Fatal(err)
 			}

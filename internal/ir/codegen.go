@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 
 	"darco/internal/host"
 )
@@ -24,30 +25,49 @@ import (
 
 // GenResult is the output of code generation.
 type GenResult struct {
-	Code     []host.Inst
-	ExitMeta map[int]ExitInfo // host instruction index → retirement metadata
-	Spills   int
+	Code   []host.Inst
+	Exits  []ExitSite // in emission order
+	Spills int
+}
+
+// ExitSite is the retirement metadata of the exit instruction at Idx.
+type ExitSite struct {
+	Idx  int
+	Meta ExitInfo
 }
 
 type gen struct {
-	r    *Region
-	a    *Alloc
-	out  []host.Inst
-	meta map[int]ExitInfo
-	err  error
+	r       *Region
+	a       *Alloc
+	out     []host.Inst
+	exits   []ExitSite
+	pending []move
+	err     error
 }
 
 // Generate lowers the region to host code.
 func (r *Region) Generate(a *Alloc) (*GenResult, error) {
-	g := &gen{r: r, a: a, meta: make(map[int]ExitInfo)}
+	s := r.scratch()
+	g := &s.gen
+	*g = gen{r: r, a: a, out: g.out[:0], exits: g.exits[:0], pending: g.pending[:0]}
 	g.emit(host.Inst{Op: host.CHKPT, Target: r.Entry, GPC: r.Entry})
 	for i := range r.Code {
-		g.inst(&r.Code[i])
+		in := &r.Code[i]
+		g.inst(in)
+		// A result computed into the scratch register lives in a slot.
+		if l := a.Loc[in.Dst]; in.Dst != 0 && l.Kind == LocSlot {
+			if l.FP {
+				g.emit(host.Inst{Op: host.SPILLF, Rd: FPScr1, Imm: int32(l.N), GPC: in.GPC})
+			} else {
+				g.emit(host.Inst{Op: host.SPILLI, Rd: IntScr1, Imm: int32(l.N), GPC: in.GPC})
+			}
+		}
 		if g.err != nil {
 			return nil, g.err
 		}
 	}
-	return &GenResult{Code: g.out, ExitMeta: g.meta, Spills: a.Spills}, nil
+	s.out = GenResult{Code: g.out, Exits: g.exits, Spills: a.Spills}
+	return &s.out, nil
 }
 
 func (g *gen) emit(in host.Inst) int {
@@ -60,6 +80,10 @@ func (g *gen) fail(format string, args ...any) {
 		g.err = fmt.Errorf("codegen: "+format, args...)
 	}
 }
+
+// constI and constF read a constant's payload.
+func (g *gen) constI(v ValueID) int32   { return int32(g.a.constBits[v]) }
+func (g *gen) constF(v ValueID) float64 { return math.Float64frombits(g.a.constBits[v]) }
 
 // readInt materialises an integer value into a register, using scr for
 // slot and immediate sources.
@@ -76,7 +100,7 @@ func (g *gen) readInt(v ValueID, scr uint8, gpc uint32) uint8 {
 		g.emit(host.Inst{Op: host.UNSPILLI, Rd: scr, Imm: int32(l.N), GPC: gpc})
 		return scr
 	case LocImm:
-		g.emit(host.Inst{Op: host.LI, Rd: scr, Imm: int32(g.a.ConstI[v]), GPC: gpc})
+		g.emit(host.Inst{Op: host.LI, Rd: scr, Imm: g.constI(v), GPC: gpc})
 		return scr
 	}
 	g.fail("value v%d has no location", v)
@@ -97,73 +121,52 @@ func (g *gen) readFP(v ValueID, scr uint8, gpc uint32) uint8 {
 		g.emit(host.Inst{Op: host.UNSPILLF, Rd: scr, Imm: int32(l.N), GPC: gpc})
 		return scr
 	case LocImm:
-		g.emit(host.Inst{Op: host.FLI, Rd: scr, F64: g.a.ConstF[v], GPC: gpc})
+		g.emit(host.Inst{Op: host.FLI, Rd: scr, F64: g.constF(v), GPC: gpc})
 		return scr
 	}
 	g.fail("value v%d has no location", v)
 	return scr
 }
 
-// dstInt returns the register to compute an integer result into and a
-// function that stores it to a spill slot if needed.
-func (g *gen) dstInt(v ValueID, gpc uint32) (uint8, func()) {
-	l := g.a.Loc[v]
-	switch l.Kind {
+// dst returns the register to compute v's result into: its own, or scr
+// when it lives in a spill slot (Generate stores it there afterwards) or
+// is dead (possible when DCE is disabled in ablations).
+func (g *gen) dst(v ValueID, scr uint8) uint8 {
+	switch l := g.a.Loc[v]; l.Kind {
 	case LocReg:
-		return uint8(l.N), func() {}
-	case LocSlot:
-		slot := int32(l.N)
-		return IntScr1, func() {
-			g.emit(host.Inst{Op: host.SPILLI, Rd: IntScr1, Imm: slot, GPC: gpc})
-		}
-	case LocNone:
-		// Dead result (possible when DCE is disabled in ablations).
-		return IntScr1, func() {}
+		return uint8(l.N)
+	case LocSlot, LocNone:
+	default:
+		g.fail("bad destination location %v for v%d", l, v)
 	}
-	g.fail("bad destination location %v for v%d", l, v)
-	return IntScr1, func() {}
+	return scr
 }
 
-func (g *gen) dstFP(v ValueID, gpc uint32) (uint8, func()) {
-	l := g.a.Loc[v]
-	switch l.Kind {
-	case LocReg:
-		return uint8(l.N), func() {}
-	case LocSlot:
-		slot := int32(l.N)
-		return FPScr1, func() {
-			g.emit(host.Inst{Op: host.SPILLF, Rd: FPScr1, Imm: slot, GPC: gpc})
-		}
-	case LocNone:
-		return FPScr1, func() {}
-	}
-	g.fail("bad destination location %v for v%d", l, v)
-	return FPScr1, func() {}
-}
+func (g *gen) dstInt(v ValueID) uint8 { return g.dst(v, IntScr1) }
+func (g *gen) dstFP(v ValueID) uint8  { return g.dst(v, FPScr1) }
 
 // immOf reports the foldable immediate for value v, if it has one.
 func (g *gen) immOf(v ValueID) (int32, bool) {
-	if g.a.Loc[v].Kind == LocImm {
-		if c, ok := g.a.ConstI[v]; ok {
-			return int32(c), true
-		}
+	if l := g.a.Loc[v]; l.Kind == LocImm && !l.FP {
+		return g.constI(v), true
 	}
 	return 0, false
 }
 
-var intOpMap = map[Op]host.Op{
+// Host opcodes by IR op; NOPH where there is none.
+var intOpMap = [NumOps]host.Op{
 	Add: host.ADD, Sub: host.SUB, Mul: host.MUL, Mulh: host.MULH,
 	Div: host.DIV, Rem: host.REM, And: host.AND, Or: host.OR, Xor: host.XOR,
 	Shl: host.SHL, Shr: host.SHR, Sar: host.SAR,
 	Slt: host.SLT, Sltu: host.SLTU, Seq: host.SEQ, Sne: host.SNE,
 }
 
-var immOpMap = map[Op]host.Op{
+var immOpMap = [NumOps]host.Op{
 	Add: host.ADDI, And: host.ANDI, Or: host.ORI, Xor: host.XORI,
 	Shl: host.SHLI, Shr: host.SHRI, Sar: host.SARI,
 }
 
-var fpOpMap = map[Op]host.Op{
+var fpOpMap = [NumOps]host.Op{
 	Fadd: host.FADDH, Fsub: host.FSUBH, Fmul: host.FMULH, Fdiv: host.FDIVH,
 }
 
@@ -176,60 +179,51 @@ func (g *gen) inst(in *Inst) {
 		if g.a.Loc[in.Dst].Kind == LocImm {
 			return
 		}
-		rd, fin := g.dstInt(in.Dst, gpc)
+		rd := g.dstInt(in.Dst)
 		g.emit(host.Inst{Op: host.LI, Rd: rd, Imm: int32(in.ImmU), GPC: gpc})
-		fin()
 	case ConstF:
 		if g.a.Loc[in.Dst].Kind == LocImm {
 			return
 		}
-		fd, fin := g.dstFP(in.Dst, gpc)
+		fd := g.dstFP(in.Dst)
 		g.emit(host.Inst{Op: host.FLI, Rd: fd, F64: in.ImmF, GPC: gpc})
-		fin()
 	case Mov:
 		ra := g.readInt(in.A, IntScr1, gpc)
-		rd, fin := g.dstInt(in.Dst, gpc)
+		rd := g.dstInt(in.Dst)
 		g.emit(host.Inst{Op: host.MOVH, Rd: rd, Ra: ra, GPC: gpc})
-		fin()
 	case FMov:
 		fa := g.readFP(in.A, FPScr1, gpc)
-		fd, fin := g.dstFP(in.Dst, gpc)
+		fd := g.dstFP(in.Dst)
 		g.emit(host.Inst{Op: host.FMOVH, Rd: fd, Ra: fa, GPC: gpc})
-		fin()
 
 	case Add, Sub, Mul, Mulh, Div, Rem, And, Or, Xor, Shl, Shr, Sar, Slt, Sltu, Seq, Sne:
 		ra := g.readInt(in.A, IntScr1, gpc)
-		rd, fin := g.dstInt(in.Dst, gpc)
+		rd := g.dstInt(in.Dst)
 		if imm, ok := g.immOf(in.B); ok {
-			if hop, ok2 := immOpMap[in.Op]; ok2 {
+			if hop := immOpMap[in.Op]; hop != host.NOPH {
 				g.emit(host.Inst{Op: hop, Rd: rd, Ra: ra, Imm: imm, GPC: gpc})
-				fin()
 				return
 			}
 			if in.Op == Sub {
 				g.emit(host.Inst{Op: host.ADDI, Rd: rd, Ra: ra, Imm: -imm, GPC: gpc})
-				fin()
 				return
 			}
 		}
 		rb := g.readInt(in.B, IntScr2, gpc)
 		g.emit(host.Inst{Op: intOpMap[in.Op], Rd: rd, Ra: ra, Rb: rb, GPC: gpc})
-		fin()
 
 	case Ld32, Ld8:
 		ra := g.readInt(in.A, IntScr1, gpc)
-		rd, fin := g.dstInt(in.Dst, gpc)
+		rd := g.dstInt(in.Dst)
 		hop := host.LD
 		if in.Op == Ld8 {
 			hop = host.LDB
 		}
 		g.emit(host.Inst{Op: hop, Rd: rd, Ra: ra, Imm: in.Off, Spec: in.Spec, GPC: gpc})
-		fin()
 	case LdF:
 		ra := g.readInt(in.A, IntScr1, gpc)
-		fd, fin := g.dstFP(in.Dst, gpc)
+		fd := g.dstFP(in.Dst)
 		g.emit(host.Inst{Op: host.FLDH, Rd: fd, Ra: ra, Imm: in.Off, Spec: in.Spec, GPC: gpc})
-		fin()
 	case St32, St8:
 		ra := g.readInt(in.A, IntScr1, gpc)
 		rb := g.readInt(in.B, IntScr2, gpc)
@@ -246,12 +240,11 @@ func (g *gen) inst(in *Inst) {
 	case Fadd, Fsub, Fmul, Fdiv:
 		fa := g.readFP(in.A, FPScr1, gpc)
 		fb := g.readFP(in.B, FPScr2, gpc)
-		fd, fin := g.dstFP(in.Dst, gpc)
+		fd := g.dstFP(in.Dst)
 		g.emit(host.Inst{Op: fpOpMap[in.Op], Rd: fd, Ra: fa, Rb: fb, GPC: gpc})
-		fin()
 	case Fsqrt, Fabs, Fneg:
 		fa := g.readFP(in.A, FPScr1, gpc)
-		fd, fin := g.dstFP(in.Dst, gpc)
+		fd := g.dstFP(in.Dst)
 		hop := host.FSQRTH
 		if in.Op == Fabs {
 			hop = host.FABSH
@@ -259,21 +252,18 @@ func (g *gen) inst(in *Inst) {
 			hop = host.FNEGH
 		}
 		g.emit(host.Inst{Op: hop, Rd: fd, Ra: fa, GPC: gpc})
-		fin()
 	case Fcvti:
 		fa := g.readFP(in.A, FPScr1, gpc)
-		rd, fin := g.dstInt(in.Dst, gpc)
+		rd := g.dstInt(in.Dst)
 		g.emit(host.Inst{Op: host.FCVTI, Rd: rd, Ra: fa, GPC: gpc})
-		fin()
 	case Fcvtf:
 		ra := g.readInt(in.A, IntScr1, gpc)
-		fd, fin := g.dstFP(in.Dst, gpc)
+		fd := g.dstFP(in.Dst)
 		g.emit(host.Inst{Op: host.FCVTF, Rd: fd, Ra: ra, GPC: gpc})
-		fin()
 	case Fslt, Fseq, Funord:
 		fa := g.readFP(in.A, FPScr1, gpc)
 		fb := g.readFP(in.B, FPScr2, gpc)
-		rd, fin := g.dstInt(in.Dst, gpc)
+		rd := g.dstInt(in.Dst)
 		hop := host.FSLT
 		if in.Op == Fseq {
 			hop = host.FSEQ
@@ -281,7 +271,6 @@ func (g *gen) inst(in *Inst) {
 			hop = host.FUNORD
 		}
 		g.emit(host.Inst{Op: hop, Rd: rd, Ra: fa, Rb: fb, GPC: gpc})
-		fin()
 
 	case Assert:
 		ra := g.readInt(in.A, IntScr1, gpc)
@@ -321,7 +310,7 @@ func (g *gen) inst(in *Inst) {
 			g.emit(host.Inst{Op: host.UNSPILLI, Rd: IntScr2, Imm: int32(tl.N), GPC: gpc})
 			tgt = IntScr2
 		case LocImm:
-			g.emit(host.Inst{Op: host.LI, Rd: IntScr2, Imm: int32(g.a.ConstI[in.A]), GPC: gpc})
+			g.emit(host.Inst{Op: host.LI, Rd: IntScr2, Imm: g.constI(in.A), GPC: gpc})
 			tgt = IntScr2
 		default:
 			g.fail("exitind target v%d has no location", in.A)
@@ -344,7 +333,7 @@ func (g *gen) exitSeq(in *Inst, indirectReg uint8, indirect bool, gpc uint32) {
 	} else {
 		idx = g.emit(host.Inst{Op: host.EXIT, Target: in.ImmU, GPC: gpc})
 	}
-	g.meta[idx] = in.Meta
+	g.exits = append(g.exits, ExitSite{Idx: idx, Meta: in.Meta})
 }
 
 // move is one pending architectural writeback.
@@ -355,10 +344,37 @@ type move struct {
 	srcVal ValueID
 }
 
+// readsPinned reports whether the move's source is pinned register reg
+// of class fp.
+func (m *move) readsPinned(reg uint8, fp bool) bool {
+	return m.srcLoc.Kind == LocPinned && uint8(m.srcLoc.N) == reg && m.srcLoc.FP == fp
+}
+
+// emitMove writes m's source, or register src when src >= 0, to m.dst.
+func (g *gen) emitMove(m move, src int, gpc uint32) {
+	in := host.Inst{Op: host.MOVH, Rd: m.dst, Ra: uint8(m.srcLoc.N), GPC: gpc}
+	if m.fp {
+		in.Op = host.FMOVH
+	}
+	switch {
+	case src >= 0:
+		in.Ra = uint8(src)
+	case m.srcLoc.Kind == LocImm && !m.fp:
+		in = host.Inst{Op: host.LI, Rd: m.dst, Imm: g.constI(m.srcVal), GPC: gpc}
+	case m.srcLoc.Kind == LocImm:
+		in = host.Inst{Op: host.FLI, Rd: m.dst, F64: g.constF(m.srcVal), GPC: gpc}
+	case m.srcLoc.Kind == LocSlot && !m.fp:
+		in = host.Inst{Op: host.UNSPILLI, Rd: m.dst, Imm: int32(m.srcLoc.N), GPC: gpc}
+	case m.srcLoc.Kind == LocSlot:
+		in = host.Inst{Op: host.UNSPILLF, Rd: m.dst, Imm: int32(m.srcLoc.N), GPC: gpc}
+	}
+	g.emit(in)
+}
+
 // parallelMoves writes the exit state into the pinned registers,
 // breaking pinned→pinned cycles with the scratch register.
 func (g *gen) parallelMoves(state []ArchVal, gpc uint32) {
-	var pending []move
+	pending := g.pending[:0]
 	for _, av := range state {
 		dst, fp := PinnedHostReg(av.Arch)
 		l := g.a.Loc[av.Val]
@@ -367,43 +383,19 @@ func (g *gen) parallelMoves(state []ArchVal, gpc uint32) {
 		}
 		pending = append(pending, move{dst: dst, fp: fp, srcLoc: l, srcVal: av.Val})
 	}
-	emitMove := func(m move, srcOverride int) {
-		switch {
-		case srcOverride >= 0:
-			if m.fp {
-				g.emit(host.Inst{Op: host.FMOVH, Rd: m.dst, Ra: uint8(srcOverride), GPC: gpc})
-			} else {
-				g.emit(host.Inst{Op: host.MOVH, Rd: m.dst, Ra: uint8(srcOverride), GPC: gpc})
-			}
-		case m.srcLoc.Kind == LocImm && !m.fp:
-			g.emit(host.Inst{Op: host.LI, Rd: m.dst, Imm: int32(g.a.ConstI[m.srcVal]), GPC: gpc})
-		case m.srcLoc.Kind == LocImm && m.fp:
-			g.emit(host.Inst{Op: host.FLI, Rd: m.dst, F64: g.a.ConstF[m.srcVal], GPC: gpc})
-		case m.srcLoc.Kind == LocSlot && !m.fp:
-			g.emit(host.Inst{Op: host.UNSPILLI, Rd: m.dst, Imm: int32(m.srcLoc.N), GPC: gpc})
-		case m.srcLoc.Kind == LocSlot && m.fp:
-			g.emit(host.Inst{Op: host.UNSPILLF, Rd: m.dst, Imm: int32(m.srcLoc.N), GPC: gpc})
-		case m.fp:
-			g.emit(host.Inst{Op: host.FMOVH, Rd: m.dst, Ra: uint8(m.srcLoc.N), GPC: gpc})
-		default:
-			g.emit(host.Inst{Op: host.MOVH, Rd: m.dst, Ra: uint8(m.srcLoc.N), GPC: gpc})
-		}
-	}
-	// redirected maps a pinned source register that was saved to scratch.
-	redirect := map[[2]interface{}]int{}
-	srcIsPinnedReg := func(m move, reg uint8, fp bool) bool {
-		return m.srcLoc.Kind == LocPinned && uint8(m.srcLoc.N) == reg && m.srcLoc.FP == fp
-	}
+	g.pending = pending[:0] // keep the buffer; the loop below consumes the slice
+	// saved[c] has bit r set once pinned register r of class c (0 int,
+	// 1 FP) was saved to the class's scratch register: moves still
+	// reading r read the scratch instead.
+	var saved [2]uint64
+	scratch := [2]int{IntScr1, FPScr1}
 	for len(pending) > 0 {
 		progress := false
 		for i := 0; i < len(pending); i++ {
 			m := pending[i]
 			blocked := false
 			for j := range pending {
-				if j == i {
-					continue
-				}
-				if srcIsPinnedReg(pending[j], m.dst, m.fp) {
+				if j != i && pending[j].readsPinned(m.dst, m.fp) {
 					blocked = true
 					break
 				}
@@ -411,29 +403,24 @@ func (g *gen) parallelMoves(state []ArchVal, gpc uint32) {
 			if blocked {
 				continue
 			}
-			ov := -1
-			if k, ok := redirect[[2]interface{}{m.srcLoc, m.fp}]; ok && m.srcLoc.Kind == LocPinned {
-				ov = k
+			src, c := -1, b2u(m.srcLoc.FP)
+			if m.srcLoc.Kind == LocPinned && m.srcLoc.FP == m.fp && saved[c]>>uint(m.srcLoc.N)&1 != 0 {
+				src = scratch[c]
 			}
-			emitMove(m, ov)
+			g.emitMove(m, src, gpc)
 			pending = append(pending[:i], pending[i+1:]...)
 			progress = true
 			i--
 		}
 		if !progress {
 			// Cycle among pinned→pinned moves: save one destination's
-			// current value to scratch and retry.
+			// current value to scratch, which every other move reading
+			// it must now read, and retry.
 			m := pending[0]
-			scr := IntScr1
-			op := host.MOVH
-			if m.fp {
-				scr = FPScr1
-				op = host.FMOVH
-			}
-			// Every other move reading m.dst must now read scratch.
-			g.emit(host.Inst{Op: op, Rd: uint8(scr), Ra: m.dst, GPC: gpc})
-			redirect[[2]interface{}{Loc{Kind: LocPinned, N: int(m.dst), FP: m.fp}, m.fp}] = scr
-			emitMove(m, -1)
+			c := b2u(m.fp)
+			g.emitMove(move{dst: uint8(scratch[c]), fp: m.fp}, int(m.dst), gpc)
+			saved[c] |= 1 << m.dst
+			g.emitMove(m, -1, gpc)
 			pending = pending[1:]
 		}
 	}

@@ -28,11 +28,13 @@ type memRef struct {
 	width uint8
 }
 
-func (r *Region) memRefOf(in *Inst, constOf map[ValueID]uint32) memRef {
+// memRefOf describes the access of a load or store, resolving a constant
+// base through the scratch's constant table.
+func (s *Scratch) memRefOf(in *Inst) memRef {
 	ref := memRef{base: in.A, off: in.Off, width: in.MemWidth()}
-	if v, ok := constOf[in.A]; ok {
+	if s.constOp[in.A] == ConstI {
 		ref.base = 0
-		ref.abs = v + uint32(in.Off)
+		ref.abs = uint32(s.constBits[in.A]) + uint32(in.Off)
 		ref.off = 0
 	}
 	return ref
@@ -62,63 +64,39 @@ func classify(a, b memRef) AliasClass {
 	return AliasMay
 }
 
-// constMap gathers ConstI definitions for absolute-address reasoning.
-func (r *Region) constMap() map[ValueID]uint32 {
-	m := make(map[ValueID]uint32)
-	for i := range r.Code {
-		if r.Code[i].Op == ConstI {
-			m[r.Code[i].Dst] = r.Code[i].ImmU
-		}
-	}
-	return m
-}
-
 // MemOptStats reports what the DDG memory phase removed.
 type MemOptStats struct {
 	LoadsEliminated  int // redundant load elimination + store forwarding
 	StoresEliminated int // dead stores overwritten before observation
 }
 
+// availEntry is a memory location whose content is a known value.
+type availEntry struct {
+	ref memRef
+	val ValueID
+}
+
+// storeEntry is a store that may still be overwritten unobserved.
+type storeEntry struct {
+	ref      memRef
+	idx      int
+	observed bool // an exit or may-alias load occurred after it
+}
+
 // MemOpt performs redundant load elimination, store-to-load forwarding
 // and dead store elimination in one forward scan.
 func (r *Region) MemOpt() MemOptStats {
-	constOf := r.constMap()
-	type availEntry struct {
-		ref memRef
-		val ValueID
-	}
-	var avail []availEntry
-	type storeEntry struct {
-		ref      memRef
-		idx      int
-		observed bool // an exit or may-alias load occurred after it
-	}
-	var stores []storeEntry
-	resolve := make([]ValueID, r.NumValues+1)
-	res := func(v ValueID) ValueID {
-		for v != 0 && resolve[v] != 0 {
-			v = resolve[v]
-		}
-		return v
-	}
+	s := r.constTable()
+	s.resolve = grow(s.resolve, r.NumValues+1)
+	resolve, avail, stores := s.resolve, s.avail[:0], s.stores[:0]
 	var st MemOptStats
-
-	observeAll := func() {
-		for j := range stores {
-			stores[j].observed = true
-		}
-	}
 
 	for i := range r.Code {
 		in := &r.Code[i]
-		in.A = res(in.A)
-		in.B = res(in.B)
-		for j := range in.State {
-			in.State[j].Val = res(in.State[j].Val)
-		}
+		in.forward(resolve)
 		switch {
 		case in.IsLoad():
-			ref := r.memRefOf(in, constOf)
+			ref := s.memRefOf(in)
 			hit := false
 			for _, e := range avail {
 				if classify(e.ref, ref) == AliasMust {
@@ -140,7 +118,7 @@ func (r *Region) MemOpt() MemOptStats {
 			}
 			avail = append(avail, availEntry{ref: ref, val: in.Dst})
 		case in.IsStore():
-			ref := r.memRefOf(in, constOf)
+			ref := s.memRefOf(in)
 			// Dead store elimination: a prior unobserved store to the
 			// exact location is overwritten.
 			for j := range stores {
@@ -166,17 +144,13 @@ func (r *Region) MemOpt() MemOptStats {
 		case in.IsExit():
 			// A (possible) commit makes every buffered store
 			// architecturally observable.
-			observeAll()
+			for j := range stores {
+				stores[j].observed = true
+			}
 		}
 	}
-	// Compact Nops.
-	out := r.Code[:0]
-	for i := range r.Code {
-		if r.Code[i].Op != Nop {
-			out = append(out, r.Code[i])
-		}
-	}
-	r.Code = out
+	s.avail, s.stores = avail, stores
+	r.compact()
 	return st
 }
 
@@ -195,7 +169,9 @@ type DDG struct {
 	// edges collects the graph during construction; finish() buckets it
 	// into the Succs/Preds adjacency views, which share two arenas
 	// instead of paying one allocation per node's first edge.
-	edges []Edge
+	edges          []Edge
+	sArena, pArena []Edge
+	sEnd, pEnd     []int
 }
 
 func (g *DDG) addEdge(from, to int, breakable bool) {
@@ -209,50 +185,47 @@ func (g *DDG) addEdge(from, to int, breakable bool) {
 // preserving insertion order within each node.
 func (g *DDG) finish() {
 	n := g.N
-	sOff := make([]int, n+1)
-	pOff := make([]int, n+1)
+	g.sEnd, g.pEnd = grow(g.sEnd, n), grow(g.pEnd, n)
 	for _, e := range g.edges {
-		sOff[e.From+1]++
-		pOff[e.To+1]++
+		g.sEnd[e.From]++
+		g.pEnd[e.To]++
 	}
+	// Turn each node's count into the offset its edges start at...
+	s, p := 0, 0
 	for i := 0; i < n; i++ {
-		sOff[i+1] += sOff[i]
-		pOff[i+1] += pOff[i]
+		s, g.sEnd[i] = s+g.sEnd[i], s
+		p, g.pEnd[i] = p+g.pEnd[i], p
 	}
-	sArena := make([]Edge, len(g.edges))
-	pArena := make([]Edge, len(g.edges))
-	sPos := make([]int, n)
-	pPos := make([]int, n)
+	// ...which placing them, in insertion order, advances to their end.
+	g.sArena, g.pArena = grow(g.sArena, len(g.edges)), grow(g.pArena, len(g.edges))
 	for _, e := range g.edges {
-		sArena[sOff[e.From]+sPos[e.From]] = e
-		sPos[e.From]++
-		pArena[pOff[e.To]+pPos[e.To]] = e
-		pPos[e.To]++
+		g.sArena[g.sEnd[e.From]] = e
+		g.sEnd[e.From]++
+		g.pArena[g.pEnd[e.To]] = e
+		g.pEnd[e.To]++
 	}
-	g.Succs = make([][]Edge, n)
-	g.Preds = make([][]Edge, n)
+	g.Succs, g.Preds = grow(g.Succs, n), grow(g.Preds, n)
+	s, p = 0, 0
 	for i := 0; i < n; i++ {
-		g.Succs[i] = sArena[sOff[i]:sOff[i+1]:sOff[i+1]]
-		g.Preds[i] = pArena[pOff[i]:pOff[i+1]:pOff[i+1]]
+		g.Succs[i], s = g.sArena[s:g.sEnd[i]:g.sEnd[i]], g.sEnd[i]
+		g.Preds[i], p = g.pArena[p:g.pEnd[i]:g.pEnd[i]], g.pEnd[i]
 	}
-	g.edges = nil
 }
 
 // BuildDDG constructs the dependence graph: true data dependences,
 // memory ordering edges from disambiguation, and control edges that pin
 // asserts and exits.
 func (r *Region) BuildDDG() *DDG {
-	n := len(r.Code)
-	g := &DDG{N: n}
-	defIdx := make([]int, r.NumValues+1)
+	s := r.constTable()
+	g := &s.ddg
+	g.N, g.edges = len(r.Code), g.edges[:0]
+	s.defIdx = grow(s.defIdx, r.NumValues+1)
+	defIdx := s.defIdx
 	for i := range defIdx {
 		defIdx[i] = -1
 	}
-	constOf := r.constMap()
-
-	var memIdx []int  // loads and stores in order
-	var exitIdx []int // exits in order
-	var ctlIdx []int  // asserts and exits in order
+	memIdx := s.memIdx[:0] // loads and stores in order
+	ctlIdx := s.ctlIdx[:0] // asserts and exits in order
 	lastExit := -1
 
 	for i := range r.Code {
@@ -269,14 +242,13 @@ func (r *Region) BuildDDG() *DDG {
 
 		switch {
 		case in.IsLoad():
-			ref := r.memRefOf(in, constOf)
+			ref := s.memRefOf(in)
 			for _, m := range memIdx {
 				prev := &r.Code[m]
 				if !prev.IsStore() {
 					continue
 				}
-				pref := r.memRefOf(prev, constOf)
-				switch classify(pref, ref) {
+				switch classify(s.memRefOf(prev), ref) {
 				case AliasMust:
 					g.addEdge(m, i, false) // should have been forwarded; keep order
 				case AliasMay:
@@ -288,20 +260,13 @@ func (r *Region) BuildDDG() *DDG {
 			}
 			memIdx = append(memIdx, i)
 		case in.IsStore():
-			ref := r.memRefOf(in, constOf)
+			ref := s.memRefOf(in)
 			for _, m := range memIdx {
-				prev := &r.Code[m]
-				pref := r.memRefOf(prev, constOf)
-				if prev.IsStore() {
-					if classify(pref, ref) != AliasNever {
-						g.addEdge(m, i, false)
-					}
-				} else {
-					// Anti dependence: the store may not move above a
-					// preceding load it may alias with.
-					if classify(pref, ref) != AliasNever {
-						g.addEdge(m, i, false)
-					}
+				// Output dependence on an earlier store, or anti
+				// dependence: the store may not move above a preceding
+				// load it may alias with.
+				if classify(s.memRefOf(&r.Code[m]), ref) != AliasNever {
+					g.addEdge(m, i, false)
 				}
 			}
 			if !r.UseAsserts && lastExit >= 0 {
@@ -324,11 +289,10 @@ func (r *Region) BuildDDG() *DDG {
 				g.addEdge(ctlIdx[len(ctlIdx)-1], i, false)
 			}
 			ctlIdx = append(ctlIdx, i)
-			exitIdx = append(exitIdx, i)
 			lastExit = i
 		}
 	}
-	_ = exitIdx
+	s.memIdx, s.ctlIdx = memIdx, ctlIdx
 	g.finish()
 	return g
 }

@@ -240,6 +240,77 @@ type Region struct {
 	Code       []Inst
 	NumValues  int // values are 1..NumValues
 	UseAsserts bool
+
+	s *Scratch // working memory of every pass; nil until first needed
+}
+
+// Scratch is the working memory of one translator: the region being
+// translated and every table, list and buffer the passes, the register
+// allocator and the code generator need for it. It is reset, never
+// reallocated, per region, so a warm translator allocates nothing here.
+// Whatever a pass returns (DDG, Alloc, GenResult) lives in the scratch
+// and is valid until the region is transformed again or the scratch
+// starts its next region; anything that must outlive that is copied out.
+// A Scratch is used by one goroutine.
+type Scratch struct {
+	region  Region
+	reorder []Inst    // Schedule's output buffer, swapped with Region.Code
+	state   []ArchVal // slab behind every exit's State
+
+	// Tables indexed by ValueID.
+	resolve         []ValueID
+	constOp         []Op     // ConstI or ConstF where the value is a known constant
+	constBits       []uint64 // its payload: the uint32, or the float64's bits
+	defIdx, lastUse []int
+	live, needReg   []bool
+
+	seen   map[cseKey]ValueID
+	avail  []availEntry
+	stores []storeEntry
+
+	ddg            DDG
+	memIdx, ctlIdx []int
+
+	// Schedule's tables, indexed by instruction, and its two lists.
+	height, hardPreds, softPreds, readyTime []int
+	scheduled                               []bool
+	ready, order                            []int
+
+	alloc  Alloc
+	ivs    []interval
+	active []activeIv
+	free   []int
+
+	gen gen
+	out GenResult
+}
+
+// NewRegion starts the scratch's next region. The previous one, and
+// everything derived from it, is dead from here on.
+func (s *Scratch) NewRegion(entry uint32, useAsserts bool) *Region {
+	s.region = Region{Entry: entry, UseAsserts: useAsserts, Code: s.region.Code[:0], s: s}
+	s.state = s.state[:0]
+	return &s.region
+}
+
+// scratch returns the region's working memory; a region built as a
+// literal (tests, benchmarks) gets a private one on first use.
+func (r *Region) scratch() *Scratch {
+	if r.s == nil {
+		r.s = new(Scratch)
+	}
+	return r.s
+}
+
+// grow returns buf resized to n zeroed elements, reallocating only when
+// n exceeds its capacity.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, 2*n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // NewValue allocates a fresh SSA value.
@@ -252,6 +323,15 @@ func (r *Region) NewValue() ValueID {
 func (r *Region) Emit(in Inst) int {
 	r.Code = append(r.Code, in)
 	return len(r.Code) - 1
+}
+
+// KeepState copies an exit's writeback set into the scratch's slab and
+// returns the copy, for the exit's State.
+func (r *Region) KeepState(st []ArchVal) []ArchVal {
+	s := r.scratch()
+	n := len(s.state)
+	s.state = append(s.state, st...)
+	return s.state[n:len(s.state):len(s.state)]
 }
 
 // String renders the region as a debug listing.

@@ -71,44 +71,76 @@ func (r *Region) Verify() error {
 	return nil
 }
 
-// Optimize runs the paper's forward pass (constant folding, constant and
-// copy propagation, common subexpression elimination) followed by the
-// backward dead code elimination pass. Returns per-pass removal counts.
-func (r *Region) Optimize() (folded, csed, dce int) {
-	folded = r.ForwardPass()
-	csed = r.CSE()
-	dce = r.DCE()
-	return
-}
-
-// ForwardPass performs constant folding, constant propagation and copy
-// propagation in one forward scan, rewriting uses through a resolution
-// map. It returns the number of instructions reduced to simpler forms.
-func (r *Region) ForwardPass() int {
-	resolve := make([]ValueID, r.NumValues+1)
-	constI := make(map[ValueID]uint32)
-	constF := make(map[ValueID]float64)
-	changed := 0
-
+// forward rewrites the instruction's operands through the resolution
+// table a pass fills as it replaces values (0 = not replaced).
+func (in *Inst) forward(resolve []ValueID) {
 	res := func(v ValueID) ValueID {
 		for v != 0 && resolve[v] != 0 {
 			v = resolve[v]
 		}
 		return v
 	}
+	in.A, in.B = res(in.A), res(in.B)
+	for j := range in.State {
+		in.State[j].Val = res(in.State[j].Val)
+	}
+}
+
+// compact drops the Nops the passes leave behind.
+func (r *Region) compact() {
+	out := r.Code[:0]
+	for i := range r.Code {
+		if r.Code[i].Op != Nop {
+			out = append(out, r.Code[i])
+		}
+	}
+	r.Code = out
+}
+
+// resetConsts empties the constant table (indexed by value number) and
+// noteConst enters the constant an instruction defines, if it does.
+func (s *Scratch) resetConsts(numValues int) {
+	s.constOp = grow(s.constOp, numValues+1)
+	s.constBits = grow(s.constBits, numValues+1)
+}
+
+func (s *Scratch) noteConst(in *Inst) {
+	switch in.Op {
+	case ConstI:
+		s.constOp[in.Dst], s.constBits[in.Dst] = ConstI, uint64(in.ImmU)
+	case ConstF:
+		s.constOp[in.Dst], s.constBits[in.Dst] = ConstF, math.Float64bits(in.ImmF)
+	}
+}
+
+// constTable tabulates every constant the region defines.
+func (r *Region) constTable() *Scratch {
+	s := r.scratch()
+	s.resetConsts(r.NumValues)
+	for i := range r.Code {
+		s.noteConst(&r.Code[i])
+	}
+	return s
+}
+
+// ForwardPass performs constant folding, constant propagation and copy
+// propagation in one forward scan, rewriting uses through a resolution
+// table. It returns the number of instructions reduced to simpler forms.
+func (r *Region) ForwardPass() int {
+	s := r.scratch()
+	s.resolve = grow(s.resolve, r.NumValues+1)
+	s.resetConsts(r.NumValues)
+	resolve, changed := s.resolve, 0
+	constI := func(v ValueID) (uint32, bool) { return uint32(s.constBits[v]), s.constOp[v] == ConstI }
+	constF := func(v ValueID) (float64, bool) {
+		return math.Float64frombits(s.constBits[v]), s.constOp[v] == ConstF
+	}
 
 	for i := range r.Code {
 		in := &r.Code[i]
-		in.A = res(in.A)
-		in.B = res(in.B)
-		for j := range in.State {
-			in.State[j].Val = res(in.State[j].Val)
-		}
+		in.forward(resolve)
 		switch in.Op {
-		case ConstI:
-			constI[in.Dst] = in.ImmU
-		case ConstF:
-			constF[in.Dst] = in.ImmF
+		case ConstI, ConstF:
 		case Mov, FMov:
 			// Copy propagation: all later uses see the source.
 			resolve[in.Dst] = in.A
@@ -119,43 +151,31 @@ func (r *Region) ForwardPass() int {
 			if in.Dst == 0 {
 				continue
 			}
-			ca, aok := constI[in.A]
-			cb, bok := constI[in.B]
-			fa, faok := constF[in.A]
-			fb, fbok := constF[in.B]
+			ca, aok := constI(in.A)
+			cb, bok := constI(in.B)
+			fa, faok := constF(in.A)
+			fb, fbok := constF(in.B)
 			if v, ok := foldInt(in.Op, ca, cb, aok, bok); ok {
-				in.Op = ConstI
-				in.ImmU = v
+				in.Op, in.ImmU = ConstI, v
 				in.A, in.B = 0, 0
-				constI[in.Dst] = v
 				changed++
-				continue
-			}
-			if v, isInt, iv, ok := foldFloat(in.Op, fa, fb, faok, fbok); ok {
+			} else if v, isInt, iv, ok := foldFloat(in.Op, fa, fb, faok, fbok); ok {
 				if isInt {
-					in.Op = ConstI
-					in.ImmU = iv
+					in.Op, in.ImmU = ConstI, iv
 				} else {
-					in.Op = ConstF
-					in.ImmF = v
+					in.Op, in.ImmF = ConstF, v
 				}
 				in.A, in.B = 0, 0
-				if isInt {
-					constI[in.Dst] = iv
-				} else {
-					constF[in.Dst] = v
-				}
 				changed++
-				continue
-			}
-			// Algebraic identities with one constant operand.
-			if nv, ok := foldIdentity(in, ca, cb, aok, bok); ok {
+			} else if nv, ok := foldIdentity(in, ca, cb, aok, bok); ok {
+				// Algebraic identity with one constant operand.
 				resolve[in.Dst] = nv
 				in.Op = Nop
 				in.Dst, in.A, in.B = 0, 0, 0
 				changed++
 			}
 		}
+		s.noteConst(in)
 	}
 	return changed
 }
@@ -304,48 +324,46 @@ func foldIdentity(in *Inst, ca, cb uint32, aok, bok bool) (ValueID, bool) {
 	return 0, false
 }
 
+// cseKey identifies a pure computation. The float immediate is keyed by
+// its bits: as a float64 the map would compare it with ==, under which
+// +0.0 and -0.0 are one constant and no NaN equals itself.
+type cseKey struct {
+	op   Op
+	a, b ValueID
+	immu uint32
+	immf uint64
+}
+
 // CSE performs local value numbering over pure instructions: identical
 // (op, operands, immediate) pairs collapse to the first occurrence.
 // Memory and control instructions are untouched (redundant loads are the
 // DDG phase's job).
 func (r *Region) CSE() int {
-	type key struct {
-		op   Op
-		a, b ValueID
-		immu uint32
-		immf float64
+	s := r.scratch()
+	if s.seen == nil {
+		s.seen = make(map[cseKey]ValueID)
 	}
-	seen := make(map[key]ValueID)
-	resolve := make([]ValueID, r.NumValues+1)
-	res := func(v ValueID) ValueID {
-		for v != 0 && resolve[v] != 0 {
-			v = resolve[v]
-		}
-		return v
-	}
-	removed := 0
+	clear(s.seen)
+	s.resolve = grow(s.resolve, r.NumValues+1)
+	resolve, removed := s.resolve, 0
 	for i := range r.Code {
 		in := &r.Code[i]
-		in.A = res(in.A)
-		in.B = res(in.B)
-		for j := range in.State {
-			in.State[j].Val = res(in.State[j].Val)
-		}
+		in.forward(resolve)
 		if in.Dst == 0 || in.IsLoad() || in.HasSideEffect() || in.Op == LiveIn {
 			continue
 		}
-		k := key{op: in.Op, a: in.A, b: in.B, immu: in.ImmU, immf: in.ImmF}
+		k := cseKey{op: in.Op, a: in.A, b: in.B, immu: in.ImmU, immf: math.Float64bits(in.ImmF)}
 		if commutative(in.Op) && in.B < in.A {
 			k.a, k.b = in.B, in.A
 		}
-		if prev, ok := seen[k]; ok {
+		if prev, ok := s.seen[k]; ok {
 			resolve[in.Dst] = prev
 			in.Op = Nop
 			in.Dst, in.A, in.B = 0, 0, 0
 			removed++
 			continue
 		}
-		seen[k] = in.Dst
+		s.seen[k] = in.Dst
 	}
 	return removed
 }
@@ -361,7 +379,9 @@ func commutative(op Op) bool {
 // DCE removes instructions whose results are never used, scanning
 // backwards from side-effecting roots (stores, exits, asserts).
 func (r *Region) DCE() int {
-	live := make([]bool, r.NumValues+1)
+	s := r.scratch()
+	s.live = grow(s.live, r.NumValues+1)
+	live := s.live
 	for i := len(r.Code) - 1; i >= 0; i-- {
 		in := &r.Code[i]
 		if in.Op == Nop {
@@ -384,14 +404,7 @@ func (r *Region) DCE() int {
 			removed++
 		}
 	}
-	// Compact away the Nops.
-	out := r.Code[:0]
-	for i := range r.Code {
-		if r.Code[i].Op != Nop {
-			out = append(out, r.Code[i])
-		}
-	}
-	r.Code = out
+	r.compact()
 	return removed
 }
 

@@ -156,6 +156,19 @@ func TestCSE(t *testing.T) {
 	}
 }
 
+// TestCSEKeysFloatConstantsByBits: +0.0 and -0.0 compare equal as
+// float64 but are different constants; two identical NaNs compare
+// unequal but are the same one.
+func TestCSEKeysFloatConstantsByBits(t *testing.T) {
+	b := newRB(false)
+	for _, f := range []float64{0, math.Copysign(0, -1), math.NaN(), math.NaN()} {
+		b.emit(Inst{Op: ConstF, Dst: -1, ImmF: f})
+	}
+	if n := b.r.CSE(); n != 1 || b.r.Code[1].Op != ConstF || b.r.Code[3].Op != Nop {
+		t.Errorf("CSE removed %d constants, want only the second NaN:\n%s", n, b.r)
+	}
+}
+
 func TestCSEDoesNotMergeLoads(t *testing.T) {
 	b := newRB(false)
 	addr := b.livein(ArchEBX)

@@ -1,8 +1,9 @@
 package ir
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"darco/internal/host"
 )
@@ -67,8 +68,24 @@ type Alloc struct {
 	IntSlots int
 	FPSlots  int
 	Spills   int
-	ConstI   map[ValueID]uint32
-	ConstF   map[ValueID]float64
+
+	// constBits holds, by ValueID, the payload of every constant: the
+	// uint32, or the float64's bits (a LocImm's FP says which).
+	constBits []uint64
+}
+
+// interval is the live range of one value the linear scan places.
+type interval struct {
+	v          ValueID
+	start, end int
+	fp         bool
+}
+
+// activeIv is an interval currently holding a register.
+type activeIv struct {
+	end int
+	v   ValueID
+	reg int
 }
 
 // PinnedHostReg maps an architectural register to its pinned host register.
@@ -96,17 +113,12 @@ func immUsable(in *Inst, v ValueID) bool {
 // Allocate assigns a location to every value in the region.
 func (r *Region) Allocate() *Alloc {
 	n := len(r.Code)
-	a := &Alloc{
-		Loc:    make([]Loc, r.NumValues+1),
-		ConstI: make(map[ValueID]uint32),
-		ConstF: make(map[ValueID]float64),
-	}
-
-	defIdx := make([]int, r.NumValues+1)
-	lastUse := make([]int, r.NumValues+1)
-	needReg := make([]bool, r.NumValues+1)
-	isConst := make([]bool, r.NumValues+1)
-	isFP := make([]bool, r.NumValues+1)
+	s := r.constTable()
+	a := &s.alloc
+	*a = Alloc{Loc: grow(a.Loc, r.NumValues+1), constBits: s.constBits}
+	s.defIdx, s.lastUse = grow(s.defIdx, r.NumValues+1), grow(s.lastUse, r.NumValues+1)
+	s.needReg = grow(s.needReg, r.NumValues+1)
+	defIdx, lastUse, needReg, constOp := s.defIdx, s.lastUse, s.needReg, s.constOp
 	for i := range defIdx {
 		defIdx[i] = -1
 		lastUse[i] = -1
@@ -116,90 +128,44 @@ func (r *Region) Allocate() *Alloc {
 		in := &r.Code[i]
 		if in.Dst != 0 {
 			defIdx[in.Dst] = i
-			isFP[in.Dst] = in.FPResult()
-			switch in.Op {
-			case ConstI:
-				isConst[in.Dst] = true
-				a.ConstI[in.Dst] = in.ImmU
-			case ConstF:
-				isConst[in.Dst] = true
-				a.ConstF[in.Dst] = in.ImmF
+			if in.Op == LiveIn {
+				reg, fp := PinnedHostReg(in.Arch)
+				a.Loc[in.Dst] = Loc{Kind: LocPinned, N: int(reg), FP: fp}
 			}
 		}
-		mark := func(v ValueID, reg bool) {
-			if v == 0 {
-				return
-			}
+		mark := func(v ValueID) {
 			lastUse[v] = i
-			if reg && !isConst[v] {
+			// A constant needs a register only where no immediate form
+			// and no exit writeback can take it.
+			if constOp[v] == Nop || (!immUsable(in, v) && !isExitStateUse(in, v)) {
 				needReg[v] = true
 			}
-			if reg && isConst[v] && !immUsable(in, v) && !isExitStateUse(in, v) {
-				needReg[v] = true
-			}
 		}
-		if in.A != 0 {
-			mark(in.A, true)
-		}
-		if in.B != 0 {
-			mark(in.B, true)
-		}
-		for _, av := range in.State {
-			mark(av.Val, true) // isExitStateUse handles const exemption
-		}
+		in.Uses(mark)
 	}
 
-	// Pinned LiveIn values.
-	for i := 0; i < n; i++ {
-		in := &r.Code[i]
-		if in.Op == LiveIn {
-			reg, fp := PinnedHostReg(in.Arch)
-			a.Loc[in.Dst] = Loc{Kind: LocPinned, N: int(reg), FP: fp}
-		}
-	}
-
-	// Constants that never need a register are immediates.
+	// Constants that never need a register are immediates; the linear
+	// scan covers the remaining defined values.
+	ivs := s.ivs[:0]
 	for v := ValueID(1); int(v) <= r.NumValues; v++ {
-		if isConst[v] && !needReg[v] {
-			a.Loc[v] = Loc{Kind: LocImm, FP: isFP[v]}
+		switch {
+		case constOp[v] != Nop && !needReg[v]:
+			a.Loc[v] = Loc{Kind: LocImm, FP: constOp[v] == ConstF}
+		case a.Loc[v].Kind == LocNone && defIdx[v] >= 0:
+			fp := r.Code[defIdx[v]].FPResult()
+			ivs = append(ivs, interval{v: v, start: defIdx[v], end: max(lastUse[v], defIdx[v]), fp: fp})
 		}
 	}
-
-	// Linear scan over the remaining values.
-	type interval struct {
-		v          ValueID
-		start, end int
-		fp         bool
-	}
-	var ivs []interval
-	for v := ValueID(1); int(v) <= r.NumValues; v++ {
-		if a.Loc[v].Kind != LocNone || defIdx[v] < 0 {
-			continue
-		}
-		end := lastUse[v]
-		if end < defIdx[v] {
-			end = defIdx[v]
-		}
-		ivs = append(ivs, interval{v: v, start: defIdx[v], end: end, fp: isFP[v]})
-	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].start != ivs[j].start {
-			return ivs[i].start < ivs[j].start
-		}
-		return ivs[i].v < ivs[j].v
+	slices.SortFunc(ivs, func(x, y interval) int {
+		return cmp.Or(cmp.Compare(x.start, y.start), cmp.Compare(x.v, y.v))
 	})
+	s.ivs = ivs
 
 	alloc := func(fp bool, lo, hi int, slots *int) {
-		free := make([]int, 0, hi-lo+1)
+		free, active := s.free[:0], s.active[:0]
 		for reg := lo; reg <= hi; reg++ {
 			free = append(free, reg)
 		}
-		type activeIv struct {
-			end int
-			v   ValueID
-			reg int
-		}
-		var active []activeIv
 		for _, iv := range ivs {
 			if iv.fp != fp {
 				continue
@@ -242,6 +208,7 @@ func (r *Region) Allocate() *Alloc {
 				a.Spills++
 			}
 		}
+		s.free, s.active = free, active
 	}
 	alloc(false, intTempLo, intTempHi, &a.IntSlots)
 	alloc(true, fpTempLo, fpTempHi, &a.FPSlots)

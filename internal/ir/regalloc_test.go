@@ -156,8 +156,8 @@ func TestGenerateSimpleBlock(t *testing.T) {
 	if gen.Code[len(gen.Code)-2].Op != host.COMMIT {
 		t.Errorf("no commit before exit")
 	}
-	if _, ok := gen.ExitMeta[len(gen.Code)-1]; !ok {
-		t.Errorf("exit meta missing")
+	if len(gen.Exits) != 1 || gen.Exits[0].Idx != len(gen.Code)-1 {
+		t.Errorf("exit sites %v, want the final EXIT", gen.Exits)
 	}
 }
 

@@ -46,9 +46,15 @@ func (r *Region) Schedule(g *DDG, maxSpec int) SchedStats {
 		return SchedStats{}
 	}
 
+	s := r.scratch()
+	s.height, s.hardPreds, s.softPreds = grow(s.height, n), grow(s.hardPreds, n), grow(s.softPreds, n)
+	s.readyTime, s.scheduled = grow(s.readyTime, n), grow(s.scheduled, n)
+	height, readyTime, scheduled := s.height, s.readyTime, s.scheduled
+	hardPreds := s.hardPreds // unscheduled non-breakable preds
+	softPreds := s.softPreds // unscheduled breakable preds
+
 	// Critical-path height (including breakable edges: speculation is
 	// opportunistic, priorities assume edges hold).
-	height := make([]int, n)
 	for i := n - 1; i >= 0; i-- {
 		h := latencyOf(r.Code[i].Op)
 		for _, e := range g.Succs[i] {
@@ -58,9 +64,6 @@ func (r *Region) Schedule(g *DDG, maxSpec int) SchedStats {
 		}
 		height[i] = h
 	}
-
-	hardPreds := make([]int, n) // unscheduled non-breakable preds
-	softPreds := make([]int, n) // unscheduled breakable preds
 	for i := 0; i < n; i++ {
 		for _, e := range g.Preds[i] {
 			if e.Breakable {
@@ -71,16 +74,13 @@ func (r *Region) Schedule(g *DDG, maxSpec int) SchedStats {
 		}
 	}
 
-	ready := make([]int, 0, n) // hard-ready instructions
+	ready := s.ready[:0] // hard-ready instructions
 	for i := 0; i < n; i++ {
 		if hardPreds[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
-
-	readyTime := make([]int, n)
-	scheduled := make([]bool, n)
-	order := make([]int, 0, n)
+	order := s.order[:0]
 	var st SchedStats
 	specUsed := 0
 
@@ -162,10 +162,12 @@ func (r *Region) Schedule(g *DDG, maxSpec int) SchedStats {
 			st.Length = time
 		}
 	}
-	newCode := make([]Inst, n)
-	for pos, idx := range order {
-		newCode[pos] = r.Code[idx]
+	// Reorder into the scratch's second buffer and swap the two.
+	newCode := s.reorder[:0]
+	for _, idx := range order {
+		newCode = append(newCode, r.Code[idx])
 	}
-	r.Code = newCode
+	s.reorder, r.Code = r.Code[:0], newCode
+	s.ready, s.order = ready, order
 	return st
 }

@@ -5,6 +5,7 @@ import (
 
 	"darco/internal/codecache"
 	"darco/internal/guest"
+	"darco/internal/host"
 	"darco/internal/ir"
 )
 
@@ -16,7 +17,8 @@ type Fetcher func(pc uint32) (guest.Inst, error)
 // maxBBInsns caps decoded basic block length defensively.
 const maxBBInsns = 512
 
-// bbInfo is one decoded guest basic block.
+// bbInfo is one decoded guest basic block. Its body lives in the TOL's
+// scratch arenas and is good until the next decode that resets them.
 type bbInfo struct {
 	entry  uint32
 	insts  []guest.Inst // body, excluding the terminator
@@ -36,26 +38,42 @@ func (bb *bbInfo) staticLen() int {
 	return n
 }
 
-// decodeBB decodes the basic block starting at pc.
-func decodeBB(fetch Fetcher, pc uint32) (*bbInfo, error) {
-	bb := &bbInfo{entry: pc}
-	cur := pc
-	for n := 0; n < maxBBInsns; n++ {
-		in, err := fetch(cur)
+// decodeBB decodes the basic block starting at pc onto the end of the
+// scratch arenas.
+func (t *TOL) decodeBB(pc uint32) (bbInfo, error) {
+	s := &t.scratch
+	first := len(s.insts)
+	for cur := pc; len(s.insts)-first < maxBBInsns; {
+		in, err := t.Fetch(cur)
 		if err != nil {
-			return nil, err
+			return bbInfo{}, err
 		}
 		if in.Op.EndsBasicBlock() || !translatable(in.Op) {
-			bb.term = in
-			bb.termPC = cur
-			bb.nextPC = cur + uint32(in.Len())
-			return bb, nil
+			n := len(s.insts)
+			return bbInfo{entry: pc, insts: s.insts[first:n:n], pcs: s.pcs[first:n:n],
+				term: in, termPC: cur, nextPC: cur + uint32(in.Len())}, nil
 		}
-		bb.insts = append(bb.insts, in)
-		bb.pcs = append(bb.pcs, cur)
+		s.insts = append(s.insts, in)
+		s.pcs = append(s.pcs, cur)
 		cur += uint32(in.Len())
 	}
-	return nil, fmt.Errorf("tol: basic block at %#x exceeds %d instructions", pc, maxBBInsns)
+	return bbInfo{}, fmt.Errorf("tol: basic block at %#x exceeds %d instructions", pc, maxBBInsns)
+}
+
+// bbRegion decodes the basic block at pc and translates it, terminator
+// included, into the scratch region: the one front half of every BB
+// translation, live or replayed by the debug API.
+func (t *TOL) bbRegion(pc uint32) (*xlate, bbInfo, error) {
+	t.scratch.insts, t.scratch.pcs = t.scratch.insts[:0], t.scratch.pcs[:0]
+	bb, err := t.decodeBB(pc)
+	if err != nil {
+		return nil, bb, err
+	}
+	x := t.scratch.newXlate(pc, false, t.Cfg.EagerFlags)
+	if err := x.translateBody(&bb); err != nil {
+		return nil, bb, err
+	}
+	return x, bb, x.translateTerminator(&bb)
 }
 
 // translateBody translates the straight-line body of a basic block.
@@ -124,15 +142,6 @@ func (x *xlate) pushValue(v ir.ValueID) {
 	x.setGPR(guest.ESP, sp)
 }
 
-// finishRegion runs the mode-appropriate optimization pipeline and
-// generates the host block.
-type regionStats struct {
-	Folded, CSEd, DCEd int
-	MemOpt             ir.MemOptStats
-	Sched              ir.SchedStats
-	Spills             int
-}
-
 // OptLevel selects how much of the optimization pipeline runs; the
 // debug toolchain replays translations at increasing levels to pinpoint
 // the pass a divergence first appears in.
@@ -168,80 +177,75 @@ func (l OptLevel) String() string {
 	return "full"
 }
 
-func lowerRegion(r *ir.Region, superblock bool, maxSpec int, level OptLevel, mutate func(*ir.Region)) (*ir.GenResult, regionStats, error) {
-	var st regionStats
+// lowerRegion runs the mode-appropriate optimization pipeline, cut at
+// level, and generates the host code.
+func lowerRegion(r *ir.Region, superblock bool, maxSpec int, level OptLevel, mutate func(*ir.Region)) (*ir.GenResult, ir.SchedStats, error) {
+	var sched ir.SchedStats
 	if level >= LevelForward {
-		st.Folded = r.ForwardPass()
+		r.ForwardPass()
 	}
 	if superblock && level >= LevelCSE {
-		st.CSEd = r.CSE()
+		r.CSE()
 	}
 	if level >= LevelDCE {
-		st.DCEd = r.DCE()
+		r.DCE()
 	}
 	if superblock && level >= LevelMem {
-		st.MemOpt = r.MemOpt()
+		r.MemOpt()
 	}
 	if superblock && level >= LevelSched {
-		g := r.BuildDDG()
-		spec := 0
-		if level >= LevelFull {
-			spec = maxSpec
+		if level < LevelFull {
+			maxSpec = 0
 		}
-		st.Sched = r.Schedule(g, spec)
+		sched = r.Schedule(r.BuildDDG(), maxSpec)
 	}
 	if mutate != nil {
 		mutate(r)
 	}
-	alloc := r.Allocate()
-	gen, err := r.Generate(alloc)
-	if err != nil {
-		return nil, st, err
-	}
-	st.Spills = gen.Spills
-	return gen, st, nil
+	gen, err := r.Generate(r.Allocate())
+	return gen, sched, err
 }
 
 // translateBB builds a BBM block for the basic block at pc. It returns
 // nil (no error) when the block is not translatable (e.g. it begins with
 // a system call or string instruction).
 func (t *TOL) translateBB(pc uint32) (*codecache.Block, error) {
-	bb, err := decodeBB(t.Fetch, pc)
+	x, bb, err := t.bbRegion(pc)
 	if err != nil {
 		return nil, err
 	}
 	if len(bb.insts) == 0 && !translatable(bb.term.Op) {
 		return nil, nil
 	}
-	x := newXlate(pc, false)
-	x.eager = t.Cfg.EagerFlags
-	if err := x.translateBody(bb); err != nil {
-		return nil, err
-	}
-	if err := x.translateTerminator(bb); err != nil {
-		return nil, err
-	}
-	gen, _, err := lowerRegion(x.r, false, 0, LevelDCE, t.Cfg.MutateRegion)
+	return t.lowerBB(x, &bb, LevelDCE)
+}
+
+// lowerBB runs the BBM pipeline, cut at level, on a translated basic
+// block and builds its code cache block.
+func (t *TOL) lowerBB(x *xlate, bb *bbInfo, level OptLevel) (*codecache.Block, error) {
+	gen, _, err := lowerRegion(x.r, false, 0, level, t.Cfg.MutateRegion)
 	if err != nil {
 		return nil, err
 	}
-	blk := &codecache.Block{
-		Entry:      pc,
+	return ownResult(&codecache.Block{
+		Entry:      bb.entry,
 		Kind:       codecache.KindBB,
-		Code:       gen.Code,
 		GuestInsns: bb.staticLen(),
-		BBs:        []uint32{pc},
-		GuestLo:    pc,
+		BBs:        []uint32{bb.entry},
+		GuestLo:    bb.entry,
 		GuestHi:    bb.nextPC,
-		ExitMeta:   convertMeta(gen.ExitMeta),
-	}
-	return blk, nil
+	}, gen), nil
 }
 
-func convertMeta(m map[int]ir.ExitInfo) map[int]codecache.ExitInfo {
-	out := make(map[int]codecache.ExitInfo, len(m))
-	for k, v := range m {
-		out[k] = codecache.ExitInfo{GuestInsns: v.GuestInsns, GuestBBs: v.GuestBBs, Taken: v.Taken}
+// ownResult gives the block its own exact-size copy of the generated
+// code and its exit metadata: the GenResult is scratch the next
+// translation overwrites, and chaining patches a block's code in place.
+func ownResult(blk *codecache.Block, gen *ir.GenResult) *codecache.Block {
+	blk.Code = make([]host.Inst, len(gen.Code))
+	copy(blk.Code, gen.Code)
+	blk.ExitMeta = make(map[int]codecache.ExitInfo, len(gen.Exits))
+	for _, e := range gen.Exits {
+		blk.ExitMeta[e.Idx] = codecache.ExitInfo(e.Meta)
 	}
-	return out
+	return blk
 }

@@ -1,10 +1,6 @@
 package tol
 
-import (
-	"testing"
-
-	"darco/internal/guest"
-)
+import "testing"
 
 // BenchmarkTranslateBB measures BBM translation throughput (decode →
 // IR → basic optimizations → regalloc → codegen).
@@ -53,20 +49,8 @@ func BenchmarkDispatchLoop(b *testing.B) {
 }
 
 func setupTOLB(b *testing.B, src string) *TOL {
-	b.Helper()
 	cfg := DefaultConfig()
 	cfg.BBThreshold = 4
 	cfg.SBThreshold = 20
-	im, err := guest.Assemble(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tl := New(cfg)
-	tl.Mem.Strict = false
-	if err := tl.Mem.LoadImage(im); err != nil {
-		b.Fatal(err)
-	}
-	tl.CPU.EIP = im.Entry
-	tl.CPU.R[4] = 0x7FF00000 // ESP
-	return tl
+	return setupTOL(b, src, cfg)
 }

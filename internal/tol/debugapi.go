@@ -8,7 +8,10 @@ import (
 // Exported translation entry points for the debug toolchain: they
 // rebuild the region for a cached block at a chosen optimization level
 // without touching the live code cache, so the debugger can replay each
-// pipeline stage in isolation.
+// pipeline stage in isolation. Both build in the TOL's translation
+// scratch: a returned Block owns its code, a returned Region (and
+// whatever its passes return) is valid until the next translation or
+// debug-API call on this TOL.
 
 // RetranslateAtLevel rebuilds the translation for a cached block with
 // only the first `level` optimization stages enabled. The result is not
@@ -16,26 +19,11 @@ import (
 func (t *TOL) RetranslateAtLevel(blk *codecache.Block, level OptLevel) (*codecache.Block, error) {
 	if blk.Kind == codecache.KindBB {
 		// BBM blocks run a fixed basic pipeline; level still applies.
-		bb, err := decodeBB(t.Fetch, blk.Entry)
+		x, bb, err := t.bbRegion(blk.Entry)
 		if err != nil {
 			return nil, err
 		}
-		x := newXlate(blk.Entry, false)
-		if err := x.translateBody(bb); err != nil {
-			return nil, err
-		}
-		if err := x.translateTerminator(bb); err != nil {
-			return nil, err
-		}
-		gen, _, err := lowerRegion(x.r, false, 0, level, t.Cfg.MutateRegion)
-		if err != nil {
-			return nil, err
-		}
-		return &codecache.Block{
-			Entry: blk.Entry, Kind: codecache.KindBB, Code: gen.Code,
-			GuestInsns: bb.staticLen(), BBs: []uint32{blk.Entry},
-			ExitMeta: convertMeta(gen.ExitMeta),
-		}, nil
+		return t.lowerBB(x, &bb, level)
 	}
 	plan, err := t.formSuperblock(blk.Entry)
 	if err != nil {
@@ -51,15 +39,8 @@ func (t *TOL) RetranslateAtLevel(blk *codecache.Block, level OptLevel) (*codecac
 // block, for debug listings.
 func (t *TOL) BuildRegionIR(blk *codecache.Block) (*ir.Region, error) {
 	if blk.Kind == codecache.KindBB {
-		bb, err := decodeBB(t.Fetch, blk.Entry)
+		x, _, err := t.bbRegion(blk.Entry)
 		if err != nil {
-			return nil, err
-		}
-		x := newXlate(blk.Entry, false)
-		if err := x.translateBody(bb); err != nil {
-			return nil, err
-		}
-		if err := x.translateTerminator(bb); err != nil {
 			return nil, err
 		}
 		return x.r, nil
@@ -68,7 +49,7 @@ func (t *TOL) BuildRegionIR(blk *codecache.Block) (*ir.Region, error) {
 	if err != nil {
 		return nil, err
 	}
-	x, _, _, err := buildSuperblockIR(plan, !t.profOpts(blk.Entry).noAsserts, t.Cfg.EagerFlags)
+	x, _, _, err := t.buildSuperblockIR(plan, !t.profOpts(blk.Entry).noAsserts)
 	if err != nil {
 		return nil, err
 	}

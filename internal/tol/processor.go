@@ -155,6 +155,9 @@ type TOL struct {
 	iblocks       map[uint32]*interpBlock
 	iblocksByPage map[uint32][]uint32
 
+	// scratch is the translation working memory (see its type).
+	scratch scratch
+
 	// ov accumulates overhead charges within the current dispatch; it
 	// is flushed into Overhead once per dispatch by Run.
 	ov [NumOverheadCats]uint64
@@ -514,7 +517,12 @@ func (t *TOL) execBlock(blk *codecache.Block) (RunResult, bool, error) {
 		}
 		return RunResult{}, false, nil
 	case hostvm.ExitAssertFail:
-		if res.Block.Kind == codecache.KindSuperblock && res.Block.AssertFails >= t.SBCfg.AssertLimit {
+		// A rebuild turns the failing speculation off for the entry. Once
+		// its options say so there is nothing left to turn off: a block
+		// that still fails (a load partially overlapping a buffered store
+		// fails whatever the scheduler did) only falls back below.
+		if res.Block.Kind == codecache.KindSuperblock && res.Block.AssertFails >= t.SBCfg.AssertLimit &&
+			!t.profOpts(res.Block.Entry).noAsserts {
 			if err := t.rebuild(res.Block, func(o *sbOptions) { o.noAsserts = true }); err != nil {
 				return RunResult{}, false, err
 			}
@@ -524,7 +532,8 @@ func (t *TOL) execBlock(blk *codecache.Block) (RunResult, bool, error) {
 		// Forward progress through the interpreter (§V-B1).
 		return t.interpretBB(t.CPU.EIP)
 	case hostvm.ExitMemSpecFail:
-		if res.Block.Kind == codecache.KindSuperblock && res.Block.SpecFails >= t.SBCfg.SpecLimit {
+		if res.Block.Kind == codecache.KindSuperblock && res.Block.SpecFails >= t.SBCfg.SpecLimit &&
+			!t.profOpts(res.Block.Entry).noMemSpec {
 			if err := t.rebuild(res.Block, func(o *sbOptions) { o.noMemSpec = true }); err != nil {
 				return RunResult{}, false, err
 			}
@@ -562,7 +571,7 @@ func (t *TOL) promote(entry uint32) error {
 		}
 	}
 	t.Stats.SBTranslations++
-	t.Stats.SpecLoadsSched += uint64(st.Sched.SpecLoads)
+	t.Stats.SpecLoadsSched += uint64(st.SpecLoads)
 	if plan.unrolled > 1 {
 		t.Stats.UnrolledLoops++
 	}

@@ -69,12 +69,14 @@ func (t *TOL) profileOf(entry uint32) (branchProfile, bool) {
 // sbStep is one basic block of a forming superblock plus the speculated
 // direction of its terminator.
 type sbStep struct {
-	bb       *bbInfo
+	bb       bbInfo
 	dirTaken bool // speculated direction (valid for conditional terminators)
 	isLast   bool
 }
 
-// sbPlan is a formed superblock prior to translation.
+// sbPlan is a formed superblock prior to translation. It lives in the
+// TOL's scratch: forming the next plan, or translating a basic block,
+// overwrites it.
 type sbPlan struct {
 	entry    uint32
 	steps    []sbStep
@@ -84,13 +86,24 @@ type sbPlan struct {
 // formSuperblock walks the biased path from start.
 func (t *TOL) formSuperblock(start uint32) (*sbPlan, error) {
 	cfg := t.SBCfg
-	plan := &sbPlan{entry: start}
-	visited := map[uint32]bool{start: true}
+	t.scratch.insts, t.scratch.pcs = t.scratch.insts[:0], t.scratch.pcs[:0]
+	plan := &t.scratch.plan
+	*plan = sbPlan{entry: start, steps: plan.steps[:0]}
 	pc := start
+	// visited reports whether the path already holds the block at next:
+	// a step taken (start is the first) or the block being decoded.
+	visited := func(next uint32) bool {
+		for i := range plan.steps {
+			if plan.steps[i].bb.entry == next {
+				return true
+			}
+		}
+		return next == pc
+	}
 	prob := 1.0
 	insns := 0
 	for {
-		bb, err := decodeBB(t.Fetch, pc)
+		bb, err := t.decodeBB(pc)
 		if err != nil {
 			return nil, err
 		}
@@ -130,23 +143,19 @@ func (t *TOL) formSuperblock(start uint32) (*sbPlan, error) {
 			}
 			if next == start && len(plan.steps) == 0 && step.dirTaken && cfg.UnrollFactor > 1 {
 				// Single-basic-block loop: unroll.
-				step.isLast = true
-				plan.steps = append(plan.steps, step)
 				plan.unrolled = cfg.UnrollFactor
-				return plan, nil
+				return stop(), nil
 			}
-			if visited[next] {
+			if visited(next) {
 				return stop(), nil // larger loop: end the region
 			}
-			visited[next] = true
 			plan.steps = append(plan.steps, step)
 			pc = next
 		case bb.term.Op == guest.JMP:
 			next := bb.term.Target(bb.termPC)
-			if visited[next] {
+			if visited(next) {
 				return stop(), nil
 			}
-			visited[next] = true
 			plan.steps = append(plan.steps, step)
 			pc = next
 		default:
@@ -166,11 +175,11 @@ type sbOptions struct {
 }
 
 // translateSuperblock lowers a plan to a code cache block.
-func (t *TOL) translateSuperblock(plan *sbPlan, opts sbOptions) (*codecache.Block, regionStats, error) {
+func (t *TOL) translateSuperblock(plan *sbPlan, opts sbOptions) (*codecache.Block, ir.SchedStats, error) {
 	useAsserts := !opts.noAsserts
-	x, bbs, staticInsns, err := buildSuperblockIR(plan, useAsserts, t.Cfg.EagerFlags)
+	x, bbs, staticInsns, err := t.buildSuperblockIR(plan, useAsserts)
 	if err != nil {
-		return nil, regionStats{}, err
+		return nil, ir.SchedStats{}, err
 	}
 
 	maxSpec := t.SBCfg.MaxSpecLoads
@@ -186,44 +195,36 @@ func (t *TOL) translateSuperblock(plan *sbPlan, opts sbOptions) (*codecache.Bloc
 		return nil, st, err
 	}
 	lo, hi := plan.entry, plan.entry
-	for _, step := range plan.steps {
-		if step.bb.entry < lo {
-			lo = step.bb.entry
-		}
-		if step.bb.nextPC > hi {
-			hi = step.bb.nextPC
-		}
+	for i := range plan.steps {
+		lo = min(lo, plan.steps[i].bb.entry)
+		hi = max(hi, plan.steps[i].bb.nextPC)
 	}
-	blk := &codecache.Block{
+	return ownResult(&codecache.Block{
 		Entry:      plan.entry,
 		Kind:       codecache.KindSuperblock,
-		Code:       gen.Code,
 		UseAsserts: useAsserts,
 		Unrolled:   plan.unrolled,
 		GuestInsns: staticInsns,
 		BBs:        bbs,
 		GuestLo:    lo,
 		GuestHi:    hi,
-		ExitMeta:   convertMeta(gen.ExitMeta),
-	}
-	return blk, st, nil
+	}, gen), st, nil
 }
 
-// buildSuperblockIR translates a superblock plan into an IR region.
-func buildSuperblockIR(plan *sbPlan, useAsserts, eagerFlags bool) (*xlate, []uint32, int, error) {
-	x := newXlate(plan.entry, useAsserts)
-	x.eager = eagerFlags
-	var bbs []uint32
+// buildSuperblockIR translates a superblock plan into the scratch region.
+func (t *TOL) buildSuperblockIR(plan *sbPlan, useAsserts bool) (*xlate, []uint32, int, error) {
+	x := t.scratch.newXlate(plan.entry, useAsserts, t.Cfg.EagerFlags)
+	bbs := make([]uint32, 0, max(len(plan.steps), plan.unrolled))
 	staticInsns := 0
 
-	emitStep := func(step sbStep, forceAssertTerm bool) error {
-		bb := step.bb
+	emitStep := func(step *sbStep) error {
+		bb := &step.bb
 		bbs = append(bbs, bb.entry)
 		staticInsns += bb.staticLen()
 		if err := x.translateBody(bb); err != nil {
 			return err
 		}
-		if step.isLast && !forceAssertTerm {
+		if step.isLast {
 			return x.translateTerminator(bb)
 		}
 		// Interior conditional branch (or unrolled iteration): follow
@@ -256,35 +257,18 @@ func buildSuperblockIR(plan *sbPlan, useAsserts, eagerFlags bool) (*xlate, []uin
 		return nil
 	}
 
-	if plan.unrolled > 1 {
-		step := plan.steps[0]
-		loopTarget := step.bb.term.Target(step.bb.termPC)
-		for it := 0; it < plan.unrolled; it++ {
-			last := it == plan.unrolled-1
-			if !last {
-				if err := emitStep(sbStep{bb: step.bb, dirTaken: true}, true); err != nil {
-					return nil, nil, 0, err
-				}
-			} else {
-				// Final unrolled iteration keeps the real branch.
-				bbs = append(bbs, step.bb.entry)
-				staticInsns += step.bb.staticLen()
-				if err := x.translateBody(step.bb); err != nil {
-					return nil, nil, 0, err
-				}
-				x.gpc = step.bb.termPC
-				cond := x.cond(step.bb.term.Op)
-				x.guestInsns++
-				x.guestBBs++
-				x.emitExitIf(cond, loopTarget, true)
-				x.emitExit(step.bb.nextPC, false)
-			}
+	// An unrolled loop repeats its one block with the branch speculated
+	// taken; the final iteration, the plan's own step, keeps the branch.
+	iter := sbStep{dirTaken: true}
+	for it := 1; it < plan.unrolled; it++ {
+		iter.bb = plan.steps[0].bb
+		if err := emitStep(&iter); err != nil {
+			return nil, nil, 0, err
 		}
-	} else {
-		for _, step := range plan.steps {
-			if err := emitStep(step, false); err != nil {
-				return nil, nil, 0, err
-			}
+	}
+	for i := range plan.steps {
+		if err := emitStep(&plan.steps[i]); err != nil {
+			return nil, nil, 0, err
 		}
 	}
 	return x, bbs, staticInsns, nil

@@ -10,7 +10,7 @@ import (
 
 // setupTOL loads a program into a fresh co-designed component with its
 // memory pre-populated (no controller in the loop).
-func setupTOL(t *testing.T, src string, cfg Config) *TOL {
+func setupTOL(t testing.TB, src string, cfg Config) *TOL {
 	t.Helper()
 	im, err := guest.Assemble(src)
 	if err != nil {
@@ -258,7 +258,7 @@ func TestDecodeBBStopsAtTerminators(t *testing.T) {
     halt
 `
 	tl := setupTOL(t, src, DefaultConfig())
-	bb, err := decodeBB(tl.Fetch, 0x1000)
+	bb, err := tl.decodeBB(0x1000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,18 +59,19 @@ type setter struct {
 }
 
 // flagSrc is the current source of one flag: a materialized value or a
-// lazy setter.
+// lazy setter, by its index in xlate.setters (0 = none).
 type flagSrc struct {
 	val ir.ValueID
-	set *setter
+	set int
 }
 
 // xlate translates a guest instruction path into an ir.Region.
 type xlate struct {
 	r       *ir.Region
-	env     map[ir.ArchReg]ir.ValueID // current arch values (written or read)
-	livein  map[ir.ArchReg]ir.ValueID // entry values
+	env     [ir.NumArchRegs]ir.ValueID // current arch values (written or read); 0 = untouched
+	livein  [ir.NumArchRegs]ir.ValueID // entry values; 0 = not read
 	flags   [numFlags]flagSrc
+	setters []setter // setters[0] is the "no setter" placeholder
 	consts  map[uint32]ir.ValueID
 	constsF map[uint64]ir.ValueID
 
@@ -84,14 +85,32 @@ type xlate struct {
 	gpc uint32 // guest PC of the instruction being translated
 }
 
-func newXlate(entry uint32, useAsserts bool) *xlate {
-	x := &xlate{
-		r:       &ir.Region{Entry: entry, UseAsserts: useAsserts},
-		env:     make(map[ir.ArchReg]ir.ValueID),
-		livein:  make(map[ir.ArchReg]ir.ValueID),
-		consts:  make(map[uint32]ir.ValueID),
-		constsF: make(map[uint64]ir.ValueID),
+// scratch is the TOL's translation working memory: the IR scratch, the
+// guest→IR translator state, the arenas decoded basic blocks point into
+// and the superblock plan. Each translation resets what it uses and
+// reallocates nothing once warm. Nothing that outlives a translation
+// may alias it — a codecache.Block owns copies of its code and metadata,
+// because chaining patches block code in place — and what the debug API
+// hands out (BuildRegionIR's region, whatever its passes return) is
+// valid until the next translation or debug-API call on the same TOL.
+type scratch struct {
+	ir    ir.Scratch
+	x     xlate
+	insts []guest.Inst
+	pcs   []uint32
+	plan  sbPlan
+}
+
+// newXlate resets the translator state for a new region.
+func (s *scratch) newXlate(entry uint32, useAsserts, eager bool) *xlate {
+	x := &s.x
+	if x.consts == nil {
+		x.consts, x.constsF = make(map[uint32]ir.ValueID), make(map[uint64]ir.ValueID)
 	}
+	clear(x.consts)
+	clear(x.constsF)
+	*x = xlate{r: s.ir.NewRegion(entry, useAsserts), eager: eager,
+		setters: append(x.setters[:0], setter{}), consts: x.consts, constsF: x.constsF}
 	return x
 }
 
@@ -115,7 +134,7 @@ func (x *xlate) constI(v uint32) ir.ValueID {
 }
 
 func (x *xlate) constF(v float64) ir.ValueID {
-	bits := f64bits(v)
+	bits := math.Float64bits(v)
 	if id, ok := x.constsF[bits]; ok {
 		return id
 	}
@@ -135,7 +154,7 @@ func (x *xlate) op1(op ir.Op, a ir.ValueID) ir.ValueID {
 // get reads the current value of an architectural register, creating its
 // LiveIn on first touch.
 func (x *xlate) get(a ir.ArchReg) ir.ValueID {
-	if v, ok := x.env[a]; ok {
+	if v := x.env[a]; v != 0 {
 		return v
 	}
 	v := x.emit(ir.Inst{Op: ir.LiveIn, Dst: -1, Arch: a})
@@ -155,22 +174,29 @@ func (x *xlate) setFPR(r uint8, v ir.ValueID) { x.set(ir.ArchF0+ir.ArchReg(r), v
 // getFlagLive reads a flag's entry value.
 func (x *xlate) getFlagLive(f flagIdx) ir.ValueID {
 	a := f.arch()
-	if v, ok := x.livein[a]; ok {
+	if v := x.livein[a]; v != 0 {
 		return v
 	}
 	v := x.emit(ir.Inst{Op: ir.LiveIn, Dst: -1, Arch: a})
 	x.livein[a] = v
-	if x.flags[f].val == 0 && x.flags[f].set == nil {
+	if x.flags[f] == (flagSrc{}) {
 		x.flags[f].val = v
 	}
 	return v
 }
 
+// lazy records a lazy flag definition and returns its source.
+func (x *xlate) lazy(s setter) flagSrc {
+	x.setters = append(x.setters, s)
+	return flagSrc{set: len(x.setters) - 1}
+}
+
 // setAllFlags points every flag at one lazy setter (or, in the eager
 // ablation, materializes all five immediately).
-func (x *xlate) setAllFlags(s *setter) {
+func (x *xlate) setAllFlags(s setter) {
+	src := x.lazy(s)
 	for f := fCF; f < numFlags; f++ {
-		x.flags[f] = flagSrc{set: s}
+		x.flags[f] = src
 	}
 	if x.eager {
 		for f := fCF; f < numFlags; f++ {
@@ -184,18 +210,12 @@ func (x *xlate) setAllFlags(s *setter) {
 // caching it if the source is lazy.
 func (x *xlate) flag(f flagIdx) ir.ValueID {
 	src := &x.flags[f]
-	if src.val != 0 {
-		return src.val
+	if src.val == 0 && src.set == 0 {
+		src.val = x.getFlagLive(f) // untouched: the entry value
+	} else if src.val == 0 {
+		src.val = x.materialize(f, &x.setters[src.set])
 	}
-	if src.set == nil {
-		// Untouched: the entry value.
-		v := x.getFlagLive(f)
-		src.val = v
-		return v
-	}
-	v := x.materialize(f, src.set)
-	src.val = v
-	return v
+	return src.val
 }
 
 // materialize computes one flag from its lazy setter.
@@ -293,19 +313,16 @@ func (x *xlate) mulOverflow(s *setter) ir.ValueID {
 // sharedSubSetter reports the common sub-kind setter of the flags a
 // condition consults, enabling direct condition synthesis.
 func (x *xlate) sharedSubSetter(fs ...flagIdx) *setter {
-	var s *setter
+	set := x.flags[fs[0]].set
 	for _, f := range fs {
-		src := x.flags[f]
-		if src.set == nil || src.set.kind != setSub {
-			return nil
-		}
-		if s == nil {
-			s = src.set
-		} else if s != src.set {
+		if x.flags[f].set != set {
 			return nil
 		}
 	}
-	return s
+	if x.setters[set].kind != setSub {
+		return nil
+	}
+	return &x.setters[set]
 }
 
 // cond synthesizes the 0/1 taken condition of a guest conditional branch.
@@ -314,8 +331,8 @@ func (x *xlate) cond(op guest.Op) ir.ValueID {
 	switch op {
 	case guest.JE, guest.JNE:
 		// ZF is res==0 for every lazy setter kind.
-		if s := x.flags[fZF].set; s != nil {
-			v := x.op2(ir.Seq, s.res, x.constI(0))
+		if set := x.flags[fZF].set; set != 0 {
+			v := x.op2(ir.Seq, x.setters[set].res, x.constI(0))
 			if op == guest.JNE {
 				return not(v)
 			}
@@ -366,31 +383,24 @@ func (x *xlate) cond(op guest.Op) ir.ValueID {
 // exitState materializes the architectural writeback set: every register
 // and flag whose current value differs from its entry value.
 func (x *xlate) exitState() []ir.ArchVal {
-	var st []ir.ArchVal
+	var buf [ir.NumArchRegs]ir.ArchVal
+	st := buf[:0]
 	for a := ir.ArchReg(0); a < ir.NumArchRegs; a++ {
 		if a >= ir.ArchCF && a <= ir.ArchPF {
 			continue // flags handled below
 		}
-		v, ok := x.env[a]
-		if !ok {
-			continue
+		if v := x.env[a]; v != 0 && v != x.livein[a] {
+			st = append(st, ir.ArchVal{Arch: a, Val: v})
 		}
-		if lv, isLive := x.livein[a]; isLive && lv == v {
-			continue
-		}
-		st = append(st, ir.ArchVal{Arch: a, Val: v})
 	}
 	for f := fCF; f < numFlags; f++ {
 		src := x.flags[f]
-		if src.set == nil && src.val == 0 {
-			continue // untouched
-		}
-		if src.set == nil && src.val == x.livein[f.arch()] {
-			continue // read but unchanged
+		if src.set == 0 && src.val == x.livein[f.arch()] {
+			continue // untouched, or read but unchanged
 		}
 		st = append(st, ir.ArchVal{Arch: f.arch(), Val: x.flag(f)})
 	}
-	return st
+	return x.r.KeepState(st)
 }
 
 func (x *xlate) meta(taken bool) ir.ExitInfo {
@@ -412,5 +422,3 @@ func (x *xlate) emitExitInd(addr ir.ValueID) {
 func (x *xlate) emitAssert(cond ir.ValueID) {
 	x.emit(ir.Inst{Op: ir.Assert, A: cond})
 }
-
-func f64bits(f float64) uint64 { return math.Float64bits(f) }

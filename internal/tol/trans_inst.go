@@ -55,19 +55,19 @@ func (x *xlate) inst(pc uint32, in *guest.Inst) error {
 		a := x.getGPR(in.R1)
 		b := x.aluSrc(in)
 		res := x.op2(ir.Add, a, b)
-		x.setAllFlags(&setter{kind: setAdd, a: a, b: b, res: res})
+		x.setAllFlags(setter{kind: setAdd, a: a, b: b, res: res})
 		x.setGPR(in.R1, res)
 	case guest.SUBrr, guest.SUBri:
 		a := x.getGPR(in.R1)
 		b := x.aluSrc(in)
 		res := x.op2(ir.Sub, a, b)
-		x.setAllFlags(&setter{kind: setSub, a: a, b: b, res: res})
+		x.setAllFlags(setter{kind: setSub, a: a, b: b, res: res})
 		x.setGPR(in.R1, res)
 	case guest.CMPrr, guest.CMPri:
 		a := x.getGPR(in.R1)
 		b := x.aluSrc(in)
 		res := x.op2(ir.Sub, a, b)
-		x.setAllFlags(&setter{kind: setSub, a: a, b: b, res: res})
+		x.setAllFlags(setter{kind: setSub, a: a, b: b, res: res})
 	case guest.ADCrr:
 		cf := x.flag(fCF)
 		a := x.getGPR(in.R1)
@@ -80,7 +80,7 @@ func (x *xlate) inst(pc uint32, in *guest.Inst) error {
 		t1 := x.op2(ir.Xor, a, res)
 		t2 := x.op2(ir.Xor, b, res)
 		nof := x.op2(ir.Shr, x.op2(ir.And, t1, t2), x.constI(31))
-		x.setAllFlags(&setter{kind: setSZP, res: res})
+		x.setAllFlags(setter{kind: setSZP, res: res})
 		x.flags[fCF] = flagSrc{val: ncf}
 		x.flags[fOF] = flagSrc{val: nof}
 		x.setGPR(in.R1, res)
@@ -96,7 +96,7 @@ func (x *xlate) inst(pc uint32, in *guest.Inst) error {
 		t1 := x.op2(ir.Xor, a, b)
 		t2 := x.op2(ir.Xor, a, res)
 		nof := x.op2(ir.Shr, x.op2(ir.And, t1, t2), x.constI(31))
-		x.setAllFlags(&setter{kind: setSZP, res: res})
+		x.setAllFlags(setter{kind: setSZP, res: res})
 		x.flags[fCF] = flagSrc{val: ncf}
 		x.flags[fOF] = flagSrc{val: nof}
 		x.setGPR(in.R1, res)
@@ -111,7 +111,7 @@ func (x *xlate) inst(pc uint32, in *guest.Inst) error {
 		a := x.getGPR(in.R1)
 		b := x.getGPR(in.R2)
 		res := x.op2(ir.And, a, b)
-		x.setAllFlags(&setter{kind: setLogic, res: res})
+		x.setAllFlags(setter{kind: setLogic, res: res})
 
 	case guest.SHLri, guest.SHLrr:
 		x.shift(in, ir.Shl, setShl)
@@ -124,7 +124,7 @@ func (x *xlate) inst(pc uint32, in *guest.Inst) error {
 		a := x.getGPR(in.R1)
 		b := x.aluSrc(in)
 		res := x.op2(ir.Mul, a, b)
-		x.setAllFlags(&setter{kind: setMul, a: a, b: b, res: res})
+		x.setAllFlags(setter{kind: setMul, a: a, b: b, res: res})
 		x.setGPR(in.R1, res)
 	case guest.IDIV:
 		num := x.getGPR(guest.EAX)
@@ -143,19 +143,15 @@ func (x *xlate) inst(pc uint32, in *guest.Inst) error {
 			cmp = 0x80000000
 		}
 		res := x.op2(op, a, x.constI(1))
-		cfSrc := x.flags[fCF] // CF preserved
-		szp := &setter{kind: setSZP, res: res}
-		x.flags[fZF] = flagSrc{set: szp}
-		x.flags[fSF] = flagSrc{set: szp}
-		x.flags[fPF] = flagSrc{set: szp}
-		x.flags[fOF] = flagSrc{set: &setter{kind: setIncOF, a: a, cmp: cmp}}
-		x.flags[fCF] = cfSrc
+		szp := x.lazy(setter{kind: setSZP, res: res})
+		x.flags[fZF], x.flags[fSF], x.flags[fPF] = szp, szp, szp // CF preserved
+		x.flags[fOF] = x.lazy(setter{kind: setIncOF, a: a, cmp: cmp})
 		x.setGPR(in.R1, res)
 	case guest.NEG:
 		a := x.getGPR(in.R1)
 		zero := x.constI(0)
 		res := x.op2(ir.Sub, zero, a)
-		x.setAllFlags(&setter{kind: setSub, a: zero, b: a, res: res})
+		x.setAllFlags(setter{kind: setSub, a: zero, b: a, res: res})
 		x.setGPR(in.R1, res)
 	case guest.NOT:
 		x.setGPR(in.R1, x.op2(ir.Xor, x.getGPR(in.R1), x.constI(0xFFFFFFFF)))
@@ -248,7 +244,7 @@ func (x *xlate) logic(in *guest.Inst, op ir.Op) {
 	a := x.getGPR(in.R1)
 	b := x.aluSrc(in)
 	res := x.op2(op, a, b)
-	x.setAllFlags(&setter{kind: setLogic, res: res})
+	x.setAllFlags(setter{kind: setLogic, res: res})
 	x.setGPR(in.R1, res)
 }
 
@@ -261,7 +257,7 @@ func (x *xlate) shift(in *guest.Inst, op ir.Op, kind setKind) {
 		n = x.op2(ir.And, x.getGPR(in.R2), x.constI(31))
 	}
 	res := x.op2(op, a, n)
-	x.setAllFlags(&setter{kind: kind, a: a, n: n, res: res})
+	x.setAllFlags(setter{kind: kind, a: a, n: n, res: res})
 	x.setGPR(in.R1, res)
 }
 

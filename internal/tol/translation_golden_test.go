@@ -32,18 +32,18 @@ func blockDigest(blk *codecache.Block) string {
 			binary.Write(&b, binary.LittleEndian, v)
 		}
 	}
-	flag := func(v bool) uint64 {
+	b2u := func(v bool) uint64 {
 		if v {
 			return 1
 		}
 		return 0
 	}
-	put(uint64(blk.Entry), uint64(blk.Kind), flag(blk.UseAsserts), uint64(blk.Unrolled),
+	put(uint64(blk.Entry), uint64(blk.Kind), b2u(blk.UseAsserts), uint64(blk.Unrolled),
 		uint64(blk.GuestInsns), uint64(blk.GuestLo), uint64(blk.GuestHi), uint64(len(blk.Code)))
 	for i := range blk.Code {
 		in := &blk.Code[i]
 		put(uint64(in.Op), uint64(in.Rd), uint64(in.Ra), uint64(in.Rb), uint64(uint32(in.Imm)),
-			math.Float64bits(in.F64), flag(in.Spec), uint64(in.Target), uint64(in.Link), uint64(in.GPC))
+			math.Float64bits(in.F64), b2u(in.Spec), uint64(in.Target), uint64(in.Link), uint64(in.GPC))
 	}
 	exits := make([]int, 0, len(blk.ExitMeta))
 	for idx := range blk.ExitMeta {
@@ -52,7 +52,7 @@ func blockDigest(blk *codecache.Block) string {
 	sort.Ints(exits)
 	for _, idx := range exits {
 		m := blk.ExitMeta[idx]
-		put(uint64(idx), uint64(m.GuestInsns), uint64(m.GuestBBs), flag(m.Taken))
+		put(uint64(idx), uint64(m.GuestInsns), uint64(m.GuestBBs), b2u(m.Taken))
 	}
 	for _, pc := range blk.BBs {
 		put(uint64(pc))
@@ -137,9 +137,6 @@ func checkGolden(t *testing.T, file string, names []string, logs map[string][]st
 // TestTranslationGoldenSuite pins every translation of three suite
 // programs: an integer, a floating-point and a trig-heavy one.
 func TestTranslationGoldenSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-scale suite runs")
-	}
 	names := []string{"429.mcf", "433.milc", "continuous"}
 	logs := map[string][]string{}
 	for _, name := range names {

@@ -14,7 +14,7 @@ func TestTrigBitIdentical(t *testing.T) {
 	inputs := []float64{0, 0.5, 1, -1, 3.9, -3.9, 6.28, 100.7, -256.1, 1e6, 1e12, -0.25, 2.25, 3.75, -3.75}
 	for _, v := range inputs {
 		for _, sin := range []bool{true, false} {
-			x := newXlate(0x1000, false)
+			x := new(scratch).newXlate(0x1000, false, false)
 			arg := x.constF(v)
 			coef := guest.SinCoef[:]
 			if !sin {
@@ -27,7 +27,7 @@ func TestTrigBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blk := &codecache.Block{Entry: 0x1000, Code: gen.Code, ExitMeta: convertMeta(gen.ExitMeta)}
+			blk := ownResult(&codecache.Block{Entry: 0x1000}, gen)
 			vm := hostvm.New(nil, hostvm.DefaultConfig())
 			vm.Resolve = func(int) (*codecache.Block, bool) { return nil, false }
 			r, _, err := vm.Run(blk, 0)
