@@ -57,20 +57,14 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	darco "darco"
-	"darco/obs"
+	"darco/internal/daemon"
 	"darco/sched"
 	"darco/store"
 )
@@ -117,34 +111,11 @@ func main() {
 	var st *store.Store
 	var sm *store.Metrics
 	if *data != "" {
-		policy, err := fsyncPolicy(*fsync)
-		if err != nil {
-			fatal("bad flag", "err", err)
-		}
-		sm = &store.Metrics{
-			AppendSeconds: obs.NewHistogram(obs.ExpBuckets(1e-6, 4, 10)),
-			FsyncSeconds:  obs.NewHistogram(obs.ExpBuckets(1e-6, 4, 10)),
-		}
-		opts := store.Options{Sync: policy, Metrics: sm, Logf: func(format string, args ...any) {
-			logger.Info(fmt.Sprintf(format, args...), "component", "store")
-		}}
-		if *standby {
-			// The standby blocks here until the primary's flock lease
-			// frees — the kernel drops it the instant the primary dies,
-			// SIGKILL included — then recovers and serves like any
-			// restart. SIGINT/SIGTERM abort the wait.
-			waitCtx, waitStop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-			logger.Info("standby: waiting for the lease", "dir", *data)
-			st, err = store.OpenWait(waitCtx, *data, opts)
-			waitStop()
-		} else {
-			st, err = store.Open(*data, opts)
-		}
-		if err != nil {
-			fatal("open store failed", "dir", *data, "err", err)
+		var err error
+		if st, sm, err = daemon.OpenStore(*data, *fsync, *standby, logger); err != nil {
+			fatal("store", "err", err)
 		}
 		defer st.Close()
-		logger.Info("store recovered", "dir", *data, "recovery", st.Recovery().String())
 	} else if *standby {
 		fatal("-standby requires -data")
 	}
@@ -164,66 +135,7 @@ func main() {
 	if err != nil {
 		fatal("coordinator init failed", "err", err)
 	}
-	hs := &http.Server{Addr: *addr, Handler: withPprof(*pprofOn, coord)}
-
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("listening", "addr", *addr, "workers_registered", len(workers), "pprof", *pprofOn)
-		errc <- hs.ListenAndServe()
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		fatal("listen failed", "err", err)
-	case <-ctx.Done():
+	if err := daemon.Serve(logger, *addr, *pprofOn, coord, coord.Shutdown, *grace, "workers_registered", len(workers)); err != nil {
+		fatal("daemon", "err", err)
 	}
-
-	logger.Info("shutting down", "grace", grace.String())
-	shutCtx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	// Drain the federated jobs first — cancelling them ends any open
-	// /events streams and cancels the worker-side shard jobs — then
-	// close the listener.
-	if err := coord.Shutdown(shutCtx); err != nil {
-		fatal("job shutdown failed", "err", err)
-	}
-	if err := hs.Shutdown(shutCtx); err != nil {
-		logger.Warn("http shutdown", "err", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Warn("serve", "err", err)
-	}
-	logger.Info("bye")
-}
-
-// withPprof wraps the daemon handler with Go's pprof endpoints when
-// enabled. Explicit handler registrations on a private mux — importing
-// net/http/pprof's DefaultServeMux side effects would mount the
-// handlers even with the flag off.
-func withPprof(enabled bool, h http.Handler) http.Handler {
-	if !enabled {
-		return h
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/", h)
-	return mux
-}
-
-func fsyncPolicy(name string) (store.SyncPolicy, error) {
-	switch name {
-	case "lifecycle":
-		return store.SyncLifecycle, nil
-	case "always":
-		return store.SyncAlways, nil
-	case "none":
-		return store.SyncNone, nil
-	}
-	return 0, fmt.Errorf("unknown -fsync policy %q (lifecycle, always or none)", name)
 }

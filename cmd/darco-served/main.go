@@ -31,27 +31,22 @@
 // the listener is trusted).
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: submissions are
-// rejected, running campaigns are cancelled, and the process exits
-// once the workers drain (bounded by -grace).
+// rejected, running campaigns are cancelled, jobs still queued stay
+// journaled under -data for the next start to run (without -data they
+// are cancelled), and the process exits once the workers drain (bounded
+// by -grace).
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	darco "darco"
-	"darco/obs"
+	"darco/internal/daemon"
 	"darco/serve"
-	"darco/store"
 )
 
 func main() {
@@ -88,92 +83,15 @@ func main() {
 		Log:            logger,
 	}
 	if *data != "" {
-		policy, err := fsyncPolicy(*fsync)
+		st, sm, err := daemon.OpenStore(*data, *fsync, false, logger)
 		if err != nil {
-			fatal("bad flag", "err", err)
-		}
-		sm := &store.Metrics{
-			AppendSeconds: obs.NewHistogram(obs.ExpBuckets(1e-6, 4, 10)),
-			FsyncSeconds:  obs.NewHistogram(obs.ExpBuckets(1e-6, 4, 10)),
-		}
-		st, err := store.Open(*data, store.Options{
-			Sync:    policy,
-			Metrics: sm,
-			Logf: func(format string, args ...any) {
-				logger.Info(fmt.Sprintf(format, args...), "component", "store")
-			},
-		})
-		if err != nil {
-			fatal("open store failed", "dir", *data, "err", err)
+			fatal("store", "err", err)
 		}
 		defer st.Close()
-		logger.Info("store recovered", "dir", *data, "recovery", st.Recovery().String())
-		opts.Store = st
-		opts.StoreMetrics = sm
+		opts.Store, opts.StoreMetrics = st, sm
 	}
 	srv := serve.New(opts)
-	hs := &http.Server{Addr: *addr, Handler: withPprof(*pprofOn, srv)}
-
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("listening", "addr", *addr, "workers", *workers, "queue", *queue, "pprof", *pprofOn)
-		errc <- hs.ListenAndServe()
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		fatal("listen failed", "err", err)
-	case <-ctx.Done():
+	if err := daemon.Serve(logger, *addr, *pprofOn, srv, srv.Shutdown, *grace, "workers", *workers, "queue", *queue); err != nil {
+		fatal("daemon", "err", err)
 	}
-
-	logger.Info("shutting down", "grace", grace.String())
-	shutCtx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	// Drain the job machinery first: cancelling the jobs is what ends
-	// any open /events streams, and http.Server.Shutdown waits for
-	// exactly those connections. New submissions get 503 meanwhile.
-	// The store (the deferred Close above) outlives the drain, so the
-	// cancelled jobs' terminal records reach the journal.
-	if err := srv.Shutdown(shutCtx); err != nil {
-		fatal("job shutdown failed", "err", err)
-	}
-	if err := hs.Shutdown(shutCtx); err != nil {
-		logger.Warn("http shutdown", "err", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Warn("serve", "err", err)
-	}
-	logger.Info("bye")
-}
-
-// withPprof wraps the daemon handler with Go's pprof endpoints when
-// enabled. Explicit handler registrations on a private mux — importing
-// net/http/pprof's DefaultServeMux side effects would mount the
-// handlers even with the flag off.
-func withPprof(enabled bool, h http.Handler) http.Handler {
-	if !enabled {
-		return h
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/", h)
-	return mux
-}
-
-func fsyncPolicy(name string) (store.SyncPolicy, error) {
-	switch name {
-	case "lifecycle":
-		return store.SyncLifecycle, nil
-	case "always":
-		return store.SyncAlways, nil
-	case "none":
-		return store.SyncNone, nil
-	}
-	return 0, fmt.Errorf("unknown -fsync policy %q (lifecycle, always or none)", name)
 }

@@ -1,4 +1,4 @@
-package serve
+package jobs
 
 import (
 	"darco/export"
@@ -8,8 +8,8 @@ import (
 
 // Event kinds on a job's live stream. The fan-out machinery itself —
 // broadcaster, replay ring, loss markers, SSE/NDJSON framing — lives
-// in darco/internal/stream and is shared with the sched coordinator,
-// which re-multiplexes these same frame shapes for federated jobs.
+// in darco/internal/stream; the coordinator re-multiplexes these same
+// frame shapes for federated jobs.
 const (
 	// EventState carries a JobStatus snapshot; emitted on every state
 	// transition, as the first frame of every stream, and as the final

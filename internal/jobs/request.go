@@ -1,16 +1,15 @@
-package serve
+package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	darco "darco"
 	"darco/internal/power"
 	"darco/internal/timing"
 	"darco/internal/workload"
-	"darco/telemetry"
 )
 
 // SubmitRequest is the JSON body of POST /api/v1/jobs: the scenario
@@ -110,7 +109,7 @@ type TelemetrySpec struct {
 	Disable bool `json:"disable,omitempty"`
 	// IntervalInsns is the window length in retired host instructions
 	// (0 = telemetry.DefaultInterval). A new submission below
-	// MinTelemetryInterval is rejected.
+	// MinTelemetryInterval is rejected (see Validate).
 	IntervalInsns uint64 `json:"interval_insns,omitempty"`
 }
 
@@ -120,47 +119,11 @@ type TelemetrySpec struct {
 // host instruction.
 const MinTelemetryInterval = 1024
 
-// Validate applies the interval floor to a new submission (nil = no
-// telemetry section). Both daemons call it at their submit edge only:
-// a journaled request is read back through ParseSubmit without it, so
-// the floor never changes how an already-accepted job is recovered.
-func (t *TelemetrySpec) Validate() error {
-	if t != nil && t.IntervalInsns != 0 && t.IntervalInsns < MinTelemetryInterval {
-		return fmt.Errorf("telemetry interval_insns %d is below the minimum of %d", t.IntervalInsns, MinTelemetryInterval)
-	}
-	return nil
-}
-
-// Clamp raises a sub-floor interval to MinTelemetryInterval. Recovery
-// calls it before re-running a job journaled by a daemon that had no
-// floor: the job runs with the shortest window a new one could ask for
-// instead of being refused.
-func (t *TelemetrySpec) Clamp() {
-	if t.Validate() != nil {
-		t.IntervalInsns = MinTelemetryInterval
-	}
-}
-
-// jobSpec is a validated submission: everything a worker needs to run
-// the campaign.
-type jobSpec struct {
-	name              string
-	scenarios         []darco.Scenario
-	eng               *darco.Engine
-	parallelism       int
-	scenarioTimeout   time.Duration
-	failFast          bool
-	telemetryOff      bool
-	telemetryInterval uint64
-}
-
 // ParseSubmit decodes a submission body without validating it against
-// any server's limits — the syntactic half of decodeSubmit, shared
-// with the recovery path (which re-derives scenario rosters from
-// journaled submissions) and with the sched coordinator (which
-// validates a federated submission before sharding it).
-func ParseSubmit(r io.Reader) (*SubmitRequest, error) {
-	dec := json.NewDecoder(r)
+// any daemon's limits — the syntactic half of a Runner's Validate, and
+// all the recovery path needs to label a restored job's rows.
+func ParseSubmit(raw []byte) (*SubmitRequest, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var req SubmitRequest
 	if err := dec.Decode(&req); err != nil {
@@ -177,9 +140,9 @@ func ParseSubmit(r io.Reader) (*SubmitRequest, error) {
 
 // Roster expands the request's suite and explicit scenario list into
 // the campaign roster, in campaign (scenario) order, validating
-// profiles and scales. The sched coordinator shards this same
-// expansion, so a scenario's position here is its global index in a
-// federated run — the order every export format is keyed on.
+// profiles and scales. The coordinator shards this same expansion, so
+// a scenario's position here is its global index in a federated run —
+// the order every export format is keyed on.
 func (req *SubmitRequest) Roster() ([]darco.Scenario, error) {
 	var out []darco.Scenario
 	if req.Suite != nil {
@@ -204,72 +167,48 @@ func (req *SubmitRequest) Roster() ([]darco.Scenario, error) {
 	return out, nil
 }
 
-// decodeSubmit parses and validates a new submission body against the
-// server's limits.
-func (s *Server) decodeSubmit(r io.Reader) (*jobSpec, error) {
-	req, err := ParseSubmit(r)
-	if err == nil {
-		err = req.Telemetry.Validate()
+// Validate checks a parsed submission against a daemon's limits and
+// compiles its two products: the campaign roster and a ready engine,
+// built from the request's engine section plus the caller's extra
+// options. A daemon that only forwards the job still wants to know an
+// engine can be built: a misconfigured sweep then fails the submit, not
+// every placement. The telemetry interval floor applies to new
+// submissions only — with restored set (a body read back from the
+// journal of a daemon that had no floor) a shorter interval is raised
+// to MinTelemetryInterval instead of refused, so an accepted job is
+// never lost to an upgrade.
+func (req *SubmitRequest) Validate(maxScenarios int, restored bool, extra ...darco.Option) ([]darco.Scenario, *darco.Engine, error) {
+	if t := req.Telemetry; t != nil && t.IntervalInsns != 0 && t.IntervalInsns < MinTelemetryInterval {
+		if !restored {
+			return nil, nil, fmt.Errorf("telemetry interval_insns %d is below the minimum of %d", t.IntervalInsns, MinTelemetryInterval)
+		}
+		t.IntervalInsns = MinTelemetryInterval
 	}
+	roster, err := req.Roster()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return s.buildSpec(req)
-}
-
-// buildSpec validates a submission and compiles it to scenarios plus a
-// ready engine.
-func (s *Server) buildSpec(req *SubmitRequest) (*jobSpec, error) {
-	spec := &jobSpec{name: req.Name}
-	var err error
-	if spec.scenarios, err = req.Roster(); err != nil {
-		return nil, err
+	if maxScenarios > 0 && len(roster) > maxScenarios {
+		return nil, nil, fmt.Errorf("%d scenarios exceed the server limit of %d", len(roster), maxScenarios)
 	}
-	if limit := s.opts.MaxScenarios; limit > 0 && len(spec.scenarios) > limit {
-		return nil, fmt.Errorf("%d scenarios exceed the server limit of %d", len(spec.scenarios), limit)
-	}
-
 	if req.Parallelism < 0 {
-		return nil, fmt.Errorf("parallelism %d is negative", req.Parallelism)
-	}
-	spec.parallelism = req.Parallelism
-	if limit := s.opts.MaxParallelism; limit > 0 && (spec.parallelism == 0 || spec.parallelism > limit) {
-		spec.parallelism = limit
+		return nil, nil, fmt.Errorf("parallelism %d is negative", req.Parallelism)
 	}
 	if req.ScenarioTimeoutMS < 0 {
-		return nil, fmt.Errorf("scenario_timeout_ms %d is negative", req.ScenarioTimeoutMS)
+		return nil, nil, fmt.Errorf("scenario_timeout_ms %d is negative", req.ScenarioTimeoutMS)
 	}
-	spec.scenarioTimeout = time.Duration(req.ScenarioTimeoutMS) * time.Millisecond
-	spec.failFast = req.FailFast
-
-	if t := req.Telemetry; t != nil {
-		spec.telemetryOff = t.Disable
-		spec.telemetryInterval = t.IntervalInsns
-	}
-	if spec.telemetryInterval == 0 {
-		spec.telemetryInterval = telemetry.DefaultInterval
-	}
-
 	opts, err := req.Engine.Options()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// The obs opt-in binds to this server's shared counter instance, so
-	// it is applied here rather than in the server-agnostic Options.
-	if req.Engine != nil && req.Engine.Obs {
-		opts = append(opts, darco.WithObsCounters(s.metrics.engCtrs))
-	}
-	eng, err := darco.NewEngine(opts...)
+	eng, err := darco.NewEngine(append(opts, extra...)...)
 	if err != nil {
-		return nil, fmt.Errorf("engine configuration: %w", err)
+		return nil, nil, fmt.Errorf("engine configuration: %w", err)
 	}
-	spec.eng = eng
-	return spec, nil
+	return roster, eng, nil
 }
 
 // Options compiles the spec (nil = all defaults) to engine options.
-// Exported so the sched coordinator can validate a submission's engine
-// configuration at its own edge before fanning shards out to workers.
 func (e *EngineSpec) Options() ([]darco.Option, error) {
 	if e == nil {
 		return nil, nil

@@ -1,40 +1,13 @@
 package sched
 
-import (
-	"runtime"
-	"time"
+import "darco/obs"
 
-	darco "darco"
-	"darco/obs"
-	"darco/serve"
-)
-
-// schedStates fixes the darco_sched_jobs exposition order (the serve
-// order with the coordinator-only "degraded" appended).
-var schedStates = []serve.JobState{
-	serve.JobQueued, serve.JobRunning, serve.JobDone,
-	serve.JobFailed, serve.JobCancelled, JobDegraded,
-}
-
-// schedMetrics is the coordinator's metrics surface: one obs.Registry
-// behind GET /metrics. State and per-worker families are recomputed
-// from the job registry and worker pool on every scrape — correct for
-// live and restored jobs alike — while the histograms are fed directly
-// by the scheduling paths.
+// schedMetrics are the families only a coordinator has, beside the job
+// families the kernel keeps on the same registry: the recovery
+// counters, the per-worker placement/gather/retry/rejection series
+// keyed by worker URL (recomputed from the pool on every scrape), and
+// the placement-attempts histogram the scheduling path feeds.
 type schedMetrics struct {
-	reg *obs.Registry
-
-	jobsByState        *obs.GaugeVec
-	jobsTotal          *obs.Counter
-	scenariosTotal     *obs.Counter
-	scenariosCompleted *obs.Counter
-	scenariosFailed    *obs.Counter
-	subscribers        *obs.Gauge
-	queueDepth         *obs.Gauge
-	queueCapacity      *obs.Gauge
-	uptime             *obs.Gauge
-	goroutines         *obs.Gauge
-
 	recovResumed      *obs.Counter
 	recovRequeued     *obs.Counter
 	recovReadopted    *obs.Counter
@@ -54,28 +27,14 @@ type schedMetrics struct {
 	// counters should).
 	workerSeen map[string]bool
 
-	queueWait         *obs.Histogram
 	placementAttempts *obs.Histogram
 }
 
-// initMetrics builds the coordinator's registry. Called from New before
-// restoreJobs so recovery runs with the registry in place.
+// initMetrics registers the coordinator's families on the kernel's
+// registry.
 func (c *Coordinator) initMetrics() {
-	r := obs.NewRegistry()
-	m := &schedMetrics{reg: r, workerSeen: make(map[string]bool)}
-
-	m.jobsByState = r.GaugeVec("darco_sched_jobs", "Federated jobs by lifecycle state.", "state")
-	for _, st := range schedStates {
-		m.jobsByState.With(string(st))
-	}
-	m.jobsTotal = r.Counter("darco_sched_jobs_total", "Federated jobs ever accepted.")
-	m.scenariosTotal = r.Counter("darco_sched_scenarios_total", "Scenarios enrolled across all federated jobs.")
-	m.scenariosCompleted = r.Counter("darco_sched_scenarios_completed_total", "Scenario rows merged.")
-	m.scenariosFailed = r.Counter("darco_sched_scenarios_failed_total", "Merged rows carrying an error.")
-	m.subscribers = r.Gauge("darco_sched_event_subscribers", "Open federated event-stream subscriptions.")
-	m.queueDepth = r.Gauge("darco_sched_queue_depth", "Federated jobs waiting for a runner.")
-	m.queueCapacity = r.Gauge("darco_sched_queue_capacity", "Federated job queue capacity.")
-	m.uptime = r.Gauge("darco_sched_uptime_seconds", "Coordinator uptime.")
+	r := c.k.Registry()
+	m := &schedMetrics{workerSeen: make(map[string]bool)}
 
 	m.recovResumed = r.Counter("darco_sched_recovery_resumed_jobs", "Mid-run federated jobs resumed by the last restart.")
 	m.recovRequeued = r.Counter("darco_sched_recovery_requeued_jobs", "Queued federated jobs re-queued by the last restart.")
@@ -91,62 +50,21 @@ func (c *Coordinator) initMetrics() {
 	m.workerRetries = r.CounterVec("darco_sched_worker_retries_total", "Failed shard attempts on the worker.", "worker")
 	m.workerRejections = r.CounterVec("darco_sched_worker_rejections_total", "Shard submissions the worker bounced with 429.", "worker")
 
-	r.GaugeVec("darco_build_info", "Build identity; the value is always 1.", "version").
-		With(darco.Version).Set(1)
-	m.goroutines = r.Gauge("darco_goroutines", "Live goroutines in the daemon process.")
-
-	m.queueWait = r.Histogram("darco_sched_job_queue_wait_seconds",
-		"Time federated jobs spent queued before a runner picked them up.",
-		obs.ExpBuckets(0.001, 4, 10))
 	m.placementAttempts = r.Histogram("darco_sched_shard_placement_attempts",
 		"Placement attempts each shard needed before its gather completed.",
 		obs.LinearBuckets(1, 1, 8))
-
-	if sm := c.opts.StoreMetrics; sm != nil {
-		if sm.AppendSeconds != nil {
-			r.RegisterHistogram("darco_store_append_seconds",
-				"Durable-store record append latency.", sm.AppendSeconds)
-		}
-		if sm.FsyncSeconds != nil {
-			r.RegisterHistogram("darco_store_fsync_seconds",
-				"Durable-store journal fsync latency.", sm.FsyncSeconds)
-		}
-	}
 
 	r.OnScrape(func() { c.scrape(m) })
 	c.metrics = m
 }
 
-// scrape recomputes the state and per-worker families. Runs under the
-// obs.Registry lock; it takes only job, registry and pool locks, none
-// of which ever calls back into the metrics registry.
+// scrape recomputes the recovery and per-worker families. Runs under
+// the obs.Registry lock; it takes only pool locks, which never call
+// back into the metrics registry.
 func (c *Coordinator) scrape(m *schedMetrics) {
-	byState := make(map[serve.JobState]int, len(schedStates))
-	var scenarios, completed, failed, subscribers int
-	jobs := c.jobs.list()
-	for _, j := range jobs {
-		st := j.status()
-		byState[st.State]++
-		scenarios += st.Scenarios
-		completed += st.Completed
-		failed += st.Failed
-		subscribers += j.events.SubscriberCount()
-	}
-	for _, st := range schedStates {
-		m.jobsByState.With(string(st)).Set(float64(byState[st]))
-	}
-	m.jobsTotal.Set(uint64(len(jobs)))
-	m.scenariosTotal.Set(uint64(scenarios))
-	m.scenariosCompleted.Set(uint64(completed))
-	m.scenariosFailed.Set(uint64(failed))
-	m.subscribers.Set(float64(subscribers))
-	m.queueDepth.Set(float64(len(c.queue)))
-	m.queueCapacity.Set(float64(c.opts.QueueCapacity))
-	m.uptime.Set(time.Since(c.start).Seconds())
-	m.goroutines.Set(float64(runtime.NumGoroutine()))
-
-	m.recovResumed.Set(c.recov.resumedJobs.Load())
-	m.recovRequeued.Set(c.recov.requeuedJobs.Load())
+	rec := c.k.Recovered()
+	m.recovResumed.Set(uint64(rec.Resumed))
+	m.recovRequeued.Set(uint64(rec.Requeued))
 	m.recovReadopted.Set(c.recov.readoptedShards.Load())
 	m.recovBackfilled.Set(c.recov.backfilledRows.Load())
 	m.recovRedispatched.Set(c.recov.redispatched.Load())

@@ -27,12 +27,22 @@
 // expands the submission's roster exactly like a worker would, splits
 // it into contiguous shards, and re-submits each shard as explicit
 // profile × scale × name scenarios; the worker reproduces exactly the
-// rows the same scenarios would have produced in one campaign. Merged
-// through an export.Sequencer on global scenario index, the federated
-// export.json, export.csv, export.ndjson, and export.html are
-// byte-identical to the single-node bytes (the default, wall-stripped
-// views; per-row wall metrics are not gathered, so ?wall=1 reports the
-// coordinator's campaign wall with zero per-row columns).
+// rows the same scenarios would have produced in one campaign.
+// Committed at their global scenario index, the federated export.json,
+// export.csv, export.ndjson, and export.html are byte-identical to the
+// single-node bytes (the default, wall-stripped views; per-row wall
+// metrics are not gathered, so ?wall=1 reports the coordinator's
+// campaign wall and the shard count with zero per-row columns).
+//
+// # What is shared with the worker daemon
+//
+// Everything about a job's life — the queue and its 429, the states,
+// journaling and restart recovery with Options.Store, the event stream,
+// the REST routes above under /api/v1/jobs, graceful shutdown — is
+// darco/internal/jobs, documented there. This package is that kernel's
+// Runner for a fleet: a job is plan → place → gather, and a job the
+// coordinator died inside is resumed from its journaled shard plan and
+// placement leases (durable.go).
 //
 // # Robustness
 //
@@ -58,15 +68,11 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	darco "darco"
-	"darco/export"
-	"darco/obs"
-	"darco/serve"
+	"darco/internal/jobs"
 	"darco/store"
 )
 
@@ -137,30 +143,11 @@ type Options struct {
 	StoreMetrics *store.Metrics
 }
 
-func (o Options) withDefaults() Options {
-	if o.Jobs < 1 {
-		o.Jobs = 1
-	}
-	if o.QueueCapacity < 1 {
-		o.QueueCapacity = 16
-	}
-	if o.ShardRetries < 1 {
-		o.ShardRetries = 4
-	}
-	if o.RetryBaseDelay <= 0 {
-		o.RetryBaseDelay = 100 * time.Millisecond
-	}
-	if o.RetryMaxDelay <= 0 {
-		o.RetryMaxDelay = 5 * time.Second
-	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 5 * time.Second
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 15 * time.Second
-	}
-	return o
-}
+// JobDegraded is the coordinator-only terminal state: the worker pool
+// was exhausted (every placement attempt for some shard failed, past
+// the retry cap) and the federated campaign finished with synthesized
+// error rows for the scenarios that were never gathered.
+const JobDegraded = jobs.JobDegraded
 
 // Coordinator is the fleet daemon: an http.Handler plus the job queue,
 // shard runners, and worker pool behind it. Create with New, serve it
@@ -168,9 +155,8 @@ func (o Options) withDefaults() Options {
 type Coordinator struct {
 	opts    Options
 	mux     *http.ServeMux
-	jobs    *registry
+	k       *jobs.Kernel
 	pool    *pool
-	start   time.Time
 	id      string // coordinator instance id for /healthz and trace spans
 	log     *slog.Logger
 	metrics *schedMetrics
@@ -178,95 +164,110 @@ type Coordinator struct {
 	client       *http.Client // control plane; per-request timeouts via context
 	streamClient *http.Client // event streams; no overall timeout
 
+	// baseCtx bounds the prober and registration probes; the jobs run
+	// under the kernel's own.
 	baseCtx context.Context
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
+	stopped atomic.Bool // Shutdown or Halt has been called
 
-	// halted simulates a crash (tests): once set, nothing more reaches
-	// the journal and worker-side shard jobs are left untouched, so the
-	// on-disk and worker-side state freeze exactly as SIGKILL would
-	// leave them.
+	// halted simulates a crash (tests): once set, worker-side shard jobs
+	// are left untouched, exactly as SIGKILL would leave them.
 	halted atomic.Bool
 
 	// recov counts what recovery did; exposed on /metrics.
 	recov recoveryStats
+	// cleanStop records that the store held a clean-shutdown marker.
+	cleanStop bool
 
-	mu      sync.Mutex
-	queue   chan *job
-	closing bool
+	// placed indexes, by job id, every worker-side job a federated
+	// campaign ever placed — the addresses a stitched trace fetches
+	// worker spans from. It outlives the run: a job restored terminal
+	// gets its entries from the journaled placement leases.
+	placedMu sync.Mutex
+	placed   map[string][]placementRef
 }
 
-// recoveryStats are the darco_sched_recovery_* counters: what the last
-// restore salvaged and how. Atomics because adoption updates them from
-// concurrent shard gatherers.
+// recoveryStats are the darco_sched_recovery_* counters beyond what the
+// kernel counts: what re-adoption salvaged and how. Atomics because
+// adoption updates them from concurrent shard gatherers.
 type recoveryStats struct {
-	resumedJobs      atomic.Uint64 // mid-run jobs resumed by re-adoption
-	requeuedJobs     atomic.Uint64 // queued jobs re-queued
 	readoptedShards  atomic.Uint64 // shard jobs re-attached on their worker
 	backfilledRows   atomic.Uint64 // rows recovered through re-adoption
 	redispatched     atomic.Uint64 // shards whose lease was dead → re-dispatch path
 	salvageDiscarded atomic.Uint64 // journal bytes dropped by corruption salvage
 }
 
-// New builds a Coordinator over the static worker list, probes it
-// once, and starts the runners and the background prober. It fails
-// only on malformed worker URLs — unreachable workers are fine, the
-// prober picks them up when they appear.
+// New builds a Coordinator over the static worker list, restores any
+// history found in Options.Store, probes the pool once, and starts the
+// runners and the background prober. It fails only on malformed worker
+// URLs — unreachable workers are fine, the prober picks them up when
+// they appear.
 func New(opts Options) (*Coordinator, error) {
+	if opts.ShardRetries < 1 {
+		opts.ShardRetries = 4
+	}
+	if opts.RetryBaseDelay <= 0 {
+		opts.RetryBaseDelay = 100 * time.Millisecond
+	}
+	if opts.RetryMaxDelay <= 0 {
+		opts.RetryMaxDelay = 5 * time.Second
+	}
+	if opts.ProbeInterval <= 0 {
+		opts.ProbeInterval = 5 * time.Second
+	}
+	if opts.RequestTimeout <= 0 {
+		opts.RequestTimeout = 15 * time.Second
+	}
 	c := &Coordinator{
-		opts:  opts.withDefaults(),
-		jobs:  newRegistry(),
-		pool:  newPool(),
-		start: time.Now(),
+		opts:   opts,
+		pool:   newPool(),
+		id:     jobs.InstanceID("darco-sched"),
+		log:    opts.Log,
+		client: opts.Client,
+		placed: make(map[string][]placementRef),
 	}
-	host, err := os.Hostname()
-	if err != nil || host == "" {
-		host = "darco-sched"
-	}
-	c.id = fmt.Sprintf("%s-%d", host, os.Getpid())
-	c.log = c.opts.Log
 	if c.log == nil {
 		c.log = slog.New(slog.DiscardHandler)
 	}
-	c.client = c.opts.Client
 	if c.client == nil {
 		c.client = &http.Client{}
 	}
 	// Streams must outlive any client-level timeout; copy the
 	// transport but not the deadline.
 	c.streamClient = &http.Client{Transport: c.client.Transport}
-	for _, raw := range c.opts.Workers {
+	for _, raw := range opts.Workers {
 		if _, _, err := c.pool.add(raw); err != nil {
 			return nil, err
 		}
 	}
 	c.baseCtx, c.stop = context.WithCancel(context.Background())
+	if st := opts.Store; st != nil {
+		c.recov.salvageDiscarded.Store(uint64(st.Recovery().DiscardedBytes))
+		for _, m := range st.Meta() {
+			c.cleanStop = c.cleanStop || m.Kind == store.KindCleanShutdown
+		}
+		for _, h := range st.Jobs() {
+			for _, pl := range h.Placements {
+				c.notePlacement(h.ID, pl.Worker, pl.WorkerJob)
+			}
+		}
+	}
+	c.k = jobs.New(jobs.Config{
+		Runner:        runner{c},
+		Workers:       opts.Jobs,
+		QueueCapacity: opts.QueueCapacity,
+		ReplayBuffer:  opts.ReplayBuffer,
+		Store:         opts.Store,
+		StoreMetrics:  opts.StoreMetrics,
+		Log:           opts.Log,
+		Service:       c.id,
+		MetricPrefix:  "darco_sched",
+	})
 	c.initMetrics()
-	// Restore before the runners start: recovered jobs enter the queue
-	// first, and the queue widens past the configured capacity if the
-	// journal holds more live jobs than it (none may be dropped).
-	// Submission capacity checks are against the configured capacity,
-	// so a widened queue does not raise the operator's shed point.
-	requeue := c.restoreJobs()
-	capacity := c.opts.QueueCapacity
-	if len(requeue) > capacity {
-		capacity = len(requeue)
-	}
-	c.queue = make(chan *job, capacity)
-	for _, j := range requeue {
-		c.queue <- j
-	}
 	c.mux = c.routes()
 	c.probeAll(c.baseCtx)
-	for i := 0; i < c.opts.Jobs; i++ {
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			for j := range c.queue {
-				c.runJob(j)
-			}
-		}()
-	}
+	c.k.Start()
 	c.wg.Add(1)
 	go c.prober()
 	return c, nil
@@ -280,36 +281,25 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Shutdown stops the coordinator gracefully: new submissions are
 // rejected, running federated jobs are cancelled (their worker-side
 // shard jobs cancelled best-effort) and journaled terminal, queued
-// jobs are left queued in the journal for the next start to re-queue,
-// and — once every runner has drained — a clean-shutdown marker is
-// journaled so the next open can tell this stop from a crash.
-// Idempotent; the marker only lands if the drain beat ctx.
+// jobs are left queued in the journal for the next start to re-queue
+// (without a store they are marked cancelled), and — once every runner
+// has drained — a clean-shutdown marker is journaled so the next open
+// can tell this stop from a crash. Idempotent; the marker only lands
+// if the drain beat ctx.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	already := c.closing
-	c.closing = true
-	if !already {
-		close(c.queue)
+	first := !c.stopped.Swap(true)
+	if err := c.k.Shutdown(ctx); err != nil {
+		return fmt.Errorf("sched: %w", err)
 	}
-	c.mu.Unlock()
 	c.stop()
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		// Every gatherer and runner is stopped and its terminal
-		// records are on disk; the marker is the last write, so its
-		// presence certifies the whole drain.
-		if !already {
-			c.journal(store.Record{Kind: store.KindCleanShutdown})
-		}
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("sched: shutdown: %w", ctx.Err())
+	c.wg.Wait()
+	// Every gatherer and runner is stopped and its terminal records are
+	// on disk; the marker is the last write, so its presence certifies
+	// the whole drain.
+	if first {
+		c.k.Journal(store.Record{Kind: store.KindCleanShutdown})
 	}
+	return nil
 }
 
 // Halt simulates the coordinator dying (tests): journal writes,
@@ -318,169 +308,79 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 // exactly as SIGKILL at this instant would leave them — no terminal
 // records, no clean-shutdown marker, shard jobs still running.
 func (c *Coordinator) Halt() {
+	c.stopped.Store(true)
 	c.halted.Store(true)
-	c.mu.Lock()
-	already := c.closing
-	c.closing = true
-	if !already {
-		close(c.queue)
-	}
-	c.mu.Unlock()
+	c.k.Halt()
 	c.stop()
 	c.wg.Wait()
 }
 
-// journal appends one record to the durable store, if there is one.
-// Journal failures never fail the job — the coordinator keeps serving
-// from memory and the operator sees the log line. A halted (crashing)
-// coordinator writes nothing.
-func (c *Coordinator) journal(rec store.Record) {
-	if c.opts.Store == nil || c.halted.Load() {
-		return
-	}
-	if rec.Time.IsZero() {
-		rec.Time = time.Now()
-	}
-	if err := c.opts.Store.Append(rec); err != nil {
-		c.log.Error("journal append failed", "kind", string(rec.Kind), "job_id", rec.Job, "err", err)
-	}
+// runner is the kernel's Runner for a fleet: plan → place → gather over
+// the worker pool.
+type runner struct{ *Coordinator }
+
+// fed is what a federated job carries beside the kernel's record: the
+// parsed submission its shards forward, and the shard plan — cut when
+// the job first runs, or rebuilt from the journal by Resume.
+type fed struct {
+	req    *jobs.SubmitRequest
+	shards []*shard
 }
 
-// compact freezes a terminal job's journal records into its snapshot.
-func (c *Coordinator) compact(id string) {
-	if c.opts.Store == nil || c.halted.Load() {
-		return
-	}
-	if err := c.opts.Store.CompactJob(id); err != nil {
-		c.log.Error("snapshot compaction failed", "job_id", id, "err", err)
-	}
+// fedJob is one federated job as the gather path sees it: the kernel's
+// record, the coordinator's part, and the context the run stops with.
+type fedJob struct {
+	*jobs.Job
+	*fed
+	ctx context.Context
 }
 
-// finishJob journals a job's terminal record, compacts its history
-// into a snapshot, and returns the final status.
-func (c *Coordinator) finishJob(j *job) serve.JobStatus {
-	j.mu.Lock()
-	fin := &store.FinishedRecord{
-		State:       string(j.state),
-		WallMS:      j.wallMS,
-		Parallelism: len(j.shards),
+// Validate checks a campaign submission at the coordinator's edge — same
+// SubmitRequest schema, same roster expansion, same engine validation a
+// worker performs — so a bad submission never reaches a worker.
+func (c runner) Validate(raw []byte, restored bool) (*jobs.Plan, error) {
+	req, err := jobs.ParseSubmit(raw)
+	if err != nil {
+		return nil, err
 	}
-	if j.err != nil {
-		fin.Error = j.err.Error()
+	// With restored set a sub-floor telemetry interval is raised to the
+	// floor in req: the shards forward that section verbatim, and a
+	// worker refuses a new submission below it.
+	roster, _, err := req.Validate(c.opts.MaxScenarios, restored)
+	if err != nil {
+		return nil, err
 	}
-	when := j.finished
-	j.mu.Unlock()
-	c.journal(store.Record{Kind: store.KindFinished, Job: j.id, Time: when, Finished: fin})
-	c.compact(j.id)
-	return j.status()
+	return &jobs.Plan{Name: req.Name, Roster: roster, Spec: &fed{req: req}}, nil
 }
 
-// enqueue admits a validated job or reports why it cannot run now. The
-// submitted record is journaled under the same lock that reserves the
-// queue slot: it must land before a runner can pop the job (records
-// stay in lifecycle order) and must not land at all for a rejected
-// submission (a 429'd job re-queued after a restart would be a ghost).
-// The status it returns is the job's at acceptance, snapshotted before
-// the job reaches the queue: once it is there an idle runner may start
-// it at any moment, and the 202 must still say what the submission got
-// — a queue slot.
-func (c *Coordinator) enqueue(j *job) (serve.JobStatus, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closing {
-		return serve.JobStatus{}, errClosing
-	}
-	// Capacity is checked against the configured capacity, not the
-	// channel's: a channel widened for a restored backlog must not
-	// raise the shed point for new submissions.
-	if len(c.queue) >= c.opts.QueueCapacity {
-		return serve.JobStatus{}, errQueueFull
-	}
-	c.journal(store.Record{Kind: store.KindSubmitted, Job: j.id, Time: j.submitted,
-		Submitted: &store.SubmittedRecord{Name: j.name, Scenarios: len(j.roster), Request: j.raw,
-			TraceID: j.traceID, ParentSpan: j.parentSpan}})
-	accepted := j.status()
-	c.queue <- j
-	return accepted, nil
-}
-
-var (
-	errClosing   = fmt.Errorf("coordinator is shutting down")
-	errQueueFull = fmt.Errorf("job queue is full")
-)
-
-// runJob drives one federated campaign: plan shards over the healthy
-// pool, gather each shard concurrently, then settle the terminal state
-// and seal the merged row set. A resumed job re-enters here with its
-// journaled plan and placement leases instead of planning afresh.
-func (c *Coordinator) runJob(j *job) {
-	// Release the job's context registration in baseCtx once terminal.
-	defer j.cancel()
-	if err := j.ctx.Err(); err != nil {
-		j.mu.Lock()
-		clientCancel := j.cancelRequested
-		j.mu.Unlock()
-		if !clientCancel {
-			// The coordinator is stopping, not the client cancelling:
-			// leave the job queued on disk (no terminal record) so the
-			// next start re-queues it instead of failing it.
-			j.events.Close()
-			return
-		}
-		// Cancelled while queued: never started, every row synthesized
-		// — mirroring the worker daemon's cancelled-while-queued
-		// outcome.
-		if j.markCancelled(fmt.Errorf("cancelled while queued: %w", err)) {
-			c.sealJob(j, j.allIndices())
-			c.finishSpans(j)
-			j.events.PublishTransient(serve.EventState, c.finishJob(j))
-		}
-		j.events.Close()
-		return
-	}
-
-	j.mu.Lock()
-	j.state = serve.JobRunning
-	if !j.resumed {
-		j.started = time.Now()
-	}
-	j.runSpan = obs.NewSpanID()
-	started := j.started
-	submitted := j.submitted
-	resumed := j.resumed
-	j.mu.Unlock()
-	j.events.PublishTransient(serve.EventState, j.status())
-	if !resumed {
-		c.metrics.queueWait.Observe(started.Sub(submitted).Seconds())
-		c.startSpans(j, started)
-	}
-
-	if j.resumed {
-		c.log.Info("job resumed", "job_id", j.id, "trace_id", j.traceID,
-			"scenarios", len(j.roster), "shards", len(j.shards), "rows_recovered", j.status().Completed)
-	} else {
-		c.journal(store.Record{Kind: store.KindStarted, Job: j.id, Time: started})
+// Run drives one federated campaign: plan shards over the healthy pool,
+// gather each shard concurrently, then settle the terminal state. A
+// resumed job arrives with its journaled plan and placement leases
+// instead of planning afresh.
+func (c runner) Run(ctx context.Context, kj *jobs.Job) jobs.Outcome {
+	j := &fedJob{Job: kj, fed: kj.Spec.(*fed), ctx: ctx}
+	if len(j.shards) == 0 {
 		// Plan one shard per healthy worker (capped), so a fully-live
 		// pool takes one shard each; zero healthy workers still plan a
 		// single shard whose placement loop waits for the pool to come
 		// up.
 		healthy := c.pool.healthyCount()
 		if healthy == 0 {
-			healthy = c.probeAll(j.ctx)
+			healthy = c.probeAll(ctx)
 		}
 		k := healthy
 		if c.opts.MaxShards > 0 && k > c.opts.MaxShards {
 			k = c.opts.MaxShards
 		}
-		j.shards = planShards(len(j.roster), k)
+		j.shards = planShards(len(j.Roster), k)
 		specs := make([]store.ShardSpec, len(j.shards))
 		for i, sh := range j.shards {
 			specs[i] = store.ShardSpec{Start: sh.indices[0], Count: len(sh.indices)}
 		}
-		c.journal(store.Record{Kind: store.KindShardPlan, Job: j.id,
+		c.k.Journal(store.Record{Kind: store.KindShardPlan, Job: j.ID,
 			ShardPlan: &store.ShardPlanRecord{Shards: specs}})
-		c.log.Info("job running", "job_id", j.id, "trace_id", j.traceID,
-			"scenarios", len(j.roster), "shards", len(j.shards), "healthy_workers", healthy)
+		c.log.Info("job planned", "job_id", j.ID, "trace_id", j.TraceID,
+			"scenarios", len(j.Roster), "shards", len(j.shards), "healthy_workers", healthy)
 	}
 
 	shardErrs := make([]error, len(j.shards))
@@ -496,85 +396,29 @@ func (c *Coordinator) runJob(j *job) {
 	}
 	wg.Wait()
 
-	cancelled := j.ctx.Err() != nil
-	if cancelled {
+	out := jobs.Outcome{State: jobs.JobDone, Parallelism: len(j.shards)}
+	missing := 0
+	for _, sh := range j.shards {
+		missing += len(j.Missing(sh.indices))
+	}
+	switch st := j.Status(); {
+	case ctx.Err() != nil:
 		for _, sh := range j.shards {
 			c.cancelShard(sh)
 		}
-	}
-
-	missing := j.missingOf(j.allIndices())
-	j.mu.Lock()
-	switch {
-	case cancelled:
-		if !terminal(j.state) { // cancel handler may have marked it already
-			j.state = serve.JobCancelled
-			if j.err == nil {
-				j.err = fmt.Errorf("cancelled: %w", j.ctx.Err())
-			}
-		}
-	case len(missing) > 0:
-		j.state = JobDegraded
+		out.State, out.Err = jobs.JobCancelled, fmt.Errorf("cancelled: %w", ctx.Err())
+	case missing > 0:
+		// The kernel seals the scenarios no worker produced with this
+		// error, like the worker daemon's interrupted/cancelled exports.
+		out.State, out.Err = JobDegraded, fmt.Errorf("worker pool exhausted")
 		for _, err := range shardErrs {
 			if err != nil {
-				j.err = fmt.Errorf("worker pool exhausted: %w", err)
+				out.Err = fmt.Errorf("worker pool exhausted: %w", err)
 				break
 			}
 		}
-		if j.err == nil {
-			j.err = fmt.Errorf("worker pool exhausted")
-		}
-	case j.failed > 0:
-		j.state = serve.JobFailed
-		j.err = fmt.Errorf("%d of %d scenarios failed", j.failed, len(j.roster))
-	default:
-		j.state = serve.JobDone
-	}
-	j.mu.Unlock()
-
-	c.sealJob(j, missing)
-	c.finishSpans(j)
-	st := c.finishJob(j)
-	c.log.Info("job finished", "job_id", j.id, "trace_id", j.traceID, "state", string(st.State),
-		"completed", st.Completed, "scenarios", st.Scenarios, "failed", st.Failed)
-	j.events.PublishTransient(serve.EventState, st)
-	j.events.Close()
-}
-
-// sealJob synthesizes error rows for the scenarios no worker produced
-// (carrying the job's terminal reason, like the worker daemon's
-// interrupted/cancelled exports), closes the row sequencer, and marks
-// the merged result exportable.
-func (c *Coordinator) sealJob(j *job, missing []int) {
-	j.mu.Lock()
-	reason := j.err
-	j.finished = time.Now()
-	j.mu.Unlock()
-	if reason == nil {
-		reason = fmt.Errorf("scenario never ran")
-	}
-	for _, gi := range missing {
-		row := export.NewRow(&darco.ScenarioResult{Scenario: j.roster[gi], Err: reason})
-		j.commit(gi, row)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.seq.Close(); err != nil {
-		// Unreachable by construction (missing covered every gap), but
-		// a hole must not produce a silently-short export.
-		c.log.Error("sealing merged rows failed", "job_id", j.id, "err", err)
-	}
-	if !j.started.IsZero() {
-		j.wallMS = float64(j.finished.Sub(j.started).Nanoseconds()) / 1e6
-	}
-	j.ready = true
-}
-
-// allIndices returns 0..len(roster)-1.
-func (j *job) allIndices() []int {
-	out := make([]int, len(j.roster))
-	for i := range out {
-		out[i] = i
+	case st.Failed > 0:
+		out.State, out.Err = jobs.JobFailed, fmt.Errorf("%d of %d scenarios failed", st.Failed, len(j.Roster))
 	}
 	return out
 }

@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"darco/export"
+	"darco/internal/jobs"
 	"darco/obs"
-	"darco/serve"
 	"darco/store"
 )
 
@@ -120,10 +120,10 @@ var errBusy = errors.New("worker queue full (429)")
 // coordinator's roster expansion produced them — the determinism
 // contract that makes the worker reproduce exactly the rows a
 // single-node run would), with the campaign knobs forwarded verbatim.
-func (c *Coordinator) shardBody(j *job, sh *shard, missing []int, attempt int) ([]byte, error) {
-	req := serve.SubmitRequest{
-		Name:              fmt.Sprintf("%s/shard-%d#%d", j.id, sh.idx, attempt),
-		Scenarios:         make([]serve.ScenarioSpec, 0, len(missing)),
+func (c *Coordinator) shardBody(j *fedJob, sh *shard, missing []int, attempt int) ([]byte, error) {
+	req := jobs.SubmitRequest{
+		Name:              fmt.Sprintf("%s/shard-%d#%d", j.ID, sh.idx, attempt),
+		Scenarios:         make([]jobs.ScenarioSpec, 0, len(missing)),
 		Parallelism:       j.req.Parallelism,
 		ScenarioTimeoutMS: j.req.ScenarioTimeoutMS,
 		FailFast:          j.req.FailFast,
@@ -131,8 +131,8 @@ func (c *Coordinator) shardBody(j *job, sh *shard, missing []int, attempt int) (
 		Telemetry:         j.req.Telemetry,
 	}
 	for _, gi := range missing {
-		sc := j.roster[gi]
-		req.Scenarios = append(req.Scenarios, serve.ScenarioSpec{
+		sc := j.Roster[gi]
+		req.Scenarios = append(req.Scenarios, jobs.ScenarioSpec{
 			Profile: sc.Profile.Name,
 			Scale:   sc.Scale,
 			Name:    sc.Name,
@@ -147,7 +147,7 @@ func (c *Coordinator) shardBody(j *job, sh *shard, missing []int, attempt int) (
 // capped exponential backoff. Attempts that make progress (new rows
 // gathered) reset the failure budget, so a shard only gives up after
 // ShardRetries consecutive attempts that gathered nothing new.
-func (c *Coordinator) runShard(j *job, sh *shard) error {
+func (c *Coordinator) runShard(j *fedJob, sh *shard) error {
 	if sh.span == "" {
 		sh.span = obs.NewSpanID()
 	}
@@ -160,18 +160,18 @@ func (c *Coordinator) runShard(j *job, sh *shard) error {
 		// The gather loop completed: every one of the shard's scenarios
 		// has a committed row. Journaled so a restarted coordinator
 		// skips the shard outright instead of re-probing its worker.
-		c.journal(store.Record{Kind: store.KindShardTerminal, Job: j.id,
-			ShardTerminal: &store.ShardTerminalRecord{Shard: sh.idx, State: string(serve.JobDone)}})
+		c.k.Journal(store.Record{Kind: store.KindShardTerminal, Job: j.ID,
+			ShardTerminal: &store.ShardTerminalRecord{Shard: sh.idx, State: string(jobs.JobDone)}})
 	}
 	return err
 }
 
-func (c *Coordinator) runShardAttempts(j *job, sh *shard) error {
+func (c *Coordinator) runShardAttempts(j *fedJob, sh *shard) error {
 	failures := 0
 	var last *worker
 	var lastErr error
 	for {
-		missing := j.missingOf(sh.indices)
+		missing := j.Missing(sh.indices)
 		if len(missing) == 0 {
 			return nil
 		}
@@ -193,7 +193,7 @@ func (c *Coordinator) runShardAttempts(j *job, sh *shard) error {
 			}
 			c.recov.redispatched.Add(1)
 			sh.setErr(err)
-			c.log.Warn("shard re-adoption failed; re-dispatching", "job_id", j.id, "trace_id", j.traceID,
+			c.log.Warn("shard re-adoption failed; re-dispatching", "job_id", j.ID, "trace_id", j.TraceID,
 				"shard", sh.idx, "worker_job", pl.WorkerJob, "worker", pl.Worker, "err", err)
 			continue
 		}
@@ -231,11 +231,11 @@ func (c *Coordinator) runShardAttempts(j *job, sh *shard) error {
 		}
 		w.noteRetry()
 		sh.setErr(err)
-		c.log.Warn("shard attempt failed", "job_id", j.id, "trace_id", j.traceID,
+		c.log.Warn("shard attempt failed", "job_id", j.ID, "trace_id", j.TraceID,
 			"shard", sh.idx, "attempt", attempt, "worker", w.url, "err", err)
 		lastErr = err
 		last = w
-		if after := len(j.missingOf(sh.indices)); after < len(missing) {
+		if after := len(j.Missing(sh.indices)); after < len(missing) {
 			failures = 0 // progress: rows were gathered before the failure
 		} else {
 			failures++
@@ -271,24 +271,24 @@ func (c *Coordinator) backoff(ctx context.Context, failures int) error {
 
 // attemptShard is one placement: submit the missing scenarios to w,
 // then gather rows until the shard job reaches a terminal state.
-func (c *Coordinator) attemptShard(j *job, sh *shard, w *worker, missing []int, attempt int) error {
+func (c *Coordinator) attemptShard(j *fedJob, sh *shard, w *worker, missing []int, attempt int) error {
 	body, err := c.shardBody(j, sh, missing, attempt)
 	if err != nil {
 		return err
 	}
-	wid, err := c.submitShard(j.ctx, w, body, j.traceID, sh.span)
+	wid, err := c.submitShard(j.ctx, w, body, j.TraceID, sh.span)
 	if err != nil {
 		return err
 	}
 	sh.setPlacement(w.url, wid)
-	j.notePlacement(w.url, wid)
+	c.notePlacement(j.ID, w.url, wid)
 	w.notePlaced()
 	// The lease is journaled with exactly the globals this submission
 	// carried: the worker-side job's local scenario index i means
 	// missing[i], and that positional mapping — not the shard's full
 	// range — is what a re-adopting coordinator must decode the event
 	// stream and harvest with.
-	c.journal(store.Record{Kind: store.KindShardPlaced, Job: j.id,
+	c.k.Journal(store.Record{Kind: store.KindShardPlaced, Job: j.ID,
 		ShardPlaced: &store.ShardPlacedRecord{
 			Shard:     sh.idx,
 			Worker:    w.url,
@@ -306,7 +306,7 @@ func (c *Coordinator) attemptShard(j *job, sh *shard, w *worker, missing []int, 
 // missed while down; commit dedupes ones it already journaled) or, for
 // an already-finished shard job, harvest its export.ndjson directly.
 // Rows recovered either way count as backfilled.
-func (c *Coordinator) adoptShard(j *job, sh *shard, pl *store.ShardPlacedRecord) error {
+func (c *Coordinator) adoptShard(j *fedJob, sh *shard, pl *store.ShardPlacedRecord) error {
 	w, err := c.pool.ensure(pl.Worker)
 	if err != nil {
 		return err
@@ -319,10 +319,10 @@ func (c *Coordinator) adoptShard(j *job, sh *shard, pl *store.ShardPlacedRecord)
 		return fmt.Errorf("adopt shard job %s: %w", pl.WorkerJob, err)
 	}
 	sh.setPlacement(w.url, pl.WorkerJob)
-	j.notePlacement(w.url, pl.WorkerJob)
-	before := len(j.missingOf(pl.Scenarios))
+	c.notePlacement(j.ID, w.url, pl.WorkerJob)
+	before := len(j.Missing(pl.Scenarios))
 	switch st.State {
-	case serve.JobDone, serve.JobFailed:
+	case jobs.JobDone, jobs.JobFailed:
 		// Finished while the coordinator was down: the worker's
 		// export.ndjson is the complete, deterministic row set.
 		err = c.harvestShard(j, w, pl.WorkerJob, pl.Scenarios)
@@ -333,14 +333,14 @@ func (c *Coordinator) adoptShard(j *job, sh *shard, pl *store.ShardPlacedRecord)
 		// state comes back as an error and the remainder re-dispatches.
 		err = c.gatherShard(j, w, pl.WorkerJob, pl.Scenarios)
 	}
-	if n := before - len(j.missingOf(pl.Scenarios)); n > 0 {
+	if n := before - len(j.Missing(pl.Scenarios)); n > 0 {
 		c.recov.backfilledRows.Add(uint64(n))
 	}
 	if err != nil {
 		return err
 	}
 	c.recov.readoptedShards.Add(1)
-	c.log.Info("shard re-adopted", "job_id", j.id, "trace_id", j.traceID,
+	c.log.Info("shard re-adopted", "job_id", j.ID, "trace_id", j.TraceID,
 		"shard", sh.idx, "worker_job", pl.WorkerJob, "worker", w.url, "state", string(st.State))
 	return nil
 }
@@ -367,7 +367,7 @@ func (c *Coordinator) submitShard(ctx context.Context, w *worker, body []byte, t
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusAccepted:
-		var st serve.JobStatus
+		var st jobs.JobStatus
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			return "", fmt.Errorf("submit to %s: decoding 202 body: %w", w.url, err)
 		}
@@ -390,7 +390,7 @@ func (c *Coordinator) submitShard(ctx context.Context, w *worker, body []byte, t
 // scenarios get re-dispatched and only genuinely-produced rows count.
 // A broken stream reconnects (the worker's replay ring resends the
 // prefix; commit dedupes) before the attempt is abandoned.
-func (c *Coordinator) gatherShard(j *job, w *worker, wid string, globals []int) error {
+func (c *Coordinator) gatherShard(j *fedJob, w *worker, wid string, globals []int) error {
 	pending := make(map[int]export.Row)
 	for reconnects := 0; ; reconnects++ {
 		final, streamErr := c.consumeStream(j, w, wid, globals, pending)
@@ -414,12 +414,12 @@ func (c *Coordinator) gatherShard(j *job, w *worker, wid string, globals []int) 
 			}
 		}
 		switch final {
-		case serve.JobDone, serve.JobFailed:
+		case jobs.JobDone, jobs.JobFailed:
 			// The shard ran to completion; its errored rows are genuine
 			// deterministic scenario failures, part of the campaign
 			// result.
 			for gi, row := range pending {
-				if j.commit(gi, row) {
+				if j.Commit(gi, row) {
 					w.noteRows(1)
 				}
 			}
@@ -440,7 +440,7 @@ type streamFrame struct {
 // event stream, mapping shard-local scenario indices through globals
 // into the federated job. It returns the terminal state if one was
 // seen, or "" with the transport error when the stream broke first.
-func (c *Coordinator) consumeStream(j *job, w *worker, wid string, globals []int, pending map[int]export.Row) (serve.JobState, error) {
+func (c *Coordinator) consumeStream(j *fedJob, w *worker, wid string, globals []int, pending map[int]export.Row) (jobs.JobState, error) {
 	req, err := http.NewRequestWithContext(j.ctx, http.MethodGet,
 		w.url+"/api/v1/jobs/"+wid+"/events?format=ndjson", nil)
 	if err != nil {
@@ -462,16 +462,16 @@ func (c *Coordinator) consumeStream(j *job, w *worker, wid string, globals []int
 			return "", fmt.Errorf("event stream for %s on %s: bad frame: %v", wid, w.url, err)
 		}
 		switch f.Event {
-		case serve.EventState:
-			var st serve.JobStatus
+		case jobs.EventState:
+			var st jobs.JobStatus
 			if err := json.Unmarshal(f.Data, &st); err != nil {
 				return "", err
 			}
 			if st.State.Terminal() {
 				return st.State, nil
 			}
-		case serve.EventScenario:
-			var ev serve.ScenarioEvent
+		case jobs.EventScenario:
+			var ev jobs.ScenarioEvent
 			if err := json.Unmarshal(f.Data, &ev); err != nil {
 				return "", err
 			}
@@ -481,11 +481,11 @@ func (c *Coordinator) consumeStream(j *job, w *worker, wid string, globals []int
 			gi := globals[ev.Index]
 			if ev.Row.Error != "" {
 				pending[gi] = ev.Row
-			} else if j.commit(gi, ev.Row) {
+			} else if j.Commit(gi, ev.Row) {
 				w.noteRows(1)
 			}
-		case serve.EventTelemetry:
-			var ev serve.TelemetryEvent
+		case jobs.EventTelemetry:
+			var ev jobs.TelemetryEvent
 			if err := json.Unmarshal(f.Data, &ev); err != nil {
 				return "", err
 			}
@@ -495,20 +495,7 @@ func (c *Coordinator) consumeStream(j *job, w *worker, wid string, globals []int
 			// Journaled at the global index (fsync-exempt under the
 			// default lifecycle policy) so a restored job's replayed
 			// event stream carries its telemetry history too.
-			if j.journal != nil {
-				j.journal(store.Record{Kind: store.KindTelemetry, Job: j.id,
-					Telemetry: &store.TelemetryRecord{
-						Index:    globals[ev.Index],
-						Scenario: ev.Scenario,
-						Window:   ev.Window,
-					}})
-			}
-			j.events.Publish(serve.EventTelemetry, serve.TelemetryEvent{
-				Job:      j.id,
-				Index:    globals[ev.Index],
-				Scenario: ev.Scenario,
-				Window:   ev.Window,
-			})
+			j.Telemetry(globals[ev.Index], ev.Scenario, ev.Window)
 		}
 		// Dropped markers need no handling here: the post-terminal
 		// harvest fetches any rows the stream lost.
@@ -520,10 +507,10 @@ func (c *Coordinator) consumeStream(j *job, w *worker, wid string, globals []int
 }
 
 // shardStatus fetches a shard job's JobStatus from its worker.
-func (c *Coordinator) shardStatus(ctx context.Context, w *worker, wid string) (serve.JobStatus, error) {
+func (c *Coordinator) shardStatus(ctx context.Context, w *worker, wid string) (jobs.JobStatus, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.opts.RequestTimeout)
 	defer cancel()
-	var st serve.JobStatus
+	var st jobs.JobStatus
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/api/v1/jobs/"+wid, nil)
 	if err != nil {
 		return st, err
@@ -543,8 +530,8 @@ func (c *Coordinator) shardStatus(ctx context.Context, w *worker, wid string) (s
 // frames under load) from the completed shard job's export.ndjson,
 // whose lines are in shard scenario order — i.e. positionally aligned
 // with globals. commit dedupes rows the stream already delivered.
-func (c *Coordinator) harvestShard(j *job, w *worker, wid string, globals []int) error {
-	if len(j.missingOf(globals)) == 0 {
+func (c *Coordinator) harvestShard(j *fedJob, w *worker, wid string, globals []int) error {
+	if len(j.Missing(globals)) == 0 {
 		return nil
 	}
 	ctx, cancel := context.WithTimeout(j.ctx, c.opts.RequestTimeout)
@@ -576,7 +563,7 @@ func (c *Coordinator) harvestShard(j *job, w *worker, wid string, globals []int)
 		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
 			return fmt.Errorf("harvest %s from %s: row %d: %v", wid, w.url, k, err)
 		}
-		if j.commit(globals[k], row) {
+		if j.Commit(globals[k], row) {
 			w.noteRows(1)
 		}
 		k++

@@ -5,54 +5,28 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"darco/obs"
-	"darco/store"
 )
 
 // The coordinator's half of a federated trace. Every federated job
-// carries one trace: the coordinator records the job root, queue-wait,
-// run, and per-shard spans, and stamps each shard submission with
-// X-Darco-Trace (trace id + the shard's span id) so the worker-side
-// job's spans land in the same trace, parented under the shard span.
-// GET /api/v1/jobs/{id}/trace stitches both halves: the coordinator's
-// own journaled spans plus the worker spans fetched live from every
-// placement the job ever made.
-
-// recordSpan appends one finished span to the job's trace and journals
-// it, so the coordinator's half of the trace survives a restart.
-func (c *Coordinator) recordSpan(j *job, sp obs.Span) {
-	j.mu.Lock()
-	j.spans = append(j.spans, sp)
-	j.mu.Unlock()
-	c.journal(store.Record{Kind: store.KindSpan, Job: j.id,
-		Span: &store.SpanRecord{Span: sp}})
-}
-
-// startSpans records the queue-wait span when a runner picks the job
-// up. The run-span id is set by the caller (runJob) under the job lock
-// alongside the state transition.
-func (c *Coordinator) startSpans(j *job, started time.Time) {
-	j.mu.Lock()
-	traceID := j.traceID
-	root := j.rootSpan
-	submitted := j.submitted
-	j.mu.Unlock()
-	c.recordSpan(j, obs.NewSpan(traceID, root, "queue-wait", c.id, submitted, started))
-}
+// carries one trace: the kernel records the job root, queue-wait and
+// run spans, the coordinator one span per shard, and each shard
+// submission is stamped with X-Darco-Trace (trace id + the shard's span
+// id) so the worker-side job's spans land in the same trace, parented
+// under the shard span. GET /api/v1/jobs/{id}/trace stitches both
+// halves: the coordinator's own journaled spans plus the worker spans
+// fetched live from every placement the job ever made.
 
 // shardSpan closes one shard's span: the window this coordinator spent
 // driving the shard, carrying its final placement and attempt count.
 // The span id is the one every worker-side submission for the shard was
 // parented under, so the worker job spans attach here in the stitched
 // tree.
-func (c *Coordinator) shardSpan(j *job, sh *shard, start, end time.Time, err error) {
-	j.mu.Lock()
-	traceID := j.traceID
-	parent := j.runSpan
-	j.mu.Unlock()
-	sp := obs.NewSpan(traceID, parent, fmt.Sprintf("shard %d", sh.idx), c.id, start, end)
+func (c *Coordinator) shardSpan(j *fedJob, sh *shard, start, end time.Time, err error) {
+	sp := obs.NewSpan(j.TraceID, j.RunSpan(), fmt.Sprintf("shard %d", sh.idx), c.id, start, end)
 	sp.SpanID = sh.span
 	sp.SetAttr("scenarios", fmt.Sprintf("%d", len(sh.indices)))
 	wurl, wid := sh.placement()
@@ -69,38 +43,7 @@ func (c *Coordinator) shardSpan(j *job, sh *shard, start, end time.Time, err err
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 	}
-	c.recordSpan(j, sp)
-}
-
-// finishSpans records the spans only the terminal transition can close:
-// the run span (runner pickup to completion, the parent of every shard
-// span) and the job root span. A job cancelled while queued never ran,
-// so it gets only the root.
-func (c *Coordinator) finishSpans(j *job) {
-	j.mu.Lock()
-	traceID := j.traceID
-	parentSpan := j.parentSpan
-	root := j.rootSpan
-	run := j.runSpan
-	name := j.name
-	state := j.state
-	submitted := j.submitted
-	started := j.started
-	finished := j.finished
-	j.mu.Unlock()
-	if !started.IsZero() && run != "" {
-		rs := obs.NewSpan(traceID, root, "run", c.id, started, finished)
-		rs.SpanID = run
-		c.recordSpan(j, rs)
-	}
-	js := obs.NewSpan(traceID, parentSpan, "job "+j.id, c.id, submitted, finished)
-	js.SpanID = root
-	js.SetAttr("job_id", j.id)
-	js.SetAttr("state", string(state))
-	if name != "" {
-		js.SetAttr("name", name)
-	}
-	c.recordSpan(j, js)
+	j.RecordSpan(sp)
 }
 
 // placementRef is one worker-side job the federated job ever placed —
@@ -112,17 +55,16 @@ type placementRef struct {
 
 // notePlacement remembers a placement for trace stitching. Idempotent;
 // every attempt and adoption records the worker job it talked to.
-func (j *job) notePlacement(worker, workerJob string) {
+func (c *Coordinator) notePlacement(jobID, worker, workerJob string) {
 	if worker == "" || workerJob == "" {
 		return
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	key := worker + "|" + workerJob
-	if j.placements == nil {
-		j.placements = make(map[string]placementRef)
+	pl := placementRef{Worker: worker, WorkerJob: workerJob}
+	c.placedMu.Lock()
+	defer c.placedMu.Unlock()
+	if !slices.Contains(c.placed[jobID], pl) {
+		c.placed[jobID] = append(c.placed[jobID], pl)
 	}
-	j.placements[key] = placementRef{Worker: worker, WorkerJob: workerJob}
 }
 
 // workerSpans fetches one worker-side job's spans, keeping only those
@@ -163,38 +105,21 @@ func (c *Coordinator) workerSpans(r *http.Request, pl placementRef, traceID stri
 	return out
 }
 
-// handleTrace serves the stitched federated trace: the coordinator's
+// handleStitchedTrace serves the federated trace: the coordinator's
 // own spans merged with the spans of every worker-side shard job the
-// campaign placed, as a JSON tree (default) or the Chrome trace-event
-// format Perfetto loads (?format=chrome). Unreachable workers degrade
-// to a partial trace rather than an error.
-func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.lookup(w, r)
+// campaign placed, rendered like any job's trace. Unreachable workers
+// degrade to a partial trace rather than an error.
+func (c *Coordinator) handleStitchedTrace(w http.ResponseWriter, r *http.Request) {
+	j, ok := c.k.Lookup(w, r)
 	if !ok {
 		return
 	}
-	j.mu.Lock()
-	traceID := j.traceID
-	spans := append([]obs.Span(nil), j.spans...)
-	placements := make([]placementRef, 0, len(j.placements))
-	for _, pl := range j.placements {
-		placements = append(placements, pl)
-	}
-	j.mu.Unlock()
+	spans := j.Spans()
+	c.placedMu.Lock()
+	placements := slices.Clone(c.placed[j.ID])
+	c.placedMu.Unlock()
 	for _, pl := range placements {
-		spans = append(spans, c.workerSpans(r, pl, traceID)...)
+		spans = append(spans, c.workerSpans(r, pl, j.TraceID)...)
 	}
-	if r.URL.Query().Get("format") == "chrome" {
-		w.Header().Set("Content-Type", "application/json")
-		if err := obs.WriteChromeTrace(w, spans); err != nil {
-			c.log.Error("chrome trace write failed", "job_id", j.id, "err", err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, obs.TraceDoc{
-		TraceID: traceID,
-		Job:     j.id,
-		Spans:   spans,
-		Tree:    obs.BuildTree(spans),
-	})
+	c.k.WriteTrace(w, r, j, spans)
 }

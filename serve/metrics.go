@@ -1,155 +1,57 @@
 package serve
 
-import (
-	"runtime"
-	"time"
+import "darco/obs"
 
-	darco "darco"
-	"darco/obs"
-)
-
-// metricsStates fixes the darco_jobs exposition order so scrapes diff
-// cleanly and smoke tests can assert exact lines.
-var metricsStates = []JobState{JobQueued, JobRunning, JobDone, JobFailed, JobCancelled, JobInterrupted}
-
-// serverMetrics is the daemon's metrics surface: one obs.Registry
-// behind GET /metrics. Families fall in two groups — live instruments
-// the request paths feed directly (the histograms, the engine hot-path
-// counters), and state families recomputed from the job registry on
-// every scrape so they are correct however the jobs got there (live
-// runs and restored history alike, exactly like the handler they
-// replace).
+// serverMetrics are the families only a worker daemon has, beside the
+// job families the kernel keeps on the same registry: the scenario-wall
+// histogram its runs feed, and the engine hot-path counters of
+// obs-enabled jobs, mirrored from the shared instance on every scrape.
 type serverMetrics struct {
-	reg *obs.Registry
-
-	jobsByState        *obs.GaugeVec
-	jobsTotal          *obs.Counter
-	scenariosTotal     *obs.Counter
-	scenariosCompleted *obs.Counter
-	scenariosFailed    *obs.Counter
-	subscribers        *obs.Gauge
-	queueDepth         *obs.Gauge
-	queueCapacity      *obs.Gauge
-	workers            *obs.Gauge
-	uptime             *obs.Gauge
-	goroutines         *obs.Gauge
-
-	queueWait    *obs.Histogram
 	scenarioWall *obs.Histogram
 
 	// engCtrs is the daemon's shared engine profiling instance: jobs
 	// whose submission sets engine.obs attach it, and the scrape hook
 	// mirrors its counters into the darco_engine_* families.
-	engCtrs     *obs.EngineCounters
-	decodeHits  *obs.Counter
-	decodeMiss  *obs.Counter
-	blockHits   *obs.Counter
-	blockMiss   *obs.Counter
-	codeFlushes *obs.Counter
-	pipePushes  *obs.Counter
-	pipeFlushes *obs.Counter
-	pipeStalls  *obs.Counter
+	engCtrs *obs.EngineCounters
 }
 
-// initMetrics builds the server's registry. Called from New before any
-// submission can be validated — buildSpec hands engCtrs to opted-in
-// jobs — and before restoreJobs, so restored re-queued jobs see it too.
-func (s *Server) initMetrics() {
-	r := obs.NewRegistry()
-	m := &serverMetrics{reg: r}
-
-	m.jobsByState = r.GaugeVec("darco_jobs", "Campaign jobs by lifecycle state.", "state")
-	for _, st := range metricsStates {
-		m.jobsByState.With(string(st))
+func newServerMetrics() *serverMetrics {
+	return &serverMetrics{
+		scenarioWall: obs.NewHistogram(obs.ExpBuckets(0.01, 4, 10)),
+		engCtrs: &obs.EngineCounters{
+			BatchOccupancy: obs.NewHistogram(obs.LinearBuckets(128, 128, 8)),
+			BarrierStall:   obs.NewHistogram(obs.ExpBuckets(1e-6, 10, 7)),
+		},
 	}
-	m.jobsTotal = r.Counter("darco_jobs_total", "Jobs ever registered (restored history included).")
-	m.scenariosTotal = r.Counter("darco_scenarios_total", "Scenarios enrolled across all jobs.")
-	m.scenariosCompleted = r.Counter("darco_scenarios_completed_total", "Scenarios finished across all jobs.")
-	m.scenariosFailed = r.Counter("darco_scenarios_failed_total", "Scenarios finished with an error.")
-	m.subscribers = r.Gauge("darco_event_subscribers", "Open event-stream subscriptions.")
-	m.queueDepth = r.Gauge("darco_queue_depth", "Jobs waiting for a worker.")
-	m.queueCapacity = r.Gauge("darco_queue_capacity", "Job queue capacity.")
-	m.workers = r.Gauge("darco_workers", "Concurrent campaign workers.")
-	m.uptime = r.Gauge("darco_uptime_seconds", "Daemon uptime.")
-	r.GaugeVec("darco_build_info", "Build identity; the value is always 1.", "version").
-		With(darco.Version).Set(1)
-	m.goroutines = r.Gauge("darco_goroutines", "Live goroutines in the daemon process.")
+}
 
-	m.queueWait = r.Histogram("darco_job_queue_wait_seconds",
-		"Time jobs spent queued before a worker picked them up.",
-		obs.ExpBuckets(0.001, 4, 10))
-	m.scenarioWall = r.Histogram("darco_scenario_wall_seconds",
-		"Per-scenario wall time, generation through final drain.",
-		obs.ExpBuckets(0.01, 4, 10))
+// register puts the families on the kernel's registry.
+func (m *serverMetrics) register(r *obs.Registry, workers int) {
+	r.Gauge("darco_workers", "Concurrent campaign workers.").Set(float64(workers))
+	r.RegisterHistogram("darco_scenario_wall_seconds",
+		"Per-scenario wall time, generation through final drain.", m.scenarioWall)
 
-	m.engCtrs = &obs.EngineCounters{
-		BatchOccupancy: obs.NewHistogram(obs.LinearBuckets(128, 128, 8)),
-		BarrierStall:   obs.NewHistogram(obs.ExpBuckets(1e-6, 10, 7)),
-	}
-	m.decodeHits = r.Counter("darco_engine_decode_cache_hits_total", "Decode-cache hits across obs-enabled jobs.")
-	m.decodeMiss = r.Counter("darco_engine_decode_cache_misses_total", "Decode-cache misses across obs-enabled jobs.")
-	m.blockHits = r.Counter("darco_engine_block_cache_hits_total", "Block-cache dispatch hits across obs-enabled jobs.")
-	m.blockMiss = r.Counter("darco_engine_block_cache_misses_total", "Block-cache dispatch misses across obs-enabled jobs.")
-	m.codeFlushes = r.Counter("darco_engine_code_cache_flushes_total", "Code-cache insertions that forced a full flush.")
-	m.pipePushes = r.Counter("darco_engine_pipeline_pushes_total", "Retired instructions pushed through the timing pipeline.")
-	m.pipeFlushes = r.Counter("darco_engine_pipeline_flushes_total", "Timing-pipeline batch hand-offs.")
-	m.pipeStalls = r.Counter("darco_engine_pipeline_stalls_total", "Timing-pipeline pushes that blocked on a full window.")
+	decodeHits := r.Counter("darco_engine_decode_cache_hits_total", "Decode-cache hits across obs-enabled jobs.")
+	decodeMiss := r.Counter("darco_engine_decode_cache_misses_total", "Decode-cache misses across obs-enabled jobs.")
+	blockHits := r.Counter("darco_engine_block_cache_hits_total", "Block-cache dispatch hits across obs-enabled jobs.")
+	blockMiss := r.Counter("darco_engine_block_cache_misses_total", "Block-cache dispatch misses across obs-enabled jobs.")
+	codeFlushes := r.Counter("darco_engine_code_cache_flushes_total", "Code-cache insertions that forced a full flush.")
+	pipePushes := r.Counter("darco_engine_pipeline_pushes_total", "Retired instructions pushed through the timing pipeline.")
+	pipeFlushes := r.Counter("darco_engine_pipeline_flushes_total", "Timing-pipeline batch hand-offs.")
+	pipeStalls := r.Counter("darco_engine_pipeline_stalls_total", "Timing-pipeline pushes that blocked on a full window.")
 	r.RegisterHistogram("darco_timing_pipeline_batch_occupancy",
 		"Events per timing-pipeline batch at hand-off.", m.engCtrs.BatchOccupancy)
 	r.RegisterHistogram("darco_timing_pipeline_barrier_stall_seconds",
 		"Time synchronization barriers waited for the timing drain.", m.engCtrs.BarrierStall)
-
-	if sm := s.opts.StoreMetrics; sm != nil {
-		if sm.AppendSeconds != nil {
-			r.RegisterHistogram("darco_store_append_seconds",
-				"Durable-store record append latency.", sm.AppendSeconds)
-		}
-		if sm.FsyncSeconds != nil {
-			r.RegisterHistogram("darco_store_fsync_seconds",
-				"Durable-store journal fsync latency.", sm.FsyncSeconds)
-		}
-	}
-
-	r.OnScrape(func() { s.scrape(m) })
-	s.metrics = m
-}
-
-// scrape recomputes the state families from the live job registry.
-// Runs under the obs.Registry lock; it takes only the job and registry
-// locks, neither of which ever calls back into the metrics registry.
-func (s *Server) scrape(m *serverMetrics) {
-	byState := make(map[JobState]int, len(metricsStates))
-	var scenarios, completed, failed, subscribers int
-	jobs := s.jobs.list()
-	for _, j := range jobs {
-		st := j.status()
-		byState[st.State]++
-		scenarios += st.Scenarios
-		completed += st.Completed
-		failed += st.Failed
-		subscribers += j.events.SubscriberCount()
-	}
-	for _, st := range metricsStates {
-		m.jobsByState.With(string(st)).Set(float64(byState[st]))
-	}
-	m.jobsTotal.Set(uint64(len(jobs)))
-	m.scenariosTotal.Set(uint64(scenarios))
-	m.scenariosCompleted.Set(uint64(completed))
-	m.scenariosFailed.Set(uint64(failed))
-	m.subscribers.Set(float64(subscribers))
-	m.queueDepth.Set(float64(len(s.queue)))
-	m.queueCapacity.Set(float64(s.opts.QueueCapacity))
-	m.workers.Set(float64(s.opts.Workers))
-	m.uptime.Set(time.Since(s.start).Seconds())
-	m.goroutines.Set(float64(runtime.NumGoroutine()))
-
-	c := m.engCtrs.Snapshot()
-	m.decodeHits.Set(c.DecodeHits)
-	m.decodeMiss.Set(c.DecodeMisses)
-	m.blockHits.Set(c.BlockHits)
-	m.blockMiss.Set(c.BlockMisses)
-	m.codeFlushes.Set(c.CodeFlushes)
-	m.pipePushes.Set(c.PipelinePushes)
-	m.pipeFlushes.Set(c.PipelineFlushes)
-	m.pipeStalls.Set(c.PipelineStalls)
+	r.OnScrape(func() {
+		c := m.engCtrs.Snapshot()
+		decodeHits.Set(c.DecodeHits)
+		decodeMiss.Set(c.DecodeMisses)
+		blockHits.Set(c.BlockHits)
+		blockMiss.Set(c.BlockMisses)
+		codeFlushes.Set(c.CodeFlushes)
+		pipePushes.Set(c.PipelinePushes)
+		pipeFlushes.Set(c.PipelineFlushes)
+		pipeStalls.Set(c.PipelineStalls)
+	})
 }

@@ -1,60 +1,31 @@
 package serve
 
 import (
-	"net/http"
 	"time"
 
 	darco "darco"
+	"darco/internal/jobs"
 	"darco/obs"
-	"darco/store"
 )
 
-// recordSpan appends one finished span to the job's trace and journals
-// it, so the trace survives a daemon restart alongside the rest of the
-// job's history.
-func (s *Server) recordSpan(j *job, sp obs.Span) {
-	j.mu.Lock()
-	j.spans = append(j.spans, sp)
-	j.mu.Unlock()
-	s.journal(store.Record{Kind: store.KindSpan, Job: j.id,
-		Span: &store.SpanRecord{Span: sp}})
-}
-
-// startSpans records the spans a job's start pins down: the queue-wait
-// span (submission to worker pickup) and the identity of the run span
-// every scenario will parent on.
-func (s *Server) startSpans(j *job, started time.Time) {
-	j.mu.Lock()
-	j.runSpan = obs.NewSpanID()
-	traceID := j.traceID
-	root := j.rootSpan
-	submitted := j.submitted
-	j.mu.Unlock()
-	s.recordSpan(j, obs.NewSpan(traceID, root, "queue-wait", s.opts.WorkerID, submitted, started))
-}
-
 // scenarioSpans records one finished scenario's span and its phase
-// children. The scenario span covers the scenario's own wall window
-// ending now; the phases partition it front-to-back: warmup (image
-// generation and session construction — everything before emulation),
-// emulate (the controller's run loop), and timing-drain (waiting for
-// the timing pipeline on Step exit).
-func (s *Server) scenarioSpans(j *job, sr *darco.ScenarioResult, end time.Time) {
-	j.mu.Lock()
-	traceID := j.traceID
-	parent := j.runSpan
-	j.mu.Unlock()
+// children under the job's run span. The scenario span covers the
+// scenario's own wall window ending now; the phases partition it
+// front-to-back: warmup (image generation and session construction —
+// everything before emulation), emulate (the controller's run loop),
+// and timing-drain (waiting for the timing pipeline on Step exit).
+func (s *runner) scenarioSpans(j *jobs.Job, sr *darco.ScenarioResult, end time.Time) {
 	start := end.Add(-sr.Wall)
 	name := sr.Scenario.Name
 	if name == "" {
 		name = sr.Scenario.Profile.Name
 	}
-	sp := obs.NewSpan(traceID, parent, "scenario "+name, s.opts.WorkerID, start, end)
+	sp := obs.NewSpan(j.TraceID, j.RunSpan(), "scenario "+name, s.opts.WorkerID, start, end)
 	sp.SetAttr("profile", sr.Scenario.Profile.Name)
 	if sr.Err != nil {
 		sp.SetAttr("error", sr.Err.Error())
 	}
-	s.recordSpan(j, sp)
+	j.RecordSpan(sp)
 	if sr.Result == nil {
 		return
 	}
@@ -63,69 +34,10 @@ func (s *Server) scenarioSpans(j *job, sr *darco.ScenarioResult, end time.Time) 
 		if d <= 0 {
 			return
 		}
-		s.recordSpan(j, obs.NewSpan(traceID, sp.SpanID, name, s.opts.WorkerID, cursor, cursor.Add(d)))
+		j.RecordSpan(obs.NewSpan(j.TraceID, sp.SpanID, name, s.opts.WorkerID, cursor, cursor.Add(d)))
 		cursor = cursor.Add(d)
 	}
 	phase("warmup", sr.Wall-sr.Result.Wall)
 	phase("emulate", sr.Result.Phases.Emulate)
 	phase("timing-drain", sr.Result.Phases.TimingDrain)
-}
-
-// finishSpans records the spans only the terminal transition can close:
-// the run span (worker pickup to completion, the parent of every
-// scenario span) and the job root span. A job cancelled while queued
-// never ran, so it gets only the root.
-func (s *Server) finishSpans(j *job) {
-	j.mu.Lock()
-	traceID := j.traceID
-	parentSpan := j.parentSpan
-	root := j.rootSpan
-	run := j.runSpan
-	name := j.name
-	state := j.state
-	submitted := j.submitted
-	started := j.started
-	finished := j.finished
-	j.mu.Unlock()
-	if !started.IsZero() {
-		rs := obs.NewSpan(traceID, root, "run", s.opts.WorkerID, started, finished)
-		rs.SpanID = run
-		s.recordSpan(j, rs)
-	}
-	js := obs.NewSpan(traceID, parentSpan, "job "+j.id, s.opts.WorkerID, submitted, finished)
-	js.SpanID = root
-	js.SetAttr("job_id", j.id)
-	js.SetAttr("state", string(state))
-	if name != "" {
-		js.SetAttr("name", name)
-	}
-	s.recordSpan(j, js)
-}
-
-// handleTrace serves a job's trace: the flat span list plus the
-// resolved tree (default JSON document), or the Chrome trace-event
-// format Perfetto loads directly (?format=chrome). The trace grows
-// while the job runs — fetching early yields the spans closed so far.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	j.mu.Lock()
-	traceID := j.traceID
-	spans := append([]obs.Span(nil), j.spans...)
-	j.mu.Unlock()
-	if r.URL.Query().Get("format") == "chrome" {
-		w.Header().Set("Content-Type", "application/json")
-		if err := obs.WriteChromeTrace(w, spans); err != nil {
-			s.log.Error("chrome trace write failed", "job_id", j.id, "err", err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, obs.TraceDoc{
-		TraceID: traceID,
-		Job:     j.id,
-		Spans:   spans,
-		Tree:    obs.BuildTree(spans),
-	})
 }
