@@ -19,9 +19,7 @@ import (
 	"darco/telemetry"
 )
 
-// benchRun executes im on a fresh Engine built from cfg (the new
-// public surface; the deprecated darco.Run facade is exercised only by
-// its own tests).
+// benchRun executes im on a fresh Engine built from cfg.
 func benchRun(b *testing.B, im *guest.Image, cfg darco.Config) *darco.Result {
 	b.Helper()
 	eng, err := darco.NewEngine(darco.WithConfig(cfg))

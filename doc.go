@@ -48,9 +48,6 @@
 // dashboard through the darco/export package; the compiled Example
 // functions in example_test.go are the tested forms of these snippets.
 //
-// The one-shot darco.Run(im, cfg) facade is deprecated; it remains as a
-// thin wrapper over an Engine/Session pair.
-//
 // README.md covers installation, the command-line tools and the
 // package map; ARCHITECTURE.md documents the simulated system, the
 // flat index-addressed hot-path design (two-level guest memory, decode

@@ -107,35 +107,6 @@ func TestEngineConfigLatencyOverrideIsolated(t *testing.T) {
 	}
 }
 
-func TestDeprecatedRunLegacyPowerSemantics(t *testing.T) {
-	p, _ := workload.ByName("470.lbm")
-	im, err := p.Scale(0.05).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Power without timing was silently ignored.
-	cfg := darco.DefaultConfig()
-	e := power.DefaultEnergies()
-	cfg.Power = &e
-	res, err := darco.Run(im, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Power != nil {
-		t.Error("power attached without timing")
-	}
-	// Power with timing but zero frequency used the model's default.
-	cfg = darco.TimingConfig()
-	cfg.Power = &e
-	res, err = darco.Run(im, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Power == nil || res.Power.TotalJ <= 0 {
-		t.Errorf("legacy zero-frequency power run broken: %+v", res.Power)
-	}
-}
-
 func TestPowerRequiresTiming(t *testing.T) {
 	if _, err := darco.NewEngine(darco.WithPower(power.DefaultEnergies(), 1000)); err == nil {
 		t.Fatal("WithPower without WithTiming should fail")
@@ -288,29 +259,6 @@ func TestSessionStepAndSnapshotIsolation(t *testing.T) {
 	}
 	if again.Stats != final.Stats {
 		t.Errorf("post-completion step changed stats")
-	}
-}
-
-func TestSessionMatchesDeprecatedRun(t *testing.T) {
-	p, _ := workload.ByName("458.sjeng")
-	im, err := p.Scale(0.05).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := darco.Run(im, darco.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := darco.NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(context.Background(), im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats != ref.Stats || string(res.Output) != string(ref.Output) {
-		t.Errorf("Engine.Run and deprecated Run diverge")
 	}
 }
 

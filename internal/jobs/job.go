@@ -131,8 +131,8 @@ type Job struct {
 
 	// The result: rows land by scenario index (wall metrics included
 	// when the runner has them — the superset every export view derives
-	// from), have marks the indices committed, and sealed flips once
-	// every index holds a row and the set is exportable.
+	// from), have marks the indices committed, and sealed flips with the
+	// terminal transition, once every index holds a row.
 	rows        []export.Row
 	have        []bool
 	sealed      bool
@@ -203,11 +203,11 @@ func (j *Job) Telemetry(i int, scenario string, w telemetry.Window) {
 	j.events.Publish(EventTelemetry, TelemetryEvent{Job: j.ID, Index: i, Scenario: scenario, Window: w})
 }
 
-// seal closes the row set: every index nobody committed gets a row
-// carrying reason, committed like any other, and the set becomes
-// exportable. It is the one place rows are synthesized — for a job
-// cancelled before it started, for what a run left ungathered, and for
-// what a crash cut off.
+// seal completes the row set: every index nobody committed gets a row
+// carrying reason, committed like any other. It is the one place rows
+// are synthesized — for a job cancelled before it started, for what a
+// run left ungathered, and for what a crash cut off. The set becomes
+// exportable with the terminal transition that follows (end).
 func (j *Job) seal(reason error) {
 	j.mu.Lock()
 	var missing []int
@@ -220,9 +220,6 @@ func (j *Job) seal(reason error) {
 	for _, i := range missing {
 		j.Commit(i, export.NewRow(&darco.ScenarioResult{Scenario: j.Roster[i], Err: reason}))
 	}
-	j.mu.Lock()
-	j.sealed = true
-	j.mu.Unlock()
 }
 
 // Status snapshots the job under its lock.
@@ -263,20 +260,17 @@ func (j *Job) resultRows() (rows []export.Row, wallMS float64, parallelism int, 
 	return j.rows, j.wallMS, j.parallelism, nil
 }
 
-// end moves a not-yet-terminal job to a terminal state; it returns
-// false if the job was already there.
-func (j *Job) end(out Outcome) bool {
+// end is the terminal transition of a sealed job. State and results
+// flip together: a client that reads a terminal status can fetch the
+// exports.
+func (j *Job) end(out Outcome) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
-	}
-	j.state, j.err, j.parallelism = out.State, out.Err, out.Parallelism
+	j.state, j.err, j.parallelism, j.sealed = out.State, out.Err, out.Parallelism, true
 	j.finished = time.Now()
 	if !j.started.IsZero() {
 		j.wallMS = float64(j.finished.Sub(j.started).Nanoseconds()) / 1e6
 	}
-	return true
 }
 
 // registry is the concurrency-safe job index. Jobs are never evicted:

@@ -369,18 +369,16 @@ func (k *Kernel) runJob(j *Job) {
 	k.finish(j, k.cfg.Runner.Run(j.ctx, j))
 }
 
-// finish ends a live job: the terminal state, a row for every index
-// nobody committed, the closing spans, the terminal record and
-// snapshot, and the final state frame.
+// finish ends a live job: a row for every index nobody committed, the
+// terminal state, the closing spans, the terminal record and snapshot,
+// and the final state frame.
 func (k *Kernel) finish(j *Job, out Outcome) {
-	if !j.end(out) {
-		return
-	}
 	reason := out.Err
 	if reason == nil {
 		reason = errors.New("scenario never ran")
 	}
 	j.seal(reason)
+	j.end(out)
 	k.finishSpans(j)
 	k.journalEnd(j)
 	st := j.Status()

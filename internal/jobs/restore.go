@@ -100,6 +100,7 @@ func (k *Kernel) restoreJobs() []*Job {
 			k.log.Info("job ended by the restart", "job_id", j.ID, "trace_id", j.TraceID,
 				"state", string(out.State), "preserved_rows", len(h.Rows), "scenarios", h.Scenarios)
 		}
+		j.sealed = true
 		j.cancel = func() {} // terminal: nothing to cancel
 		j.events.Close()
 		k.recovered.Terminal++

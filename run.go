@@ -1,12 +1,10 @@
 package darco
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
 
-	"darco/internal/guest"
 	"darco/internal/power"
 	"darco/internal/timing"
 	"darco/internal/tol"
@@ -121,37 +119,6 @@ type Result struct {
 type PhaseTimings struct {
 	Emulate     time.Duration `json:"emulate,omitempty"`
 	TimingDrain time.Duration `json:"timing_drain,omitempty"`
-}
-
-// Run executes the guest image on the full DARCO stack.
-//
-// Deprecated: Run is a legacy wrapper over the Engine/Session API and
-// will be removed once nothing in the repository exercises its legacy
-// semantics. It cannot be cancelled, stepped, observed, subscribed to
-// or campaigned over. Migrate:
-//
-//	eng, err := darco.NewEngine(darco.WithConfig(cfg))
-//	res, err := eng.Run(ctx, im)
-//
-// or, for the default stack, darco.NewEngine() with no options. The
-// wrapper also preserves two pre-Engine quirks new code must not rely
-// on: power without timing is silently dropped, and a zero frequency
-// silently means 1000 MHz (NewEngine rejects both).
-func Run(im *guest.Image, cfg Config) (*Result, error) {
-	// Legacy semantics the stricter NewEngine validation would reject:
-	// power without timing was silently ignored, and a zero frequency
-	// meant the power model's 1000 MHz default.
-	if cfg.Power != nil && cfg.Timing == nil {
-		cfg.Power = nil
-	}
-	if cfg.Power != nil && cfg.FreqMHz <= 0 {
-		cfg.FreqMHz = 1000
-	}
-	eng, err := NewEngine(WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(context.Background(), im)
 }
 
 // EmulationCostSBM reports host instructions per guest instruction in

@@ -474,3 +474,37 @@ func TestWorkerDeregistration(t *testing.T) {
 		t.Fatalf("after re-registration: %+v", infos)
 	}
 }
+
+// TestUnrebuildableRunningJobCountsAsInterrupted: a history journaled
+// running whose request no longer parses cannot be resumed; it lands
+// interrupted, and the jobs-by-state family has a series to count it in.
+func TestUnrebuildableRunningJobCountsAsInterrupted(t *testing.T) {
+	dir := t.TempDir()
+	st1, closeSt1 := openStore(t, dir)
+	now := time.Now()
+	for _, rec := range []store.Record{
+		{Kind: store.KindSubmitted, Job: "job-1", Time: now,
+			Submitted: &store.SubmittedRecord{Scenarios: 2, Request: json.RawMessage(`{"scenarioz":[]}`)}},
+		{Kind: store.KindStarted, Job: "job-1", Time: now},
+	} {
+		if err := st1.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closeSt1()
+
+	st2, _ := openStore(t, dir)
+	_, coord := newCoordinator(t, sched.Options{Store: st2})
+	if st := getStatus(t, coord.URL, "job-1"); st.State != serve.JobInterrupted || st.Scenarios != 2 {
+		t.Fatalf("unrebuildable job restored as %+v", st)
+	}
+	metrics := string(fetch(t, coord.URL+"/metrics", http.StatusOK, ""))
+	for _, line := range []string{`darco_sched_jobs{state="interrupted"} 1`, "darco_sched_jobs_total 1"} {
+		if !strings.Contains(metrics, line+"\n") {
+			t.Errorf("metrics missing %q:\n%s", line, metrics)
+		}
+	}
+	if err := testutil.ValidatePrometheus([]byte(metrics)); err != nil {
+		t.Errorf("/metrics exposition invalid: %v", err)
+	}
+}

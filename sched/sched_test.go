@@ -595,21 +595,96 @@ func TestCancelFederated(t *testing.T) {
 }
 
 // TestSubmitValidation: bad submissions die at the coordinator's edge
-// with 400 — no worker sees them.
+// with 400 — no worker sees them. The validator is the one the worker
+// daemon calls (its table is TestSubmitValidation in internal/jobs, and
+// serve's test of this name drives it over HTTP); what is pinned here is
+// that the coordinator's edge calls it, with the coordinator's limit.
 func TestSubmitValidation(t *testing.T) {
-	_, coord := newCoordinator(t, sched.Options{MaxScenarios: 2})
+	_, wts := newWorker(t, serve.Options{Workers: 1, QueueCapacity: 4})
+	_, coord := newCoordinator(t, sched.Options{Workers: []string{wts.URL}, MaxScenarios: 2})
 	for _, c := range []struct {
 		name, body string
 	}{
-		{"unknown profile", `{"scenarios":[{"profile":"nope"}]}`},
-		{"empty roster", `{}`},
-		{"unknown field", `{"scenariosz":[]}`},
-		{"negative parallelism", `{"parallelism":-1,"scenarios":[{"profile":"429.mcf"}]}`},
+		{"unparseable", `{"scenariosz":[]}`},
 		{"negative timeout", `{"scenario_timeout_ms":-5,"scenarios":[{"profile":"429.mcf"}]}`},
 		{"over scenario limit", `{"suite":{}}`},
-		{"bad engine", `{"engine":{"validate_every_n_syncs":-1},"scenarios":[{"profile":"429.mcf"}]}`},
-		{"window per instruction", `{"telemetry":{"interval_insns":1},"scenarios":[{"profile":"429.mcf"}]}`},
 	} {
 		submit(t, coord.URL, c.body, http.StatusBadRequest)
 	}
+	var seen []serve.JobStatus
+	if err := json.Unmarshal(fetch(t, wts.URL+"/api/v1/jobs", http.StatusOK, ""), &seen); err != nil || len(seen) != 0 {
+		t.Errorf("the worker saw %d jobs (%v), want none", len(seen), err)
+	}
+}
+
+// TestRejectedSubmitLeavesNoGhost: a submission the coordinator answers
+// 429 (or 503) never becomes a job. With one runner, a one-deep queue
+// and an empty pool, four submissions are accepted, accepted, rejected,
+// rejected — and the registry, the metrics and the id sequence all say
+// two jobs, with nothing to stream for the ids the rejected ones would
+// have had.
+func TestRejectedSubmitLeavesNoGhost(t *testing.T) {
+	_, coord := newCoordinator(t, sched.Options{Jobs: 1, QueueCapacity: 1, ShardRetries: 100000})
+	body := `{"scenarios":[{"profile":"429.mcf","scale":0.1}]}`
+	first := submit(t, coord.URL, body, http.StatusAccepted)
+	waitState(t, coord.URL, first.ID, func(s serve.JobStatus) bool { return s.State == serve.JobRunning })
+	second := submit(t, coord.URL, body, http.StatusAccepted)
+	submit(t, coord.URL, body, http.StatusTooManyRequests)
+	submit(t, coord.URL, body, http.StatusTooManyRequests)
+
+	var list []serve.JobStatus
+	if err := json.Unmarshal(fetch(t, coord.URL+"/api/v1/jobs", http.StatusOK, ""), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 2 || list[0].ID != "job-1" || list[1].ID != "job-2" || list[1].State != serve.JobQueued {
+		t.Errorf("listing after two rejections: %+v", list)
+	}
+	metrics := string(fetch(t, coord.URL+"/metrics", http.StatusOK, ""))
+	for _, line := range []string{`darco_sched_jobs{state="queued"} 1`, `darco_sched_jobs{state="running"} 1`, "darco_sched_jobs_total 2"} {
+		if !strings.Contains(metrics, line+"\n") {
+			t.Errorf("metrics missing %q", line)
+		}
+	}
+	// There is no job under the ids the rejected submissions would have
+	// had — and so no stream, which for a ghost would never end.
+	fetch(t, coord.URL+"/api/v1/jobs/job-3", http.StatusNotFound, "")
+	fetch(t, coord.URL+"/api/v1/jobs/job-4", http.StatusNotFound, "")
+	fetch(t, coord.URL+"/api/v1/jobs/job-3/events", http.StatusNotFound, "")
+
+	// Ids stay sequential in accepted-submission order: once the runner
+	// has popped the queued job, the next accepted one is job-3.
+	cancelJob(t, coord.URL, first.ID)
+	waitState(t, coord.URL, second.ID, func(s serve.JobStatus) bool { return s.State == serve.JobRunning })
+	if third := submit(t, coord.URL, body, http.StatusAccepted); third.ID != "job-3" {
+		t.Errorf("next accepted job is %s, want job-3", third.ID)
+	}
+	for _, id := range []string{"job-2", "job-3"} {
+		cancelJob(t, coord.URL, id)
+	}
+}
+
+// TestShutdownWithoutStoreCancelsQueued: with no journal to carry a
+// queued job to the next start, a graceful stop ends it cancelled — it
+// would otherwise read queued for ever, with its stream closed.
+func TestShutdownWithoutStoreCancelsQueued(t *testing.T) {
+	c, coord := newCoordinator(t, sched.Options{Jobs: 1, ShardRetries: 100000})
+	body := `{"scenarios":[{"profile":"429.mcf","scale":0.1}]}`
+	running := submit(t, coord.URL, body, http.StatusAccepted)
+	waitState(t, coord.URL, running.ID, func(s serve.JobStatus) bool { return s.State == serve.JobRunning })
+	queued := submit(t, coord.URL, body, http.StatusAccepted)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	for _, id := range []string{running.ID, queued.ID} {
+		if st := getStatus(t, coord.URL, id); st.State != serve.JobCancelled {
+			t.Errorf("%s is %s after a store-less shutdown, want cancelled", id, st.State)
+		}
+	}
+	if csv := fetch(t, coord.URL+"/api/v1/jobs/"+queued.ID+"/export.csv", http.StatusOK, ""); !strings.Contains(string(csv), "cancelled while queued") {
+		t.Errorf("queued job's rows do not say why it never ran:\n%s", csv)
+	}
+	submit(t, coord.URL, body, http.StatusServiceUnavailable)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"darco/internal/testutil"
 	"darco/serve"
 	"darco/store"
 	"darco/telemetry"
@@ -487,5 +488,87 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, line+"\n") {
 			t.Errorf("metrics exposition missing %q:\n%s", line, body)
 		}
+	}
+}
+
+// TestGracefulStopRequeuesQueued: over a durable store a graceful stop
+// must not lose more work than a crash. The job that was running ends
+// cancelled with its finished rows kept, a queued job its client had
+// cancelled stays cancelled, and a job that was merely waiting is left
+// queued in the journal and runs to done on the next start.
+func TestGracefulStopRequeuesQueued(t *testing.T) {
+	dir := t.TempDir()
+	opts := serve.Options{Workers: 1, MaxParallelism: 1, QueueCapacity: 4}
+
+	st1, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o1 := opts
+	o1.Store = st1
+	srv1 := serve.New(o1)
+	ts1 := httptest.NewServer(srv1)
+	running := submit(t, ts1.URL, `{"scenarios":[
+		{"profile":"429.mcf","scale":0.05},{"profile":"429.mcf","scale":5}]}`, http.StatusAccepted)
+	waitState(t, ts1.URL, running.ID, func(s serve.JobStatus) bool {
+		return s.State == serve.JobRunning && s.Completed >= 1
+	})
+	waiting := submit(t, ts1.URL, `{"name":"patient","scenarios":[{"profile":"470.lbm","scale":0.05}]}`, http.StatusAccepted)
+	unwanted := submit(t, ts1.URL, `{"scenarios":[{"profile":"470.lbm","scale":0.05}]}`, http.StatusAccepted)
+	fetchCancel(t, ts1.URL, unwanted.ID)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := srv1.Shutdown(ctx); err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
+	}
+	// Still serving until the listener closes.
+	if st := getStatus(t, ts1.URL, waiting.ID); st.State != serve.JobQueued {
+		t.Errorf("waiting job is %s after the stop, want still queued", st.State)
+	}
+	select {
+	case <-testutil.FollowEvents(t, ts1.URL+"/api/v1/jobs/"+waiting.ID).Lines:
+	case <-time.After(30 * time.Second):
+		t.Error("the stopped daemon left the waiting job's stream open")
+	}
+	preCSV := fetch(t, ts1.URL+"/api/v1/jobs/"+running.ID+"/export.csv", 200, "")
+	ts1.Close()
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o2 := opts
+	o2.Store = st2
+	srv2 := serve.New(o2)
+	ts2 := httptest.NewServer(srv2)
+	t.Cleanup(func() {
+		ts2.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if err := srv2.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := st2.Close(); err != nil {
+			t.Errorf("store close: %v", err)
+		}
+	})
+
+	if st := getStatus(t, ts2.URL, running.ID); st.State != serve.JobCancelled {
+		t.Errorf("job that was running restored as %s, want cancelled", st.State)
+	}
+	csv := fetch(t, ts2.URL+"/api/v1/jobs/"+running.ID+"/export.csv", 200, "")
+	if !bytes.Equal(csv, preCSV) || !strings.Contains(strings.Split(string(csv), "\n")[1], ",ok,") {
+		t.Errorf("cancelled job's rows not preserved across the restart:\n%s\nvs before it:\n%s", csv, preCSV)
+	}
+	if st := getStatus(t, ts2.URL, unwanted.ID); st.State != serve.JobCancelled || !strings.Contains(st.Error, "cancelled while queued") {
+		t.Errorf("client-cancelled job restored as %s (%s)", st.State, st.Error)
+	}
+	done := waitState(t, ts2.URL, waiting.ID, func(s serve.JobStatus) bool { return s.State.Terminal() })
+	if done.State != serve.JobDone || done.Name != "patient" {
+		t.Fatalf("waiting job ended %s (%s) after the restart, want done", done.State, done.Error)
 	}
 }
