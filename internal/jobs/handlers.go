@@ -93,6 +93,7 @@ func (k *Kernel) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
+	k.log.Info("job accepted", "job_id", accepted.ID, "trace_id", traceID, "scenarios", accepted.Scenarios)
 	w.Header().Set("Location", "/api/v1/jobs/"+accepted.ID)
 	WriteJSON(w, http.StatusAccepted, accepted)
 }

@@ -328,7 +328,6 @@ func (k *Kernel) submit(plan *Plan, raw []byte, traceID, parentSpan string) (Job
 			TraceID: traceID, ParentSpan: parentSpan}})
 	accepted := j.Status()
 	k.queue <- j
-	k.log.Info("job accepted", "job_id", j.ID, "trace_id", traceID, "scenarios", len(j.Roster))
 	return accepted, nil
 }
 
