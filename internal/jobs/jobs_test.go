@@ -94,11 +94,15 @@ func start(t *testing.T, cfg jobs.Config) *harness {
 	k := jobs.New(cfg)
 	k.Start()
 	h := &harness{t: t, k: k, ts: httptest.NewServer(k)}
-	t.Cleanup(h.stop)
+	t.Cleanup(func() {
+		h.stop()
+		h.ts.Close()
+	})
 	return h
 }
 
-// stop shuts the kernel down gracefully; safe to call twice.
+// stop shuts the kernel down gracefully; it keeps answering requests,
+// as a daemon does until its listener closes. Safe to call twice.
 func (h *harness) stop() {
 	h.t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -106,7 +110,6 @@ func (h *harness) stop() {
 	if err := h.k.Shutdown(ctx); err != nil {
 		h.t.Errorf("shutdown: %v", err)
 	}
-	h.ts.Close()
 }
 
 func (h *harness) do(method, path, body string) (int, http.Header, []byte) {
@@ -361,7 +364,6 @@ func TestQueueFull(t *testing.T) {
 	}
 
 	h.stop()
-	h.ts = httptest.NewServer(h.k)
 	h.submit(twoScenarios, http.StatusServiceUnavailable)
 }
 
@@ -378,7 +380,6 @@ func TestShutdownWhileQueued(t *testing.T) {
 		<-started
 		h.submit(twoScenarios, http.StatusAccepted)
 		h.stop()
-		h.ts = httptest.NewServer(h.k)
 		if got := h.status("job-1"); got.State != jobs.JobCancelled {
 			t.Errorf("running job is %s after the stop, want cancelled", got.State)
 		}
@@ -391,7 +392,6 @@ func TestShutdownWhileQueued(t *testing.T) {
 		if got := strings.Join(testutil.JournalLines(t, st, "job-2"), ","); got != "submitted" {
 			t.Errorf("queued job's journal after the stop: %s", got)
 		}
-		h.ts.Close()
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +411,6 @@ func TestShutdownWhileQueued(t *testing.T) {
 		<-started
 		h.submit(twoScenarios, http.StatusAccepted)
 		h.stop()
-		h.ts = httptest.NewServer(h.k)
 		if got := h.status("job-2"); got.State != jobs.JobCancelled || !strings.Contains(got.Error, "cancelled while queued") {
 			t.Errorf("queued job after a store-less stop: %+v", got)
 		}

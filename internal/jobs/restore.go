@@ -43,35 +43,38 @@ func (k *Kernel) restoreJobs() []*Job {
 	}
 	var requeue []*Job
 	for _, h := range k.cfg.Store.Jobs() {
+		// Row indices are positions in the roster: a body that now expands
+		// differently cannot run under its journaled rows.
+		admit := func(plan *Plan, err error) (*Plan, error) {
+			if err == nil && len(plan.Roster) != h.Scenarios {
+				return nil, fmt.Errorf("journaled roster has %d scenarios, submission expands to %d", h.Scenarios, len(plan.Roster))
+			}
+			return plan, err
+		}
+		state := JobState(h.State)
 		var plan *Plan
-		var out Outcome
 		var err error
 		switch {
-		case h.State == string(JobQueued) && h.CancelRequested:
+		case state == JobQueued && h.CancelRequested:
 			// The daemon died before a worker observed the cancel; the
 			// outcome mirrors the live cancelled-while-queued path.
-			out = Outcome{State: JobCancelled, Err: fmt.Errorf("cancelled while queued: %w", context.Canceled)}
-		case h.State == string(JobQueued):
-			plan, err = k.cfg.Runner.Validate(h.Request, true)
-		case h.State == string(JobRunning):
-			plan, err = k.cfg.Runner.Resume(h)
-		}
-		if err == nil && plan != nil && len(plan.Roster) != h.Scenarios {
-			// Row indices are positions in the roster: a body that now
-			// expands differently cannot run under its journaled rows.
-			err = fmt.Errorf("journaled roster has %d scenarios, submission expands to %d", h.Scenarios, len(plan.Roster))
-		}
-		if err != nil && h.State == string(JobQueued) {
+			state, err = JobCancelled, fmt.Errorf("cancelled while queued: %w", context.Canceled)
+		case state == JobQueued:
 			// The request passed validation once; failing now means the
 			// restarted daemon has stricter limits. The job cannot run,
 			// and that is a terminal fact worth journaling.
-			plan, out = nil, Outcome{State: JobFailed, Err: fmt.Errorf("re-queue after restart: %v", err)}
-		} else if err != nil {
-			plan, out = nil, Outcome{State: JobInterrupted, Err: fmt.Errorf("interrupted: %v", err)}
+			if plan, err = admit(k.cfg.Runner.Validate(h.Request, true)); err != nil {
+				state, err = JobFailed, fmt.Errorf("re-queue after restart: %v", err)
+			}
+		case state == JobRunning:
+			if plan, err = admit(k.cfg.Runner.Resume(h)); err != nil {
+				state, err = JobInterrupted, fmt.Errorf("interrupted: %v", err)
+			}
+		case h.Error != "":
+			err = errors.New(h.Error)
 		}
 		j := k.restoreJob(h, plan)
-		switch {
-		case plan != nil:
+		if plan != nil {
 			j.ctx, j.cancel = context.WithCancel(k.baseCtx)
 			requeue = append(requeue, j)
 			if j.resumed {
@@ -82,23 +85,21 @@ func (k *Kernel) restoreJobs() []*Job {
 			k.log.Info("job back in the queue after restart", "job_id", j.ID, "trace_id", j.TraceID,
 				"resumed", j.resumed, "rows_journaled", len(h.Rows), "scenarios", len(j.Roster))
 			continue
-		case out.State == "":
+		}
+		j.state, j.err = state, err
+		if state == JobState(h.State) {
 			// Already terminal in the journal. It journaled every row, so
 			// the placeholder reason is only a safety net.
-			if j.state = JobState(h.State); h.Error != "" {
-				j.err = errors.New(h.Error)
-			}
 			j.seal(fmt.Errorf("no outcome journaled: job ended %s", h.State))
-		default:
+		} else {
 			// Terminal as of this restart. What it synthesizes must not
 			// read as progress: the counters keep saying what ran.
-			j.state, j.err = out.State, out.Err
 			completed, failed := j.completed, j.failed
-			j.seal(out.Err)
+			j.seal(err)
 			j.completed, j.failed = completed, failed
 			k.journalEnd(j)
 			k.log.Info("job ended by the restart", "job_id", j.ID, "trace_id", j.TraceID,
-				"state", string(out.State), "preserved_rows", len(h.Rows), "scenarios", h.Scenarios)
+				"state", string(state), "preserved_rows", len(h.Rows), "scenarios", h.Scenarios)
 		}
 		j.sealed = true
 		j.cancel = func() {} // terminal: nothing to cancel

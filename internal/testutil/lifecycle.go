@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -99,10 +100,8 @@ func JournalLines(t testing.TB, st *store.Store, id string) []string {
 	return nil
 }
 
-// DropTelemetry removes the telemetry lines from a pinned sequence: how
-// many windows fit before a cancel lands is the one thing in it that
-// wall time decides.
-func DropTelemetry(lines []string) []string {
+// dropTelemetry removes the telemetry lines from a pinned sequence.
+func dropTelemetry(lines []string) []string {
 	var out []string
 	for _, l := range lines {
 		if !strings.HasPrefix(l, "telemetry ") {
@@ -112,9 +111,101 @@ func DropTelemetry(lines []string) []string {
 	return out
 }
 
-// PinnedSequences joins a journal and a stream rendering into the text
-// the lifecycle goldens hold.
-func PinnedSequences(journal, frames []string) []byte {
+// PinnedCases are the three lives of one fixed submission that each
+// daemon package's TestPinnedLifecycle records under testdata: a run to
+// done, a cancel while queued and a cancel while running.
+var PinnedCases = []string{"lifecycle_done", "lifecycle_cancel_queued", "lifecycle_cancel_running"}
+
+// RunPinnedCase drives one of PinnedCases against the daemon at base —
+// which must run one job at a time and journal into st — and returns
+// what the golden holds: every journal record and every stream frame of
+// the pinned job's life, in order.
+//
+// The pinned submission is two explicit scenarios, serial, telemetry on.
+// A blocker job occupies the daemon's only worker first, so the pinned
+// job can be subscribed to while it is still queued: every frame then
+// reaches the stream live, in publish order, with nothing decided by who
+// won the race to the first state frame.
+func RunPinnedCase(t testing.TB, base string, st *store.Store, name string) []byte {
+	t.Helper()
+	post := func(path, body string, want int) (id string) {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			ID string `json:"id"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != want {
+			t.Fatalf("POST %s: status %d (want %d), decode %v", path, resp.StatusCode, want, err)
+		}
+		return st.ID
+	}
+	cancel := func(id string) { post("/api/v1/jobs/"+id+"/cancel", "", http.StatusOK) }
+	await := func(what string, c <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-c:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("the pinned job never %s", what)
+		}
+	}
+
+	blocker := post("/api/v1/jobs", `{"name":"blocker","scenarios":[{"profile":"429.mcf","scale":5}],"telemetry":{"disable":true}}`, http.StatusAccepted)
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(base + "/api/v1/jobs/" + blocker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if strings.Contains(string(raw), `"state": "running"`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the blocker never ran: %s", raw)
+		}
+	}
+	// The cancel-while-running case stretches the first scenario so the
+	// cancel can land inside it.
+	firstScale := "0.05"
+	if name == "lifecycle_cancel_running" {
+		firstScale = "5"
+	}
+	pinned := post("/api/v1/jobs", `{"name":"pinned","parallelism":1,"scenarios":[`+
+		`{"profile":"429.mcf","scale":`+firstScale+`,"name":"first"},{"profile":"470.lbm","scale":0.05,"name":"second"}],`+
+		`"telemetry":{"interval_insns":50000}}`, http.StatusAccepted)
+	ef := FollowEvents(t, base+"/api/v1/jobs/"+pinned)
+	await("opened its stream", ef.Opened)
+
+	switch name {
+	case "lifecycle_done":
+		cancel(blocker)
+	case "lifecycle_cancel_queued":
+		cancel(pinned)
+		cancel(blocker)
+	case "lifecycle_cancel_running":
+		cancel(blocker)
+		await("streamed a telemetry window", ef.Telemetry)
+		cancel(pinned)
+	default:
+		t.Fatalf("unknown pinned case %q", name)
+	}
+
+	var frames []string
+	select {
+	case frames = <-ef.Lines:
+	case <-time.After(120 * time.Second):
+		t.Fatal("the pinned job's stream never ended")
+	}
+	journal := JournalLines(t, st, pinned)
+	if name == "lifecycle_cancel_running" {
+		// How many windows fit before a cancel lands is the one thing in
+		// these sequences that wall time decides.
+		journal, frames = dropTelemetry(journal), dropTelemetry(frames)
+	}
 	return []byte("# journal\n" + strings.Join(journal, "\n") + "\n# stream\n" + strings.Join(frames, "\n") + "\n")
 }
 

@@ -15,38 +15,6 @@ import (
 
 var updatePins = flag.Bool("update", false, "re-record the pinned sequences and exports under testdata")
 
-// pinBlocker occupies the coordinator's only runner so the pinned job
-// can be subscribed to while it is still queued: every frame of its
-// life then reaches the stream live, in publish order.
-const pinBlocker = `{"name":"blocker","scenarios":[{"profile":"429.mcf","scale":5}],"telemetry":{"disable":true}}`
-
-// pinBody is the fixed submission the sequences are recorded for: two
-// explicit scenarios, serial, telemetry on — one shard on the one
-// worker. slowFirst stretches the first scenario so a cancel can land
-// inside it.
-func pinBody(slowFirst bool) string {
-	scale := "0.05"
-	if slowFirst {
-		scale = "5"
-	}
-	return `{"name":"pinned","parallelism":1,"scenarios":[` +
-		`{"profile":"429.mcf","scale":` + scale + `,"name":"first"},` +
-		`{"profile":"470.lbm","scale":0.05,"name":"second"}],` +
-		`"telemetry":{"interval_insns":50000}}`
-}
-
-func cancelJob(t *testing.T, base, id string) {
-	t.Helper()
-	resp, err := http.Post(base+"/api/v1/jobs/"+id+"/cancel", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cancel %s: status %d", id, resp.StatusCode)
-	}
-}
-
 // TestPinnedLifecycle pins, for one fixed submission over one worker,
 // every journaling point and every stream frame of a federated job's
 // life in order — for a run to done, a cancel while queued and a cancel
@@ -54,58 +22,13 @@ func cancelJob(t *testing.T, base, id string) {
 // before the job kernel was extracted; they hold what "unchanged" means
 // for it.
 func TestPinnedLifecycle(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		slowFirst bool
-		// act drives the pinned job once it is queued behind the blocker
-		// and its stream is open.
-		act func(t *testing.T, base, blocker, pinned string, ef *testutil.EventFollower)
-	}{
-		{"lifecycle_done", false, func(t *testing.T, base, blocker, pinned string, ef *testutil.EventFollower) {
-			cancelJob(t, base, blocker)
-		}},
-		{"lifecycle_cancel_queued", false, func(t *testing.T, base, blocker, pinned string, ef *testutil.EventFollower) {
-			cancelJob(t, base, pinned)
-			cancelJob(t, base, blocker)
-		}},
-		{"lifecycle_cancel_running", true, func(t *testing.T, base, blocker, pinned string, ef *testutil.EventFollower) {
-			cancelJob(t, base, blocker)
-			select {
-			case <-ef.Telemetry:
-			case <-time.After(60 * time.Second):
-				t.Fatal("the pinned job never streamed a telemetry window")
-			}
-			cancelJob(t, base, pinned)
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, name := range testutil.PinnedCases {
+		t.Run(name, func(t *testing.T) {
 			_, wts := newWorker(t, serve.Options{Workers: 2, MaxParallelism: 1, QueueCapacity: 8})
 			st, _ := openStore(t, t.TempDir())
 			_, coord := newCoordinator(t, sched.Options{Workers: []string{wts.URL}, Jobs: 1, Store: st})
-
-			blocker := submit(t, coord.URL, pinBlocker, http.StatusAccepted)
-			waitState(t, coord.URL, blocker.ID, func(s serve.JobStatus) bool { return s.State == serve.JobRunning })
-			pinned := submit(t, coord.URL, pinBody(tc.slowFirst), http.StatusAccepted)
-			ef := testutil.FollowEvents(t, coord.URL+"/api/v1/jobs/"+pinned.ID)
-			select {
-			case <-ef.Opened:
-			case <-time.After(60 * time.Second):
-				t.Fatal("the pinned job's stream never opened")
-			}
-			tc.act(t, coord.URL, blocker.ID, pinned.ID, ef)
-
-			var frames []string
-			select {
-			case frames = <-ef.Lines:
-			case <-time.After(120 * time.Second):
-				t.Fatal("the pinned job's stream never ended")
-			}
-			journal := testutil.JournalLines(t, st, pinned.ID)
-			if tc.slowFirst {
-				journal, frames = testutil.DropTelemetry(journal), testutil.DropTelemetry(frames)
-			}
-			testutil.CheckGolden(t, filepath.Join("testdata", tc.name+".golden"),
-				testutil.PinnedSequences(journal, frames), *updatePins,
+			testutil.CheckGolden(t, filepath.Join("testdata", name+".golden"),
+				testutil.RunPinnedCase(t, coord.URL, st, name), *updatePins,
 				"go test ./sched -run TestPinnedLifecycle -update")
 		})
 	}

@@ -103,6 +103,18 @@ func submit(t *testing.T, base, body string, want int) serve.JobStatus {
 	return st
 }
 
+func cancelJob(t *testing.T, base, id string) {
+	t.Helper()
+	resp, err := http.Post(base+"/api/v1/jobs/"+id+"/cancel", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel %s: status %d", id, resp.StatusCode)
+	}
+}
+
 func getStatus(t *testing.T, base, id string) serve.JobStatus {
 	t.Helper()
 	resp, err := http.Get(base + "/api/v1/jobs/" + id)

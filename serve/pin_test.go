@@ -3,7 +3,6 @@ package serve_test
 import (
 	"context"
 	"flag"
-	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -17,57 +16,14 @@ import (
 
 var updatePins = flag.Bool("update", false, "re-record the pinned sequences and exports under testdata")
 
-// pinBlocker occupies the daemon's only worker so the pinned job can be
-// subscribed to while it is still queued: every frame of its life then
-// reaches the stream live, in publish order, with nothing decided by
-// who won the race to the first state frame.
-const pinBlocker = `{"name":"blocker","scenarios":[{"profile":"429.mcf","scale":5}],"telemetry":{"disable":true}}`
-
-// pinBody is the fixed submission the sequences are recorded for: two
-// explicit scenarios, serial, telemetry on. slowFirst stretches the
-// first scenario so a cancel can land inside it.
-func pinBody(slowFirst bool) string {
-	scale := "0.05"
-	if slowFirst {
-		scale = "5"
-	}
-	return `{"name":"pinned","parallelism":1,"scenarios":[` +
-		`{"profile":"429.mcf","scale":` + scale + `,"name":"first"},` +
-		`{"profile":"470.lbm","scale":0.05,"name":"second"}],` +
-		`"telemetry":{"interval_insns":50000}}`
-}
-
 // TestPinnedLifecycle pins, for one fixed submission, every journaling
 // point and every stream frame of a job's life in order — for a run to
 // done, a cancel while queued and a cancel while running. The goldens
 // were recorded on the daemon as it was before the job kernel was
 // extracted; they hold what "unchanged" means for it.
 func TestPinnedLifecycle(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		slowFirst bool
-		// act drives the pinned job once it is queued behind the blocker
-		// and its stream is open.
-		act func(t *testing.T, base, blocker, pinned string, ef *testutil.EventFollower)
-	}{
-		{"lifecycle_done", false, func(t *testing.T, base, blocker, pinned string, ef *testutil.EventFollower) {
-			fetchCancel(t, base, blocker)
-		}},
-		{"lifecycle_cancel_queued", false, func(t *testing.T, base, blocker, pinned string, ef *testutil.EventFollower) {
-			fetchCancel(t, base, pinned)
-			fetchCancel(t, base, blocker)
-		}},
-		{"lifecycle_cancel_running", true, func(t *testing.T, base, blocker, pinned string, ef *testutil.EventFollower) {
-			fetchCancel(t, base, blocker)
-			select {
-			case <-ef.Telemetry:
-			case <-time.After(60 * time.Second):
-				t.Fatal("the pinned job never streamed a telemetry window")
-			}
-			fetchCancel(t, base, pinned)
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, name := range testutil.PinnedCases {
+		t.Run(name, func(t *testing.T) {
 			st, err := store.Open(t.TempDir(), store.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -85,30 +41,8 @@ func TestPinnedLifecycle(t *testing.T) {
 					t.Errorf("store close: %v", err)
 				}
 			}()
-
-			blocker := submit(t, ts.URL, pinBlocker, http.StatusAccepted)
-			waitState(t, ts.URL, blocker.ID, func(s serve.JobStatus) bool { return s.State == serve.JobRunning })
-			pinned := submit(t, ts.URL, pinBody(tc.slowFirst), http.StatusAccepted)
-			ef := testutil.FollowEvents(t, ts.URL+"/api/v1/jobs/"+pinned.ID)
-			select {
-			case <-ef.Opened:
-			case <-time.After(60 * time.Second):
-				t.Fatal("the pinned job's stream never opened")
-			}
-			tc.act(t, ts.URL, blocker.ID, pinned.ID, ef)
-
-			var frames []string
-			select {
-			case frames = <-ef.Lines:
-			case <-time.After(120 * time.Second):
-				t.Fatal("the pinned job's stream never ended")
-			}
-			journal := testutil.JournalLines(t, st, pinned.ID)
-			if tc.slowFirst {
-				journal, frames = testutil.DropTelemetry(journal), testutil.DropTelemetry(frames)
-			}
-			testutil.CheckGolden(t, filepath.Join("testdata", tc.name+".golden"),
-				testutil.PinnedSequences(journal, frames), *updatePins,
+			testutil.CheckGolden(t, filepath.Join("testdata", name+".golden"),
+				testutil.RunPinnedCase(t, ts.URL, st, name), *updatePins,
 				"go test ./serve -run TestPinnedLifecycle -update")
 		})
 	}
