@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"darco/internal/guest"
 	"darco/internal/guestvm"
@@ -109,6 +110,10 @@ type Controller struct {
 	PageTransfers uint64
 	SyscallSyncs  uint64
 	Validations   uint64
+	// CatchUp is the wall time spent advancing the authoritative
+	// component to the co-designed progress point, clocked once per
+	// catch-up (tens to hundreds a session), never per instruction.
+	CatchUp time.Duration
 
 	syncs int
 	// bbOffset is the authoritative component's basic-block count at
@@ -177,7 +182,9 @@ func (c *Controller) catchUp() error {
 	if c.X86.BBCount >= target {
 		return nil
 	}
+	t0 := time.Now()
 	reason, err := c.X86.Run(guestvm.RunLimits{BBCount: target})
+	c.CatchUp += time.Since(t0)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"darco/internal/guest"
@@ -193,6 +195,69 @@ loop:
 			}
 			if tc.check != nil {
 				tc.check(t, c)
+			}
+		})
+	}
+}
+
+// TestStringOpRestartsAfterPageFault runs string instructions whose
+// bytes cross into a page the co-designed side has not touched yet, so
+// they fault mid-way and are re-executed after the transfer. The
+// interpreter once restored its pre-instruction register snapshot on a
+// fault while the bytes already moved stayed moved: an overlapping MOVS
+// shifted them a second time.
+func TestStringOpRestartsAfterPageFault(t *testing.T) {
+	// 64 distinct bytes across the 0x100000/0x101000 page boundary.
+	var data strings.Builder
+	data.WriteString(".org 0x100fe0\n.byte ")
+	for i := 0; i < 64; i++ {
+		if i > 0 {
+			data.WriteString(", ")
+		}
+		fmt.Fprint(&data, 0x10+i)
+	}
+	const exit = `
+    movri eax, 1
+    movri ebx, 0
+    syscall
+    halt
+`
+	for _, tc := range []struct{ name, body string }{
+		// The load crosses first; source and destination overlap by one.
+		{"movs-overlap-load-side", `
+    movri esi, 0x100ff8
+    movri edi, 0x100ff7
+    movri ecx, 16
+    movs`},
+		// The store crosses first, into a page only the store touches.
+		{"movs-store-side", `
+    movri esi, 0x100fe0
+    movri edi, 0x200ff8
+    movri ecx, 16
+    movs`},
+		{"stos", `
+    movri eax, 0x5a
+    movri edi, 0x100ff8
+    movri ecx, 16
+    stos`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			im, err := guest.Assemble(".org 0x1000\nstart:" + tc.body + exit + data.String() + "\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := New(im, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Validate(); err != nil {
+				t.Fatalf("final state: %v", err)
+			}
+			if c.PageTransfers < 3 {
+				t.Errorf("%d page transfers: the string instruction did not fault mid-way", c.PageTransfers)
 			}
 		})
 	}

@@ -2,11 +2,14 @@ package guestvm
 
 import "darco/internal/guest"
 
-// DecodeCache memoizes instruction decoding per code page: decoded
-// instructions are stored in a flat per-page array indexed by the page
-// offset of their first byte, fronted by a one-entry MRU page cache.
-// Both functional emulators fetch through one — the seed paid a Go map
-// lookup per interpreted instruction instead.
+// DecodeCache memoizes instruction decoding per code page: a page keeps
+// a slot number per byte offset and the decoded instructions themselves
+// in fixed-size chunks allocated as instructions arrive, so its cost is
+// the 8 KB index plus 32 bytes per instruction actually decoded (a flat
+// array of one slot per offset was 135 KB a page, most of it never a
+// decode boundary). A one-entry MRU page cache fronts the page map. Both
+// functional emulators fetch through one — the seed paid a Go map lookup
+// per interpreted instruction instead.
 //
 // The cache only stores; the owner decodes (the two emulators differ in
 // how they read instruction bytes and report faults). The zero value is
@@ -18,70 +21,79 @@ type DecodeCache struct {
 	mru   *decodedPage
 }
 
+// decodeChunk is how many instructions one storage chunk holds.
+const decodeChunk = 256
+
 // decodedPage holds the decoded instructions starting inside one guest
 // page. An instruction may extend into the following page; it is cached
 // under the page its first byte lives in, which is why invalidating a
 // page must also drop the preceding page's entries.
 type decodedPage struct {
-	valid [PageSize]bool
-	insts [PageSize]guest.Inst
+	slot   [PageSize]uint16 // 1 + ordinal of the instruction starting at the offset; 0 = none
+	n      int              // instructions stored
+	chunks [PageSize / decodeChunk]*[decodeChunk]guest.Inst
+}
+
+// page returns the page numbered pn through the MRU entry, or nil.
+func (d *DecodeCache) page(pn uint32) *decodedPage {
+	if d.mru != nil && d.mruPN == pn {
+		return d.mru
+	}
+	pd := d.pages[pn]
+	if pd != nil {
+		d.mruPN, d.mru = pn, pd
+	}
+	return pd
 }
 
 // Lookup returns the cached decode of the instruction at pc.
 func (d *DecodeCache) Lookup(pc uint32) (guest.Inst, bool) {
-	pn := pc >> PageShift
-	pd := d.mru
-	if pd == nil || d.mruPN != pn {
-		pd = d.pages[pn]
-		if pd == nil {
-			return guest.Inst{}, false
-		}
-		d.mruPN, d.mru = pn, pd
+	if in := d.LookupPtr(pc); in != nil {
+		return *in, true
 	}
-	off := pc & (PageSize - 1)
-	if !pd.valid[off] {
-		return guest.Inst{}, false
-	}
-	return pd.insts[off], true
+	return guest.Inst{}, false
 }
 
 // LookupPtr returns a pointer to the cached decode of the instruction
-// at pc, or nil when absent. The pointee must not be mutated.
+// at pc, or nil when absent. The pointee must not be mutated. The
+// pointer stays valid, and keeps naming the instruction at pc, across
+// later Inserts (chunks are never reallocated); after InvalidatePage it
+// refers to the dropped decode.
 func (d *DecodeCache) LookupPtr(pc uint32) *guest.Inst {
-	pn := pc >> PageShift
-	pd := d.mru
-	if pd == nil || d.mruPN != pn {
-		pd = d.pages[pn]
-		if pd == nil {
-			return nil
-		}
-		d.mruPN, d.mru = pn, pd
-	}
-	off := pc & (PageSize - 1)
-	if !pd.valid[off] {
+	pd := d.page(pc >> PageShift)
+	if pd == nil {
 		return nil
 	}
-	return &pd.insts[off]
+	s := pd.slot[pc&(PageSize-1)]
+	if s == 0 {
+		return nil
+	}
+	return &pd.chunks[(s-1)/decodeChunk][(s-1)%decodeChunk]
 }
 
 // Insert caches the decode of the instruction at pc.
 func (d *DecodeCache) Insert(pc uint32, in guest.Inst) {
+	if p := d.LookupPtr(pc); p != nil {
+		*p = in
+		return
+	}
 	pn := pc >> PageShift
-	pd := d.mru
-	if pd == nil || d.mruPN != pn {
+	pd := d.page(pn)
+	if pd == nil {
 		if d.pages == nil {
 			d.pages = make(map[uint32]*decodedPage)
 		}
-		pd = d.pages[pn]
-		if pd == nil {
-			pd = new(decodedPage)
-			d.pages[pn] = pd
-		}
+		pd = new(decodedPage)
+		d.pages[pn] = pd
 		d.mruPN, d.mru = pn, pd
 	}
-	off := pc & (PageSize - 1)
-	pd.insts[off] = in
-	pd.valid[off] = true
+	c := &pd.chunks[pd.n/decodeChunk]
+	if *c == nil {
+		*c = new([decodeChunk]guest.Inst)
+	}
+	(*c)[pd.n%decodeChunk] = in
+	pd.n++
+	pd.slot[pc&(PageSize-1)] = uint16(pd.n)
 }
 
 // InvalidatePage drops every cached decode for the page containing addr

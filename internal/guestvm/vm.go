@@ -59,26 +59,30 @@ type VM struct {
 	bbStart uint32
 	inBB    bool
 
-	// bbcache holds fully decoded basic blocks: Run executes them
-	// without per-instruction fetch or bookkeeping dispatch. Blocks are
-	// recorded by Step on their first complete execution.
-	// Self-modifying code is out of scope (see Fetch), so entries are
-	// never invalidated.
-	bbcache   map[uint32]*cachedBB
-	rec       []guest.Inst
-	recNext   uint32
-	recording bool
+	// bbcache holds decoded basic blocks, decoded when Run first arrives
+	// at their entry. Run executes each in one guest.RunBlock call and
+	// follows successor links; the map is consulted only where no link
+	// matches. Self-modifying code is out of scope (see Fetch): entries
+	// are never invalidated, links never dangle. scratch is decodeBB's.
+	bbcache map[uint32]*cachedBB
+	scratch []guest.Inst
 }
 
 // cachedBB is one decoded basic block, terminator included.
 type cachedBB struct {
-	insts       []guest.Inst
-	endsSyscall bool // terminator is SYSCALL (StopAtSys pauses before it)
+	pc    uint32 // entry
+	insts []guest.Inst
+
+	// succ are the two blocks last seen to follow this one, most recent
+	// first: both ways of a conditional branch stay linked. A link is
+	// taken only when its pc is where control went; an indirect branch
+	// with more targets goes back to the map.
+	succ [2]*cachedBB
 }
 
-// maxRecordInsns bounds a recorded basic block; longer blocks execute
-// through the incremental path every time.
-const maxRecordInsns = 4096
+// maxBBInsns bounds a cached basic block; longer blocks execute through
+// Step every time.
+const maxBBInsns = 4096
 
 // New creates a VM, loads the image, and prepares the stack.
 func New(im *guest.Image) (*VM, error) {
@@ -115,115 +119,96 @@ func (vm *VM) Fetch(pc uint32) (guest.Inst, error) {
 }
 
 // Step executes exactly one instruction, servicing syscalls inline.
-// Complete basic blocks stepped through from their entry are recorded
-// into the block cache for Run's fast path.
 func (vm *VM) Step() (guest.Event, error) {
 	pc := vm.CPU.EIP
 	in := vm.decode.LookupPtr(pc)
 	if in == nil {
 		if _, err := vm.Fetch(pc); err != nil {
-			vm.recording = false
 			return guest.EvNone, err
 		}
 		in = vm.decode.LookupPtr(pc)
 	}
 	if !vm.inBB {
-		vm.inBB = true
-		vm.bbStart = pc
-		if vm.bbcache != nil {
-			if _, known := vm.bbcache[pc]; !known {
-				vm.recording = true
-				vm.rec = vm.rec[:0]
-			} else {
-				vm.recording = false
-			}
-		}
-	} else if vm.recording && pc != vm.recNext {
-		// Control arrived somewhere unexpected mid-block: stop recording.
-		vm.recording = false
-	}
-	if vm.recording {
-		if len(vm.rec) < maxRecordInsns {
-			vm.rec = append(vm.rec, *in)
-			vm.recNext = pc + uint32(in.Size)
-		} else {
-			vm.recording = false
-		}
+		vm.inBB, vm.bbStart = true, pc
 	}
 	ev, err := guest.Step(&vm.CPU, vm.Mem, in)
 	if err != nil {
-		vm.recording = false
 		return ev, err
 	}
 	vm.InsnCount++
 	if in.Op.EndsBasicBlock() {
-		vm.BBCount++
-		vm.inBB = false
-		if vm.recording {
-			vm.bbcache[vm.bbStart] = &cachedBB{
-				insts:       append([]guest.Inst(nil), vm.rec...),
-				endsSyscall: in.Op == guest.SYSCALL,
-			}
-			vm.recording = false
-		}
-		if vm.BBFreq != nil {
-			vm.BBFreq[vm.bbStart]++
-		}
+		err = vm.endBB(ev)
+	}
+	return ev, err
+}
+
+// endBB is the bookkeeping of a retired terminator: the block that began
+// at bbStart is complete, and the event only a terminator can raise is
+// serviced.
+func (vm *VM) endBB(ev guest.Event) error {
+	vm.BBCount++
+	vm.inBB = false
+	if vm.BBFreq != nil {
+		vm.BBFreq[vm.bbStart]++
 	}
 	switch ev {
 	case guest.EvHalt:
 		vm.Halted = true
 	case guest.EvSyscall:
 		if err := vm.Env.Service(&vm.CPU, vm.Mem); err != nil {
-			return ev, err
+			return err
 		}
 		if vm.Env.Exited {
 			vm.Halted = true
 		}
 	}
-	return ev, nil
+	return nil
 }
 
-// runCachedBB executes one cached basic block from its entry. It
-// mirrors Step's bookkeeping exactly, minus the per-instruction fetch
-// and dispatch. The caller has verified the instruction-count limit
-// cannot trigger inside the block. It reports whether Run must stop.
-func (vm *VM) runCachedBB(bb *cachedBB, stopAtSys bool) (stop bool, reason StopReason, err error) {
-	insts := bb.insts
-	last := len(insts) - 1
-	vm.inBB = true
-	vm.bbStart = vm.CPU.EIP
-	for i := 0; i <= last; i++ {
-		if i == last && bb.endsSyscall && stopAtSys {
-			// Pause with EIP at the SYSCALL, body retired.
-			return true, StopSyscall, nil
+// block returns the cached block entered at the current EIP (a block
+// boundary), or nil for a block that cannot be cached. prev is the
+// cached block that ran last, if control has stayed in cached blocks:
+// its links are tried before the map, and filled on a miss.
+func (vm *VM) block(prev *cachedBB) *cachedBB {
+	pc := vm.CPU.EIP
+	if prev != nil {
+		if bb := prev.succ[0]; bb != nil && bb.pc == pc {
+			return bb
 		}
-		in := &insts[i]
-		ev, err := guest.Step(&vm.CPU, vm.Mem, in)
-		if err != nil {
-			return true, StopError, err
-		}
-		vm.InsnCount++
-		if i == last { // terminator: EndsBasicBlock by construction
-			vm.BBCount++
-			vm.inBB = false
-			if vm.BBFreq != nil {
-				vm.BBFreq[vm.bbStart]++
-			}
-		}
-		switch ev {
-		case guest.EvHalt:
-			vm.Halted = true
-		case guest.EvSyscall:
-			if err := vm.Env.Service(&vm.CPU, vm.Mem); err != nil {
-				return true, StopError, err
-			}
-			if vm.Env.Exited {
-				vm.Halted = true
-			}
+		if bb := prev.succ[1]; bb != nil && bb.pc == pc {
+			return bb
 		}
 	}
-	return false, 0, nil
+	bb := vm.bbcache[pc]
+	if bb == nil {
+		if bb = vm.decodeBB(pc); bb == nil {
+			return nil
+		}
+		vm.bbcache[pc] = bb
+	}
+	if prev != nil {
+		prev.succ[1], prev.succ[0] = prev.succ[0], bb
+	}
+	return bb
+}
+
+// decodeBB decodes the basic block at pc. A block with an undecodable
+// instruction or more than maxBBInsns is left to Step, which stops at
+// the right instruction.
+func (vm *VM) decodeBB(pc uint32) *cachedBB {
+	vm.scratch = vm.scratch[:0]
+	for at := pc; len(vm.scratch) < maxBBInsns; {
+		in, err := vm.Fetch(at)
+		if err != nil {
+			break
+		}
+		vm.scratch = append(vm.scratch, in)
+		if in.Op.EndsBasicBlock() {
+			return &cachedBB{pc: pc, insts: append([]guest.Inst(nil), vm.scratch...)}
+		}
+		at += uint32(in.Size)
+	}
+	return nil
 }
 
 // RunLimits bounds a Run call. Zero fields mean unlimited.
@@ -237,6 +222,7 @@ type RunLimits struct {
 // StopAtSys, the VM pauses with EIP at the SYSCALL instruction so the
 // controller can orchestrate the synchronization phase.
 func (vm *VM) Run(lim RunLimits) (StopReason, error) {
+	var prev *cachedBB
 	for !vm.Halted {
 		if lim.BBCount > 0 && vm.BBCount >= lim.BBCount {
 			return StopBBLimit, nil
@@ -244,23 +230,35 @@ func (vm *VM) Run(lim RunLimits) (StopReason, error) {
 		if lim.InsnCount > 0 && vm.InsnCount >= lim.InsnCount {
 			return StopInsnLimit, nil
 		}
-		// Fast path: at a block boundary with a cached decode and no
-		// chance of the instruction limit triggering mid-block, execute
-		// the whole block at once. A SYSCALL can only terminate a block,
-		// so the per-instruction StopAtSys probe is unnecessary here.
+		// At a block boundary with the instruction limit out of reach,
+		// the whole block runs at once. A SYSCALL can only terminate a
+		// block, so StopAtSys runs the body and pauses before it.
+		var bb *cachedBB
 		if !vm.inBB {
-			if bb := vm.bbcache[vm.CPU.EIP]; bb != nil &&
-				(lim.InsnCount == 0 || vm.InsnCount+uint64(len(bb.insts)) <= lim.InsnCount) {
-				stop, reason, err := vm.runCachedBB(bb, lim.StopAtSys)
-				if err != nil {
-					return StopError, err
-				}
-				if stop {
-					return reason, nil
-				}
-				continue
-			}
+			bb = vm.block(prev)
 		}
+		if bb != nil && (lim.InsnCount == 0 || vm.InsnCount+uint64(len(bb.insts)) <= lim.InsnCount) {
+			insts := bb.insts
+			pause := lim.StopAtSys && insts[len(insts)-1].Op == guest.SYSCALL
+			if pause {
+				insts = insts[:len(insts)-1]
+			}
+			vm.inBB, vm.bbStart = true, bb.pc
+			n, ev, err := guest.RunBlock(&vm.CPU, vm.Mem, insts)
+			vm.InsnCount += uint64(n)
+			if err == nil && !pause {
+				err = vm.endBB(ev)
+			}
+			if err != nil {
+				return StopError, err
+			}
+			if pause {
+				return StopSyscall, nil
+			}
+			prev = bb
+			continue
+		}
+		prev = nil
 		if lim.StopAtSys {
 			in, err := vm.Fetch(vm.CPU.EIP)
 			if err != nil {

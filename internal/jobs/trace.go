@@ -15,12 +15,13 @@ import (
 
 // RecordSpan appends one finished span to the job's trace and journals
 // it, so the trace survives a daemon restart alongside the rest of the
-// job's history.
-func (j *Job) RecordSpan(sp obs.Span) {
+// job's history. Spans inside it that are totals rather than events of
+// their own (children) ride in its journal record.
+func (j *Job) RecordSpan(sp obs.Span, children ...obs.Span) {
 	j.mu.Lock()
-	j.spans = append(j.spans, sp)
+	j.spans = append(append(j.spans, sp), children...)
 	j.mu.Unlock()
-	j.k.Journal(store.Record{Kind: store.KindSpan, Job: j.ID, Span: &store.SpanRecord{Span: sp}})
+	j.k.Journal(store.Record{Kind: store.KindSpan, Job: j.ID, Span: &store.SpanRecord{Span: sp, Children: children}})
 }
 
 // RunSpan is the id of the current run span — the parent of every span

@@ -44,37 +44,36 @@ func (t *TOL) interpretBBWith(pc uint32, p *profEntry) (RunResult, bool, error) 
 	return t.interpretBBRecord(pc)
 }
 
-// runInterpBlock replays a cached decoded basic block.
+// runInterpBlock replays a cached decoded basic block. A fault leaves
+// the state at the faulting instruction (guest.RunBlock's precise-fault
+// rule), so the next dispatch resumes there once the page is installed.
 func (t *TOL) runInterpBlock(ib *interpBlock) (RunResult, bool, error) {
-	interp := uint64(0)
-	last := len(ib.insts) - 1
-	for i := range ib.insts {
-		in := &ib.insts[i]
-		snapshot := t.CPU
-		ev, err := guest.Step(&t.CPU, t.Mem, in)
-		if err != nil {
-			t.CPU = snapshot
-			t.ov[OvInterp] += interp * t.Cfg.Costs.InterpPerInsn
-			return t.pageFaultResult(err)
-		}
-		interp++
-		t.Stats.GuestInsnsIM++
+	n, ev, err := guest.RunBlock(&t.CPU, t.Mem, ib.insts)
+	t.Stats.GuestInsnsIM += uint64(n)
+	t.ov[OvInterp] += uint64(n) * t.Cfg.Costs.InterpPerInsn
+	if n > 0 {
 		t.midBB = true
-		if i == last && !ib.endsSyscall {
-			t.Stats.GuestBBs++
-			t.midBB = false
-			t.ov[OvInterp] += interp * t.Cfg.Costs.InterpPerInsn
-			if ev == guest.EvHalt {
-				t.halted = true
-				return RunResult{Event: EvHalt}, true, nil
-			}
-			return RunResult{}, false, nil
-		}
 	}
-	// The block ends at a system call: stop before executing it.
-	t.ov[OvInterp] += interp * t.Cfg.Costs.InterpPerInsn
-	t.Stats.Syscalls++
-	return RunResult{Event: EvSyscall}, true, nil
+	if err != nil {
+		return t.pageFaultResult(err)
+	}
+	if ib.endsSyscall {
+		// The block ends at a system call: stop before executing it.
+		t.Stats.Syscalls++
+		return RunResult{Event: EvSyscall}, true, nil
+	}
+	return t.endInterpBB(ev)
+}
+
+// endInterpBB retires an interpreted block's terminator.
+func (t *TOL) endInterpBB(ev guest.Event) (RunResult, bool, error) {
+	t.Stats.GuestBBs++
+	t.midBB = false
+	if ev == guest.EvHalt {
+		t.halted = true
+		return RunResult{Event: EvHalt}, true, nil
+	}
+	return RunResult{}, false, nil
 }
 
 // interpretBBRecord decodes and executes a block not yet cached,
@@ -82,62 +81,42 @@ func (t *TOL) runInterpBlock(ib *interpBlock) (RunResult, bool, error) {
 // faults mid-way is not cached; re-interpretation after the page
 // transfer records it then.
 func (t *TOL) interpretBBRecord(pc uint32) (RunResult, bool, error) {
-	interp := uint64(0)
-	var rec []guest.Inst
-	cacheable := true
+	t.irec = t.irec[:0]
 	for {
 		fetchPC := t.CPU.EIP
 		in, err := t.Fetch(fetchPC)
 		if err != nil {
-			t.ov[OvInterp] += interp * t.Cfg.Costs.InterpPerInsn
 			return t.pageFaultResult(err)
 		}
 		if in.Op == guest.SYSCALL {
-			if cacheable {
-				t.cacheInterpBlock(pc, fetchPC+uint32(in.Len()), rec, true)
-			}
-			t.ov[OvInterp] += interp * t.Cfg.Costs.InterpPerInsn
+			t.cacheInterpBlock(pc, fetchPC+uint32(in.Len()), t.irec, true)
 			t.Stats.Syscalls++
 			return RunResult{Event: EvSyscall}, true, nil
 		}
-		if cacheable {
-			if len(rec) < maxInterpCacheInsns {
-				rec = append(rec, in)
-			} else {
-				cacheable = false
-			}
-		}
-		snapshot := t.CPU
+		t.irec = append(t.irec, in)
 		ev, err := guest.Step(&t.CPU, t.Mem, &in)
 		if err != nil {
-			t.CPU = snapshot
-			t.ov[OvInterp] += interp * t.Cfg.Costs.InterpPerInsn
 			return t.pageFaultResult(err)
 		}
-		interp++
 		t.Stats.GuestInsnsIM++
+		t.ov[OvInterp] += t.Cfg.Costs.InterpPerInsn
 		t.midBB = true
 		if in.Op.EndsBasicBlock() {
-			t.Stats.GuestBBs++
-			t.midBB = false
-			if cacheable {
-				t.cacheInterpBlock(pc, fetchPC+uint32(in.Len()), rec, false)
-			}
-			t.ov[OvInterp] += interp * t.Cfg.Costs.InterpPerInsn
-			if ev == guest.EvHalt {
-				t.halted = true
-				return RunResult{Event: EvHalt}, true, nil
-			}
-			return RunResult{}, false, nil
+			t.cacheInterpBlock(pc, fetchPC+uint32(in.Len()), t.irec, false)
+			return t.endInterpBB(ev)
 		}
 	}
 }
 
-// cacheInterpBlock installs a fully decoded block and indexes it under
-// every guest page its bytes touch, so InstallPage can drop it.
+// cacheInterpBlock installs a copy of a fully decoded block, unless it is
+// too long, and indexes it under every guest page its bytes touch, so
+// InstallPage can drop it.
 func (t *TOL) cacheInterpBlock(entry, endPC uint32, insts []guest.Inst, endsSyscall bool) {
+	if len(insts) > maxInterpCacheInsns {
+		return
+	}
 	ib := &interpBlock{
-		insts:       insts,
+		insts:       append([]guest.Inst(nil), insts...),
 		endsSyscall: endsSyscall,
 		firstPN:     entry >> guestvm.PageShift,
 		lastPN:      (endPC - 1) >> guestvm.PageShift,

@@ -151,9 +151,11 @@ type TOL struct {
 	// dec memoizes guest instruction decode per code page; iblocks
 	// caches whole decoded basic blocks for the interpreter. Both are
 	// invalidated by InstallPage when the controller (re)writes a page.
+	// irec is the buffer a block being recorded grows in.
 	dec           guestvm.DecodeCache
 	iblocks       map[uint32]*interpBlock
 	iblocksByPage map[uint32][]uint32
+	irec          []guest.Inst
 
 	// scratch is the translation working memory (see its type).
 	scratch scratch

@@ -65,6 +65,9 @@ func TestObsCountersAttached(t *testing.T) {
 	if res.Phases.Emulate <= 0 {
 		t.Errorf("emulate phase not measured: %+v", res.Phases)
 	}
+	if res.Phases.CatchUp <= 0 || res.Phases.CatchUp >= res.Phases.Emulate {
+		t.Errorf("catch-up is not a measured part of emulate: %+v", res.Phases)
+	}
 	if res.Phases.TimingDrain < 0 {
 		t.Errorf("negative drain phase: %+v", res.Phases)
 	}

@@ -15,8 +15,8 @@ import (
 var HotFunctions = []string{
 	"darco/internal/hostvm.(*VM).runBlock",
 	"darco/internal/timing.(*Core).Consume",
-	"darco/internal/guest.Step",
-	"darco/internal/guestvm.(*VM).runCachedBB",
+	"darco/internal/guest.RunBlock",
+	"darco/internal/guestvm.(*VM).Run",
 }
 
 // ParseNM extracts the text addresses of HotFunctions from `go tool nm`

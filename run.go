@@ -108,9 +108,11 @@ type Result struct {
 	Obs *obs.EngineCountersSnapshot
 
 	// Phases splits the session wall time: Emulate is the time inside
-	// the controller's run loop, TimingDrain the time Step spent
-	// waiting for the timing pipeline to drain on exit. The serve tier
-	// turns these into per-scenario phase spans.
+	// the controller's run loop, CatchUp the part of it the
+	// authoritative component spent catching up with the co-designed
+	// one, TimingDrain the time Step spent waiting for the timing
+	// pipeline to drain on exit. The serve tier turns these into
+	// per-scenario phase spans.
 	Phases PhaseTimings
 }
 
@@ -118,6 +120,7 @@ type Result struct {
 // phases.
 type PhaseTimings struct {
 	Emulate     time.Duration `json:"emulate,omitempty"`
+	CatchUp     time.Duration `json:"catch_up,omitempty"` // within Emulate
 	TimingDrain time.Duration `json:"timing_drain,omitempty"`
 }
 

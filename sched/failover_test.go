@@ -198,6 +198,10 @@ func TestCoordinatorKillMidCampaign(t *testing.T) {
 // acquires it the moment the primary dies, and the takeover coordinator
 // resumes the campaign to byte-identical exports.
 func TestStandbyTakeover(t *testing.T) {
+	// The slow member has to outlast the 600 ms the standby is watched
+	// waiting under a live primary, or there is nothing left to resume:
+	// crashBody's runs for about that long.
+	body := strings.Replace(crashBody, `"scale":5`, `"scale":15`, 1)
 	var urls []string
 	for i := 0; i < 2; i++ {
 		_, ts := newWorker(t, serve.Options{Workers: 2, QueueCapacity: 8})
@@ -207,7 +211,7 @@ func TestStandbyTakeover(t *testing.T) {
 
 	st1, closeSt1 := openStore(t, dir)
 	c1, ts1 := startCrashable(t, sched.Options{Workers: urls, Store: st1})
-	job := submit(t, ts1.URL, crashBody, http.StatusAccepted)
+	job := submit(t, ts1.URL, body, http.StatusAccepted)
 	waitState(t, ts1.URL, job.ID, func(s serve.JobStatus) bool { return s.Completed >= 2 })
 
 	type acquired struct {
@@ -244,7 +248,7 @@ func TestStandbyTakeover(t *testing.T) {
 		t.Fatalf("takeover job ended %s (%s)", final.State, final.Error)
 	}
 
-	want := runReference(t, crashBody, exportPaths)
+	want := runReference(t, body, exportPaths)
 	compareExports(t, coord.URL+"/api/v1/jobs/"+job.ID, want)
 	if v := metricValue(t, coord.URL, "darco_sched_recovery_resumed_jobs"); v != 1 {
 		t.Errorf("resumed_jobs = %d, want 1", v)

@@ -52,7 +52,7 @@ func TestTraceEndpoint(t *testing.T) {
 		names[key]++
 	}
 	for name, want := range map[string]int{
-		"job " + st.ID: 1, "queue-wait": 1, "run": 1, "scenario": 2, "emulate": 2,
+		"job " + st.ID: 1, "queue-wait": 1, "run": 1, "scenario": 2, "emulate": 2, "catch-up": 2,
 	} {
 		if names[name] != want {
 			t.Errorf("trace has %d %q spans, want %d (all: %v)", names[name], name, want, names)
@@ -83,6 +83,17 @@ func TestTraceEndpoint(t *testing.T) {
 			scen++
 			if len(c.Children) == 0 {
 				t.Errorf("scenario span %q has no phase children", c.Name)
+			}
+			// The authoritative component's share of emulation is a
+			// span inside the emulate phase.
+			for _, ph := range c.Children {
+				if ph.Name != "emulate" {
+					continue
+				}
+				if len(ph.Children) != 1 || ph.Children[0].Name != "catch-up" ||
+					ph.Children[0].Start != ph.Start || ph.Children[0].End > ph.End {
+					t.Errorf("emulate span of %q: children %+v, want one catch-up span inside it", c.Name, ph.Children)
+				}
 			}
 		}
 	}

@@ -62,10 +62,13 @@ func TestKillAndRestartE2E(t *testing.T) {
 		t.Fatalf("job 1 ended %s (%s)", final.State, final.Error)
 	}
 	base1 := ts1.URL + "/api/v1/jobs/" + j1.ID
-	paths := []string{"/export.json", "/export.csv", "/export.ndjson", "/export.html", "/export.json?wall=1", "/export.csv?wall=1"}
+	paths := []string{"/export.json", "/export.csv", "/export.ndjson", "/export.html", "/export.json?wall=1", "/export.csv?wall=1", "/trace"}
 	want := make(map[string][]byte, len(paths))
 	for _, p := range paths {
 		want[p] = fetch(t, base1+p, 200, "")
+	}
+	if n := bytes.Count(want["/trace"], []byte(`"catch-up"`)); n != 4 { // span list and tree, two scenarios
+		t.Fatalf("trace names catch-up %d times before the crash:\n%s", n, want["/trace"])
 	}
 
 	// Job 2 is mid-run at the crash: one quick scenario (its row must

@@ -14,6 +14,9 @@ import (
 // front-to-back: warmup (image generation and session construction —
 // everything before emulation), emulate (the controller's run loop),
 // and timing-drain (waiting for the timing pipeline on Step exit).
+// Under emulate, catch-up is the authoritative component's share of it:
+// a total over many catch-ups, drawn at the phase's front and journaled
+// inside the phase's record.
 func (s *runner) scenarioSpans(j *jobs.Job, sr *darco.ScenarioResult, end time.Time) {
 	start := end.Add(-sr.Wall)
 	name := sr.Scenario.Name
@@ -30,14 +33,19 @@ func (s *runner) scenarioSpans(j *jobs.Job, sr *darco.ScenarioResult, end time.T
 		return
 	}
 	cursor := start
-	phase := func(name string, d time.Duration) {
+	phase := func(name string, d, catchUp time.Duration) {
 		if d <= 0 {
 			return
 		}
-		j.RecordSpan(obs.NewSpan(j.TraceID, sp.SpanID, name, s.opts.WorkerID, cursor, cursor.Add(d)))
+		ph := obs.NewSpan(j.TraceID, sp.SpanID, name, s.opts.WorkerID, cursor, cursor.Add(d))
+		var within []obs.Span
+		if catchUp > 0 {
+			within = append(within, obs.NewSpan(j.TraceID, ph.SpanID, "catch-up", s.opts.WorkerID, cursor, cursor.Add(catchUp)))
+		}
+		j.RecordSpan(ph, within...)
 		cursor = cursor.Add(d)
 	}
-	phase("warmup", sr.Wall-sr.Result.Wall)
-	phase("emulate", sr.Result.Phases.Emulate)
-	phase("timing-drain", sr.Result.Phases.TimingDrain)
+	phase("warmup", sr.Wall-sr.Result.Wall, 0)
+	phase("emulate", sr.Result.Phases.Emulate, sr.Result.Phases.CatchUp)
+	phase("timing-drain", sr.Result.Phases.TimingDrain, 0)
 }

@@ -236,7 +236,7 @@ func (s *Session) Snapshot() *Result {
 		SyscallSyncs:  ctl.SyscallSyncs,
 	}
 	res.HostInsns = res.HostAppInsns + res.Overhead.Total()
-	res.Phases = PhaseTimings{Emulate: s.emulate, TimingDrain: s.drain}
+	res.Phases = PhaseTimings{Emulate: s.emulate, CatchUp: ctl.CatchUp, TimingDrain: s.drain}
 	if c := s.eng.cfg.TOL.Counters; c != nil {
 		snap := c.Snapshot()
 		res.Obs = &snap

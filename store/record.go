@@ -143,9 +143,11 @@ type InterruptedRecord struct {
 	Reason string `json:"reason"`
 }
 
-// SpanRecord is one finished tracing span.
+// SpanRecord is one finished tracing span, with any spans recorded
+// inside it that have no record of their own.
 type SpanRecord struct {
-	Span obs.Span `json:"span"`
+	Span     obs.Span   `json:"span"`
+	Children []obs.Span `json:"children,omitempty"`
 }
 
 // ShardSpec is one contiguous shard of a federated job's roster:

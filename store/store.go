@@ -477,7 +477,7 @@ func (st *Store) apply(rec *Record) {
 		h.FinishedAt = rec.Time
 	case KindSpan:
 		if s := rec.Span; s != nil {
-			h.Spans = append(h.Spans, s.Span)
+			h.Spans = append(append(h.Spans, s.Span), s.Children...)
 		}
 	case KindShardPlan:
 		if p := rec.ShardPlan; p != nil {
