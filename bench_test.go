@@ -135,36 +135,6 @@ func BenchmarkTableSpeedTiming(b *testing.B) {
 	b.ReportMetric(hostMIPS, "host-MIPS")
 }
 
-// BenchmarkTableSpeedTimingPipelined measures the timing rates with the
-// timing model decoupled behind the retirement pipeline (the two-stage
-// emulate-ahead/time-behind split). Counters are bit-identical to
-// BenchmarkTableSpeedTiming — timing_pipeline_test.go pins that — so the
-// ns/op delta between the two benches is the pipeline's speedup.
-func BenchmarkTableSpeedTimingPipelined(b *testing.B) {
-	p, _ := workload.ByName("429.mcf")
-	im, err := workload.CachedImage(p.Scale(benchScale))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var guestMIPS, hostMIPS float64
-	for i := 0; i < b.N; i++ {
-		eng, err := darco.NewEngine(
-			darco.WithConfig(darco.TimingConfig()),
-			darco.WithTimingPipeline(experiments.BenchPipelineDepth))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := eng.Run(context.Background(), im)
-		if err != nil {
-			b.Fatal(err)
-		}
-		guestMIPS = res.GuestMIPS
-		hostMIPS = res.HostMIPS
-	}
-	b.ReportMetric(guestMIPS*1000, "guest-KIPS")
-	b.ReportMetric(hostMIPS, "host-MIPS")
-}
-
 // BenchmarkFig4ModeDistribution regenerates Fig. 4: per-suite average
 // dynamic guest instruction share in SBM (paper: 88 / 96 / 75 %).
 func BenchmarkFig4ModeDistribution(b *testing.B) {

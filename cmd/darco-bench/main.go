@@ -54,9 +54,7 @@ func main() {
 		par        = flag.Int("par", 0, "campaign worker-pool width (0 = GOMAXPROCS)")
 		scenarioTO = flag.Duration("scenario-timeout", 0, "per-benchmark timeout (0 = none)")
 		report     = flag.Bool("report", false, "print the campaign report (per-benchmark wall times)")
-		pipeDepth  = flag.Int("timing-pipeline", experiments.BenchPipelineDepth,
-			"timing-pipeline window depth for the speed table's pipelined row (0 = omit the row)")
-		obsOn      = flag.Bool("obs", false, "attach profiling counters to the speed table and print cache/pipeline columns")
+		obsOn      = flag.Bool("obs", false, "attach profiling counters to the speed table and print cache columns")
 		jsonDir    = flag.String("json", "", "write a BENCH_<n>.json perf snapshot into this directory and exit")
 		csvPath    = flag.String("csv", "", "stream the suite campaign as CSV to this file")
 		ndjsonPath = flag.String("ndjson", "", "stream the suite campaign as NDJSON rows to this file")
@@ -209,21 +207,21 @@ func main() {
 		if *obsOn {
 			table = experiments.TableSpeedObs
 		}
-		rows, err := table(ctx, p, *scale, *pipeDepth)
+		rows, err := table(ctx, p, *scale)
 		if err != nil {
 			fatalf("speed: %v", err)
 		}
 		fmt.Println("Table (§VI-A): DARCO speed")
 		fmt.Printf("%-24s%14s%14s%12s", "configuration", "guest MIPS", "host MIPS", "wall")
 		if *obsOn {
-			fmt.Printf("%12s%12s%10s%10s", "decode-hit%", "block-hit%", "flushes", "stalls")
+			fmt.Printf("%12s%12s%10s", "decode-hit%", "block-hit%", "flushes")
 		}
 		fmt.Println()
 		for _, r := range rows {
 			fmt.Printf("%-24s%14.2f%14.2f%12s", r.Config, r.GuestMIPS, r.HostMIPS, r.Wall.Round(1e6))
 			if r.Obs != nil {
-				fmt.Printf("%12.2f%12.2f%10d%10d",
-					100*r.Obs.DecodeHitRate(), 100*r.Obs.BlockHitRate(), r.Obs.CodeFlushes, r.Obs.PipelineStalls)
+				fmt.Printf("%12.2f%12.2f%10d",
+					100*r.Obs.DecodeHitRate(), 100*r.Obs.BlockHitRate(), r.Obs.CodeFlushes)
 			}
 			fmt.Println()
 		}

@@ -29,8 +29,8 @@
 // across machines raw ns/op is drift, not evidence. Exits 1 on failure.
 //
 // trend renders the committed BENCH_<n>.json history as a static HTML
-// dashboard: per-bench wall and allocation series against a noise band,
-// counter hit-rate series, and gate-verdict annotations.
+// dashboard: per-bench allocation series, counter hit-rate series, and
+// gate-verdict annotations.
 //
 // layout prints, from `go tool nm`, the address modulo 64 of the
 // simulator's inner loops (perf.HotFunctions) in one binary, or in two

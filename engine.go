@@ -48,28 +48,14 @@ func WithPower(en power.Energies, freqMHz float64) Option {
 	}
 }
 
-// WithTimingPipeline runs the timing simulator on its own goroutine,
-// fed from the ordered retire stream through a bounded pipeline of
-// depth batches (each timing.DefaultPipelineBatch instructions), so
-// emulation runs ahead of timing instead of serializing behind it.
-// Synchronization events and excursion boundaries are pipeline
-// barriers, and Step/Snapshot drain the pipeline, so Stats — timing
-// included — are bit-identical to the synchronous path at any depth.
-// Depth 0 keeps today's synchronous reference path; the option is
-// inert without WithTiming. Negative depths are rejected.
-func WithTimingPipeline(depth int) Option {
-	return func(e *Engine) { e.cfg.TimingPipeline = depth }
-}
-
 // WithObsCounters attaches hot-path profiling counters to every
 // session the engine (and any engine a campaign derives from it)
-// creates: decode-cache and block-cache hit/miss, code-cache flushes,
-// timing-pipeline pushes/flushes/stalls. The caller owns c and may
-// share one instance across engines — all updates are atomic — or
-// allocate one per run for per-run attribution; Session.Snapshot
-// surfaces the counter values as Result.Obs. Nil detaches (the
-// default): the instrumented paths then cost one predictable branch,
-// nothing more.
+// creates: decode-cache and block-cache hit/miss and code-cache
+// flushes. The caller owns c and may share one instance across engines
+// — all updates are atomic — or allocate one per run for per-run
+// attribution; Session.Snapshot surfaces the counter values as
+// Result.Obs. Nil detaches (the default): the instrumented paths then
+// cost one predictable branch, nothing more.
 func WithObsCounters(c *obs.EngineCounters) Option {
 	return func(e *Engine) { e.cfg.TOL.Counters = c }
 }
@@ -146,9 +132,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	}
 	if e.cfg.ValidateEveryNSyncs < 0 {
 		return nil, fmt.Errorf("darco: negative validation interval %d", e.cfg.ValidateEveryNSyncs)
-	}
-	if e.cfg.TimingPipeline < 0 {
-		return nil, fmt.Errorf("darco: negative timing-pipeline depth %d", e.cfg.TimingPipeline)
 	}
 	return e, nil
 }

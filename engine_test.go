@@ -177,33 +177,64 @@ func TestSessionResumesAfterCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := darco.NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ses, err := eng.NewSession(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := ses.Run(cancelled); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	res, err := ses.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ses.Done() {
-		t.Fatal("session not done after resumed run")
-	}
-	// The resumed run must match a clean one bit for bit.
-	ref, err := eng.Run(context.Background(), im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats != ref.Stats {
-		t.Errorf("resumed stats differ:\n%+v\n%+v", res.Stats, ref.Stats)
+	for _, tc := range []struct {
+		name        string
+		cfg         darco.Config
+		cancelAfter uint64 // guest instructions retired before the cancel; 0 = cancelled before Run
+	}{
+		{"before the first instruction", darco.DefaultConfig(), 0},
+		{"mid-flight with timing", darco.TimingConfig(), 100_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// cancel is armed only for the interrupted run; the reference
+			// run below shares the engine, observer included.
+			var cancel context.CancelFunc
+			eng, err := darco.NewEngine(darco.WithConfig(tc.cfg), darco.WithObserver(darco.ObserverFuncs{
+				Progress: func(p darco.Progress) {
+					if cancel != nil && p.GuestInsns >= tc.cancelAfter {
+						cancel()
+					}
+				},
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ses, err := eng.NewSession(im)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ctx context.Context
+			ctx, cancel = context.WithCancel(context.Background())
+			if tc.cancelAfter == 0 {
+				cancel()
+			}
+			if _, err := ses.Run(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			cancel = nil
+			if got := ses.Snapshot().Stats.GuestInsns(); ses.Done() || (got == 0) != (tc.cancelAfter == 0) {
+				t.Fatalf("cancelled at %d guest instructions (done %v), want a cancel after %d",
+					got, ses.Done(), tc.cancelAfter)
+			}
+			res, err := ses.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ses.Done() {
+				t.Fatal("session not done after resumed run")
+			}
+			// The resumed run must match a clean one bit for bit.
+			ref, err := eng.Run(context.Background(), im)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats != ref.Stats {
+				t.Errorf("resumed stats differ:\n%+v\n%+v", res.Stats, ref.Stats)
+			}
+			if tc.cfg.Timing != nil && *res.Timing != *ref.Timing {
+				t.Errorf("resumed timing stats differ:\n%+v\n%+v", *res.Timing, *ref.Timing)
+			}
+		})
 	}
 }
 

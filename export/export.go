@@ -399,42 +399,40 @@ func csvQuote(f string) string {
 	return string(append(out, '"'))
 }
 
-// Sequencer is the row-reordering core behind every incremental export
-// path: it accepts pre-flattened rows keyed by scenario index in any
-// completion order and hands them to a write function strictly in
-// scenario order, flushing the contiguous completed prefix as it
-// grows. The streaming writers (CSVStream, NDJSONStream) are built on
-// it, and the sched coordinator merges rows gathered from many worker
-// daemons through it — which is why a federated campaign's exports
-// come out byte-identical to a single-node run's at any sharding.
-//
-// A Sequencer is not goroutine-safe; callers that feed it from
-// concurrent gatherers serialize Put themselves.
-type Sequencer struct {
-	label   string // for error messages: "csv", "ndjson", "sched"
-	write   func(i int, row *Row) error
+// rowSequencer is the row-reordering core behind the streaming writers
+// (CSVStream, NDJSONStream): ScenarioResults arrive from the
+// WithScenarioDone hook in any completion order, are flattened with the
+// stream's options, and reach write strictly in scenario order, the
+// contiguous completed prefix flushed as it grows — which is why the
+// bytes are identical at any parallelism. RunCampaign serializes the
+// hook, so it needs no locking.
+type rowSequencer struct {
+	label   string // for error messages: "csv", "ndjson"
+	cfg     config
+	write   func(*Row) error
 	pending []*Row
 	next    int
 	err     error
 }
 
-// NewSequencer prepares to sequence n rows into write, which is called
-// exactly once per index in strictly increasing order.
-func NewSequencer(label string, n int, write func(i int, row *Row) error) *Sequencer {
-	return &Sequencer{label: label, write: write, pending: make([]*Row, n)}
+// newRowSequencer prepares to sequence n rows into write, which is
+// called exactly once per index in strictly increasing order.
+func newRowSequencer(label string, n int, cfg config, write func(*Row) error) *rowSequencer {
+	return &rowSequencer{label: label, cfg: cfg, write: write, pending: make([]*Row, n)}
 }
 
-// Put records row as scenario i's outcome and flushes the contiguous
+// done records scenario i's outcome and flushes the contiguous
 // completed prefix. Out-of-range indices and repeats of an
 // already-flushed index are ignored; a repeat of a still-pending index
 // overwrites it.
-func (s *Sequencer) Put(i int, row Row) {
+func (s *rowSequencer) done(i int, sr *darco.ScenarioResult) {
 	if s.err != nil || i < s.next || i >= len(s.pending) {
 		return
 	}
+	row := newRow(sr, &s.cfg)
 	s.pending[i] = &row
 	for s.next < len(s.pending) && s.pending[s.next] != nil {
-		if err := s.write(s.next, s.pending[s.next]); err != nil {
+		if err := s.write(s.pending[s.next]); err != nil {
 			s.err = err
 			return
 		}
@@ -443,8 +441,8 @@ func (s *Sequencer) Put(i int, row Row) {
 	}
 }
 
-// Close reports whether every row was delivered and written.
-func (s *Sequencer) Close() error {
+// close reports whether every row was delivered and written.
+func (s *rowSequencer) close() error {
 	if s.err != nil {
 		return s.err
 	}
@@ -453,26 +451,6 @@ func (s *Sequencer) Close() error {
 	}
 	return nil
 }
-
-// rowSequencer adapts the Sequencer to the campaign-hook shape the
-// streaming writers use: ScenarioResults arrive from WithScenarioDone
-// and are flattened with the stream's options before sequencing.
-type rowSequencer struct {
-	cfg config
-	seq *Sequencer
-}
-
-func newRowSequencer(format string, n int, cfg config, write func(*Row) error) *rowSequencer {
-	return &rowSequencer{cfg: cfg, seq: NewSequencer(format, n, func(_ int, row *Row) error {
-		return write(row)
-	})}
-}
-
-func (s *rowSequencer) done(i int, sr *darco.ScenarioResult) {
-	s.seq.Put(i, newRow(sr, &s.cfg))
-}
-
-func (s *rowSequencer) close() error { return s.seq.Close() }
 
 // CSVStream writes campaign rows incrementally as scenarios finish,
 // emitting records strictly in scenario order regardless of completion

@@ -211,9 +211,15 @@ func TestNDJSONStreamParallelMatchesSerialBytes(t *testing.T) {
 func TestNDJSONStreamCloseIncomplete(t *testing.T) {
 	var buf bytes.Buffer
 	s := export.NewNDJSONStream(&buf, 2)
-	s.Done(1, &darco.ScenarioResult{}) // out of order: row 0 never arrives
+	s.Done(1, &darco.ScenarioResult{}) // out of order: row 0 has not arrived
+	s.Done(2, &darco.ScenarioResult{}) // out of range: ignored
 	if err := s.Close(); err == nil || !strings.Contains(err.Error(), "0 of 2") {
 		t.Errorf("incomplete stream close error = %v", err)
+	}
+	s.Done(0, &darco.ScenarioResult{})
+	s.Done(0, &darco.ScenarioResult{}) // already flushed: ignored
+	if err := s.Close(); err != nil || strings.Count(buf.String(), "\n") != 2 {
+		t.Errorf("complete stream: close error %v, rows:\n%s", err, buf.String())
 	}
 }
 

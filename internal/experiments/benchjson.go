@@ -25,11 +25,6 @@ type (
 // NextBenchPath returns the path of the next BENCH_<n>.json in dir.
 func NextBenchPath(dir string) (string, error) { return perf.NextBenchPath(dir) }
 
-// BenchPipelineDepth is the timing-pipeline window depth the perf
-// snapshots and speed benches measure (deep enough that the emulator
-// rarely blocks on the timing drain, small enough to bound buffering).
-const BenchPipelineDepth = 8
-
 // measure runs f once and reports its wall time and allocation cost.
 func measure(f func() error) (perf.Bench, error) {
 	var before, after runtime.MemStats
@@ -75,9 +70,8 @@ func CollectBenchSnapshot(ctx context.Context, scale float64) (*perf.Snapshot, e
 	// speed measures one session over im. windowed attaches a
 	// default-interval telemetry windower first, the subscription every
 	// served job's sessions carry.
-	speed := func(name string, timing, windowed bool, opts ...darco.Option) error {
-		ctrs := &obs.EngineCounters{}
-		opts = append(append([]darco.Option(nil), opts...), darco.WithObsCounters(ctrs))
+	speed := func(name string, cfg darco.Config, windowed bool) error {
+		opts := []darco.Option{darco.WithConfig(cfg), darco.WithObsCounters(&obs.EngineCounters{})}
 		var res *darco.Result
 		entry, err := measure(func() error {
 			eng, err := darco.NewEngine(opts...)
@@ -99,7 +93,7 @@ func CollectBenchSnapshot(ctx context.Context, scale float64) (*perf.Snapshot, e
 		if err != nil {
 			return err
 		}
-		if timing {
+		if cfg.Timing != nil {
 			entry.Metrics = map[string]float64{
 				"guest-KIPS": res.GuestMIPS * 1000,
 				"host-MIPS":  res.HostMIPS,
@@ -114,23 +108,16 @@ func CollectBenchSnapshot(ctx context.Context, scale float64) (*perf.Snapshot, e
 		snap.Benches[name] = entry
 		return nil
 	}
-	if err := speed("TableSpeedFunctional", false, false, darco.WithConfig(darco.DefaultConfig())); err != nil {
+	if err := speed("TableSpeedFunctional", darco.DefaultConfig(), false); err != nil {
 		return nil, err
 	}
 	// The same run with job telemetry attached: its allocs/op and
 	// counters must stay those of the bare row (the gate holds them),
 	// and its ns/op within a few percent.
-	if err := speed("TableSpeedFunctionalTelemetry", false, true, darco.WithConfig(darco.DefaultConfig())); err != nil {
+	if err := speed("TableSpeedFunctionalTelemetry", darco.DefaultConfig(), true); err != nil {
 		return nil, err
 	}
-	if err := speed("TableSpeedTiming", true, false, darco.WithConfig(darco.TimingConfig())); err != nil {
-		return nil, err
-	}
-	// The decoupled timing pipeline at the default bench depth: counters
-	// are bit-identical to TableSpeedTiming (the determinism harness pins
-	// that), so the ns/op ratio between the two is the pipeline's win.
-	if err := speed("TableSpeedTimingPipelined", true, false,
-		darco.WithConfig(darco.TimingConfig()), darco.WithTimingPipeline(BenchPipelineDepth)); err != nil {
+	if err := speed("TableSpeedTiming", darco.TimingConfig(), false); err != nil {
 		return nil, err
 	}
 

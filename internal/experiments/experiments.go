@@ -249,48 +249,35 @@ type SpeedRow struct {
 
 // TableSpeed reproduces the §VI-A emulation/simulation speed table on a
 // representative benchmark: guest and host instruction rates with the
-// timing simulator off, on synchronously, and (when pipelineDepth > 0)
-// on behind the decoupled timing pipeline at that window depth. The
-// pipelined row's counters are bit-identical to the synchronous row's —
-// only the wall-clock rates move.
-func TableSpeed(ctx context.Context, p workload.Profile, scale float64, pipelineDepth int) ([]SpeedRow, error) {
-	return tableSpeed(ctx, p, scale, pipelineDepth, false)
+// timing simulator off and on.
+func TableSpeed(ctx context.Context, p workload.Profile, scale float64) ([]SpeedRow, error) {
+	return tableSpeed(ctx, p, scale, false)
 }
 
 // TableSpeedObs is TableSpeed with a fresh set of hot-path profiling
 // counters attached per configuration, so each row carries its own
-// cache-hit and pipeline-traffic snapshot (darco-bench -obs).
-func TableSpeedObs(ctx context.Context, p workload.Profile, scale float64, pipelineDepth int) ([]SpeedRow, error) {
-	return tableSpeed(ctx, p, scale, pipelineDepth, true)
+// cache-hit snapshot (darco-bench -obs).
+func TableSpeedObs(ctx context.Context, p workload.Profile, scale float64) ([]SpeedRow, error) {
+	return tableSpeed(ctx, p, scale, true)
 }
 
-func tableSpeed(ctx context.Context, p workload.Profile, scale float64, pipelineDepth int, withObs bool) ([]SpeedRow, error) {
+func tableSpeed(ctx context.Context, p workload.Profile, scale float64, withObs bool) ([]SpeedRow, error) {
 	im, err := workload.CachedImage(p.Scale(scale))
 	if err != nil {
 		return nil, err
 	}
 	configs := []struct {
 		name string
-		opts []darco.Option
+		cfg  darco.Config
 	}{
-		{"functional emulation", []darco.Option{darco.WithConfig(darco.DefaultConfig())}},
-		{"with timing simulator", []darco.Option{darco.WithConfig(darco.TimingConfig())}},
-	}
-	if pipelineDepth > 0 {
-		configs = append(configs, struct {
-			name string
-			opts []darco.Option
-		}{
-			fmt.Sprintf("timing, pipelined (d=%d)", pipelineDepth),
-			[]darco.Option{darco.WithConfig(darco.TimingConfig()), darco.WithTimingPipeline(pipelineDepth)},
-		})
+		{"functional emulation", darco.DefaultConfig()},
+		{"with timing simulator", darco.TimingConfig()},
 	}
 	var rows []SpeedRow
-	for _, cfg := range configs {
-		opts := cfg.opts
+	for _, c := range configs {
+		opts := []darco.Option{darco.WithConfig(c.cfg)}
 		if withObs {
-			opts = append(append([]darco.Option(nil), opts...),
-				darco.WithObsCounters(&obs.EngineCounters{}))
+			opts = append(opts, darco.WithObsCounters(&obs.EngineCounters{}))
 		}
 		eng, err := darco.NewEngine(opts...)
 		if err != nil {
@@ -300,7 +287,7 @@ func tableSpeed(ctx context.Context, p workload.Profile, scale float64, pipeline
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, SpeedRow{Config: cfg.name,
+		rows = append(rows, SpeedRow{Config: c.name,
 			GuestMIPS: res.GuestMIPS, HostMIPS: res.HostMIPS, Wall: res.Wall, Obs: res.Obs})
 	}
 	return rows, nil

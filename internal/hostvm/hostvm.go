@@ -203,6 +203,10 @@ func New(mem guest.Memory, cfg Config) *VM {
 // outcome the timing simulator's branch predictors need. PC and Target
 // are synthetic host addresses (block id and instruction index packed).
 type RetireEvent struct {
+	// Inst points into the live code cache, which the TOL patches in
+	// place (EXIT becomes CHAINED when a chain is installed): a consumer
+	// reads it during the call and copies what it keeps, or it may later
+	// see a different instruction than the one that retired.
 	Inst   *host.Inst
 	PC     uint32
 	Taken  bool

@@ -92,10 +92,10 @@ type EngineSpec struct {
 	FreqMHz float64 `json:"freq_mhz,omitempty"`
 
 	// Obs attaches the daemon's shared hot-path profiling counters
-	// (decode/block cache hits, code-cache flushes, timing-pipeline
-	// pressure) to the job's engine; they surface in the daemon's
-	// /metrics under darco_engine_*. Off by default — the instrumented
-	// paths then cost one predictable branch per site.
+	// (decode/block cache hits, code-cache flushes) to the job's
+	// engine; they surface in the daemon's /metrics under
+	// darco_engine_*. Off by default — the instrumented paths then cost
+	// one predictable branch per site.
 	Obs bool `json:"obs,omitempty"`
 }
 

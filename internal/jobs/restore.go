@@ -92,11 +92,10 @@ func (k *Kernel) restoreJobs() []*Job {
 			// the placeholder reason is only a safety net.
 			j.seal(fmt.Errorf("no outcome journaled: job ended %s", h.State))
 		} else {
-			// Terminal as of this restart. What it synthesizes must not
-			// read as progress: the counters keep saying what ran.
-			completed, failed := j.completed, j.failed
+			// Terminal as of this restart. The rows it synthesizes are
+			// journaled and count like any other, so the status reads
+			// the same now and after every later restart.
 			j.seal(err)
-			j.completed, j.failed = completed, failed
 			k.journalEnd(j)
 			k.log.Info("job ended by the restart", "job_id", j.ID, "trace_id", j.TraceID,
 				"state", string(state), "preserved_rows", len(h.Rows), "scenarios", h.Scenarios)

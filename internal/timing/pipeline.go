@@ -1,34 +1,27 @@
+// The engine has one timing path: a session's retire hook is
+// Core.Consume, synchronously. The decoupled pipeline below was the
+// engine's second path (PR 8) and lost every measurement taken of it.
+// Its only caller left is the repository benchmark's timingReplay probe
+// (benchmark/layers.go, frozen), which reads timing.pipeline_ns_per_event
+// through NewPipeline, Start, Push and Stop — so exactly that surface
+// stays. This file goes in the benchmark-revision PR that drops
+// timing.pipeline_ns_per_event.
+
 package timing
 
 import (
-	"time"
-
 	"darco/internal/host"
 	"darco/internal/hostvm"
-	"darco/obs"
 )
 
-// DefaultPipelineBatch is how many retired instructions the pipeline
-// packs into one batch before handing it to the drain goroutine.
-const DefaultPipelineBatch = 1024
+// pipelineBatch is how many retired instructions the pipeline packs
+// into one batch before handing it to the drain goroutine.
+const pipelineBatch = 1024
 
-// pipeEvent is one retired instruction, value-copied at emit time. The
-// copy is what makes the pipeline deterministic: the emulator patches
-// translated code in place (EXIT becomes CHAINED when a chain is
-// installed), so a late consumer dereferencing the original *host.Inst
-// could observe a different instruction than the one that retired. The
-// synchronous path consumes at emit time and never sees such a patch;
-// copying the fields at emit time gives the drain goroutine exactly the
-// same view, whatever the window depth — and removes every shared-memory
-// edge between the emulator and the timing goroutine.
-//
-// The copy is deliberately partial: op/rd/ra/rb are the only Inst
-// fields the timing model reads (opcode class, latency, and the
-// register scoreboard), and the struct is kept at 16 bytes because the
-// producer-side copy bandwidth is the pipeline's overhead on the
-// emulator hot path. If the timing Core ever learns to read another
-// Inst field, add it here — the determinism harness
-// (TestTimingPipelineBitIdentical) fails loudly on the zeroed field.
+// pipeEvent is one retired instruction, value-copied at emit time:
+// RetireEvent.Inst is only valid during the call (see hostvm), and the
+// drain goroutine reads it later. op/rd/ra/rb are the only Inst fields
+// the timing model reads.
 type pipeEvent struct {
 	pc         uint32
 	target     uint32
@@ -38,44 +31,26 @@ type pipeEvent struct {
 	taken      bool
 }
 
-// pipeBatch is one delivery on the pipeline channel: a run of events,
-// a barrier token (ack non-nil), or both are never combined — barriers
-// travel as their own batch so the producer can block until everything
-// enqueued before the token has been consumed.
-type pipeBatch struct {
-	events []pipeEvent
-	ack    chan struct{}
-}
-
 // Pipeline feeds a retire-event sink (the timing Core's Consume) from
-// its own goroutine: the emulator pushes value-copied events into
+// its own goroutine: the producer pushes value-copied events into
 // bounded, ordered batches, and a single drain goroutine replays them
 // into the sink in exactly the retire order. Depth bounds how many
-// batches may be in flight — the emulate-ahead window — so a slow
-// timing model back-pressures emulation instead of buffering without
-// bound.
+// batches may be in flight, so a slow sink back-pressures the producer
+// instead of buffering without bound.
 //
-// The Pipeline is single-producer: Push, Flush, Barrier, Start and
-// Stop must all be called from the session goroutine. The sink runs on
-// the drain goroutine while the pipeline is running; Stop (and
-// Barrier) establish the happens-before edge that makes reading the
-// sink's state safe afterwards.
+// The Pipeline is single-producer: Push, Start and Stop must all be
+// called from one goroutine. The sink runs on the drain goroutine while
+// the pipeline is running; Stop establishes the happens-before edge
+// that makes reading the sink's state safe afterwards.
 type Pipeline struct {
-	sink     func(hostvm.RetireEvent)
-	depth    int
-	batchCap int
+	sink  func(hostvm.RetireEvent)
+	depth int
 
-	ch      chan pipeBatch
+	ch      chan []pipeEvent
 	done    chan struct{}
 	free    chan []pipeEvent
 	cur     []pipeEvent
 	running bool
-
-	// ctr, when non-nil, receives pipeline profiling: pushes, batch
-	// hand-offs, full-window stalls, and (through its histogram sinks)
-	// batch occupancy and barrier-stall time. Pushes are counted batch-
-	// at-a-time in Flush, so the per-event hot path stays untouched.
-	ctr *obs.EngineCounters
 }
 
 // NewPipeline builds a pipeline over sink with the given window depth
@@ -86,46 +61,35 @@ func NewPipeline(sink func(hostvm.RetireEvent), depth int) *Pipeline {
 		depth = 1
 	}
 	return &Pipeline{
-		sink:     sink,
-		depth:    depth,
-		batchCap: DefaultPipelineBatch,
+		sink:  sink,
+		depth: depth,
 		// One buffer per in-flight batch, plus the one being filled
 		// and the one being drained.
 		free: make(chan []pipeEvent, depth+2),
 	}
 }
 
-// Depth reports the configured window depth in batches.
-func (p *Pipeline) Depth() int { return p.depth }
-
-// SetObsCounters attaches profiling counters (nil detaches). Like the
-// rest of the producer API it must be called from the session
-// goroutine, before Start.
-func (p *Pipeline) SetObsCounters(c *obs.EngineCounters) { p.ctr = c }
-
 // Start spawns the drain goroutine. Idempotent while running.
 func (p *Pipeline) Start() {
 	if p.running {
 		return
 	}
-	p.ch = make(chan pipeBatch, p.depth)
+	p.ch = make(chan []pipeEvent, p.depth)
 	p.done = make(chan struct{})
 	p.running = true
 	go p.drain(p.ch, p.done)
 }
 
 // drain is the consumer goroutine: it replays batches into the sink in
-// arrival order, recycles their buffers, and acknowledges barriers.
-func (p *Pipeline) drain(ch chan pipeBatch, done chan struct{}) {
+// arrival order and recycles their buffers.
+func (p *Pipeline) drain(ch chan []pipeEvent, done chan struct{}) {
 	defer close(done)
-	// One scratch Inst reused for every replayed event: the sink consumes
-	// synchronously and must not retain ev.Inst past the call (the
-	// synchronous path hands it a pointer into the live code cache, so
-	// that contract already holds).
+	// One scratch Inst reused for every replayed event: the sink must
+	// not retain ev.Inst past the call.
 	var inst host.Inst
-	for b := range ch {
-		for i := range b.events {
-			e := &b.events[i]
+	for events := range ch {
+		for i := range events {
+			e := &events[i]
 			inst = host.Inst{Op: e.op, Rd: e.rd, Ra: e.ra, Rb: e.rb}
 			p.sink(hostvm.RetireEvent{
 				Inst:   &inst,
@@ -135,38 +99,28 @@ func (p *Pipeline) drain(ch chan pipeBatch, done chan struct{}) {
 				Addr:   e.addr,
 			})
 		}
-		if b.events != nil {
-			select {
-			case p.free <- b.events[:0]:
-			default:
-			}
-		}
-		if b.ack != nil {
-			close(b.ack)
+		select {
+		case p.free <- events[:0]:
+		default:
 		}
 	}
 }
 
-// buf returns an empty event buffer, recycling drained ones.
-func (p *Pipeline) buf() []pipeEvent {
-	select {
-	case b := <-p.free:
-		return b
-	default:
-		return make([]pipeEvent, 0, p.batchCap)
-	}
-}
-
-// Push enqueues one retired instruction, flushing a full batch. When
-// the pipeline is stopped it degrades to a synchronous call, so a push
-// outside a Start/Stop window can never strand an event in the buffer.
+// Push enqueues one retired instruction, handing over a full batch.
+// When the pipeline is stopped it degrades to a synchronous call, so a
+// push outside a Start/Stop window can never strand an event in the
+// buffer.
 func (p *Pipeline) Push(ev hostvm.RetireEvent) {
 	if !p.running {
 		p.sink(ev)
 		return
 	}
 	if p.cur == nil {
-		p.cur = p.buf()
+		select {
+		case p.cur = <-p.free:
+		default:
+			p.cur = make([]pipeEvent, 0, pipelineBatch)
+		}
 	}
 	in := ev.Inst
 	p.cur = append(p.cur, pipeEvent{
@@ -179,74 +133,30 @@ func (p *Pipeline) Push(ev hostvm.RetireEvent) {
 		rb:     in.Rb,
 		taken:  ev.Taken,
 	})
-	if len(p.cur) >= p.batchCap {
-		p.Flush()
+	if len(p.cur) >= pipelineBatch {
+		p.flush()
 	}
 }
 
-// Flush hands the partially filled batch to the drain goroutine (an
-// ordering point, not a wait). The session calls it at every excursion
-// boundary, so no events linger in the producer buffer while the
-// controller runs outside the co-designed component.
-func (p *Pipeline) Flush() {
-	if !p.running || len(p.cur) == 0 {
+// flush hands the partially filled batch to the drain goroutine,
+// blocking while the window is full.
+func (p *Pipeline) flush() {
+	if len(p.cur) == 0 {
 		return
 	}
-	if p.ctr != nil {
-		p.ctr.PipelinePushes.Add(uint64(len(p.cur)))
-		p.ctr.PipelineFlushes.Add(1)
-		if h := p.ctr.BatchOccupancy; h != nil {
-			h.Observe(float64(len(p.cur)))
-		}
-		// A full window means the emulator is about to block on timing
-		// back-pressure: record the stall, then push for real.
-		select {
-		case p.ch <- pipeBatch{events: p.cur}:
-		default:
-			p.ctr.PipelineStalls.Add(1)
-			p.ch <- pipeBatch{events: p.cur}
-		}
-		p.cur = nil
-		return
-	}
-	p.ch <- pipeBatch{events: p.cur}
+	p.ch <- p.cur
 	p.cur = nil
-}
-
-// Barrier flushes and then blocks until the drain goroutine has
-// consumed everything enqueued before it. Synchronization events are
-// barriers: when the controller mediates a sync, the timing core has
-// consumed exactly the instructions retired before it — the same state
-// the synchronous path would be in — so sync-sensitive readers observe
-// identical cores at any depth.
-func (p *Pipeline) Barrier() {
-	if !p.running {
-		return
-	}
-	p.Flush()
-	ack := make(chan struct{})
-	var wait time.Time
-	if p.ctr != nil && p.ctr.BarrierStall != nil {
-		wait = time.Now()
-	}
-	p.ch <- pipeBatch{ack: ack}
-	<-ack
-	if p.ctr != nil && p.ctr.BarrierStall != nil {
-		p.ctr.BarrierStall.Observe(time.Since(wait).Seconds())
-	}
 }
 
 // Stop drains the pipeline and terminates the drain goroutine. After
 // Stop returns, everything pushed has been consumed and the sink's
 // state may be read from the caller's goroutine. Idempotent when
-// stopped; Start may be called again afterwards (the session runs the
-// pipeline only while inside Step, so an abandoned session leaks no
-// goroutine and cancellation leaves the timing core consistent).
+// stopped.
 func (p *Pipeline) Stop() {
 	if !p.running {
 		return
 	}
-	p.Flush()
+	p.flush()
 	close(p.ch)
 	<-p.done
 	p.running = false

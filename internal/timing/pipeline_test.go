@@ -1,98 +1,42 @@
-package timing
+package timing_test
 
 import (
 	"testing"
 
-	"darco/internal/host"
-	"darco/internal/hostvm"
+	"darco/internal/timing"
 )
 
-// pushPC pushes one event tagged with pc through the pipeline.
-func pushPC(p *Pipeline, pc uint32) {
-	in := host.Inst{Op: host.NOPH}
-	p.Push(hostvm.RetireEvent{Inst: &in, PC: pc})
-}
+// TestPipelineReplayMatchesSynchronous is the benchmark probe's own
+// check: a recorded stream replayed through NewPipeline/Start/Push/Stop
+// leaves the core exactly where the synchronous replay does — every
+// event once, in order, across several batches. Before Start, Push is
+// a synchronous call.
+func TestPipelineReplayMatchesSynchronous(t *testing.T) {
+	_, events := runTimed(t, "429.mcf", 0.05, 100_000)
+	if len(events) < 10_000 {
+		t.Fatalf("recorded %d events, want a stream spanning several batches", len(events))
+	}
+	ref := timing.New(timing.DefaultConfig())
+	for i := range events {
+		events[i].feed(ref.Consume)
+	}
 
-// TestPipelineOrderAcrossBarriers pushes a tagged sequence through
-// flushes, barriers and stop/start cycles and requires the sink to see
-// every event exactly once, in order.
-func TestPipelineOrderAcrossBarriers(t *testing.T) {
-	var got []uint32
-	p := NewPipeline(func(ev hostvm.RetireEvent) { got = append(got, ev.PC) }, 2)
-	p.batchCap = 3 // exercise batch boundaries with few events
-
-	var want []uint32
-	next := uint32(0)
-	push := func(n int) {
-		for i := 0; i < n; i++ {
-			pushPC(p, next)
-			want = append(want, next)
-			next++
-		}
+	piped := timing.New(timing.DefaultConfig())
+	pipe := timing.NewPipeline(piped.Consume, 8)
+	const early = 100
+	for i := range events[:early] {
+		events[i].feed(pipe.Push)
 	}
-	p.Start()
-	push(7)
-	p.Flush()
-	push(2)
-	p.Barrier() // sync marker: everything above must be consumed now
-	if len(got) != int(next) {
-		t.Fatalf("after barrier: sink saw %d events, want %d", len(got), next)
+	if piped.Stats.Insns != early {
+		t.Fatalf("core consumed %d of %d events pushed before Start: Push must be synchronous while stopped",
+			piped.Stats.Insns, early)
 	}
-	push(4)
-	p.Stop() // excursion/step boundary
-	p.Start()
-	push(5)
-	p.Stop()
-	push(3) // stopped pipeline degrades to synchronous delivery
-	p.Barrier()
-
-	if len(got) != len(want) {
-		t.Fatalf("sink saw %d events, want %d", len(got), len(want))
+	pipe.Start()
+	for i := range events[early:] {
+		events[early+i].feed(pipe.Push)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: got pc %d, want %d (reordered or dropped)", i, got[i], want[i])
-		}
-	}
-}
-
-// TestPipelineCopiesInstAtEmit pins the determinism linchpin: the
-// emulator patches translated code in place (EXIT becomes CHAINED when
-// a chain is installed), so the pipeline must copy instruction fields
-// at emit time — a consumer dereferencing the original pointer later
-// could time a different instruction than the one that retired.
-func TestPipelineCopiesInstAtEmit(t *testing.T) {
-	var seen []host.Op
-	p := NewPipeline(func(ev hostvm.RetireEvent) { seen = append(seen, ev.Inst.Op) }, 1)
-	p.Start()
-	in := host.Inst{Op: host.EXIT}
-	p.Push(hostvm.RetireEvent{Inst: &in, PC: 1})
-	in.Op = host.CHAINED // the TOL installing a chain after retirement
-	p.Stop()
-	if len(seen) != 1 || seen[0] != host.EXIT {
-		t.Fatalf("sink saw %v, want [EXIT]: pipeline must copy at emit time", seen)
-	}
-}
-
-// TestPipelineStopIdempotent makes sure double Stop / Stop-before-Start
-// and empty barriers are safe no-ops.
-func TestPipelineStopIdempotent(t *testing.T) {
-	n := 0
-	p := NewPipeline(func(hostvm.RetireEvent) { n++ }, 4)
-	p.Stop()
-	p.Barrier()
-	p.Flush()
-	p.Start()
-	p.Barrier() // empty barrier round-trip
-	p.Stop()
-	p.Stop()
-	if n != 0 {
-		t.Fatalf("sink called %d times with nothing pushed", n)
-	}
-	p.Start()
-	pushPC(p, 9)
-	p.Stop()
-	if n != 1 {
-		t.Fatalf("sink saw %d events after restart, want 1", n)
+	pipe.Stop()
+	if piped.Stats != ref.Stats {
+		t.Errorf("pipelined replay diverged from the synchronous replay:\n got %+v\nwant %+v", piped.Stats, ref.Stats)
 	}
 }

@@ -29,9 +29,9 @@ type retired struct {
 	taken            bool
 }
 
-func (ev *retired) feed(core *timing.Core) {
+func (ev *retired) feed(sink func(hostvm.RetireEvent)) {
 	in := host.Inst{Op: ev.op, Rd: ev.rd, Ra: ev.ra, Rb: ev.rb}
-	core.Consume(hostvm.RetireEvent{Inst: &in, PC: ev.pc, Taken: ev.taken, Target: ev.target, Addr: ev.addr})
+	sink(hostvm.RetireEvent{Inst: &in, PC: ev.pc, Taken: ev.taken, Target: ev.target, Addr: ev.addr})
 }
 
 // runTimed runs a workload with a default-configured timing core on
@@ -149,9 +149,9 @@ func BenchmarkCoreConsumeReplay(b *testing.B) {
 	_, events := runTimed(b, "429.mcf", 0.25, 2_000_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core := timing.New(timing.DefaultConfig())
+		consume := timing.New(timing.DefaultConfig()).Consume
 		for j := range events {
-			events[j].feed(core)
+			events[j].feed(consume)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")

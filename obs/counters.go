@@ -27,55 +27,35 @@ type EngineCounters struct {
 	// Code cache flushes: capacity evictions that drop every
 	// translation at once (the paper's flush-and-refill discipline).
 	CodeFlushes atomic.Uint64
-
-	// Timing pipeline: events pushed to the drain goroutine, batches
-	// handed over, and flushes that found the window full (the
-	// emulator blocked on timing back-pressure).
-	PipelinePushes  atomic.Uint64
-	PipelineFlushes atomic.Uint64
-	PipelineStalls  atomic.Uint64
-
-	// Optional distribution sinks, set by the owner before the first
-	// run (nil = not recorded). BatchOccupancy observes events per
-	// flushed batch; BarrierStall observes seconds the emulator spent
-	// blocked at synchronization barriers.
-	BatchOccupancy *Histogram
-	BarrierStall   *Histogram
 }
 
 // EngineCountersSnapshot is a plain copy of the counter values, the
 // form Result.Obs carries and darco-bench prints.
 type EngineCountersSnapshot struct {
-	DecodeHits      uint64 `json:"decode_hits"`
-	DecodeMisses    uint64 `json:"decode_misses"`
-	BlockHits       uint64 `json:"block_hits"`
-	BlockMisses     uint64 `json:"block_misses"`
-	CodeFlushes     uint64 `json:"code_flushes"`
-	PipelinePushes  uint64 `json:"pipeline_pushes"`
-	PipelineFlushes uint64 `json:"pipeline_flushes"`
-	PipelineStalls  uint64 `json:"pipeline_stalls"`
+	DecodeHits   uint64 `json:"decode_hits"`
+	DecodeMisses uint64 `json:"decode_misses"`
+	BlockHits    uint64 `json:"block_hits"`
+	BlockMisses  uint64 `json:"block_misses"`
+	CodeFlushes  uint64 `json:"code_flushes"`
 }
 
 // Snapshot reads the counters. Values are individually atomic, not a
 // consistent cut — fine for monitoring, meaningless to diff mid-run.
 func (c *EngineCounters) Snapshot() EngineCountersSnapshot {
 	return EngineCountersSnapshot{
-		DecodeHits:      c.DecodeHits.Load(),
-		DecodeMisses:    c.DecodeMisses.Load(),
-		BlockHits:       c.BlockHits.Load(),
-		BlockMisses:     c.BlockMisses.Load(),
-		CodeFlushes:     c.CodeFlushes.Load(),
-		PipelinePushes:  c.PipelinePushes.Load(),
-		PipelineFlushes: c.PipelineFlushes.Load(),
-		PipelineStalls:  c.PipelineStalls.Load(),
+		DecodeHits:   c.DecodeHits.Load(),
+		DecodeMisses: c.DecodeMisses.Load(),
+		BlockHits:    c.BlockHits.Load(),
+		BlockMisses:  c.BlockMisses.Load(),
+		CodeFlushes:  c.CodeFlushes.Load(),
 	}
 }
 
 // Delta is shorthand for c.Snapshot().Sub(prev): the counter movement
 // since a previous snapshot. The paired A/B perf harness brackets each
-// measured repetition with Snapshot/Delta to attribute cache and
-// pipeline traffic to exactly that repetition even when the counters
-// instance is shared across runs.
+// measured repetition with Snapshot/Delta to attribute cache traffic
+// to exactly that repetition even when the counters instance is shared
+// across runs.
 func (c *EngineCounters) Delta(prev EngineCountersSnapshot) EngineCountersSnapshot {
 	return c.Snapshot().Sub(prev)
 }
@@ -88,39 +68,25 @@ func (c *EngineCounters) Reset() {
 	c.BlockHits.Store(0)
 	c.BlockMisses.Store(0)
 	c.CodeFlushes.Store(0)
-	c.PipelinePushes.Store(0)
-	c.PipelineFlushes.Store(0)
-	c.PipelineStalls.Store(0)
 }
 
 // Sub returns the delta s - prev, for per-phase attribution when one
 // counters instance spans several runs.
 func (s EngineCountersSnapshot) Sub(prev EngineCountersSnapshot) EngineCountersSnapshot {
 	return EngineCountersSnapshot{
-		DecodeHits:      s.DecodeHits - prev.DecodeHits,
-		DecodeMisses:    s.DecodeMisses - prev.DecodeMisses,
-		BlockHits:       s.BlockHits - prev.BlockHits,
-		BlockMisses:     s.BlockMisses - prev.BlockMisses,
-		CodeFlushes:     s.CodeFlushes - prev.CodeFlushes,
-		PipelinePushes:  s.PipelinePushes - prev.PipelinePushes,
-		PipelineFlushes: s.PipelineFlushes - prev.PipelineFlushes,
-		PipelineStalls:  s.PipelineStalls - prev.PipelineStalls,
+		DecodeHits:   s.DecodeHits - prev.DecodeHits,
+		DecodeMisses: s.DecodeMisses - prev.DecodeMisses,
+		BlockHits:    s.BlockHits - prev.BlockHits,
+		BlockMisses:  s.BlockMisses - prev.BlockMisses,
+		CodeFlushes:  s.CodeFlushes - prev.CodeFlushes,
 	}
 }
 
-// EqualDeterministic reports whether the machine-independent counters
-// match: everything except PipelineStalls, which counts the emulator
-// blocking on timing back-pressure and therefore depends on scheduler
-// timing, not on the code under test. The perf regression gate
-// compares snapshots field-exactly through this predicate.
+// EqualDeterministic reports whether two snapshots match. Every
+// counter is machine-independent, so this is plain equality; the perf
+// regression gate and the A/B harness compare snapshots through it.
 func (s EngineCountersSnapshot) EqualDeterministic(o EngineCountersSnapshot) bool {
-	return s.DecodeHits == o.DecodeHits &&
-		s.DecodeMisses == o.DecodeMisses &&
-		s.BlockHits == o.BlockHits &&
-		s.BlockMisses == o.BlockMisses &&
-		s.CodeFlushes == o.CodeFlushes &&
-		s.PipelinePushes == o.PipelinePushes &&
-		s.PipelineFlushes == o.PipelineFlushes
+	return s == o
 }
 
 // DecodeHitRate is hits/(hits+misses), 0 when no lookups happened.

@@ -140,8 +140,8 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 
 // RegisterHistogram adopts an externally constructed histogram into
 // the registry — the pattern for instrumentation that lives below the
-// daemon (the store's append/fsync latency, the timing pipeline's
-// batch occupancy) yet must surface on its /metrics.
+// daemon (the store's append/fsync latency) yet must surface on its
+// /metrics.
 func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 	f := r.register(name, help, "histogram", nil)
 	f.get(nil).hist = h

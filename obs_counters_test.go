@@ -19,14 +19,9 @@ func TestObsCountersAttached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrs := &obs.EngineCounters{
-		BatchOccupancy: obs.NewHistogram(obs.LinearBuckets(128, 128, 8)),
-		BarrierStall:   obs.NewHistogram(obs.ExpBuckets(1e-6, 10, 6)),
-	}
 	eng, err := darco.NewEngine(
 		darco.WithTiming(timing.DefaultConfig()),
-		darco.WithTimingPipeline(4),
-		darco.WithObsCounters(ctrs),
+		darco.WithObsCounters(&obs.EngineCounters{}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -49,27 +44,11 @@ func TestObsCountersAttached(t *testing.T) {
 	if got := s.BlockHits + s.BlockMisses; got != res.Stats.Dispatches {
 		t.Errorf("block lookups %d != dispatches %d", got, res.Stats.Dispatches)
 	}
-	if s.PipelinePushes == 0 || s.PipelineFlushes == 0 {
-		t.Errorf("pipeline counters empty: %+v", s)
-	}
-	// The pipeline carries exactly the retired host instruction stream.
-	if s.PipelinePushes != res.HostAppInsns {
-		t.Errorf("pipeline pushes %d != host app insns %d", s.PipelinePushes, res.HostAppInsns)
-	}
-	if occ := ctrs.BatchOccupancy.Snapshot(); occ.Count != s.PipelineFlushes {
-		t.Errorf("occupancy observations %d != flushes %d", occ.Count, s.PipelineFlushes)
-	}
-	if stall := ctrs.BarrierStall.Snapshot(); stall.Count == 0 {
-		t.Errorf("no barrier-stall observations despite sync barriers")
-	}
 	if res.Phases.Emulate <= 0 {
 		t.Errorf("emulate phase not measured: %+v", res.Phases)
 	}
 	if res.Phases.CatchUp <= 0 || res.Phases.CatchUp >= res.Phases.Emulate {
 		t.Errorf("catch-up is not a measured part of emulate: %+v", res.Phases)
-	}
-	if res.Phases.TimingDrain < 0 {
-		t.Errorf("negative drain phase: %+v", res.Phases)
 	}
 }
 

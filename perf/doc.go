@@ -14,16 +14,15 @@
 //   - Deterministic regression gates (Gate): two BENCH snapshots are
 //     compared signal by signal, and the machine-independent signals —
 //     engine profiling counters (decode/block-cache traffic, code-cache
-//     flushes, pipeline pushes/flushes) and the figure metrics derived
-//     from bit-identical Stats — must match exactly. Allocations get a
+//     flushes) and the figure metrics derived from bit-identical Stats
+//     — must match exactly. Allocations get a
 //     small tolerance (MemStats deltas see background-goroutine noise);
 //     wall time is held only to a generous advisory ratio, because raw
 //     ns/op across machines is not evidence.
 //
 //   - The perf-trend dashboard (WriteTrend): every committed
 //     BENCH_<n>.json rendered as a static light/dark HTML trajectory —
-//     per-bench wall series normalized to first appearance with a
-//     machine-drift noise band, deterministic allocation and
+//     deterministic allocation (normalized to first appearance) and
 //     cache-hit-rate series, and gate-verdict annotations on the points
 //     where a machine-independent signal moved.
 //

@@ -52,9 +52,8 @@ const (
 	// (allocs/op, bytes/op); they fail only on a regression beyond the
 	// policy tolerance.
 	ClassTolerance CheckClass = "tolerance"
-	// ClassAdvisory signals are machine- or scheduling-dependent (wall
-	// time, pipeline stalls); breaches are reported, never fatal
-	// unless StrictWall.
+	// ClassAdvisory signals are machine-dependent (wall time); breaches
+	// are reported, never fatal unless StrictWall.
 	ClassAdvisory CheckClass = "advisory"
 )
 
@@ -96,10 +95,8 @@ func wallDerived(key string) bool {
 	return strings.Contains(key, "MIPS") || strings.Contains(key, "KIPS")
 }
 
-// counterSignals maps the deterministic counter fields compared
-// exactly. PipelineStalls is deliberately absent: a stall count
-// records the emulator blocking on timing back-pressure, which is
-// scheduler weather, not code behavior — it is compared advisorily.
+// counterSignals maps the engine counter fields, all deterministic and
+// compared exactly.
 var counterSignals = []struct {
 	name string
 	get  func(*obs.EngineCountersSnapshot) float64
@@ -109,19 +106,17 @@ var counterSignals = []struct {
 	{"counters.block_hits", func(c *obs.EngineCountersSnapshot) float64 { return float64(c.BlockHits) }},
 	{"counters.block_misses", func(c *obs.EngineCountersSnapshot) float64 { return float64(c.BlockMisses) }},
 	{"counters.code_flushes", func(c *obs.EngineCountersSnapshot) float64 { return float64(c.CodeFlushes) }},
-	{"counters.pipeline_pushes", func(c *obs.EngineCountersSnapshot) float64 { return float64(c.PipelinePushes) }},
-	{"counters.pipeline_flushes", func(c *obs.EngineCountersSnapshot) float64 { return float64(c.PipelineFlushes) }},
 }
 
 // Gate compares a candidate snapshot against a baseline signal by
 // signal. Hard failures: a baseline bench missing from the candidate,
 // any deterministic-counter or figure-metric drift (exact), and
 // allocs/op growth beyond AllocTol. Advisory: wall-time ratio beyond
-// WallRatio, pipeline-stall drift, bytes/op growth. Benches only the
-// candidate has (new coverage) are ignored; rows marked CostShared
-// skip the cost signals entirely so one measured campaign is gated
-// once, not five times. Both snapshots should be at the same workload
-// scale — the gate flags a scale mismatch as a failure up front.
+// WallRatio, bytes/op growth. Benches only the candidate has (new
+// coverage) are ignored; rows marked CostShared skip the cost signals
+// entirely so one measured campaign is gated once, not five times.
+// Both snapshots should be at the same workload scale — the gate flags
+// a scale mismatch as a failure up front.
 func Gate(base, cand *Snapshot, pol GatePolicy) *GateResult {
 	pol = pol.withDefaults()
 	r := &GateResult{}
@@ -150,9 +145,6 @@ func Gate(base, cand *Snapshot, pol GatePolicy) *GateResult {
 				}
 				r.add(chk)
 			}
-			b, c := float64(bb.Counters.PipelineStalls), float64(cb.Counters.PipelineStalls)
-			r.add(GateCheck{Bench: name, Signal: "counters.pipeline_stalls", Class: ClassAdvisory,
-				Base: b, Cand: c, OK: b == c, Note: "scheduling-dependent; informational only"})
 		}
 
 		// Stats-derived figure metrics: exact (a relative epsilon

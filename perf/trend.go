@@ -55,11 +55,6 @@ type trendChart struct {
 	Series    []trendSeries
 	XTicks    []trendTick
 	YTicks    []trendTick
-	// Noise band (normalized charts): the ±drift zone where moves are
-	// machine weather, not signal.
-	BandY, BandH float64
-	HasBand      bool
-	BandLabel    string
 }
 
 // rawSeries is a series in data space: snapshot index -> value.
@@ -70,10 +65,9 @@ type rawSeries struct {
 }
 
 // buildLineChart maps raw series into SVG space. xLabels carries one
-// label per snapshot; band, when non-nil, is the [lo,hi] data-space
-// noise zone to shade.
+// label per snapshot.
 func buildLineChart(title, subtitle string, series []rawSeries, xLabels []string,
-	band *[2]float64, bandLabel string, yFmt func(float64) string) *trendChart {
+	yFmt func(float64) string) *trendChart {
 	c := &trendChart{
 		Title: title, Subtitle: subtitle,
 		W:     trendGutterW + trendPlotW + 24,
@@ -92,9 +86,6 @@ func buildLineChart(title, subtitle string, series []rawSeries, xLabels []string
 	}
 	if !any {
 		return nil
-	}
-	if band != nil {
-		lo, hi = math.Min(lo, band[0]), math.Max(hi, band[1])
 	}
 	if hi == lo {
 		hi = lo + 1
@@ -119,12 +110,6 @@ func buildLineChart(title, subtitle string, series []rawSeries, xLabels []string
 	for i := 0; i <= 4; i++ {
 		v := lo + (hi-lo)*float64(i)/4
 		c.YTicks = append(c.YTicks, trendTick{X: trendGutterW - 8, Y: yAt(v), Label: yFmt(v)})
-	}
-	if band != nil {
-		c.HasBand = true
-		c.BandY = yAt(band[1])
-		c.BandH = yAt(band[0]) - yAt(band[1])
-		c.BandLabel = bandLabel
 	}
 
 	for si, s := range series {
@@ -181,13 +166,14 @@ type trendDoc struct {
 }
 
 // WriteTrend renders the perf-trend dashboard over the snapshot
-// history: per-bench wall-time and allocation series normalized to
-// each bench's first appearance (with the ±15% machine-drift band),
-// absolute cache-hit-rate series from the schema-2 engine counters,
-// and gate-verdict annotations wherever a machine-independent signal
-// moved between adjacent snapshots. Rows that share another row's
-// measured cost (the Fig. 4–7 views of the one campaign) are plotted
-// once, through the row that owns the measurement.
+// history: per-bench allocation series normalized to each bench's
+// first appearance, absolute cache-hit-rate series from the schema-2
+// engine counters, and gate-verdict annotations wherever a
+// machine-independent signal moved between adjacent snapshots. Wall
+// time across snapshots is cross-machine weather and is not plotted.
+// Rows that share another row's measured cost (the Fig. 4–7 views of
+// the one campaign) are plotted once, through the row that owns the
+// measurement.
 func WriteTrend(w io.Writer, hist []HistoryEntry) error {
 	if len(hist) == 0 {
 		return fmt.Errorf("perf: no BENCH snapshots to plot")
@@ -272,23 +258,15 @@ func WriteTrend(w io.Writer, hist []HistoryEntry) error {
 		return ss
 	}
 
-	band := [2]float64{0.85, 1.15}
 	ratioFmt := func(v float64) string { return fmt.Sprintf("%.2fx", v) }
 	pctFmt := func(v float64) string { return fmt.Sprintf("%.1f%%", v) }
 
 	var charts []*trendChart
 	if c := buildLineChart(
-		"Wall time, relative to first appearance",
-		"per-bench ns/op ÷ the bench's first snapshot; the shaded band is ±15% cross-machine drift — within it, wall moves are weather, not signal",
-		normalize(series(func(b *Bench) (float64, bool) { return b.NsPerOp, costOwned(b) && b.NsPerOp > 0 }, true)),
-		xLabels, &band, "±15% drift band", ratioFmt); c != nil {
-		charts = append(charts, c)
-	}
-	if c := buildLineChart(
 		"Allocations, relative to first appearance",
 		"per-bench allocs/op ÷ the bench's first snapshot; deterministic — flat lines are the expectation, steps are code changes",
 		normalize(series(func(b *Bench) (float64, bool) { return b.AllocsPerOp, costOwned(b) && b.AllocsPerOp > 0 }, true)),
-		xLabels, nil, "", ratioFmt); c != nil {
+		xLabels, ratioFmt); c != nil {
 		charts = append(charts, c)
 	}
 	if c := buildLineChart(
@@ -300,7 +278,7 @@ func WriteTrend(w io.Writer, hist []HistoryEntry) error {
 			}
 			return 100 * b.Counters.DecodeHitRate(), true
 		}, false),
-		xLabels, nil, "", pctFmt); c != nil {
+		xLabels, pctFmt); c != nil {
 		charts = append(charts, c)
 	}
 	if c := buildLineChart(
@@ -312,7 +290,7 @@ func WriteTrend(w io.Writer, hist []HistoryEntry) error {
 			}
 			return 100 * b.Counters.BlockHitRate(), true
 		}, false),
-		xLabels, nil, "", pctFmt); c != nil {
+		xLabels, pctFmt); c != nil {
 		charts = append(charts, c)
 	}
 
@@ -329,12 +307,9 @@ func WriteTrend(w io.Writer, hist []HistoryEntry) error {
 		trendStat{Value: fmt.Sprintf("%d", len(hist)), Name: "snapshots"},
 		trendStat{Value: fmt.Sprintf("%d", len(names)), Name: "benches tracked"},
 	)
-	if b, ok := latest.Snap.Benches["TableSpeedFunctional"]; ok && b.NsPerOp > 0 {
-		doc.Stats = append(doc.Stats, trendStat{Value: fmt.Sprintf("%.1fms", b.NsPerOp/1e6), Name: "functional run, latest"})
-		if b.Counters != nil {
-			doc.Stats = append(doc.Stats, trendStat{
-				Value: fmt.Sprintf("%.2f%%", 100*b.Counters.DecodeHitRate()), Name: "decode hit rate"})
-		}
+	if b, ok := latest.Snap.Benches["TableSpeedFunctional"]; ok && b.Counters != nil {
+		doc.Stats = append(doc.Stats, trendStat{
+			Value: fmt.Sprintf("%.2f%%", 100*b.Counters.DecodeHitRate()), Name: "decode hit rate"})
 	}
 
 	doc.Header = []string{"bench", "ns/op", "allocs/op", "decode-hit%", "block-hit%", "cost"}
@@ -376,7 +351,6 @@ var trendTmpl = template.Must(template.New("trend").Parse(`<!DOCTYPE html>
   --surface-1: #fcfcfb;
   --surface-2: #f0efec;
   --grid: #e3e2de;
-  --band: rgba(42,120,214,0.08);
   --flag: #b42318;
   --text-primary: #0b0b0b;
   --text-secondary: #52514e;
@@ -388,7 +362,6 @@ var trendTmpl = template.Must(template.New("trend").Parse(`<!DOCTYPE html>
     --surface-1: #1a1a19;
     --surface-2: #262625;
     --grid: #383835;
-    --band: rgba(57,135,229,0.12);
     --flag: #f97066;
     --text-primary: #ffffff;
     --text-secondary: #c3c2b7;
@@ -433,7 +406,7 @@ h2 { font-size: 15px; margin: 36px 0 8px; }
 <body>
 <div class="viz-root">
 <h1>{{.Title}}</h1>
-<p class="sub">the committed BENCH trajectory &mdash; deterministic signals exact, wall time read through the drift band</p>
+<p class="sub">the committed BENCH trajectory &mdash; deterministic signals only; wall time across snapshots is machine weather and is not plotted</p>
 <div class="stats">
 {{range .Stats}}  <div class="tile"><div class="v">{{.Value}}</div><div class="n">{{.Name}}</div></div>
 {{end}}</div>
@@ -444,8 +417,7 @@ h2 { font-size: 15px; margin: 36px 0 8px; }
 <figcaption><span class="t">{{.Title}}</span><br><span class="s">{{.Subtitle}}</span></figcaption>
 <div class="legend">{{range .Series}}<span><span class="sw" style="background:var(--series-{{.Color}})"></span>{{.Name}}</span>{{end}}</div>
 <svg viewBox="0 0 {{.W}} {{.H}}" width="{{.W}}" height="{{.H}}" role="img" aria-label="{{.Title}}">
-{{$c := .}}{{if .HasBand}}  <rect x="{{.PlotX}}" y="{{.BandY}}" width="{{.PlotW}}" height="{{.BandH}}" fill="var(--band)"><title>{{.BandLabel}}</title></rect>
-{{end}}{{range .YTicks}}  <line class="grid" x1="{{$c.PlotX}}" y1="{{.Y}}" x2="{{$c.PlotRight}}" y2="{{.Y}}"></line>
+{{$c := .}}{{range .YTicks}}  <line class="grid" x1="{{$c.PlotX}}" y1="{{.Y}}" x2="{{$c.PlotRight}}" y2="{{.Y}}"></line>
   <text x="{{.X}}" y="{{.Y}}" text-anchor="end" dominant-baseline="middle">{{.Label}}</text>
 {{end}}{{range .XTicks}}  <text x="{{.X}}" y="{{.Y}}" text-anchor="middle">{{.Label}}</text>
 {{end}}{{range .Series}}{{$s := .}}{{if not .Single}}  <path class="line" d="{{.Path}}" stroke="var(--series-{{.Color}})"></path>

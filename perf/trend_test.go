@@ -52,7 +52,6 @@ func TestWriteTrend(t *testing.T) {
 		"TableSpeedFunctional",         // measured series present
 		"prefers-color-scheme: dark",   // dark variant
 		"--series-1",                   // palette wiring
-		"±15% drift band",              // wall noise band
 		"shares SuiteCampaign",         // latest table marks shared rows
 		"counters.decode_hits drifted", // gate verdict annotation
 		"class=\"flagpt\"",             // flagged point styling
@@ -61,9 +60,16 @@ func TestWriteTrend(t *testing.T) {
 			t.Errorf("trend HTML missing %q", want)
 		}
 	}
-	// The shared fig row must not contribute wall/alloc series: its
+	// Wall time across snapshots is machine weather: no chart, no band,
+	// no tile.
+	for _, gone := range []string{"Wall time", "drift band", "functional run, latest"} {
+		if strings.Contains(html, gone) {
+			t.Errorf("trend HTML still carries %q", gone)
+		}
+	}
+	// The shared fig row must not contribute an alloc series: its
 	// name appears in the latest-snapshot table but never as a legend
-	// entry of the normalized cost charts (legend entries render as
+	// entry of the normalized cost chart (legend entries render as
 	// ...</span>Name</span>).
 	if n := strings.Count(html, "</span>Fig5EmulationCost</span>"); n != 0 {
 		t.Errorf("shared-cost row plotted %d times in cost charts; must not be double-plotted", n)

@@ -27,15 +27,27 @@ func newStreamTally() *streamTally {
 	return &streamTally{syncs: make(map[darco.SyncKind]int), classCounts: make(map[darco.RetireClass]uint64)}
 }
 
+// fold mixes one word into the digest (FNV-1a over 64-bit words). The
+// digest covers everything a delivery carries — sequence numbers, sync
+// markers and every event field — so two streams with equal digests
+// were delivered identically, batch boundaries included.
+func (t *streamTally) fold(v uint64) {
+	t.digest = (t.digest ^ v) * 1099511628211
+}
+
 func (t *streamTally) sink(b darco.RetireBatch) {
 	if b.Seq != t.nextSeq {
 		t.seqGap = true
 	}
 	t.nextSeq = b.Seq + 1
 	t.batches++
+	t.fold(b.Seq)
 	if b.Sync != nil {
 		t.syncs[b.Sync.Kind]++
-		t.digest = t.digest*1099511628211 + uint64(b.Sync.Kind) + b.Sync.GuestInsns
+		t.fold(uint64(b.Sync.Kind))
+		t.fold(b.Sync.GuestInsns)
+		t.fold(b.Sync.GuestBBs)
+		t.fold(uint64(b.Sync.Addr))
 		return
 	}
 	t.events += uint64(len(b.Events))
@@ -51,7 +63,19 @@ func (t *streamTally) sink(b darco.RetireBatch) {
 			t.stores++
 		}
 		t.classCounts[ev.Class]++
-		t.digest = t.digest*1099511628211 + uint64(ev.PC)<<32 + uint64(ev.Addr) + uint64(ev.GuestPC)
+		flags := uint64(0)
+		if ev.Taken {
+			flags |= 1
+		}
+		if ev.Load {
+			flags |= 2
+		}
+		if ev.Store {
+			flags |= 4
+		}
+		t.fold(uint64(ev.Op)<<40 | uint64(ev.Class)<<32 | uint64(ev.GuestPC))
+		t.fold(uint64(ev.PC)<<32 | uint64(ev.Target))
+		t.fold(uint64(ev.Addr)<<8 | flags)
 	}
 }
 
@@ -110,24 +134,47 @@ func TestRetireStreamDeterministicAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := func() uint64 {
-		eng, err := darco.NewEngine()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ses, err := eng.NewSession(im)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tally := newStreamTally()
-		ses.SubscribeRetires(tally.sink, darco.WithRetireEvents())
-		if _, err := ses.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return tally.digest
-	}
-	if a, b := digest(), digest(); a != b {
-		t.Errorf("retire streams differ across identical runs: %#x vs %#x", a, b)
+	for _, mode := range []struct {
+		name string
+		cfg  darco.Config
+	}{
+		{"functional", darco.DefaultConfig()},
+		{"timing", darco.TimingConfig()},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			run := func() (*streamTally, *darco.Result) {
+				eng, err := darco.NewEngine(darco.WithConfig(mode.cfg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ses, err := eng.NewSession(im)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tally := newStreamTally()
+				ses.SubscribeRetires(tally.sink, darco.WithRetireEvents())
+				res, err := ses.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tally, res
+			}
+			a, resA := run()
+			b, resB := run()
+			if a.events == 0 {
+				t.Fatal("no retire events streamed")
+			}
+			if a.digest != b.digest || a.batches != b.batches {
+				t.Errorf("retire streams differ across identical runs: %#x in %d deliveries vs %#x in %d",
+					a.digest, a.batches, b.digest, b.batches)
+			}
+			if resA.Stats != resB.Stats {
+				t.Errorf("stats differ across identical runs:\n%+v\n%+v", resA.Stats, resB.Stats)
+			}
+			if mode.cfg.Timing != nil && *resA.Timing != *resB.Timing {
+				t.Errorf("timing stats differ across identical runs:\n%+v\n%+v", *resA.Timing, *resB.Timing)
+			}
+		})
 	}
 }
 

@@ -29,14 +29,6 @@ type Config struct {
 	Power   *power.Energies
 	FreqMHz float64
 
-	// TimingPipeline, when > 0 (and Timing enabled), decouples the
-	// timing simulator from emulation: retired instructions flow to
-	// the timing core through bounded, ordered batches drained on a
-	// separate goroutine, with synchronization events as barriers. The
-	// value is the window depth in batches; 0 keeps the synchronous
-	// reference path. Stats are bit-identical at any depth.
-	TimingPipeline int
-
 	// ValidateEveryNSyncs compares co-designed vs authoritative state
 	// at every Nth synchronization in addition to the end of the
 	// application (0 disables periodic validation).
@@ -110,18 +102,15 @@ type Result struct {
 	// Phases splits the session wall time: Emulate is the time inside
 	// the controller's run loop, CatchUp the part of it the
 	// authoritative component spent catching up with the co-designed
-	// one, TimingDrain the time Step spent waiting for the timing
-	// pipeline to drain on exit. The serve tier turns these into
-	// per-scenario phase spans.
+	// one. The serve tier turns these into per-scenario phase spans.
 	Phases PhaseTimings
 }
 
 // PhaseTimings is a session's wall-time attribution across execution
 // phases.
 type PhaseTimings struct {
-	Emulate     time.Duration `json:"emulate,omitempty"`
-	CatchUp     time.Duration `json:"catch_up,omitempty"` // within Emulate
-	TimingDrain time.Duration `json:"timing_drain,omitempty"`
+	Emulate time.Duration `json:"emulate,omitempty"`
+	CatchUp time.Duration `json:"catch_up,omitempty"` // within Emulate
 }
 
 // EmulationCostSBM reports host instructions per guest instruction in

@@ -18,10 +18,7 @@ type serverMetrics struct {
 func newServerMetrics() *serverMetrics {
 	return &serverMetrics{
 		scenarioWall: obs.NewHistogram(obs.ExpBuckets(0.01, 4, 10)),
-		engCtrs: &obs.EngineCounters{
-			BatchOccupancy: obs.NewHistogram(obs.LinearBuckets(128, 128, 8)),
-			BarrierStall:   obs.NewHistogram(obs.ExpBuckets(1e-6, 10, 7)),
-		},
+		engCtrs:      &obs.EngineCounters{},
 	}
 }
 
@@ -36,13 +33,6 @@ func (m *serverMetrics) register(r *obs.Registry, workers int) {
 	blockHits := r.Counter("darco_engine_block_cache_hits_total", "Block-cache dispatch hits across obs-enabled jobs.")
 	blockMiss := r.Counter("darco_engine_block_cache_misses_total", "Block-cache dispatch misses across obs-enabled jobs.")
 	codeFlushes := r.Counter("darco_engine_code_cache_flushes_total", "Code-cache insertions that forced a full flush.")
-	pipePushes := r.Counter("darco_engine_pipeline_pushes_total", "Retired instructions pushed through the timing pipeline.")
-	pipeFlushes := r.Counter("darco_engine_pipeline_flushes_total", "Timing-pipeline batch hand-offs.")
-	pipeStalls := r.Counter("darco_engine_pipeline_stalls_total", "Timing-pipeline pushes that blocked on a full window.")
-	r.RegisterHistogram("darco_timing_pipeline_batch_occupancy",
-		"Events per timing-pipeline batch at hand-off.", m.engCtrs.BatchOccupancy)
-	r.RegisterHistogram("darco_timing_pipeline_barrier_stall_seconds",
-		"Time synchronization barriers waited for the timing drain.", m.engCtrs.BarrierStall)
 	r.OnScrape(func() {
 		c := m.engCtrs.Snapshot()
 		decodeHits.Set(c.DecodeHits)
@@ -50,8 +40,5 @@ func (m *serverMetrics) register(r *obs.Registry, workers int) {
 		blockHits.Set(c.BlockHits)
 		blockMiss.Set(c.BlockMisses)
 		codeFlushes.Set(c.CodeFlushes)
-		pipePushes.Set(c.PipelinePushes)
-		pipeFlushes.Set(c.PipelineFlushes)
-		pipeStalls.Set(c.PipelineStalls)
 	})
 }

@@ -192,10 +192,14 @@ func TestMetricsExpositionValid(t *testing.T) {
 		"darco_goroutines ",
 		"darco_scenario_wall_seconds_bucket{le=\"+Inf\"} 1",
 		"darco_job_queue_wait_seconds_count 1",
-		"darco_engine_pipeline_pushes_total",
+		"darco_engine_block_cache_hits_total",
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// The engine has one timing path; no series describes a second.
+	if strings.Contains(string(raw), "pipeline") {
+		t.Errorf("/metrics exports a pipeline series:\n%s", raw)
 	}
 }

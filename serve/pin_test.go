@@ -93,7 +93,7 @@ func TestRecoveryThreeFates(t *testing.T) {
 		t.Errorf("finished job replays %s, want %s", got, want)
 	}
 
-	if st := getStatus(t, ts.URL, "job-2"); st.State != serve.JobInterrupted || st.Completed != 1 || st.Failed != 0 {
+	if st := getStatus(t, ts.URL, "job-2"); st.State != serve.JobInterrupted || st.Completed != 2 || st.Failed != 1 {
 		t.Errorf("mid-run job restored as %+v", st)
 	}
 	golden("job-2", "/export.csv", "fates_interrupted.csv")

@@ -132,9 +132,11 @@ func TestKillAndRestartE2E(t *testing.T) {
 		}
 	}
 
-	// Job 2: interrupted, the pre-crash row preserved, the rest marked.
+	// Job 2: interrupted, the pre-crash row preserved, the rest marked
+	// — and counted: the status counts the job's rows, synthesized or
+	// run (TestSecondRestartStaysByteIdentical holds it across restarts).
 	re2 := getStatus(t, ts2.URL, j2.ID)
-	if re2.State != serve.JobInterrupted || re2.Completed < 1 || re2.Completed >= 4 {
+	if re2.State != serve.JobInterrupted || re2.Completed != 4 || re2.Failed < 1 || re2.Failed >= 4 {
 		t.Fatalf("restored job 2: %+v", re2)
 	}
 	if !strings.Contains(re2.Error, "interrupted") {
@@ -259,8 +261,8 @@ func TestCancelledQueuedJobSurvivesRestart(t *testing.T) {
 
 // TestSecondRestartStaysByteIdentical: recovery journals the rows it
 // synthesizes (interrupted placeholders), so an interrupted job's
-// exports survive any number of further restarts unchanged — not just
-// the first one.
+// status and exports survive any number of further restarts unchanged —
+// not just the first one.
 func TestSecondRestartStaysByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	opts := serve.Options{Workers: 1, MaxParallelism: 1}
@@ -294,14 +296,15 @@ func TestSecondRestartStaysByteIdentical(t *testing.T) {
 		if got := getStatus(t, ts.URL, j.ID); got.State != serve.JobInterrupted {
 			t.Fatalf("restart %d: job is %s", restart, got.State)
 		}
-		csv := fetch(t, ts.URL+"/api/v1/jobs/"+j.ID+"/export.csv", 200, "")
+		got := append(fetch(t, ts.URL+"/api/v1/jobs/"+j.ID, 200, ""),
+			fetch(t, ts.URL+"/api/v1/jobs/"+j.ID+"/export.csv", 200, "")...)
 		if restart == 1 {
-			want = csv
-			if !strings.Contains(string(csv), "interrupted: daemon restarted") {
-				t.Fatalf("restart 1 export misses the interruption reason:\n%s", csv)
+			want = got
+			if !strings.Contains(string(got), "interrupted: daemon restarted") {
+				t.Fatalf("restart 1 export misses the interruption reason:\n%s", got)
 			}
-		} else if !bytes.Equal(csv, want) {
-			t.Errorf("export.csv changed between restarts:\n%s\nvs:\n%s", csv, want)
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("status and export.csv changed between restarts:\n%s\nvs:\n%s", got, want)
 		}
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

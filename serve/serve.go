@@ -25,10 +25,10 @@
 // engine, and a job is one Engine.RunCampaign whose scenario-done hook
 // commits the deterministic export row (wall metrics included), whose
 // session hook attaches a darco/telemetry windower per scenario, and
-// whose scenarios record scenario/warmup/emulate/timing-drain spans. A
-// job caught mid-run by a crash cannot be resumed — the engine keeps no
-// checkpoint — so a restarted daemon marks it JobInterrupted with the
-// rows that completed before the crash preserved.
+// whose scenarios record scenario/warmup/emulate spans. A job caught
+// mid-run by a crash cannot be resumed — the engine keeps no checkpoint
+// — so a restarted daemon marks it JobInterrupted with the rows that
+// completed before the crash preserved.
 //
 // Exports are rendered from the job's stored scenario rows with
 // darco/export defaults, so fetching export.json or export.csv for a

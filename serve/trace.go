@@ -12,8 +12,7 @@ import (
 // children under the job's run span. The scenario span covers the
 // scenario's own wall window ending now; the phases partition it
 // front-to-back: warmup (image generation and session construction —
-// everything before emulation), emulate (the controller's run loop),
-// and timing-drain (waiting for the timing pipeline on Step exit).
+// everything before emulation) and emulate (the controller's run loop).
 // Under emulate, catch-up is the authoritative component's share of it:
 // a total over many catch-ups, drawn at the phase's front and journaled
 // inside the phase's record.
@@ -47,5 +46,4 @@ func (s *runner) scenarioSpans(j *jobs.Job, sr *darco.ScenarioResult, end time.T
 	}
 	phase("warmup", sr.Wall-sr.Result.Wall, 0)
 	phase("emulate", sr.Result.Phases.Emulate, sr.Result.Phases.CatchUp)
-	phase("timing-drain", sr.Result.Phases.TimingDrain, 0)
 }

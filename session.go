@@ -22,12 +22,9 @@ type Session struct {
 	eng    *Engine
 	ctl    *controller.Controller
 	core   *timing.Core
-	pipe   *timing.Pipeline // non-nil when the timing pipeline is enabled
 	stream retireStream
 
-	wall      time.Duration
-	emulate   time.Duration // inside the controller's run loop
-	drain     time.Duration // waiting on the timing pipeline at Step exit
+	wall      time.Duration // inside the controller's run loop, over all Steps
 	stepStart time.Time     // non-zero only while inside Step
 	done      bool
 	err       error // sticky terminal error
@@ -56,10 +53,6 @@ func (e *Engine) NewSession(im *guest.Image) (*Session, error) {
 	s.stream.vm = ctl.CoD.VM
 	if e.cfg.Timing != nil {
 		s.core = timing.New(*e.cfg.Timing)
-		if e.cfg.TimingPipeline > 0 {
-			s.pipe = timing.NewPipeline(s.core.Consume, e.cfg.TimingPipeline)
-			s.pipe.SetObsCounters(e.cfg.TOL.Counters)
-		}
 	}
 	s.installRetireHooks()
 	for _, sub := range e.retireSinks {
@@ -92,18 +85,13 @@ func (s *Session) SubscribeRetires(sink RetireSink, opts ...RetireOption) (unsub
 
 // installRetireHooks points the VM's retire slot and histogram and the
 // controller's sync/excursion hooks at what the session currently
-// needs. The retire slot is the timing feed (pipelined or synchronous,
-// or nothing), tee'd with the stream's event buffer only while a
-// subscriber asked for per-instruction events; the stream's histogram
-// is attached while any subscriber is. With the pipeline enabled, every
-// synchronization event is a pipeline barrier and every excursion
-// boundary flushes the producer batch.
+// needs. The retire slot is the timing core's Consume (or nothing),
+// tee'd with the stream's event buffer only while a subscriber asked
+// for per-instruction events; the stream's histogram is attached while
+// any subscriber is.
 func (s *Session) installRetireHooks() {
 	var timingFn func(hostvm.RetireEvent)
-	switch {
-	case s.pipe != nil:
-		timingFn = s.pipe.Push
-	case s.core != nil:
+	if s.core != nil {
 		timingFn = s.core.Consume
 	}
 	vm := s.ctl.CoD.VM
@@ -118,32 +106,21 @@ func (s *Session) installRetireHooks() {
 	} else {
 		vm.Mix = nil
 	}
-	if s.pipe != nil || streamOn || s.eng.observer != nil {
+	if streamOn || s.eng.observer != nil {
 		s.ctl.Cfg.OnSync = s.onSync
 	} else {
 		s.ctl.Cfg.OnSync = nil
 	}
-	switch {
-	case s.pipe != nil && streamOn:
-		s.ctl.Cfg.OnExcursion = func() { s.pipe.Flush(); s.stream.flush() }
-	case s.pipe != nil:
-		s.ctl.Cfg.OnExcursion = s.pipe.Flush
-	case streamOn:
+	if streamOn {
 		s.ctl.Cfg.OnExcursion = s.stream.flush
-	default:
+	} else {
 		s.ctl.Cfg.OnExcursion = nil
 	}
 }
 
 // onSync fans one controller synchronization event out to the engine's
-// observer and the retire stream's subscribers. With the pipeline
-// enabled it is a barrier first: the timing core consumes everything
-// retired before the synchronization point before anyone observes the
-// event — exactly where the synchronous path would be.
+// observer and the retire stream's subscribers.
 func (s *Session) onSync(ev controller.SyncEvent) {
-	if s.pipe != nil {
-		s.pipe.Barrier()
-	}
 	pub := syncEvent(ev)
 	if obs := s.eng.observer; obs != nil {
 		obs.OnSync(pub)
@@ -173,21 +150,7 @@ func (s *Session) Step(ctx context.Context, budget uint64) (*Result, error) {
 		return s.Snapshot(), nil
 	}
 	s.stepStart = time.Now()
-	// The timing pipeline runs only while the controller does: Start
-	// here, Stop (drain) on every way out — so cancellation and errors
-	// leave the timing core caught up and consistent, Snapshot below
-	// reads a quiescent core, and an abandoned session leaks no
-	// goroutine.
-	if s.pipe != nil {
-		s.pipe.Start()
-	}
 	err := s.ctl.RunContext(ctx, budget)
-	s.emulate += time.Since(s.stepStart)
-	if s.pipe != nil {
-		drainStart := time.Now()
-		s.pipe.Stop()
-		s.drain += time.Since(drainStart)
-	}
 	s.wall += time.Since(s.stepStart)
 	s.stepStart = time.Time{}
 	if err != nil {
@@ -217,12 +180,6 @@ func (s *Session) Err() error { return s.err }
 // attached timing core (if any) is a deep copy with the TOL overhead
 // accumulated so far charged onto it.
 func (s *Session) Snapshot() *Result {
-	// The pipeline only runs inside Step, which stops (drains) it on
-	// every path; this no-ops unless a future caller snapshots a
-	// half-stepped session, in which case it drains first.
-	if s.pipe != nil {
-		s.pipe.Stop()
-	}
 	ctl := s.ctl
 	res := &Result{
 		Stats:         ctl.CoD.Stats,
@@ -236,7 +193,7 @@ func (s *Session) Snapshot() *Result {
 		SyscallSyncs:  ctl.SyscallSyncs,
 	}
 	res.HostInsns = res.HostAppInsns + res.Overhead.Total()
-	res.Phases = PhaseTimings{Emulate: s.emulate, CatchUp: ctl.CatchUp, TimingDrain: s.drain}
+	res.Phases = PhaseTimings{Emulate: s.wall, CatchUp: ctl.CatchUp}
 	if c := s.eng.cfg.TOL.Counters; c != nil {
 		snap := c.Snapshot()
 		res.Obs = &snap

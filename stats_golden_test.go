@@ -101,11 +101,9 @@ func TestStatsBitIdenticalToSeed(t *testing.T) {
 }
 
 // TestStatsGoldenPipelinedTiming reruns the golden scenarios with the
-// timing simulator attached, synchronous and pipelined: the functional
-// counters must still match the unoptimized seed exactly (attaching a
-// timing consumer — pipelined or not — must never perturb emulation),
-// and the pipelined timing Stats must be bit-identical to the
-// synchronous depth-0 reference at every CI depth.
+// timing simulator attached: the functional counters must still match
+// the unoptimized seed exactly — attaching a timing consumer must never
+// perturb emulation.
 func TestStatsGoldenPipelinedTiming(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full timing-mode emulation runs")
@@ -121,38 +119,25 @@ func TestStatsGoldenPipelinedTiming(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(depth int) *darco.Result {
-				eng, err := darco.NewEngine(
-					darco.WithConfig(darco.TimingConfig()),
-					darco.WithTimingPipeline(depth),
-				)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := eng.Run(context.Background(), im)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
+			eng, err := darco.NewEngine(darco.WithConfig(darco.TimingConfig()))
+			if err != nil {
+				t.Fatal(err)
 			}
-			ref := run(0)
-			for _, res := range []*darco.Result{ref, run(1), run(8), run(64)} {
-				if res.Stats != g.stats {
-					t.Errorf("stats diverge from seed with timing attached:\n got %+v\nwant %+v", res.Stats, g.stats)
-				}
-				if res.Overhead.Cat != g.overhead {
-					t.Errorf("overhead diverges from seed with timing attached")
-				}
-				if res.HostAppInsns != g.hostApp {
-					t.Errorf("host app insns %d, seed %d", res.HostAppInsns, g.hostApp)
-				}
-				if res.Timing == nil {
-					t.Fatal("timing stats missing")
-				}
-				if *res.Timing != *ref.Timing {
-					t.Errorf("pipelined timing Stats diverge from synchronous reference:\n got %+v\nwant %+v",
-						*res.Timing, *ref.Timing)
-				}
+			res, err := eng.Run(context.Background(), im)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats != g.stats {
+				t.Errorf("stats diverge from seed with timing attached:\n got %+v\nwant %+v", res.Stats, g.stats)
+			}
+			if res.Overhead.Cat != g.overhead {
+				t.Errorf("overhead diverges from seed with timing attached")
+			}
+			if res.HostAppInsns != g.hostApp {
+				t.Errorf("host app insns %d, seed %d", res.HostAppInsns, g.hostApp)
+			}
+			if res.Timing == nil {
+				t.Fatal("timing stats missing")
 			}
 		})
 	}

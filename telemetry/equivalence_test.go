@@ -97,7 +97,6 @@ type engineMode struct {
 var engineModes = []engineMode{
 	{"functional", nil},
 	{"timing", []darco.Option{darco.WithConfig(darco.TimingConfig())}},
-	{"pipeline8", []darco.Option{darco.WithConfig(darco.TimingConfig()), darco.WithTimingPipeline(8)}},
 }
 
 func testImage(t *testing.T, profile string, scale float64) *guest.Image {
