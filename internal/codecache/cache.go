@@ -44,16 +44,13 @@ type Block struct {
 	GuestLo uint32
 	GuestHi uint32
 
-	// ExitMeta describes each exit site (EXIT/CHAINED/EXITIND
-	// instruction index) of the block: how many guest instructions and
-	// guest basic blocks retire when leaving through it, and whether it
-	// corresponds to the taken direction of the terminating branch.
-	ExitMeta map[int]ExitInfo
+	// Exits is the block's exit table: one entry per exit site
+	// (EXIT/CHAINED/EXITIND instruction), in ascending Idx order.
+	Exits []Exit
 
 	// Software profiling counters maintained by the translated code
 	// (their cost is part of the emitted block, not TOL overhead).
 	ExecCount   uint64
-	ExitCounts  map[int]uint64 // executions leaving via each exit site
 	AssertFails uint64
 	SpecFails   uint64
 
@@ -69,12 +66,25 @@ type ExitInfo struct {
 	Taken      bool // exit corresponds to the taken branch direction
 }
 
-// CountExit bumps the software exit counter for the exit at instIdx.
-func (b *Block) CountExit(instIdx int) {
-	if b.ExitCounts == nil {
-		b.ExitCounts = make(map[int]uint64)
+// Exit is one exit site of a block. Next is the resident successor while
+// the instruction at Idx is CHAINED and nil while it is EXIT: Chain and
+// Invalidate set and clear it where they patch the op, nothing else does.
+type Exit struct {
+	Idx   int // index of the exit instruction in Code
+	Info  ExitInfo
+	Count uint64 // software edge counter: executions leaving through here
+	Next  *Block
+}
+
+// Exit returns the table entry of the exit instruction at instIdx, or
+// nil. Blocks have a handful of exits, so this is a short scan.
+func (b *Block) Exit(instIdx int) *Exit {
+	for i := range b.Exits {
+		if b.Exits[i].Idx == instIdx {
+			return &b.Exits[i]
+		}
 	}
-	b.ExitCounts[instIdx]++
+	return nil
 }
 
 type exitRef struct {
@@ -90,8 +100,6 @@ type Cache struct {
 
 	// blocks[i] holds the block with ID base+i (IDs are dense and
 	// monotonic; a flush advances base so IDs are never reused).
-	// Get/Resolve run on every chained block transition, so they pay a
-	// bounds check instead of a map probe.
 	blocks  []*Block
 	base    int
 	nblocks int
@@ -181,6 +189,7 @@ func (c *Cache) Invalidate(b *Block) {
 		if in.Op == host.CHAINED && in.Link == b.ID {
 			in.Op = host.EXIT
 			in.Link = 0
+			src.Exit(ref.instIdx).Next = nil
 			c.ChainsCut++
 		}
 	}
@@ -196,7 +205,8 @@ func (c *Cache) Invalidate(b *Block) {
 // Flush empties the cache. Block IDs are not reused: base advances past
 // every ID ever issued, so the next insert continues the sequence
 // (block IDs seed the synthetic host addresses the timing simulator
-// sees, and reused IDs would alias old code addresses).
+// sees, and reused IDs would alias old code addresses). Exit.Next links
+// are left alone: every block goes at once, so none stays reachable.
 func (c *Cache) Flush() {
 	c.base += len(c.blocks)
 	for i := range c.blocks {
@@ -212,29 +222,19 @@ func (c *Cache) Flush() {
 // Chain rewrites the EXIT at instIdx in src to jump directly to dst,
 // recording the back-reference for later unchaining.
 func (c *Cache) Chain(src *Block, instIdx int, dst *Block) error {
-	in := &src.Code[instIdx]
-	if in.Op != host.EXIT {
-		return fmt.Errorf("codecache: instruction %d of block %d is %v, not exit", instIdx, src.ID, in.Op)
+	in, e := &src.Code[instIdx], src.Exit(instIdx)
+	if in.Op != host.EXIT || e == nil {
+		return fmt.Errorf("codecache: instruction %d of block %d is %v, not a tabled exit", instIdx, src.ID, in.Op)
 	}
 	if in.Target != dst.Entry {
 		return fmt.Errorf("codecache: exit targets %#x, block entry is %#x", in.Target, dst.Entry)
 	}
 	in.Op = host.CHAINED
 	in.Link = dst.ID
+	e.Next = dst
 	dst.incoming = append(dst.incoming, exitRef{blockID: src.ID, instIdx: instIdx})
 	c.ChainsMade++
 	return nil
-}
-
-// ExitSites returns the indices of chainable (static-target) exits in b.
-func ExitSites(b *Block) []int {
-	var out []int
-	for i := range b.Code {
-		if b.Code[i].Op == host.EXIT {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Blocks returns all resident blocks in insertion (ID) order.

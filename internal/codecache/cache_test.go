@@ -12,7 +12,7 @@ func mkBlock(entry uint32, n int) *Block {
 		code[i] = host.Inst{Op: host.NOPH}
 	}
 	code[n-1] = host.Inst{Op: host.EXIT, Target: entry + 100}
-	return &Block{Entry: entry, Kind: KindBB, Code: code}
+	return &Block{Entry: entry, Kind: KindBB, Code: code, Exits: []Exit{{Idx: n - 1}}}
 }
 
 func TestInsertLookup(t *testing.T) {
@@ -66,20 +66,16 @@ func TestChainAndUnchain(t *testing.T) {
 	a.Code[4].Target = 0x1100 // a's exit targets b
 	c.Insert(a)
 	c.Insert(b)
-	sites := ExitSites(a)
-	if len(sites) != 1 || sites[0] != 4 {
-		t.Fatalf("exit sites %v", sites)
-	}
 	if err := c.Chain(a, 4, b); err != nil {
 		t.Fatal(err)
 	}
-	if a.Code[4].Op != host.CHAINED || a.Code[4].Link != b.ID {
-		t.Fatalf("chain not installed: %v", a.Code[4])
+	if a.Code[4].Op != host.CHAINED || a.Code[4].Link != b.ID || a.Exit(4).Next != b {
+		t.Fatalf("chain not installed: %v, next %v", a.Code[4], a.Exit(4).Next)
 	}
 	// Invalidating b must unchain a's exit.
 	c.Invalidate(b)
-	if a.Code[4].Op != host.EXIT {
-		t.Fatalf("exit not restored: %v", a.Code[4].Op)
+	if a.Code[4].Op != host.EXIT || a.Exit(4).Next != nil {
+		t.Fatalf("exit not restored: %v, next %v", a.Code[4].Op, a.Exit(4).Next)
 	}
 	if c.ChainsCut != 1 {
 		t.Errorf("chains cut %d", c.ChainsCut)
@@ -98,6 +94,11 @@ func TestChainValidation(t *testing.T) {
 	}
 	if err := c.Chain(a, 0, b); err == nil {
 		t.Errorf("chain at non-exit accepted")
+	}
+	// An EXIT the table does not list has no Next to set.
+	b.Code[4].Target, b.Exits = 0x1000, nil
+	if err := c.Chain(b, 4, a); err == nil {
+		t.Errorf("chain at an untabled exit accepted")
 	}
 }
 
@@ -120,13 +121,11 @@ func TestCapacityFlush(t *testing.T) {
 	}
 }
 
-func TestCountExit(t *testing.T) {
+func TestExitLookup(t *testing.T) {
 	b := mkBlock(0x1000, 5)
-	b.CountExit(4)
-	b.CountExit(4)
-	b.CountExit(2)
-	if b.ExitCounts[4] != 2 || b.ExitCounts[2] != 1 {
-		t.Errorf("exit counts %v", b.ExitCounts)
+	b.Exits = []Exit{{Idx: 2}, {Idx: 4}}
+	if b.Exit(2) != &b.Exits[0] || b.Exit(4) != &b.Exits[1] || b.Exit(3) != nil {
+		t.Errorf("lookups %p %p %p in %p", b.Exit(2), b.Exit(4), b.Exit(3), b.Exits)
 	}
 }
 

@@ -3,6 +3,8 @@ package codecache
 import (
 	"math/rand"
 	"testing"
+
+	"darco/internal/host"
 )
 
 // TestCacheInvariantsUnderRandomOps drives random insert / invalidate /
@@ -13,6 +15,8 @@ import (
 //   - every Lookup result is resident under its own entry,
 //   - no CHAINED instruction links to a non-resident block
 //     (invalidation must unchain),
+//   - an exit's Next is nil exactly while its instruction is EXIT, and
+//     otherwise the resident block the instruction's Link names,
 //   - Len() matches the number of resident blocks.
 func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
@@ -39,10 +43,20 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 				}
 				for i := range b.Code {
 					in := &b.Code[i]
-					if in.Op.String() == "chained" {
+					if in.Op == host.CHAINED {
 						if _, ok := c.Get(in.Link); !ok {
 							t.Fatalf("seed %d step %d: dangling chain %d -> %d", seed, step, b.ID, in.Link)
 						}
+					}
+				}
+				for i := range b.Exits {
+					e := &b.Exits[i]
+					in := &b.Code[e.Idx]
+					if (e.Next == nil) != (in.Op == host.EXIT) {
+						t.Fatalf("seed %d step %d: block %d exit %d is %v with Next %v", seed, step, b.ID, e.Idx, in.Op, e.Next)
+					}
+					if next, _ := c.Get(in.Link); e.Next != nil && (e.Next != next || next.ID != in.Link) {
+						t.Fatalf("seed %d step %d: block %d exit %d links %d, Next is block %d", seed, step, b.ID, e.Idx, in.Link, e.Next.ID)
 					}
 				}
 			}
@@ -54,6 +68,10 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 				entry := uint32(0x1000 + 0x100*r.Intn(30))
 				b := mkBlock(entry, 5+r.Intn(40))
 				b.Code[len(b.Code)-1].Target = uint32(0x1000 + 0x100*r.Intn(30))
+				if mid := r.Intn(len(b.Code) - 1); r.Intn(2) == 0 { // a side exit
+					b.Code[mid] = host.Inst{Op: host.EXIT, Target: uint32(0x1000 + 0x100*r.Intn(30))}
+					b.Exits = append([]Exit{{Idx: mid}}, b.Exits...)
+				}
 				c.Insert(b)
 				live = append(live, b)
 			case 5, 6: // chain a random exit if possible
@@ -64,11 +82,10 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 				if _, ok := c.Get(src.ID); !ok {
 					break
 				}
-				sites := ExitSites(src)
-				if len(sites) == 0 {
-					break
+				site := src.Exits[r.Intn(len(src.Exits))].Idx
+				if src.Code[site].Op != host.EXIT {
+					break // already chained
 				}
-				site := sites[r.Intn(len(sites))]
 				if dst, ok := c.Lookup(src.Code[site].Target); ok {
 					if err := c.Chain(src, site, dst); err != nil {
 						t.Fatalf("seed %d step %d: chain: %v", seed, step, err)

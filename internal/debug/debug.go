@@ -151,7 +151,6 @@ func replayMatchesReference(blk *codecache.Block, preCPU guest.CPU, preMem *gues
 	tMem := preMem.Clone()
 	tMem.Strict = false
 	vm := hostvm.New(tMem, hostvm.DefaultConfig())
-	vm.Resolve = func(id int) (*codecache.Block, bool) { return nil, false }
 	tCPU := preCPU
 	vm.Regs.LoadGuest(&tCPU)
 	res, _, err := vm.Run(blk, 1_000_000)
@@ -164,8 +163,8 @@ func replayMatchesReference(blk *codecache.Block, preCPU guest.CPU, preMem *gues
 	}
 	vm.Regs.StoreGuest(&tCPU)
 	tCPU.EIP = res.NextPC
-	meta, okm := blk.ExitMeta[res.ExitIdx]
-	if !okm {
+	exit := blk.Exit(res.ExitIdx)
+	if exit == nil {
 		return false, "exit without retirement metadata"
 	}
 
@@ -173,7 +172,7 @@ func replayMatchesReference(blk *codecache.Block, preCPU guest.CPU, preMem *gues
 	rMem := preMem.Clone()
 	rMem.Strict = false
 	rCPU := preCPU
-	for k := 0; k < meta.GuestInsns; k++ {
+	for k := 0; k < exit.Info.GuestInsns; k++ {
 		raw, err := rMem.ReadBytes(rCPU.EIP, 10)
 		if err != nil {
 			return false, fmt.Sprintf("reference fetch: %v", err)

@@ -53,7 +53,7 @@ func TestStrictMemoryFaults(t *testing.T) {
 	if !ok {
 		t.Fatalf("want page fault, got %v", err)
 	}
-	if pf.Addr != 0x5000 || pf.PageFaultAddr() != 0x5000 {
+	if pf.Addr != 0x5000 {
 		t.Errorf("fault addr %#x", pf.Addr)
 	}
 	// Install the page; access now works.

@@ -42,10 +42,6 @@ func (e *PageFaultError) Error() string {
 	return fmt.Sprintf("page fault at %#x (page %#x)", e.Addr, e.Page)
 }
 
-// PageFaultAddr lets the host emulator classify the fault without
-// importing this package's concrete type.
-func (e *PageFaultError) PageFaultAddr() uint32 { return e.Addr }
-
 // Memory is a sparse paged guest memory. The zero value is ready to use.
 // With Strict unset, touching an unmapped page allocates it zero-filled
 // (authoritative behaviour). With Strict set, loads and stores to
@@ -242,6 +238,13 @@ func (m *Memory) Store32(addr uint32, v uint32) error {
 
 // Load64 implements guest.Memory.
 func (m *Memory) Load64(addr uint32) (uint64, error) {
+	if off := addr & (PageSize - 1); off <= PageSize-8 {
+		p, err := m.page(addr)
+		if err != nil {
+			return 0, err
+		}
+		return binary.LittleEndian.Uint64(p[off : off+8]), nil
+	}
 	lo, err := m.Load32(addr)
 	if err != nil {
 		return 0, err
@@ -255,6 +258,14 @@ func (m *Memory) Load64(addr uint32) (uint64, error) {
 
 // Store64 implements guest.Memory.
 func (m *Memory) Store64(addr uint32, v uint64) error {
+	if off := addr & (PageSize - 1); off <= PageSize-8 {
+		p, err := m.page(addr)
+		if err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint64(p[off:off+8], v)
+		return nil
+	}
 	if err := m.Store32(addr, uint32(v)); err != nil {
 		return err
 	}

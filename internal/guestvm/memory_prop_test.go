@@ -71,7 +71,7 @@ func TestMemoryMatchesMapReference(t *testing.T) {
 
 		for i := 0; i < 200_000; i++ {
 			a := addr()
-			switch rng.Intn(10) {
+			switch rng.Intn(11) {
 			case 0, 1:
 				got, err := m.Load8(a)
 				want, ok := ref.load8(a)
@@ -145,6 +145,21 @@ func TestMemoryMatchesMapReference(t *testing.T) {
 				}
 				if (err == nil) != ok || (ok && got != want) {
 					t.Fatalf("strict=%v op %d: Load64(%#x) = %#x,%v want %#x,%v", strict, i, a, got, err, want, ok)
+				}
+			case 10:
+				// Byte stores until the first fault describe Store64 too:
+				// a half that lies within one page is all-or-nothing there.
+				v := rng.Uint64()
+				err := m.Store64(a, v)
+				ok := true
+				for k := 0; k < 8 && ok; k++ {
+					ok = ref.store8(a+uint32(k), uint8(v>>(8*k)))
+				}
+				if (err == nil) != ok {
+					t.Fatalf("strict=%v op %d: Store64(%#x) err=%v ref ok=%v", strict, i, a, err, ok)
+				}
+				if pf, isPF := err.(*PageFaultError); isPF && a&(PageSize-1) <= PageSize-8 && pf.Addr != a {
+					t.Fatalf("strict=%v op %d: Store64(%#x) within a page faults at %#x", strict, i, a, pf.Addr)
 				}
 			case 7:
 				var page [PageSize]byte

@@ -258,3 +258,7 @@ func (op Op) Desc() *Desc {
 }
 
 func (op Op) String() string { return op.Desc().Name }
+
+// IsBranch reports whether op is of ClassBranch, by the opcode range the
+// class occupies: the host emulator asks once per retired instruction.
+func (op Op) IsBranch() bool { return op >= BEQZ && op <= ASSERTH }

@@ -42,6 +42,20 @@ func TestClassAssignments(t *testing.T) {
 	}
 }
 
+// TestIsBranchIsTheBranchClass: the opcode range IsBranch compares
+// against holds exactly the ClassBranch opcodes — the host emulator
+// retires those in their own case and everything else up front.
+func TestIsBranchIsTheBranchClass(t *testing.T) {
+	for op := Op(0); int(op) < NumOps; op++ {
+		if got, want := op.IsBranch(), op.Desc().Class == ClassBranch; got != want {
+			t.Errorf("%v: IsBranch %v, class branch %v", op, got, want)
+		}
+	}
+	if Op(NumOps).IsBranch() || Op(255).IsBranch() {
+		t.Errorf("an undefined opcode is no branch")
+	}
+}
+
 // TestLoadStoreFlags pins the IsLoad/IsStore markers.
 func TestLoadStoreFlags(t *testing.T) {
 	loads := []Op{LD, LDB, FLDH, VFLD, UNSPILLI, UNSPILLF}

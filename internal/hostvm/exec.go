@@ -5,19 +5,9 @@ import (
 	"math"
 
 	"darco/internal/codecache"
+	"darco/internal/guestvm"
 	"darco/internal/host"
 )
-
-// pageFaulter is implemented by the co-designed memory's fault error.
-type pageFaulter interface{ PageFaultAddr() uint32 }
-
-// faultAddr extracts the faulting address if err is a guest page fault.
-func faultAddr(err error) (uint32, bool) {
-	if pf, ok := err.(pageFaulter); ok {
-		return pf.PageFaultAddr(), true
-	}
-	return 0, false
-}
 
 // RunStats carries per-dispatch retirement attribution back to the TOL.
 type RunStats struct {
@@ -38,84 +28,76 @@ func (vm *VM) Run(block *codecache.Block, fuel uint64) (Result, RunStats, error)
 	for {
 		vm.BlocksRun++
 		cur.ExecCount++
-		if cur.Kind == codecache.KindBB && vm.HotThreshold > 0 && cur.ExecCount == vm.HotThreshold {
-			vm.hotQueue = append(vm.hotQueue, cur.Entry)
-		}
-		if cur.Kind == codecache.KindBB {
+		bb := cur.Kind == codecache.KindBB
+		if bb {
+			if vm.HotThreshold > 0 && cur.ExecCount == vm.HotThreshold {
+				vm.hotQueue = append(vm.hotQueue, cur.Entry)
+			}
 			// Software execution-frequency counter embedded in the
 			// translated basic block.
 			vm.chargeSynthetic(vm.Cfg.ProfileCost)
 		}
 		before := vm.AppInsns
-		res, err := vm.runBlock(cur)
-		retired := vm.AppInsns - before
-		if cur.Kind == codecache.KindBB {
-			st.HostInsnsBB += retired
+		res, n, err := vm.runBlock(cur)
+		vm.AppInsns += n
+		if bb {
+			st.HostInsnsBB += vm.AppInsns - before
 		} else {
-			st.HostInsnsSB += retired
+			st.HostInsnsSB += vm.AppInsns - before
 		}
-		if err != nil {
-			return Result{}, st, err
+		if err != nil || res.Kind > ExitIndirect {
+			return res, st, err // an error or a rollback: no exit was taken
 		}
-		// Attribute guest retirement for non-rollback exits.
-		if res.Kind == ExitToTOL || res.Kind == ExitIndirect {
-			if meta, ok := cur.ExitMeta[res.ExitIdx]; ok {
-				if cur.Kind == codecache.KindBB {
-					st.GuestInsnsBB += uint64(meta.GuestInsns)
-				} else {
-					st.GuestInsnsSB += uint64(meta.GuestInsns)
-				}
-				st.GuestBBs += uint64(meta.GuestBBs)
-			}
-			cur.CountExit(res.ExitIdx)
-			if cur.Kind == codecache.KindBB {
-				// Software edge counter bump.
-				vm.chargeSynthetic(vm.Cfg.ProfileCost)
-			}
+		exit := cur.Exit(res.ExitIdx)
+		if exit == nil {
+			return res, st, fmt.Errorf("hostvm: block %d left through untabled exit %d", cur.ID, res.ExitIdx)
+		}
+		exit.Count++
+		st.GuestBBs += uint64(exit.Info.GuestBBs)
+		if bb {
+			st.GuestInsnsBB += uint64(exit.Info.GuestInsns)
+			// Software edge counter bump.
+			vm.chargeSynthetic(vm.Cfg.ProfileCost)
+		} else {
+			st.GuestInsnsSB += uint64(exit.Info.GuestInsns)
 		}
 		// A software profiling counter crossing the hot threshold
 		// branches back into the TOL for promotion, ending the
 		// excursion like the real embedded counter check would.
 		stop := len(vm.hotQueue) > 0 || (fuel > 0 && vm.AppInsns-start >= fuel)
-		switch res.Kind {
-		case ExitToTOL:
+		var next *codecache.Block
+		if res.Kind == ExitToTOL {
 			// Follow a chain installed by a previous dispatch.
-			in := &cur.Code[res.ExitIdx]
-			if in.Op == host.CHAINED {
-				if next, ok := vm.Resolve(in.Link); ok {
-					vm.ChainFollows++
-					if stop {
-						res.NextPC = next.Entry
-						return res, st, nil
-					}
-					cur = next
-					continue
-				}
+			if next = exit.Next; next == nil {
+				return res, st, nil
 			}
-			return res, st, nil
-		case ExitIndirect:
+			vm.ChainFollows++
+			if stop {
+				res.NextPC = next.Entry
+			}
+		} else {
+			ok := false
 			if vm.IBTC != nil {
-				if next, ok := vm.IBTC(res.NextPC); ok {
-					vm.IBTCHits++
-					vm.chargeSynthetic(vm.Cfg.IBTCCost)
-					if stop {
-						return res, st, nil
-					}
-					cur = next
-					continue
-				}
+				next, ok = vm.IBTC(res.NextPC)
 			}
-			vm.IBTCMisses++
-			return res, st, nil
-		default:
+			if !ok {
+				vm.IBTCMisses++
+				return res, st, nil
+			}
+			vm.IBTCHits++
+			vm.chargeSynthetic(vm.Cfg.IBTCCost)
+		}
+		if stop {
 			return res, st, nil
 		}
+		cur = next
 	}
 }
 
 // runBlock executes one block body from its first instruction to an
-// exit, assert failure, speculation failure, or page fault.
-func (vm *VM) runBlock(b *codecache.Block) (Result, error) {
+// exit, assert failure, speculation failure, or page fault. It returns
+// the retirements it has not added to vm.AppInsns, for Run to add.
+func (vm *VM) runBlock(b *codecache.Block) (Result, uint64, error) {
 	code := b.Code
 	r := &vm.Regs
 	// One flag covers both consumers, so with nothing attached the
@@ -124,12 +106,19 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, error) {
 	// unless a consumer's callback runs, and then the flag is already
 	// set; the fields themselves are re-read under it.
 	observed := vm.Retire != nil || vm.Mix != nil
+	// Every instruction that reaches the switch retires. The count stays
+	// in a register unless a consumer can look at vm.AppInsns, and then
+	// it is added before each look.
+	var n uint64
 	i := 0
 	for i < len(code) {
 		in := &code[i]
-		if host.Descs[in.Op].Class != host.ClassBranch {
-			vm.AppInsns++
-			if observed {
+		n++
+		if observed {
+			vm.AppInsns += n
+			n = 0
+			// A branch is observed in its case, where the outcome is known.
+			if !in.Op.IsBranch() {
 				// Nine retirements in ten pass through here, so the
 				// common subscribed case — histogram only, not at the
 				// cut — is counted inline; observe handles the rest.
@@ -230,38 +219,26 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, error) {
 			addr := r.R[in.Ra] + uint32(in.Imm)
 			v, ok, err := vm.bufLoad(addr, width)
 			if err != nil {
-				if fa, isPF := faultAddr(err); isPF {
-					return vm.fault(b, fa), nil
-				}
-				if err == errPartialForward {
-					return vm.specFail(b), nil
-				}
-				return Result{}, err
+				return vm.memFail(b, n, err)
 			}
 			if !ok {
-				return vm.specFail(b), nil
+				return vm.specFail(b), n, nil
 			}
 			if in.Spec && !vm.recordSpecLoad(addr, width) {
-				return vm.specFail(b), nil
+				return vm.specFail(b), n, nil
 			}
 			r.R[in.Rd] = uint32(v)
 		case host.FLDH:
 			addr := r.R[in.Ra] + uint32(in.Imm)
 			v, ok, err := vm.bufLoad(addr, 8)
 			if err != nil {
-				if fa, isPF := faultAddr(err); isPF {
-					return vm.fault(b, fa), nil
-				}
-				if err == errPartialForward {
-					return vm.specFail(b), nil
-				}
-				return Result{}, err
+				return vm.memFail(b, n, err)
 			}
 			if !ok {
-				return vm.specFail(b), nil
+				return vm.specFail(b), n, nil
 			}
 			if in.Spec && !vm.recordSpecLoad(addr, 8) {
-				return vm.specFail(b), nil
+				return vm.specFail(b), n, nil
 			}
 			r.F[in.Rd] = math.Float64frombits(v)
 
@@ -272,48 +249,24 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, error) {
 			}
 			addr := r.R[in.Ra] + uint32(in.Imm)
 			if vm.probeStore(addr, width) {
-				return vm.specFail(b), nil
+				return vm.specFail(b), n, nil
 			}
-			// Probe residency so COMMIT cannot fault.
-			if _, err := vm.Mem.Load8(addr); err != nil {
-				if fa, isPF := faultAddr(err); isPF {
-					return vm.fault(b, fa), nil
-				}
-				return Result{}, err
-			}
-			if width == 4 && addr&(0xFFF) > 0xFFC {
-				if _, err := vm.Mem.Load8(addr + 3); err != nil {
-					if fa, isPF := faultAddr(err); isPF {
-						return vm.fault(b, fa), nil
-					}
-					return Result{}, err
-				}
+			if err := vm.probeResident(addr, width); err != nil {
+				return vm.memFail(b, n, err)
 			}
 			vm.stbuf = append(vm.stbuf, pendingStore{addr: addr, width: width, val: uint64(r.R[in.Rd])})
 		case host.FSTH:
 			addr := r.R[in.Ra] + uint32(in.Imm)
 			if vm.probeStore(addr, 8) {
-				return vm.specFail(b), nil
+				return vm.specFail(b), n, nil
 			}
-			if _, err := vm.Mem.Load8(addr); err != nil {
-				if fa, isPF := faultAddr(err); isPF {
-					return vm.fault(b, fa), nil
-				}
-				return Result{}, err
-			}
-			if addr&0xFFF > 0xFF8 {
-				if _, err := vm.Mem.Load8(addr + 7); err != nil {
-					if fa, isPF := faultAddr(err); isPF {
-						return vm.fault(b, fa), nil
-					}
-					return Result{}, err
-				}
+			if err := vm.probeResident(addr, 8); err != nil {
+				return vm.memFail(b, n, err)
 			}
 			vm.stbuf = append(vm.stbuf, pendingStore{addr: addr, width: 8, val: math.Float64bits(r.F[in.Rd])})
 
 		case host.BEQZ:
 			taken := r.R[in.Ra] == 0
-			vm.AppInsns++
 			if observed {
 				vm.observe(in, blockPC(b.ID, i), taken, blockPC(b.ID, i+1+int(in.Imm)))
 			}
@@ -323,7 +276,6 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, error) {
 			}
 		case host.BNEZ:
 			taken := r.R[in.Ra] != 0
-			vm.AppInsns++
 			if observed {
 				vm.observe(in, blockPC(b.ID, i), taken, blockPC(b.ID, i+1+int(in.Imm)))
 			}
@@ -332,7 +284,6 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, error) {
 				continue
 			}
 		case host.JREL:
-			vm.AppInsns++
 			if observed {
 				vm.observe(in, blockPC(b.ID, i), true, blockPC(b.ID, i+1+int(in.Imm)))
 			}
@@ -340,34 +291,42 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, error) {
 			continue
 
 		case host.EXIT:
-			vm.retire(in, blockPC(b.ID, i), true, TOLDispatchPC)
-			return Result{Kind: ExitToTOL, NextPC: in.Target, Block: b, ExitIdx: i}, nil
+			if observed {
+				vm.observe(in, blockPC(b.ID, i), true, TOLDispatchPC)
+			}
+			return Result{Kind: ExitToTOL, NextPC: in.Target, Block: b, ExitIdx: i}, n, nil
 		case host.CHAINED:
-			vm.retire(in, blockPC(b.ID, i), true, blockPC(in.Link, 0))
-			return Result{Kind: ExitToTOL, NextPC: in.Target, Block: b, ExitIdx: i}, nil
+			if observed {
+				vm.observe(in, blockPC(b.ID, i), true, blockPC(in.Link, 0))
+			}
+			return Result{Kind: ExitToTOL, NextPC: in.Target, Block: b, ExitIdx: i}, n, nil
 		case host.EXITIND:
 			next := r.R[in.Ra]
 			// Indirect targets get a synthetic address derived from the
 			// guest PC so the BTB sees stable per-target addresses.
-			vm.retire(in, blockPC(b.ID, i), true, 0x8000_0000|next)
-			return Result{Kind: ExitIndirect, NextPC: next, Block: b, ExitIdx: i}, nil
+			if observed {
+				vm.observe(in, blockPC(b.ID, i), true, 0x8000_0000|next)
+			}
+			return Result{Kind: ExitIndirect, NextPC: next, Block: b, ExitIdx: i}, n, nil
 
 		case host.ASSERTH:
 			failed := r.R[in.Ra] == 0
 			// A failing assert behaves like a mispredicted branch that
 			// flushes to the TOL's recovery path.
-			vm.retire(in, blockPC(b.ID, i), failed, TOLDispatchPC)
+			if observed {
+				vm.observe(in, blockPC(b.ID, i), failed, TOLDispatchPC)
+			}
 			if failed {
 				vm.AssertFails++
 				b.AssertFails++
 				vm.rollback()
-				return Result{Kind: ExitAssertFail, NextPC: in.Target, Block: b, ExitIdx: i}, nil
+				return Result{Kind: ExitAssertFail, NextPC: in.Target, Block: b, ExitIdx: i}, n, nil
 			}
 		case host.CHKPT:
 			vm.checkpoint()
 		case host.COMMIT:
 			if err := vm.commit(); err != nil {
-				return Result{}, fmt.Errorf("hostvm: commit failed: %w", err)
+				return Result{}, n, fmt.Errorf("hostvm: commit failed: %w", err)
 			}
 
 		case host.FLI:
@@ -400,25 +359,25 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, error) {
 			r.R[in.Rd] = b2u(math.IsNaN(r.F[in.Ra]) || math.IsNaN(r.F[in.Rb]))
 
 		case host.VFADD:
+			vm.vDirty = true
 			for l := 0; l < host.VecLanes; l++ {
 				r.V[in.Rd][l] = r.V[in.Ra][l] + r.V[in.Rb][l]
 			}
 		case host.VFMUL:
+			vm.vDirty = true
 			for l := 0; l < host.VecLanes; l++ {
 				r.V[in.Rd][l] = r.V[in.Ra][l] * r.V[in.Rb][l]
 			}
 		case host.VFLD:
+			vm.vDirty = true
 			base := r.R[in.Ra] + uint32(in.Imm)
 			for l := 0; l < host.VecLanes; l++ {
 				v, ok, err := vm.bufLoad(base+uint32(l*8), 8)
 				if err != nil {
-					if fa, isPF := faultAddr(err); isPF {
-						return vm.fault(b, fa), nil
-					}
-					return Result{}, err
+					return vm.memFail(b, n, err)
 				}
 				if !ok {
-					return vm.specFail(b), nil
+					return vm.specFail(b), n, nil
 				}
 				r.V[in.Rd][l] = math.Float64frombits(v)
 			}
@@ -427,23 +386,20 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, error) {
 			for l := 0; l < host.VecLanes; l++ {
 				addr := base + uint32(l*8)
 				if vm.probeStore(addr, 8) {
-					return vm.specFail(b), nil
+					return vm.specFail(b), n, nil
 				}
-				if _, err := vm.Mem.Load8(addr); err != nil {
-					if fa, isPF := faultAddr(err); isPF {
-						return vm.fault(b, fa), nil
-					}
-					return Result{}, err
+				if err := vm.probeResident(addr, 8); err != nil {
+					return vm.memFail(b, n, err)
 				}
 				vm.stbuf = append(vm.stbuf, pendingStore{addr: addr, width: 8, val: math.Float64bits(r.V[in.Rd][l])})
 			}
 
 		default:
-			return Result{}, fmt.Errorf("hostvm: illegal host op %v in block %d at %d", in.Op, b.ID, i)
+			return Result{}, n, fmt.Errorf("hostvm: illegal host op %v in block %d at %d", in.Op, b.ID, i)
 		}
 		i++
 	}
-	return Result{}, fmt.Errorf("hostvm: block %d fell off the end (guest entry %#x)", b.ID, b.Entry)
+	return Result{}, n, fmt.Errorf("hostvm: block %d fell off the end (guest entry %#x)", b.ID, b.Entry)
 }
 
 func (vm *VM) specFail(b *codecache.Block) Result {
@@ -453,7 +409,26 @@ func (vm *VM) specFail(b *codecache.Block) Result {
 	return Result{Kind: ExitMemSpecFail, NextPC: b.Entry, Block: b}
 }
 
-func (vm *VM) fault(b *codecache.Block, addr uint32) Result {
-	vm.rollback()
-	return Result{Kind: ExitPageFault, NextPC: b.Entry, FaultAddr: addr, Block: b}
+// probeResident touches the first and last byte of a store about to be
+// buffered, so COMMIT cannot fault.
+func (vm *VM) probeResident(addr uint32, width uint8) error {
+	_, err := vm.Mem.Load8(addr)
+	if last := addr + uint32(width) - 1; err == nil && last>>guestvm.PageShift != addr>>guestvm.PageShift {
+		_, err = vm.Mem.Load8(last)
+	}
+	return err
+}
+
+// memFail ends the block on a failed guest memory access: a page fault
+// and a partial store-to-load forward roll back to the checkpoint,
+// anything else is an emulator error. n passes through to the caller.
+func (vm *VM) memFail(b *codecache.Block, n uint64, err error) (Result, uint64, error) {
+	if pf, ok := err.(*guestvm.PageFaultError); ok {
+		vm.rollback()
+		return Result{Kind: ExitPageFault, NextPC: b.Entry, FaultAddr: pf.Addr, Block: b}, n, nil
+	}
+	if err == errPartialForward {
+		return vm.specFail(b), n, nil
+	}
+	return Result{}, n, err
 }

@@ -12,12 +12,14 @@ import (
 
 	"darco/internal/codecache"
 	"darco/internal/guest"
+	"darco/internal/guestvm"
 	"darco/internal/host"
 )
 
 // Regs is the host register file. Guest architectural state is pinned:
 // r1..r8 hold the guest GPRs, r9..r13 the guest flags as 0/1 values,
-// f1..f8 the guest FP registers.
+// f1..f8 the guest FP registers. V is written by the VM's vector
+// instructions only: the checkpoint follows it through a dirty bit.
 type Regs struct {
 	R [host.NumIntRegs]uint32
 	F [host.NumFPRegs]float64
@@ -76,7 +78,8 @@ func (r *Regs) StoreGuest(cpu *guest.CPU) {
 // ExitKind classifies why block execution returned to software.
 type ExitKind uint8
 
-// Exit kinds.
+// Exit kinds. The two that leave through an exit instruction come first;
+// the rest roll back to the checkpoint.
 const (
 	ExitToTOL       ExitKind = iota // unchained EXIT; NextPC is static
 	ExitIndirect                    // EXITIND with IBTC miss; NextPC from register
@@ -126,11 +129,9 @@ func DefaultConfig() Config {
 // speculative machinery but not the dispatch policy — the TOL drives it.
 type VM struct {
 	Regs Regs
-	Mem  guest.Memory
+	Mem  *guestvm.Memory
 	Cfg  Config
 
-	// Resolve maps a block id to its block, following CHAINED links.
-	Resolve func(id int) (*codecache.Block, bool)
 	// IBTC probes the indirect-branch translation cache. It returns
 	// the block translated for the guest target, if cached.
 	IBTC func(target uint32) (*codecache.Block, bool)
@@ -141,7 +142,9 @@ type VM struct {
 	// opcode — the VM's performance-monitoring unit.
 	Mix *RetireMix
 
-	// Statistics.
+	// Statistics. AppInsns is exact whenever anything can read it: while
+	// Run is not executing, and inside every Retire and OnCut callback
+	// (between those, runBlock holds part of the count in a local).
 	AppInsns     uint64 // retired host instructions emulating the guest
 	BlocksRun    uint64
 	ChainFollows uint64
@@ -157,8 +160,11 @@ type VM struct {
 	HotThreshold uint64
 	hotQueue     []uint32
 
-	// Checkpoint state.
+	// Checkpoint state. ckptRegs.V equals Regs.V unless vDirty: no
+	// translation writes vector registers, so CHKPT copies R and F and
+	// follows V only once a vector instruction has written it.
 	ckptRegs Regs
+	vDirty   bool
 
 	// Gated store buffer: program-ordered pending stores.
 	stbuf []pendingStore
@@ -195,7 +201,7 @@ type aliasEntry struct {
 }
 
 // New returns a VM bound to the co-designed component's emulated memory.
-func New(mem guest.Memory, cfg Config) *VM {
+func New(mem *guestvm.Memory, cfg Config) *VM {
 	return &VM{Mem: mem, Cfg: cfg}
 }
 
@@ -274,22 +280,14 @@ func blockPC(id, idx int) uint32 {
 
 var retireNop = host.Inst{Op: host.NOPH}
 
-// retire accounts one retired host instruction outside runBlock's
-// inlined copies of the same sequence (exits, asserts, synthetic NOPs).
-func (vm *VM) retire(in *host.Inst, pc uint32, taken bool, target uint32) {
-	vm.AppInsns++
-	if vm.Retire != nil || vm.Mix != nil {
-		vm.observe(in, pc, taken, target)
-	}
-}
-
-// observe feeds the attached consumers one retired instruction: the
-// retire event for the timing simulator first, then the PMU count and
-// cut, so a cut callback finds the instruction that reached it already
-// delivered. Kept out of the retirement fast path: with nothing
-// attached, runBlock only bumps AppInsns and never materializes events
-// or synthetic PCs. Both fields are re-read here because a consumer may
-// detach itself — or attach the other one — from inside its callback.
+// observe feeds the attached consumers one retired instruction, which
+// AppInsns already counts: the retire event for the timing simulator
+// first, then the PMU count and cut, so a cut callback finds the
+// instruction that reached it already delivered. Kept out of the
+// retirement fast path: with nothing attached, runBlock only counts and
+// never materializes events or synthetic PCs. Both fields are re-read
+// here because a consumer may detach itself — or attach the other one —
+// from inside its callback.
 func (vm *VM) observe(in *host.Inst, pc uint32, taken bool, target uint32) {
 	if vm.Retire != nil {
 		ev := RetireEvent{Inst: in, PC: pc, Taken: taken, Target: target}
@@ -324,20 +322,27 @@ func (vm *VM) chargeSynthetic(n int) {
 		return
 	}
 	for i := 0; i < n; i++ {
-		vm.retire(&retireNop, 0, false, 0)
+		vm.AppInsns++
+		vm.observe(&retireNop, 0, false, 0)
 	}
 }
 
 // checkpoint snapshots the register file and clears speculative state.
 func (vm *VM) checkpoint() {
-	vm.ckptRegs = vm.Regs
+	vm.ckptRegs.R, vm.ckptRegs.F = vm.Regs.R, vm.Regs.F
+	if vm.vDirty {
+		vm.ckptRegs.V, vm.vDirty = vm.Regs.V, false
+	}
 	vm.stbuf = vm.stbuf[:0]
 	vm.alias = vm.alias[:0]
 }
 
 // rollback restores the checkpoint and discards speculative state.
 func (vm *VM) rollback() {
-	vm.Regs = vm.ckptRegs
+	vm.Regs.R, vm.Regs.F = vm.ckptRegs.R, vm.ckptRegs.F
+	if vm.vDirty {
+		vm.Regs.V, vm.vDirty = vm.ckptRegs.V, false
+	}
 	vm.stbuf = vm.stbuf[:0]
 	vm.alias = vm.alias[:0]
 	vm.Rollbacks++

@@ -11,16 +11,21 @@ import (
 	"darco/internal/host"
 )
 
-// block wraps code into a runnable block ending at the given exit meta.
+// exits is the exit table of a hand-built block whose only exit is its
+// last instruction, at idx.
+func exits(idx, guestInsns int) []codecache.Exit {
+	return []codecache.Exit{{Idx: idx, Info: codecache.ExitInfo{GuestInsns: guestInsns, GuestBBs: 1}}}
+}
+
+// block wraps code into a runnable superblock leaving through its last
+// instruction.
 func block(code []host.Inst) *codecache.Block {
 	return &codecache.Block{Entry: 0x1000, Kind: codecache.KindSuperblock,
-		Code: code, ExitMeta: map[int]codecache.ExitInfo{len(code) - 1: {GuestInsns: 1, GuestBBs: 1}}}
+		Code: code, Exits: exits(len(code)-1, 1)}
 }
 
 func newVM() *VM {
-	vm := New(guestvm.NewMemory(false), DefaultConfig())
-	vm.Resolve = func(int) (*codecache.Block, bool) { return nil, false }
-	return vm
+	return New(guestvm.NewMemory(false), DefaultConfig())
 }
 
 func run(t *testing.T, vm *VM, b *codecache.Block) Result {
@@ -200,7 +205,6 @@ func TestAliasTableOverflowFails(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AliasTableSize = 2
 	vm := New(guestvm.NewMemory(false), cfg)
-	vm.Resolve = func(int) (*codecache.Block, bool) { return nil, false }
 	code := []host.Inst{{Op: host.CHKPT}}
 	for i := 0; i < 3; i++ {
 		vm.Regs.R[20+uint8(i)] = uint32(0x100 + 16*i)
@@ -215,7 +219,6 @@ func TestAliasTableOverflowFails(t *testing.T) {
 
 func TestPageFaultRollsBack(t *testing.T) {
 	vm := New(guestvm.NewMemory(true), DefaultConfig()) // strict memory
-	vm.Resolve = func(int) (*codecache.Block, bool) { return nil, false }
 	vm.Regs.R[20] = 0x5000
 	vm.Regs.R[host.RGuestGPR] = 3
 	code := []host.Inst{
@@ -241,19 +244,14 @@ func TestChainFollowing(t *testing.T) {
 		{Op: host.LI, Rd: 21, Imm: 5},
 		{Op: host.COMMIT},
 		{Op: host.EXIT, Target: 0x1200},
-	}, ExitMeta: map[int]codecache.ExitInfo{3: {GuestInsns: 2, GuestBBs: 1}}}
+	}, Exits: exits(3, 2)}
 	b1 := &codecache.Block{ID: 1, Entry: 0x1000, Kind: codecache.KindSuperblock, Code: []host.Inst{
 		{Op: host.CHKPT},
 		{Op: host.LI, Rd: 20, Imm: 4},
 		{Op: host.COMMIT},
 		{Op: host.CHAINED, Target: 0x1100, Link: 2},
-	}, ExitMeta: map[int]codecache.ExitInfo{3: {GuestInsns: 3, GuestBBs: 1}}}
-	vm.Resolve = func(id int) (*codecache.Block, bool) {
-		if id == 2 {
-			return b2, true
-		}
-		return nil, false
-	}
+	}, Exits: exits(3, 3)}
+	b1.Exits[0].Next = b2
 	res, st, err := vm.Run(b1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +277,7 @@ func TestIBTCHitAndMiss(t *testing.T) {
 		{Op: host.LI, Rd: 24, Imm: 8},
 		{Op: host.COMMIT},
 		{Op: host.EXIT, Target: 0x4000},
-	}, ExitMeta: map[int]codecache.ExitInfo{3: {GuestInsns: 1, GuestBBs: 1}}}
+	}, Exits: exits(3, 1)}
 	vm.IBTC = func(pc uint32) (*codecache.Block, bool) {
 		if pc == 0x3000 {
 			return target, true
@@ -291,7 +289,7 @@ func TestIBTCHitAndMiss(t *testing.T) {
 		{Op: host.LI, Rd: 20, Imm: 0x3000},
 		{Op: host.COMMIT},
 		{Op: host.EXITIND, Ra: 20},
-	}, ExitMeta: map[int]codecache.ExitInfo{3: {GuestInsns: 1, GuestBBs: 1}}}
+	}, Exits: exits(3, 1)}
 	res := run(t, vm, src)
 	if res.Kind != ExitToTOL || vm.Regs.R[24] != 8 {
 		t.Fatalf("ibtc hit should continue into target: %v", res.Kind)
@@ -414,13 +412,8 @@ func TestFuelStopsAtBlockBoundary(t *testing.T) {
 		{Op: host.ADDI, Rd: 20, Ra: 20, Imm: 1},
 		{Op: host.COMMIT},
 		{Op: host.CHAINED, Target: 0x1000, Link: 5},
-	}, ExitMeta: map[int]codecache.ExitInfo{3: {GuestInsns: 1, GuestBBs: 1}}}
-	vm.Resolve = func(id int) (*codecache.Block, bool) {
-		if id == 5 {
-			return self, true
-		}
-		return nil, false
-	}
+	}, Exits: exits(3, 1)}
+	self.Exits[0].Next = self
 	res, _, err := vm.Run(self, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +433,7 @@ func TestHotQueue(t *testing.T) {
 		{Op: host.CHKPT},
 		{Op: host.COMMIT},
 		{Op: host.EXIT, Target: 0x2000},
-	}, ExitMeta: map[int]codecache.ExitInfo{2: {GuestInsns: 1, GuestBBs: 1}}}
+	}, Exits: exits(2, 1)}
 	for i := 0; i < 5; i++ {
 		run(t, vm, b)
 	}
@@ -450,5 +443,46 @@ func TestHotQueue(t *testing.T) {
 	}
 	if len(vm.DrainHot()) != 0 {
 		t.Errorf("drain not idempotent")
+	}
+}
+
+// TestVectorMemoryFailuresRollBack: a VFST lane whose last byte lies in a
+// page the strict memory does not hold, and a VFLD lane that a narrower
+// buffered store partly covers, end the block the way FSTH and FLDH do —
+// page fault and speculation failure, state rolled back. The parent
+// probed only each lane's first byte and let COMMIT fail, and passed the
+// partial forward on as an error; both stopped the session.
+func TestVectorMemoryFailuresRollBack(t *testing.T) {
+	mem := guestvm.NewMemory(true)
+	var page [guestvm.PageSize]byte
+	mem.InstallPage(0x8000, &page)
+	vm := New(mem, DefaultConfig())
+	vm.Regs.R[20] = 0x8FFC - 8*(host.VecLanes-1) // the last lane starts 4 bytes before the page ends
+	vm.Regs.R[host.RGuestGPR] = 3
+	res := run(t, vm, block([]host.Inst{
+		{Op: host.CHKPT},
+		{Op: host.LI, Rd: host.RGuestGPR, Imm: 999},
+		{Op: host.VFST, Rd: 1, Ra: 20},
+		{Op: host.COMMIT},
+		{Op: host.EXIT, Target: 0x2000},
+	}))
+	if res.Kind != ExitPageFault || res.FaultAddr != 0x9003 {
+		t.Errorf("straddling lane: %v at %#x, want a page fault at 0x9003", res.Kind, res.FaultAddr)
+	}
+	if vm.Regs.R[host.RGuestGPR] != 3 || len(vm.stbuf) != 0 {
+		t.Errorf("not rolled back: r1 = %d, %d stores buffered", vm.Regs.R[host.RGuestGPR], len(vm.stbuf))
+	}
+
+	vm = New(mem, DefaultConfig())
+	vm.Regs.R[20] = 0x8100
+	res = run(t, vm, block([]host.Inst{
+		{Op: host.CHKPT},
+		{Op: host.ST, Rd: 21, Ra: 20, Imm: 4},
+		{Op: host.VFLD, Rd: 1, Ra: 20},
+		{Op: host.COMMIT},
+		{Op: host.EXIT, Target: 0x2000},
+	}))
+	if res.Kind != ExitMemSpecFail || vm.MemSpecFails != 1 {
+		t.Errorf("partly covered lane: %v, %d speculation failures", res.Kind, vm.MemSpecFails)
 	}
 }

@@ -138,14 +138,22 @@ func TestMixDetachFromOnCut(t *testing.T) {
 	}
 }
 
+// isAppInsns reports whether e is the expression vm.AppInsns.
+func isAppInsns(e ast.Expr) bool {
+	if sel, ok := e.(*ast.SelectorExpr); ok && sel.Sel.Name == "AppInsns" {
+		x, ok := sel.X.(*ast.Ident)
+		return ok && x.Name == "vm"
+	}
+	return false
+}
+
 // TestRetireFastPathSingleBranch pins the shape of runBlock's
 // retirement fast path: inside the dispatch loop, everything that
-// touches a retire consumer — vm.Retire, vm.Mix, vm.observe — sits
-// under an `if observed`, one branch on a local
-// hoisted before the loop. With nothing attached an instruction
-// therefore costs the AppInsns increment and that one never-taken
-// branch, exactly as before the histogram existed. (vm.retire, at the
-// block exits, runs once per block and checks the fields itself.)
+// touches a retire consumer — vm.Retire, vm.Mix, vm.observe — and every
+// store to vm.AppInsns sits under an `if observed`, one branch on a
+// local hoisted before the loop. With nothing attached an instruction
+// therefore costs an increment of a local and that one never-taken
+// branch; the count reaches vm.AppInsns when the block is left.
 func TestRetireFastPathSingleBranch(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "exec.go", nil, 0)
 	if err != nil {
@@ -179,6 +187,16 @@ func TestRetireFastPathSingleBranch(t *testing.T) {
 				case "Retire", "Mix", "observe":
 					t.Errorf("dispatch loop uses vm.%s outside `if observed`", n.Sel.Name)
 				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if isAppInsns(lhs) {
+					t.Error("dispatch loop stores to vm.AppInsns outside `if observed`")
+				}
+			}
+		case *ast.IncDecStmt:
+			if isAppInsns(n.X) {
+				t.Error("dispatch loop stores to vm.AppInsns outside `if observed`")
 			}
 		}
 		return true

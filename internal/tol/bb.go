@@ -238,14 +238,14 @@ func (t *TOL) lowerBB(x *xlate, bb *bbInfo, level OptLevel) (*codecache.Block, e
 }
 
 // ownResult gives the block its own exact-size copy of the generated
-// code and its exit metadata: the GenResult is scratch the next
+// code and its exit table: the GenResult is scratch the next
 // translation overwrites, and chaining patches a block's code in place.
 func ownResult(blk *codecache.Block, gen *ir.GenResult) *codecache.Block {
 	blk.Code = make([]host.Inst, len(gen.Code))
 	copy(blk.Code, gen.Code)
-	blk.ExitMeta = make(map[int]codecache.ExitInfo, len(gen.Exits))
-	for _, e := range gen.Exits {
-		blk.ExitMeta[e.Idx] = codecache.ExitInfo(e.Meta)
+	blk.Exits = make([]codecache.Exit, len(gen.Exits))
+	for i, e := range gen.Exits {
+		blk.Exits[i] = codecache.Exit{Idx: e.Idx, Info: codecache.ExitInfo(e.Meta)}
 	}
 	return blk
 }

@@ -206,7 +206,6 @@ func New(cfg Config) *TOL {
 	vmCfg := cfg.HostCfg
 	t.VM = hostvm.New(t.Mem, vmCfg)
 	t.VM.HotThreshold = cfg.SBThreshold
-	t.VM.Resolve = t.Cache.Get
 	t.VM.IBTC = t.IBTC.Probe
 	t.Fetch = t.fetchInst
 	t.Overhead.Charge(OvOther, cfg.Costs.Init)

@@ -128,7 +128,7 @@ func TestBlocksOwnTheirCode(t *testing.T) {
 }
 
 // TestWarmTranslationAllocations: what a warm translation still
-// allocates is what the code cache keeps — the Block, its Code, ExitMeta
+// allocates is what the code cache keeps — the Block, its Code, Exits
 // and BBs.
 func TestWarmTranslationAllocations(t *testing.T) {
 	if raceEnabled {

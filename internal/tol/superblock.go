@@ -54,13 +54,12 @@ func (t *TOL) profileOf(entry uint32) (branchProfile, bool) {
 	}
 	var p branchProfile
 	found := false
-	for idx, meta := range blk.ExitMeta {
-		c := blk.ExitCounts[idx]
-		if meta.Taken {
-			p.taken += c
+	for i := range blk.Exits {
+		if e := &blk.Exits[i]; e.Info.Taken {
+			p.taken += e.Count
 			found = true
 		} else {
-			p.notTaken += c
+			p.notTaken += e.Count
 		}
 	}
 	return p, found

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -45,14 +44,8 @@ func blockDigest(blk *codecache.Block) string {
 		put(uint64(in.Op), uint64(in.Rd), uint64(in.Ra), uint64(in.Rb), uint64(uint32(in.Imm)),
 			math.Float64bits(in.F64), b2u(in.Spec), uint64(in.Target), uint64(in.Link), uint64(in.GPC))
 	}
-	exits := make([]int, 0, len(blk.ExitMeta))
-	for idx := range blk.ExitMeta {
-		exits = append(exits, idx)
-	}
-	sort.Ints(exits)
-	for _, idx := range exits {
-		m := blk.ExitMeta[idx]
-		put(uint64(idx), uint64(m.GuestInsns), uint64(m.GuestBBs), b2u(m.Taken))
+	for _, e := range blk.Exits { // ascending Idx
+		put(uint64(e.Idx), uint64(e.Info.GuestInsns), uint64(e.Info.GuestBBs), b2u(e.Info.Taken))
 	}
 	for _, pc := range blk.BBs {
 		put(uint64(pc))

@@ -29,7 +29,6 @@ func TestTrigBitIdentical(t *testing.T) {
 			}
 			blk := ownResult(&codecache.Block{Entry: 0x1000}, gen)
 			vm := hostvm.New(nil, hostvm.DefaultConfig())
-			vm.Resolve = func(int) (*codecache.Block, bool) { return nil, false }
 			r, _, err := vm.Run(blk, 0)
 			if err != nil {
 				t.Fatal(err)
