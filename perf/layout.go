@@ -14,6 +14,7 @@ import (
 // it is argued about.
 var HotFunctions = []string{
 	"darco/internal/hostvm.(*VM).runBlock",
+	"darco/internal/hostvm.(*VM).Run",
 	"darco/internal/timing.(*Core).Consume",
 	"darco/internal/guest.RunBlock",
 	"darco/internal/guestvm.(*VM).Run",

@@ -10,13 +10,14 @@ const nmSample = `  75a200 T darco/internal/guest.RunBlock
   78e000 T darco/internal/guestvm.(*VM).Run
   78e400 T darco/internal/guestvm.(*VM).RunContext
   76b960 T darco/internal/hostvm.(*VM).runBlock
+  76b400 T darco/internal/hostvm.(*VM).Run
   9a1000 D darco/internal/timing.(*Core).Consume
          U runtime.foo
 `
 
 func TestParseNMAndFormatLayout(t *testing.T) {
 	a := ParseNM(nmSample)
-	if len(a) != 3 || a["darco/internal/guest.RunBlock"] != 0x75a200 || a["darco/internal/guestvm.(*VM).Run"] != 0x78e000 || a["darco/internal/hostvm.(*VM).runBlock"] != 0x76b960 {
+	if len(a) != 4 || a["darco/internal/hostvm.(*VM).Run"] != 0x76b400 || a["darco/internal/guest.RunBlock"] != 0x75a200 || a["darco/internal/guestvm.(*VM).Run"] != 0x78e000 || a["darco/internal/hostvm.(*VM).runBlock"] != 0x76b960 {
 		t.Fatalf("parsed %v", a)
 	}
 	b := ParseNM(strings.Replace(nmSample, "76b960", "76b950", 1))
