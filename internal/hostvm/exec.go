@@ -106,17 +106,16 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, uint64, error) {
 	// unless a consumer's callback runs, and then the flag is already
 	// set; the fields themselves are re-read under it.
 	observed := vm.Retire != nil || vm.Mix != nil
-	// Every instruction that reaches the switch retires. The count stays
-	// in a register unless a consumer can look at vm.AppInsns, and then
-	// it is added before each look.
+	// Every instruction that reaches the switch retires: into vm.AppInsns
+	// when a consumer can look at it, into a local otherwise.
 	var n uint64
 	i := 0
 	for i < len(code) {
 		in := &code[i]
-		n++
-		if observed {
-			vm.AppInsns += n
-			n = 0
+		if !observed {
+			n++
+		} else {
+			vm.AppInsns++
 			// A branch is observed in its case, where the outcome is known.
 			if !in.Op.IsBranch() {
 				// Nine retirements in ten pass through here, so the

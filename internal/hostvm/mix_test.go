@@ -150,10 +150,10 @@ func isAppInsns(e ast.Expr) bool {
 // TestRetireFastPathSingleBranch pins the shape of runBlock's
 // retirement fast path: inside the dispatch loop, everything that
 // touches a retire consumer — vm.Retire, vm.Mix, vm.observe — and every
-// store to vm.AppInsns sits under an `if observed`, one branch on a
-// local hoisted before the loop. With nothing attached an instruction
-// therefore costs an increment of a local and that one never-taken
-// branch; the count reaches vm.AppInsns when the block is left.
+// store to vm.AppInsns sits under `observed`, one branch on a local
+// hoisted before the loop. With nothing attached an instruction
+// therefore costs that one branch and an increment of a local; the
+// count reaches vm.AppInsns when the block is left.
 func TestRetireFastPathSingleBranch(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "exec.go", nil, 0)
 	if err != nil {
@@ -174,12 +174,22 @@ func TestRetireFastPathSingleBranch(t *testing.T) {
 		t.Fatal("runBlock's dispatch loop not found")
 	}
 	guards := 0
-	ast.Inspect(loop.Body, func(n ast.Node) bool {
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.IfStmt:
-			if id, ok := n.Cond.(*ast.Ident); ok && id.Name == "observed" && n.Init == nil && n.Else == nil {
+			// `if observed {...}` and the else of `if !observed {...}`:
+			// anything goes under the guard, the other arm is inspected.
+			cond, unobserved := n.Cond, ast.Node(n.Else)
+			if not, ok := cond.(*ast.UnaryExpr); ok && not.Op == token.NOT {
+				cond, unobserved = not.X, n.Body
+			}
+			if id, ok := cond.(*ast.Ident); ok && id.Name == "observed" && n.Init == nil {
 				guards++
-				return false // anything goes under the guard
+				if unobserved != nil {
+					ast.Inspect(unobserved, visit)
+				}
+				return false
 			}
 		case *ast.SelectorExpr:
 			if x, ok := n.X.(*ast.Ident); ok && x.Name == "vm" {
@@ -200,7 +210,8 @@ func TestRetireFastPathSingleBranch(t *testing.T) {
 			}
 		}
 		return true
-	})
+	}
+	ast.Inspect(loop.Body, visit)
 	if guards == 0 {
 		t.Error("no `if observed` guard found in the dispatch loop")
 	}
