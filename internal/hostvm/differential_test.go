@@ -377,7 +377,7 @@ type coverage struct {
 	kinds      [ExitPageFault + 1]int
 	faults     map[host.Op]int // page faults by faulting opcode
 	tailFaults map[host.Op]int // ... of those, in the page after the access's first byte
-	stops      map[string]int
+	reached    map[string]int  // stops, chain and cache events, by name
 }
 
 // lockstep runs p's script on the VM and the oracle under m and fails on
@@ -411,7 +411,7 @@ func lockstep(t *testing.T, seed int64, p *program, m mode, deep bool, cov *cove
 					}
 				}
 			}
-			cov.stops["invalidate"]++
+			cov.reached["invalidate"]++
 		case act == 1: // retranslate an entry, as a promotion or rebuild does
 			sp := &p.blocks[r.Intn(len(p.blocks))]
 			for _, s := range sides {
@@ -457,9 +457,9 @@ func lockstep(t *testing.T, seed int64, p *program, m mode, deep bool, cov *cove
 		cov.kinds[k.Kind]++
 		if k.Kind == ExitToTOL && k.Block.Code[k.ExitIdx].Op == host.CHAINED {
 			if len(vm.vm.hotQueue) > 0 {
-				cov.stops["hot"]++
+				cov.reached["hot"]++
 			} else {
-				cov.stops["fuel"]++
+				cov.reached["fuel"]++
 			}
 		}
 		if k.Kind == ExitPageFault && m.retire {
@@ -500,12 +500,12 @@ func lockstep(t *testing.T, seed int64, p *program, m mode, deep bool, cov *cove
 			cov.ops[op] += n
 		}
 	}
-	cov.stops["follow"] += int(vm.vm.ChainFollows)
-	cov.stops["cut"] += int(vm.cache.ChainsCut)
-	cov.stops["flush"] += int(vm.cache.Flushes)
-	cov.stops["ibtc-hit"] += int(vm.vm.IBTCHits)
-	cov.stops["ibtc-miss"] += int(vm.vm.IBTCMisses)
-	cov.stops["spec-fail"] += int(vm.vm.MemSpecFails)
+	cov.reached["follow"] += int(vm.vm.ChainFollows)
+	cov.reached["cut"] += int(vm.cache.ChainsCut)
+	cov.reached["flush"] += int(vm.cache.Flushes)
+	cov.reached["ibtc-hit"] += int(vm.vm.IBTCHits)
+	cov.reached["ibtc-miss"] += int(vm.vm.IBTCMisses)
+	cov.reached["spec-fail"] += int(vm.vm.MemSpecFails)
 	return vm.vm.AppInsns
 }
 
@@ -594,7 +594,7 @@ func diff(a, b *side, deep bool) string {
 }
 
 func newCoverage() *coverage {
-	return &coverage{faults: map[host.Op]int{}, tailFaults: map[host.Op]int{}, stops: map[string]int{}}
+	return &coverage{faults: map[host.Op]int{}, tailFaults: map[host.Op]int{}, reached: map[string]int{}}
 }
 
 // TestRunMatchesOracle: generated worlds, nothing attached, then a Retire
@@ -640,7 +640,7 @@ func TestRunMatchesOracle(t *testing.T) {
 		}
 	}
 	for _, what := range []string{"fuel", "hot", "follow", "cut", "flush", "invalidate", "ibtc-hit", "ibtc-miss", "spec-fail"} {
-		if cov.stops[what] == 0 {
+		if cov.reached[what] == 0 {
 			t.Errorf("no %s in any generated run", what)
 		}
 	}
