@@ -1,6 +1,7 @@
 package darco_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -181,9 +182,13 @@ func TestSessionResumesAfterCancellation(t *testing.T) {
 		name        string
 		cfg         darco.Config
 		cancelAfter uint64 // guest instructions retired before the cancel; 0 = cancelled before Run
+		everyTick   bool   // and again at every progress tick of every resumed run
 	}{
-		{"before the first instruction", darco.DefaultConfig(), 0},
-		{"mid-flight with timing", darco.TimingConfig(), 100_000},
+		{"before the first instruction", darco.DefaultConfig(), 0, false},
+		{"mid-flight with timing", darco.TimingConfig(), 100_000, false},
+		// Every run below ends with a target just published to the
+		// shadow catch-up: the cancel comes from inside the tick.
+		{"at every tick", darco.DefaultConfig(), 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// cancel is armed only for the interrupted run; the reference
@@ -211,15 +216,33 @@ func TestSessionResumesAfterCancellation(t *testing.T) {
 			if _, err := ses.Run(ctx); !errors.Is(err, context.Canceled) {
 				t.Fatalf("want context.Canceled, got %v", err)
 			}
-			cancel = nil
 			if got := ses.Snapshot().Stats.GuestInsns(); ses.Done() || (got == 0) != (tc.cancelAfter == 0) {
 				t.Fatalf("cancelled at %d guest instructions (done %v), want a cancel after %d",
 					got, ses.Done(), tc.cancelAfter)
 			}
-			res, err := ses.Run(context.Background())
+			// Resume; with everyTick each resumed run is cancelled again from
+			// inside its first tick, so the session finishes an interval at
+			// a time.
+			var res *darco.Result
+			resumes := 0
+			for {
+				ctx, cancel = context.Background(), nil
+				if tc.everyTick {
+					ctx, cancel = context.WithCancel(ctx)
+				}
+				res, err = ses.Run(ctx)
+				if !tc.everyTick || !errors.Is(err, context.Canceled) {
+					break
+				}
+				resumes++
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.everyTick && resumes < 3 {
+				t.Fatalf("finished after %d resumes: the cancels did not land on ticks", resumes)
+			}
+			cancel = nil
 			if !ses.Done() {
 				t.Fatal("session not done after resumed run")
 			}
@@ -230,6 +253,12 @@ func TestSessionResumesAfterCancellation(t *testing.T) {
 			}
 			if res.Stats != ref.Stats {
 				t.Errorf("resumed stats differ:\n%+v\n%+v", res.Stats, ref.Stats)
+			}
+			if res.Overhead != ref.Overhead || res.HostAppInsns != ref.HostAppInsns ||
+				!bytes.Equal(res.Output, ref.Output) || res.ExitCode != ref.ExitCode ||
+				res.Validations != ref.Validations || res.PageTransfers != ref.PageTransfers ||
+				res.SyscallSyncs != ref.SyscallSyncs {
+				t.Errorf("resumed result differs:\n%+v\n%+v", res, ref)
 			}
 			if tc.cfg.Timing != nil && *res.Timing != *ref.Timing {
 				t.Errorf("resumed timing stats differ:\n%+v\n%+v", *res.Timing, *ref.Timing)

@@ -110,10 +110,24 @@ type Controller struct {
 	PageTransfers uint64
 	SyscallSyncs  uint64
 	Validations   uint64
-	// CatchUp is the wall time spent advancing the authoritative
-	// component to the co-designed progress point, clocked once per
-	// catch-up (tens to hundreds a session), never per instruction.
+	// CatchUp is the wall time the run waited for the authoritative
+	// component to arrive at the co-designed progress point: each join
+	// of the shadow and what catchUp then ran inline, clocked once per
+	// join or catch-up, never per instruction. What the shadow ran
+	// while the co-designed component was executing is not in it.
 	CatchUp time.Duration
+
+	// The shadow: while RunContext is on the stack, a second goroutine
+	// runs X86 behind the co-designed component. X86 is the shadow's
+	// from a publish to the next join and the caller's goroutine's at
+	// all other times; the two channel operations are the only
+	// hand-offs and all the synchronization there is. It never leads — a
+	// target is progress the co-designed component has already made —
+	// and the authoritative state at a target does not depend on how the
+	// run to it was cut.
+	targets chan uint64 // to the shadow: run X86 to this BBCount
+	arrived chan error  // from the shadow: it is there, or why not
+	lent    bool        // a target is out and not yet joined
 
 	syncs int
 	// bbOffset is the authoritative component's basic-block count at
@@ -175,9 +189,68 @@ func (c *Controller) transferPage(addr uint32) error {
 	return nil
 }
 
-// catchUp advances the authoritative component to the co-designed
-// component's dynamic basic-block count.
+// publish lends X86 to the shadow, to run to the co-designed component's
+// present basic-block count while the next excursion executes, after
+// taking back the previous loan. The first publish of a RunContext call
+// starts the goroutine; endShadow ends it before that call returns.
+func (c *Controller) publish() error {
+	if err := c.join(); err != nil {
+		return err
+	}
+	target := c.bbOffset + c.CoD.Stats.GuestBBs
+	if c.X86.BBCount >= target { // nothing to run; and a zero target would mean no limit
+		return nil
+	}
+	if c.targets == nil {
+		// Buffered, so that neither side's send waits for the other's
+		// thread to wake; one slot, because at most one target is out.
+		c.targets, c.arrived = make(chan uint64, 1), make(chan error, 1)
+		go func(x86 *guestvm.VM, targets <-chan uint64, arrived chan<- error) {
+			defer close(arrived)
+			for target := range targets {
+				_, err := x86.Run(guestvm.RunLimits{BBCount: target})
+				arrived <- err
+			}
+		}(c.X86, c.targets, c.arrived)
+	}
+	c.targets <- target
+	c.lent = true
+	return nil
+}
+
+// join takes X86 back from the shadow, waiting for it to arrive, and
+// returns the error its run ended in: the one an inline catch-up over
+// the same blocks would have returned.
+func (c *Controller) join() error {
+	if !c.lent {
+		return nil
+	}
+	t0 := time.Now()
+	err := <-c.arrived
+	c.CatchUp += time.Since(t0)
+	c.lent = false
+	return err
+}
+
+// endShadow joins the shadow and waits for its goroutine to finish.
+func (c *Controller) endShadow() error {
+	if c.targets == nil {
+		return nil
+	}
+	err := c.join()
+	close(c.targets)
+	<-c.arrived
+	c.targets, c.arrived = nil, nil
+	return err
+}
+
+// catchUp brings the authoritative component to the co-designed
+// component's dynamic basic-block count: it joins the shadow, then runs
+// what is left (at most one check interval) inline.
 func (c *Controller) catchUp() error {
+	if err := c.join(); err != nil {
+		return err
+	}
 	target := c.bbOffset + c.CoD.Stats.GuestBBs
 	if c.X86.BBCount >= target {
 		return nil
@@ -325,7 +398,17 @@ func (c *Controller) Run(budget uint64) error {
 // here, so cancellation is observed within one interval even when the
 // guest computes without synchronizing. State stays consistent on
 // cancellation: a later RunContext call resumes where this one stopped.
-func (c *Controller) RunContext(ctx context.Context, budget uint64) error {
+//
+// Between synchronizations the authoritative component trails the
+// co-designed one on a second goroutine, which exists only while this
+// call is on the stack. An authoritative-side error it ran into is
+// returned at the next join, in place of whatever else ended the call.
+func (c *Controller) RunContext(ctx context.Context, budget uint64) (err error) {
+	defer func() {
+		if serr := c.endShadow(); serr != nil {
+			err = serr
+		}
+	}()
 	start := c.CoD.Stats.GuestInsns()
 	for !c.CoD.Halted() {
 		if err := ctx.Err(); err != nil {
@@ -357,8 +440,12 @@ func (c *Controller) RunContext(ctx context.Context, budget uint64) error {
 			if budget > 0 && c.CoD.Stats.GuestInsns()-start >= budget {
 				return nil
 			}
-			// Interval tick only: report progress, then loop back to the
+			// Interval tick only: let the authoritative side trail through
+			// the next excursion, report progress, then loop back to the
 			// cancellation check.
+			if err := c.publish(); err != nil {
+				return err
+			}
 			if c.Cfg.OnTick != nil {
 				c.Cfg.OnTick()
 			}
@@ -368,9 +455,8 @@ func (c *Controller) RunContext(ctx context.Context, budget uint64) error {
 				return err
 			}
 			if !c.X86.Halted {
-				if _, err := c.X86.Run(guestvm.RunLimits{BBCount: c.bbOffset + c.CoD.Stats.GuestBBs}); err != nil {
-					return err
-				}
+				return &MismatchError{What: "eip", GuestBBs: c.CoD.Stats.GuestBBs,
+					Detail: fmt.Sprintf("co-designed halted, x86 still running at %#x", c.X86.CPU.EIP)}
 			}
 			if err := c.Validate(); err != nil {
 				return err

@@ -100,14 +100,18 @@ type Result struct {
 	Obs *obs.EngineCountersSnapshot
 
 	// Phases splits the session wall time: Emulate is the time inside
-	// the controller's run loop, CatchUp the part of it the
-	// authoritative component spent catching up with the co-designed
-	// one. The serve tier turns these into per-scenario phase spans.
+	// the controller's run loop, CatchUp the part of it the session
+	// spent waiting for the authoritative component to catch up with
+	// the co-designed one. The serve tier turns these into per-scenario
+	// phase spans.
 	Phases PhaseTimings
 }
 
 // PhaseTimings is a session's wall-time attribution across execution
-// phases.
+// phases. CatchUp is time waited, not work done: the authoritative
+// component runs beside the co-designed one between synchronizations,
+// and only what a synchronization (or a check-interval tick) still had
+// to wait for, or run itself, is counted.
 type PhaseTimings struct {
 	Emulate time.Duration `json:"emulate,omitempty"`
 	CatchUp time.Duration `json:"catch_up,omitempty"` // within Emulate

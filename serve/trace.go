@@ -13,9 +13,9 @@ import (
 // scenario's own wall window ending now; the phases partition it
 // front-to-back: warmup (image generation and session construction —
 // everything before emulation) and emulate (the controller's run loop).
-// Under emulate, catch-up is the authoritative component's share of it:
-// a total over many catch-ups, drawn at the phase's front and journaled
-// inside the phase's record.
+// Under emulate, catch-up is the part of it spent waiting for the
+// authoritative component: a total over many joins and catch-ups, drawn
+// at the phase's front and journaled inside the phase's record.
 func (s *runner) scenarioSpans(j *jobs.Job, sr *darco.ScenarioResult, end time.Time) {
 	start := end.Add(-sr.Wall)
 	name := sr.Scenario.Name

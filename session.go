@@ -14,8 +14,11 @@ import (
 )
 
 // Session is one guest program executing on an Engine's configuration.
-// It is single-goroutine: drive it with Run (to completion) or Step
-// (incrementally), and read snapshots between steps. A session whose
+// It is single-goroutine to its caller: drive it with Run (to
+// completion) or Step (incrementally), and read snapshots between
+// steps. (Inside a Run or Step the authoritative component executes on
+// a goroutine of its own, which has finished by the time the call
+// returns; callbacks still run on the caller's.) A session whose
 // context was cancelled stays consistent and can be resumed with a
 // fresh context; any other error is terminal.
 type Session struct {
