@@ -9,11 +9,16 @@ package darco_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	darco "darco"
 
+	"darco/internal/controller"
 	"darco/internal/experiments"
 	"darco/internal/guest"
+	"darco/internal/hostvm"
+	"darco/internal/timing"
+	"darco/internal/tol"
 	"darco/internal/warmup"
 	"darco/internal/workload"
 	"darco/telemetry"
@@ -133,6 +138,62 @@ func BenchmarkTableSpeedTiming(b *testing.B) {
 	}
 	b.ReportMetric(guestMIPS*1000, "guest-KIPS")
 	b.ReportMetric(hostMIPS, "host-MIPS")
+}
+
+// BenchmarkTimingSplit attributes a timing-mode run on 429.mcf and
+// 433.milc at scale 0.25, each round run by the controller three ways
+// back to back: functional, with a no-op VM.Retire, and with a default
+// timing core's Consume on it. It reports guest MIPS for each way, the
+// hook's and Consume's added milliseconds per round, and Consume's
+// nanoseconds per retired host instruction.
+func BenchmarkTimingSplit(b *testing.B) {
+	var ims []*guest.Image
+	for _, name := range []string{"429.mcf", "433.milc"} {
+		p, _ := workload.ByName(name)
+		im, err := workload.CachedImage(p.Scale(0.25))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ims = append(ims, im)
+	}
+	ways := []func() func(hostvm.RetireEvent){
+		func() func(hostvm.RetireEvent) { return nil },
+		func() func(hostvm.RetireEvent) { return func(hostvm.RetireEvent) {} },
+		func() func(hostvm.RetireEvent) { return timing.New(timing.DefaultConfig()).Consume },
+	}
+	var wall [3]time.Duration
+	var guestInsns, events uint64
+	for i := 0; i < b.N; i++ {
+		for w, retire := range ways {
+			for _, im := range ims {
+				ctl, err := controller.New(im, controller.Config{
+					TOL:                 tol.DefaultConfig(),
+					ValidateEveryNSyncs: darco.DefaultConfig().ValidateEveryNSyncs,
+					CheckInterval:       darco.DefaultCheckInterval,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				ctl.CoD.VM.Retire = retire()
+				t0 := time.Now()
+				if err := ctl.RunContext(context.Background(), 0); err != nil {
+					b.Fatal(err)
+				}
+				wall[w] += time.Since(t0)
+				if w == 0 {
+					guestInsns += ctl.CoD.Stats.GuestInsns()
+					events += ctl.CoD.VM.AppInsns
+				}
+			}
+		}
+	}
+	rounds := float64(b.N)
+	for w, name := range []string{"functional", "hook", "timing"} {
+		b.ReportMetric(float64(guestInsns)/wall[w].Seconds()/1e6, "guest-MIPS-"+name)
+	}
+	b.ReportMetric(float64(wall[1]-wall[0])/1e6/rounds, "hook-ms/round")
+	b.ReportMetric(float64(wall[2]-wall[1])/1e6/rounds, "consume-ms/round")
+	b.ReportMetric(float64(wall[2]-wall[1])/float64(events), "consume-ns/event")
 }
 
 // BenchmarkFig4ModeDistribution regenerates Fig. 4: per-suite average

@@ -124,6 +124,11 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		pe := *e.cfg.Power
 		e.cfg.Power = &pe
 	}
+	if e.cfg.Timing != nil {
+		if err := e.cfg.Timing.Validate(); err != nil {
+			return nil, fmt.Errorf("darco: WithTiming: %w", err)
+		}
+	}
 	if e.cfg.Power != nil && e.cfg.Timing == nil {
 		return nil, fmt.Errorf("darco: WithPower requires WithTiming (the power model analyzes the timing core)")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,6 +116,56 @@ func TestPowerRequiresTiming(t *testing.T) {
 	if _, err := darco.NewEngine(darco.WithTiming(timing.DefaultConfig()),
 		darco.WithPower(power.DefaultEnergies(), 0)); err == nil {
 		t.Fatal("WithPower with zero frequency should fail")
+	}
+}
+
+// TestTimingConfigValidated: a timing configuration the core would index
+// past an array with, or map through a mask that drops addresses, is
+// refused by NewEngine with an error naming the field. The default and
+// the width sweep of examples/timing-power build.
+func TestTimingConfigValidated(t *testing.T) {
+	bad := []struct {
+		field string
+		edit  func(*timing.Config)
+	}{
+		{"IQSize", func(c *timing.Config) { c.IQSize = 0 }},
+		{"SimpleUnits", func(c *timing.Config) { c.SimpleUnits = 0 }},
+		{"ComplexUnits", func(c *timing.Config) { c.ComplexUnits = 0 }},
+		{"VectorUnits", func(c *timing.Config) { c.VectorUnits = 0 }},
+		{"IssueWidth", func(c *timing.Config) { c.IssueWidth = -1 }},
+		{"L1D.Sets", func(c *timing.Config) { c.L1D.Sets = 100 }},
+		{"L2.LineBytes", func(c *timing.Config) { c.L2.LineBytes = 48 }},
+		{"L1I.Ways", func(c *timing.Config) { c.L1I.Ways = 0 }},
+		{"DTLB.Entries/Ways", func(c *timing.Config) { c.DTLB.Entries = 48 }},
+		{"L2TLB.Ways", func(c *timing.Config) { c.L2TLB.Ways = 0 }},
+		{"BPred.BTBEntries", func(c *timing.Config) { c.BPred.BTBEntries = 1000 }},
+		{"BPred.GShareBits", func(c *timing.Config) { c.BPred.GShareBits = -1 }},
+		{"PrefetchEntries", func(c *timing.Config) { c.PrefetchEntries = 12 }},
+		{"MemLatency", func(c *timing.Config) { c.MemLatency = -1 }},
+		{"L2TLB.Latency", func(c *timing.Config) { c.L2TLB.Latency = -7 }},
+	}
+	for _, tc := range bad {
+		cfg := timing.DefaultConfig()
+		tc.edit(&cfg)
+		_, err := darco.NewEngine(darco.WithTiming(cfg))
+		if err == nil || !strings.Contains(err.Error(), " "+tc.field+" ") {
+			t.Errorf("%s: NewEngine error %v, want one naming the field", tc.field, err)
+		}
+	}
+	good := []timing.Config{timing.DefaultConfig()}
+	for _, width := range []int{1, 2, 4, 8} {
+		tc := timing.DefaultConfig()
+		tc.FetchWidth, tc.IssueWidth, tc.SimpleUnits = width, width, width
+		tc.ComplexUnits, tc.MemReadPorts = (width+1)/2, (width+1)/2
+		good = append(good, tc)
+	}
+	off := timing.DefaultConfig()
+	off.PrefetchEntries = 0
+	good = append(good, off)
+	for _, cfg := range good {
+		if _, err := darco.NewEngine(darco.WithTiming(cfg)); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
+		}
 	}
 }
 

@@ -280,6 +280,15 @@ func blockPC(id, idx int) uint32 {
 
 var retireNop = host.Inst{Op: host.NOPH}
 
+// memOps is the set of opcodes whose retire event carries an address —
+// the loads and stores, scratchpad spills included, as Op.Desc describes
+// them (TestMemOpsSet holds the two together) — one bit per opcode. A
+// constant rather than a table: it adds no data to shift the tables the
+// functional path reads, and an opcode past 63 shifts it to zero.
+const memOps = 1<<host.LD | 1<<host.LDB | 1<<host.ST | 1<<host.STB |
+	1<<host.FLDH | 1<<host.FSTH | 1<<host.VFLD | 1<<host.VFST |
+	1<<host.SPILLI | 1<<host.UNSPILLI | 1<<host.SPILLF | 1<<host.UNSPILLF
+
 // observe feeds the attached consumers one retired instruction, which
 // AppInsns already counts: the retire event for the timing simulator
 // first, then the PMU count and cut, so a cut callback finds the
@@ -291,8 +300,7 @@ var retireNop = host.Inst{Op: host.NOPH}
 func (vm *VM) observe(in *host.Inst, pc uint32, taken bool, target uint32) {
 	if vm.Retire != nil {
 		ev := RetireEvent{Inst: in, PC: pc, Taken: taken, Target: target}
-		d := in.Op.Desc()
-		if d.IsLoad || d.IsStore {
+		if uint64(memOps)>>in.Op&1 != 0 {
 			ev.Addr = vm.Regs.R[in.Ra] + uint32(in.Imm)
 		}
 		vm.Retire(ev)

@@ -59,6 +59,19 @@ func TestRegsPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMemOpsSet pins the set observe reads to the descriptors it
+// replaced: a retire event carries an address exactly for the opcodes
+// Op.Desc calls loads or stores, over the whole opcode byte.
+func TestMemOpsSet(t *testing.T) {
+	for op := range 256 {
+		d := host.Op(op).Desc()
+		got := uint64(memOps)>>host.Op(op)&1 != 0
+		if want := d.IsLoad || d.IsStore; got != want {
+			t.Errorf("opcode %d: in memOps %v, Desc says load or store %v", op, got, want)
+		}
+	}
+}
+
 func TestALUOps(t *testing.T) {
 	cases := []struct {
 		op   host.Op

@@ -5,7 +5,7 @@ package timing
 
 // BPredConfig parameterises the predictor.
 type BPredConfig struct {
-	GShareBits int // history / table index bits
+	GShareBits int // history / table index bits, 0…31
 	BTBEntries int // direct-mapped BTB entries (power of two)
 }
 

@@ -26,6 +26,12 @@ type Cache struct {
 	tags     []uint64
 	setMask  uint32
 	lineBits uint32
+	// mru is the tag place stored last. Nothing has been placed since,
+	// so that line is still way 0 of its set, and an Access to it is a
+	// hit that changes nothing. Probe never moves a line and Clone
+	// copies the field with the tags, so neither breaks the invariant;
+	// the zero value matches no line because every tag has validBit.
+	mru uint64
 
 	Accesses uint64
 	Misses   uint64
@@ -60,7 +66,8 @@ func (c *Cache) set(addr uint32) (ways []uint64, tag uint64) {
 // place makes tag's line the most recent of its set, replacing the
 // least recently used line when it is not resident, and reports whether
 // it was.
-func place(ways []uint64, tag uint64) bool {
+func (c *Cache) place(ways []uint64, tag uint64) bool {
+	c.mru = tag
 	i, hit := 0, false
 	for i = range ways {
 		if ways[i] == tag {
@@ -78,8 +85,11 @@ func place(ways []uint64, tag uint64) bool {
 // Access looks up addr, filling on miss. It reports whether it hit.
 func (c *Cache) Access(addr uint32) bool {
 	c.Accesses++
+	if uint64(addr>>c.lineBits)|validBit == c.mru {
+		return true
+	}
 	ways, tag := c.set(addr)
-	if place(ways, tag) {
+	if c.place(ways, tag) {
 		return true
 	}
 	c.Misses++
@@ -99,7 +109,7 @@ func (c *Cache) Probe(addr uint32) bool {
 
 // Prefill installs a line without counting an access (prefetch fill).
 func (c *Cache) Prefill(addr uint32) {
-	if ways, tag := c.set(addr); !place(ways, tag) {
+	if ways, tag := c.set(addr); !c.place(ways, tag) {
 		c.Prefills++
 	}
 }

@@ -1,6 +1,8 @@
 package timing
 
 import (
+	"fmt"
+
 	"darco/internal/host"
 	"darco/internal/hostvm"
 )
@@ -151,6 +153,14 @@ type Core struct {
 	fetchCnt   int
 	lastLine   uint32
 
+	// Constants New derives from Cfg, so Consume does not re-derive them
+	// per event: the L1I line mask, the fetch-to-issue depth, and the
+	// penalties of an L2 hit and of a memory access (L2 lookup included).
+	lineMask   uint32
+	frontDepth uint64
+	l2Pen      uint64
+	memPen     uint64
+
 	// Instruction queue: ring of issue cycles for occupancy limits.
 	iq    []uint64
 	iqPos int
@@ -168,6 +178,11 @@ func New(cfg Config) *Core {
 		L2:  NewCache(cfg.L2),
 		PF:  NewStridePrefetcher(cfg.PrefetchEntries, cfg.PrefetchDegree),
 		iq:  make([]uint64, cfg.IQSize),
+
+		lineMask:   ^uint32(cfg.L1I.LineBytes - 1),
+		frontDepth: uint64(cfg.FrontendDepth),
+		l2Pen:      uint64(cfg.L2.Latency),
+		memPen:     uint64(cfg.L2.Latency + cfg.MemLatency),
 	}
 	c.TLBs = &TLBHierarchy{
 		L1I:     NewTLB(cfg.ITLB),
@@ -323,42 +338,35 @@ func (c *Core) Consume(ev hostvm.RetireEvent) {
 	c.Stats.ClassCount[row.class]++
 
 	// ---- Front end: fetch the instruction.
-	if line := ev.PC &^ uint32(c.L1I.LineBytes()-1); line != c.lastLine {
+	if line := ev.PC & c.lineMask; line != c.lastLine {
 		c.lastLine = line
-		pen := c.TLBs.Translate(ev.PC, true)
+		pen := uint64(c.TLBs.Translate(ev.PC, true))
 		if !c.L1I.Access(ev.PC) {
 			if c.L2.Access(ev.PC) {
-				pen += c.Cfg.L2.Latency
+				pen += c.l2Pen
 			} else {
-				pen += c.Cfg.L2.Latency + c.Cfg.MemLatency
+				pen += c.memPen
 			}
 		}
-		if pen > 0 {
-			c.fetchCycle += uint64(pen)
-			c.Stats.StallMem += uint64(pen)
-		}
+		c.fetchCycle += pen
+		c.Stats.StallMem += pen
 	}
 	c.fetchCnt++
 	if c.fetchCnt >= c.Cfg.FetchWidth {
 		c.fetchCnt = 0
 		c.fetchCycle++
 	}
-	ready := c.fetchCycle + uint64(c.Cfg.FrontendDepth)
+	ready := c.fetchCycle + c.frontDepth
 
 	// ---- Instruction queue occupancy: the slot we reuse must have
-	// issued already.
-	if c.iq[c.iqPos] > ready {
-		stall := c.iq[c.iqPos] - ready
-		ready = c.iq[c.iqPos]
-		// Back-pressure the front end.
-		c.fetchCycle += stall
-	}
+	// issued already; waiting for it back-pressures the front end.
+	iqSlot := &c.iq[c.iqPos]
+	stall := max(ready, *iqSlot) - ready
+	ready += stall
+	c.fetchCycle += stall
 
-	// ---- In-order issue.
-	t := max(ready, c.lastIssue)
-	if t == c.lastIssue && c.issueCnt >= c.Cfg.IssueWidth {
-		t++
-	}
+	// ---- In-order issue: a full issue cycle pushes to the next one.
+	t := max(ready, c.lastIssue+uint64(b2u32(c.issueCnt >= c.Cfg.IssueWidth)))
 	base := t
 
 	// Operand readiness.
@@ -406,9 +414,9 @@ func (c *Core) Consume(ev hostvm.RetireEvent) {
 		pen := uint64(c.TLBs.Translate(ev.Addr, false))
 		if !c.L1D.Access(ev.Addr) {
 			if c.L2.Access(ev.Addr) {
-				pen += uint64(c.Cfg.L2.Latency)
+				pen += c.l2Pen
 			} else {
-				pen += uint64(c.Cfg.L2.Latency + c.Cfg.MemLatency)
+				pen += c.memPen
 			}
 		}
 		if row.flags&flagLoad != 0 {
@@ -442,17 +450,16 @@ func (c *Core) Consume(ev hostvm.RetireEvent) {
 	// ---- Writeback.
 	c.ready[row.dst.slot(regs)] = t + lat
 
-	// Issue bookkeeping.
-	if t == c.lastIssue {
-		c.issueCnt++
-	} else {
-		c.lastIssue = t
-		c.issueCnt = 1
+	// Issue bookkeeping: the count goes on within a cycle and restarts
+	// at one in a new one.
+	c.issueCnt = c.issueCnt*int(b2u32(t == c.lastIssue)) + 1
+	c.lastIssue = t
+	*iqSlot = t
+	next := c.iqPos + 1
+	if next == len(c.iq) {
+		next = 0
 	}
-	c.iq[c.iqPos] = t
-	if c.iqPos++; c.iqPos == len(c.iq) {
-		c.iqPos = 0
-	}
+	c.iqPos = next
 	c.Stats.Cycles = max(c.Stats.Cycles, t+lat)
 }
 
@@ -469,4 +476,58 @@ func (c *Core) AddTOL(n uint64) {
 	c.Stats.Cycles += adv
 	c.fetchCycle += adv
 	c.lastIssue += adv
+}
+
+// Validate reports the first parameter, by field name, that the core
+// cannot model: an empty instruction queue or unit pool indexes past
+// its end, a negative latency wraps around as a cycle count, and a set,
+// line, BTB or prefetcher count that is not a power of two would map
+// addresses through a mask that drops some of them.
+func (cfg *Config) Validate() error {
+	type field struct {
+		name string
+		v    int
+	}
+	for _, f := range []field{
+		{"FetchWidth", cfg.FetchWidth}, {"IssueWidth", cfg.IssueWidth}, {"IQSize", cfg.IQSize},
+		{"SimpleUnits", cfg.SimpleUnits}, {"ComplexUnits", cfg.ComplexUnits}, {"VectorUnits", cfg.VectorUnits},
+		{"L1I.Ways", cfg.L1I.Ways}, {"L1D.Ways", cfg.L1D.Ways}, {"L2.Ways", cfg.L2.Ways},
+		{"ITLB.Ways", cfg.ITLB.Ways}, {"DTLB.Ways", cfg.DTLB.Ways}, {"L2TLB.Ways", cfg.L2TLB.Ways},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("timing: %s is %d, must be at least 1", f.name, f.v)
+		}
+	}
+	for _, f := range []field{
+		{"FrontendDepth", cfg.FrontendDepth}, {"RedirectPen", cfg.RedirectPen},
+		{"L1I.Latency", cfg.L1I.Latency}, {"L1D.Latency", cfg.L1D.Latency}, {"L2.Latency", cfg.L2.Latency},
+		{"ITLB.Latency", cfg.ITLB.Latency}, {"DTLB.Latency", cfg.DTLB.Latency}, {"L2TLB.Latency", cfg.L2TLB.Latency},
+		{"WalkLat", cfg.WalkLat}, {"MemLatency", cfg.MemLatency},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("timing: %s is %d, must not be negative", f.name, f.v)
+		}
+	}
+	powersOfTwo := []field{
+		{"L1I.Sets", cfg.L1I.Sets}, {"L1I.LineBytes", cfg.L1I.LineBytes},
+		{"L1D.Sets", cfg.L1D.Sets}, {"L1D.LineBytes", cfg.L1D.LineBytes},
+		{"L2.Sets", cfg.L2.Sets}, {"L2.LineBytes", cfg.L2.LineBytes},
+		{"ITLB.Entries/Ways", cfg.ITLB.Entries / cfg.ITLB.Ways},
+		{"DTLB.Entries/Ways", cfg.DTLB.Entries / cfg.DTLB.Ways},
+		{"L2TLB.Entries/Ways", cfg.L2TLB.Entries / cfg.L2TLB.Ways},
+		{"BPred.BTBEntries", cfg.BPred.BTBEntries},
+	}
+	if cfg.PrefetchEntries != 0 { // zero entries turn the prefetcher off
+		powersOfTwo = append(powersOfTwo, field{"PrefetchEntries", cfg.PrefetchEntries})
+	}
+	for _, f := range powersOfTwo {
+		if f.v < 1 || f.v&(f.v-1) != 0 {
+			return fmt.Errorf("timing: %s is %d, must be a power of two", f.name, f.v)
+		}
+	}
+	// The predictor indexes its table through a uint32 mask.
+	if b := cfg.BPred.GShareBits; b < 0 || b > 31 {
+		return fmt.Errorf("timing: BPred.GShareBits is %d, must be in 0…31", b)
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package timing
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -241,13 +242,25 @@ func (c *refCache) Prefill(addr uint32) {
 	c.Prefills++
 }
 
+func (c *refCache) clone() *refCache {
+	n := *c
+	n.tags, n.lru = make([][]uint64, len(c.tags)), make([][]uint64, len(c.lru))
+	for i := range c.tags {
+		n.tags[i], n.lru[i] = slices.Clone(c.tags[i]), slices.Clone(c.lru[i])
+	}
+	n.clock = slices.Clone(c.clock)
+	return &n
+}
+
 // TestCacheMatchesReference drives Cache and refCache with the same
 // seeded sequences of Access, Probe and Prefill and requires every
 // answer and every counter to agree. The address mix is what the
 // same-line path has to survive: most operations repeat the previous
 // line or another line of its set, so prefills land between two
 // accesses to one line, evict it in the narrow geometries, and outrank
-// it in the wide ones.
+// it in the wide ones. Halfway through, both are cloned and the clones
+// go on with a sequence of their own, so a copy that shared state with
+// its original, or lost the line the shortcut remembers, diverges.
 func TestCacheMatchesReference(t *testing.T) {
 	geometries := []CacheConfig{
 		{Sets: 1, Ways: 1, LineBytes: 64},
@@ -256,40 +269,73 @@ func TestCacheMatchesReference(t *testing.T) {
 		{Sets: 16, Ways: 4, LineBytes: 4096}, // a TLB
 		{Sets: 8, Ways: 3, LineBytes: 32},
 	}
+	const steps = 20000
 	for gi, cfg := range geometries {
 		for seed := int64(0); seed < 8; seed++ {
-			rng := rand.New(rand.NewSource(seed*31 + int64(gi)))
-			got, ref := NewCache(cfg), newRefCache(cfg)
-			setSpan := uint32(cfg.Sets * cfg.LineBytes)
-			addr := uint32(0)
-			for step := 0; step < 20000; step++ {
-				switch r := rng.Intn(10); {
-				case r < 4: // same line, another byte
-					addr = addr&^uint32(cfg.LineBytes-1) | uint32(rng.Intn(cfg.LineBytes))
-				case r < 8: // same set, one of a few lines
-					addr = addr%setSpan + uint32(rng.Intn(2*cfg.Ways+1))*setSpan
-				default:
-					addr = uint32(rng.Intn(64 * cfg.LineBytes * cfg.Sets))
-				}
-				switch r := rng.Intn(10); {
-				case r < 6:
-					if g, w := got.Access(addr), ref.Access(addr); g != w {
-						t.Fatalf("%+v seed %d step %d: Access(%#x) = %v, reference %v", cfg, seed, step, addr, g, w)
+			drive := func(who string, got *Cache, ref *refCache, rng *rand.Rand, addr uint32, from, to int) uint32 {
+				setSpan := uint32(cfg.Sets * cfg.LineBytes)
+				for step := from; step < to; step++ {
+					switch r := rng.Intn(10); {
+					case r < 4: // same line, another byte
+						addr = addr&^uint32(cfg.LineBytes-1) | uint32(rng.Intn(cfg.LineBytes))
+					case r < 8: // same set, one of a few lines
+						addr = addr%setSpan + uint32(rng.Intn(2*cfg.Ways+1))*setSpan
+					default:
+						addr = uint32(rng.Intn(64 * cfg.LineBytes * cfg.Sets))
 					}
-				case r < 8:
-					got.Prefill(addr)
-					ref.Prefill(addr)
-				default:
-					if g, w := got.Probe(addr), ref.Probe(addr); g != w {
-						t.Fatalf("%+v seed %d step %d: Probe(%#x) = %v, reference %v", cfg, seed, step, addr, g, w)
+					switch r := rng.Intn(10); {
+					case r < 6:
+						if g, w := got.Access(addr), ref.Access(addr); g != w {
+							t.Fatalf("%+v seed %d %s step %d: Access(%#x) = %v, reference %v", cfg, seed, who, step, addr, g, w)
+						}
+					case r < 8:
+						got.Prefill(addr)
+						ref.Prefill(addr)
+					default:
+						if g, w := got.Probe(addr), ref.Probe(addr); g != w {
+							t.Fatalf("%+v seed %d %s step %d: Probe(%#x) = %v, reference %v", cfg, seed, who, step, addr, g, w)
+						}
+					}
+					if got.Accesses != ref.Accesses || got.Misses != ref.Misses || got.Prefills != ref.Prefills {
+						t.Fatalf("%+v seed %d %s step %d: counters %d/%d/%d, reference %d/%d/%d", cfg, seed, who, step,
+							got.Accesses, got.Misses, got.Prefills, ref.Accesses, ref.Misses, ref.Prefills)
 					}
 				}
-				if got.Accesses != ref.Accesses || got.Misses != ref.Misses || got.Prefills != ref.Prefills {
-					t.Fatalf("%+v seed %d step %d: counters %d/%d/%d, reference %d/%d/%d", cfg, seed, step,
-						got.Accesses, got.Misses, got.Prefills, ref.Accesses, ref.Misses, ref.Prefills)
-				}
+				return addr
 			}
+			got, ref := NewCache(cfg), newRefCache(cfg)
+			addr := drive("original", got, ref, rand.New(rand.NewSource(seed*31+int64(gi))), 0, 0, steps/2)
+			gotClone, refClone := got.clone(), ref.clone()
+			drive("original", got, ref, rand.New(rand.NewSource(seed*31+int64(gi)+1000)), addr, steps/2, steps)
+			drive("clone", gotClone, refClone, rand.New(rand.NewSource(seed*31+int64(gi)+2000)), addr, steps/2, steps)
 		}
+	}
+}
+
+// TestCachePrefillMovesMRU: a prefill into another set makes that line
+// the one the shortcut remembers, so the next access to the line before
+// it takes the full lookup — and still hits, because nothing in its own
+// set moved. A prefill that evicts the remembered line must make the
+// next access to it miss.
+func TestCachePrefillMovesMRU(t *testing.T) {
+	c := NewCache(CacheConfig{Sets: 4, Ways: 1, LineBytes: 64})
+	c.Access(0x000) // set 0
+	if c.mru != uint64(0)|validBit {
+		t.Fatalf("mru %#x after an access to line 0", c.mru)
+	}
+	c.Prefill(0x040) // set 1
+	if c.mru != uint64(1)|validBit {
+		t.Fatalf("mru %#x after a prefill of line 1", c.mru)
+	}
+	if !c.Access(0x008) || c.mru != uint64(0)|validBit {
+		t.Fatalf("line 0 lost by a prefill into another set (mru %#x)", c.mru)
+	}
+	c.Prefill(0x100) // set 0 again: evicts line 0 from the only way
+	if c.Access(0x010) {
+		t.Fatal("access to an evicted line hit")
+	}
+	if c.Accesses != 3 || c.Misses != 2 || c.Prefills != 2 {
+		t.Errorf("counters %d/%d/%d, want 3/2/2", c.Accesses, c.Misses, c.Prefills)
 	}
 }
 

@@ -2,7 +2,7 @@ package timing
 
 // TLBConfig parameterises one TLB level.
 type TLBConfig struct {
-	Entries int // must be a power of two when Ways divides it
+	Entries int // Entries/Ways (the set count) must be a power of two
 	Ways    int
 	Latency int // lookup latency in cycles
 }
