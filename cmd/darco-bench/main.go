@@ -19,8 +19,7 @@
 // the figure rows record cost_shared instead of duplicating the one
 // measured campaign cost) into the given directory, numbered after the
 // highest existing snapshot. Committing one per perf-relevant PR gives
-// the repository the trajectory `darco-perf gate` and `darco-perf
-// trend` consume.
+// the repository the floor `darco-perf gate` checks against.
 //
 // -csv, -ndjson and -html export the suite campaign through
 // darco/export: -csv and -ndjson stream one row per benchmark as

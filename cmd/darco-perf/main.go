@@ -1,36 +1,33 @@
-// Command darco-perf is the repository's performance-observability
-// tool: it answers "did this change make DARCO slower?" with evidence
-// instead of cross-machine wall-clock folklore.
+// Command darco-perf is the repository's performance referee: it
+// answers "did this change make DARCO faster or slower?" with
+// same-machine evidence instead of cross-machine wall-clock folklore.
 //
 // Usage:
 //
-//	darco-perf ab                        # paired self-vs-self (must be inconclusive)
-//	darco-perf ab -quick                 # CI-sized self-test
-//	darco-perf ab -inject-slowdown 30ms  # fixture: must report "slower"
-//	darco-perf ab -baseline v1.2.0       # paired A/B vs a git ref (worktree build)
-//	darco-perf ab -baseline BENCH_4.json # snapshot baseline: deterministic gate compare
-//	darco-perf gate -baseline BENCH_4.json [-candidate cand.json]
-//	darco-perf trend -dir . -o perf-trend.html
-//	darco-perf layout <binary> [<binary>] # hot-function alignment, one binary or parent vs change
+//	darco-perf ab -baseline <ref> [-candidate <ref|dir>] -workload <w> [-pairs 10] [-seed 0] [-trace 0|1]
+//	darco-perf gate -baseline BENCH_13.json [-candidate cand.json] [-v]
+//	darco-perf layout <binary> [<binary>]
 //
-// ab runs the paired interleaved harness: baseline and candidate
-// repetitions alternate on the same machine (B,C / C,B / ...), so slow
-// machine drift cancels out of the paired differences; the verdict —
-// faster / slower / inconclusive — comes from a two-sided sign test
-// plus a minimum-effect guard. A git-ref baseline is checked out into
-// a temporary worktree and both trees run `go test -bench` alternately;
-// with no -baseline the candidate is the tree itself (self-vs-self),
-// which must land inconclusive on a healthy machine.
+// ab is the one way a speed comparison is run. It checks the baseline
+// ref out into a temporary clone (the candidate too, when it is a ref
+// rather than a directory; by default it is the working tree) and runs
+// each tree's own benchmark command from BENCHMARK.json, with the
+// workload, seed, trace pass and BENCHMARK.json's run_seconds, in
+// alternated pairs whose order flips every pair. It parses each run's
+// one-line JSON result and prints the run record as markdown: per
+// metric the quartiles of each side, the change of the median and the
+// pairs won; operations attempted and failed; the metrics that held one
+// value in every baseline run and moved in a candidate run; the layout
+// of the two benchmark binaries; and one grep-stable
+// "verdict <metric>: ..." line per metric (perf.Compare has the rule).
+// A run that exits non-zero or prints no JSON result fails the
+// comparison.
 //
 // gate compares a candidate BENCH snapshot (or a fresh in-process
 // measurement) against a committed baseline snapshot: deterministic
 // engine counters and Stats-derived figure metrics must match exactly,
-// allocs/op within a small tolerance, while wall time is advisory —
-// across machines raw ns/op is drift, not evidence. Exits 1 on failure.
-//
-// trend renders the committed BENCH_<n>.json history as a static HTML
-// dashboard: per-bench allocation series, counter hit-rate series, and
-// gate-verdict annotations.
+// allocs/op within 1 %. Wall time is not compared — across machines raw
+// ns/op is drift, not evidence. Exits 1 on failure.
 //
 // layout prints, from `go tool nm`, the address modulo 64 of the
 // simulator's inner loops (perf.HotFunctions) in one binary, or in two
@@ -41,13 +38,16 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"os/signal"
 	"path/filepath"
-	"regexp"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -71,8 +71,6 @@ func main() {
 		err = cmdAB(ctx, os.Args[2:])
 	case "gate":
 		err = cmdGate(ctx, os.Args[2:])
-	case "trend":
-		err = cmdTrend(os.Args[2:])
 	case "layout":
 		err = cmdLayout(ctx, os.Args[2:])
 	case "-version", "version":
@@ -93,9 +91,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: darco-perf <command> [flags]
 
 commands:
-  ab      paired interleaved A/B comparison (self, git ref, or snapshot baseline)
+  ab      alternated A/B runs of the repository benchmark in two trees
   gate    deterministic regression gate against a committed BENCH snapshot
-  trend   render the BENCH_<n>.json history as a static HTML dashboard
   layout  hot-function addresses modulo 64 in one binary, or two compared
 
 run "darco-perf <command> -h" for the command's flags`)
@@ -105,146 +102,205 @@ run "darco-perf <command> -h" for the command's flags`)
 // already printed) from operational errors.
 var errGateFailed = fmt.Errorf("gate failed")
 
+// abRun is one comparison: what ab names the two trees and what it asks
+// the benchmark for.
+type abRun struct {
+	baseLabel, candLabel string
+	workload             string
+	pairs                int
+	seed                 uint64
+	trace                int
+}
+
 func cmdAB(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("ab", flag.ExitOnError)
 	var (
-		baseline  = fs.String("baseline", "", "baseline: a git ref (paired worktree A/B) or a BENCH_<n>.json (gate compare); empty = self-vs-self")
-		candidate = fs.String("candidate", ".", "candidate tree (git-ref mode); \".\" is the working tree")
-		benchName = fs.String("bench", "TableSpeedFunctional", "benchmark to pair in git-ref mode (without the Benchmark prefix)")
-		scale     = fs.Float64("scale", 0.5, "workload scale for in-process repetitions")
-		reps      = fs.Int("reps", 10, "measured interleaved pairs")
-		warmup    = fs.Int("warmup", 1, "unmeasured warmup pairs")
-		alpha     = fs.Float64("alpha", 0.05, "sign-test significance level")
-		minEffect = fs.Float64("min-effect", 0.02, "minimum |median ratio - 1| to call a verdict")
-		quick     = fs.Bool("quick", false, "CI-sized self-test: scale 0.1, 7 reps, 5% effect floor")
-		slowdown  = fs.Duration("inject-slowdown", 0, "inject a sleep into every candidate repetition (harness self-test fixture)")
+		baseline  = fs.String("baseline", "", "git ref of the baseline (required)")
+		candidate = fs.String("candidate", ".", "candidate: a directory holding BENCHMARK.json, or a git ref")
+		workload  = fs.String("workload", "", "benchmark workload (required)")
+		pairs     = fs.Int("pairs", 10, "alternated baseline/candidate pairs")
+		seed      = fs.Uint64("seed", 0, "benchmark input seed")
+		trace     = fs.Int("trace", 0, "benchmark pass: 0 = end-to-end metrics, 1 = per-layer metrics")
 	)
 	fs.Parse(args)
-	if *quick {
-		// 7 reps keeps a clean sweep significant (the sign test needs 6)
-		// with one repetition of slack; the 5% effect floor keeps tiny
-		// scheduling ripples from ever crossing the verdict line in CI.
-		*scale, *reps, *minEffect = 0.1, 7, 0.05
+	if *baseline == "" || *workload == "" {
+		return fmt.Errorf("ab: -baseline and -workload are required")
 	}
-	opt := perf.ABOptions{Warmup: *warmup, Reps: *reps, Alpha: *alpha, MinEffect: *minEffect}
-
-	// Snapshot baseline: a BENCH file is data, not runnable code, so a
-	// paired run is impossible — fall through to the deterministic gate
-	// comparison, which is the honest subset.
-	if strings.HasSuffix(*baseline, ".json") {
-		fmt.Fprintln(os.Stderr, "baseline is a snapshot: paired A/B needs runnable code; comparing deterministic signals instead (wall advisory)")
-		return gateAgainst(ctx, *baseline, "", perf.GatePolicy{}, false)
+	if *pairs < 1 {
+		return fmt.Errorf("ab: -pairs must be at least 1")
 	}
-
-	var base, cand perf.Closure
-	var err error
-	if *baseline == "" {
-		// Self-vs-self: both arms are this tree. The only way the
-		// verdict moves off inconclusive is the injected fixture.
-		base, err = experiments.ABClosure(*scale, 0)
-		if err != nil {
-			return err
-		}
-		cand, err = experiments.ABClosure(*scale, *slowdown)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "paired self-vs-self at scale %.2f: %d warmup + %d measured pairs\n", *scale, opt.Warmup, opt.Reps)
-	} else {
-		baseDir, cleanup, err := worktreeFor(ctx, *baseline)
+	baseDir, cleanup, err := checkout(ctx, *baseline)
+	if err != nil {
+		return err
+	}
+	defer cleanup()
+	candDir := *candidate
+	if st, statErr := os.Stat(candDir); statErr != nil || !st.IsDir() {
+		candDir, cleanup, err = checkout(ctx, *candidate)
 		if err != nil {
 			return err
 		}
 		defer cleanup()
-		candDir := *candidate
-		if st, statErr := os.Stat(candDir); statErr != nil || !st.IsDir() {
-			candDir, cleanup, err = worktreeFor(ctx, *candidate)
-			if err != nil {
-				return err
-			}
-			defer cleanup()
-		}
-		base = goBenchClosure(baseDir, *benchName)
-		cand = goBenchClosure(candDir, *benchName)
-		fmt.Fprintf(os.Stderr, "paired A/B: baseline %s vs candidate %s on Benchmark%s, %d warmup + %d measured pairs\n",
-			*baseline, *candidate, *benchName, opt.Warmup, opt.Reps)
 	}
-
-	res, err := perf.RunAB(ctx, base, cand, opt)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Format())
-	return nil
+	run := abRun{baseLabel: *baseline, candLabel: *candidate,
+		workload: *workload, pairs: *pairs, seed: *seed, trace: *trace}
+	_, err = runAB(ctx, os.Stdout, baseDir, candDir, run)
+	return err
 }
 
-// worktreeFor checks a git ref out into a temporary worktree and
-// returns its path plus a cleanup func.
-func worktreeFor(ctx context.Context, ref string) (string, func(), error) {
+// checkout clones the repository around the working directory into a
+// temporary directory, sharing its objects, and checks ref out there. It
+// returns the directory and the func that removes it; nothing is left in
+// the repository itself.
+func checkout(ctx context.Context, ref string) (string, func(), error) {
+	git := func(args ...string) (string, error) {
+		cmd := exec.CommandContext(ctx, "git", args...)
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		return strings.TrimSpace(string(out)), err
+	}
+	top, err := git("rev-parse", "--show-toplevel")
+	if err != nil {
+		return "", nil, fmt.Errorf("finding the repository: %w", err)
+	}
+	sha, err := git("rev-parse", "--verify", ref+"^{commit}")
+	if err != nil {
+		return "", nil, fmt.Errorf("resolving %q: %w", ref, err)
+	}
 	dir, err := os.MkdirTemp("", "darco-perf-ab-*")
 	if err != nil {
 		return "", nil, err
 	}
-	add := exec.CommandContext(ctx, "git", "worktree", "add", "--detach", dir, ref)
-	add.Stderr = os.Stderr
-	if err := add.Run(); err != nil {
-		os.RemoveAll(dir)
-		return "", nil, fmt.Errorf("checking out baseline %q: %w", ref, err)
+	cleanup := func() { os.RemoveAll(dir) }
+	if _, err := git("clone", "--quiet", "--shared", "--no-checkout", top, dir); err != nil {
+		cleanup()
+		return "", nil, fmt.Errorf("cloning for %q: %w", ref, err)
 	}
-	cleanup := func() {
-		rm := exec.Command("git", "worktree", "remove", "--force", dir)
-		if rm.Run() != nil {
-			os.RemoveAll(dir)
-		}
+	if _, err := git("-C", dir, "checkout", "--quiet", "--detach", sha); err != nil {
+		cleanup()
+		return "", nil, fmt.Errorf("checking out %q: %w", ref, err)
 	}
 	return dir, cleanup, nil
 }
 
-// goBenchClosure runs one unscaled repetition of a root benchmark in
-// dir via `go test -benchtime 1x` and parses its cost. The first call
-// pays the build; RunAB's warmup pairs absorb it.
-func goBenchClosure(dir, bench string) perf.Closure {
-	pattern := "^Benchmark" + regexp.QuoteMeta(bench) + "$"
+// benchConfig is what ab reads of a tree's BENCHMARK.json.
+type benchConfig struct {
+	Command    []string      `json:"command"`
+	RunSeconds float64       `json:"run_seconds"`
+	EndToEnd   []perf.Metric `json:"end_to_end"`
+	PerLayer   []perf.Metric `json:"per_layer"`
+}
+
+func readBenchConfig(dir string) (*benchConfig, error) {
+	path := filepath.Join(dir, "BENCHMARK.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var c benchConfig
+	if err := json.Unmarshal(data, &c); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(c.Command) == 0 {
+		return nil, fmt.Errorf("%s: no command", path)
+	}
+	return &c, nil
+}
+
+// benchBinary is where benchmark/run.sh leaves the binary it built.
+const benchBinary = ".bench_build/darco-benchmark"
+
+// runAB runs the comparison between two trees and writes its record to
+// w. Each tree runs its own command; the run length and the metrics are
+// the baseline's, the contract a change is judged by.
+func runAB(ctx context.Context, w io.Writer, baseDir, candDir string, o abRun) (*perf.ABResult, error) {
+	baseCfg, err := readBenchConfig(baseDir)
+	if err != nil {
+		return nil, err
+	}
+	candCfg, err := readBenchConfig(candDir)
+	if err != nil {
+		return nil, err
+	}
+	args := []string{"-workload", o.workload, "-seed", strconv.FormatUint(o.seed, 10),
+		"-seconds", strconv.FormatFloat(baseCfg.RunSeconds, 'g', -1, 64), "-trace", strconv.Itoa(o.trace)}
+	baseArgv := slices.Concat(baseCfg.Command, args)
+	base, cand, err := perf.RunAB(ctx,
+		benchClosure("baseline", baseDir, baseArgv),
+		benchClosure("candidate", candDir, slices.Concat(candCfg.Command, args)), o.pairs)
+	if err != nil {
+		return nil, err
+	}
+	res := perf.Compare(base, cand, slices.Concat(baseCfg.EndToEnd, baseCfg.PerLayer))
+
+	fmt.Fprintf(w, "## darco-perf ab: %s, seed %d, trace %d\n\n", o.workload, o.seed, o.trace)
+	fmt.Fprintf(w, "Baseline `%s`, candidate `%s`: %d pairs of `%s` in each tree, alternated, the order flipped every pair. Host: %s/%s, %d CPUs, %s.\n\n",
+		o.baseLabel, o.candLabel, o.pairs, strings.Join(baseArgv, " "),
+		runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), cpuModel())
+	fmt.Fprint(w, res.Format())
+	report, err := layout(ctx, []string{"baseline", "candidate"},
+		[]string{filepath.Join(baseDir, benchBinary), filepath.Join(candDir, benchBinary)})
+	if err != nil {
+		report = fmt.Sprintf("layout unavailable: %v\n", err)
+	}
+	fmt.Fprintf(w, "\n### Layout\n\n```\n%s```\n\n### Verdicts\n\n```\n%s```\n", report, res.FormatVerdicts())
+	return res, nil
+}
+
+// benchClosure runs argv in dir once per call and parses its result
+// line; it reports each run's wall time on stderr.
+func benchClosure(side, dir string, argv []string) perf.Closure {
+	n := 0
 	return func(ctx context.Context) (perf.Sample, error) {
-		cmd := exec.CommandContext(ctx, "go", "test", "-run", "^$",
-			"-bench", pattern, "-benchtime", "1x", "-count", "1", "-benchmem", ".")
+		n++
+		start := time.Now()
+		cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
 		cmd.Dir = dir
-		out, err := cmd.CombinedOutput()
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
 		if err != nil {
-			return perf.Sample{}, fmt.Errorf("go test in %s: %v\n%s", dir, err, out)
+			return perf.Sample{}, fmt.Errorf("%s: %w", strings.Join(argv, " "), err)
 		}
-		return parseGoBench(string(out), bench)
+		s, err := parseResult(out)
+		if err != nil {
+			return perf.Sample{}, fmt.Errorf("%s: %w", strings.Join(argv, " "), err)
+		}
+		fmt.Fprintf(os.Stderr, "ab: %s run %d done in %s\n", side, n, time.Since(start).Round(100*time.Millisecond))
+		return s, nil
 	}
 }
 
-// parseGoBench extracts ns/op, B/op and allocs/op from `go test -bench`
-// output.
-func parseGoBench(out, bench string) (perf.Sample, error) {
-	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, "Benchmark"+bench) {
-			continue
-		}
-		var s perf.Sample
-		f := strings.Fields(line)
-		for i := 1; i < len(f); i++ {
-			v, err := strconv.ParseFloat(f[i-1], 64)
-			if err != nil {
-				continue
-			}
-			switch f[i] {
-			case "ns/op":
-				s.Ns = v
-			case "B/op":
-				s.BytesPerOp = v
-			case "allocs/op":
-				s.AllocsPerOp = v
-			}
-		}
-		if s.Ns > 0 {
-			return s, nil
+// parseResult reads the benchmark's result: the last line of its
+// output, one JSON object.
+func parseResult(out []byte) (perf.Sample, error) {
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	var res struct {
+		Attempted int `json:"attempted"`
+		Failed    int `json:"failed"`
+		Metrics   map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &res); err != nil || res.Metrics == nil {
+		return perf.Sample{}, fmt.Errorf("no JSON result line (last line %q)", lines[len(lines)-1])
+	}
+	s := perf.Sample{Attempted: res.Attempted, Failed: res.Failed, Metrics: map[string]float64{}}
+	for name, m := range res.Metrics {
+		s.Metrics[name] = m.Value
+	}
+	return s, nil
+}
+
+// cpuModel names the host's processor as /proc/cpuinfo does; the file
+// is absent off Linux, and the name is then unknown.
+func cpuModel() string {
+	data, _ := os.ReadFile("/proc/cpuinfo")
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
 		}
 	}
-	return perf.Sample{}, fmt.Errorf("no Benchmark%s result in go test output:\n%s", bench, out)
+	return "unknown CPU"
 }
 
 func cmdGate(ctx context.Context, args []string) error {
@@ -252,70 +308,34 @@ func cmdGate(ctx context.Context, args []string) error {
 	var (
 		baseline  = fs.String("baseline", "", "baseline BENCH_<n>.json (required)")
 		candidate = fs.String("candidate", "", "candidate BENCH_<n>.json; empty = measure this tree in-process at the baseline's scale")
-		wallRatio = fs.Float64("wall-ratio", 1.5, "advisory candidate/baseline wall ratio")
-		allocTol  = fs.Float64("alloc-tol", 0.01, "fractional allocs/op growth tolerated")
-		strict    = fs.Bool("strict-wall", false, "promote wall-ratio breaches to hard failures (same-machine gating)")
-		verbose   = fs.Bool("v", false, "print every check, not just failures and advisories")
+		verbose   = fs.Bool("v", false, "print every check, not just failures and noted ones")
 	)
 	fs.Parse(args)
 	if *baseline == "" {
 		return fmt.Errorf("gate: -baseline is required (the committed BENCH_<n>.json to gate against)")
 	}
-	pol := perf.GatePolicy{WallRatio: *wallRatio, AllocTol: *allocTol, StrictWall: *strict}
-	return gateAgainst(ctx, *baseline, *candidate, pol, *verbose)
-}
-
-// gateAgainst loads the baseline snapshot, obtains the candidate
-// (reading a file or measuring in-process), and prints the gate report.
-func gateAgainst(ctx context.Context, basePath, candPath string, pol perf.GatePolicy, verbose bool) error {
-	base, err := perf.ReadSnapshot(basePath)
+	base, err := perf.ReadSnapshot(*baseline)
 	if err != nil {
 		return err
 	}
 	var cand *perf.Snapshot
-	if candPath != "" {
-		if cand, err = perf.ReadSnapshot(candPath); err != nil {
+	if *candidate != "" {
+		if cand, err = perf.ReadSnapshot(*candidate); err != nil {
 			return err
 		}
 	} else {
-		fmt.Fprintf(os.Stderr, "measuring candidate in-process at scale %.2f (baseline %s)...\n", base.Scale, filepath.Base(basePath))
+		fmt.Fprintf(os.Stderr, "measuring candidate in-process at scale %.2f (baseline %s)...\n", base.Scale, filepath.Base(*baseline))
 		start := time.Now()
 		if cand, err = experiments.CollectBenchSnapshot(ctx, base.Scale); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "measured in %s\n", time.Since(start).Round(time.Millisecond))
 	}
-	r := perf.Gate(base, cand, pol)
-	fmt.Print(r.Format(verbose))
+	r := perf.Gate(base, cand)
+	fmt.Print(r.Format(*verbose))
 	if !r.Pass() {
 		return errGateFailed
 	}
-	return nil
-}
-
-func cmdTrend(args []string) error {
-	fs := flag.NewFlagSet("trend", flag.ExitOnError)
-	var (
-		dir = fs.String("dir", ".", "directory holding the BENCH_<n>.json history")
-		out = fs.String("o", "perf-trend.html", "output HTML path")
-	)
-	fs.Parse(args)
-	hist, err := perf.LoadHistory(*dir)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if err := perf.WriteTrend(f, hist); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d snapshots)\n", *out, len(hist))
 	return nil
 }
 
@@ -323,18 +343,29 @@ func cmdLayout(ctx context.Context, bins []string) error {
 	if len(bins) < 1 || len(bins) > 2 {
 		return fmt.Errorf("layout: want one or two binaries built from this module")
 	}
+	report, err := layout(ctx, bins, bins)
+	if err != nil {
+		return err
+	}
+	fmt.Print(report)
+	return nil
+}
+
+// layout reads the hot functions' addresses in each binary with
+// `go tool nm` and renders them under names, with a closing line when
+// their alignment differs between two binaries.
+func layout(ctx context.Context, names, bins []string) (string, error) {
 	addrs := make([]map[string]uint64, len(bins))
 	for i, bin := range bins {
 		out, err := exec.CommandContext(ctx, "go", "tool", "nm", bin).Output()
 		if err != nil {
-			return fmt.Errorf("go tool nm %s: %w", bin, err)
+			return "", fmt.Errorf("go tool nm %s: %w", bin, err)
 		}
 		addrs[i] = perf.ParseNM(string(out))
 	}
-	report, differs := perf.FormatLayout(bins, addrs)
-	fmt.Print(report)
+	report, differs := perf.FormatLayout(names, addrs)
 	if differs {
-		fmt.Println("layout: hot-function alignment differs between the binaries")
+		report += "layout: hot-function alignment differs between the binaries\n"
 	}
-	return nil
+	return report, nil
 }

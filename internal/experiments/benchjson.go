@@ -14,9 +14,9 @@ import (
 )
 
 // BenchEntry and BenchSnapshot are the BENCH_<n>.json schema, owned by
-// darco/perf (the regression gate and trend dashboard read the same
-// types); this package keeps the collection side — actually running
-// the benches with profiling counters attached.
+// darco/perf (the regression gate reads the same types); this package
+// keeps the collection side — actually running the benches with
+// profiling counters attached.
 type (
 	BenchEntry    = perf.Bench
 	BenchSnapshot = perf.Snapshot
@@ -148,8 +148,8 @@ func CollectBenchSnapshot(ctx context.Context, scale float64) (*perf.Snapshot, e
 
 	// The figure rows are different views of the campaign above: they
 	// carry their headline metrics and an explicit cost_shared marker
-	// instead of a copy of the campaign's measured cost, so trend
-	// lines and gates see one sample, not five.
+	// instead of a copy of the campaign's measured cost, so the gate
+	// sees one sample, not five.
 	fig := func(name string, metrics map[string]float64) {
 		snap.Benches[name] = perf.Bench{
 			Metrics:    metrics,

@@ -3,248 +3,262 @@ package perf
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
-
-	"darco/obs"
 )
 
-// Sample is one measured repetition of a benchmark closure.
+// Sample is one run of the repository benchmark: the operation counts
+// and metric values of its one-line JSON result.
 type Sample struct {
-	Ns          float64 // wall nanoseconds of the repetition
-	AllocsPerOp float64 // heap allocations (0 when the runner can't see them)
-	BytesPerOp  float64
-	// Counters is the repetition's engine profiling-counter delta,
-	// when the closure attaches obs.EngineCounters (nil otherwise).
-	Counters *obs.EngineCountersSnapshot
+	Attempted int
+	Failed    int
+	Metrics   map[string]float64
 }
 
-// Closure runs one measured iteration of the benchmark under test.
-// The harness calls it repeatedly; any per-process warmup (building
-// workload images, JIT-style caches that should not be measured) must
-// either happen on first call — the warmup pairs absorb it — or be
-// hoisted before RunAB.
+// Closure runs the benchmark once.
 type Closure func(ctx context.Context) (Sample, error)
 
-// Verdict is the A/B comparison's conclusion about the candidate.
+// RunAB runs pairs alternated baseline/candidate pairs, the within-pair
+// order flipping every pair (B,C / C,B / ...), so slow machine drift —
+// thermal throttling, a neighbour VM waking up — falls on both sides
+// instead of masquerading as a regression. Element i of each returned
+// slice is from pair i. The first failing run ends the comparison.
+func RunAB(ctx context.Context, baseline, candidate Closure, pairs int) (base, cand []Sample, err error) {
+	type arm struct {
+		name string
+		run  Closure
+		out  *[]Sample
+	}
+	arms := [2]arm{{"baseline", baseline, &base}, {"candidate", candidate, &cand}}
+	for i := range pairs {
+		for j := range arms {
+			a := arms[(i+j)%2]
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+			s, err := a.run(ctx)
+			if err != nil {
+				return nil, nil, fmt.Errorf("perf: %s run %d: %w", a.name, i+1, err)
+			}
+			*a.out = append(*a.out, s)
+		}
+	}
+	return base, cand, nil
+}
+
+// Metric is one metric BENCHMARK.json declares.
+type Metric struct {
+	Name   string `json:"name"`
+	Better string `json:"better"` // "higher" or "lower"
+	// Bound is the share of the baseline median by which an end-to-end
+	// metric may worsen; 0 marks a per-layer metric, which has none.
+	Bound float64 `json:"bound"`
+}
+
+// Verdict is the comparison's conclusion about one metric.
 type Verdict string
 
 const (
-	// VerdictFaster: the candidate is significantly faster than the
-	// baseline and by at least the minimum effect size.
-	VerdictFaster Verdict = "faster"
-	// VerdictSlower: significantly slower by at least the minimum
-	// effect size.
-	VerdictSlower Verdict = "slower"
-	// VerdictInconclusive: the paired differences are statistically
-	// indistinguishable from noise, or the effect is below the
-	// threshold that matters. Self-vs-self must land here.
-	VerdictInconclusive Verdict = "inconclusive"
+	// VerdictBetter: the candidate won at least 9/10 of the pairs and
+	// its median is better than the baseline's by more than the
+	// baseline's q3−q1. VerdictWorse is the same for the baseline.
+	VerdictBetter Verdict = "better"
+	VerdictWorse  Verdict = "worse"
+	// The end-to-end verdicts when neither side won: the candidate's
+	// median is worse by at most the metric's bound, or by more; or the
+	// baseline's own q3−q1 is wider than the bound, so neither can be
+	// told, unless every candidate run beat every baseline run.
+	VerdictWithinBound Verdict = "within bound"
+	VerdictBeyondBound Verdict = "worse beyond bound"
+	VerdictUnresolved  Verdict = "unresolved (parent spread > bound)"
+	// The per-layer verdicts when neither side won: every run on both
+	// sides read one value, or not.
+	VerdictIdentical Verdict = "identical"
+	VerdictNoWinner  Verdict = "unresolved"
+	// VerdictMissing: some run on either side did not report the metric.
+	VerdictMissing Verdict = "missing from a run"
 )
 
-// ABOptions tune the paired harness. The zero value picks defaults
-// suitable for a deliberate perf investigation; -quick in darco-perf
-// shrinks them for a CI self-test.
-type ABOptions struct {
-	Warmup    int     // unmeasured warmup pairs before measuring (default 1)
-	Reps      int     // measured interleaved pairs (default 10)
-	Alpha     float64 // sign-test significance level (default 0.05)
-	MinEffect float64 // minimum |median ratio - 1| to call a verdict (default 0.02)
+// MetricResult is one metric's row of the comparison.
+type MetricResult struct {
+	Metric
+	Base, Cand [3]float64 // q1, median, q3 over each side's runs
+	Won, Lost  int        // pairs the candidate won and lost; ties count for neither
+	Verdict    Verdict
 }
 
-func (o *ABOptions) withDefaults() ABOptions {
-	out := *o
-	if out.Warmup <= 0 {
-		out.Warmup = 1
-	}
-	if out.Reps <= 0 {
-		out.Reps = 10
-	}
-	if out.Alpha <= 0 {
-		out.Alpha = 0.05
-	}
-	if out.MinEffect <= 0 {
-		out.MinEffect = 0.02
-	}
-	return out
-}
-
-// Arm summarizes one side of the comparison.
-type Arm struct {
-	Name        string
-	Ns          []float64 // per-repetition wall times, in run order
-	MedianNs    float64
-	MADNs       float64
-	AllocsPerOp float64 // median across repetitions
-	// Counters is the last repetition's counter delta (deterministic
-	// fields are identical across repetitions of deterministic code).
-	Counters *obs.EngineCountersSnapshot
-}
-
-// ABResult is the paired comparison's full outcome.
+// ABResult is the reduced comparison.
 type ABResult struct {
-	Baseline  Arm
-	Candidate Arm
-
-	// Ratio is candidate median / baseline median; Effect is Ratio-1
-	// (the signed fractional slowdown of the candidate).
-	Ratio  float64
-	Effect float64
-
-	// Sign-test evidence over the paired per-repetition differences.
-	CandWins int // repetitions where the candidate was strictly faster
-	BaseWins int
-	Ties     int
-	PValue   float64
-
-	Verdict Verdict
-
-	// CountersDiverge is set when both arms carried engine counters
-	// and their deterministic fields differ. Across different code
-	// versions that is expected (and worth reading); in a self-vs-self
-	// run it means the workload itself went nondeterministic.
-	CountersDiverge bool
+	Pairs   int
+	Metrics []MetricResult // sorted by name
+	// Moved names the metrics that held one value in every baseline run
+	// but read another in some candidate run.
+	Moved                     []string
+	BaseAttempted, BaseFailed int
+	CandAttempted, CandFailed int
 }
 
-// Decide turns the paired evidence into a verdict: significance (the
-// sign-test p-value at or below alpha) AND a material effect size
-// (|ratio-1| at or above MinEffect) are both required, so pure noise
-// and real-but-negligible deltas land inconclusive.
-func Decide(ratio, pValue float64, opt ABOptions) Verdict {
-	opt = opt.withDefaults()
-	if pValue <= opt.Alpha {
-		if ratio <= 1-opt.MinEffect {
-			return VerdictFaster
-		}
-		if ratio >= 1+opt.MinEffect {
-			return VerdictSlower
-		}
-	}
-	return VerdictInconclusive
+// FailedShareHigher reports whether a larger share of the candidate's
+// operations failed than of the baseline's.
+func (r *ABResult) FailedShareHigher() bool {
+	return share(float64(r.CandFailed), float64(r.CandAttempted)) >
+		share(float64(r.BaseFailed), float64(r.BaseAttempted))
 }
 
-// RunAB runs the paired interleaved A/B harness: Warmup unmeasured
-// pairs, then Reps measured pairs with the within-pair order
-// alternating (B,C / C,B / ...) so slow machine drift — thermal
-// throttling, a neighbour VM waking up — cancels out of the paired
-// differences instead of masquerading as a regression. Repetition i of
-// each arm forms one paired difference; the verdict comes from a
-// two-sided sign test plus a minimum-effect guard (Decide).
-func RunAB(ctx context.Context, baseline, candidate Closure, opt ABOptions) (*ABResult, error) {
-	opt = opt.withDefaults()
-	run := func(c Closure, arm *Arm) (Sample, error) {
-		s, err := c(ctx)
-		if err != nil {
-			return s, fmt.Errorf("perf: %s repetition %d: %w", arm.Name, len(arm.Ns), err)
-		}
-		return s, nil
+// Compare reduces the runs of RunAB to one row and verdict per declared
+// metric the runs report.
+func Compare(base, cand []Sample, metrics []Metric) *ABResult {
+	r := &ABResult{Pairs: len(base)}
+	for i := range base {
+		r.BaseAttempted += base[i].Attempted
+		r.BaseFailed += base[i].Failed
+		r.CandAttempted += cand[i].Attempted
+		r.CandFailed += cand[i].Failed
 	}
-	res := &ABResult{
-		Baseline:  Arm{Name: "baseline"},
-		Candidate: Arm{Name: "candidate"},
-	}
-	var baseAllocs, candAllocs []float64
-	pair := func(i int, measured bool) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		first, second := &res.Baseline, &res.Candidate
-		firstC, secondC := baseline, candidate
-		if i%2 == 1 {
-			first, second = second, first
-			firstC, secondC = secondC, firstC
-		}
-		s1, err := run(firstC, first)
-		if err != nil {
-			return err
-		}
-		s2, err := run(secondC, second)
-		if err != nil {
-			return err
-		}
-		if !measured {
-			return nil
-		}
-		record := func(arm *Arm, s Sample, allocs *[]float64) {
-			arm.Ns = append(arm.Ns, s.Ns)
-			*allocs = append(*allocs, s.AllocsPerOp)
-			if s.Counters != nil {
-				arm.Counters = s.Counters
+	for _, m := range metrics {
+		var bv, cv []float64
+		for i := range base {
+			if v, ok := base[i].Metrics[m.Name]; ok {
+				bv = append(bv, v)
+			}
+			if v, ok := cand[i].Metrics[m.Name]; ok {
+				cv = append(cv, v)
 			}
 		}
-		if first == &res.Baseline {
-			record(&res.Baseline, s1, &baseAllocs)
-			record(&res.Candidate, s2, &candAllocs)
-		} else {
-			record(&res.Candidate, s1, &candAllocs)
-			record(&res.Baseline, s2, &baseAllocs)
+		if len(bv) == 0 && len(cv) == 0 {
+			continue // a metric of the other pass
 		}
-		return nil
-	}
-	for i := range opt.Warmup {
-		if err := pair(i, false); err != nil {
-			return nil, err
+		mr := MetricResult{Metric: m}
+		if len(bv) != len(base) || len(cv) != len(cand) {
+			mr.Verdict = VerdictMissing
+			r.Metrics = append(r.Metrics, mr)
+			continue
 		}
-	}
-	for i := range opt.Reps {
-		if err := pair(i, true); err != nil {
-			return nil, err
+		mr.Base, mr.Cand = quartiles(bv), quartiles(cv)
+		for i := range bv {
+			switch d := mr.gain(bv[i], cv[i]); {
+			case d > 0:
+				mr.Won++
+			case d < 0:
+				mr.Lost++
+			}
 		}
-	}
-
-	res.Baseline.MedianNs = Median(res.Baseline.Ns)
-	res.Baseline.MADNs = MAD(res.Baseline.Ns)
-	res.Baseline.AllocsPerOp = Median(baseAllocs)
-	res.Candidate.MedianNs = Median(res.Candidate.Ns)
-	res.Candidate.MADNs = MAD(res.Candidate.Ns)
-	res.Candidate.AllocsPerOp = Median(candAllocs)
-
-	for i := range res.Baseline.Ns {
-		switch d := res.Candidate.Ns[i] - res.Baseline.Ns[i]; {
-		case d < 0:
-			res.CandWins++
-		case d > 0:
-			res.BaseWins++
-		default:
-			res.Ties++
+		mr.Verdict = mr.decide(bv, cv)
+		if holds(bv, bv[0]) && !holds(cv, bv[0]) {
+			r.Moved = append(r.Moved, m.Name)
 		}
+		r.Metrics = append(r.Metrics, mr)
 	}
-	res.PValue = SignTest(res.CandWins, res.BaseWins)
-	if res.Baseline.MedianNs > 0 {
-		res.Ratio = res.Candidate.MedianNs / res.Baseline.MedianNs
-	} else {
-		res.Ratio = 1
-	}
-	res.Effect = res.Ratio - 1
-	res.Verdict = Decide(res.Ratio, res.PValue, opt)
-	if res.Baseline.Counters != nil && res.Candidate.Counters != nil {
-		res.CountersDiverge = !res.Baseline.Counters.EqualDeterministic(*res.Candidate.Counters)
-	}
-	return res, nil
+	slices.SortFunc(r.Metrics, func(a, b MetricResult) int { return strings.Compare(a.Name, b.Name) })
+	slices.Sort(r.Moved)
+	return r
 }
 
-// Format renders the result as the human-readable block darco-perf
-// prints; the last line is the grep-stable verdict.
+// gain is how much better cand reads than base: positive when the
+// candidate is better in the metric's direction.
+func (m Metric) gain(base, cand float64) float64 {
+	if m.Better == "lower" {
+		return base - cand
+	}
+	return cand - base
+}
+
+// decide applies the verdict rule to the paired values.
+func (m *MetricResult) decide(bv, cv []float64) Verdict {
+	gain := m.gain(m.Base[1], m.Cand[1])
+	spread := m.Base[2] - m.Base[0]
+	switch n := len(bv); {
+	case 10*m.Won >= 9*n && gain > spread:
+		return VerdictBetter
+	case 10*m.Lost >= 9*n && -gain > spread:
+		return VerdictWorse
+	case m.Bound == 0:
+		if holds(bv, bv[0]) && holds(cv, bv[0]) {
+			return VerdictIdentical
+		}
+		return VerdictNoWinner
+	}
+	allBeat := true
+	for _, c := range cv {
+		for _, b := range bv {
+			allBeat = allBeat && m.gain(b, c) > 0
+		}
+	}
+	switch {
+	case share(spread, m.Base[1]) > m.Bound && !allBeat:
+		return VerdictUnresolved
+	case share(-gain, m.Base[1]) <= m.Bound:
+		return VerdictWithinBound
+	default:
+		return VerdictBeyondBound
+	}
+}
+
+// holds reports whether every value of xs is v.
+func holds(xs []float64, v float64) bool {
+	return !slices.ContainsFunc(xs, func(x float64) bool { return x != v })
+}
+
+// share is x as a share of |base|; a nonzero x over a zero base is
+// infinite.
+func share(x, base float64) float64 {
+	if x == 0 {
+		return 0
+	}
+	return x / math.Abs(base)
+}
+
+// Format renders the run record's tables: operations attempted and
+// failed per side; per metric the quartiles of each side, the change of
+// the median and the pairs the candidate won; and the metrics that
+// moved off a value every baseline run held.
 func (r *ABResult) Format() string {
 	var b strings.Builder
-	arm := func(a *Arm) {
-		fmt.Fprintf(&b, "%-10s median %14.0f ns  ±%.0f MAD  n=%d", a.Name, a.MedianNs, a.MADNs, len(a.Ns))
-		if a.AllocsPerOp > 0 {
-			fmt.Fprintf(&b, "  %10.0f allocs/op", a.AllocsPerOp)
+	fmt.Fprintf(&b, "attempted/failed: baseline %d/%d, candidate %d/%d\n\n",
+		r.BaseAttempted, r.BaseFailed, r.CandAttempted, r.CandFailed)
+	b.WriteString("| metric | baseline q1 / median / q3 | candidate q1 / median / q3 | Δ median | pairs won |\n")
+	b.WriteString("|---|---|---|---|---|\n")
+	q := func(x [3]float64) string { return fmt.Sprintf("%.4g / %.4g / %.4g", x[0], x[1], x[2]) }
+	for _, m := range r.Metrics {
+		if m.Verdict == VerdictMissing {
+			fmt.Fprintf(&b, "| %s | %s | | | |\n", m.Name, m.Verdict)
+			continue
 		}
-		if a.Counters != nil {
-			fmt.Fprintf(&b, "  decode-hit %.2f%%  block-hit %.2f%%",
-				100*a.Counters.DecodeHitRate(), 100*a.Counters.BlockHitRate())
+		fmt.Fprintf(&b, "| %s | %s | %s | %+.1f %% | %d/%d |\n",
+			m.Name, q(m.Base), q(m.Cand), 100*share(m.Cand[1]-m.Base[1], m.Base[1]), m.Won, r.Pairs)
+	}
+	b.WriteString("\nHeld one value in every baseline run and moved in a candidate run: ")
+	if len(r.Moved) == 0 {
+		b.WriteString("none.\n")
+	} else {
+		fmt.Fprintf(&b, "%s.\n", strings.Join(r.Moved, ", "))
+	}
+	return b.String()
+}
+
+// FormatVerdicts renders one grep-stable line per metric,
+// "verdict <metric>: <verdict> (...)", then one on the failed share.
+func (r *ABResult) FormatVerdicts() string {
+	var b strings.Builder
+	for _, m := range r.Metrics {
+		fmt.Fprintf(&b, "verdict %s: %s", m.Name, m.Verdict)
+		if m.Verdict != VerdictMissing {
+			fmt.Fprintf(&b, " (Δ median %+.1f %%, %d/%d pairs won, %d lost, parent q3−q1 %.1f %%",
+				100*share(m.Cand[1]-m.Base[1], m.Base[1]), m.Won, r.Pairs, m.Lost,
+				100*share(m.Base[2]-m.Base[0], m.Base[1]))
+			if m.Bound > 0 {
+				fmt.Fprintf(&b, ", bound %.0f %%", 100*m.Bound)
+			}
+			b.WriteByte(')')
 		}
 		b.WriteByte('\n')
 	}
-	arm(&r.Baseline)
-	arm(&r.Candidate)
-	fmt.Fprintf(&b, "paired: candidate faster %d / slower %d / tied %d, sign-test p=%.4f\n",
-		r.CandWins, r.BaseWins, r.Ties, r.PValue)
-	if r.CountersDiverge {
-		b.WriteString("note: deterministic engine counters diverge between the arms\n")
+	failed := "not higher"
+	if r.FailedShareHigher() {
+		failed = "higher on candidate"
 	}
-	fmt.Fprintf(&b, "verdict: %s (candidate/baseline median %.3fx, effect %+.1f%%)\n",
-		r.Verdict, r.Ratio, 100*r.Effect)
+	fmt.Fprintf(&b, "verdict failed share: %s (baseline %d/%d, candidate %d/%d)\n",
+		failed, r.BaseFailed, r.BaseAttempted, r.CandFailed, r.CandAttempted)
 	return b.String()
 }

@@ -1,30 +1,29 @@
-// Package perf makes performance a first-class, continuously observed
-// quantity. It carries the three pillars the darco-perf command drives:
+// Package perf holds what the darco-perf command needs to judge a
+// performance change:
 //
-//   - The paired interleaved A/B harness (RunAB): baseline and
-//     candidate benchmark closures run alternately on the same machine
-//     — warmup pairs, N interleaved repetitions, median/MAD summaries,
-//     and a sign-test verdict (faster / slower / inconclusive) with an
-//     effect size. Interleaving cancels the slow machine drift that
-//     makes cross-run wall-clock comparisons lie; the BENCH_3 episode
-//     (a phantom "10-16% regression" that was pure VM drift between
-//     snapshot machines) is exactly what this harness exists to
-//     prevent.
+//   - The paired A/B comparison (RunAB, Compare): two source trees run
+//     the repository benchmark alternately on one machine, the order
+//     flipping every pair, and each metric gets quartiles per side, the
+//     change of the median, the pairs won and a verdict. A side is
+//     better only when it won at least 9/10 of the pairs and the
+//     medians differ by more than the baseline's own q3−q1; otherwise
+//     an end-to-end metric is within its bound, worse beyond it, or
+//     unresolved when the baseline's spread is wider than the bound.
+//     Alternation cancels the slow machine drift that makes cross-run
+//     wall-clock comparisons lie; the BENCH_3 episode (a phantom
+//     "10-16% regression" that was pure VM drift between snapshot
+//     machines) is what it exists to prevent.
 //
-//   - Deterministic regression gates (Gate): two BENCH snapshots are
+//   - The deterministic regression gate (Gate): two BENCH snapshots are
 //     compared signal by signal, and the machine-independent signals —
 //     engine profiling counters (decode/block-cache traffic, code-cache
 //     flushes) and the figure metrics derived from bit-identical Stats
-//     — must match exactly. Allocations get a
-//     small tolerance (MemStats deltas see background-goroutine noise);
-//     wall time is held only to a generous advisory ratio, because raw
-//     ns/op across machines is not evidence.
+//     — must match exactly; allocs/op gets a 1 % tolerance (MemStats
+//     deltas see background-goroutine noise). Wall time is not checked:
+//     raw ns/op across machines is not evidence.
 //
-//   - The perf-trend dashboard (WriteTrend): every committed
-//     BENCH_<n>.json rendered as a static light/dark HTML trajectory —
-//     deterministic allocation (normalized to first appearance) and
-//     cache-hit-rate series, and gate-verdict annotations on the points
-//     where a machine-independent signal moved.
+//   - Layout (ParseNM, FormatLayout): the address modulo 64 of the
+//     simulator's inner loops in one benchmark binary or two.
 //
 // The package also owns the BENCH_<n>.json snapshot schema (Snapshot,
 // Bench): schema 2 records per-bench engine-counter snapshots and

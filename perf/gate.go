@@ -10,33 +10,10 @@ import (
 	"darco/obs"
 )
 
-// GatePolicy tunes the regression gate. The zero value picks the
-// defaults darco-perf and CI use.
-type GatePolicy struct {
-	// WallRatio is the advisory candidate/baseline wall-time ratio
-	// above which the gate warns (default 1.5). Wall time is never a
-	// hard failure unless StrictWall is set: across machines raw ns/op
-	// is drift, not evidence — that is the paired A/B harness's job.
-	WallRatio float64
-	// AllocTol is the fractional allocs/op increase tolerated before a
-	// hard failure (default 0.01). Allocation counts are near-exact
-	// but MemStats deltas can see a handful of background-goroutine
-	// allocations.
-	AllocTol float64
-	// StrictWall promotes wall-ratio breaches to hard failures (for
-	// same-machine gating, where wall actually is comparable).
-	StrictWall bool
-}
-
-func (p GatePolicy) withDefaults() GatePolicy {
-	if p.WallRatio <= 1 {
-		p.WallRatio = 1.5
-	}
-	if p.AllocTol <= 0 {
-		p.AllocTol = 0.01
-	}
-	return p
-}
+// allocTol is the fractional allocs/op growth the gate tolerates.
+// Allocation counts are near-exact, but MemStats deltas can see a
+// handful of background-goroutine allocations.
+const allocTol = 0.01
 
 // CheckClass says how a signal is compared.
 type CheckClass string
@@ -49,12 +26,8 @@ const (
 	// not loosening the gate.
 	ClassExact CheckClass = "exact"
 	// ClassTolerance signals are deterministic up to measurement slop
-	// (allocs/op, bytes/op); they fail only on a regression beyond the
-	// policy tolerance.
+	// (allocs/op); they fail only on a regression beyond allocTol.
 	ClassTolerance CheckClass = "tolerance"
-	// ClassAdvisory signals are machine-dependent (wall time); breaches
-	// are reported, never fatal unless StrictWall.
-	ClassAdvisory CheckClass = "advisory"
 )
 
 // GateCheck is one signal comparison.
@@ -70,9 +43,8 @@ type GateCheck struct {
 
 // GateResult is the gate's full report.
 type GateResult struct {
-	Checks     []GateCheck
-	Failures   int // hard failures (exact/tolerance breaches, missing benches)
-	Advisories int // advisory breaches (reported, non-fatal)
+	Checks   []GateCheck
+	Failures int // exact and tolerance breaches, missing benches
 }
 
 // Pass reports whether the candidate clears the gate.
@@ -81,11 +53,7 @@ func (r *GateResult) Pass() bool { return r.Failures == 0 }
 func (r *GateResult) add(c GateCheck) {
 	r.Checks = append(r.Checks, c)
 	if !c.OK {
-		if c.Class == ClassAdvisory {
-			r.Advisories++
-		} else {
-			r.Failures++
-		}
+		r.Failures++
 	}
 }
 
@@ -109,16 +77,18 @@ var counterSignals = []struct {
 }
 
 // Gate compares a candidate snapshot against a baseline signal by
-// signal. Hard failures: a baseline bench missing from the candidate,
-// any deterministic-counter or figure-metric drift (exact), and
-// allocs/op growth beyond AllocTol. Advisory: wall-time ratio beyond
-// WallRatio, bytes/op growth. Benches only the candidate has (new
-// coverage) are ignored; rows marked CostShared skip the cost signals
-// entirely so one measured campaign is gated once, not five times.
-// Both snapshots should be at the same workload scale — the gate flags
-// a scale mismatch as a failure up front.
-func Gate(base, cand *Snapshot, pol GatePolicy) *GateResult {
-	pol = pol.withDefaults()
+// signal. Failures: a baseline bench missing from the candidate, any
+// deterministic-counter or figure-metric drift (exact), a candidate row
+// that drops the counters or the own measured cost its baseline row
+// has (exact), and allocs/op growth beyond allocTol. Wall time and
+// bytes/op are data, not checks: across machines raw ns/op is drift,
+// not evidence — that is darco-perf ab's job. Benches only the
+// candidate has (new coverage) are ignored; rows whose baseline marks
+// them CostShared skip the cost check, so one measured campaign is
+// gated once, not five times. Both snapshots should be at the same
+// workload scale — the gate flags a scale mismatch as a failure up
+// front.
+func Gate(base, cand *Snapshot) *GateResult {
 	r := &GateResult{}
 	if base.Scale != cand.Scale {
 		r.add(GateCheck{Bench: "-", Signal: "scale", Class: ClassExact,
@@ -136,7 +106,12 @@ func Gate(base, cand *Snapshot, pol GatePolicy) *GateResult {
 		}
 
 		// Deterministic engine counters: exact.
-		if bb.Counters != nil && cb.Counters != nil {
+		switch {
+		case bb.Counters == nil:
+		case cb.Counters == nil:
+			r.add(GateCheck{Bench: name, Signal: "counters", Class: ClassExact, OK: false,
+				Note: "engine counters missing from candidate row"})
+		default:
 			for _, sig := range counterSignals {
 				b, c := sig.get(bb.Counters), sig.get(cb.Counters)
 				chk := GateCheck{Bench: name, Signal: sig.name, Class: ClassExact, Base: b, Cand: c, OK: b == c}
@@ -168,43 +143,24 @@ func Gate(base, cand *Snapshot, pol GatePolicy) *GateResult {
 			r.add(chk)
 		}
 
-		// Cost signals: skip rows that share another row's measurement.
-		if bb.SharesCost() || cb.SharesCost() {
+		// Cost: only a row the baseline measured itself.
+		if bb.SharesCost() || bb.AllocsPerOp == 0 {
 			continue
 		}
-		if bb.AllocsPerOp > 0 {
-			growth := cb.AllocsPerOp/bb.AllocsPerOp - 1
-			chk := GateCheck{Bench: name, Signal: "allocs_per_op", Class: ClassTolerance,
-				Base: bb.AllocsPerOp, Cand: cb.AllocsPerOp, OK: growth <= pol.AllocTol}
-			if !chk.OK {
-				chk.Note = fmt.Sprintf("allocs/op grew %.2f%% (tolerance %.2f%%)", 100*growth, 100*pol.AllocTol)
-			} else if growth < -pol.AllocTol {
-				chk.Note = "allocs/op improved; consider refreshing the snapshot"
-			}
-			r.add(chk)
+		if cb.SharesCost() {
+			r.add(GateCheck{Bench: name, Signal: "cost_shared", Class: ClassExact, Base: bb.AllocsPerOp, OK: false,
+				Note: fmt.Sprintf("candidate row reuses %s's cost; the baseline row measured its own", cb.CostShared)})
+			continue
 		}
-		if bb.BytesPerOp > 0 {
-			growth := cb.BytesPerOp/bb.BytesPerOp - 1
-			chk := GateCheck{Bench: name, Signal: "bytes_per_op", Class: ClassAdvisory,
-				Base: bb.BytesPerOp, Cand: cb.BytesPerOp, OK: growth <= pol.AllocTol}
-			if !chk.OK {
-				chk.Note = fmt.Sprintf("bytes/op grew %.2f%%", 100*growth)
-			}
-			r.add(chk)
+		growth := cb.AllocsPerOp/bb.AllocsPerOp - 1
+		chk := GateCheck{Bench: name, Signal: "allocs_per_op", Class: ClassTolerance,
+			Base: bb.AllocsPerOp, Cand: cb.AllocsPerOp, OK: growth <= allocTol}
+		if !chk.OK {
+			chk.Note = fmt.Sprintf("allocs/op grew %.2f%% (tolerance %.2f%%)", 100*growth, 100*allocTol)
+		} else if growth < -allocTol {
+			chk.Note = "allocs/op improved; consider refreshing the snapshot"
 		}
-		if bb.NsPerOp > 0 {
-			ratio := cb.NsPerOp / bb.NsPerOp
-			class := ClassAdvisory
-			if pol.StrictWall {
-				class = ClassTolerance
-			}
-			chk := GateCheck{Bench: name, Signal: "ns_per_op", Class: class,
-				Base: bb.NsPerOp, Cand: cb.NsPerOp, OK: ratio <= pol.WallRatio}
-			if !chk.OK {
-				chk.Note = fmt.Sprintf("wall %.2fx baseline (threshold %.2fx); cross-machine wall is advisory — confirm with darco-perf ab", ratio, pol.WallRatio)
-			}
-			r.add(chk)
-		}
+		r.add(chk)
 	}
 	return r
 }
@@ -221,7 +177,7 @@ func sortedKeys(m map[string]float64) []string {
 	return slices.Sorted(maps.Keys(m))
 }
 
-// Format renders the gate report: failures and advisories in detail
+// Format renders the gate report: failures and noted checks in detail
 // (or every check when verbose), then a one-line summary.
 func (r *GateResult) Format(verbose bool) string {
 	var b strings.Builder
@@ -231,11 +187,7 @@ func (r *GateResult) Format(verbose bool) string {
 		}
 		status := "ok  "
 		if !c.OK {
-			if c.Class == ClassAdvisory {
-				status = "warn"
-			} else {
-				status = "FAIL"
-			}
+			status = "FAIL"
 		}
 		fmt.Fprintf(&b, "%s  %-28s %-32s %-10s base=%v cand=%v", status, c.Bench, c.Signal, c.Class, c.Base, c.Cand)
 		if c.Note != "" {
@@ -247,7 +199,6 @@ func (r *GateResult) Format(verbose bool) string {
 	if !r.Pass() {
 		verdict = "FAIL"
 	}
-	fmt.Fprintf(&b, "gate: %s — %d checks, %d failures, %d advisories\n",
-		verdict, len(r.Checks), r.Failures, r.Advisories)
+	fmt.Fprintf(&b, "gate: %s — %d checks, %d failures\n", verdict, len(r.Checks), r.Failures)
 	return b.String()
 }

@@ -34,8 +34,8 @@ func gateSnap() *Snapshot {
 }
 
 func TestGateIdenticalPasses(t *testing.T) {
-	r := Gate(gateSnap(), gateSnap(), GatePolicy{})
-	if !r.Pass() || r.Failures != 0 || r.Advisories != 0 {
+	r := Gate(gateSnap(), gateSnap())
+	if !r.Pass() || r.Failures != 0 {
 		t.Fatalf("identical snapshots: %s", r.Format(true))
 	}
 }
@@ -47,7 +47,7 @@ func TestGateCounterDriftFails(t *testing.T) {
 	c.BlockMisses++
 	b.Counters = &c
 	cand.Benches["Speed"] = b
-	r := Gate(gateSnap(), cand, GatePolicy{})
+	r := Gate(gateSnap(), cand)
 	if r.Pass() {
 		t.Fatalf("deterministic counter drift passed:\n%s", r.Format(true))
 	}
@@ -61,7 +61,7 @@ func TestGateMetricDriftFails(t *testing.T) {
 	b := cand.Benches["Speed"]
 	b.Metrics = map[string]float64{"guest-MIPS": 12.5, "SBM%": 95.3}
 	cand.Benches["Speed"] = b
-	if r := Gate(gateSnap(), cand, GatePolicy{}); r.Pass() {
+	if r := Gate(gateSnap(), cand); r.Pass() {
 		t.Fatalf("Stats-derived metric drift passed:\n%s", r.Format(true))
 	}
 }
@@ -71,7 +71,7 @@ func TestGateWallDerivedMetricsIgnored(t *testing.T) {
 	b := cand.Benches["Speed"]
 	b.Metrics = map[string]float64{"guest-MIPS": 9.1, "SBM%": 95.2}
 	cand.Benches["Speed"] = b
-	if r := Gate(gateSnap(), cand, GatePolicy{}); !r.Pass() {
+	if r := Gate(gateSnap(), cand); !r.Pass() {
 		t.Fatalf("MIPS drift is machine weather, must not fail:\n%s", r.Format(true))
 	}
 }
@@ -82,7 +82,7 @@ func TestGateAllocTolerance(t *testing.T) {
 		b := cand.Benches["Speed"]
 		b.AllocsPerOp *= 1 + frac
 		cand.Benches["Speed"] = b
-		return Gate(gateSnap(), cand, GatePolicy{})
+		return Gate(gateSnap(), cand)
 	}
 	if r := grow(0.005); !r.Pass() {
 		t.Fatalf("0.5%% alloc growth within the 1%% tolerance failed:\n%s", r.Format(true))
@@ -95,21 +95,59 @@ func TestGateAllocTolerance(t *testing.T) {
 	}
 }
 
-func TestGateWallAdvisoryAndStrict(t *testing.T) {
+func TestGateIgnoresWallTime(t *testing.T) {
+	// ns/op and bytes/op stay in the snapshot as data; across machines
+	// they are drift, so the gate neither checks nor fails on them.
 	cand := gateSnap()
 	b := cand.Benches["Speed"]
 	b.NsPerOp *= 2
+	b.BytesPerOp *= 2
 	cand.Benches["Speed"] = b
-	r := Gate(gateSnap(), cand, GatePolicy{})
+	r := Gate(gateSnap(), cand)
 	if !r.Pass() {
-		t.Fatalf("2x wall must be advisory by default:\n%s", r.Format(true))
+		t.Fatalf("2x wall and bytes failed the gate:\n%s", r.Format(true))
 	}
-	if r.Advisories == 0 {
-		t.Fatal("2x wall should be reported")
+	for _, c := range r.Checks {
+		if c.Signal == "ns_per_op" || c.Signal == "bytes_per_op" {
+			t.Fatalf("wall/bytes check emitted: %+v", c)
+		}
 	}
-	if r := Gate(gateSnap(), cand, GatePolicy{StrictWall: true}); r.Pass() {
-		t.Fatalf("StrictWall: 2x wall must hard-fail:\n%s", r.Format(true))
+}
+
+// failsOn asserts that the gate fails with an exact check naming bench.
+func failsOn(t *testing.T, r *GateResult, bench string) {
+	t.Helper()
+	if r.Pass() {
+		t.Fatalf("gate passed:\n%s", r.Format(true))
 	}
+	for _, c := range r.Checks {
+		if !c.OK && c.Bench == bench && c.Class == ClassExact {
+			return
+		}
+	}
+	t.Fatalf("no exact failure names %s:\n%s", bench, r.Format(false))
+}
+
+func TestGateDroppedCountersFail(t *testing.T) {
+	// A candidate row without the counters its baseline row carries
+	// would otherwise skip all five counter checks.
+	cand := gateSnap()
+	b := cand.Benches["Speed"]
+	b.Counters = nil
+	cand.Benches["Speed"] = b
+	failsOn(t, Gate(gateSnap(), cand), "Speed")
+}
+
+func TestGateDroppedOwnCostFails(t *testing.T) {
+	// The baseline row measured its own cost; a candidate row that
+	// claims to share another's would otherwise skip the allocs/op
+	// check, here hiding a 5000x growth.
+	cand := gateSnap()
+	b := cand.Benches["Speed"]
+	b.CostShared = SuiteCampaignBench
+	b.AllocsPerOp *= 5000
+	cand.Benches["Speed"] = b
+	failsOn(t, Gate(gateSnap(), cand), "Speed")
 }
 
 func TestGateSharedCostRowsSkipCostSignals(t *testing.T) {
@@ -120,7 +158,7 @@ func TestGateSharedCostRowsSkipCostSignals(t *testing.T) {
 	b := cand.Benches["Fig"]
 	b.NsPerOp, b.AllocsPerOp = 9e12, 9e12
 	cand.Benches["Fig"] = b
-	r := Gate(gateSnap(), cand, GatePolicy{})
+	r := Gate(gateSnap(), cand)
 	if !r.Pass() {
 		t.Fatalf("shared-cost row was gated on cost:\n%s", r.Format(true))
 	}
@@ -134,7 +172,7 @@ func TestGateSharedCostRowsSkipCostSignals(t *testing.T) {
 func TestGateScaleMismatchFails(t *testing.T) {
 	cand := gateSnap()
 	cand.Scale = 0.25
-	r := Gate(gateSnap(), cand, GatePolicy{})
+	r := Gate(gateSnap(), cand)
 	if r.Pass() {
 		t.Fatal("snapshots at different scales compared")
 	}
@@ -146,13 +184,13 @@ func TestGateScaleMismatchFails(t *testing.T) {
 func TestGateMissingBenchFails(t *testing.T) {
 	cand := gateSnap()
 	delete(cand.Benches, "Speed")
-	if r := Gate(gateSnap(), cand, GatePolicy{}); r.Pass() {
+	if r := Gate(gateSnap(), cand); r.Pass() {
 		t.Fatal("coverage regression (missing bench) passed")
 	}
 	// New coverage on the candidate side is fine.
 	cand = gateSnap()
 	cand.Benches["Brand New"] = Bench{NsPerOp: 1}
-	if r := Gate(gateSnap(), cand, GatePolicy{}); !r.Pass() {
+	if r := Gate(gateSnap(), cand); !r.Pass() {
 		t.Fatalf("new candidate-only bench failed the gate:\n%s", r.Format(true))
 	}
 }
@@ -171,7 +209,7 @@ func TestGateCommittedGoldens(t *testing.T) {
 	if err != nil {
 		t.Skipf("goldens unavailable: %v", err)
 	}
-	r := Gate(b3, b4, GatePolicy{})
+	r := Gate(b3, b4)
 	// Schema-1 goldens carry no counters and their shared fig rows are
 	// normalized, so only measured rows' metrics/allocs are compared.
 	if !r.Pass() {

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
-	"sort"
 
 	"darco/export"
 	"darco/obs"
@@ -30,7 +29,8 @@ type Bench struct {
 	// Wall and allocation cost of the measured run. Zero (and omitted
 	// from the JSON) when CostShared names the row that was actually
 	// measured — schema 1 instead duplicated the shared values, which
-	// made one sample look like five on a trend line.
+	// made one sample look like five. The gate checks allocs/op; wall
+	// and bytes are kept as data.
 	NsPerOp     float64 `json:"ns_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
@@ -52,7 +52,7 @@ type Bench struct {
 }
 
 // SharesCost reports whether the row reuses another row's measured
-// cost, so trend lines and gates skip its duplicate ns/allocs/bytes.
+// cost, so the gate skips its duplicate ns/allocs/bytes.
 func (b *Bench) SharesCost() bool { return b.CostShared != "" }
 
 // Snapshot is one BENCH_<n>.json: the perf trajectory point a PR
@@ -172,38 +172,4 @@ func NextBenchPath(dir string) (string, error) {
 		}
 	}
 	return filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", next)), nil
-}
-
-// HistoryEntry is one snapshot of the committed trajectory.
-type HistoryEntry struct {
-	N    int // the <n> of BENCH_<n>.json
-	Path string
-	Snap *Snapshot
-}
-
-// LoadHistory reads every BENCH_<n>.json in dir, ordered by n. A
-// directory with no snapshots returns an empty history, not an error;
-// an unreadable or unparseable snapshot does.
-func LoadHistory(dir string) ([]HistoryEntry, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var hist []HistoryEntry
-	for _, e := range entries {
-		m := benchFileRE.FindStringSubmatch(e.Name())
-		if m == nil {
-			continue
-		}
-		var n int
-		fmt.Sscanf(m[1], "%d", &n)
-		path := filepath.Join(dir, e.Name())
-		snap, err := ReadSnapshot(path)
-		if err != nil {
-			return nil, err
-		}
-		hist = append(hist, HistoryEntry{N: n, Path: path, Snap: snap})
-	}
-	sort.Slice(hist, func(i, j int) bool { return hist[i].N < hist[j].N })
-	return hist, nil
 }

@@ -1,7 +1,6 @@
 package perf
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -108,40 +107,6 @@ func TestNextBenchPath(t *testing.T) {
 	p, err = NextBenchPath(dir)
 	if err != nil || filepath.Base(p) != "BENCH_11.json" {
 		t.Fatalf("numbered dir: %v, %v", p, err)
-	}
-}
-
-func TestLoadHistoryOrdersByNumber(t *testing.T) {
-	dir := t.TempDir()
-	write := func(n int, scale float64) {
-		s := &Snapshot{Schema: 2, Scale: scale, Benches: map[string]Bench{"B": {NsPerOp: 1}}}
-		data, err := s.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", n))
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Written out of order; BENCH_10 sorts after BENCH_9 numerically,
-	// not lexically.
-	write(10, 0.3)
-	write(2, 0.1)
-	write(9, 0.2)
-	hist, err := LoadHistory(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ns []int
-	for _, h := range hist {
-		ns = append(ns, h.N)
-	}
-	if !reflect.DeepEqual(ns, []int{2, 9, 10}) {
-		t.Fatalf("history order = %v, want [2 9 10]", ns)
-	}
-	if hist[2].Snap.Scale != 0.3 {
-		t.Fatalf("BENCH_10 scale = %v, want 0.3", hist[2].Snap.Scale)
 	}
 }
 

@@ -1,7 +1,7 @@
 package perf
 
 import (
-	"math"
+	"slices"
 	"sort"
 )
 
@@ -20,54 +20,18 @@ func Median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// MAD returns the median absolute deviation from the median — the
-// robust spread estimate the A/B summaries report (a single GC pause
-// in one repetition should not widen the reported noise).
-func MAD(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// quartiles returns the first quartile, the median and the third
+// quartile of a non-empty sample, interpolating linearly between the
+// order statistics.
+func quartiles(xs []float64) [3]float64 {
+	s := slices.Sorted(slices.Values(xs))
+	q := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		i := int(pos)
+		if i+1 == len(s) {
+			return s[i]
+		}
+		return s[i] + (pos-float64(i))*(s[i+1]-s[i])
 	}
-	m := Median(xs)
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - m)
-	}
-	return Median(dev)
-}
-
-// SignTest returns the two-sided exact binomial p-value for observing
-// a pos/neg split of paired differences under the null hypothesis that
-// either sign is equally likely. Ties are excluded by the caller.
-// Zero trials return 1 (no evidence).
-func SignTest(pos, neg int) float64 {
-	n := pos + neg
-	if n == 0 {
-		return 1
-	}
-	k := pos
-	if neg < k {
-		k = neg
-	}
-	var p float64
-	for i := 0; i <= k; i++ {
-		p += binomPMF(n, i)
-	}
-	p *= 2
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
-
-// binomPMF is C(n,k) / 2^n computed in log space so n up to a few
-// thousand repetitions stays exact enough.
-func binomPMF(n, k int) float64 {
-	return math.Exp(lchoose(n, k) - float64(n)*math.Ln2)
-}
-
-func lchoose(n, k int) float64 {
-	ln, _ := math.Lgamma(float64(n + 1))
-	lk, _ := math.Lgamma(float64(k + 1))
-	lnk, _ := math.Lgamma(float64(n - k + 1))
-	return ln - lk - lnk
+	return [3]float64{q(0.25), q(0.5), q(0.75)}
 }

@@ -1,11 +1,8 @@
 package perf
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
-func TestMedianAndMAD(t *testing.T) {
+func TestMedianAndQuartiles(t *testing.T) {
 	if got := Median(nil); got != 0 {
 		t.Fatalf("Median(nil) = %v", got)
 	}
@@ -21,59 +18,13 @@ func TestMedianAndMAD(t *testing.T) {
 	if in[0] != 9 || in[2] != 5 {
 		t.Fatalf("Median mutated input: %v", in)
 	}
-	// MAD is robust: one wild outlier barely moves it.
-	if got := MAD([]float64{10, 10, 10, 10, 1000}); got != 0 {
-		t.Fatalf("MAD with outlier = %v, want 0", got)
+	if got := quartiles([]float64{5, 1, 4, 2, 3}); got != [3]float64{2, 3, 4} {
+		t.Fatalf("quartiles of 1..5 = %v, want [2 3 4]", got)
 	}
-	if got := MAD([]float64{1, 2, 3, 4, 5}); got != 1 {
-		t.Fatalf("MAD uniform = %v, want 1", got)
+	if got := quartiles([]float64{1, 2, 3, 4}); got != [3]float64{1.75, 2.5, 3.25} {
+		t.Fatalf("quartiles of 1..4 = %v, want [1.75 2.5 3.25]", got)
 	}
-}
-
-func TestSignTest(t *testing.T) {
-	if p := SignTest(0, 0); p != 1 {
-		t.Fatalf("SignTest(0,0) = %v, want 1", p)
-	}
-	// Balanced evidence: no signal.
-	if p := SignTest(5, 5); p < 0.99 {
-		t.Fatalf("SignTest(5,5) = %v, want ~1", p)
-	}
-	// A clean 10/0 sweep: p = 2 * 0.5^10.
-	want := 2 * math.Pow(0.5, 10)
-	if p := SignTest(10, 0); math.Abs(p-want) > 1e-12 {
-		t.Fatalf("SignTest(10,0) = %v, want %v", p, want)
-	}
-	// Symmetry.
-	if SignTest(3, 7) != SignTest(7, 3) {
-		t.Fatal("sign test is not symmetric")
-	}
-	// 6/0 is the smallest sweep significant at 0.05 (2·0.5⁶ ≈ 0.031);
-	// at 5 reps even a clean sweep cannot reach significance — the
-	// -quick rep count must stay above this floor.
-	if p := SignTest(6, 0); p > 0.05 {
-		t.Fatalf("SignTest(6,0) = %v, want <= 0.05", p)
-	}
-	if p := SignTest(5, 0); p <= 0.05 {
-		t.Fatalf("SignTest(5,0) = %v, want > 0.05", p)
-	}
-}
-
-func TestDecideVerdicts(t *testing.T) {
-	opt := ABOptions{Alpha: 0.05, MinEffect: 0.02}
-	cases := []struct {
-		ratio, p float64
-		want     Verdict
-	}{
-		{0.80, 0.001, VerdictFaster},
-		{1.30, 0.001, VerdictSlower},
-		{1.30, 0.50, VerdictInconclusive},   // big effect, no significance
-		{1.005, 0.001, VerdictInconclusive}, // significant, negligible effect
-		{0.995, 0.001, VerdictInconclusive},
-		{1.00, 1.00, VerdictInconclusive},
-	}
-	for _, c := range cases {
-		if got := Decide(c.ratio, c.p, opt); got != c.want {
-			t.Errorf("Decide(ratio=%v, p=%v) = %v, want %v", c.ratio, c.p, got, c.want)
-		}
+	if got := quartiles([]float64{7}); got != [3]float64{7, 7, 7} {
+		t.Fatalf("quartiles of one value = %v", got)
 	}
 }
