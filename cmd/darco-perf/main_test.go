@@ -48,7 +48,7 @@ func TestABAlternatesTrees(t *testing.T) {
 	cand := fakeTree(t, "C", log, result(12))
 	var out bytes.Buffer
 	res, err := runAB(context.Background(), &out, base, cand,
-		abRun{baseLabel: "parent", candLabel: "change", workload: "w", pairs: 4, seed: 3, trace: 0})
+		abRun{baseLabel: "parent", candLabel: "change", workload: "w", pairs: 10, seed: 3, trace: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,20 +58,20 @@ func TestABAlternatesTrees(t *testing.T) {
 	}
 	args := " -workload w -seed 3 -seconds 2 -trace 0"
 	var want []string
-	for _, side := range strings.Split("BCCBBCCB", "") {
+	for _, side := range strings.Split("BCCBBCCBBCCBBCCBBCCB", "") {
 		want = append(want, side+args)
 	}
 	if got := strings.Split(strings.TrimSpace(string(data)), "\n"); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("runs:\n%s\nwant B,C / C,B / ... with the benchmark's arguments:\n%s",
 			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	if res.BaseAttempted != 24 || res.CandAttempted != 24 || len(res.Metrics) != 1 {
+	if res.BaseAttempted != 60 || res.CandAttempted != 60 || len(res.Metrics) != 1 {
 		t.Fatalf("attempted %d/%d, metrics %+v", res.BaseAttempted, res.CandAttempted, res.Metrics)
 	}
 	for _, line := range []string{
-		"| guest_mips | 10 / 10 / 10 | 12 / 12 / 12 | +20.0 % | 4/4 |",
+		"| guest_mips | 10 / 10 / 10 | 12 / 12 / 12 | +20.0 % | 10/10 |",
 		"verdict guest_mips: better (",
-		"verdict failed share: not higher (baseline 0/24, candidate 0/24)",
+		"verdict failed share: not higher (baseline 0/60, candidate 0/60)",
 		"layout unavailable: ",
 	} {
 		if !strings.Contains(out.String(), line) {

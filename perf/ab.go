@@ -59,10 +59,15 @@ type Metric struct {
 // Verdict is the comparison's conclusion about one metric.
 type Verdict string
 
+// minPairs is the fewest pairs on which a side can be called better or
+// worse: below ten, a short sweep of noise meets the 9/10 share.
+const minPairs = 10
+
 const (
-	// VerdictBetter: the candidate won at least 9/10 of the pairs and
-	// its median is better than the baseline's by more than the
-	// baseline's q3−q1. VerdictWorse is the same for the baseline.
+	// VerdictBetter: over at least minPairs pairs, the candidate won at
+	// least 9/10 of them and its median is better than the baseline's
+	// by more than the baseline's q3−q1. VerdictWorse is the same for
+	// the baseline.
 	VerdictBetter Verdict = "better"
 	VerdictWorse  Verdict = "worse"
 	// The end-to-end verdicts when neither side won: the candidate's
@@ -169,9 +174,9 @@ func (m *MetricResult) decide(bv, cv []float64) Verdict {
 	gain := m.gain(m.Base[1], m.Cand[1])
 	spread := m.Base[2] - m.Base[0]
 	switch n := len(bv); {
-	case 10*m.Won >= 9*n && gain > spread:
+	case n >= minPairs && 10*m.Won >= 9*n && gain > spread:
 		return VerdictBetter
-	case 10*m.Lost >= 9*n && -gain > spread:
+	case n >= minPairs && 10*m.Lost >= 9*n && -gain > spread:
 		return VerdictWorse
 	case m.Bound == 0:
 		if holds(bv, bv[0]) && holds(cv, bv[0]) {

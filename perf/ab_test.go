@@ -194,6 +194,9 @@ func TestCompareVerdicts(t *testing.T) {
 		{name: "moved constant row", metric: layer, bv: repeat(7), cv: append(repeat(7)[:9], 8),
 			want: VerdictNoWinner, lost: 1, moved: true},
 		{name: "identical", metric: layer, bv: repeat(7), cv: repeat(7), want: VerdictIdentical},
+		// A clean sweep of three pairs is not ten.
+		{name: "fewer than ten pairs", metric: lower, bv: base[:3], cv: shift(base[:3], -10),
+			want: VerdictWithinBound, won: 3},
 		{name: "missing", metric: lower, bv: base, cv: append(slices.Clone(base[:9]), math.NaN()), want: VerdictMissing},
 		{name: "higher failed share", metric: lower, bv: base, cv: base, candFailed: 1,
 			want: VerdictWithinBound, failedH: true},

@@ -5,8 +5,8 @@
 //     the repository benchmark alternately on one machine, the order
 //     flipping every pair, and each metric gets quartiles per side, the
 //     change of the median, the pairs won and a verdict. A side is
-//     better only when it won at least 9/10 of the pairs and the
-//     medians differ by more than the baseline's own q3−q1; otherwise
+//     better only when it won at least 9/10 of at least ten pairs and
+//     the medians differ by more than the baseline's own q3−q1; otherwise
 //     an end-to-end metric is within its bound, worse beyond it, or
 //     unresolved when the baseline's spread is wider than the bound.
 //     Alternation cancels the slow machine drift that makes cross-run
