@@ -127,17 +127,25 @@ func checkGolden(t *testing.T, file string, names []string, logs map[string][]st
 	}
 }
 
-// TestTranslationGoldenSuite pins every translation of three suite
-// programs: an integer, a floating-point and a trig-heavy one.
+// TestTranslationGoldenSuite pins every translation of five suite
+// programs: an integer, a floating-point and the three trig-heavy
+// physics programs the phys-startup benchmark workload runs. The last
+// two run at full scale: a quarter of either is too short to promote a
+// superblock.
 func TestTranslationGoldenSuite(t *testing.T) {
-	names := []string{"429.mcf", "433.milc", "continuous"}
+	names := []string{"429.mcf", "433.milc", "continuous", "periodic", "ragdoll"}
+	scales := map[string]float64{"periodic": 1, "ragdoll": 1}
 	logs := map[string][]string{}
 	for _, name := range names {
 		p, ok := workload.ByName(name)
 		if !ok {
 			t.Fatalf("no profile %s", name)
 		}
-		im, err := p.Scale(0.25).Generate()
+		scale := scales[name]
+		if scale == 0 {
+			scale = 0.25
+		}
+		im, err := p.Scale(scale).Generate()
 		if err != nil {
 			t.Fatal(err)
 		}
