@@ -435,7 +435,13 @@ func TestPassesPreserveSemantics(t *testing.T) {
 // randomRegion builds a random well-formed region: straight-line integer
 // and FP computation over liveins with loads, stores, conditional exits
 // and a final exit carrying full state.
-func randomRegion(r *rand.Rand) *Region {
+func randomRegion(r *rand.Rand) *Region { return genRegion(r, false) }
+
+// genRegion builds randomRegion's regions and, under pressure, longer
+// ones that end by folding every value they computed into the final
+// exit's state, so more values are live at once than either register
+// pool holds and the linear scan has to spill.
+func genRegion(r *rand.Rand, pressure bool) *Region {
 	b := newRB(false)
 	var ints []ValueID
 	var fps []ValueID
@@ -451,6 +457,9 @@ func randomRegion(r *rand.Rand) *Region {
 	pickF := func() ValueID { return fps[r.Intn(len(fps))] }
 
 	n := 10 + r.Intn(40)
+	if pressure {
+		n = 150 + r.Intn(150)
+	}
 	for i := 0; i < n; i++ {
 		switch r.Intn(12) {
 		case 0, 1, 2, 3:
@@ -480,6 +489,16 @@ func randomRegion(r *rand.Rand) *Region {
 			b.emit(Inst{Op: ExitIf, A: cond, ImmU: uint32(0x3000 + i),
 				State: []ArchVal{{Arch: ArchEAX, Val: pickI()}, {Arch: ArchF0 + 1, Val: pickF()}}})
 		}
+	}
+	if pressure {
+		acc, facc := ints[0], fps[0]
+		for _, k := range r.Perm(len(ints)) {
+			acc = b.op2(Add, acc, ints[k])
+		}
+		for _, k := range r.Perm(len(fps)) {
+			facc = b.op2(Fadd, facc, fps[k])
+		}
+		ints, fps = []ValueID{acc}, []ValueID{facc}
 	}
 	b.exit(0x2000,
 		ArchVal{Arch: ArchEAX, Val: pickI()},

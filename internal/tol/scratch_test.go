@@ -129,19 +129,26 @@ func TestBlocksOwnTheirCode(t *testing.T) {
 
 // TestWarmTranslationAllocations: what a warm translation still
 // allocates is what the code cache keeps — the Block, its Code, Exits
-// and BBs.
+// and BBs — on the one-loop program and on every translation of the
+// BenchmarkTranslateWorkload replay.
 func TestWarmTranslationAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	tl, loop, small := warmTOL(t)
-	for name, translate := range map[string]func(){
-		"translateBB":         func() { bbAt(t, tl, small) },
-		"translateSuperblock": func() { superblockAt(t, tl, loop) }, // formation included
+	rp := recordTranslations(t, "ragdoll")
+	for _, c := range []struct {
+		name      string
+		n         int // translations per call
+		translate func()
+	}{
+		{"translateBB", 1, func() { bbAt(t, tl, small) }},
+		{"translateSuperblock", 1, func() { superblockAt(t, tl, loop) }}, // formation included
+		{"ragdoll replay", len(rp.steps), func() { rp.replay(t) }},
 	} {
-		translate() // warm the scratch
-		if n := testing.AllocsPerRun(50, translate); n >= 10 {
-			t.Errorf("%s: %.0f allocations per warm translation, want fewer than 10", name, n)
+		c.translate() // warm the scratch
+		if n := testing.AllocsPerRun(5, c.translate) / float64(c.n); n >= 10 {
+			t.Errorf("%s: %.1f allocations per warm translation, want fewer than 10", c.name, n)
 		}
 	}
 }
