@@ -344,12 +344,6 @@ type move struct {
 	srcVal ValueID
 }
 
-// readsPinned reports whether the move's source is pinned register reg
-// of class fp.
-func (m *move) readsPinned(reg uint8, fp bool) bool {
-	return m.srcLoc.Kind == LocPinned && uint8(m.srcLoc.N) == reg && m.srcLoc.FP == fp
-}
-
 // emitMove writes m's source, or register src when src >= 0, to m.dst.
 func (g *gen) emitMove(m move, src int, gpc uint32) {
 	in := host.Inst{Op: host.MOVH, Rd: m.dst, Ra: uint8(m.srcLoc.N), GPC: gpc}
@@ -374,6 +368,10 @@ func (g *gen) emitMove(m move, src int, gpc uint32) {
 // parallelMoves writes the exit state into the pinned registers,
 // breaking pinned→pinned cycles with the scratch register.
 func (g *gen) parallelMoves(state []ArchVal, gpc uint32) {
+	// readers[c][r] counts the pending moves that read pinned register r
+	// of class c (0 int, 1 FP): a move may write its destination once
+	// none does.
+	var readers [2][64]uint8
 	pending := g.pending[:0]
 	for _, av := range state {
 		dst, fp := PinnedHostReg(av.Arch)
@@ -382,30 +380,29 @@ func (g *gen) parallelMoves(state []ArchVal, gpc uint32) {
 			continue // value unchanged
 		}
 		pending = append(pending, move{dst: dst, fp: fp, srcLoc: l, srcVal: av.Val})
+		if l.Kind == LocPinned {
+			readers[b2u(l.FP)][l.N]++
+		}
 	}
 	g.pending = pending[:0] // keep the buffer; the loop below consumes the slice
-	// saved[c] has bit r set once pinned register r of class c (0 int,
-	// 1 FP) was saved to the class's scratch register: moves still
-	// reading r read the scratch instead.
+	// saved[c] has bit r set once pinned register r of class c was saved
+	// to the class's scratch register: moves still reading r read the
+	// scratch instead.
 	var saved [2]uint64
 	scratch := [2]int{IntScr1, FPScr1}
 	for len(pending) > 0 {
 		progress := false
 		for i := 0; i < len(pending); i++ {
 			m := pending[i]
-			blocked := false
-			for j := range pending {
-				if j != i && pending[j].readsPinned(m.dst, m.fp) {
-					blocked = true
-					break
-				}
-			}
-			if blocked {
+			if readers[b2u(m.fp)][m.dst] > 0 {
 				continue
 			}
 			src, c := -1, b2u(m.srcLoc.FP)
-			if m.srcLoc.Kind == LocPinned && m.srcLoc.FP == m.fp && saved[c]>>uint(m.srcLoc.N)&1 != 0 {
-				src = scratch[c]
+			if m.srcLoc.Kind == LocPinned {
+				readers[c][m.srcLoc.N]--
+				if m.srcLoc.FP == m.fp && saved[c]>>uint(m.srcLoc.N)&1 != 0 {
+					src = scratch[c]
+				}
 			}
 			g.emitMove(m, src, gpc)
 			pending = append(pending[:i], pending[i+1:]...)
@@ -420,6 +417,9 @@ func (g *gen) parallelMoves(state []ArchVal, gpc uint32) {
 			c := b2u(m.fp)
 			g.emitMove(move{dst: uint8(scratch[c]), fp: m.fp}, int(m.dst), gpc)
 			saved[c] |= 1 << m.dst
+			if m.srcLoc.Kind == LocPinned {
+				readers[b2u(m.srcLoc.FP)][m.srcLoc.N]--
+			}
 			g.emitMove(m, -1, gpc)
 			pending = pending[1:]
 		}

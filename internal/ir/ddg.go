@@ -64,6 +64,12 @@ func classify(a, b memRef) AliasClass {
 	return AliasMay
 }
 
+// memOp is a load or store a pass has gone by, with its reference.
+type memOp struct {
+	ref memRef
+	idx int
+}
+
 // MemOptStats reports what the DDG memory phase removed.
 type MemOptStats struct {
 	LoadsEliminated  int // redundant load elimination + store forwarding
@@ -76,19 +82,15 @@ type availEntry struct {
 	val ValueID
 }
 
-// storeEntry is a store that may still be overwritten unobserved.
-type storeEntry struct {
-	ref      memRef
-	idx      int
-	observed bool // an exit or may-alias load occurred after it
-}
-
 // MemOpt performs redundant load elimination, store-to-load forwarding
-// and dead store elimination in one forward scan.
+// and dead store elimination in one forward scan. Both of its lists stay
+// short: a store keeps only the known values it cannot alias, and the
+// pending stores (those a later store may still kill unobserved) lose
+// each one a load may read, and all of them at an exit.
 func (r *Region) MemOpt() MemOptStats {
 	s := r.constTable()
 	s.resolve = grow(s.resolve, r.NumValues+1)
-	resolve, avail, stores := s.resolve, s.avail[:0], s.stores[:0]
+	resolve, avail, pending := s.resolve, s.avail[:0], s.pending[:0]
 	var st MemOptStats
 
 	for i := range r.Code {
@@ -111,27 +113,29 @@ func (r *Region) MemOpt() MemOptStats {
 			if hit {
 				break
 			}
-			for j := range stores {
-				if classify(stores[j].ref, ref) != AliasNever {
-					stores[j].observed = true
+			kept := pending[:0]
+			for _, p := range pending {
+				if classify(p.ref, ref) == AliasNever {
+					kept = append(kept, p)
 				}
 			}
+			pending = kept
 			avail = append(avail, availEntry{ref: ref, val: in.Dst})
 		case in.IsStore():
 			ref := s.memRefOf(in)
-			// Dead store elimination: a prior unobserved store to the
-			// exact location is overwritten.
-			for j := range stores {
-				if !stores[j].observed && classify(stores[j].ref, ref) == AliasMust {
-					dead := &r.Code[stores[j].idx]
+			// Dead store elimination: a pending store to the exact
+			// location is overwritten.
+			for j := range pending {
+				if classify(pending[j].ref, ref) == AliasMust {
+					dead := &r.Code[pending[j].idx]
 					dead.Op = Nop
 					dead.A, dead.B = 0, 0
 					st.StoresEliminated++
-					stores[j] = storeEntry{ref: ref, idx: i}
+					pending[j] = memOp{ref: ref, idx: i}
 					goto recorded
 				}
 			}
-			stores = append(stores, storeEntry{ref: ref, idx: i})
+			pending = append(pending, memOp{ref: ref, idx: i})
 		recorded:
 			// Kill may-aliasing availability; record the stored value.
 			kept := avail[:0]
@@ -144,12 +148,10 @@ func (r *Region) MemOpt() MemOptStats {
 		case in.IsExit():
 			// A (possible) commit makes every buffered store
 			// architecturally observable.
-			for j := range stores {
-				stores[j].observed = true
-			}
+			pending = pending[:0]
 		}
 	}
-	s.avail, s.stores = avail, stores
+	s.avail, s.pending = avail, pending
 	r.compact()
 	return st
 }
@@ -163,15 +165,14 @@ type Edge struct {
 // DDG is the data dependence graph over the region's instructions.
 type DDG struct {
 	N     int
-	Succs [][]Edge
-	Preds [][]Edge
+	Succs [][]Edge // in the order the edges were found
 
 	// edges collects the graph during construction; finish() buckets it
-	// into the Succs/Preds adjacency views, which share two arenas
-	// instead of paying one allocation per node's first edge.
-	edges          []Edge
-	sArena, pArena []Edge
-	sEnd, pEnd     []int
+	// into the Succs adjacency view, which shares one arena instead of
+	// paying one allocation per node's first edge.
+	edges []Edge
+	arena []Edge
+	end   []int
 }
 
 func (g *DDG) addEdge(from, to int, breakable bool) {
@@ -181,34 +182,29 @@ func (g *DDG) addEdge(from, to int, breakable bool) {
 	g.edges = append(g.edges, Edge{From: from, To: to, Breakable: breakable})
 }
 
-// finish builds the adjacency views from the collected edge list,
+// finish builds the adjacency view from the collected edge list,
 // preserving insertion order within each node.
 func (g *DDG) finish() {
 	n := g.N
-	g.sEnd, g.pEnd = grow(g.sEnd, n), grow(g.pEnd, n)
+	g.end = grow(g.end, n)
 	for _, e := range g.edges {
-		g.sEnd[e.From]++
-		g.pEnd[e.To]++
+		g.end[e.From]++
 	}
 	// Turn each node's count into the offset its edges start at...
-	s, p := 0, 0
+	s := 0
 	for i := 0; i < n; i++ {
-		s, g.sEnd[i] = s+g.sEnd[i], s
-		p, g.pEnd[i] = p+g.pEnd[i], p
+		s, g.end[i] = s+g.end[i], s
 	}
 	// ...which placing them, in insertion order, advances to their end.
-	g.sArena, g.pArena = grow(g.sArena, len(g.edges)), grow(g.pArena, len(g.edges))
+	g.arena = grow(g.arena, len(g.edges))
 	for _, e := range g.edges {
-		g.sArena[g.sEnd[e.From]] = e
-		g.sEnd[e.From]++
-		g.pArena[g.pEnd[e.To]] = e
-		g.pEnd[e.To]++
+		g.arena[g.end[e.From]] = e
+		g.end[e.From]++
 	}
-	g.Succs, g.Preds = grow(g.Succs, n), grow(g.Preds, n)
-	s, p = 0, 0
+	g.Succs = grow(g.Succs, n)
+	s = 0
 	for i := 0; i < n; i++ {
-		g.Succs[i], s = g.sArena[s:g.sEnd[i]:g.sEnd[i]], g.sEnd[i]
-		g.Preds[i], p = g.pArena[p:g.pEnd[i]:g.pEnd[i]], g.pEnd[i]
+		g.Succs[i], s = g.arena[s:g.end[i]:g.end[i]], g.end[i]
 	}
 }
 
@@ -224,7 +220,8 @@ func (r *Region) BuildDDG() *DDG {
 	for i := range defIdx {
 		defIdx[i] = -1
 	}
-	memIdx := s.memIdx[:0] // loads and stores in order
+	mems := s.mems[:0]     // loads and stores in order
+	stores := s.stores[:0] // the stores among them
 	ctlIdx := s.ctlIdx[:0] // asserts and exits in order
 	lastExit := -1
 
@@ -243,36 +240,33 @@ func (r *Region) BuildDDG() *DDG {
 		switch {
 		case in.IsLoad():
 			ref := s.memRefOf(in)
-			for _, m := range memIdx {
-				prev := &r.Code[m]
-				if !prev.IsStore() {
-					continue
-				}
-				switch classify(s.memRefOf(prev), ref) {
+			for _, m := range stores {
+				switch classify(m.ref, ref) {
 				case AliasMust:
-					g.addEdge(m, i, false) // should have been forwarded; keep order
+					g.addEdge(m.idx, i, false) // should have been forwarded; keep order
 				case AliasMay:
-					g.addEdge(m, i, true) // breakable: speculative hoist allowed
+					g.addEdge(m.idx, i, true) // breakable: speculative hoist allowed
 				}
 			}
 			if !r.UseAsserts && lastExit >= 0 {
 				g.addEdge(lastExit, i, false)
 			}
-			memIdx = append(memIdx, i)
+			mems = append(mems, memOp{ref: ref, idx: i})
 		case in.IsStore():
 			ref := s.memRefOf(in)
-			for _, m := range memIdx {
+			for _, m := range mems {
 				// Output dependence on an earlier store, or anti
 				// dependence: the store may not move above a preceding
 				// load it may alias with.
-				if classify(s.memRefOf(&r.Code[m]), ref) != AliasNever {
-					g.addEdge(m, i, false)
+				if classify(m.ref, ref) != AliasNever {
+					g.addEdge(m.idx, i, false)
 				}
 			}
 			if !r.UseAsserts && lastExit >= 0 {
 				g.addEdge(lastExit, i, false)
 			}
-			memIdx = append(memIdx, i)
+			mems = append(mems, memOp{ref: ref, idx: i})
+			stores = append(stores, memOp{ref: ref, idx: i})
 		case in.Op == Assert:
 			// Asserts keep their relative order and precede every exit.
 			if len(ctlIdx) > 0 {
@@ -282,8 +276,8 @@ func (r *Region) BuildDDG() *DDG {
 		case in.IsExit():
 			// Exits are barriers: every earlier memory op and control
 			// op must complete first; later memory ops stay after.
-			for _, m := range memIdx {
-				g.addEdge(m, i, false)
+			for _, m := range mems {
+				g.addEdge(m.idx, i, false)
 			}
 			if len(ctlIdx) > 0 {
 				g.addEdge(ctlIdx[len(ctlIdx)-1], i, false)
@@ -292,7 +286,7 @@ func (r *Region) BuildDDG() *DDG {
 			lastExit = i
 		}
 	}
-	s.memIdx, s.ctlIdx = memIdx, ctlIdx
+	s.mems, s.stores, s.ctlIdx = mems, stores, ctlIdx
 	g.finish()
 	return g
 }

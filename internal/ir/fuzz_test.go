@@ -79,13 +79,10 @@ func FuzzRegionPipeline(f *testing.F) {
 		sameCode(t, "MemOpt", reg, want)
 
 		g, wg := reg.BuildDDG(), oracleBuildDDG(want)
-		wantSuccs, wantPreds := wg.succs(), wg.preds()
+		wantSuccs := wg.succs()
 		for i := 0; i < len(reg.Code); i++ {
 			if !slices.Equal(g.Succs[i], wantSuccs[i]) {
 				t.Fatalf("BuildDDG: successors of %d are %v, oracle %v", i, g.Succs[i], wantSuccs[i])
-			}
-			if !slices.Equal(g.Preds[i], wantPreds[i]) {
-				t.Fatalf("BuildDDG: predecessors of %d are %v, oracle %v", i, g.Preds[i], wantPreds[i])
 			}
 		}
 		if got, exp := reg.Schedule(g, maxSpec), oracleSchedule(want, wg, maxSpec); got != exp {

@@ -264,22 +264,27 @@ type Scratch struct {
 	defIdx, lastUse []int
 	live, needReg   []bool
 
-	seen   map[cseKey]ValueID
-	avail  []availEntry
-	stores []storeEntry
+	vals    valueTable // the front end's constant pool, then CSE's table
+	avail   []availEntry
+	pending []memOp // MemOpt's stores a later store may still kill
 
-	ddg            DDG
-	memIdx, ctlIdx []int
+	ddg          DDG
+	mems, stores []memOp // BuildDDG's accesses, and the stores among them
+	ctlIdx       []int
 
 	// Schedule's tables, indexed by instruction, and its two lists.
 	height, hardPreds, softPreds, readyTime []int
-	scheduled                               []bool
 	ready, order                            []int
 
-	alloc  Alloc
-	ivs    []interval
-	active []activeIv
-	free   []int
+	// The linear scan's intervals, free stack, register holders and
+	// expiry lists (values by last use: ending by instruction, linked
+	// through nextEnding by value).
+	alloc              Alloc
+	ivs                []interval
+	free               []int
+	held               [64]heldReg
+	batch              []heldReg
+	ending, nextEnding []ValueID
 
 	gen gen
 	out GenResult
@@ -290,6 +295,7 @@ type Scratch struct {
 func (s *Scratch) NewRegion(entry uint32, useAsserts bool) *Region {
 	s.region = Region{Entry: entry, UseAsserts: useAsserts, Code: s.region.Code[:0], s: s}
 	s.state = s.state[:0]
+	s.vals.reset()
 	return &s.region
 }
 

@@ -46,6 +46,11 @@ func oracleCSE(r *Region) int {
 func oracleMemOpt(r *Region) MemOptStats {
 	s := r.constTable()
 	resolve := make([]ValueID, r.NumValues+1)
+	type storeEntry struct {
+		ref      memRef
+		idx      int
+		observed bool // an exit or may-alias load occurred after it
+	}
 	var avail []availEntry
 	var stores []storeEntry
 	var st MemOptStats

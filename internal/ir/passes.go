@@ -86,15 +86,25 @@ func (in *Inst) forward(resolve []ValueID) {
 	}
 }
 
-// compact drops the Nops the passes leave behind.
+// compact drops the Nops the passes leave behind, moving each run of
+// survivors with one copy: an Inst is 96 bytes.
 func (r *Region) compact() {
-	out := r.Code[:0]
-	for i := range r.Code {
-		if r.Code[i].Op != Nop {
-			out = append(out, r.Code[i])
+	code, w := r.Code, 0
+	for i := 0; i < len(code); {
+		if code[i].Op == Nop {
+			i++
+			continue
 		}
+		j := i + 1
+		for j < len(code) && code[j].Op != Nop {
+			j++
+		}
+		if w != i {
+			copy(code[w:], code[i:j])
+		}
+		w, i = w+j-i, j
 	}
-	r.Code = out
+	r.Code = code[:w]
 }
 
 // resetConsts empties the constant table (indexed by value number) and
@@ -148,8 +158,8 @@ func (r *Region) ForwardPass() int {
 			in.Dst, in.A = 0, 0
 			changed++
 		default:
-			if in.Dst == 0 {
-				continue
+			if in.Dst == 0 || s.constOp[in.A] == Nop && s.constOp[in.B] == Nop {
+				continue // every fold below needs a constant operand
 			}
 			ca, aok := constI(in.A)
 			cb, bok := constI(in.B)
@@ -334,16 +344,92 @@ type cseKey struct {
 	immf uint64
 }
 
+// valueTable maps computations to the value that first computed them:
+// open addressing over a power-of-two slot array that holds at most
+// half its slots. A slot belongs to the current region only if it
+// carries the table's generation, so starting a region costs one
+// increment, not a clear.
+type valueTable struct {
+	slots []valueSlot
+	gen   uint32
+	n     int // slots of this generation
+}
+
+type valueSlot struct {
+	key cseKey
+	val ValueID
+	gen uint32
+}
+
+// reset empties the table.
+func (t *valueTable) reset() {
+	t.gen++
+	t.n = 0
+	if t.gen == 0 { // wrapped: stale slots could claim the new generation
+		clear(t.slots)
+		t.gen = 1
+	}
+}
+
+// slot returns k's slot: its entry, or the empty slot an insert of k
+// fills. A slot is good until the next insert.
+func (t *valueTable) slot(k cseKey) *valueSlot {
+	if 2*(t.n+1) > len(t.slots) {
+		t.rehash()
+	}
+	h := (uint64(uint32(k.a))<<32 | uint64(uint32(k.b))) * 0x9E3779B97F4A7C15
+	h ^= (uint64(k.immu)<<8 | uint64(k.op)) * 0xC2B2AE3D27D4EB4F
+	h ^= k.immf * 0x165667B19E3779F9
+	mask := uint64(len(t.slots) - 1)
+	for i := h >> 32 & mask; ; i = (i + 1) & mask {
+		if sl := &t.slots[i]; sl.gen != t.gen || sl.key == k {
+			return sl
+		}
+	}
+}
+
+// insert fills the empty slot sl, which slot(k) returned, with k.
+func (t *valueTable) insert(sl *valueSlot, k cseKey, v ValueID) {
+	*sl = valueSlot{key: k, val: v, gen: t.gen}
+	t.n++
+}
+
+// rehash doubles the slot array, keeping this generation's entries.
+func (t *valueTable) rehash() {
+	old := t.slots
+	t.slots = make([]valueSlot, max(64, 2*len(old)))
+	gen := t.gen
+	t.reset()
+	for i := range old {
+		if sl := &old[i]; sl.gen == gen {
+			t.insert(t.slot(sl.key), sl.key, sl.val)
+		}
+	}
+}
+
+// Const returns the region's value for the constant in, a ConstI or a
+// ConstF, emitting in the first time the region asks for it: the
+// front end's constant pool, over the table CSE uses afterwards.
+func (r *Region) Const(in Inst) ValueID {
+	t := &r.scratch().vals
+	k := cseKey{op: in.Op, immu: in.ImmU, immf: math.Float64bits(in.ImmF)}
+	sl := t.slot(k)
+	if sl.gen == t.gen {
+		return sl.val
+	}
+	in.Dst = r.NewValue()
+	t.insert(sl, k, in.Dst)
+	r.Emit(in)
+	return in.Dst
+}
+
 // CSE performs local value numbering over pure instructions: identical
 // (op, operands, immediate) pairs collapse to the first occurrence.
 // Memory and control instructions are untouched (redundant loads are the
 // DDG phase's job).
 func (r *Region) CSE() int {
 	s := r.scratch()
-	if s.seen == nil {
-		s.seen = make(map[cseKey]ValueID)
-	}
-	clear(s.seen)
+	s.vals.reset()
 	s.resolve = grow(s.resolve, r.NumValues+1)
 	resolve, removed := s.resolve, 0
 	for i := range r.Code {
@@ -356,14 +442,14 @@ func (r *Region) CSE() int {
 		if commutative(in.Op) && in.B < in.A {
 			k.a, k.b = in.B, in.A
 		}
-		if prev, ok := s.seen[k]; ok {
-			resolve[in.Dst] = prev
+		if sl := s.vals.slot(k); sl.gen == s.vals.gen {
+			resolve[in.Dst] = sl.val
 			in.Op = Nop
 			in.Dst, in.A, in.B = 0, 0, 0
 			removed++
-			continue
+		} else {
+			s.vals.insert(sl, k, in.Dst)
 		}
-		s.seen[k] = in.Dst
 	}
 	return removed
 }

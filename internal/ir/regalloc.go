@@ -1,9 +1,7 @@
 package ir
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"darco/internal/host"
 )
@@ -81,11 +79,11 @@ type interval struct {
 	fp         bool
 }
 
-// activeIv is an interval currently holding a register.
-type activeIv struct {
-	end int
-	v   ValueID
-	reg int
+// heldReg is a register's current holder in the linear scan.
+type heldReg struct {
+	v         ValueID
+	end       int
+	reg, rank int
 }
 
 // PinnedHostReg maps an architectural register to its pinned host register.
@@ -145,74 +143,97 @@ func (r *Region) Allocate() *Alloc {
 	}
 
 	// Constants that never need a register are immediates; the linear
-	// scan covers the remaining defined values.
+	// scan covers the remaining defined values, in definition order.
 	ivs := s.ivs[:0]
-	for v := ValueID(1); int(v) <= r.NumValues; v++ {
-		switch {
+	for i := range r.Code {
+		in := &r.Code[i]
+		switch v := in.Dst; {
+		case v == 0 || defIdx[v] != i:
 		case constOp[v] != Nop && !needReg[v]:
 			a.Loc[v] = Loc{Kind: LocImm, FP: constOp[v] == ConstF}
-		case a.Loc[v].Kind == LocNone && defIdx[v] >= 0:
-			fp := r.Code[defIdx[v]].FPResult()
-			ivs = append(ivs, interval{v: v, start: defIdx[v], end: max(lastUse[v], defIdx[v]), fp: fp})
+		case a.Loc[v].Kind == LocNone:
+			ivs = append(ivs, interval{v: v, start: i, end: max(lastUse[v], i), fp: in.FPResult()})
 		}
 	}
-	slices.SortFunc(ivs, func(x, y interval) int {
-		return cmp.Or(cmp.Compare(x.start, y.start), cmp.Compare(x.v, y.v))
-	})
 	s.ivs = ivs
+	s.ending = grow(s.ending, n)
+	s.nextEnding = grow(s.nextEnding, r.NumValues+1)
+	s.scan(a, false, intTempLo, intTempHi, &a.IntSlots)
+	s.scan(a, true, fpTempLo, fpTempHi, &a.FPSlots)
+	return a
+}
 
-	alloc := func(fp bool, lo, hi int, slots *int) {
-		free, active := s.free[:0], s.active[:0]
-		for reg := lo; reg <= hi; reg++ {
-			free = append(free, reg)
+// scan runs the linear scan over one register class's intervals.
+//
+// A register is either on the free stack or held by the interval it
+// was last given to, so what is active is s.held[lo..hi]. Each holder
+// carries its rank in the active list of the textbook form — where an
+// expiry appends freed registers to the stack in list order and a spill
+// takes the first of the furthest-ending intervals — which a new holder
+// gets past every other and a spill's replacement inherits from its
+// victim. Intervals are linked into s.ending by their last use, so an
+// expiry visits only what ends, and sorts that (usually one or two) by
+// rank. Values a spill evicted stay linked and are skipped: they are no
+// longer in a register.
+func (s *Scratch) scan(a *Alloc, fp bool, lo, hi int, slots *int) {
+	free := s.free[:0]
+	for reg := lo; reg <= hi; reg++ {
+		free = append(free, reg)
+	}
+	ending, next := s.ending, s.nextEnding
+	clear(ending)
+	expired, rank := 0, 0 // ends below expired have been expired
+	batch := s.batch
+	for _, iv := range s.ivs {
+		if iv.fp != fp {
+			continue
 		}
-		for _, iv := range ivs {
-			if iv.fp != fp {
-				continue
-			}
-			// Expire.
-			kept := active[:0]
-			for _, ac := range active {
-				if ac.end < iv.start {
-					free = append(free, ac.reg)
-				} else {
-					kept = append(kept, ac)
+		batch = batch[:0]
+		for ; expired < iv.start; expired++ {
+			for v := ending[expired]; v != 0; v = next[v] {
+				if l := a.Loc[v]; l.Kind == LocReg {
+					batch = append(batch, s.held[l.N])
 				}
 			}
-			active = kept
-			if len(free) > 0 {
-				reg := free[len(free)-1]
-				free = free[:len(free)-1]
-				a.Loc[iv.v] = Loc{Kind: LocReg, N: reg, FP: fp}
-				active = append(active, activeIv{end: iv.end, v: iv.v, reg: reg})
-				continue
+		}
+		for k := 1; k < len(batch); k++ { // insertion sort by rank
+			for j := k; j > 0 && batch[j].rank < batch[j-1].rank; j-- {
+				batch[j], batch[j-1] = batch[j-1], batch[j]
 			}
-			// Spill the active interval with the furthest end, or the
-			// current one if it ends last.
-			far := -1
-			for k, ac := range active {
-				if far < 0 || ac.end > active[far].end {
-					far = k
+		}
+		for _, h := range batch {
+			free = append(free, h.reg)
+		}
+
+		reg, r := -1, rank
+		if len(free) > 0 {
+			reg, free = free[len(free)-1], free[:len(free)-1]
+			rank++
+		} else {
+			// Spill the interval with the furthest end, or the current
+			// one if it ends last.
+			far := &s.held[lo]
+			for k := lo + 1; k <= hi; k++ {
+				if h := &s.held[k]; h.end > far.end || h.end == far.end && h.rank < far.rank {
+					far = h
 				}
 			}
-			if far >= 0 && active[far].end > iv.end {
-				victim := active[far]
-				a.Loc[victim.v] = Loc{Kind: LocSlot, N: *slots, FP: fp}
-				*slots++
-				a.Spills++
-				a.Loc[iv.v] = Loc{Kind: LocReg, N: victim.reg, FP: fp}
-				active[far] = activeIv{end: iv.end, v: iv.v, reg: victim.reg}
-			} else {
+			if far.end <= iv.end {
 				a.Loc[iv.v] = Loc{Kind: LocSlot, N: *slots, FP: fp}
 				*slots++
 				a.Spills++
+				continue
 			}
+			a.Loc[far.v] = Loc{Kind: LocSlot, N: *slots, FP: fp}
+			*slots++
+			a.Spills++
+			reg, r = far.reg, far.rank
 		}
-		s.free, s.active = free, active
+		a.Loc[iv.v] = Loc{Kind: LocReg, N: reg, FP: fp}
+		s.held[reg] = heldReg{v: iv.v, end: iv.end, reg: reg, rank: r}
+		next[iv.v], ending[iv.end] = ending[iv.end], iv.v
 	}
-	alloc(false, intTempLo, intTempHi, &a.IntSlots)
-	alloc(true, fpTempLo, fpTempHi, &a.FPSlots)
-	return a
+	s.free, s.batch = free, batch
 }
 
 // isExitStateUse reports whether v is used by in only as exit-state

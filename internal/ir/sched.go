@@ -48,33 +48,32 @@ func (r *Region) Schedule(g *DDG, maxSpec int) SchedStats {
 
 	s := r.scratch()
 	s.height, s.hardPreds, s.softPreds = grow(s.height, n), grow(s.hardPreds, n), grow(s.softPreds, n)
-	s.readyTime, s.scheduled = grow(s.readyTime, n), grow(s.scheduled, n)
-	height, readyTime, scheduled := s.height, s.readyTime, s.scheduled
+	s.readyTime = grow(s.readyTime, n)
+	height, readyTime := s.height, s.readyTime
 	hardPreds := s.hardPreds // unscheduled non-breakable preds
 	softPreds := s.softPreds // unscheduled breakable preds
 
 	// Critical-path height (including breakable edges: speculation is
 	// opportunistic, priorities assume edges hold).
 	for i := n - 1; i >= 0; i-- {
-		h := latencyOf(r.Code[i].Op)
+		lat := latencyOf(r.Code[i].Op)
+		h := lat
 		for _, e := range g.Succs[i] {
-			if v := height[e.To] + latencyOf(r.Code[i].Op); v > h {
-				h = v
+			h = max(h, height[e.To]+lat)
+			if e.Breakable {
+				softPreds[e.To]++
+			} else {
+				hardPreds[e.To]++
 			}
 		}
 		height[i] = h
 	}
-	for i := 0; i < n; i++ {
-		for _, e := range g.Preds[i] {
-			if e.Breakable {
-				softPreds[i]++
-			} else {
-				hardPreds[i]++
-			}
-		}
-	}
 
-	ready := s.ready[:0] // hard-ready instructions
+	// The ready list holds the unscheduled instructions whose hard
+	// predecessors are all scheduled, in the order they became so: that
+	// order breaks ties between equal candidates, so a pick leaves it
+	// in place and only closes the gap.
+	ready := s.ready[:0]
 	for i := 0; i < n; i++ {
 		if hardPreds[i] == 0 {
 			ready = append(ready, i)
@@ -88,45 +87,40 @@ func (r *Region) Schedule(g *DDG, maxSpec int) SchedStats {
 	// better orders candidates by earliest readiness, then by critical
 	// path height.
 	better := func(i, j int) bool {
-		if j < 0 {
-			return true
-		}
 		if readyTime[i] != readyTime[j] {
 			return readyTime[i] < readyTime[j]
 		}
 		return height[i] > height[j]
 	}
+	// pick returns the position in ready of the next instruction.
 	pick := func() int {
-		bestNS, bestS := -1, -1
-		for _, i := range ready {
-			if scheduled[i] {
-				continue
-			}
+		bestNS, bestS := -1, -1 // positions
+		for k, i := range ready {
 			if softPreds[i] > 0 {
-				if specUsed < maxSpec && r.Code[i].IsLoad() && better(i, bestS) {
-					bestS = i
+				if specUsed < maxSpec && r.Code[i].IsLoad() && (bestS < 0 || better(i, ready[bestS])) {
+					bestS = k
 				}
 				continue
 			}
-			if better(i, bestNS) {
-				bestNS = i
+			if bestNS < 0 || better(i, ready[bestNS]) {
+				bestNS = k
 			}
 		}
 		// Speculatively hoist a load only when it can issue now and the
 		// best in-order candidate would stall the pipeline.
-		if bestS >= 0 && readyTime[bestS] <= time &&
-			(bestNS < 0 || readyTime[bestNS] > time) {
+		if bestS >= 0 && readyTime[ready[bestS]] <= time &&
+			(bestNS < 0 || readyTime[ready[bestNS]] > time) {
 			specUsed++
 			st.SpecLoads++
-			r.Code[bestS].Spec = true
+			r.Code[ready[bestS]].Spec = true
 			return bestS
 		}
 		return bestNS
 	}
 
 	for len(order) < n {
-		i := pick()
-		if i < 0 {
+		k := pick()
+		if k < 0 {
 			// Unreachable with a well-formed DAG: the topologically
 			// first unscheduled instruction always has every pred
 			// scheduled and is therefore pickable without speculation.
@@ -138,7 +132,8 @@ func (r *Region) Schedule(g *DDG, maxSpec int) SchedStats {
 			}
 			return SchedStats{Length: n}
 		}
-		scheduled[i] = true
+		i := ready[k]
+		ready = append(ready[:k], ready[k+1:]...)
 		if readyTime[i] > time {
 			time = readyTime[i]
 		}
@@ -148,14 +143,11 @@ func (r *Region) Schedule(g *DDG, maxSpec int) SchedStats {
 		for _, e := range g.Succs[i] {
 			if e.Breakable {
 				softPreds[e.To]--
-			} else {
-				hardPreds[e.To]--
+			} else if hardPreds[e.To]--; hardPreds[e.To] == 0 {
+				ready = append(ready, e.To)
 			}
 			if done > readyTime[e.To] {
 				readyTime[e.To] = done
-			}
-			if hardPreds[e.To] == 0 && !scheduled[e.To] {
-				ready = append(ready, e.To)
 			}
 		}
 		if time > st.Length {

@@ -2,7 +2,6 @@ package tol
 
 import (
 	"fmt"
-	"math"
 
 	"darco/internal/guest"
 	"darco/internal/ir"
@@ -72,8 +71,6 @@ type xlate struct {
 	livein  [ir.NumArchRegs]ir.ValueID // entry values; 0 = not read
 	flags   [numFlags]flagSrc
 	setters []setter // setters[0] is the "no setter" placeholder
-	consts  map[uint32]ir.ValueID
-	constsF map[uint64]ir.ValueID
 
 	// eager disables lazy flag materialization (ablation).
 	eager bool
@@ -104,13 +101,7 @@ type scratch struct {
 // newXlate resets the translator state for a new region.
 func (s *scratch) newXlate(entry uint32, useAsserts, eager bool) *xlate {
 	x := &s.x
-	if x.consts == nil {
-		x.consts, x.constsF = make(map[uint32]ir.ValueID), make(map[uint64]ir.ValueID)
-	}
-	clear(x.consts)
-	clear(x.constsF)
-	*x = xlate{r: s.ir.NewRegion(entry, useAsserts), eager: eager,
-		setters: append(x.setters[:0], setter{}), consts: x.consts, constsF: x.constsF}
+	*x = xlate{r: s.ir.NewRegion(entry, useAsserts), eager: eager, setters: append(x.setters[:0], setter{})}
 	return x
 }
 
@@ -124,32 +115,28 @@ func (x *xlate) emit(in ir.Inst) ir.ValueID {
 	return in.Dst
 }
 
+// constI and constF return the region's value for a constant, emitting
+// it at the first instruction that needs it.
 func (x *xlate) constI(v uint32) ir.ValueID {
-	if id, ok := x.consts[v]; ok {
-		return id
-	}
-	id := x.emit(ir.Inst{Op: ir.ConstI, Dst: -1, ImmU: v})
-	x.consts[v] = id
-	return id
+	return x.r.Const(ir.Inst{Op: ir.ConstI, ImmU: v, GPC: x.gpc})
 }
 
 func (x *xlate) constF(v float64) ir.ValueID {
-	bits := math.Float64bits(v)
-	if id, ok := x.constsF[bits]; ok {
-		return id
-	}
-	id := x.emit(ir.Inst{Op: ir.ConstF, Dst: -1, ImmF: v})
-	x.constsF[bits] = id
-	return id
+	return x.r.Const(ir.Inst{Op: ir.ConstF, ImmF: v, GPC: x.gpc})
 }
 
+// op2 and op1 emit a computation, building it in its slot of the
+// region: copying a ~100-byte ir.Inst into place costs more than the
+// rest of the append.
 func (x *xlate) op2(op ir.Op, a, b ir.ValueID) ir.ValueID {
-	return x.emit(ir.Inst{Op: op, Dst: -1, A: a, B: b})
+	r := x.r
+	r.Code = append(r.Code, ir.Inst{})
+	in := &r.Code[len(r.Code)-1]
+	in.Op, in.Dst, in.A, in.B, in.GPC = op, r.NewValue(), a, b, x.gpc
+	return in.Dst
 }
 
-func (x *xlate) op1(op ir.Op, a ir.ValueID) ir.ValueID {
-	return x.emit(ir.Inst{Op: op, Dst: -1, A: a})
-}
+func (x *xlate) op1(op ir.Op, a ir.ValueID) ir.ValueID { return x.op2(op, a, 0) }
 
 // get reads the current value of an architectural register, creating its
 // LiveIn on first touch.
