@@ -42,7 +42,7 @@ var fuzzScratch Scratch
 // input generates and holds every pass the oracles in oracle_test.go
 // specify to its oracle: CSE, MemOpt, BuildDDG, Schedule and Allocate
 // must leave the oracle's exact instruction order, Spec marks, counts,
-// SchedStats, dependence edges, locations and slot counts.
+// SchedStats, successor lists, locations and slot counts.
 //
 // Input byte 0 picks the shape: bit 0 a spill-pressure region (more
 // live values than either register pool holds), bit 1 a speculation
