@@ -274,3 +274,17 @@ func (v *promChecker) finish() error {
 	}
 	return nil
 }
+
+// PromFamilies keeps an exposition's "# HELP" and "# TYPE" lines in
+// order: the family list, names, help texts and types, without the
+// values. It is what the daemons' /metrics goldens pin.
+func PromFamilies(exposition []byte) []byte {
+	var out bytes.Buffer
+	for line := range strings.SplitSeq(string(exposition), "\n") {
+		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			out.WriteString(line)
+			out.WriteByte('\n')
+		}
+	}
+	return out.Bytes()
+}
