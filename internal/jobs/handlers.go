@@ -230,10 +230,3 @@ func (k *Kernel) handleEvents(w http.ResponseWriter, r *http.Request) {
 		stream.ServeStream(w, r, j.events, EventState, func() any { return j.Status() })
 	}
 }
-
-// handleMetrics serves the daemon's obs.Registry as Prometheus text
-// exposition.
-func (k *Kernel) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", obs.ContentType)
-	k.metrics.reg.WritePrometheus(w)
-}

@@ -115,6 +115,9 @@ type Config struct {
 	// MetricPrefix names the common metric families: <prefix>_jobs,
 	// <prefix>_queue_depth, ...
 	MetricPrefix string
+	// Metrics, when non-nil, writes the daemon's own families on every
+	// /metrics scrape, after the job families.
+	Metrics func(*obs.Writer)
 }
 
 // Kernel is the job machinery behind one daemon: an http.Handler for
@@ -125,7 +128,7 @@ type Kernel struct {
 	log       *slog.Logger
 	mux       *http.ServeMux
 	jobs      registry
-	metrics   *kernelMetrics
+	queueWait *obs.Histogram // <prefix>_job_queue_wait_seconds
 	start     time.Time
 	recovered Recovered
 
@@ -159,7 +162,7 @@ func New(cfg Config) *Kernel {
 	}
 	k.jobs.jobs = make(map[string]*Job)
 	k.baseCtx, k.stop = context.WithCancel(context.Background())
-	k.initMetrics()
+	k.queueWait = obs.NewHistogram(obs.ExpBuckets(0.001, 4, 10))
 	requeue := k.restoreJobs()
 	// The submission capacity check is against the configured capacity,
 	// so a channel widened for a restored backlog does not raise the
@@ -188,9 +191,6 @@ func (k *Kernel) Start() {
 
 // ServeHTTP serves the job routes and /metrics.
 func (k *Kernel) ServeHTTP(w http.ResponseWriter, r *http.Request) { k.mux.ServeHTTP(w, r) }
-
-// Registry is the daemon's metrics registry, for the families only it has.
-func (k *Kernel) Registry() *obs.Registry { return k.metrics.reg }
 
 // What the daemons' /healthz payloads report: the worker count and
 // queue capacity after defaulting, how many accepted jobs are waiting
@@ -358,7 +358,7 @@ func (k *Kernel) runJob(j *Job) {
 	started, submitted := j.started, j.submitted
 	j.mu.Unlock()
 	if !j.resumed {
-		k.metrics.queueWait.Observe(started.Sub(submitted).Seconds())
+		k.queueWait.Observe(started.Sub(submitted).Seconds())
 		j.RecordSpan(obs.NewSpan(j.TraceID, j.rootSpan, "queue-wait", k.cfg.Service, submitted, started))
 		k.Journal(store.Record{Kind: store.KindStarted, Job: j.ID, Time: started})
 	}

@@ -52,22 +52,12 @@ func (c *EngineCounters) Snapshot() EngineCountersSnapshot {
 }
 
 // Delta is shorthand for c.Snapshot().Sub(prev): the counter movement
-// since a previous snapshot. The paired A/B perf harness brackets each
-// measured repetition with Snapshot/Delta to attribute cache traffic
-// to exactly that repetition even when the counters instance is shared
-// across runs.
+// since a previous snapshot. The repository benchmark brackets each
+// measured round with Snapshot/Delta to attribute cache traffic to
+// exactly that round even when the counters instance is shared across
+// runs.
 func (c *EngineCounters) Delta(prev EngineCountersSnapshot) EngineCountersSnapshot {
 	return c.Snapshot().Sub(prev)
-}
-
-// Reset zeroes every counter. Only safe between runs — concurrent
-// updates during a reset land unpredictably on either side of it.
-func (c *EngineCounters) Reset() {
-	c.DecodeHits.Store(0)
-	c.DecodeMisses.Store(0)
-	c.BlockHits.Store(0)
-	c.BlockMisses.Store(0)
-	c.CodeFlushes.Store(0)
 }
 
 // Sub returns the delta s - prev, for per-phase attribution when one
@@ -80,13 +70,6 @@ func (s EngineCountersSnapshot) Sub(prev EngineCountersSnapshot) EngineCountersS
 		BlockMisses:  s.BlockMisses - prev.BlockMisses,
 		CodeFlushes:  s.CodeFlushes - prev.CodeFlushes,
 	}
-}
-
-// EqualDeterministic reports whether two snapshots match. Every
-// counter is machine-independent, so this is plain equality; the perf
-// regression gate and the A/B harness compare snapshots through it.
-func (s EngineCountersSnapshot) EqualDeterministic(o EngineCountersSnapshot) bool {
-	return s == o
 }
 
 // DecodeHitRate is hits/(hits+misses), 0 when no lookups happened.

@@ -8,170 +8,160 @@ import (
 )
 
 func TestCounterGaugeExposition(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("darco_things_total", "Things seen.")
-	c.Add(3)
-	c.Inc()
-	g := r.Gauge("darco_depth", "Queue depth.")
-	g.Set(7)
-	v := r.GaugeVec("darco_jobs", "Jobs by state.", "state")
-	v.With("queued").Set(2)
-	v.With("running").Set(1)
+	var w Writer
+	w.Counter("darco_things_total", "Things seen.", 4)
+	w.Gauge("darco_depth", "Queue depth.", 7)
+	w.LabelledGauge("darco_jobs", "Jobs by state.", "state", Series{"queued", 2}, Series{"running", 1})
 
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# HELP darco_things_total Things seen.\n",
-		"# TYPE darco_things_total counter\n",
-		"darco_things_total 4\n",
-		"# TYPE darco_depth gauge\n",
-		"darco_depth 7\n",
-		`darco_jobs{state="queued"} 2` + "\n",
-		`darco_jobs{state="running"} 1` + "\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q in:\n%s", want, out)
-		}
+	want := `# HELP darco_things_total Things seen.
+# TYPE darco_things_total counter
+darco_things_total 4
+# HELP darco_depth Queue depth.
+# TYPE darco_depth gauge
+darco_depth 7
+# HELP darco_jobs Jobs by state.
+# TYPE darco_jobs gauge
+darco_jobs{state="queued"} 2
+darco_jobs{state="running"} 1
+`
+	if got := string(w.Bytes()); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 
+// TestVecSeriesOrderStable: families come out in call order and a
+// labelled family's series in the order given, whatever the values.
 func TestVecSeriesOrderStable(t *testing.T) {
-	r := NewRegistry()
-	v := r.GaugeVec("darco_jobs", "Jobs by state.", "state")
 	states := []string{"queued", "running", "done", "failed"}
-	for _, s := range states {
-		v.With(s).Set(0)
+	render := func(running float64) string {
+		var w Writer
+		series := make([]Series, len(states))
+		for i, s := range states {
+			series[i] = Series{Label: s}
+		}
+		series[1].Value = running
+		w.LabelledGauge("darco_jobs", "Jobs by state.", "state", series...)
+		w.Gauge("darco_after", "Written second.", 0)
+		return string(w.Bytes())
 	}
-	var b1, b2 strings.Builder
-	if err := r.WritePrometheus(&b1); err != nil {
-		t.Fatal(err)
-	}
-	v.With("running").Set(5) // touching a series must not reorder it
-	if err := r.WritePrometheus(&b2); err != nil {
-		t.Fatal(err)
-	}
-	idx := func(out, state string) int { return strings.Index(out, `{state="`+state+`"}`) }
-	for i := 1; i < len(states); i++ {
-		if idx(b2.String(), states[i-1]) > idx(b2.String(), states[i]) {
-			t.Fatalf("series order changed:\n%s", b2.String())
+	for _, out := range []string{render(0), render(5)} {
+		at := func(s string) int { return strings.Index(out, s) }
+		for i := 1; i < len(states); i++ {
+			if at(`{state="`+states[i-1]+`"}`) > at(`{state="`+states[i]+`"}`) {
+				t.Fatalf("series out of order:\n%s", out)
+			}
+		}
+		if at("darco_jobs{") > at("# HELP darco_after") {
+			t.Fatalf("families out of call order:\n%s", out)
 		}
 	}
 }
 
 func TestHistogramExposition(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("darco_wait_seconds", "Queue wait.", []float64{0.1, 1, 10})
+	h := NewHistogram([]float64{0.1, 1, 10})
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(100)
 
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE darco_wait_seconds histogram\n",
-		`darco_wait_seconds_bucket{le="0.1"} 1` + "\n",
-		`darco_wait_seconds_bucket{le="1"} 2` + "\n",
-		`darco_wait_seconds_bucket{le="10"} 2` + "\n",
-		`darco_wait_seconds_bucket{le="+Inf"} 3` + "\n",
-		"darco_wait_seconds_count 3\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q in:\n%s", want, out)
-		}
-	}
-	snap := h.Snapshot()
-	if snap.Count != 3 || math.Abs(snap.Sum-100.55) > 1e-9 {
-		t.Fatalf("snapshot = %+v", snap)
+	var w Writer
+	w.Histogram("darco_wait_seconds", "Queue wait.", h)
+	want := `# HELP darco_wait_seconds Queue wait.
+# TYPE darco_wait_seconds histogram
+darco_wait_seconds_bucket{le="0.1"} 1
+darco_wait_seconds_bucket{le="1"} 2
+darco_wait_seconds_bucket{le="10"} 2
+darco_wait_seconds_bucket{le="+Inf"} 3
+darco_wait_seconds_sum 100.55
+darco_wait_seconds_count 3
+`
+	if got := string(w.Bytes()); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 func TestHistogramBucketEdges(t *testing.T) {
-	h := NewHistogram([]float64{1, 2})
+	// Unsorted, duplicated and +Inf bounds are normalised away.
+	h := NewHistogram([]float64{2, 1, 2, math.Inf(+1)})
 	h.Observe(1) // le="1" is inclusive
 	h.Observe(2.0000001)
-	s := h.Snapshot()
-	if s.Counts[0] != 1 || s.Counts[1] != 0 || s.Counts[2] != 1 {
-		t.Fatalf("counts = %v", s.Counts)
+	var w Writer
+	w.Histogram("h", "", h)
+	out := string(w.Bytes())
+	for _, want := range []string{`h_bucket{le="1"} 1` + "\n", `h_bucket{le="2"} 1` + "\n", `h_bucket{le="+Inf"} 2` + "\n"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("want %q in:\n%s", want, out)
+		}
 	}
-}
-
-func TestOnScrapeHook(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("darco_live", "Recomputed at scrape.")
-	n := 0
-	r.OnScrape(func() { n++; g.Set(float64(n)) })
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "darco_live 2\n") {
-		t.Fatalf("hook did not run per scrape:\n%s", b.String())
+	if n := strings.Count(out, "_bucket"); n != 3 {
+		t.Fatalf("%d buckets, want 3:\n%s", n, out)
 	}
 }
 
 func TestLabelEscaping(t *testing.T) {
-	r := NewRegistry()
-	r.GaugeVec("darco_w", "", "worker").With(`http://a"b\c`).Set(1)
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := `darco_w{worker="http://a\"b\\c"} 1` + "\n"
-	if !strings.Contains(b.String(), want) {
-		t.Fatalf("want %q in:\n%s", want, b.String())
+	var w Writer
+	w.LabelledGauge("darco_w", "Line one\nline two \\ end.", "worker", Series{`http://a"b\c`, 1})
+	out := string(w.Bytes())
+	for _, want := range []string{
+		`darco_w{worker="http://a\"b\\c"} 1` + "\n",
+		`# HELP darco_w Line one\nline two \\ end.` + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("want %q in:\n%s", want, out)
+		}
 	}
 }
 
-func TestRegisterPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("ok_name", "")
-	for name, fn := range map[string]func(){
-		"duplicate": func() { r.Counter("ok_name", "") },
-		"bad name":  func() { r.Counter("0bad", "") },
-		"bad label": func() { r.CounterVec("ok2", "", "0bad") },
-		"arity":     func() { r.GaugeVec("ok3", "", "a").With("x", "y").Set(1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
+// TestConcurrentUpdates races scrapes against observations: every
+// scrape's _count equals its +Inf bucket, and once the writers are done
+// the count is exact.
+func TestConcurrentUpdates(t *testing.T) {
+	h := NewHistogram(ExpBuckets(0.001, 10, 4))
+	scrape := func() (inf, count string) {
+		var w Writer
+		w.Histogram("darco_h", "", h)
+		for line := range strings.SplitSeq(string(w.Bytes()), "\n") {
+			if v, ok := strings.CutPrefix(line, `darco_h_bucket{le="+Inf"} `); ok {
+				inf = v
+			}
+			if v, ok := strings.CutPrefix(line, "darco_h_count "); ok {
+				count = v
+			}
+		}
+		return inf, count
+	}
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			}()
-			fn()
+				if inf, count := scrape(); inf != count {
+					t.Errorf("mid-update scrape: +Inf bucket %s, count %s", inf, count)
+					return
+				}
+			}
 		}()
 	}
-}
-
-func TestConcurrentUpdates(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("darco_n_total", "")
-	h := r.Histogram("darco_h", "", ExpBuckets(0.001, 10, 4))
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
+	for range 8 {
+		writers.Add(1)
 		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
+			defer writers.Done()
+			for range 1000 {
 				h.Observe(0.01)
 			}
 		}()
 	}
-	wg.Wait()
-	if c.Value() != 8000 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-	if s := h.Snapshot(); s.Count != 8000 {
-		t.Fatalf("histogram count = %d", s.Count)
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if _, count := scrape(); count != "8000" {
+		t.Fatalf("histogram count = %s, want 8000", count)
 	}
 }
 

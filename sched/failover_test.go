@@ -193,6 +193,43 @@ func TestCoordinatorKillMidCampaign(t *testing.T) {
 	}
 }
 
+// TestDeadLeaseRedispatches: the coordinator dies mid-campaign and so
+// does the worker holding its unfinished shard. The restarted
+// coordinator cannot re-adopt that placement lease — its worker is
+// gone — so it falls back to re-dispatching the shard's missing
+// scenarios to the live worker, and the job still ends with exports
+// byte-identical to an uncrashed run.
+func TestDeadLeaseRedispatches(t *testing.T) {
+	doomed, doomedTS := newWorker(t, serve.Options{Workers: 2, QueueCapacity: 8})
+	_, live := newWorker(t, serve.Options{Workers: 2, QueueCapacity: 8})
+	dir := t.TempDir()
+
+	st1, closeSt1 := openStore(t, dir)
+	c1, ts1 := startCrashable(t, sched.Options{Workers: []string{doomedTS.URL}, Store: st1})
+	job := submit(t, ts1.URL, crashBody, http.StatusAccepted)
+	// The fast rows are journaled and the slow one is still running on
+	// the doomed worker when both die.
+	waitState(t, ts1.URL, job.ID, func(s serve.JobStatus) bool { return s.Completed >= 2 })
+	c1.Halt()
+	ts1.Close()
+	closeSt1()
+	crashWorker(t, doomed, doomedTS)
+
+	st2, _ := openStore(t, dir)
+	_, coord := newCoordinator(t, sched.Options{Workers: []string{live.URL}, Store: st2})
+	final := waitState(t, coord.URL, job.ID, func(s serve.JobStatus) bool { return s.State.Terminal() || s.State == sched.JobDegraded })
+	if final.State != serve.JobDone {
+		t.Fatalf("recovered job ended %s (%s)", final.State, final.Error)
+	}
+	compareExports(t, coord.URL+"/api/v1/jobs/"+job.ID, runReference(t, crashBody, exportPaths))
+	if v := metricValue(t, coord.URL, "darco_sched_recovery_redispatched_shards"); v < 1 {
+		t.Errorf("redispatched_shards = %d, want >= 1", v)
+	}
+	if v := metricValue(t, coord.URL, "darco_sched_recovery_readopted_shards"); v != 0 {
+		t.Errorf("readopted_shards = %d, want 0: the only lease was dead", v)
+	}
+}
+
 // TestStandbyTakeover exercises the failover lease: a standby's
 // OpenWait blocks while the primary holds the data dir's flock, then
 // acquires it the moment the primary dies, and the takeover coordinator

@@ -38,7 +38,7 @@ type worker struct {
 }
 
 // WorkerInfo is the wire representation of a pool member, served by
-// GET /api/v1/workers and mirrored in /metrics.
+// GET /api/v1/workers.
 type WorkerInfo struct {
 	URL          string    `json:"url"`
 	ID           string    `json:"worker_id,omitempty"`

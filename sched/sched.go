@@ -17,7 +17,7 @@
 //	GET    /api/v1/workers             the worker pool with health and placement counters
 //	POST   /api/v1/workers             register a worker ({"url": "http://host:port"})
 //	GET    /healthz                    liveness + pool summary
-//	GET    /metrics                    Prometheus-style exposition with per-worker counters
+//	GET    /metrics                    Prometheus text exposition: job, recovery and placement families
 //
 // # Why sharding preserves bytes
 //
@@ -73,6 +73,7 @@ import (
 	"time"
 
 	"darco/internal/jobs"
+	"darco/obs"
 	"darco/store"
 )
 
@@ -153,13 +154,12 @@ const JobDegraded = jobs.JobDegraded
 // shard runners, and worker pool behind it. Create with New, serve it
 // with any net/http server, stop it with Shutdown.
 type Coordinator struct {
-	opts    Options
-	mux     *http.ServeMux
-	k       *jobs.Kernel
-	pool    *pool
-	id      string // coordinator instance id for /healthz and trace spans
-	log     *slog.Logger
-	metrics *schedMetrics
+	opts Options
+	mux  *http.ServeMux
+	k    *jobs.Kernel
+	pool *pool
+	id   string // coordinator instance id for /healthz and trace spans
+	log  *slog.Logger
 
 	client       *http.Client // control plane; per-request timeouts via context
 	streamClient *http.Client // event streams; no overall timeout
@@ -175,8 +175,10 @@ type Coordinator struct {
 	// are left untouched, exactly as SIGKILL would leave them.
 	halted atomic.Bool
 
-	// recov counts what recovery did; exposed on /metrics.
-	recov recoveryStats
+	// recov counts what recovery did and placementAttempts how many
+	// tries each shard took; both are exposed on /metrics.
+	recov             recoveryStats
+	placementAttempts *obs.Histogram
 	// cleanStop records that the store held a clean-shutdown marker.
 	cleanStop bool
 
@@ -226,6 +228,8 @@ func New(opts Options) (*Coordinator, error) {
 		log:    opts.Log,
 		client: opts.Client,
 		placed: make(map[string][]placementRef),
+
+		placementAttempts: obs.NewHistogram(obs.LinearBuckets(1, 1, 8)),
 	}
 	if c.log == nil {
 		c.log = slog.New(slog.DiscardHandler)
@@ -263,8 +267,8 @@ func New(opts Options) (*Coordinator, error) {
 		Log:           opts.Log,
 		Service:       c.id,
 		MetricPrefix:  "darco_sched",
+		Metrics:       c.writeMetrics,
 	})
-	c.initMetrics()
 	c.mux = c.routes()
 	c.probeAll(c.baseCtx)
 	c.k.Start()

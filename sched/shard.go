@@ -155,7 +155,7 @@ func (c *Coordinator) runShard(j *fedJob, sh *shard) error {
 	sh.mu.Lock()
 	attempts := sh.attempts
 	sh.mu.Unlock()
-	c.metrics.placementAttempts.Observe(float64(attempts))
+	c.placementAttempts.Observe(float64(attempts))
 	if err == nil {
 		// The gather loop completed: every one of the shard's scenarios
 		// has a committed row. Journaled so a restarted coordinator

@@ -175,11 +175,12 @@ func TestTraceHeaderAdoption(t *testing.T) {
 }
 
 // TestMetricsExpositionValid runs the daemon's /metrics output — after
-// real traffic, so histograms carry observations — through the
+// real traffic from an obs-enabled job, so histograms carry
+// observations and the engine counters have counted — through the
 // exposition parser.
 func TestMetricsExpositionValid(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{})
-	st := submit(t, ts.URL, `{"scenarios":[{"profile":"429.mcf","scale":0.05}]}`, http.StatusAccepted)
+	st := submit(t, ts.URL, `{"scenarios":[{"profile":"429.mcf","scale":0.05}],"engine":{"obs":true}}`, http.StatusAccepted)
 	waitState(t, ts.URL, st.ID, func(s serve.JobStatus) bool { return s.State.Terminal() })
 
 	raw := fetch(t, ts.URL+"/metrics", http.StatusOK, "")
@@ -198,6 +199,15 @@ func TestMetricsExpositionValid(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	for _, name := range []string{
+		"darco_engine_decode_cache_hits_total", "darco_engine_decode_cache_misses_total",
+		"darco_engine_block_cache_hits_total", "darco_engine_block_cache_misses_total",
+	} {
+		if v := metricValue(t, raw, name); v <= 0 {
+			t.Errorf("%s = %g after an obs-enabled job, want > 0", name, v)
+		}
+	}
+	metricValue(t, raw, "darco_engine_code_cache_flushes_total") // exposed; a job this short never fills the cache
 	// The engine has one timing path; no series describes a second.
 	if strings.Contains(string(raw), "pipeline") {
 		t.Errorf("/metrics exports a pipeline series:\n%s", raw)

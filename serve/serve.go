@@ -15,7 +15,7 @@
 //	GET    /api/v1/jobs/{id}/trace     the job's trace: span tree JSON, or ?format=chrome for Perfetto
 //	GET    /api/v1/profiles            the workload roster submissions can name
 //	GET    /healthz                    liveness + queue depth
-//	GET    /metrics                    Prometheus text exposition (darco/obs registry)
+//	GET    /metrics                    Prometheus text exposition (obs.Writer, at scrape time)
 //
 // Everything about a job's life — the queue and its 429, the states,
 // journaling and restart recovery with Options.Store, the event stream,
@@ -50,6 +50,7 @@ import (
 	darco "darco"
 	"darco/export"
 	"darco/internal/jobs"
+	"darco/obs"
 	"darco/store"
 	"darco/telemetry"
 )
@@ -102,7 +103,7 @@ type Options struct {
 
 	// StoreMetrics, when non-nil, are the latency histograms the
 	// durable store observes (the same instance passed to store.Open);
-	// the server registers them into its /metrics exposition.
+	// the server writes them into its /metrics exposition.
 	StoreMetrics *store.Metrics
 }
 
@@ -127,7 +128,11 @@ func New(opts Options) *Server {
 	// The engine counters exist before the kernel does: its recovery
 	// re-validates queued submissions, and Validate hands obs-enabled
 	// jobs the daemon's shared instance.
-	run := &runner{opts: opts, metrics: newServerMetrics()}
+	run := &runner{
+		opts:         opts,
+		scenarioWall: obs.NewHistogram(obs.ExpBuckets(0.01, 4, 10)),
+		engCtrs:      &obs.EngineCounters{},
+	}
 	s := &Server{opts: opts}
 	s.k = jobs.New(jobs.Config{
 		Runner:        run,
@@ -139,8 +144,8 @@ func New(opts Options) *Server {
 		Log:           opts.Log,
 		Service:       opts.WorkerID,
 		MetricPrefix:  "darco",
+		Metrics:       func(w *obs.Writer) { run.writeMetrics(w, s.k.Workers()) },
 	})
-	run.metrics.register(s.k.Registry(), s.k.Workers())
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /api/v1/profiles", s.handleProfiles)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -171,8 +176,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // runner is the kernel's Runner for a single node: Engine.RunCampaign
 // with the telemetry windowers and scenario spans.
 type runner struct {
-	opts    Options
-	metrics *serverMetrics
+	opts         Options
+	scenarioWall *obs.Histogram // darco_scenario_wall_seconds
+	// engCtrs is the daemon's shared engine profiling instance: jobs
+	// whose submission sets engine.obs attach it, and /metrics reads
+	// its totals into the darco_engine_* families.
+	engCtrs *obs.EngineCounters
 }
 
 // jobSpec is a validated submission: everything a worker needs to run
@@ -196,7 +205,7 @@ func (s *runner) Validate(raw []byte, restored bool) (*jobs.Plan, error) {
 	// The obs opt-in binds to this server's shared counter instance.
 	var extra []darco.Option
 	if req.Engine != nil && req.Engine.Obs {
-		extra = append(extra, darco.WithObsCounters(s.metrics.engCtrs))
+		extra = append(extra, darco.WithObsCounters(s.engCtrs))
 	}
 	roster, eng, err := req.Validate(s.opts.MaxScenarios, restored, extra...)
 	if err != nil {
@@ -235,7 +244,7 @@ func (s *runner) Run(ctx context.Context, j *jobs.Job) jobs.Outcome {
 	copts := []darco.CampaignOption{
 		darco.WithParallelism(spec.parallelism),
 		darco.WithScenarioDone(func(i int, sr *darco.ScenarioResult) {
-			s.metrics.scenarioWall.Observe(sr.Wall.Seconds())
+			s.scenarioWall.Observe(sr.Wall.Seconds())
 			s.scenarioSpans(j, sr, time.Now())
 			j.Commit(i, export.NewRow(sr, export.WithWallTimes()))
 		}),
