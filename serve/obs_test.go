@@ -207,7 +207,7 @@ func TestMetricsExpositionValid(t *testing.T) {
 			t.Errorf("%s = %g after an obs-enabled job, want > 0", name, v)
 		}
 	}
-	metricValue(t, raw, "darco_engine_code_cache_flushes_total") // exposed; a job this short never fills the cache
+	metricValue(t, raw, "darco_engine_code_cache_flushes_total") // exposed, whatever its value
 	// The engine has one timing path; no series describes a second.
 	if strings.Contains(string(raw), "pipeline") {
 		t.Errorf("/metrics exports a pipeline series:\n%s", raw)
