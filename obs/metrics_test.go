@@ -111,27 +111,50 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-// TestConcurrentUpdates races scrapes against observations: every
-// scrape's _count equals its +Inf bucket, and once the writers are done
-// the count is exact.
+// scrapeCount writes h as family darco_h and returns the values of its
+// +Inf bucket and _count lines.
+func scrapeCount(h *Histogram) (inf, count string) {
+	var w Writer
+	w.Histogram("darco_h", "", h)
+	for line := range strings.SplitSeq(string(w.Bytes()), "\n") {
+		if v, ok := strings.CutPrefix(line, `darco_h_bucket{le="+Inf"} `); ok {
+			inf = v
+		}
+		if v, ok := strings.CutPrefix(line, "darco_h_count "); ok {
+			count = v
+		}
+	}
+	return inf, count
+}
+
+// TestConcurrentUpdates observes from many goroutines at once; once they
+// are done the count is exact.
 func TestConcurrentUpdates(t *testing.T) {
 	h := NewHistogram(ExpBuckets(0.001, 10, 4))
-	scrape := func() (inf, count string) {
-		var w Writer
-		w.Histogram("darco_h", "", h)
-		for line := range strings.SplitSeq(string(w.Bytes()), "\n") {
-			if v, ok := strings.CutPrefix(line, `darco_h_bucket{le="+Inf"} `); ok {
-				inf = v
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 1000 {
+				h.Observe(0.01)
 			}
-			if v, ok := strings.CutPrefix(line, "darco_h_count "); ok {
-				count = v
-			}
-		}
-		return inf, count
+		}()
 	}
+	wg.Wait()
+	if _, count := scrapeCount(h); count != "8000" {
+		t.Fatalf("histogram count = %s, want 8000", count)
+	}
+}
+
+// TestScrapeDuringObserve races scrapes against observations: every
+// scrape's _count equals its +Inf bucket, and once the writers are done
+// the count is exact.
+func TestScrapeDuringObserve(t *testing.T) {
+	h := NewHistogram(ExpBuckets(0.001, 2, 16))
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
-	for range 2 {
+	for range 4 {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
@@ -141,27 +164,27 @@ func TestConcurrentUpdates(t *testing.T) {
 					return
 				default:
 				}
-				if inf, count := scrape(); inf != count {
+				if inf, count := scrapeCount(h); inf != count {
 					t.Errorf("mid-update scrape: +Inf bucket %s, count %s", inf, count)
 					return
 				}
 			}
 		}()
 	}
-	for range 8 {
+	for range 4 {
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
-			for range 1000 {
-				h.Observe(0.01)
+			for i := range 5000 {
+				h.Observe(float64(i%100) / 100)
 			}
 		}()
 	}
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	if _, count := scrape(); count != "8000" {
-		t.Fatalf("histogram count = %s, want 8000", count)
+	if _, count := scrapeCount(h); count != "20000" {
+		t.Fatalf("histogram count = %s, want 20000", count)
 	}
 }
 
