@@ -54,6 +54,10 @@ type Block struct {
 	AssertFails uint64
 	SpecFails   uint64
 
+	// Tally is the host VM's deferred retirement count of this block,
+	// allocated on the block's first run under an attached histogram.
+	Tally *Tally
+
 	// incoming records chained exits from other blocks targeting this
 	// block, so invalidation can unchain them.
 	incoming []exitRef

@@ -659,10 +659,37 @@ func TestObservedRunMatchesOracleAtEveryCut(t *testing.T) {
 		p := genProgram(seed)
 		total := lockstep(t, seed, p, mode{}, false, cov)
 		for at := uint64(1); at <= total; at++ {
-			m := mode{cutAt: at, onCut: int(at % 3), retire: at%7 == 0}
-			if n := lockstep(t, seed, p, m, false, cov); n != total {
-				t.Fatalf("seed %d: %d instructions retire under %+v, %d with nothing attached", seed, n, m, total)
-			}
+			observedMatches(t, seed, p, total, mode{cutAt: at, onCut: int(at % 3), retire: at%7 == 0}, false, cov)
 		}
 	}
+}
+
+// observedMatches runs p under m in lockstep with the oracle and requires
+// it to retire the total it retires with nothing attached.
+func observedMatches(t *testing.T, seed int64, p *program, total uint64, m mode, deep bool, cov *coverage) {
+	t.Helper()
+	if n := lockstep(t, seed, p, m, deep, cov); n != total {
+		t.Fatalf("seed %d: %d instructions retire under %+v, %d with nothing attached", seed, n, m, total)
+	}
+}
+
+// FuzzObservedRunMatchesOracle is the lockstep above with the world, the
+// cut, OnCut's action and a Retire consumer chosen by the input. The cut
+// falls anywhere from the first retirement to one past the last, where
+// every block whose branches go forward runs tallied; every difference
+// is looked for after every dispatch. go test runs the seeds below and
+// the corpus in testdata/fuzz; -fuzz explores beyond them.
+func FuzzObservedRunMatchesOracle(f *testing.F) {
+	f.Add(int64(0), uint32(1<<20), uint8(cutMoveOn), false)
+	f.Add(int64(1003), uint32(40), uint8(cutMoveOn), false)
+	f.Add(int64(1007), uint32(25), uint8(cutDetachMix), false)
+	f.Add(int64(1011), uint32(60), uint8(cutAttachRetire), false)
+	f.Add(int64(17), uint32(9), uint8(cutMoveOn), true)
+	f.Fuzz(func(t *testing.T, seed int64, cut uint32, onCut uint8, retire bool) {
+		p := genProgram(seed)
+		cov := newCoverage()
+		total := lockstep(t, seed, p, mode{}, false, cov)
+		m := mode{cutAt: 1 + uint64(cut)%(total+1), onCut: int(onCut % 3), retire: retire}
+		observedMatches(t, seed, p, total, m, true, cov)
+	})
 }

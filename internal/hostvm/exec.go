@@ -21,8 +21,7 @@ type RunStats struct {
 // Run executes translated code starting at block, following chains and
 // IBTC hits, until control must return to the TOL. fuel bounds retired
 // host instructions, checked at block boundaries (0 = unlimited).
-func (vm *VM) Run(block *codecache.Block, fuel uint64) (Result, RunStats, error) {
-	var st RunStats
+func (vm *VM) Run(block *codecache.Block, fuel uint64) (res Result, st RunStats, err error) {
 	cur := block
 	start := vm.AppInsns
 	for {
@@ -37,20 +36,33 @@ func (vm *VM) Run(block *codecache.Block, fuel uint64) (Result, RunStats, error)
 			// translated basic block.
 			vm.chargeSynthetic(vm.Cfg.ProfileCost)
 		}
+		// With the histogram and no Retire consumer attached, and the
+		// next cut out of reach of the block, the block runs on the bare
+		// loop and its retirements go to its tally.
+		var t *codecache.Tally
+		if m := vm.Mix; m != nil && vm.Retire == nil && m.CutAt-vm.AppInsns > uint64(len(cur.Code)) {
+			t = vm.tallied(cur)
+		}
 		before := vm.AppInsns
-		res, n, err := vm.runBlock(cur)
+		var n uint64
+		res, n, err = vm.runBlock(cur, t)
 		vm.AppInsns += n
+		if t != nil {
+			// An exit and a failed assert leave the fall-through path.
+			t.Leave(n, err == nil && res.Kind <= ExitAssertFail)
+		}
 		if bb {
 			st.HostInsnsBB += vm.AppInsns - before
 		} else {
 			st.HostInsnsSB += vm.AppInsns - before
 		}
 		if err != nil || res.Kind > ExitIndirect {
-			return res, st, err // an error or a rollback: no exit was taken
+			break // an error or a rollback: no exit was taken
 		}
 		exit := cur.Exit(res.ExitIdx)
 		if exit == nil {
-			return res, st, fmt.Errorf("hostvm: block %d left through untabled exit %d", cur.ID, res.ExitIdx)
+			err = fmt.Errorf("hostvm: block %d left through untabled exit %d", cur.ID, res.ExitIdx)
+			break
 		}
 		exit.Count++
 		st.GuestBBs += uint64(exit.Info.GuestBBs)
@@ -69,7 +81,7 @@ func (vm *VM) Run(block *codecache.Block, fuel uint64) (Result, RunStats, error)
 		if res.Kind == ExitToTOL {
 			// Follow a chain installed by a previous dispatch.
 			if next = exit.Next; next == nil {
-				return res, st, nil
+				break
 			}
 			vm.ChainFollows++
 			if stop {
@@ -82,30 +94,37 @@ func (vm *VM) Run(block *codecache.Block, fuel uint64) (Result, RunStats, error)
 			}
 			if !ok {
 				vm.IBTCMisses++
-				return res, st, nil
+				break
 			}
 			vm.IBTCHits++
 			vm.chargeSynthetic(vm.Cfg.IBTCCost)
 		}
 		if stop {
-			return res, st, nil
+			break
 		}
 		cur = next
 	}
+	if len(vm.pending) > 0 {
+		vm.fold()
+	}
+	return res, st, err
 }
 
 // runBlock executes one block body from its first instruction to an
 // exit, assert failure, speculation failure, or page fault. It returns
-// the retirements it has not added to vm.AppInsns, for Run to add.
-func (vm *VM) runBlock(b *codecache.Block) (Result, uint64, error) {
+// the retirements it has not added to vm.AppInsns, for Run to add. With
+// a tally, the block runs as if nothing were attached and its taken
+// branches go to the tally instead.
+func (vm *VM) runBlock(b *codecache.Block, t *codecache.Tally) (Result, uint64, error) {
 	code := b.Code
 	r := &vm.Regs
 	// One flag covers both consumers, so with nothing attached the
 	// retirement fast path stays a single predictable branch per
 	// instruction. Hoisting it is safe: nothing can attach mid-block
 	// unless a consumer's callback runs, and then the flag is already
-	// set; the fields themselves are re-read under it.
-	observed := vm.Retire != nil || vm.Mix != nil
+	// set; the fields themselves are re-read under it. A tallied block
+	// runs unobserved.
+	observed := t == nil && (vm.Retire != nil || vm.Mix != nil)
 	// Every instruction that reaches the switch retires: into vm.AppInsns
 	// when a consumer can look at it, into a local otherwise.
 	var n uint64
@@ -270,6 +289,9 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, uint64, error) {
 				vm.observe(in, blockPC(b.ID, i), taken, blockPC(b.ID, i+1+int(in.Imm)))
 			}
 			if taken {
+				if t != nil {
+					t.Jump(i, i+1+int(in.Imm), n)
+				}
 				i += 1 + int(in.Imm)
 				continue
 			}
@@ -279,12 +301,18 @@ func (vm *VM) runBlock(b *codecache.Block) (Result, uint64, error) {
 				vm.observe(in, blockPC(b.ID, i), taken, blockPC(b.ID, i+1+int(in.Imm)))
 			}
 			if taken {
+				if t != nil {
+					t.Jump(i, i+1+int(in.Imm), n)
+				}
 				i += 1 + int(in.Imm)
 				continue
 			}
 		case host.JREL:
 			if observed {
 				vm.observe(in, blockPC(b.ID, i), true, blockPC(b.ID, i+1+int(in.Imm)))
+			}
+			if t != nil {
+				t.Jump(i, i+1+int(in.Imm), n)
 			}
 			i += 1 + int(in.Imm)
 			continue

@@ -141,6 +141,11 @@ type VM struct {
 	// Mix, when non-nil, counts every retired host instruction by
 	// opcode — the VM's performance-monitoring unit.
 	Mix *RetireMix
+	// pending lists the blocks whose tallies hold retirements that Mix
+	// does not count yet (see tallied); empty whenever Run is not
+	// executing and whenever OnCut runs.
+	pending []*codecache.Block
+	tallies codecache.TallyArena
 
 	// Statistics. AppInsns is exact whenever anything can read it: while
 	// Run is not executing, and inside every Retire and OnCut callback
@@ -220,10 +225,13 @@ type RetireEvent struct {
 	Addr   uint32 // effective address for loads and stores
 }
 
-// RetireMix is the retirement PMU: an opcode histogram the VM bumps at
-// every retire site while one is attached to VM.Mix, and a programmed
-// cut. Its owner reads and clears the counters between instructions —
-// from OnCut, or whenever the VM is not running.
+// RetireMix is the retirement PMU: an opcode histogram of the
+// instructions the VM retires while one is attached to VM.Mix, and a
+// programmed cut. The VM bumps it per instruction in a block that could
+// reach the cut, and otherwise, with no Retire consumer attached, per
+// control transfer into the block's tally, which it folds into the
+// histogram before OnCut and when Run returns. Its owner reads and
+// clears the counters from OnCut, or whenever the VM is not running.
 type RetireMix struct {
 	Ops [host.NumOps]uint64
 	// Taken counts the retired control transfers that left the
@@ -311,9 +319,45 @@ func (vm *VM) observe(in *host.Inst, pc uint32, taken bool, target uint32) {
 			m.Taken++
 		}
 		if vm.AppInsns == m.CutAt {
+			vm.fold()
 			m.OnCut()
 		}
 	}
+}
+
+// tallied returns b's tally, entered for a pass, or nil if b has a
+// backward branch. Run calls it for a block the next cut is further
+// away from than len(b.Code) instructions, while the histogram and no
+// Retire consumer is attached: a pass through a block whose branches
+// all go forward retires at most that many, so nothing inside it can
+// reach the cut or call back.
+func (vm *VM) tallied(b *codecache.Block) *codecache.Tally {
+	t := b.Tally
+	if t == nil {
+		t = vm.tallies.New(b.Code)
+		b.Tally = t
+	}
+	if t.Diff == nil {
+		return nil
+	}
+	if t.Enter() {
+		vm.pending = append(vm.pending, b)
+	}
+	return t
+}
+
+// fold adds the pending tallies into the histogram. The blocks' Code is
+// what their passes ran: the TOL patches code only between Runs. Kept
+// out of line: it runs at most once per Run and per cut, and inlined it
+// would add its loop to both Run and observe.
+//
+//go:noinline
+func (vm *VM) fold() {
+	m := vm.Mix
+	for _, b := range vm.pending {
+		m.Taken += b.Tally.Fold(b.Code, &m.Ops)
+	}
+	vm.pending = vm.pending[:0]
 }
 
 // chargeSynthetic accounts host instructions that exist in the real

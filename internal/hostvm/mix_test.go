@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"darco/internal/codecache"
+	"darco/internal/guestvm"
 	"darco/internal/host"
 )
 
@@ -28,19 +29,124 @@ func mixBlock() *codecache.Block {
 	return b
 }
 
-// TestMixMatchesRetireEvents runs the same block with the histogram
-// attached and with a Retire consumer, and requires the histogram to
-// equal a tally of the events — opcode by opcode, taken count included,
-// synthetic NOPs too.
-func TestMixMatchesRetireEvents(t *testing.T) {
+// forwardBlock is a BBM block whose branches all go forward, so that it
+// runs tallied whenever the cut is further away than its length: two
+// side exits skipped by a taken BEQZ each, a JREL over a dead
+// instruction, then the given end — a taken exit ("exit"), a failing
+// assert ("assert"), a load-store alias ("spec") or a load from a
+// missing page ("fault", on strictVM).
+func forwardBlock(end string) *codecache.Block {
+	code := []host.Inst{
+		{Op: host.CHKPT},
+		{Op: host.LI, Rd: 20, Imm: 0},
+		{Op: host.LI, Rd: 22, Imm: 0x100},
+		{Op: host.BEQZ, Ra: 20, Imm: 2}, // taken, over the side exit
+		{Op: host.COMMIT},
+		{Op: host.EXIT, Target: 0x3000},
+		{Op: host.LD, Rd: 21, Ra: 22},
+		{Op: host.BEQZ, Ra: 20, Imm: 2}, // taken, over the side exit
+		{Op: host.COMMIT},
+		{Op: host.EXIT, Target: 0x3100},
+		{Op: host.JREL, Imm: 1},
+		{Op: host.ADD, Rd: 25, Ra: 21, Rb: 21}, // jumped over
+		{Op: host.ADDI, Rd: 20, Ra: 20, Imm: 1},
+	}
+	switch end {
+	case "assert":
+		code = append(code, host.Inst{Op: host.ASSERTH, Ra: 23, Target: 0x1000}) // r23 == 0: fails
+	case "spec":
+		code = append(code, host.Inst{Op: host.LD, Rd: 25, Ra: 22, Spec: true},
+			host.Inst{Op: host.ST, Rd: 21, Ra: 22}) // aliases the hoisted load
+	case "fault":
+		code = append(code, host.Inst{Op: host.LI, Rd: 24, Imm: 0x5000},
+			host.Inst{Op: host.LD, Rd: 25, Ra: 24})
+	}
+	code = append(code, host.Inst{Op: host.COMMIT}, host.Inst{Op: host.EXIT, Target: 0x2000})
+	b := block(code)
+	b.Kind = codecache.KindBB
+	b.Exits = append([]codecache.Exit{{Idx: 5, Info: codecache.ExitInfo{GuestInsns: 1, GuestBBs: 1}},
+		{Idx: 9, Info: codecache.ExitInfo{GuestInsns: 2, GuestBBs: 1}}}, b.Exits...)
+	return b
+}
+
+// strictVM is a VM over a strict memory holding only page 0, where
+// forwardBlock loads from.
+func strictVM() *VM {
+	mem := guestvm.NewMemory(true)
+	mem.InstallPage(0, new([guestvm.PageSize]byte))
+	return New(mem, DefaultConfig())
+}
+
+// forwardLoop is forwardBlock("exit") resident in a cache and chained to
+// itself: a Run over it passes through the block until its fuel is out.
+func forwardLoop() *codecache.Block {
+	b := forwardBlock("exit")
+	c := codecache.New(0)
+	c.Insert(b)
+	last := len(b.Code) - 1
+	b.Code[last].Target = b.Entry
+	if err := c.Chain(b, last, b); err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// eventTally is the histogram a Retire consumer's events add up to.
+func eventTally(vm *VM) *RetireMix {
 	var want RetireMix
-	evm := newVM()
-	evm.Retire = func(ev RetireEvent) {
+	vm.Retire = func(ev RetireEvent) {
 		want.Ops[ev.Inst.Op]++
 		if ev.Taken {
 			want.Taken++
 		}
 	}
+	return &want
+}
+
+// TestTallyMatchesRetireEvents runs forwardBlock with each end and the
+// cut out of reach, so its pass is tallied, and requires the folded
+// histogram to equal a tally of the same run's retire events.
+func TestTallyMatchesRetireEvents(t *testing.T) {
+	for end, kind := range map[string]ExitKind{"exit": ExitToTOL, "assert": ExitAssertFail,
+		"spec": ExitMemSpecFail, "fault": ExitPageFault} {
+		evm := strictVM()
+		want := eventTally(evm)
+		if res := run(t, evm, forwardBlock(end)); res.Kind != kind {
+			t.Fatalf("%s: ended in %v, want %v", end, res.Kind, kind)
+		}
+
+		mvm := strictVM()
+		mix := &RetireMix{CutAt: ^uint64(0)}
+		mvm.Mix = mix
+		b := forwardBlock(end)
+		run(t, mvm, b)
+		if b.Tally == nil || b.Tally.Diff == nil {
+			t.Fatalf("%s: the block did not run tallied", end)
+		}
+		if len(mvm.pending) != 0 {
+			t.Errorf("%s: %d tallies left unfolded after Run", end, len(mvm.pending))
+		}
+		for op := range mix.Ops {
+			if mix.Ops[op] != want.Ops[op] {
+				t.Errorf("%s: %v counted %d times, retired %d", end, host.Op(op), mix.Ops[op], want.Ops[op])
+			}
+		}
+		if mix.Taken != want.Taken {
+			t.Errorf("%s: %d taken counted, %d retired", end, mix.Taken, want.Taken)
+		}
+		if mvm.AppInsns != evm.AppInsns {
+			t.Errorf("%s: retired %d, event run %d", end, mvm.AppInsns, evm.AppInsns)
+		}
+	}
+}
+
+// TestMixMatchesRetireEvents runs the same block with the histogram
+// attached and with a Retire consumer, and requires the histogram to
+// equal a tally of the events — opcode by opcode, taken count included,
+// synthetic NOPs too.
+func TestMixMatchesRetireEvents(t *testing.T) {
+	evm := newVM()
+	want := eventTally(evm)
 	run(t, evm, mixBlock())
 
 	mvm := newVM()
@@ -68,47 +174,68 @@ func TestMixMatchesRetireEvents(t *testing.T) {
 // instructions for every k up to the run's length and requires OnCut to
 // fire at exactly those AppInsns values — inside and at the end of the
 // leading and trailing synthetic NOP runs as well as inside the block
-// body. With a Retire consumer attached too, the consumer must have
-// seen the instruction that reaches the cut before OnCut runs.
+// body — with every instruction retired so far counted. With a Retire
+// consumer attached too, the consumer must have seen the instruction
+// that reaches the cut before OnCut runs. mixBlock's backward branch
+// keeps it on the exact path; forwardLoop's passes run tallied while
+// the cut is more than a pass away and exact once it is within one.
 func TestMixCutFiresAtEveryProgrammedCount(t *testing.T) {
-	ref := newVM()
-	run(t, ref, mixBlock())
-	total := ref.AppInsns
+	for _, w := range []struct {
+		name    string
+		block   func() *codecache.Block
+		fuel    uint64
+		tallied bool
+	}{
+		{"backward branch", mixBlock, 0, false},
+		{"forward, chained to itself", forwardLoop, 60, true},
+	} {
+		ref := newVM()
+		if _, _, err := ref.Run(w.block(), w.fuel); err != nil {
+			t.Fatal(err)
+		}
+		total := ref.AppInsns
 
-	for _, withRetire := range []bool{false, true} {
-		for k := uint64(1); k <= total; k++ {
-			vm := newVM()
-			var seen uint64
-			if withRetire {
-				vm.Retire = func(RetireEvent) { seen++ }
-			}
-			var cuts []uint64
-			mix := &RetireMix{CutAt: k}
-			mix.OnCut = func() {
-				if withRetire && seen != vm.AppInsns {
-					t.Errorf("k=%d: cut at %d ran before the retire consumer saw that instruction (%d seen)", k, vm.AppInsns, seen)
+		for _, withRetire := range []bool{false, true} {
+			for k := uint64(1); k <= total; k++ {
+				vm := newVM()
+				var seen uint64
+				if withRetire {
+					vm.Retire = func(RetireEvent) { seen++ }
 				}
-				var counted uint64
-				for _, n := range mix.Ops {
-					counted += n
+				var cuts []uint64
+				mix := &RetireMix{CutAt: k}
+				mix.OnCut = func() {
+					if withRetire && seen != vm.AppInsns {
+						t.Errorf("%s k=%d: cut at %d ran before the retire consumer saw that instruction (%d seen)", w.name, k, vm.AppInsns, seen)
+					}
+					var counted uint64
+					for _, n := range mix.Ops {
+						counted += n
+					}
+					if counted != vm.AppInsns {
+						t.Errorf("%s k=%d retire=%v: %d insns counted at the cut at %d", w.name, k, withRetire, counted, vm.AppInsns)
+					}
+					cuts = append(cuts, vm.AppInsns)
+					mix.CutAt += k
 				}
-				if counted != vm.AppInsns {
-					t.Errorf("k=%d retire=%v: %d insns counted at the cut at %d", k, withRetire, counted, vm.AppInsns)
+				vm.Mix = mix
+				b := w.block()
+				if _, _, err := vm.Run(b, w.fuel); err != nil {
+					t.Fatal(err)
 				}
-				cuts = append(cuts, vm.AppInsns)
-				mix.CutAt += k
-			}
-			vm.Mix = mix
-			run(t, vm, mixBlock())
-			if vm.AppInsns != total {
-				t.Fatalf("k=%d retire=%v: retired %d, want %d", k, withRetire, vm.AppInsns, total)
-			}
-			if uint64(len(cuts)) != total/k {
-				t.Fatalf("k=%d retire=%v: %d cuts, want %d (%v)", k, withRetire, len(cuts), total/k, cuts)
-			}
-			for i, at := range cuts {
-				if at != uint64(i+1)*k {
-					t.Fatalf("k=%d retire=%v: cut %d fired at %d", k, withRetire, i, at)
+				if vm.AppInsns != total {
+					t.Fatalf("%s k=%d retire=%v: retired %d, want %d", w.name, k, withRetire, vm.AppInsns, total)
+				}
+				if uint64(len(cuts)) != total/k {
+					t.Fatalf("%s k=%d retire=%v: %d cuts, want %d (%v)", w.name, k, withRetire, len(cuts), total/k, cuts)
+				}
+				for i, at := range cuts {
+					if at != uint64(i+1)*k {
+						t.Fatalf("%s k=%d retire=%v: cut %d fired at %d", w.name, k, withRetire, i, at)
+					}
+				}
+				if ran := b.Tally != nil && b.Tally.Diff != nil; !withRetire && k == total && ran != w.tallied {
+					t.Errorf("%s: ran tallied %v with the cut at the end, want %v", w.name, ran, w.tallied)
 				}
 			}
 		}
