@@ -101,10 +101,11 @@ type EngineSpec struct {
 
 // TelemetrySpec configures the live instruction-mix stream. Telemetry
 // is on by default: each running scenario's session counts its
-// retirement mix in the host VM's dispatch loop, which costs a job
-// about 1.1× the wall of the same campaign run bare (measured by the
-// repository benchmark's serve.overhead_x on every workload), plus one
-// journaled and published window per interval.
+// retirement mix in the host VM's dispatch loop, per control transfer
+// in most translated blocks, which costs a job about 1.1× the wall of
+// the same campaign run bare (the repository benchmark's
+// serve.overhead_x, 1.12–1.15 on fp-steady), plus one journaled and
+// published window per interval.
 type TelemetrySpec struct {
 	Disable bool `json:"disable,omitempty"`
 	// IntervalInsns is the window length in retired host instructions

@@ -140,8 +140,11 @@ func WithRetireBatchSize(n int) RetireOption {
 }
 
 // WithRetireEvents asks for per-instruction Events in every delivery.
-// Without it a subscription costs the session one counter increment
-// per retired instruction; with it every instruction is also
+// Without it a subscription costs the session an update per taken
+// control transfer in most translated blocks, and a counter increment
+// per retired instruction only in blocks with a backward branch or
+// within reach of a cut, or while a Retire consumer such as the timing
+// simulator is attached; with it every instruction is also
 // materialised as a RetireEvent, about 15 ns each — three times what
 // emulating the instruction costs.
 func WithRetireEvents() RetireOption {

@@ -12,11 +12,15 @@
 // behaviour over a run.
 //
 // The windower reads only each delivery's RetireBatch.Mix, which the
-// session takes from an opcode histogram the host VM bumps as it
+// session takes from an opcode histogram the host VM keeps as it
 // retires — the way a hardware PMU counts. It never asks for
-// per-instruction events, so an attached session runs at about 1.1×
-// the wall of a bare one (measured on 470.lbm and 429.mcf sessions;
-// 3.3× when every instruction reached the windower as an event).
+// per-instruction events, so the VM counts most translated blocks per
+// control transfer rather than per instruction (hostvm.RetireMix), and
+// an attached session runs at about 1.1× the wall of a bare one on the
+// repository benchmark's fp-steady workload (telemetry.stream_overhead_x
+// 1.07 and 1.13, the medians of two traced passes on a 2-vCPU Xeon;
+// 1.33–1.38× when every block was counted per instruction, 3.3× when
+// every instruction reached the windower as an event).
 //
 // Windows are deterministic: for a fixed workload and interval the
 // sequence of emitted windows is identical run to run, because the
