@@ -131,7 +131,6 @@ func TestTimingConfigValidated(t *testing.T) {
 		{"IQSize", func(c *timing.Config) { c.IQSize = 0 }},
 		{"SimpleUnits", func(c *timing.Config) { c.SimpleUnits = 0 }},
 		{"ComplexUnits", func(c *timing.Config) { c.ComplexUnits = 0 }},
-		{"VectorUnits", func(c *timing.Config) { c.VectorUnits = 0 }},
 		{"IssueWidth", func(c *timing.Config) { c.IssueWidth = -1 }},
 		{"L1D.Sets", func(c *timing.Config) { c.L1D.Sets = 100 }},
 		{"L2.LineBytes", func(c *timing.Config) { c.L2.LineBytes = 48 }},

@@ -158,10 +158,17 @@ func (c *Cache) Get(id int) (*Block, bool) {
 // Insert adds a block, replacing (and invalidating) any previous
 // translation with the same guest entry — the paper's behaviour when a
 // superblock supersedes the basic-block translation of its head. It
-// reports whether a capacity flush occurred.
+// reports whether a capacity flush occurred. A block larger than the
+// cache, or with an intra-block branch that goes backward or leaves the
+// block, is a translator bug: Insert panics on either.
 func (c *Cache) Insert(b *Block) (flushed bool) {
 	if len(b.Code) > c.Capacity {
 		panic(fmt.Sprintf("codecache: block of %d insns exceeds capacity %d", len(b.Code), c.Capacity))
+	}
+	for i := range b.Code {
+		if in := &b.Code[i]; in.Op == host.BEQZ && (in.Imm < 0 || i+1+int(in.Imm) >= len(b.Code)) {
+			panic(fmt.Sprintf("codecache: branch at %d jumps %+d: intra-block branches go forward and stay within the block's %d insns", i, in.Imm, len(b.Code)))
+		}
 	}
 	if c.used+len(b.Code) > c.Capacity {
 		c.Flush()

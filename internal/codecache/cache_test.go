@@ -147,3 +147,27 @@ func TestOversizeBlockPanics(t *testing.T) {
 	c := New(5)
 	c.Insert(mkBlock(0x1000, 10))
 }
+
+// TestInsertHoldsBranchesForward: a branch that goes backward, or
+// forward to or past the block's end, is refused; one to the next
+// instruction or to the last one is not. A pass through a resident
+// block therefore retires each instruction at most once, which is what
+// a Tally counts.
+func TestInsertHoldsBranchesForward(t *testing.T) {
+	for imm, ok := range map[int32]bool{-1: false, -4: false, 0: true, 7: true, 8: false, 20: false} {
+		b := mkBlock(0x1000, 10)
+		b.Code[1] = host.Inst{Op: host.BEQZ, Ra: 3, Imm: imm}
+		c := New(0)
+		func() {
+			defer func() {
+				if panicked := recover() != nil; panicked == ok {
+					t.Errorf("branch at 1 of 10 jumping %+d: panicked %v", imm, panicked)
+				}
+			}()
+			c.Insert(b)
+		}()
+		if _, resident := c.Lookup(0x1000); resident != ok {
+			t.Errorf("branch jumping %+d: resident %v", imm, resident)
+		}
+	}
+}

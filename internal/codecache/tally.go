@@ -2,18 +2,17 @@ package codecache
 
 import "darco/internal/host"
 
-// Tally counts how often each instruction of a block retired, for a
-// block whose intra-block branches all go forward. A pass through the
-// block costs an update per control transfer instead of one per
-// instruction: the counts are kept as a difference array over
-// instruction indices, +1 where a straight-line segment of the pass
-// starts and −1 just past where it ends, and Fold turns them into
-// per-instruction counts.
+// Tally counts how often each instruction of a block retired. A pass
+// through the block costs an update per control transfer instead of one
+// per instruction: every intra-block branch goes forward (Cache.Insert
+// checks it), so a pass retires each instruction at most once, and the
+// counts are kept as a difference array over instruction indices, +1
+// where a straight-line segment of the pass starts and −1 just past
+// where it ends. Fold turns them into per-instruction counts.
 type Tally struct {
 	// Diff has len(Code)+1 entries; its prefix sum up to i is how often
 	// instruction i retired since the last Fold. Diff[0] counts the
-	// passes, since no forward branch lands on index 0. It is nil for a
-	// block that a tally cannot describe.
+	// passes, since no forward branch lands on index 0.
 	Diff []uint64
 
 	seg   int    // where the current pass's last segment starts
@@ -35,24 +34,13 @@ const (
 	diffChunk  = 4096 // difference-array entries per chunk
 )
 
-// New returns the tally for code: a fresh one if every intra-block
-// branch goes forward and stays within code, otherwise one with a nil
-// Diff — a pass could then retire an instruction more than once, which
-// the difference array cannot describe.
+// New returns a fresh tally for code.
 func (a *TallyArena) New(code []host.Inst) *Tally {
 	if len(a.tallies) == 0 {
 		a.tallies = make([]Tally, tallyChunk)
 	}
 	t := &a.tallies[0]
 	a.tallies = a.tallies[1:]
-	for i := range code {
-		switch in := &code[i]; in.Op {
-		case host.BEQZ, host.BNEZ, host.JREL:
-			if in.Imm < 0 || i+1+int(in.Imm) > len(code) {
-				return t
-			}
-		}
-	}
 	n := len(code) + 1
 	if n > diffChunk {
 		t.Diff = make([]uint64, n) // longer than a chunk: its own array

@@ -36,10 +36,8 @@ func (in *Inst) String() string {
 		return fmt.Sprintf("fld%s %s, [%s%+d]", spec, f(in.Rd), r(in.Ra), in.Imm)
 	case FSTH:
 		return fmt.Sprintf("fst%s [%s%+d], %s", spec, r(in.Ra), in.Imm, f(in.Rd))
-	case BEQZ, BNEZ:
-		return fmt.Sprintf("%s %s, %+d", d.Name, r(in.Ra), in.Imm)
-	case JREL:
-		return fmt.Sprintf("j %+d", in.Imm)
+	case BEQZ:
+		return fmt.Sprintf("beqz %s, %+d", r(in.Ra), in.Imm)
 	case EXIT:
 		return fmt.Sprintf("exit @%#x", in.Target)
 	case CHAINED:
@@ -56,12 +54,6 @@ func (in *Inst) String() string {
 		return fmt.Sprintf("fcvtf %s, %s", f(in.Rd), r(in.Ra))
 	case FSLT, FSEQ, FUNORD:
 		return fmt.Sprintf("%s %s, %s, %s", d.Name, r(in.Rd), f(in.Ra), f(in.Rb))
-	case VFADD, VFMUL:
-		return fmt.Sprintf("%s v%d, v%d, v%d", d.Name, in.Rd, in.Ra, in.Rb)
-	case VFLD:
-		return fmt.Sprintf("vfld v%d, [%s%+d]", in.Rd, r(in.Ra), in.Imm)
-	case VFST:
-		return fmt.Sprintf("vfst [%s%+d], v%d", r(in.Ra), in.Imm, in.Rd)
 	}
-	return d.Name
+	return in.Op.String()
 }

@@ -5,12 +5,12 @@
 // checkpoint/commit.
 package host
 
+import "strconv"
+
 // Register file geometry.
 const (
 	NumIntRegs = 64
 	NumFPRegs  = 32
-	NumVecRegs = 16
-	VecLanes   = 8 // float64 lanes per vector register
 )
 
 // Software ABI of the Translation Optimization Layer. Guest architectural
@@ -78,10 +78,11 @@ const (
 	FSTH
 
 	// Intra-block control flow (Imm = relative instruction offset from
-	// the following instruction).
+	// the following instruction). The branch goes forward and lands
+	// inside its block: codecache.Cache.Insert checks it.
 	BEQZ
-	BNEZ
-	JREL
+	_ // reserved: a retired branch-if-nonzero
+	_ // reserved: a retired unconditional relative jump
 
 	// Code cache exits. EXIT leaves to a statically known guest PC
 	// (Target); after chaining it is rewritten to CHAINED with Link
@@ -112,11 +113,12 @@ const (
 	FSEQ   // rd <- fa == fb
 	FUNORD // rd <- isNaN(fa) || isNaN(fb)
 
-	// Vector (VecLanes float64 lanes).
-	VFADD
-	VFMUL
-	VFLD // vd <- mem[ra+imm ...]
-	VFST
+	// Reserved: four retired vector instructions (add, multiply, load,
+	// store) that no translation emitted.
+	_
+	_
+	_
+	_
 
 	// High half of the signed 64-bit product (for overflow-flag
 	// synthesis of the guest IMUL).
@@ -132,7 +134,10 @@ const (
 	numOps
 )
 
-// NumOps is the number of defined host opcodes.
+// NumOps bounds the opcode space: every defined opcode is below it.
+// The reserved slots keep the opcode numbers of retired instructions
+// from being reused; they are undefined, like any opcode from NumOps
+// on (see Op.Defined).
 const NumOps = int(numOps)
 
 // Class buckets opcodes by the execution resource they occupy in the
@@ -145,7 +150,7 @@ const (
 	ClassComplex              // multi-cycle integer and FP
 	ClassMemory
 	ClassBranch
-	ClassVector
+	ClassVector // no opcode; timing.Stats.ClassCount keeps its slot
 )
 
 // Inst is one host instruction. The host emulator executes slices of
@@ -210,8 +215,6 @@ var Descs = [NumOps]Desc{
 	FSTH: {Name: "fst", Class: ClassMemory, Latency: 1, IsStore: true, IsFP: true},
 
 	BEQZ: {Name: "beqz", Class: ClassBranch, Latency: 1},
-	BNEZ: {Name: "bnez", Class: ClassBranch, Latency: 1},
-	JREL: {Name: "j", Class: ClassBranch, Latency: 1},
 
 	EXIT:    {Name: "exit", Class: ClassBranch, Latency: 1, IsExit: true},
 	CHAINED: {Name: "chained", Class: ClassBranch, Latency: 1, IsExit: true},
@@ -236,11 +239,6 @@ var Descs = [NumOps]Desc{
 	FSEQ:   {Name: "fseq", Class: ClassComplex, Latency: 2, IsFP: true},
 	FUNORD: {Name: "funord", Class: ClassComplex, Latency: 2, IsFP: true},
 
-	VFADD: {Name: "vfadd", Class: ClassVector, Latency: 4, IsFP: true},
-	VFMUL: {Name: "vfmul", Class: ClassVector, Latency: 5, IsFP: true},
-	VFLD:  {Name: "vfld", Class: ClassVector, Latency: 3, IsLoad: true, IsFP: true},
-	VFST:  {Name: "vfst", Class: ClassVector, Latency: 2, IsStore: true, IsFP: true},
-
 	MULH: {Name: "mulh", Class: ClassComplex, Latency: 3},
 
 	SPILLI:   {Name: "spilli", Class: ClassMemory, Latency: 1, IsStore: true},
@@ -249,16 +247,27 @@ var Descs = [NumOps]Desc{
 	UNSPILLF: {Name: "unspillf", Class: ClassMemory, Latency: 2, IsFP: true, IsLoad: true},
 }
 
-// Desc returns the description of op.
+// Defined reports whether op is a host instruction: below NumOps and
+// not a reserved slot. The host emulator rejects any other opcode as
+// illegal, the timing simulator charges it as NOPH, and String names it
+// by number.
+func (op Op) Defined() bool { return int(op) < NumOps && Descs[op].Name != "" }
+
+// Desc returns the description of op; an undefined opcode gets NOPH's.
 func (op Op) Desc() *Desc {
-	if int(op) < NumOps {
+	if op.Defined() {
 		return &Descs[op]
 	}
 	return &Descs[NOPH]
 }
 
-func (op Op) String() string { return op.Desc().Name }
+func (op Op) String() string {
+	if !op.Defined() {
+		return "op(" + strconv.Itoa(int(op)) + ")"
+	}
+	return Descs[op].Name
+}
 
-// IsBranch reports whether op is of ClassBranch, by the opcode range the
+// IsBranch reports whether op is of ClassBranch, by the opcodes the
 // class occupies: the host emulator asks once per retired instruction.
-func (op Op) IsBranch() bool { return op >= BEQZ && op <= ASSERTH }
+func (op Op) IsBranch() bool { return op == BEQZ || op >= EXIT && op <= ASSERTH }

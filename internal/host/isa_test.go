@@ -1,16 +1,44 @@
 package host
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// TestDescTableComplete: every opcode has a name, a class and a latency.
+// TestDescTableComplete: every defined opcode has a latency, and the
+// reserved slots are the retired opcodes' numbers and nothing else.
 func TestDescTableComplete(t *testing.T) {
+	reserved := map[Op]bool{BEQZ + 1: true, BEQZ + 2: true, FUNORD + 1: true, FUNORD + 2: true, FUNORD + 3: true, FUNORD + 4: true}
 	for op := Op(0); int(op) < NumOps; op++ {
-		d := op.Desc()
-		if d.Name == "" {
-			t.Errorf("op %d has no name", op)
+		if op.Defined() == reserved[op] {
+			t.Errorf("op %d: defined %v, reserved %v", op, op.Defined(), reserved[op])
 		}
-		if d.Latency <= 0 {
+		if d := op.Desc(); d.Latency <= 0 {
 			t.Errorf("op %v has latency %d", op, d.Latency)
+		}
+	}
+	if EXIT != 34 || UNSPILLF != 62 {
+		t.Errorf("opcode numbers moved: EXIT %d, UNSPILLF %d", EXIT, UNSPILLF)
+	}
+}
+
+// TestUndefinedOps: an opcode that is reserved or past NumOps names
+// itself by number and describes itself as NOPH, which is how the
+// timing simulator charges it.
+func TestUndefinedOps(t *testing.T) {
+	for _, op := range []Op{BEQZ + 1, FUNORD + 1, Op(NumOps), 200, 255} {
+		if op.Defined() {
+			t.Errorf("op %d is defined", op)
+		}
+		want := fmt.Sprintf("op(%d)", op)
+		if got := op.String(); got != want {
+			t.Errorf("op %d is named %q, want %q", op, got, want)
+		}
+		if in := (Inst{Op: op}); in.String() != want {
+			t.Errorf("op %d disassembles as %q, want %q", op, in.String(), want)
+		}
+		if op.Desc() != &Descs[NOPH] {
+			t.Errorf("op %d is not described as NOPH", op)
 		}
 	}
 }
@@ -32,7 +60,6 @@ func TestClassAssignments(t *testing.T) {
 		ASSERTH: ClassBranch,
 		FADDH:   ClassComplex,
 		FSQRTH:  ClassComplex,
-		VFADD:   ClassVector,
 		SPILLI:  ClassMemory,
 	}
 	for op, want := range cases {
@@ -42,24 +69,22 @@ func TestClassAssignments(t *testing.T) {
 	}
 }
 
-// TestIsBranchIsTheBranchClass: the opcode range IsBranch compares
-// against holds exactly the ClassBranch opcodes — the host emulator
-// retires those in their own case and everything else up front.
+// TestIsBranchIsTheBranchClass: the opcodes IsBranch compares against
+// are exactly the ClassBranch ones, over the whole opcode byte — the
+// host emulator retires those in their own case and everything else up
+// front.
 func TestIsBranchIsTheBranchClass(t *testing.T) {
-	for op := Op(0); int(op) < NumOps; op++ {
-		if got, want := op.IsBranch(), op.Desc().Class == ClassBranch; got != want {
-			t.Errorf("%v: IsBranch %v, class branch %v", op, got, want)
+	for op := range 256 {
+		if got, want := Op(op).IsBranch(), Op(op).Desc().Class == ClassBranch; got != want {
+			t.Errorf("%v: IsBranch %v, class branch %v", Op(op), got, want)
 		}
-	}
-	if Op(NumOps).IsBranch() || Op(255).IsBranch() {
-		t.Errorf("an undefined opcode is no branch")
 	}
 }
 
 // TestLoadStoreFlags pins the IsLoad/IsStore markers.
 func TestLoadStoreFlags(t *testing.T) {
-	loads := []Op{LD, LDB, FLDH, VFLD, UNSPILLI, UNSPILLF}
-	stores := []Op{ST, STB, FSTH, VFST, SPILLI, SPILLF}
+	loads := []Op{LD, LDB, FLDH, UNSPILLI, UNSPILLF}
+	stores := []Op{ST, STB, FSTH, SPILLI, SPILLF}
 	for _, op := range loads {
 		if !op.Desc().IsLoad {
 			t.Errorf("%v should be a load", op)
@@ -101,8 +126,8 @@ func TestABIRegistersDisjoint(t *testing.T) {
 
 // TestDisasmAllOps: the disassembler renders every opcode.
 func TestDisasmAllOps(t *testing.T) {
-	for op := Op(0); int(op) < NumOps; op++ {
-		in := Inst{Op: op, Rd: 1, Ra: 2, Rb: 3, Imm: 4, Target: 0x1000, Link: 7}
+	for op := range 256 {
+		in := Inst{Op: Op(op), Rd: 1, Ra: 2, Rb: 3, Imm: 4, Target: 0x1000, Link: 7}
 		if s := in.String(); s == "" {
 			t.Errorf("op %v renders empty", op)
 		}

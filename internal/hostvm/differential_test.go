@@ -85,16 +85,11 @@ func genProgram(seed int64) *program {
 	for i := range p.regs.F {
 		p.regs.F[i] = genFloat(r, true)
 	}
-	for i := range p.regs.V {
-		for l := range p.regs.V[i] {
-			p.regs.V[i][l] = genFloat(r, true)
-		}
-	}
 	for i := 0; i < genBases; i++ {
 		// Inside a page, or close enough below a boundary that a few
-		// offsets straddle it: a scalar's tail, or a vector's later lanes.
+		// offsets straddle it.
 		page := uint32(genData + r.Intn(genPages)*guestvm.PageSize)
-		p.regs.R[genBase+i] = page + []uint32{0x40, 0x800, guestvm.PageSize - 6, guestvm.PageSize - 0x3C}[r.Intn(4)]
+		p.regs.R[genBase+i] = page + []uint32{0x40, 0x800, guestvm.PageSize - 6}[r.Intn(3)]
 	}
 	p.regs.R[genZero], p.regs.R[genOne] = 0, 1
 
@@ -126,11 +121,12 @@ func genFloat(r *rand.Rand, nan bool) float64 {
 	return r.NormFloat64() * 1e3
 }
 
-// bodyOps is every opcode a block body may hold; the block's frame adds
-// CHKPT, COMMIT and the exits, and chaining turns EXIT into CHAINED.
+// bodyOps is every defined opcode a block body may hold; the block's
+// frame adds CHKPT, COMMIT and the exits, and chaining turns EXIT into
+// CHAINED.
 var bodyOps = func() (ops []host.Op) {
 	for op := host.Op(0); int(op) < host.NumOps; op++ {
-		if d := op.Desc(); !d.IsExit {
+		if d := op.Desc(); op.Defined() && !d.IsExit {
 			ops = append(ops, op)
 		}
 	}
@@ -148,6 +144,7 @@ func genBlock(r *rand.Rand, entry uint32, entries []uint32) blockSpec {
 		emit(in)
 	}
 	target := func() uint32 { return entries[r.Intn(len(entries))] }
+	cond := func() uint8 { return condReg(r) }
 	body := func(n int) {
 		for i := 0; i < n; i++ {
 			emit(genInst(r, bodyOps[r.Intn(len(bodyOps))], entry))
@@ -156,11 +153,7 @@ func genBlock(r *rand.Rand, entry uint32, entries []uint32) blockSpec {
 	emit(host.Inst{Op: host.CHKPT})
 	body(2 + r.Intn(8))
 	for k := r.Intn(3); k > 0; k-- {
-		op := host.BEQZ
-		if r.Intn(2) == 0 {
-			op = host.BNEZ
-		}
-		emit(host.Inst{Op: op, Ra: uint8(r.Intn(genOne + 1)), Imm: 2})
+		emit(host.Inst{Op: host.BEQZ, Ra: cond(), Imm: 2})
 		emit(host.Inst{Op: host.COMMIT})
 		exit(host.Inst{Op: host.EXIT, Target: target()})
 		body(1 + r.Intn(6))
@@ -182,11 +175,20 @@ func genBlock(r *rand.Rand, entry uint32, entries []uint32) blockSpec {
 	last := len(b.code) - 2
 	for i := range b.code {
 		in := &b.code[i]
-		if (in.Op == host.BEQZ || in.Op == host.BNEZ || in.Op == host.JREL) && in.Imm < 0 {
+		if in.Op == host.BEQZ && in.Imm < 0 {
 			in.Imm = int32(r.Intn(min(4, last-i)))
 		}
 	}
 	return b
+}
+
+// condReg picks a branch condition: genZero half the time, so that the
+// branch is taken about as often as not, else any register.
+func condReg(r *rand.Rand) uint8 {
+	if r.Intn(2) == 0 {
+		return genZero
+	}
+	return uint8(r.Intn(genOne + 1))
 }
 
 // genInst fills the fields op reads. A branch gets Imm -1: genBlock
@@ -196,7 +198,6 @@ func genInst(r *rand.Rand, op host.Op, entry uint32) host.Inst {
 	ireg := func() uint8 { return uint8(r.Intn(genOne + 1)) }
 	ird := func() uint8 { return uint8(r.Intn(genMaxRd + 1)) }
 	freg := func() uint8 { return uint8(r.Intn(host.NumFPRegs)) }
-	vreg := func() uint8 { return uint8(r.Intn(host.NumVecRegs)) }
 	mem := func() {
 		in.Ra = uint8(genBase + r.Intn(genBases))
 		in.Imm = int32(r.Intn(16)) - 4
@@ -221,13 +222,8 @@ func genInst(r *rand.Rand, op host.Op, entry uint32) host.Inst {
 	case host.FSTH:
 		in.Rd = freg()
 		mem()
-	case host.VFLD, host.VFST:
-		in.Rd = vreg()
-		mem()
-	case host.VFADD, host.VFMUL:
-		in.Rd, in.Ra, in.Rb = vreg(), vreg(), vreg()
-	case host.BEQZ, host.BNEZ, host.JREL:
-		in.Ra, in.Imm = ireg(), -1
+	case host.BEQZ:
+		in.Ra, in.Imm = condReg(r), -1
 	case host.ASSERTH:
 		in.Target = entry
 		switch r.Intn(6) {
@@ -307,7 +303,7 @@ func newSide(p *program, oracle bool, m mode) *side {
 		}
 	}
 	s := &side{vm: New(mem, p.cfg), cache: codecache.New(p.capacity)}
-	s.vm.Regs, s.vm.vDirty = p.regs, true // V written from outside the VM
+	s.vm.Regs = p.regs
 	s.vm.HotThreshold = p.hot
 	if p.ibtc {
 		s.vm.IBTC = s.cache.Lookup
@@ -519,11 +515,6 @@ func sameBits(a, b []float64) bool {
 }
 
 func sameRegs(a, b *Regs) bool {
-	for i := range a.V {
-		if !sameBits(a.V[i][:], b.V[i][:]) {
-			return false
-		}
-	}
 	return a.R == b.R && sameBits(a.F[:], b.F[:])
 }
 
@@ -535,8 +526,6 @@ func diff(a, b *side, deep bool) string {
 	switch {
 	case !sameRegs(&va.Regs, &vb.Regs):
 		return fmt.Sprintf("registers\n%+v\noracle\n%+v", va.Regs, vb.Regs)
-	case !va.vDirty && !sameRegs(&Regs{V: va.Regs.V}, &Regs{V: va.ckptRegs.V}):
-		return "checkpoint invariant: V is clean but the checkpoint's copy differs"
 	case va.AppInsns != vb.AppInsns:
 		return fmt.Sprintf("AppInsns %d, oracle %d", va.AppInsns, vb.AppInsns)
 	case va.BlocksRun != vb.BlocksRun || va.ChainFollows != vb.ChainFollows || va.IBTCHits != vb.IBTCHits ||
@@ -619,7 +608,7 @@ func TestRunMatchesOracle(t *testing.T) {
 		return
 	}
 	for op := host.Op(0); int(op) < host.NumOps; op++ {
-		if cov.ops[op] == 0 {
+		if op.Defined() && cov.ops[op] == 0 {
 			t.Errorf("%v never executed", op)
 		}
 	}
@@ -628,13 +617,13 @@ func TestRunMatchesOracle(t *testing.T) {
 			t.Errorf("no dispatch ended in %v", ExitKind(k))
 		}
 	}
-	for _, op := range []host.Op{host.LD, host.LDB, host.FLDH, host.VFLD, host.ST, host.STB, host.FSTH, host.VFST} {
+	for _, op := range []host.Op{host.LD, host.LDB, host.FLDH, host.ST, host.STB, host.FSTH} {
 		if cov.faults[op] == 0 {
 			t.Errorf("%v never page-faulted", op)
 		}
 	}
 	// COMMIT cannot fault: every buffered store was probed at both ends.
-	for _, op := range []host.Op{host.LD, host.FLDH, host.VFLD, host.ST, host.FSTH, host.VFST} {
+	for _, op := range []host.Op{host.LD, host.FLDH, host.ST, host.FSTH} {
 		if cov.tailFaults[op] == 0 {
 			t.Errorf("%v never faulted past its first byte's page", op)
 		}

@@ -295,27 +295,6 @@ func (vm *VM) runBlock(b *codecache.Block, t *codecache.Tally) (Result, uint64, 
 				i += 1 + int(in.Imm)
 				continue
 			}
-		case host.BNEZ:
-			taken := r.R[in.Ra] != 0
-			if observed {
-				vm.observe(in, blockPC(b.ID, i), taken, blockPC(b.ID, i+1+int(in.Imm)))
-			}
-			if taken {
-				if t != nil {
-					t.Jump(i, i+1+int(in.Imm), n)
-				}
-				i += 1 + int(in.Imm)
-				continue
-			}
-		case host.JREL:
-			if observed {
-				vm.observe(in, blockPC(b.ID, i), true, blockPC(b.ID, i+1+int(in.Imm)))
-			}
-			if t != nil {
-				t.Jump(i, i+1+int(in.Imm), n)
-			}
-			i += 1 + int(in.Imm)
-			continue
 
 		case host.EXIT:
 			if observed {
@@ -384,42 +363,6 @@ func (vm *VM) runBlock(b *codecache.Block, t *codecache.Tally) (Result, uint64, 
 			r.R[in.Rd] = b2u(r.F[in.Ra] == r.F[in.Rb])
 		case host.FUNORD:
 			r.R[in.Rd] = b2u(math.IsNaN(r.F[in.Ra]) || math.IsNaN(r.F[in.Rb]))
-
-		case host.VFADD:
-			vm.vDirty = true
-			for l := 0; l < host.VecLanes; l++ {
-				r.V[in.Rd][l] = r.V[in.Ra][l] + r.V[in.Rb][l]
-			}
-		case host.VFMUL:
-			vm.vDirty = true
-			for l := 0; l < host.VecLanes; l++ {
-				r.V[in.Rd][l] = r.V[in.Ra][l] * r.V[in.Rb][l]
-			}
-		case host.VFLD:
-			vm.vDirty = true
-			base := r.R[in.Ra] + uint32(in.Imm)
-			for l := 0; l < host.VecLanes; l++ {
-				v, ok, err := vm.bufLoad(base+uint32(l*8), 8)
-				if err != nil {
-					return vm.memFail(b, n, err)
-				}
-				if !ok {
-					return vm.specFail(b), n, nil
-				}
-				r.V[in.Rd][l] = math.Float64frombits(v)
-			}
-		case host.VFST:
-			base := r.R[in.Ra] + uint32(in.Imm)
-			for l := 0; l < host.VecLanes; l++ {
-				addr := base + uint32(l*8)
-				if vm.probeStore(addr, 8) {
-					return vm.specFail(b), n, nil
-				}
-				if err := vm.probeResident(addr, 8); err != nil {
-					return vm.memFail(b, n, err)
-				}
-				vm.stbuf = append(vm.stbuf, pendingStore{addr: addr, width: 8, val: math.Float64bits(r.V[in.Rd][l])})
-			}
 
 		default:
 			return Result{}, n, fmt.Errorf("hostvm: illegal host op %v in block %d at %d", in.Op, b.ID, i)

@@ -16,14 +16,12 @@ import (
 	"darco/internal/host"
 )
 
-// Regs is the host register file. Guest architectural state is pinned:
-// r1..r8 hold the guest GPRs, r9..r13 the guest flags as 0/1 values,
-// f1..f8 the guest FP registers. V is written by the VM's vector
-// instructions only: the checkpoint follows it through a dirty bit.
+// Regs is the host register file, 512 bytes. Guest architectural state
+// is pinned: r1..r8 hold the guest GPRs, r9..r13 the guest flags as 0/1
+// values, f1..f8 the guest FP registers.
 type Regs struct {
 	R [host.NumIntRegs]uint32
 	F [host.NumFPRegs]float64
-	V [host.NumVecRegs][host.VecLanes]float64
 }
 
 // LoadGuest packs guest architectural state into the pinned registers.
@@ -165,11 +163,8 @@ type VM struct {
 	HotThreshold uint64
 	hotQueue     []uint32
 
-	// Checkpoint state. ckptRegs.V equals Regs.V unless vDirty: no
-	// translation writes vector registers, so CHKPT copies R and F and
-	// follows V only once a vector instruction has written it.
+	// Checkpoint state.
 	ckptRegs Regs
-	vDirty   bool
 
 	// Gated store buffer: program-ordered pending stores.
 	stbuf []pendingStore
@@ -293,8 +288,7 @@ var retireNop = host.Inst{Op: host.NOPH}
 // them (TestMemOpsSet holds the two together) — one bit per opcode. A
 // constant rather than a table: it adds no data to shift the tables the
 // functional path reads, and an opcode past 63 shifts it to zero.
-const memOps = 1<<host.LD | 1<<host.LDB | 1<<host.ST | 1<<host.STB |
-	1<<host.FLDH | 1<<host.FSTH | 1<<host.VFLD | 1<<host.VFST |
+const memOps = 1<<host.LD | 1<<host.LDB | 1<<host.ST | 1<<host.STB | 1<<host.FLDH | 1<<host.FSTH |
 	1<<host.SPILLI | 1<<host.UNSPILLI | 1<<host.SPILLF | 1<<host.UNSPILLF
 
 // observe feeds the attached consumers one retired instruction, which
@@ -325,20 +319,16 @@ func (vm *VM) observe(in *host.Inst, pc uint32, taken bool, target uint32) {
 	}
 }
 
-// tallied returns b's tally, entered for a pass, or nil if b has a
-// backward branch. Run calls it for a block the next cut is further
-// away from than len(b.Code) instructions, while the histogram and no
-// Retire consumer is attached: a pass through a block whose branches
-// all go forward retires at most that many, so nothing inside it can
-// reach the cut or call back.
+// tallied returns b's tally, entered for a pass. Run calls it for a
+// block the next cut is further away from than len(b.Code)
+// instructions, while the histogram and no Retire consumer is attached:
+// a pass through a block retires at most that many, since its branches
+// all go forward, so nothing inside it can reach the cut or call back.
 func (vm *VM) tallied(b *codecache.Block) *codecache.Tally {
 	t := b.Tally
 	if t == nil {
 		t = vm.tallies.New(b.Code)
 		b.Tally = t
-	}
-	if t.Diff == nil {
-		return nil
 	}
 	if t.Enter() {
 		vm.pending = append(vm.pending, b)
@@ -381,20 +371,14 @@ func (vm *VM) chargeSynthetic(n int) {
 
 // checkpoint snapshots the register file and clears speculative state.
 func (vm *VM) checkpoint() {
-	vm.ckptRegs.R, vm.ckptRegs.F = vm.Regs.R, vm.Regs.F
-	if vm.vDirty {
-		vm.ckptRegs.V, vm.vDirty = vm.Regs.V, false
-	}
+	vm.ckptRegs = vm.Regs
 	vm.stbuf = vm.stbuf[:0]
 	vm.alias = vm.alias[:0]
 }
 
 // rollback restores the checkpoint and discards speculative state.
 func (vm *VM) rollback() {
-	vm.Regs.R, vm.Regs.F = vm.ckptRegs.R, vm.ckptRegs.F
-	if vm.vDirty {
-		vm.Regs.V, vm.vDirty = vm.ckptRegs.V, false
-	}
+	vm.Regs = vm.ckptRegs
 	vm.stbuf = vm.stbuf[:0]
 	vm.alias = vm.alias[:0]
 	vm.Rollbacks++

@@ -1,9 +1,10 @@
 package hostvm
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"darco/internal/codecache"
 	"darco/internal/guest"
@@ -18,10 +19,13 @@ func exits(idx, guestInsns int) []codecache.Exit {
 }
 
 // block wraps code into a runnable superblock leaving through its last
-// instruction.
+// instruction. It goes through a code cache's Insert, as a translation
+// does, so that its branches are held to the same invariant.
 func block(code []host.Inst) *codecache.Block {
-	return &codecache.Block{Entry: 0x1000, Kind: codecache.KindSuperblock,
+	b := &codecache.Block{Entry: 0x1000, Kind: codecache.KindSuperblock,
 		Code: code, Exits: exits(len(code)-1, 1)}
+	codecache.New(0).Insert(b)
+	return b
 }
 
 func newVM() *VM {
@@ -56,6 +60,14 @@ func TestRegsPackUnpackRoundTrip(t *testing.T) {
 		if out != cpu {
 			t.Fatalf("roundtrip mismatch:\n%+v\n%+v", cpu, out)
 		}
+	}
+}
+
+// TestRegsSize: the register file is the 64 integer and 32 FP
+// registers and nothing else, the 512 bytes every CHKPT copies.
+func TestRegsSize(t *testing.T) {
+	if n := unsafe.Sizeof(Regs{}); n != 512 {
+		t.Errorf("Regs is %d bytes, want 512", n)
 	}
 }
 
@@ -351,9 +363,9 @@ func TestBranchesWithinBlock(t *testing.T) {
 		{Op: host.BEQZ, Ra: 20, Imm: 1}, // taken: skip next
 		{Op: host.LI, Rd: 21, Imm: 111}, // skipped
 		{Op: host.LI, Rd: 22, Imm: 222},
-		{Op: host.BNEZ, Ra: 20, Imm: 1}, // not taken
+		{Op: host.BEQZ, Ra: 22, Imm: 1}, // not taken
 		{Op: host.LI, Rd: 23, Imm: 333},
-		{Op: host.JREL, Imm: 1},         // skip next
+		{Op: host.BEQZ, Ra: 0, Imm: 1},  // r0 is zero: taken, skip next
 		{Op: host.LI, Rd: 24, Imm: 444}, // skipped
 		{Op: host.COMMIT},
 		{Op: host.EXIT, Target: 0x2000},
@@ -389,32 +401,6 @@ func TestFPOpsAndConversion(t *testing.T) {
 	}
 	if vm.Regs.R[21] != 1 || vm.Regs.R[22] != 1 || vm.Regs.R[23] != 0 {
 		t.Errorf("fp compares: %v", vm.Regs.R[21:24])
-	}
-}
-
-func TestVectorOps(t *testing.T) {
-	vm := newVM()
-	base := uint32(0x800)
-	for l := 0; l < host.VecLanes; l++ {
-		vm.Mem.Store64(base+uint32(8*l), math.Float64bits(float64(l)))
-	}
-	vm.Regs.R[20] = base
-	code := []host.Inst{
-		{Op: host.CHKPT},
-		{Op: host.VFLD, Rd: 1, Ra: 20},
-		{Op: host.VFADD, Rd: 2, Ra: 1, Rb: 1},
-		{Op: host.VFMUL, Rd: 3, Ra: 2, Rb: 1},
-		{Op: host.VFST, Rd: 3, Ra: 20, Imm: 256},
-		{Op: host.COMMIT},
-		{Op: host.EXIT, Target: 0x2000},
-	}
-	run(t, vm, block(code))
-	for l := 0; l < host.VecLanes; l++ {
-		want := 2 * float64(l) * float64(l)
-		bits, _ := vm.Mem.Load64(base + 256 + uint32(8*l))
-		if math.Float64frombits(bits) != want {
-			t.Errorf("lane %d: %g want %g", l, math.Float64frombits(bits), want)
-		}
 	}
 }
 
@@ -459,43 +445,16 @@ func TestHotQueue(t *testing.T) {
 	}
 }
 
-// TestVectorMemoryFailuresRollBack: a VFST lane whose last byte lies in a
-// page the strict memory does not hold, and a VFLD lane that a narrower
-// buffered store partly covers, end the block the way FSTH and FLDH do —
-// page fault and speculation failure, state rolled back. The parent
-// probed only each lane's first byte and let COMMIT fail, and passed the
-// partial forward on as an error; both stopped the session.
-func TestVectorMemoryFailuresRollBack(t *testing.T) {
-	mem := guestvm.NewMemory(true)
-	var page [guestvm.PageSize]byte
-	mem.InstallPage(0x8000, &page)
-	vm := New(mem, DefaultConfig())
-	vm.Regs.R[20] = 0x8FFC - 8*(host.VecLanes-1) // the last lane starts 4 bytes before the page ends
-	vm.Regs.R[host.RGuestGPR] = 3
-	res := run(t, vm, block([]host.Inst{
-		{Op: host.CHKPT},
-		{Op: host.LI, Rd: host.RGuestGPR, Imm: 999},
-		{Op: host.VFST, Rd: 1, Ra: 20},
-		{Op: host.COMMIT},
-		{Op: host.EXIT, Target: 0x2000},
-	}))
-	if res.Kind != ExitPageFault || res.FaultAddr != 0x9003 {
-		t.Errorf("straddling lane: %v at %#x, want a page fault at 0x9003", res.Kind, res.FaultAddr)
-	}
-	if vm.Regs.R[host.RGuestGPR] != 3 || len(vm.stbuf) != 0 {
-		t.Errorf("not rolled back: r1 = %d, %d stores buffered", vm.Regs.R[host.RGuestGPR], len(vm.stbuf))
-	}
-
-	vm = New(mem, DefaultConfig())
-	vm.Regs.R[20] = 0x8100
-	res = run(t, vm, block([]host.Inst{
-		{Op: host.CHKPT},
-		{Op: host.ST, Rd: 21, Ra: 20, Imm: 4},
-		{Op: host.VFLD, Rd: 1, Ra: 20},
-		{Op: host.COMMIT},
-		{Op: host.EXIT, Target: 0x2000},
-	}))
-	if res.Kind != ExitMemSpecFail || vm.MemSpecFails != 1 {
-		t.Errorf("partly covered lane: %v, %d speculation failures", res.Kind, vm.MemSpecFails)
+// TestIllegalOpNamed: a block holding an opcode that is past NumOps or a
+// reserved slot fails as illegal, the error naming the opcode by number
+// rather than as the NOPH it times as.
+func TestIllegalOpNamed(t *testing.T) {
+	for _, op := range []host.Op{200, host.BEQZ + 1} {
+		vm := newVM()
+		_, _, err := vm.Run(block([]host.Inst{{Op: host.CHKPT}, {Op: op}, {Op: host.EXIT, Target: 0x2000}}), 0)
+		want := fmt.Sprintf("hostvm: illegal host op op(%d) in block 0 at 1", op)
+		if err == nil || err.Error() != want {
+			t.Errorf("op %d: error %v, want %q", op, err, want)
+		}
 	}
 }

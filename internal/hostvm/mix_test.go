@@ -12,16 +12,24 @@ import (
 )
 
 // mixBlock is a BBM block (so Run charges synthetic profile NOPs around
-// it) that loops three times over a taken backward branch, falls through
-// a not-taken one, and jumps to its exit.
+// it) that falls through a not-taken branch and skips three of its
+// instructions over taken ones. A pass retires len(Code)-3 of them, so
+// with the synthetic NOPs before it the block is always within reach of
+// a cut programmed inside the run: it runs on the per-instruction path,
+// never tallied.
 func mixBlock() *codecache.Block {
 	code := []host.Inst{
 		{Op: host.LI, Rd: 20, Imm: 3},
-		{Op: host.ADDI, Rd: 20, Ra: 20, Imm: -1}, // loop head
+		{Op: host.ADDI, Rd: 20, Ra: 20, Imm: -1},
 		{Op: host.LD, Rd: 21, Ra: 22},
-		{Op: host.BNEZ, Ra: 20, Imm: -3}, // taken twice, then falls through
-		{Op: host.BEQZ, Ra: 23, Imm: 0},  // r23 == 0: taken, to the next instruction
-		{Op: host.JREL, Imm: 0},
+		{Op: host.BEQZ, Ra: 20, Imm: 3}, // r20 == 2: not taken
+		{Op: host.BEQZ, Ra: 23, Imm: 2}, // r23 == 0: taken, over two
+		{Op: host.ADD, Rd: 24, Ra: 21, Rb: 21},
+		{Op: host.ADD, Rd: 24, Ra: 24, Rb: 21},
+		{Op: host.BEQZ, Ra: 23, Imm: 0}, // taken, to the next instruction
+		{Op: host.ADDI, Rd: 20, Ra: 20, Imm: -1},
+		{Op: host.BEQZ, Ra: 23, Imm: 1}, // taken, over one
+		{Op: host.LD, Rd: 25, Ra: 22},
 		{Op: host.EXIT, Target: 0x2000},
 	}
 	b := block(code)
@@ -29,10 +37,9 @@ func mixBlock() *codecache.Block {
 	return b
 }
 
-// forwardBlock is a BBM block whose branches all go forward, so that it
-// runs tallied whenever the cut is further away than its length: two
-// side exits skipped by a taken BEQZ each, a JREL over a dead
-// instruction, then the given end — a taken exit ("exit"), a failing
+// forwardBlock is a BBM block that runs tallied whenever the cut is
+// further away than its length: two side exits skipped by a taken BEQZ
+// each, a third taken BEQZ over a dead instruction, then the given end — a taken exit ("exit"), a failing
 // assert ("assert"), a load-store alias ("spec") or a load from a
 // missing page ("fault", on strictVM).
 func forwardBlock(end string) *codecache.Block {
@@ -47,7 +54,7 @@ func forwardBlock(end string) *codecache.Block {
 		{Op: host.BEQZ, Ra: 20, Imm: 2}, // taken, over the side exit
 		{Op: host.COMMIT},
 		{Op: host.EXIT, Target: 0x3100},
-		{Op: host.JREL, Imm: 1},
+		{Op: host.BEQZ, Ra: 20, Imm: 1},        // taken
 		{Op: host.ADD, Rd: 25, Ra: 21, Rb: 21}, // jumped over
 		{Op: host.ADDI, Rd: 20, Ra: 20, Imm: 1},
 	}
@@ -120,7 +127,7 @@ func TestTallyMatchesRetireEvents(t *testing.T) {
 		mvm.Mix = mix
 		b := forwardBlock(end)
 		run(t, mvm, b)
-		if b.Tally == nil || b.Tally.Diff == nil {
+		if b.Tally == nil {
 			t.Fatalf("%s: the block did not run tallied", end)
 		}
 		if len(mvm.pending) != 0 {
@@ -143,16 +150,23 @@ func TestTallyMatchesRetireEvents(t *testing.T) {
 // TestMixMatchesRetireEvents runs the same block with the histogram
 // attached and with a Retire consumer, and requires the histogram to
 // equal a tally of the events — opcode by opcode, taken count included,
-// synthetic NOPs too.
+// synthetic NOPs too. A cut at the block's first instruction keeps the
+// block on the per-instruction path; TestTallyMatchesRetireEvents checks
+// the tallied one.
 func TestMixMatchesRetireEvents(t *testing.T) {
 	evm := newVM()
 	want := eventTally(evm)
 	run(t, evm, mixBlock())
 
 	mvm := newVM()
-	mix := &RetireMix{CutAt: ^uint64(0)}
+	mix := &RetireMix{CutAt: uint64(DefaultConfig().ProfileCost) + 1}
+	mix.OnCut = func() { mix.CutAt = ^uint64(0) }
 	mvm.Mix = mix
-	run(t, mvm, mixBlock())
+	b := mixBlock()
+	run(t, mvm, b)
+	if b.Tally != nil {
+		t.Error("the block ran tallied")
+	}
 
 	if mix.Ops != want.Ops || mix.Taken != want.Taken {
 		t.Errorf("histogram differs from the event tally:\n got %v taken %d\nwant %v taken %d",
@@ -176,9 +190,10 @@ func TestMixMatchesRetireEvents(t *testing.T) {
 // leading and trailing synthetic NOP runs as well as inside the block
 // body — with every instruction retired so far counted. With a Retire
 // consumer attached too, the consumer must have seen the instruction
-// that reaches the cut before OnCut runs. mixBlock's backward branch
-// keeps it on the exact path; forwardLoop's passes run tallied while
-// the cut is more than a pass away and exact once it is within one.
+// that reaches the cut before OnCut runs. mixBlock is always within
+// reach of the cut, so it runs on the per-instruction path; forwardLoop's
+// passes run tallied while the cut is more than a pass away and exact
+// once it is within one.
 func TestMixCutFiresAtEveryProgrammedCount(t *testing.T) {
 	for _, w := range []struct {
 		name    string
@@ -186,7 +201,7 @@ func TestMixCutFiresAtEveryProgrammedCount(t *testing.T) {
 		fuel    uint64
 		tallied bool
 	}{
-		{"backward branch", mixBlock, 0, false},
+		{"within reach", mixBlock, 0, false},
 		{"forward, chained to itself", forwardLoop, 60, true},
 	} {
 		ref := newVM()
@@ -234,7 +249,7 @@ func TestMixCutFiresAtEveryProgrammedCount(t *testing.T) {
 						t.Fatalf("%s k=%d retire=%v: cut %d fired at %d", w.name, k, withRetire, i, at)
 					}
 				}
-				if ran := b.Tally != nil && b.Tally.Diff != nil; !withRetire && k == total && ran != w.tallied {
+				if ran := b.Tally != nil; !withRetire && k == total && ran != w.tallied {
 					t.Errorf("%s: ran tallied %v with the cut at the end, want %v", w.name, ran, w.tallied)
 				}
 			}

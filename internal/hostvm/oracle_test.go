@@ -20,10 +20,8 @@ import (
 // oracleVM embeds the VM under test's type for its state and for the
 // helpers the rewrite left alone (bufLoad, commit, observe, the alias
 // table, chargeSynthetic); the methods below shadow the rewritten ones,
-// so the parent's bodies read here as they did there. Two lines are not
-// the parent's, marked "deviation": both runners share the fixes for two
-// faults of the vector memory instructions that no translation reaches
-// (TestVectorMemoryFailuresRollBack shows the parent's behaviour).
+// so the parent's bodies read here as they did there, less the arms of
+// the opcodes the host ISA no longer defines.
 type oracleVM struct {
 	*VM
 	exitMeta   map[*codecache.Block]map[int]codecache.ExitInfo // ExitMeta
@@ -364,23 +362,6 @@ func (vm *oracleVM) runBlock(b *codecache.Block) (Result, error) {
 				i += 1 + int(in.Imm)
 				continue
 			}
-		case host.BNEZ:
-			taken := r.R[in.Ra] != 0
-			vm.AppInsns++
-			if observed {
-				vm.observe(in, blockPC(b.ID, i), taken, blockPC(b.ID, i+1+int(in.Imm)))
-			}
-			if taken {
-				i += 1 + int(in.Imm)
-				continue
-			}
-		case host.JREL:
-			vm.AppInsns++
-			if observed {
-				vm.observe(in, blockPC(b.ID, i), true, blockPC(b.ID, i+1+int(in.Imm)))
-			}
-			i += 1 + int(in.Imm)
-			continue
 
 		case host.EXIT:
 			vm.retire(in, blockPC(b.ID, i), true, TOLDispatchPC)
@@ -441,56 +422,6 @@ func (vm *oracleVM) runBlock(b *codecache.Block) (Result, error) {
 			r.R[in.Rd] = b2u(r.F[in.Ra] == r.F[in.Rb])
 		case host.FUNORD:
 			r.R[in.Rd] = b2u(math.IsNaN(r.F[in.Ra]) || math.IsNaN(r.F[in.Rb]))
-
-		case host.VFADD:
-			for l := 0; l < host.VecLanes; l++ {
-				r.V[in.Rd][l] = r.V[in.Ra][l] + r.V[in.Rb][l]
-			}
-		case host.VFMUL:
-			for l := 0; l < host.VecLanes; l++ {
-				r.V[in.Rd][l] = r.V[in.Ra][l] * r.V[in.Rb][l]
-			}
-		case host.VFLD:
-			base := r.R[in.Ra] + uint32(in.Imm)
-			for l := 0; l < host.VecLanes; l++ {
-				v, ok, err := vm.bufLoad(base+uint32(l*8), 8)
-				if err != nil {
-					if fa, isPF := faultAddr(err); isPF {
-						return vm.fault(b, fa), nil
-					}
-					if err == errPartialForward { // deviation 2: not in the parent
-						return vm.specFail(b), nil
-					}
-					return Result{}, err
-				}
-				if !ok {
-					return vm.specFail(b), nil
-				}
-				r.V[in.Rd][l] = math.Float64frombits(v)
-			}
-		case host.VFST:
-			base := r.R[in.Ra] + uint32(in.Imm)
-			for l := 0; l < host.VecLanes; l++ {
-				addr := base + uint32(l*8)
-				if vm.probeStore(addr, 8) {
-					return vm.specFail(b), nil
-				}
-				if _, err := vm.Mem.Load8(addr); err != nil {
-					if fa, isPF := faultAddr(err); isPF {
-						return vm.fault(b, fa), nil
-					}
-					return Result{}, err
-				}
-				if addr&0xFFF > 0xFF8 { // deviation 1: not in the parent
-					if _, err := vm.Mem.Load8(addr + 7); err != nil {
-						if fa, isPF := faultAddr(err); isPF {
-							return vm.fault(b, fa), nil
-						}
-						return Result{}, err
-					}
-				}
-				vm.stbuf = append(vm.stbuf, pendingStore{addr: addr, width: 8, val: math.Float64bits(r.V[in.Rd][l])})
-			}
 
 		default:
 			return Result{}, fmt.Errorf("hostvm: illegal host op %v in block %d at %d", in.Op, b.ID, i)

@@ -1,13 +1,19 @@
 package jobs_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -573,4 +579,64 @@ func TestSubmitStatusAtAcceptance(t *testing.T) {
 			t.Fatalf("submission %d got id %s", i, acc.ID)
 		}
 	}
+}
+
+// TestRestoreJournalWithVectorWindows restores the fates journal as a
+// daemon wrote it while telemetry windows still carried an always-zero
+// "vector" counter, beside the same journal without it: the restored
+// job-1 serves the same status, exports and event stream, its telemetry
+// window included.
+func TestRestoreJournalWithVectorWindows(t *testing.T) {
+	served := map[bool]string{}
+	for _, legacy := range []bool{false, true} {
+		dir := t.TempDir()
+		testutil.WriteFatesJournal(t, dir)
+		if legacy {
+			path := filepath.Join(dir, "journal.wal")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw = addVectorCounters(t, raw)
+			if !bytes.Contains(raw, []byte(`"branch":124,"vector":0,"loads":200`)) {
+				t.Fatal("the rewritten journal carries no vector counter")
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h := start(t, jobs.Config{Runner: &fakeRunner{run: runAll}, Store: openStore(t, dir)})
+		events := string(h.get("/api/v1/jobs/job-1/events?format=ndjson", 200))
+		if !strings.Contains(events, `"simple":600,"complex":0,"memory":300,"branch":124,"loads":200`) {
+			t.Errorf("legacy %v: the telemetry window is not replayed:\n%s", legacy, events)
+		}
+		served[legacy] = snapshot(h, "job-1") + events
+		h.stop()
+	}
+	if served[true] != served[false] {
+		t.Errorf("the journal with vector counters restores differently:\n%s\nwithout them:\n%s", served[true], served[false])
+	}
+}
+
+// addVectorCounters re-frames every record of a journal with a
+// `"vector":0` after each window's branch count, where the field used
+// to be marshalled.
+func addVectorCounters(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	const magic = 8 // "DARCOWA1"
+	out := append([]byte(nil), raw[:magic]...)
+	branch := regexp.MustCompile(`("branch":\d+)`)
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for rest := raw[magic:]; len(rest) > 0; {
+		if len(rest) < 8 {
+			t.Fatalf("torn frame header: %d bytes", len(rest))
+		}
+		n := binary.LittleEndian.Uint32(rest)
+		payload := branch.ReplaceAll(rest[8:8+n], []byte(`$1,"vector":0`))
+		rest = rest[8+n:]
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+		out = append(out, payload...)
+	}
+	return out
 }

@@ -25,7 +25,6 @@ type Energies struct {
 
 	SimpleOp  float64
 	ComplexOp float64
-	VectorOp  float64
 	BranchOp  float64
 	MemoryOp  float64
 
@@ -51,7 +50,6 @@ func DefaultEnergies() Energies {
 		RegWrite:      1.3,
 		SimpleOp:      2.4,
 		ComplexOp:     9.6,
-		VectorOp:      14.8,
 		BranchOp:      1.9,
 		MemoryOp:      3.0,
 		L1IAccess:     8.2,
@@ -103,7 +101,6 @@ func (m *Model) Analyze(c *timing.Core) *Report {
 		pj(2*st.Insns, m.E.RegRead) + pj(st.Insns, m.E.RegWrite)
 	comp["alu"] = pj(st.ClassCount[host.ClassSimple], m.E.SimpleOp) +
 		pj(st.ClassCount[host.ClassComplex], m.E.ComplexOp) +
-		pj(st.ClassCount[host.ClassVector], m.E.VectorOp) +
 		pj(st.ClassCount[host.ClassBranch], m.E.BranchOp)
 	comp["lsu"] = pj(st.ClassCount[host.ClassMemory], m.E.MemoryOp) +
 		pj(c.L1D.Accesses, m.E.L1DAccess) +

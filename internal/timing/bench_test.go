@@ -25,7 +25,7 @@ func BenchmarkCoreConsume(b *testing.B) {
 	core := New(DefaultConfig())
 	in := &host.Inst{Op: host.ADD, Rd: 16, Ra: 17, Rb: 18}
 	ld := &host.Inst{Op: host.LD, Rd: 19, Ra: 1}
-	br := &host.Inst{Op: host.BNEZ, Ra: 16, Imm: 2}
+	br := &host.Inst{Op: host.BEQZ, Ra: 16, Imm: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		switch i % 4 {

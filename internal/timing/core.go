@@ -7,11 +7,11 @@ import (
 	"darco/internal/hostvm"
 )
 
-// Config carries every timing parameter the paper lists for the
-// simulator: issue width, instruction queue size, numbers of execution
-// units and latencies, physical register counts, branch predictor and
-// BTB sizes, cache and TLB geometry/latencies, memory ports, and the
-// SIMD vector length.
+// Config carries the timing parameters the paper lists for the
+// simulator, those the host ISA has a use for: issue width, instruction
+// queue size, numbers of execution units and latencies, branch
+// predictor and BTB sizes, cache and TLB geometry/latencies, and memory
+// ports.
 type Config struct {
 	FetchWidth    int
 	IssueWidth    int
@@ -21,13 +21,8 @@ type Config struct {
 
 	SimpleUnits  int
 	ComplexUnits int
-	VectorUnits  int
 	MemReadPorts int
 	MemWritePts  int
-
-	PhysIntRegs int // scalar physical registers (≥ host.NumIntRegs)
-	PhysVecRegs int
-	VectorLen   int // SIMD lanes
 
 	BPred BPredConfig
 
@@ -65,12 +60,8 @@ func DefaultConfig() Config {
 		RedirectPen:     6,
 		SimpleUnits:     2,
 		ComplexUnits:    1,
-		VectorUnits:     1,
 		MemReadPorts:    1,
 		MemWritePts:     1,
-		PhysIntRegs:     host.NumIntRegs,
-		PhysVecRegs:     host.NumVecRegs,
-		VectorLen:       host.VecLanes,
 		BPred:           BPredConfig{GShareBits: 12, BTBEntries: 1024},
 		L1I:             CacheConfig{Sets: 128, Ways: 4, LineBytes: 64, Latency: 1},
 		L1D:             CacheConfig{Sets: 128, Ways: 4, LineBytes: 64, Latency: 2},
@@ -102,7 +93,8 @@ type Stats struct {
 	StallMem     uint64 // extra cycles from cache/TLB misses
 	StallFront   uint64 // cycles lost to front-end redirects
 
-	// ClassCount buckets simulated instructions by execution class.
+	// ClassCount buckets simulated instructions by execution class
+	// (host.Class). No opcode is of host.ClassVector, so its slot is 0.
 	ClassCount [5]uint64
 }
 
@@ -134,7 +126,7 @@ type Core struct {
 	ops [256]opRow
 
 	// Scoreboard: cycle at which each register's value is ready, the
-	// three register banks in one array (see the slot constants).
+	// two register banks in one array (see the slot constants).
 	ready [numSlots]uint64
 
 	// Execution unit free cycles, per pool (see the pool constants).
@@ -193,21 +185,19 @@ func New(cfg Config) *Core {
 	c.units = [numPools][]uint64{
 		poolSimple:  make([]uint64, cfg.SimpleUnits),
 		poolComplex: make([]uint64, cfg.ComplexUnits),
-		poolVector:  make([]uint64, cfg.VectorUnits),
 	}
 	c.ops = buildOps(cfg.LatencyOverride)
 	return c
 }
 
-// Scoreboard slots: the integer, FP and vector banks back to back, then
+// Scoreboard slots: the integer and FP banks back to back, then
 // slotZero, which nothing writes (an absent source reads it and never
 // waits), and slotSink, which nothing reads (an instruction without a
 // destination writes it).
 const (
 	slotInt  = 0
 	slotFP   = slotInt + host.NumIntRegs
-	slotVec  = slotFP + host.NumFPRegs
-	slotZero = slotVec + host.NumVecRegs
+	slotZero = slotFP + host.NumFPRegs
 	slotSink = slotZero + 1
 	numSlots = slotSink + 1
 )
@@ -216,7 +206,6 @@ const (
 const (
 	poolSimple = iota // also issues branches and memory operations
 	poolComplex
-	poolVector
 	numPools
 )
 
@@ -244,7 +233,6 @@ var (
 	noDst         = operand{slotSink, 24}
 	iRd, iRa, iRb = operand{slotInt, 0}, operand{slotInt, 8}, operand{slotInt, 16}
 	fRd, fRa, fRb = operand{slotFP, 0}, operand{slotFP, 8}, operand{slotFP, 16}
-	vRd, vRa, vRb = operand{slotVec, 0}, operand{slotVec, 8}, operand{slotVec, 16}
 )
 
 // opRow is everything Consume needs to know about an opcode.
@@ -257,18 +245,19 @@ type opRow struct {
 	flags uint8
 }
 
-// opShapes lists every host opcode once, grouped by the registers it
-// reads (a, b) and writes (d). Stores and spills read the Rd field.
+// opShapes lists every defined host opcode once, grouped by the
+// registers it reads (a, b) and writes (d). Stores and spills read the
+// Rd field.
 var opShapes = []struct {
 	a, b, d operand
 	ops     []host.Op
 }{
-	{noSrc, noSrc, noDst, []host.Op{host.NOPH, host.CHKPT, host.COMMIT, host.EXIT, host.CHAINED, host.JREL}},
+	{noSrc, noSrc, noDst, []host.Op{host.NOPH, host.CHKPT, host.COMMIT, host.EXIT, host.CHAINED}},
 	{noSrc, noSrc, iRd, []host.Op{host.LI, host.UNSPILLI}},
 	{noSrc, noSrc, fRd, []host.Op{host.FLI, host.UNSPILLF}},
 	{iRa, noSrc, iRd, []host.Op{host.MOVH, host.ADDI, host.ANDI, host.ORI, host.XORI, host.SHLI, host.SHRI,
 		host.SARI, host.LD, host.LDB}},
-	{iRa, noSrc, noDst, []host.Op{host.EXITIND, host.ASSERTH, host.BEQZ, host.BNEZ}},
+	{iRa, noSrc, noDst, []host.Op{host.EXITIND, host.ASSERTH, host.BEQZ}},
 	{iRa, iRb, iRd, []host.Op{host.ADD, host.SUB, host.MUL, host.MULH, host.DIV, host.REM, host.AND, host.OR,
 		host.XOR, host.SHL, host.SHR, host.SAR, host.SLT, host.SLTU, host.SEQ, host.SNE}},
 	{iRa, iRd, noDst, []host.Op{host.ST, host.STB}},
@@ -280,9 +269,6 @@ var opShapes = []struct {
 	{fRa, fRb, fRd, []host.Op{host.FADDH, host.FSUBH, host.FMULH, host.FDIVH}},
 	{fRa, fRb, iRd, []host.Op{host.FSLT, host.FSEQ, host.FUNORD}},
 	{fRd, noSrc, noDst, []host.Op{host.SPILLF}},
-	{vRa, vRb, vRd, []host.Op{host.VFADD, host.VFMUL}},
-	{iRa, noSrc, vRd, []host.Op{host.VFLD}},
-	{iRa, vRd, noDst, []host.Op{host.VFST}},
 }
 
 // buildOps expands opShapes and the host ISA's descriptors into the
@@ -299,8 +285,6 @@ func buildOps(override map[host.Op]int) (ops [256]opRow) {
 			switch d.Class {
 			case host.ClassComplex:
 				row.pool = poolComplex
-			case host.ClassVector:
-				row.pool = poolVector
 			case host.ClassBranch:
 				row.flags |= flagBranch
 			}
@@ -318,14 +302,16 @@ func buildOps(override map[host.Op]int) (ops [256]opRow) {
 			switch op {
 			case host.DIV, host.REM, host.FDIVH, host.FSQRTH:
 				row.flags |= flagUnpipelined
-			case host.BEQZ, host.BNEZ, host.ASSERTH:
+			case host.BEQZ, host.ASSERTH:
 				row.flags |= flagConditional
 			}
 			ops[op] = row
 		}
 	}
-	for op := host.NumOps; op < len(ops); op++ {
-		ops[op] = ops[host.NOPH]
+	for op := range ops {
+		if !host.Op(op).Defined() {
+			ops[op] = ops[host.NOPH]
+		}
 	}
 	return ops
 }
@@ -490,7 +476,7 @@ func (cfg *Config) Validate() error {
 	}
 	for _, f := range []field{
 		{"FetchWidth", cfg.FetchWidth}, {"IssueWidth", cfg.IssueWidth}, {"IQSize", cfg.IQSize},
-		{"SimpleUnits", cfg.SimpleUnits}, {"ComplexUnits", cfg.ComplexUnits}, {"VectorUnits", cfg.VectorUnits},
+		{"SimpleUnits", cfg.SimpleUnits}, {"ComplexUnits", cfg.ComplexUnits},
 		{"L1I.Ways", cfg.L1I.Ways}, {"L1D.Ways", cfg.L1D.Ways}, {"L2.Ways", cfg.L2.Ways},
 		{"ITLB.Ways", cfg.ITLB.Ways}, {"DTLB.Ways", cfg.DTLB.Ways}, {"L2TLB.Ways", cfg.L2TLB.Ways},
 	} {

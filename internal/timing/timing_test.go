@@ -214,12 +214,12 @@ func TestCoreMispredictPenalty(t *testing.T) {
 	random := New(cfg)
 	pattern := func(i int) bool { return (i*2654435761)>>16&1 == 1 } // pseudo-random
 	for i := 0; i < 2000; i++ {
-		evB := mk(host.BNEZ, 0, 16, 0)
+		evB := mk(host.BEQZ, 0, 16, 0)
 		evB.PC = 0x2000
 		evB.Taken = true
 		evB.Target = 0x3000
 		biased.Consume(evB)
-		evR := mk(host.BNEZ, 0, 16, 0)
+		evR := mk(host.BEQZ, 0, 16, 0)
 		evR.PC = 0x2000
 		evR.Taken = pattern(i)
 		evR.Target = 0x3000

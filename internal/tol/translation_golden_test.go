@@ -15,6 +15,7 @@ import (
 	"darco/internal/codecache"
 	"darco/internal/controller"
 	"darco/internal/guest"
+	"darco/internal/host"
 	"darco/internal/tol"
 	"darco/internal/workload"
 )
@@ -54,6 +55,13 @@ func blockDigest(blk *codecache.Block) string {
 	return fmt.Sprintf("%x", sum[:8])
 }
 
+// emitted holds the opcodes of every block the golden runs saw inserted,
+// and checked the golden files they compared, for TestEmittedHostOps.
+var (
+	emitted [host.NumOps]bool
+	checked = map[string]bool{}
+)
+
 // translationLog runs the image to completion under cfg and returns one
 // line per translation, in the order the TOL made them. The block is
 // read in the observer, straight after its insertion: nothing has
@@ -71,6 +79,9 @@ func translationLog(t *testing.T, im *guest.Image, cfg controller.Config) []stri
 			t.Fatalf("translation %v @%#x not resident in its own observer", ev.Kind, ev.Entry)
 		}
 		log = append(log, fmt.Sprintf("%08x %s %s", ev.Entry, blk.Kind, blockDigest(blk)))
+		for i := range blk.Code {
+			emitted[blk.Code[i].Op] = true
+		}
 	}
 	var err error
 	if ctl, err = controller.New(im, cfg); err != nil {
@@ -125,6 +136,7 @@ func checkGolden(t *testing.T, file string, names []string, logs map[string][]st
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d lines recorded, %d produced", file, len(want), len(got))
 	}
+	checked[file] = true
 }
 
 // TestTranslationGoldenSuite pins every translation of five suite
@@ -186,5 +198,42 @@ func TestTranslationGoldenRandom(t *testing.T) {
 			}
 			checkGolden(t, "translations_random_"+tc.name+".golden", names, logs)
 		})
+	}
+}
+
+// notEmitted names the defined host opcodes no golden run's translation
+// holds, each with the reason it is still defined.
+var notEmitted = map[host.Op]string{
+	host.NOPH:    "the host VM retires synthetic profile-counter and IBTC-probe instructions as NOPH",
+	host.CHAINED: "codecache.Cache.Chain patches an EXIT into it after insertion",
+	host.LDB:     "ir codegen's Ld8 arm, which no workload's guest instructions reach",
+	host.STB:     "ir codegen's St8 arm, which no workload's guest instructions reach",
+	host.FDIVH:   "ir codegen's Fdiv arm, which no workload's guest instructions reach",
+	host.FNEGH:   "ir codegen's Fneg arm, which no workload's guest instructions reach",
+}
+
+// TestEmittedHostOps: every defined host opcode appears in some
+// translation of the golden runs or is on notEmitted with a reason, and
+// nothing on notEmitted appears. An opcode the translator stops
+// emitting fails here until it is listed or deleted; so does one it
+// starts emitting while listed. Run alone, it runs the golden tests
+// first.
+func TestEmittedHostOps(t *testing.T) {
+	if len(checked) < 4 {
+		TestTranslationGoldenSuite(t)
+		TestTranslationGoldenRandom(t)
+	}
+	for op := host.Op(0); int(op) < host.NumOps; op++ {
+		why, listed := notEmitted[op]
+		switch {
+		case !op.Defined():
+			if emitted[op] || listed {
+				t.Errorf("undefined opcode %d is emitted (%v) or listed (%v)", op, emitted[op], listed)
+			}
+		case emitted[op] && listed:
+			t.Errorf("%v is emitted but listed as not emitted: %s", op, why)
+		case !emitted[op] && !listed:
+			t.Errorf("%v is defined, but no translation emits it and notEmitted gives no reason", op)
+		}
 	}
 }

@@ -21,7 +21,6 @@ const (
 	RetireComplex                    // multi-cycle integer and FP
 	RetireMemory                     // loads and stores (incl. TOL spill slots)
 	RetireBranch                     // control flow: branches, exits, chains
-	RetireVector                     // SIMD
 
 	// NumRetireClasses is the number of classes; RetireMix.Class is
 	// indexed by RetireClass.
@@ -38,8 +37,6 @@ func (c RetireClass) String() string {
 		return "memory"
 	case RetireBranch:
 		return "branch"
-	case RetireVector:
-		return "vector"
 	}
 	return "?"
 }
@@ -142,9 +139,8 @@ func WithRetireBatchSize(n int) RetireOption {
 // WithRetireEvents asks for per-instruction Events in every delivery.
 // Without it a subscription costs the session an update per taken
 // control transfer in most translated blocks, and a counter increment
-// per retired instruction only in blocks with a backward branch or
-// within reach of a cut, or while a Retire consumer such as the timing
-// simulator is attached; with it every instruction is also
+// per retired instruction only in blocks within reach of a cut, or
+// while a Retire consumer such as the timing simulator is attached; with it every instruction is also
 // materialised as a RetireEvent, about 15 ns each — three times what
 // emulating the instruction costs.
 func WithRetireEvents() RetireOption {
@@ -343,8 +339,6 @@ func retireClass(c host.Class) RetireClass {
 		return RetireMemory
 	case host.ClassBranch:
 		return RetireBranch
-	case host.ClassVector:
-		return RetireVector
 	}
 	return RetireSimple
 }

@@ -2,13 +2,17 @@ package sched_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -697,4 +701,87 @@ func TestShutdownWithoutStoreCancelsQueued(t *testing.T) {
 		t.Errorf("queued job's rows do not say why it never ran:\n%s", csv)
 	}
 	submit(t, coord.URL, body, http.StatusServiceUnavailable)
+}
+
+// TestLegacyWorkerTelemetry: a worker of the release whose telemetry
+// windows still carried an always-zero "vector" counter — met during a
+// rolling upgrade — is gathered like a current one. The federated job's
+// telemetry windows equal those of a standalone run of the same
+// submission.
+func TestLegacyWorkerTelemetry(t *testing.T) {
+	body := `{"scenarios":[{"profile":"429.mcf","scale":0.1}],"telemetry":{"interval_insns":262144}}`
+	s := serve.New(serve.Options{Workers: 1, QueueCapacity: 4})
+	var injected atomic.Int32 // frames rewritten, on the worker's handler goroutines
+	branch := regexp.MustCompile(`("branch":\d+)`)
+	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/events") {
+			s.ServeHTTP(w, r)
+			return
+		}
+		// The stream ends with the shard job: buffer it, then add the
+		// counter to every telemetry frame.
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, r)
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		for _, line := range bytes.SplitAfter(rec.Body.Bytes(), []byte("\n")) {
+			if bytes.HasPrefix(line, []byte(`{"event":"telemetry"`)) {
+				line = branch.ReplaceAll(line, []byte(`$1,"vector":0`))
+				injected.Add(1)
+			}
+			w.Write(line)
+		}
+	}))
+	t.Cleanup(func() {
+		legacy.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("worker shutdown: %v", err)
+		}
+	})
+	_, coord := newCoordinator(t, sched.Options{Workers: []string{legacy.URL}})
+	st := submit(t, coord.URL, body, http.StatusAccepted)
+	if final := waitState(t, coord.URL, st.ID, func(s serve.JobStatus) bool { return s.State.Terminal() }); final.State != serve.JobDone {
+		t.Fatalf("federated job ended %s (%s)", final.State, final.Error)
+	}
+	if injected.Load() == 0 {
+		t.Fatal("the legacy worker sent no telemetry frame")
+	}
+
+	_, ref := newWorker(t, serve.Options{Workers: 1, QueueCapacity: 4})
+	rst := submit(t, ref.URL, body, http.StatusAccepted)
+	waitState(t, ref.URL, rst.ID, func(s serve.JobStatus) bool { return s.State.Terminal() })
+	got, want := telemetryWindows(t, coord.URL, st.ID), telemetryWindows(t, ref.URL, rst.ID)
+	if len(want) < 2 || !reflect.DeepEqual(got, want) {
+		t.Errorf("federated windows %+v, standalone %+v", got, want)
+	}
+}
+
+// telemetryWindows reads a finished job's NDJSON event stream and
+// returns its telemetry events without the job id.
+func telemetryWindows(t *testing.T, base, id string) []serve.TelemetryEvent {
+	t.Helper()
+	var out []serve.TelemetryEvent
+	sc := bufio.NewScanner(bytes.NewReader(fetch(t, base+"/api/v1/jobs/"+id+"/events?format=ndjson", http.StatusOK, "")))
+	for sc.Scan() {
+		var f struct {
+			Event string          `json:"event"`
+			Data  json.RawMessage `json:"data"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
+			t.Fatal(err)
+		}
+		if f.Event == serve.EventTelemetry {
+			var ev serve.TelemetryEvent
+			if err := json.Unmarshal(f.Data, &ev); err != nil {
+				t.Fatal(err)
+			}
+			ev.Job = ""
+			out = append(out, ev)
+		}
+	}
+	return out
 }

@@ -424,7 +424,7 @@ func TestSSETelemetryWindows(t *testing.T) {
 			if i < len(ws)-1 && w.Insns != interval {
 				t.Errorf("scenario %d window %d covers %d insns, want %d", idx, i, w.Insns, interval)
 			}
-			if sum := w.Simple + w.Complex + w.Memory + w.Branch + w.Vector; sum != w.Insns {
+			if sum := w.Simple + w.Complex + w.Memory + w.Branch; sum != w.Insns {
 				t.Errorf("scenario %d window %d class sum %d != insns %d", idx, i, sum, w.Insns)
 			}
 		}

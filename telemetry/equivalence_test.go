@@ -59,8 +59,6 @@ func (r *eventWindower) sink(b darco.RetireBatch) {
 			r.cur.Memory++
 		case darco.RetireBranch:
 			r.cur.Branch++
-		case darco.RetireVector:
-			r.cur.Vector++
 		}
 		if ev.Load {
 			r.cur.Loads++

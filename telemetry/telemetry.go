@@ -44,6 +44,9 @@ const DefaultInterval = 1 << 20
 // aggregated to instruction-mix counters. Counters classify retired
 // host instructions by execution resource (darco.RetireClass); Loads,
 // Stores and Taken are orthogonal slices of the same instructions.
+// Simple, Complex, Memory and Branch add up to Insns. Windows written
+// by older releases also carry a "vector" counter, always 0; decoding
+// ignores it, so their journals and event streams still load.
 type Window struct {
 	// Index numbers windows contiguously from 0 per stream.
 	Index uint64 `json:"window"`
@@ -59,7 +62,6 @@ type Window struct {
 	Complex uint64 `json:"complex"`
 	Memory  uint64 `json:"memory"`
 	Branch  uint64 `json:"branch"`
-	Vector  uint64 `json:"vector"`
 
 	Loads  uint64 `json:"loads"`
 	Stores uint64 `json:"stores"`
@@ -78,7 +80,6 @@ func (w *Window) Add(w2 *Window) {
 	w.Complex += w2.Complex
 	w.Memory += w2.Memory
 	w.Branch += w2.Branch
-	w.Vector += w2.Vector
 	w.Loads += w2.Loads
 	w.Stores += w2.Stores
 	w.Taken += w2.Taken
@@ -92,7 +93,6 @@ func (w *Window) addMix(m *darco.RetireMix) {
 	w.Complex += m.Class[darco.RetireComplex]
 	w.Memory += m.Class[darco.RetireMemory]
 	w.Branch += m.Class[darco.RetireBranch]
-	w.Vector += m.Class[darco.RetireVector]
 	w.Loads += m.Loads
 	w.Stores += m.Stores
 	w.Taken += m.Taken

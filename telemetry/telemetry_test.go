@@ -64,7 +64,7 @@ func TestWindowsCoverEveryRetiredInstruction(t *testing.T) {
 		if i < len(wins)-1 && w.Insns != interval {
 			t.Errorf("non-final window %d covers %d insns, want %d", i, w.Insns, interval)
 		}
-		if got := w.Simple + w.Complex + w.Memory + w.Branch + w.Vector; got != w.Insns {
+		if got := w.Simple + w.Complex + w.Memory + w.Branch; got != w.Insns {
 			t.Errorf("window %d class counts sum to %d, Insns %d", i, got, w.Insns)
 		}
 		if w.Loads+w.Stores > w.Insns || w.Taken > w.Branch {
