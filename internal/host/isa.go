@@ -81,8 +81,8 @@ const (
 	// the following instruction). The branch goes forward and lands
 	// inside its block: codecache.Cache.Insert checks it.
 	BEQZ
-	_ // reserved: a retired branch-if-nonzero
-	_ // reserved: a retired unconditional relative jump
+	_ // reserved (see NumOps)
+	_
 
 	// Code cache exits. EXIT leaves to a statically known guest PC
 	// (Target); after chaining it is rewritten to CHAINED with Link
@@ -113,9 +113,7 @@ const (
 	FSEQ   // rd <- fa == fb
 	FUNORD // rd <- isNaN(fa) || isNaN(fb)
 
-	// Reserved: four retired vector instructions (add, multiply, load,
-	// store) that no translation emitted.
-	_
+	_ // reserved (see NumOps)
 	_
 	_
 	_
@@ -135,9 +133,10 @@ const (
 )
 
 // NumOps bounds the opcode space: every defined opcode is below it.
-// The reserved slots keep the opcode numbers of retired instructions
-// from being reused; they are undefined, like any opcode from NumOps
-// on (see Op.Defined).
+// The reserved slots are undefined, like any opcode from NumOps on (see
+// Op.Defined). They hold the places of deleted opcodes so that the
+// opcodes after them keep their numbers, which translation digests
+// hash.
 const NumOps = int(numOps)
 
 // Class buckets opcodes by the execution resource they occupy in the

@@ -144,7 +144,6 @@ func genBlock(r *rand.Rand, entry uint32, entries []uint32) blockSpec {
 		emit(in)
 	}
 	target := func() uint32 { return entries[r.Intn(len(entries))] }
-	cond := func() uint8 { return condReg(r) }
 	body := func(n int) {
 		for i := 0; i < n; i++ {
 			emit(genInst(r, bodyOps[r.Intn(len(bodyOps))], entry))
@@ -153,7 +152,7 @@ func genBlock(r *rand.Rand, entry uint32, entries []uint32) blockSpec {
 	emit(host.Inst{Op: host.CHKPT})
 	body(2 + r.Intn(8))
 	for k := r.Intn(3); k > 0; k-- {
-		emit(host.Inst{Op: host.BEQZ, Ra: cond(), Imm: 2})
+		emit(host.Inst{Op: host.BEQZ, Ra: condReg(r), Imm: 2})
 		emit(host.Inst{Op: host.COMMIT})
 		exit(host.Inst{Op: host.EXIT, Target: target()})
 		body(1 + r.Intn(6))

@@ -39,9 +39,10 @@ func mixBlock() *codecache.Block {
 
 // forwardBlock is a BBM block that runs tallied whenever the cut is
 // further away than its length: two side exits skipped by a taken BEQZ
-// each, a third taken BEQZ over a dead instruction, then the given end — a taken exit ("exit"), a failing
-// assert ("assert"), a load-store alias ("spec") or a load from a
-// missing page ("fault", on strictVM).
+// each, a third taken BEQZ over a dead instruction, then the given
+// end — a taken exit ("exit"), a failing assert ("assert"), a
+// load-store alias ("spec") or a load from a missing page ("fault", on
+// strictVM).
 func forwardBlock(end string) *codecache.Block {
 	code := []host.Inst{
 		{Op: host.CHKPT},

@@ -1,7 +1,7 @@
 // Package timing implements DARCO's timing simulator (§V-C): a
 // parameterized in-order superscalar host core with decoupled front-end
-// and back-end, a BTB + gshare branch predictor, scoreboarding, simple /
-// complex / vector execution units, two-level cache and TLB hierarchies,
+// and back-end, a BTB + gshare branch predictor, scoreboarding, simple
+// and complex execution units, two-level cache and TLB hierarchies,
 // and a stride data prefetcher. It is trace-driven: it consumes the
 // retired host instruction stream the co-designed component produces.
 package timing

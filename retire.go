@@ -140,9 +140,9 @@ func WithRetireBatchSize(n int) RetireOption {
 // Without it a subscription costs the session an update per taken
 // control transfer in most translated blocks, and a counter increment
 // per retired instruction only in blocks within reach of a cut, or
-// while a Retire consumer such as the timing simulator is attached; with it every instruction is also
-// materialised as a RetireEvent, about 15 ns each — three times what
-// emulating the instruction costs.
+// while a Retire consumer such as the timing simulator is attached;
+// with it every instruction is also materialised as a RetireEvent,
+// about 15 ns each — three times what emulating the instruction costs.
 func WithRetireEvents() RetireOption {
 	return func(s *retireSub) { s.events = true }
 }
