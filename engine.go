@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"darco/internal/guest"
-	"darco/internal/host"
 	"darco/internal/power"
 	"darco/internal/timing"
 	"darco/internal/tol"
@@ -119,11 +118,8 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		opt(e)
 	}
 	// Detach from caller-held pointers so the engine is immutable.
-	e.cfg.Timing = copyTiming(e.cfg.Timing)
-	if e.cfg.Power != nil {
-		pe := *e.cfg.Power
-		e.cfg.Power = &pe
-	}
+	e.cfg.Timing = clonePtr(e.cfg.Timing)
+	e.cfg.Power = clonePtr(e.cfg.Power)
 	if e.cfg.Timing != nil {
 		if err := e.cfg.Timing.Validate(); err != nil {
 			return nil, fmt.Errorf("darco: WithTiming: %w", err)
@@ -146,29 +142,20 @@ func NewEngine(opts ...Option) (*Engine, error) {
 // affect the engine.
 func (e *Engine) Config() Config {
 	cfg := e.cfg
-	cfg.Timing = copyTiming(cfg.Timing)
-	if cfg.Power != nil {
-		pe := *cfg.Power
-		cfg.Power = &pe
-	}
+	cfg.Timing = clonePtr(cfg.Timing)
+	cfg.Power = clonePtr(cfg.Power)
 	return cfg
 }
 
-// copyTiming deep-copies a timing configuration (nil-safe), including
-// its latency-override map.
-func copyTiming(in *timing.Config) *timing.Config {
-	if in == nil {
+// clonePtr returns a pointer to a copy of *p, or nil for nil. The
+// timing and power configurations are plain values, so this detaches
+// them completely.
+func clonePtr[T any](p *T) *T {
+	if p == nil {
 		return nil
 	}
-	tc := *in
-	if tc.LatencyOverride != nil {
-		m := make(map[host.Op]int, len(tc.LatencyOverride))
-		for k, v := range tc.LatencyOverride {
-			m[k] = v
-		}
-		tc.LatencyOverride = m
-	}
-	return &tc
+	c := *p
+	return &c
 }
 
 // CheckInterval reports the engine's cancellation/progress granularity

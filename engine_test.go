@@ -10,7 +10,6 @@ import (
 
 	darco "darco"
 	"darco/internal/guest"
-	"darco/internal/host"
 	"darco/internal/power"
 	"darco/internal/timing"
 	"darco/internal/tol"
@@ -89,23 +88,6 @@ func TestEngineImmutableAgainstOptionArgs(t *testing.T) {
 	cfg.Power.DRAMRead = 1e9
 	if eng.Config().Timing.FetchWidth == 77 || eng.Config().Power.DRAMRead == 1e9 {
 		t.Errorf("Config() shares pointers with the engine")
-	}
-	cfg.Timing.LatencyOverride = map[host.Op]int{host.ADD: 42}
-	if eng.Config().Timing.LatencyOverride != nil {
-		t.Errorf("Config() shares the latency-override map with the engine")
-	}
-}
-
-func TestEngineConfigLatencyOverrideIsolated(t *testing.T) {
-	tm := timing.DefaultConfig()
-	tm.LatencyOverride = map[host.Op]int{host.ADD: 7}
-	eng, err := darco.NewEngine(darco.WithTiming(tm))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Config().Timing.LatencyOverride[host.ADD] = 99
-	if got := eng.Config().Timing.LatencyOverride[host.ADD]; got != 7 {
-		t.Errorf("latency override mutated through Config(): %d", got)
 	}
 }
 

@@ -53,9 +53,6 @@ func NewCache(cfg CacheConfig) *Cache {
 // Config returns the cache geometry.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
-// SizeBytes reports total capacity.
-func (c *Cache) SizeBytes() int { return c.cfg.Sets * c.cfg.Ways * c.cfg.LineBytes }
-
 // set returns the ways of the set addr maps to and the tag a way
 // holding addr's line stores.
 func (c *Cache) set(addr uint32) (ways []uint64, tag uint64) {

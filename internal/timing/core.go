@@ -43,10 +43,6 @@ type Config struct {
 	// TOLCPI models the average CPI of the TOL's own host instructions
 	// when charged through AddTOL (the TOL is software on this core).
 	TOLCPI float64
-
-	// Latency overrides per opcode (0 = host ISA default), read once
-	// when New builds the core.
-	LatencyOverride map[host.Op]int
 }
 
 // DefaultConfig models the paper's simple in-order co-designed core:
@@ -186,7 +182,7 @@ func New(cfg Config) *Core {
 		poolSimple:  make([]uint64, cfg.SimpleUnits),
 		poolComplex: make([]uint64, cfg.ComplexUnits),
 	}
-	c.ops = buildOps(cfg.LatencyOverride)
+	c.ops = buildOps()
 	return c
 }
 
@@ -237,7 +233,7 @@ var (
 
 // opRow is everything Consume needs to know about an opcode.
 type opRow struct {
-	lat   uint32 // execution latency, LatencyOverride applied
+	lat   uint32 // execution latency
 	src   [2]operand
 	dst   operand
 	pool  uint8
@@ -274,14 +270,11 @@ var opShapes = []struct {
 // buildOps expands opShapes and the host ISA's descriptors into the
 // table. Undefined opcodes time as NOPH, which is how Op.Desc describes
 // them.
-func buildOps(override map[host.Op]int) (ops [256]opRow) {
+func buildOps() (ops [256]opRow) {
 	for _, sh := range opShapes {
 		for _, op := range sh.ops {
 			d := op.Desc()
 			row := opRow{lat: uint32(d.Latency), src: [2]operand{sh.a, sh.b}, dst: sh.d, class: d.Class}
-			if l := override[op]; l > 0 {
-				row.lat = uint32(l)
-			}
 			switch d.Class {
 			case host.ClassComplex:
 				row.pool = poolComplex

@@ -71,7 +71,7 @@ func dstReg(in *host.Inst) (reg int, class uint8) {
 // something it is not.
 func TestOpsMatchOracle(t *testing.T) {
 	banks := [2]int{slotInt, slotFP}
-	ops := buildOps(map[host.Op]int{host.MUL: 9, host.ADD: 0})
+	ops := buildOps()
 	for i := range 256 {
 		op := host.Op(i)
 		if !op.Defined() {
@@ -119,12 +119,8 @@ func TestOpsMatchOracle(t *testing.T) {
 			t.Errorf("%v: pool %d class %d, oracle pool %d class %d", op, row.pool, row.class, wantPool, d.Class)
 		}
 
-		wantLat := d.Latency
-		if op == host.MUL {
-			wantLat = 9 // ADD's zero override falls back to the ISA default
-		}
-		if int(row.lat) != wantLat {
-			t.Errorf("%v: latency %d, want %d", op, row.lat, wantLat)
+		if int(row.lat) != d.Latency {
+			t.Errorf("%v: latency %d, want %d", op, row.lat, d.Latency)
 		}
 
 		scratch := op == host.SPILLI || op == host.UNSPILLI || op == host.SPILLF || op == host.UNSPILLF

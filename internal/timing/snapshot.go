@@ -1,9 +1,6 @@
 package timing
 
-import (
-	"maps"
-	"slices"
-)
+import "slices"
 
 // Clone returns a deep copy of the core. The copy shares no mutable
 // state with the receiver, so callers can snapshot the simulator
@@ -28,7 +25,6 @@ func (c *Core) Clone() *Core {
 		n.units[i] = slices.Clone(pool)
 	}
 	n.iq = slices.Clone(c.iq)
-	n.Cfg.LatencyOverride = maps.Clone(c.Cfg.LatencyOverride)
 	return n
 }
 

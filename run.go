@@ -57,15 +57,6 @@ func TimingConfig() Config {
 	return c
 }
 
-// FullConfig enables timing and power.
-func FullConfig() Config {
-	c := TimingConfig()
-	e := power.DefaultEnergies()
-	c.Power = &e
-	c.FreqMHz = 1000
-	return c
-}
-
 // Result reports everything a run produced.
 type Result struct {
 	Stats    tol.Stats
