@@ -137,12 +137,13 @@ func (vm *VM) runBlock(b *codecache.Block, t *codecache.Tally) (Result, uint64, 
 			vm.AppInsns++
 			// A branch is observed in its case, where the outcome is known.
 			if !in.Op.IsBranch() {
-				// Nine retirements in ten pass through here, so the
-				// common subscribed case — histogram only, not at the
-				// cut — is counted inline; observe handles the rest.
-				// The copy earns its place: calling observe here
-				// instead costs a default job 15% (served_job_s on
-				// tiers) and a windowed session 23% (fp-steady).
+				// A histogram-only block gets here only when the next
+				// cut lies within len(Code) retirements (Run tallies it
+				// otherwise), so this arm counts that block's
+				// retirements before the cut inline; observe handles
+				// the cut itself and every Retire consumer. The copy of
+				// observe's histogram line predates the tally and has
+				// not been measured against it since.
 				if m := vm.Mix; m != nil && vm.Retire == nil && vm.AppInsns != m.CutAt {
 					m.Ops[in.Op]++
 				} else {
