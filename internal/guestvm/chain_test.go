@@ -1,8 +1,10 @@
 package guestvm_test
 
 import (
+	"fmt"
 	"maps"
 	"math"
+	"strings"
 	"testing"
 
 	"darco/internal/guest"
@@ -215,4 +217,104 @@ func TestRunStopAtSysAfterChaining(t *testing.T) {
 		t.Errorf("%d pauses, want 100 getpid calls and the exit", pauses)
 	}
 	sameState(t, "end", vm, ref)
+}
+
+// stepUntil steps ref until its instruction count reaches insns (0: no
+// limit), it halts, or a step fails, and returns that step's error.
+func stepUntil(ref *guestvm.VM, insns uint64) error {
+	for !ref.Halted && (insns == 0 || ref.InsnCount < insns) {
+		if _, err := ref.Step(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sameErr compares two errors by their text (nil only equals nil).
+func sameErr(t *testing.T, what string, got, want error) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("%s: run error %v, step error %v", what, got, want)
+	}
+}
+
+// TestRunMatchesStepOnBlockEdges runs the two blocks Run cannot take in
+// one piece against a Step-only VM: a basic block longer than the
+// decoded-block cap, ending in the exit syscall, and a block with an
+// undecodable byte in its middle. Each runs without a limit, stopped at
+// every instruction count across the block (then resumed), and paused
+// at its syscall.
+func TestRunMatchesStepOnBlockEdges(t *testing.T) {
+	var long strings.Builder
+	long.WriteString(".org 0x1000\n.entry start\nstart:\n    movri ebp, 0x80000\n    movri eax, 0\n")
+	for i := range 4200 {
+		if i%7 == 0 {
+			fmt.Fprintf(&long, "    store [ebp+%d], eax\n", 4*(i%64))
+		} else {
+			long.WriteString("    addri eax, 3\n")
+		}
+	}
+	long.WriteString("    movri ebx, 0\n    movri eax, 1\n    syscall\n    halt\n")
+	const bad = `
+.org 0x1000
+.entry start
+start:
+    movri ebp, 0x3000
+    movri eax, 5
+    store [ebp+0], eax
+    addri eax, 1
+    .byte 0
+    addri eax, 1
+    movri eax, 1
+    syscall
+    halt
+`
+	for _, prog := range []struct {
+		name string
+		src  string
+	}{{"long", long.String()}, {"undecodable", bad}} {
+		im := assemble(t, prog.src)
+		vm, ref := newVM(t, im), newVM(t, im)
+		_, err := vm.Run(guestvm.RunLimits{})
+		wantErr := stepUntil(ref, 0)
+		sameErr(t, prog.name, err, wantErr)
+		sameState(t, prog.name, vm, ref)
+		total := ref.InsnCount
+
+		ref = newVM(t, im)
+		for limit := uint64(1); limit <= total; limit++ {
+			what := fmt.Sprintf("%s, limit %d", prog.name, limit)
+			vm := newVM(t, im)
+			_, err := vm.Run(guestvm.RunLimits{InsnCount: limit})
+			sameErr(t, what, err, stepUntil(ref, limit))
+			sameState(t, what, vm, ref)
+			_, err = vm.Run(guestvm.RunLimits{})
+			sameErr(t, what+", resumed", err, wantErr)
+			if vm.InsnCount != total || (wantErr == nil) != vm.Halted {
+				t.Errorf("%s, resumed: %d instructions, halted=%v", what, vm.InsnCount, vm.Halted)
+			}
+			if t.Failed() {
+				t.FailNow()
+			}
+		}
+
+		vm, ref = newVM(t, im), newVM(t, im)
+		reason, err := vm.Run(guestvm.RunLimits{StopAtSys: true})
+		if wantErr != nil {
+			sameErr(t, prog.name+", StopAtSys", err, wantErr)
+			stepUntil(ref, 0)
+			sameState(t, prog.name+", StopAtSys", vm, ref)
+			continue
+		}
+		if err != nil || reason != guestvm.StopSyscall {
+			t.Fatalf("%s: StopAtSys stopped for %v: %v", prog.name, reason, err)
+		}
+		stepUntil(ref, total-1)
+		sameState(t, prog.name+", paused", vm, ref)
+		if err := vm.ServiceSyscallAt(); err != nil {
+			t.Fatal(err)
+		}
+		stepUntil(ref, 0)
+		sameState(t, prog.name+", serviced", vm, ref)
+	}
 }

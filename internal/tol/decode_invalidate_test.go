@@ -183,3 +183,56 @@ func TestInstallPageDropsStraddlingDecode(t *testing.T) {
 		t.Fatalf("stale straddling decode: imm=%#x", got.Imm)
 	}
 }
+
+// TestInstallPageDropsStraddlingInterpBlock covers an interpreted block
+// whose bytes straddle two pages: re-installing only the second page
+// must drop the cached block that begins on the first, or its replay
+// keeps running the old instructions.
+func TestInstallPageDropsStraddlingInterpBlock(t *testing.T) {
+	program := func(addend string) *[2 * guestvm.PageSize]byte {
+		im, err := guest.Assemble(`
+.org 0x1ffa
+    movri eax, 5
+    addri eax, ` + addend + `
+    halt
+`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var code [2 * guestvm.PageSize]byte
+		for _, s := range im.Segments {
+			copy(code[s.Addr-0x1000:], s.Data)
+		}
+		return &code
+	}
+	page := func(code *[2 * guestvm.PageSize]byte, i int) *[guestvm.PageSize]byte {
+		return (*[guestvm.PageSize]byte)(code[i*guestvm.PageSize:])
+	}
+	run := func(tl *TOL) uint32 {
+		tl.CPU = guest.CPU{EIP: 0x1ffa}
+		tl.CPU.R[guest.ESP] = guestvm.StackTop
+		tl.halted = false
+		if _, err := tl.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		return tl.CPU.R[guest.EAX]
+	}
+
+	cfg := DefaultConfig()
+	cfg.BBThreshold = 1 << 30 // stay in the interpreter
+	tl := New(cfg)
+	old := program("2")
+	tl.InstallPage(0x1000, page(old, 0))
+	tl.InstallPage(0x2000, page(old, 1))
+	if got := run(tl); got != 7 {
+		t.Fatalf("first run: eax=%d", got)
+	}
+	if got := run(tl); got != 7 {
+		t.Fatalf("replayed run: eax=%d", got)
+	}
+	// The block's first page stays as it was; only the second changes.
+	tl.InstallPage(0x2000, page(program("40"), 1))
+	if got := run(tl); got != 45 {
+		t.Fatalf("stale straddling interp block after re-install: eax=%d", got)
+	}
+}
