@@ -55,38 +55,19 @@ type VM struct {
 	// it as the authoritative execution distribution.
 	BBFreq map[uint32]uint64
 
+	// decode is the VM's front end. Run executes each decoded block in
+	// one guest.RunBlock call and follows the blocks' links. The VM
+	// never invalidates it: self-modifying code is out of scope (see
+	// Fetch). scratch is decodeBlock's.
 	decode  DecodeCache
+	scratch []guest.Inst
 	bbStart uint32
 	inBB    bool
-
-	// bbcache holds decoded basic blocks, decoded when Run first arrives
-	// at their entry. Run executes each in one guest.RunBlock call and
-	// follows successor links; the map is consulted only where no link
-	// matches. Self-modifying code is out of scope (see Fetch): entries
-	// are never invalidated, links never dangle. scratch is decodeBB's.
-	bbcache map[uint32]*cachedBB
-	scratch []guest.Inst
 }
-
-// cachedBB is one decoded basic block, terminator included.
-type cachedBB struct {
-	pc    uint32 // entry
-	insts []guest.Inst
-
-	// succ are the two blocks last seen to follow this one, most recent
-	// first: both ways of a conditional branch stay linked. A link is
-	// taken only when its pc is where control went; an indirect branch
-	// with more targets goes back to the map.
-	succ [2]*cachedBB
-}
-
-// maxBBInsns bounds a cached basic block; longer blocks execute through
-// Step every time.
-const maxBBInsns = 4096
 
 // New creates a VM, loads the image, and prepares the stack.
 func New(im *guest.Image) (*VM, error) {
-	vm := &VM{Mem: NewMemory(false), Env: NewEnv(), bbcache: make(map[uint32]*cachedBB)}
+	vm := &VM{Mem: NewMemory(false), Env: NewEnv()}
 	if err := vm.Mem.LoadImage(im); err != nil {
 		return nil, err
 	}
@@ -95,38 +76,33 @@ func New(im *guest.Image) (*VM, error) {
 	return vm, nil
 }
 
-// Fetch decodes the instruction at pc, through a decode cache.
+// Fetch decodes the instruction at pc, through the decode cache.
 // Self-modifying code is out of scope for the reproduction (the paper's
 // workloads do not exercise it either).
 func (vm *VM) Fetch(pc uint32) (guest.Inst, error) {
-	if in, ok := vm.decode.Lookup(pc); ok {
-		return in, nil
+	in, err := vm.fetch(pc)
+	if err != nil {
+		return guest.Inst{}, err
 	}
-	var raw [10]byte
-	for i := range raw {
-		v, err := vm.Mem.Load8(pc + uint32(i))
-		if err != nil {
-			break
-		}
-		raw[i] = v
+	return *in, nil
+}
+
+// fetch is Fetch returning the cached decode itself. The memory is not
+// strict, so every error is an undecodable instruction.
+func (vm *VM) fetch(pc uint32) (*guest.Inst, error) {
+	in, _, err := vm.decode.Fetch(vm.Mem, pc)
+	if err != nil {
+		return nil, fmt.Errorf("guestvm: %w", err)
 	}
-	in, n := guest.Decode(raw[:])
-	if n == 0 {
-		return in, fmt.Errorf("guestvm: undecodable instruction at %#x", pc)
-	}
-	vm.decode.Insert(pc, in)
 	return in, nil
 }
 
 // Step executes exactly one instruction, servicing syscalls inline.
 func (vm *VM) Step() (guest.Event, error) {
 	pc := vm.CPU.EIP
-	in := vm.decode.LookupPtr(pc)
-	if in == nil {
-		if _, err := vm.Fetch(pc); err != nil {
-			return guest.EvNone, err
-		}
-		in = vm.decode.LookupPtr(pc)
+	in, err := vm.fetch(pc)
+	if err != nil {
+		return guest.EvNone, err
 	}
 	if !vm.inBB {
 		vm.inBB, vm.bbStart = true, pc
@@ -165,50 +141,28 @@ func (vm *VM) endBB(ev guest.Event) error {
 	return nil
 }
 
-// block returns the cached block entered at the current EIP (a block
-// boundary), or nil for a block that cannot be cached. prev is the
-// cached block that ran last, if control has stayed in cached blocks:
-// its links are tried before the map, and filled on a miss.
-func (vm *VM) block(prev *cachedBB) *cachedBB {
-	pc := vm.CPU.EIP
-	if prev != nil {
-		if bb := prev.succ[0]; bb != nil && bb.pc == pc {
-			return bb
-		}
-		if bb := prev.succ[1]; bb != nil && bb.pc == pc {
-			return bb
-		}
-	}
-	bb := vm.bbcache[pc]
-	if bb == nil {
-		if bb = vm.decodeBB(pc); bb == nil {
-			return nil
-		}
-		vm.bbcache[pc] = bb
-	}
-	if prev != nil {
-		prev.succ[1], prev.succ[0] = prev.succ[0], bb
-	}
-	return bb
-}
-
-// decodeBB decodes the basic block at pc. A block with an undecodable
-// instruction or more than maxBBInsns is left to Step, which stops at
-// the right instruction.
-func (vm *VM) decodeBB(pc uint32) *cachedBB {
+// decodeBlock decodes and caches the block at pc: up to its terminator,
+// MaxBlockInsns instructions, or an undecodable instruction, whichever
+// comes first. Only an undecodable first instruction is an error; one
+// further on ends the block before it, for the next block to report.
+func (vm *VM) decodeBlock(pc uint32) (*Block, error) {
 	vm.scratch = vm.scratch[:0]
-	for at := pc; len(vm.scratch) < maxBBInsns; {
-		in, err := vm.Fetch(at)
+	at := pc
+	for len(vm.scratch) < MaxBlockInsns {
+		in, err := vm.fetch(at)
 		if err != nil {
+			if at == pc {
+				return nil, err
+			}
 			break
 		}
-		vm.scratch = append(vm.scratch, in)
-		if in.Op.EndsBasicBlock() {
-			return &cachedBB{pc: pc, insts: append([]guest.Inst(nil), vm.scratch...)}
-		}
+		vm.scratch = append(vm.scratch, *in)
 		at += uint32(in.Size)
+		if in.Op.EndsBasicBlock() {
+			break
+		}
 	}
-	return nil
+	return vm.decode.AddBlock(pc, at, vm.scratch), nil
 }
 
 // RunLimits bounds a Run call. Zero fields mean unlimited.
@@ -221,8 +175,14 @@ type RunLimits struct {
 // Run executes until a limit is reached or the program halts. With
 // StopAtSys, the VM pauses with EIP at the SYSCALL instruction so the
 // controller can orchestrate the synchronization phase.
+//
+// Whatever the EIP — a block entry, the middle of a block a limit
+// stopped in, the rest of a block longer than MaxBlockInsns — Run takes
+// the block that starts there, cuts it to the instruction limit and,
+// under StopAtSys, just before a trailing SYSCALL, and runs what is
+// left in one guest.RunBlock call.
 func (vm *VM) Run(lim RunLimits) (StopReason, error) {
-	var prev *cachedBB
+	var prev *Block
 	for !vm.Halted {
 		if lim.BBCount > 0 && vm.BBCount >= lim.BBCount {
 			return StopBBLimit, nil
@@ -230,47 +190,36 @@ func (vm *VM) Run(lim RunLimits) (StopReason, error) {
 		if lim.InsnCount > 0 && vm.InsnCount >= lim.InsnCount {
 			return StopInsnLimit, nil
 		}
-		// At a block boundary with the instruction limit out of reach,
-		// the whole block runs at once. A SYSCALL can only terminate a
-		// block, so StopAtSys runs the body and pauses before it.
-		var bb *cachedBB
+		bb := vm.decode.Block(prev, vm.CPU.EIP)
+		if bb == nil {
+			var err error
+			if bb, err = vm.decodeBlock(vm.CPU.EIP); err != nil {
+				return StopError, err
+			}
+		}
+		insts := bb.Insts
+		if left := lim.InsnCount - vm.InsnCount; lim.InsnCount > 0 && uint64(len(insts)) > left {
+			insts = insts[:left]
+		}
+		pause := lim.StopAtSys && insts[len(insts)-1].Op == guest.SYSCALL
+		if pause {
+			insts = insts[:len(insts)-1]
+		}
 		if !vm.inBB {
-			bb = vm.block(prev)
-		}
-		if bb != nil && (lim.InsnCount == 0 || vm.InsnCount+uint64(len(bb.insts)) <= lim.InsnCount) {
-			insts := bb.insts
-			pause := lim.StopAtSys && insts[len(insts)-1].Op == guest.SYSCALL
-			if pause {
-				insts = insts[:len(insts)-1]
-			}
 			vm.inBB, vm.bbStart = true, bb.pc
-			n, ev, err := guest.RunBlock(&vm.CPU, vm.Mem, insts)
-			vm.InsnCount += uint64(n)
-			if err == nil && !pause {
-				err = vm.endBB(ev)
-			}
-			if err != nil {
-				return StopError, err
-			}
-			if pause {
-				return StopSyscall, nil
-			}
-			prev = bb
-			continue
 		}
-		prev = nil
-		if lim.StopAtSys {
-			in, err := vm.Fetch(vm.CPU.EIP)
-			if err != nil {
-				return StopError, err
-			}
-			if in.Op == guest.SYSCALL {
-				return StopSyscall, nil
-			}
+		n, ev, err := guest.RunBlock(&vm.CPU, vm.Mem, insts)
+		vm.InsnCount += uint64(n)
+		if err == nil && len(insts) == len(bb.Insts) && insts[len(insts)-1].Op.EndsBasicBlock() {
+			err = vm.endBB(ev)
 		}
-		if _, err := vm.Step(); err != nil {
+		if err != nil {
 			return StopError, err
 		}
+		if pause {
+			return StopSyscall, nil
+		}
+		prev = bb
 	}
 	return StopHalt, nil
 }
@@ -278,7 +227,7 @@ func (vm *VM) Run(lim RunLimits) (StopReason, error) {
 // ServiceSyscallAt executes the SYSCALL instruction the VM is paused at
 // and services it. The controller calls this during synchronization.
 func (vm *VM) ServiceSyscallAt() error {
-	in, err := vm.Fetch(vm.CPU.EIP)
+	in, err := vm.fetch(vm.CPU.EIP)
 	if err != nil {
 		return err
 	}

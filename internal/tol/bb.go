@@ -9,11 +9,6 @@ import (
 	"darco/internal/ir"
 )
 
-// Fetcher decodes the guest instruction at pc from the co-designed
-// component's emulated memory. It returns a page-fault error when the
-// code page has not been transferred yet.
-type Fetcher func(pc uint32) (guest.Inst, error)
-
 // maxBBInsns caps decoded basic block length defensively.
 const maxBBInsns = 512
 

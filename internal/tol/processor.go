@@ -143,19 +143,15 @@ type TOL struct {
 	Overhead Overhead
 	Stats    Stats
 
-	Fetch Fetcher
-
 	// prof holds the per-entry profile records (see profEntry).
 	prof map[uint32]*profEntry
 
-	// dec memoizes guest instruction decode per code page; iblocks
-	// caches whole decoded basic blocks for the interpreter. Both are
-	// invalidated by InstallPage when the controller (re)writes a page.
+	// dec is the interpreter's front end: the decode cache every fetch
+	// goes through and the decoded blocks the interpreter replays.
+	// InstallPage invalidates it when the controller (re)writes a page.
 	// irec is the buffer a block being recorded grows in.
-	dec           guestvm.DecodeCache
-	iblocks       map[uint32]*interpBlock
-	iblocksByPage map[uint32][]uint32
-	irec          []guest.Inst
+	dec  guestvm.DecodeCache
+	irec []guest.Inst
 
 	// scratch is the translation working memory (see its type).
 	scratch scratch
@@ -194,27 +190,24 @@ type DispatchRecord struct {
 // page requests.
 func New(cfg Config) *TOL {
 	t := &TOL{
-		Mem:           guestvm.NewMemory(true),
-		Cache:         codecache.New(cfg.CacheSize),
-		Cfg:           cfg,
-		SBCfg:         cfg.SB,
-		prof:          make(map[uint32]*profEntry),
-		iblocks:       make(map[uint32]*interpBlock),
-		iblocksByPage: make(map[uint32][]uint32),
+		Mem:   guestvm.NewMemory(true),
+		Cache: codecache.New(cfg.CacheSize),
+		Cfg:   cfg,
+		SBCfg: cfg.SB,
+		prof:  make(map[uint32]*profEntry),
 	}
 	t.IBTC = NewIBTC(t.Cache)
 	vmCfg := cfg.HostCfg
 	t.VM = hostvm.New(t.Mem, vmCfg)
 	t.VM.HotThreshold = cfg.SBThreshold
 	t.VM.IBTC = t.IBTC.Probe
-	t.Fetch = t.fetchInst
 	t.Overhead.Charge(OvOther, cfg.Costs.Init)
 	return t
 }
 
 // InstallPage installs a page image into the emulated guest memory and
 // invalidates every artifact derived from the page's previous content:
-// the per-page decode cache, the cached interpreter blocks, and any
+// the decoded instructions and interpreter blocks, and any
 // translated code-cache blocks whose decoded guest bytes touch the page
 // (along with their per-entry translation decisions — the new code may
 // translate differently). The controller must install pages through
@@ -229,7 +222,6 @@ func New(cfg Config) *TOL {
 func (t *TOL) InstallPage(pageAddr uint32, data *[guestvm.PageSize]byte) {
 	t.Mem.InstallPage(pageAddr, data)
 	t.dec.InvalidatePage(pageAddr)
-	t.dropInterpBlocks(pageAddr >> guestvm.PageShift)
 
 	lo := pageAddr &^ uint32(guestvm.PageSize-1)
 	hi := lo + guestvm.PageSize
@@ -312,42 +304,25 @@ func (t *TOL) Halted() bool { return t.halted }
 // SetHalted force-stops the component (controller use, on SysExit).
 func (t *TOL) SetHalted() { t.halted = true }
 
-// fetchInst decodes the guest instruction at pc from emulated memory,
-// through the per-page decode cache.
-func (t *TOL) fetchInst(pc uint32) (guest.Inst, error) {
-	if in, ok := t.dec.Lookup(pc); ok {
-		if t.Cfg.Counters != nil {
-			t.Cfg.Counters.DecodeHits.Add(1)
+// Fetch decodes the guest instruction at pc from the emulated memory,
+// through the decode cache. It returns a page-fault error when the code
+// page has not been transferred yet.
+func (t *TOL) Fetch(pc uint32) (guest.Inst, error) {
+	in, hit, err := t.dec.Fetch(t.Mem, pc)
+	if c := t.Cfg.Counters; c != nil {
+		if hit {
+			c.DecodeHits.Add(1)
+		} else {
+			c.DecodeMisses.Add(1)
 		}
-		return in, nil
 	}
-	if t.Cfg.Counters != nil {
-		t.Cfg.Counters.DecodeMisses.Add(1)
-	}
-	var raw [10]byte
-	b0, err := t.Mem.Load8(pc)
 	if err != nil {
+		if _, bad := err.(guestvm.UndecodableError); bad {
+			err = fmt.Errorf("tol: %w", err)
+		}
 		return guest.Inst{Op: guest.BAD}, err
 	}
-	raw[0] = b0
-	op := guest.Op(b0)
-	n := guest.FormLen(op.Desc().Form)
-	if n == 0 {
-		return guest.Inst{Op: guest.BAD}, fmt.Errorf("tol: undecodable instruction at %#x", pc)
-	}
-	for i := 1; i < n; i++ {
-		v, err := t.Mem.Load8(pc + uint32(i))
-		if err != nil {
-			return guest.Inst{Op: guest.BAD}, err
-		}
-		raw[i] = v
-	}
-	in, k := guest.Decode(raw[:n])
-	if k == 0 {
-		return guest.Inst{Op: guest.BAD}, fmt.Errorf("tol: undecodable instruction at %#x", pc)
-	}
-	t.dec.Insert(pc, in)
-	return in, nil
+	return *in, nil
 }
 
 // flushOverhead folds the per-dispatch overhead accumulator into the
@@ -401,12 +376,9 @@ func (t *TOL) dispatch() (RunResult, bool, error) {
 	if err != nil {
 		return t.pageFaultResult(err)
 	}
-	switch in.Op {
-	case guest.SYSCALL:
+	if in.Op == guest.SYSCALL {
 		t.Stats.Syscalls++
 		return RunResult{Event: EvSyscall}, true, nil
-	case guest.BAD:
-		return RunResult{}, false, fmt.Errorf("tol: illegal guest instruction at %#x", pc)
 	}
 	if !translatable(in.Op) {
 		// Safety net: interpret the complex instruction directly.
