@@ -281,8 +281,12 @@ start:
 		sameState(t, prog.name, vm, ref)
 		total := ref.InsnCount
 
+		step := uint64(1)
+		if testing.Short() {
+			step = 7 // every limit takes ~5 s, ~1 min under -race
+		}
 		ref = newVM(t, im)
-		for limit := uint64(1); limit <= total; limit++ {
+		for limit := uint64(1); limit <= total; limit += step {
 			what := fmt.Sprintf("%s, limit %d", prog.name, limit)
 			vm := newVM(t, im)
 			_, err := vm.Run(guestvm.RunLimits{InsnCount: limit})

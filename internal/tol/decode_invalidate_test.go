@@ -1,6 +1,8 @@
 package tol
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"darco/internal/guest"
@@ -234,5 +236,19 @@ func TestInstallPageDropsStraddlingInterpBlock(t *testing.T) {
 	tl.InstallPage(0x2000, page(program("40"), 1))
 	if got := run(tl); got != 45 {
 		t.Fatalf("stale straddling interp block after re-install: eax=%d", got)
+	}
+}
+
+// TestFetchErrors pins what a failed fetch returns: a page fault as the
+// memory raised it (the dispatch loop turns it into a page request), and
+// undecodable bytes under the TOL's own name.
+func TestFetchErrors(t *testing.T) {
+	tl := New(DefaultConfig())
+	if _, err := tl.Fetch(0x1000); !errors.As(err, new(*guestvm.PageFaultError)) {
+		t.Errorf("fetch from a missing page: %v", err)
+	}
+	tl.InstallPage(0x1000, new([guestvm.PageSize]byte))
+	if _, err := tl.Fetch(0x1ffe); fmt.Sprint(err) != "tol: undecodable instruction at 0x1ffe" {
+		t.Errorf("fetch of a zero byte: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package tol
 
 import (
+	"errors"
 	"fmt"
 
 	"darco/internal/codecache"
@@ -317,10 +318,10 @@ func (t *TOL) Fetch(pc uint32) (guest.Inst, error) {
 		}
 	}
 	if err != nil {
-		if _, bad := err.(guestvm.UndecodableError); bad {
+		if errors.As(err, new(guestvm.UndecodableError)) {
 			err = fmt.Errorf("tol: %w", err)
 		}
-		return guest.Inst{Op: guest.BAD}, err
+		return guest.Inst{}, err
 	}
 	return *in, nil
 }
