@@ -202,7 +202,10 @@ func TestRunStopAtSysAfterChaining(t *testing.T) {
 		}
 		pauses++
 		in, err := vm.Fetch(vm.CPU.EIP)
-		if err != nil || in.Op != guest.SYSCALL {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.Op != guest.SYSCALL {
 			t.Fatalf("pause %d at %v, not a syscall", pauses, in.Op)
 		}
 		stepTo(t, ref, vm.InsnCount)

@@ -224,7 +224,10 @@ func TestVMStopAtSyscall(t *testing.T) {
 		t.Fatalf("stop-at-sys: %v %v", reason, err)
 	}
 	in, err := vm.Fetch(vm.CPU.EIP)
-	if err != nil || in.Op != guest.SYSCALL {
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Op != guest.SYSCALL {
 		t.Fatalf("paused at %v", in.Op)
 	}
 	if err := vm.ServiceSyscallAt(); err != nil {

@@ -76,20 +76,12 @@ func New(im *guest.Image) (*VM, error) {
 	return vm, nil
 }
 
-// Fetch decodes the instruction at pc, through the decode cache.
-// Self-modifying code is out of scope for the reproduction (the paper's
-// workloads do not exercise it either).
-func (vm *VM) Fetch(pc uint32) (guest.Inst, error) {
-	in, err := vm.fetch(pc)
-	if err != nil {
-		return guest.Inst{}, err
-	}
-	return *in, nil
-}
-
-// fetch is Fetch returning the cached decode itself. The memory is not
-// strict, so every error is an undecodable instruction.
-func (vm *VM) fetch(pc uint32) (*guest.Inst, error) {
+// Fetch returns the decode of the instruction at pc, through the decode
+// cache; the pointee must not be mutated. The memory is not strict, so
+// every error is an undecodable instruction. Self-modifying code is out
+// of scope for the reproduction (the paper's workloads do not exercise
+// it either).
+func (vm *VM) Fetch(pc uint32) (*guest.Inst, error) {
 	in, _, err := vm.decode.Fetch(vm.Mem, pc)
 	if err != nil {
 		return nil, fmt.Errorf("guestvm: %w", err)
@@ -100,7 +92,7 @@ func (vm *VM) fetch(pc uint32) (*guest.Inst, error) {
 // Step executes exactly one instruction, servicing syscalls inline.
 func (vm *VM) Step() (guest.Event, error) {
 	pc := vm.CPU.EIP
-	in, err := vm.fetch(pc)
+	in, err := vm.Fetch(pc)
 	if err != nil {
 		return guest.EvNone, err
 	}
@@ -149,7 +141,7 @@ func (vm *VM) decodeBlock(pc uint32) (*Block, error) {
 	vm.scratch = vm.scratch[:0]
 	at := pc
 	for len(vm.scratch) < MaxBlockInsns {
-		in, err := vm.fetch(at)
+		in, err := vm.Fetch(at)
 		if err != nil {
 			if at == pc {
 				return nil, err
@@ -227,7 +219,7 @@ func (vm *VM) Run(lim RunLimits) (StopReason, error) {
 // ServiceSyscallAt executes the SYSCALL instruction the VM is paused at
 // and services it. The controller calls this during synchronization.
 func (vm *VM) ServiceSyscallAt() error {
-	in, err := vm.fetch(vm.CPU.EIP)
+	in, err := vm.Fetch(vm.CPU.EIP)
 	if err != nil {
 		return err
 	}
