@@ -244,9 +244,9 @@ func sameErr(t *testing.T, what string, got, want error) {
 // TestRunMatchesStepOnBlockEdges runs the two blocks Run cannot take in
 // one piece against a Step-only VM: a basic block longer than the
 // decoded-block cap, ending in the exit syscall, and a block with an
-// undecodable byte in its middle. Each runs without a limit, stopped at
-// every instruction count across the block (then resumed), and paused
-// at its syscall.
+// undecodable byte in its middle; and a block that is only a syscall.
+// Each runs without a limit, stopped at every instruction count across
+// it (then resumed), and paused at every syscall.
 func TestRunMatchesStepOnBlockEdges(t *testing.T) {
 	var long strings.Builder
 	long.WriteString(".org 0x1000\n.entry start\nstart:\n    movri ebp, 0x80000\n    movri eax, 0\n")
@@ -272,10 +272,25 @@ start:
     syscall
     halt
 `
+	// A block that is only a SYSCALL: StopAtSys pauses before running
+	// anything of it.
+	const lone = `
+.org 0x1000
+.entry start
+start:
+    movri eax, 20
+    jmp sys
+sys:
+    syscall
+    movri ebx, 0
+    movri eax, 1
+    syscall
+    halt
+`
 	for _, prog := range []struct {
 		name string
 		src  string
-	}{{"long", long.String()}, {"undecodable", bad}} {
+	}{{"long", long.String()}, {"undecodable", bad}, {"lone syscall", lone}} {
 		im := assemble(t, prog.src)
 		vm, ref := newVM(t, im), newVM(t, im)
 		_, err := vm.Run(guestvm.RunLimits{})
@@ -306,22 +321,23 @@ start:
 		}
 
 		vm, ref = newVM(t, im), newVM(t, im)
-		reason, err := vm.Run(guestvm.RunLimits{StopAtSys: true})
-		if wantErr != nil {
-			sameErr(t, prog.name+", StopAtSys", err, wantErr)
-			stepUntil(ref, 0)
-			sameState(t, prog.name+", StopAtSys", vm, ref)
-			continue
+		for pauses := 0; ; pauses++ {
+			what := fmt.Sprintf("%s, StopAtSys pause %d", prog.name, pauses)
+			reason, err := vm.Run(guestvm.RunLimits{StopAtSys: true})
+			if reason != guestvm.StopSyscall {
+				sameErr(t, what, err, wantErr)
+				stepUntil(ref, 0)
+				sameState(t, what, vm, ref)
+				break
+			}
+			if in, err := vm.Fetch(vm.CPU.EIP); err != nil || in.Op != guest.SYSCALL {
+				t.Fatalf("%s: not at a syscall (%v)", what, err)
+			}
+			stepUntil(ref, vm.InsnCount)
+			sameState(t, what, vm, ref)
+			if err := vm.ServiceSyscallAt(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err != nil || reason != guestvm.StopSyscall {
-			t.Fatalf("%s: StopAtSys stopped for %v: %v", prog.name, reason, err)
-		}
-		stepUntil(ref, total-1)
-		sameState(t, prog.name+", paused", vm, ref)
-		if err := vm.ServiceSyscallAt(); err != nil {
-			t.Fatal(err)
-		}
-		stepUntil(ref, 0)
-		sameState(t, prog.name+", serviced", vm, ref)
 	}
 }
