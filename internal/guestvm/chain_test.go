@@ -41,10 +41,8 @@ func assemble(t *testing.T, src string) *guest.Image {
 // it halts).
 func stepTo(t *testing.T, ref *guestvm.VM, insns uint64) {
 	t.Helper()
-	for !ref.Halted && (insns == 0 || ref.InsnCount < insns) {
-		if _, err := ref.Step(); err != nil {
-			t.Fatal(err)
-		}
+	if err := stepUntil(ref, insns); err != nil {
+		t.Fatal(err)
 	}
 }
 
