@@ -64,18 +64,29 @@ func cadences(seed int64) []uint64 {
 	return []uint64{1, 7, 1000, 50_000, 1 + uint64(rand.New(rand.NewSource(seed)).Intn(5000))}
 }
 
-// TestCadenceIndependence is the shadow's correctness property: where
-// the authoritative run is cut, and on which goroutine each piece
-// executes, changes nothing a run leaves behind — the co-designed
-// statistics, every synchronization in order, the output, and the
-// authoritative component's final registers, counts and memory.
-func TestCadenceIndependence(t *testing.T) {
-	type program struct {
-		name string
-		im   *guest.Image
-		cfg  Config
-		seed int64
-	}
+// program is one guest program the cadence properties run, with the
+// configuration it runs under and the seed its drawn cadence comes from.
+type program struct {
+	name string
+	im   *guest.Image
+	cfg  Config
+	seed int64
+}
+
+// randomConfig is the configuration random programs run under:
+// aggressive promotion, so they reach superblocks.
+func randomConfig() Config {
+	cfg := DefaultConfig()
+	cfg.TOL.BBThreshold = 2
+	cfg.TOL.SBThreshold = 6
+	cfg.MaxGuestInsns = 30_000_000
+	return cfg
+}
+
+// cadencePrograms are the random programs and the scaled workloads the
+// cadence properties hold (fewer and smaller under -short).
+func cadencePrograms(t *testing.T) []program {
+	t.Helper()
 	var programs []program
 	n, scale := uint64(60), 0.05
 	if testing.Short() {
@@ -86,11 +97,7 @@ func TestCadenceIndependence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		cfg := DefaultConfig()
-		cfg.TOL.BBThreshold = 2
-		cfg.TOL.SBThreshold = 6
-		cfg.MaxGuestInsns = 30_000_000
-		programs = append(programs, program{fmt.Sprint("random-", seed), im, cfg, int64(seed)})
+		programs = append(programs, program{fmt.Sprint("random-", seed), im, randomConfig(), int64(seed)})
 	}
 	for i, name := range []string{"429.mcf", "433.milc", "continuous"} {
 		p, _ := workload.ByName(name)
@@ -100,7 +107,16 @@ func TestCadenceIndependence(t *testing.T) {
 		}
 		programs = append(programs, program{name, im, DefaultConfig(), int64(1000 + i)})
 	}
-	for _, p := range programs {
+	return programs
+}
+
+// TestCadenceIndependence is the shadow's correctness property: where
+// the authoritative run is cut, and on which goroutine each piece
+// executes, changes nothing a run leaves behind — the co-designed
+// statistics, every synchronization in order, the output, and the
+// authoritative component's final registers, counts and memory.
+func TestCadenceIndependence(t *testing.T) {
+	for _, p := range cadencePrograms(t) {
 		want := runAt(t, p.im, p.cfg, 0)
 		for _, interval := range cadences(p.seed) {
 			got := runAt(t, p.im, p.cfg, interval)

@@ -110,11 +110,12 @@ type Controller struct {
 	PageTransfers uint64
 	SyscallSyncs  uint64
 	Validations   uint64
-	// CatchUp is the wall time the run waited for the authoritative
-	// component to arrive at the co-designed progress point: each join
-	// of the shadow and what catchUp then ran inline, clocked once per
-	// join or catch-up, never per instruction. What the shadow ran
-	// while the co-designed component was executing is not in it.
+	// CatchUp is the wall time the run waited on the authoritative
+	// component: each join of the shadow, and what catchUp then ran
+	// inline to bring it to the co-designed progress point (a page
+	// transfer only joins), clocked once per join or catch-up, never per
+	// instruction. What the shadow ran while the co-designed component
+	// was executing is not in it.
 	CatchUp time.Duration
 
 	// The shadow: while RunContext is on the stack, a second goroutine
@@ -172,11 +173,18 @@ func (c *Controller) notify(kind SyncKind, addr uint32) {
 	})
 }
 
-// transferPage services a data request: the x86 component first catches
-// up to the co-designed component's progress point, then the page is
-// copied over.
+// transferPage services a data request: it takes X86 back from the
+// shadow and copies the page over, without running X86 to the
+// co-designed progress point. It need not: the co-designed memory is
+// strict and never drops a page, so no instruction the co-designed
+// component has retired touched a page it requests for the first time;
+// X86 retires the same stream up to that point, and syscalls, the only
+// other writers of its memory, are synchronizations that finish the
+// catch-up. The page reads the same at X86's position as at the progress
+// point. The gap left (under one check interval) goes to the next
+// publish or catch-up.
 func (c *Controller) transferPage(addr uint32) error {
-	if err := c.catchUp(); err != nil {
+	if err := c.join(); err != nil {
 		return err
 	}
 	page, err := c.X86.Mem.Page(addr)
@@ -246,7 +254,10 @@ func (c *Controller) endShadow() error {
 
 // catchUp brings the authoritative component to the co-designed
 // component's dynamic basic-block count: it joins the shadow, then runs
-// what is left (at most one check interval) inline.
+// what is left inline — at most one check interval, plus whatever page
+// transfers since the last publish or catch-up left. Syscalls, the
+// final synchronization and StepValidate need X86 exactly there; a page
+// transfer does not (see transferPage).
 func (c *Controller) catchUp() error {
 	if err := c.join(); err != nil {
 		return err

@@ -195,7 +195,8 @@ func (d *DecodeCache) AddBlock(pc, end uint32, insts []guest.Inst) *Block {
 // (whose final instructions may straddle into it), and every block
 // whose bytes overlap the page. It also clears every block's links, so
 // none can reach a dropped block. The co-designed component calls it
-// when the controller installs or rewrites a page.
+// when the controller rewrites a page it already holds; a first install
+// has nothing to drop.
 func (d *DecodeCache) InvalidatePage(addr uint32) {
 	pn := addr >> PageShift
 	delete(d.pages, pn)

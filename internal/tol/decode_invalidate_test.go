@@ -239,6 +239,64 @@ func TestInstallPageDropsStraddlingInterpBlock(t *testing.T) {
 	}
 }
 
+// TestFirstInstallKeepsPrecedingPage pins the first-install rule: a
+// page the TOL never held has nothing derived from it, so installing it
+// keeps the preceding page's cached decodes, its interpreter blocks and
+// the decoded-block links. Re-installing the same page then drops the
+// decodes and clears the links, as a rewrite must.
+func TestFirstInstallKeepsPrecedingPage(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BBThreshold = 1 << 30 // stay in the interpreter
+	tl := New(cfg)
+	tl.InstallPage(0x1000, assemblePage(t, `
+.org 0x1000
+    movri eax, 5
+    jmp next
+next:
+    halt
+`))
+	tl.CPU = guest.CPU{EIP: 0x1000}
+	tl.CPU.R[guest.ESP] = guestvm.StackTop
+	if _, err := tl.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	a := tl.dec.Block(nil, 0x1000)
+	if a == nil {
+		t.Fatal("the interpreter cached no block at 0x1000")
+	}
+	next := tl.CPU.EIP - 1 // the halt
+	b := tl.dec.Block(a, next)
+	if b == nil {
+		t.Fatalf("the interpreter cached no block at %#x", next)
+	}
+	// A second block in the map under the same pc tells the link (which
+	// still names b) from a map lookup.
+	b2 := tl.dec.AddBlock(next, next+1, b.Insts)
+	decoded := tl.dec.LookupPtr(0x1000)
+	if decoded == nil {
+		t.Fatal("no cached decode at 0x1000")
+	}
+
+	tl.InstallPage(0x2000, new([guestvm.PageSize]byte))
+	if got := tl.dec.LookupPtr(0x1000); got != decoded {
+		t.Errorf("first install of 0x2000 dropped the decode at 0x1000")
+	}
+	if got := tl.dec.Block(nil, 0x1000); got != a {
+		t.Errorf("first install of 0x2000 dropped the block at 0x1000")
+	}
+	if got := tl.dec.Block(a, next); got != b {
+		t.Errorf("first install of 0x2000 cleared the link from 0x1000 to %#x", next)
+	}
+
+	tl.InstallPage(0x2000, new([guestvm.PageSize]byte))
+	if tl.dec.LookupPtr(0x1000) != nil {
+		t.Errorf("re-install of 0x2000 kept the preceding page's decodes")
+	}
+	if got := tl.dec.Block(a, next); got != b2 {
+		t.Errorf("re-install of 0x2000 kept the decoded-block links")
+	}
+}
+
 // TestFetchErrors pins what a failed fetch returns: a page fault as the
 // memory raised it (the dispatch loop turns it into a page request), and
 // undecodable bytes under the TOL's own name.

@@ -206,22 +206,29 @@ func New(cfg Config) *TOL {
 	return t
 }
 
-// InstallPage installs a page image into the emulated guest memory and
-// invalidates every artifact derived from the page's previous content:
-// the decoded instructions and interpreter blocks, and any
-// translated code-cache blocks whose decoded guest bytes touch the page
-// (along with their per-entry translation decisions — the new code may
-// translate differently). The controller must install pages through
-// this method, not through Mem directly: the seed decoded straight into
-// an append-only map and kept serving stale instructions after a page
-// was re-installed or rewritten.
+// InstallPage installs a page image into the emulated guest memory.
+// Re-installing a page the memory already maps invalidates every
+// artifact derived from its previous content: the decoded instructions
+// and interpreter blocks, and any translated code-cache blocks whose
+// decoded guest bytes touch the page (along with their per-entry
+// translation decisions — the new code may translate differently). The
+// controller must install pages through this method, not through Mem
+// directly: the seed decoded straight into an append-only map and kept
+// serving stale instructions after a page was re-installed or
+// rewritten.
 //
-// In the normal controller flow each page is installed exactly once,
-// before any decode of its bytes can have succeeded, so the
-// invalidation sweep is a no-op there and execution statistics are
-// unaffected.
+// A first install invalidates nothing. Memory is strict and every fetch
+// reads exactly the instruction's bytes, so a page never mapped has no
+// decode, block, translation or profile entry covering it — nor has the
+// preceding page a decode straddling into it. The controller installs
+// each page once, on first touch, so its page transfers never discard
+// the preceding page's decodes or the decoded-block links.
 func (t *TOL) InstallPage(pageAddr uint32, data *[guestvm.PageSize]byte) {
+	held := t.Mem.HasPage(pageAddr)
 	t.Mem.InstallPage(pageAddr, data)
+	if !held {
+		return
+	}
 	t.dec.InvalidatePage(pageAddr)
 
 	lo := pageAddr &^ uint32(guestvm.PageSize-1)
