@@ -5,7 +5,7 @@
 // Usage:
 //
 //	darco-perf ab -baseline <ref> [-candidate <ref|dir>] -workload <w> [-pairs 10] [-seed 0] [-trace 0|1]
-//	darco-perf gate -baseline BENCH_13.json [-candidate cand.json] [-v]
+//	darco-perf gate -baseline BENCH_14.json [-candidate cand.json] [-v]
 //	darco-perf layout <binary> [<binary>]
 //
 // ab is the one way a speed comparison is run. It checks the baseline

@@ -181,8 +181,7 @@ func (c *Controller) notify(kind SyncKind, addr uint32) {
 // X86 retires the same stream up to that point, and syscalls, the only
 // other writers of its memory, are synchronizations that finish the
 // catch-up. The page reads the same at X86's position as at the progress
-// point. The gap left (under one check interval) goes to the next
-// publish or catch-up.
+// point. The gap left goes to the next publish or catch-up.
 func (c *Controller) transferPage(addr uint32) error {
 	if err := c.join(); err != nil {
 		return err
@@ -254,10 +253,11 @@ func (c *Controller) endShadow() error {
 
 // catchUp brings the authoritative component to the co-designed
 // component's dynamic basic-block count: it joins the shadow, then runs
-// what is left inline — at most one check interval, plus whatever page
-// transfers since the last publish or catch-up left. Syscalls, the
-// final synchronization and StepValidate need X86 exactly there; a page
-// transfer does not (see transferPage).
+// inline what the co-designed component retired since the last publish
+// or catch-up (one check interval at most, unless page transfers cut
+// excursions in between). Syscalls, the final synchronization and
+// StepValidate need X86 exactly there; a page transfer does not (see
+// transferPage).
 func (c *Controller) catchUp() error {
 	if err := c.join(); err != nil {
 		return err

@@ -26,8 +26,19 @@ import (
 // cleanup tolerates workers the test already crashed.
 func newWorker(t *testing.T, opts serve.Options) (*serve.Server, *httptest.Server) {
 	t.Helper()
+	return newWrappedWorker(t, opts, nil)
+}
+
+// newWrappedWorker is newWorker with the daemon's handler behind wrap
+// (nil serves it as it is).
+func newWrappedWorker(t *testing.T, opts serve.Options, wrap func(http.Handler) http.Handler) (*serve.Server, *httptest.Server) {
+	t.Helper()
 	s := serve.New(opts)
-	ts := httptest.NewServer(s)
+	var h http.Handler = s
+	if wrap != nil {
+		h = wrap(s)
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -331,12 +342,13 @@ func TestFederatedFailureParity(t *testing.T) {
 	}
 }
 
-// shardJobOn finds the worker currently running a shard job whose name
-// carries the given prefix, returning its pool index or -1.
+// shardJobOn finds the worker on which a shard job whose name carries
+// the given prefix has started (it is running or has ended), returning
+// its pool index or -1.
 func shardJobOn(t *testing.T, urls []string, prefix string) int {
 	t.Helper()
 	for i, u := range urls {
-		resp, err := http.Get(u + "/api/v1/jobs?state=running")
+		resp, err := http.Get(u + "/api/v1/jobs?state=running,done,failed")
 		if err != nil {
 			continue
 		}
@@ -355,32 +367,68 @@ func shardJobOn(t *testing.T, urls []string, prefix string) int {
 	return -1
 }
 
+// streamGate sits in front of a worker's handler and holds its job
+// event streams until open is closed, so the coordinator gathers no
+// row from the worker before the test says so. Once dead is set, every
+// request dies the way a connection to a killed process does.
+type streamGate struct {
+	next http.Handler
+	open chan struct{}
+	dead atomic.Bool
+}
+
+func (g *streamGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if g.dead.Load() {
+		panic(http.ErrAbortHandler)
+	}
+	if strings.HasSuffix(r.URL.Path, "/events") {
+		select {
+		case <-g.open:
+		case <-r.Context().Done():
+			return
+		}
+		if g.dead.Load() {
+			panic(http.ErrAbortHandler)
+		}
+	}
+	g.next.ServeHTTP(w, r)
+}
+
 // TestWorkerKillMidCampaign is the acceptance e2e: two workers split a
-// campaign, the worker holding the slow shard is SIGKILL-crashed while
-// mid-scenario, the coordinator re-dispatches the missing scenarios to
-// the survivor, and the merged CSV is still byte-identical to an
-// unsharded run. Run under -race.
+// campaign, the worker holding the slow shard is SIGKILL-crashed after
+// it started that shard and before the coordinator gathered a row of
+// it, the coordinator re-dispatches the missing scenarios to the
+// survivor, and the merged CSV is still byte-identical to an unsharded
+// run. Run under -race.
+//
+// The kill window does not depend on timing: both workers' event
+// streams are held until the victim is known, and the victim's never
+// open, so however fast the shard runs the coordinator cannot finish
+// the job before the crash.
 func TestWorkerKillMidCampaign(t *testing.T) {
 	// Contiguous split over 2 workers: shard 0 = scenarios 0,1 (fast),
-	// shard 1 = scenarios 2,3 with the slow scale-5 scenario first —
-	// the kill window — serialized by parallelism 1.
+	// shard 1 = scenarios 2,3 with the slow scale-5 scenario first,
+	// serialized by parallelism 1.
 	body := `{"name":"kill","parallelism":1,"scenarios":[` +
 		`{"profile":"429.mcf","scale":0.1},{"profile":"470.lbm","scale":0.1},` +
 		`{"profile":"429.mcf","scale":5,"name":"slow"},{"profile":"470.lbm","scale":0.1}]}`
 
 	srvs := make([]*serve.Server, 2)
 	tss := make([]*httptest.Server, 2)
+	gates := make([]*streamGate, 2)
 	urls := make([]string, 2)
 	for i := range srvs {
-		srvs[i], tss[i] = newWorker(t, serve.Options{Workers: 1, QueueCapacity: 4})
+		gates[i] = &streamGate{open: make(chan struct{})}
+		srvs[i], tss[i] = newWrappedWorker(t, serve.Options{Workers: 1, QueueCapacity: 4},
+			func(h http.Handler) http.Handler { gates[i].next = h; return gates[i] })
 		urls[i] = tss[i].URL
 	}
 	_, coord := newCoordinator(t, sched.Options{Workers: urls, ShardRetries: 6})
 
 	st := submit(t, coord.URL, body, http.StatusAccepted)
 
-	// Find which worker shard 1 landed on, then crash it while its slow
-	// scenario is grinding.
+	// Find which worker shard 1 landed on, then let the survivor stream
+	// and crash the victim.
 	victim := -1
 	deadline := time.Now().Add(60 * time.Second)
 	for victim < 0 && time.Now().Before(deadline) {
@@ -390,10 +438,12 @@ func TestWorkerKillMidCampaign(t *testing.T) {
 		}
 	}
 	if victim < 0 {
-		t.Fatal("shard 1 never showed up running on a worker")
+		t.Fatal("shard 1 never started on a worker")
 	}
+	close(gates[1-victim].open)
+	gates[victim].dead.Store(true)
 	crashWorker(t, srvs[victim], tss[victim])
-	t.Logf("crashed worker %d (%s) while shard 1 ran", victim, urls[victim])
+	t.Logf("crashed worker %d (%s) after it started shard 1", victim, urls[victim])
 
 	final := waitState(t, coord.URL, st.ID, func(s serve.JobStatus) bool { return s.State.Terminal() || s.State == sched.JobDegraded })
 	if final.State != serve.JobDone {
