@@ -20,7 +20,7 @@ type outcome struct {
 	ExitCode                                 int32
 	Syncs                                    []SyncEvent
 	Validations, PageTransfers, SyscallSyncs uint64
-	CPU                                      guest.CPU
+	CPU, CoDCPU                              guest.CPU
 	InsnCount, BBCount                       uint64
 	Mem                                      map[uint32][guestvm.PageSize]byte
 }
@@ -46,7 +46,7 @@ func runAt(t *testing.T, im *guest.Image, cfg Config, interval uint64) outcome {
 	out.Stats, out.Overhead = c.CoD.Stats, c.CoD.Overhead
 	out.Output, out.ExitCode = c.Output(), c.X86.Env.ExitCode
 	out.Validations, out.PageTransfers, out.SyscallSyncs = c.Validations, c.PageTransfers, c.SyscallSyncs
-	out.CPU, out.InsnCount, out.BBCount = c.X86.CPU, c.X86.InsnCount, c.X86.BBCount
+	out.CPU, out.CoDCPU, out.InsnCount, out.BBCount = c.X86.CPU, c.CoD.CPU, c.X86.InsnCount, c.X86.BBCount
 	out.Mem = make(map[uint32][guestvm.PageSize]byte)
 	for _, addr := range c.X86.Mem.Pages() {
 		page, err := c.X86.Mem.Page(addr)

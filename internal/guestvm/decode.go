@@ -6,49 +6,70 @@ import (
 	"darco/internal/guest"
 )
 
-// DecodeCache is one emulator's guest front end: its instruction fetch
-// and its decoded-block cache. Both functional emulators own one — the
-// authoritative VM and the TOL's interpreter — and the two differ only
-// in how they use it: the VM decodes a block when Run first arrives at
-// it, the TOL records a block while it first executes it.
+// DecodeCache is one functional emulator's guest front end: its one
+// block decoder and the blocks it decoded. The authoritative VM and the
+// TOL own one each, and every consumer reads guest code as the blocks
+// Decode returns: VM.Run, the TOL's interpreter, its basic-block
+// translation and its superblock formation.
 //
-// Decoded instructions are memoized per code page: a page keeps a slot
-// number per byte offset and the decoded instructions themselves in
-// fixed-size chunks allocated as instructions arrive, so its cost is
-// the 8 KB index plus 32 bytes per instruction actually decoded (a flat
-// array of one slot per offset was 135 KB a page, most of it never a
-// decode boundary). A one-entry MRU page cache fronts the page map.
+// The block rule: a block begins at its entry pc and ends with the
+// first instruction that ends a basic block (guest.Op.EndsBasicBlock,
+// SYSCALL included), after MaxBlockInsns instructions when no
+// terminator comes first (a cut block: the rest is the block entered
+// at the next pc, and no basic block is complete until its terminator
+// retires), or just before an instruction that cannot be fetched (a
+// partial block, not cached). The TOL translates a block that ends with
+// its terminator; a cut block stays in the interpreter, the way a block
+// made of one untranslatable instruction does.
 //
-// Decoded blocks live in a map keyed by entry pc. InvalidatePage drops
-// both the decodes and the blocks a page write can make stale. The zero
-// value is ready to use.
+// Decoded blocks live in a map keyed by entry pc; the block is the unit
+// of caching, so an instruction is decoded again only for another block
+// that covers it. InvalidatePage drops the blocks a page write can make
+// stale. The zero value is ready to use.
 type DecodeCache struct {
-	pages map[uint32]*decodedPage
-
-	mruPN uint32
-	mru   *decodedPage
-
-	blocks map[uint32]*Block
+	blocks  map[uint32]*Block
+	scratch []guest.Inst // the block being decoded
 }
 
-// MaxBlockInsns caps a decoded block. The VM cuts a longer basic block
-// into pieces of at most this many instructions; the TOL does not cache
-// one.
+// MaxBlockInsns caps a decoded block: a longer basic block is cut into
+// pieces of at most this many instructions.
 const MaxBlockInsns = 4096
 
-// Block is one decoded basic block: Insts ends with the block's
-// terminator, SYSCALL included. A block the VM decoded may instead end
-// at the MaxBlockInsns cap or just before an undecodable instruction.
+// Block is one decoded block (see DecodeCache for where it ends). A
+// cached block is never modified; InvalidatePage only forgets it.
 type Block struct {
-	Insts []guest.Inst
-
-	pc, end uint32 // guest bytes [pc, end) the instructions were decoded from
+	Insts   []guest.Inst
+	PC, End uint32 // guest bytes [PC, End) the instructions were decoded from
 
 	// succ are the two blocks last seen to follow this one, most recent
 	// first: both ways of a conditional branch stay linked. A link is
 	// taken only when its pc is where control went; an indirect branch
 	// with more targets goes back to the map.
 	succ [2]*Block
+}
+
+// Next returns the block linked from b whose entry is pc, or nil (also
+// for a nil b): a block that follows b is found without a map lookup.
+func (b *Block) Next(pc uint32) *Block {
+	if b == nil {
+		return nil
+	}
+	if n := b.succ[0]; n != nil && n.PC == pc {
+		return n
+	}
+	if n := b.succ[1]; n != nil && n.PC == pc {
+		return n
+	}
+	return nil
+}
+
+// Term returns the block's terminator, or nil when it has none: the
+// decoder cut it at MaxBlockInsns, or a fetch error ended it.
+func (b *Block) Term() *guest.Inst {
+	if n := len(b.Insts); n > 0 && b.Insts[n-1].Op.EndsBasicBlock() {
+		return &b.Insts[n-1]
+	}
+	return nil
 }
 
 // UndecodableError reports guest bytes that decode to no instruction.
@@ -59,157 +80,81 @@ func (e UndecodableError) Error() string {
 	return fmt.Sprintf("undecodable instruction at %#x", uint32(e))
 }
 
-// decodeChunk is how many instructions one storage chunk holds.
-const decodeChunk = 256
-
-// decodedPage holds the decoded instructions starting inside one guest
-// page. An instruction may extend into the following page; it is cached
-// under the page its first byte lives in, which is why invalidating a
-// page must also drop the preceding page's entries.
-type decodedPage struct {
-	slot   [PageSize]uint16 // 1 + ordinal of the instruction starting at the offset; 0 = none
-	n      int              // instructions stored
-	chunks [PageSize / decodeChunk]*[decodeChunk]guest.Inst
-}
-
-// page returns the page numbered pn through the MRU entry, or nil.
-func (d *DecodeCache) page(pn uint32) *decodedPage {
-	if d.mru != nil && d.mruPN == pn {
-		return d.mru
-	}
-	pd := d.pages[pn]
-	if pd != nil {
-		d.mruPN, d.mru = pn, pd
-	}
-	return pd
-}
-
-// LookupPtr returns a pointer to the cached decode of the instruction
-// at pc, or nil when absent. The pointee must not be mutated. The
-// pointer stays valid, and keeps naming the instruction at pc, across
-// later Inserts (chunks are never reallocated); after InvalidatePage it
-// refers to the dropped decode.
-func (d *DecodeCache) LookupPtr(pc uint32) *guest.Inst {
-	pd := d.page(pc >> PageShift)
-	if pd == nil {
-		return nil
-	}
-	s := pd.slot[pc&(PageSize-1)]
-	if s == 0 {
-		return nil
-	}
-	return &pd.chunks[(s-1)/decodeChunk][(s-1)%decodeChunk]
-}
-
-// Fetch returns the decode of the instruction at pc and whether it was
-// cached. On a miss it reads exactly the instruction's bytes from mem:
-// the opcode, then as many more as its form has. A byte mem cannot
-// supply returns mem's error; bytes that decode to nothing return an
-// UndecodableError.
-func (d *DecodeCache) Fetch(mem *Memory, pc uint32) (in *guest.Inst, hit bool, err error) {
-	if in := d.LookupPtr(pc); in != nil {
-		return in, true, nil
-	}
+// Fetch decodes the instruction at pc from mem. It reads exactly the
+// instruction's bytes: the opcode, then as many more as its form has,
+// so it never touches a page the instruction does not occupy. A byte
+// mem cannot supply returns mem's error; bytes that decode to nothing
+// return an UndecodableError.
+func Fetch(mem *Memory, pc uint32) (in guest.Inst, err error) {
 	var raw [10]byte
 	if raw[0], err = mem.Load8(pc); err != nil {
-		return nil, false, err
+		return in, err
 	}
 	n := guest.FormLen(guest.Op(raw[0]).Desc().Form)
 	for i := 1; i < n; i++ {
 		if raw[i], err = mem.Load8(pc + uint32(i)); err != nil {
-			return nil, false, err
+			return in, err
 		}
 	}
-	dec, k := guest.Decode(raw[:n])
-	if k == 0 {
-		return nil, false, UndecodableError(pc)
+	if in, k := guest.Decode(raw[:n]); k != 0 {
+		return in, nil
 	}
-	return d.Insert(pc, dec), false, nil
+	return in, UndecodableError(pc)
 }
 
-// Insert caches the decode of the instruction at pc and returns where
-// it is stored.
-func (d *DecodeCache) Insert(pc uint32, in guest.Inst) *guest.Inst {
-	if p := d.LookupPtr(pc); p != nil {
-		*p = in
-		return p
-	}
-	pn := pc >> PageShift
-	pd := d.page(pn)
-	if pd == nil {
-		if d.pages == nil {
-			d.pages = make(map[uint32]*decodedPage)
+// Decode returns the block entered at pc and whether it was cached. A
+// block not cached is decoded from mem through Fetch and cached. When
+// an instruction cannot be fetched, Decode returns the instructions
+// before it (possibly none) as a block it does not cache, with Fetch's
+// error: the caller runs that prefix, and the error stands once
+// execution reaches the instruction. prev, when non-nil, is the block
+// that ran just before: a cached block becomes its most recent link
+// (see Next).
+func (d *DecodeCache) Decode(mem *Memory, prev *Block, pc uint32) (*Block, bool, error) {
+	if b := d.blocks[pc]; b != nil {
+		if prev != nil {
+			prev.succ[1], prev.succ[0] = prev.succ[0], b
 		}
-		pd = new(decodedPage)
-		d.pages[pn] = pd
-		d.mruPN, d.mru = pn, pd
+		return b, true, nil
 	}
-	c := &pd.chunks[pd.n/decodeChunk]
-	if *c == nil {
-		*c = new([decodeChunk]guest.Inst)
-	}
-	p := &(*c)[pd.n%decodeChunk]
-	*p = in
-	pd.n++
-	pd.slot[pc&(PageSize-1)] = uint16(pd.n)
-	return p
-}
-
-// Block returns the cached block whose entry is pc, or nil. prev, when
-// non-nil, is the block that ran just before: its links are tried
-// before the map, and a block found in the map becomes its most recent
-// link.
-func (d *DecodeCache) Block(prev *Block, pc uint32) *Block {
-	if prev != nil {
-		if b := prev.succ[0]; b != nil && b.pc == pc {
-			return b
+	d.scratch = d.scratch[:0]
+	at := pc
+	var err error
+	for len(d.scratch) < MaxBlockInsns {
+		var in guest.Inst
+		if in, err = Fetch(mem, at); err != nil {
+			break
 		}
-		if b := prev.succ[1]; b != nil && b.pc == pc {
-			return b
+		d.scratch = append(d.scratch, in)
+		at += uint32(in.Size)
+		if in.Op.EndsBasicBlock() {
+			break
 		}
 	}
-	b := d.blocks[pc]
-	if b != nil && prev != nil {
-		prev.succ[1], prev.succ[0] = prev.succ[0], b
+	b := &Block{Insts: append([]guest.Inst(nil), d.scratch...), PC: pc, End: at}
+	if err == nil {
+		if d.blocks == nil {
+			d.blocks = make(map[uint32]*Block)
+		}
+		d.blocks[pc] = b
 	}
-	return b
-}
-
-// AddBlock caches a copy of insts, decoded from the guest bytes [pc,
-// end), as the block entered at pc and returns it. A block longer than
-// MaxBlockInsns is not cached: AddBlock returns nil.
-func (d *DecodeCache) AddBlock(pc, end uint32, insts []guest.Inst) *Block {
-	if len(insts) > MaxBlockInsns {
-		return nil
-	}
-	if d.blocks == nil {
-		d.blocks = make(map[uint32]*Block)
-	}
-	b := &Block{Insts: append([]guest.Inst(nil), insts...), pc: pc, end: end}
-	d.blocks[pc] = b
-	return b
+	return b, false, err
 }
 
 // InvalidatePage drops what a write to the page containing addr can
-// make stale: the cached decodes of that page and of the preceding page
-// (whose final instructions may straddle into it), and every block
-// whose bytes overlap the page. It also clears every block's links, so
-// none can reach a dropped block. The co-designed component calls it
-// when the controller rewrites a page it already holds; a first install
-// has nothing to drop.
+// make stale: every block whose bytes overlap the page, a block that
+// straddles into it from the preceding page included. It also clears
+// every block's links, so none can reach a dropped block. The
+// co-designed component calls it when the controller rewrites a page it
+// already holds; a first install has nothing to drop.
 func (d *DecodeCache) InvalidatePage(addr uint32) {
-	pn := addr >> PageShift
-	delete(d.pages, pn)
-	delete(d.pages, pn-1)
-	d.mru = nil
-
-	lo := pn << PageShift
+	lo := addr &^ (PageSize - 1)
 	hi := lo + PageSize
 	if hi < lo { // top-of-address-space page
 		hi = ^uint32(0)
 	}
 	for pc, b := range d.blocks {
-		if b.pc < hi && lo < b.end {
+		if b.PC < hi && lo < b.End {
 			delete(d.blocks, pc)
 		}
 		b.succ = [2]*Block{}

@@ -57,10 +57,9 @@ type VM struct {
 
 	// decode is the VM's front end. Run executes each decoded block in
 	// one guest.RunBlock call and follows the blocks' links. The VM
-	// never invalidates it: self-modifying code is out of scope (see
-	// Fetch). scratch is decodeBlock's.
+	// never invalidates it: self-modifying code is out of scope for the
+	// reproduction (the paper's workloads do not exercise it either).
 	decode  DecodeCache
-	scratch []guest.Inst
 	bbStart uint32
 	inBB    bool
 }
@@ -76,15 +75,12 @@ func New(im *guest.Image) (*VM, error) {
 	return vm, nil
 }
 
-// Fetch returns the decode of the instruction at pc, through the decode
-// cache; the pointee must not be mutated. The memory is not strict, so
-// every error is an undecodable instruction. Self-modifying code is out
-// of scope for the reproduction (the paper's workloads do not exercise
-// it either).
-func (vm *VM) Fetch(pc uint32) (*guest.Inst, error) {
-	in, _, err := vm.decode.Fetch(vm.Mem, pc)
+// Fetch decodes the instruction at pc from memory. The memory is not
+// strict, so every error is an undecodable instruction.
+func (vm *VM) Fetch(pc uint32) (guest.Inst, error) {
+	in, err := Fetch(vm.Mem, pc)
 	if err != nil {
-		return nil, fmt.Errorf("guestvm: %w", err)
+		return in, fmt.Errorf("guestvm: %w", err)
 	}
 	return in, nil
 }
@@ -99,7 +95,7 @@ func (vm *VM) Step() (guest.Event, error) {
 	if !vm.inBB {
 		vm.inBB, vm.bbStart = true, pc
 	}
-	ev, err := guest.Step(&vm.CPU, vm.Mem, in)
+	ev, err := guest.Step(&vm.CPU, vm.Mem, &in)
 	if err != nil {
 		return ev, err
 	}
@@ -133,30 +129,6 @@ func (vm *VM) endBB(ev guest.Event) error {
 	return nil
 }
 
-// decodeBlock decodes and caches the block at pc: up to its terminator,
-// MaxBlockInsns instructions, or an undecodable instruction, whichever
-// comes first. Only an undecodable first instruction is an error; one
-// further on ends the block before it, for the next block to report.
-func (vm *VM) decodeBlock(pc uint32) (*Block, error) {
-	vm.scratch = vm.scratch[:0]
-	at := pc
-	for len(vm.scratch) < MaxBlockInsns {
-		in, err := vm.Fetch(at)
-		if err != nil {
-			if at == pc {
-				return nil, err
-			}
-			break
-		}
-		vm.scratch = append(vm.scratch, *in)
-		at += uint32(in.Size)
-		if in.Op.EndsBasicBlock() {
-			break
-		}
-	}
-	return vm.decode.AddBlock(pc, at, vm.scratch), nil
-}
-
 // RunLimits bounds a Run call. Zero fields mean unlimited.
 type RunLimits struct {
 	BBCount   uint64 // stop when vm.BBCount reaches this value
@@ -170,9 +142,11 @@ type RunLimits struct {
 //
 // Whatever the EIP — a block entry, the middle of a block a limit
 // stopped in, the rest of a block longer than MaxBlockInsns — Run takes
-// the block that starts there, cuts it to the instruction limit and,
-// under StopAtSys, just before a trailing SYSCALL, and runs what is
-// left in one guest.RunBlock call.
+// the block the decoder returns there, cuts it to the instruction limit
+// and, under StopAtSys, just before a trailing SYSCALL, and runs what
+// is left in one guest.RunBlock call. A block an undecodable
+// instruction ended early runs up to it; the error is returned when
+// the next block would begin there.
 func (vm *VM) Run(lim RunLimits) (StopReason, error) {
 	var prev *Block
 	for !vm.Halted {
@@ -182,11 +156,11 @@ func (vm *VM) Run(lim RunLimits) (StopReason, error) {
 		if lim.InsnCount > 0 && vm.InsnCount >= lim.InsnCount {
 			return StopInsnLimit, nil
 		}
-		bb := vm.decode.Block(prev, vm.CPU.EIP)
+		bb := prev.Next(vm.CPU.EIP)
 		if bb == nil {
 			var err error
-			if bb, err = vm.decodeBlock(vm.CPU.EIP); err != nil {
-				return StopError, err
+			if bb, _, err = vm.decode.Decode(vm.Mem, prev, vm.CPU.EIP); len(bb.Insts) == 0 {
+				return StopError, fmt.Errorf("guestvm: %w", err)
 			}
 		}
 		insts := bb.Insts
@@ -198,11 +172,11 @@ func (vm *VM) Run(lim RunLimits) (StopReason, error) {
 			insts = insts[:len(insts)-1]
 		}
 		if !vm.inBB {
-			vm.inBB, vm.bbStart = true, bb.pc
+			vm.inBB, vm.bbStart = true, bb.PC
 		}
 		n, ev, err := guest.RunBlock(&vm.CPU, vm.Mem, insts)
 		vm.InsnCount += uint64(n)
-		if err == nil && len(insts) == len(bb.Insts) && insts[len(insts)-1].Op.EndsBasicBlock() {
+		if err == nil && len(insts) == len(bb.Insts) && bb.Term() != nil {
 			err = vm.endBB(ev)
 		}
 		if err != nil {

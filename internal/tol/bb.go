@@ -5,22 +5,50 @@ import (
 
 	"darco/internal/codecache"
 	"darco/internal/guest"
+	"darco/internal/guestvm"
 	"darco/internal/host"
 	"darco/internal/ir"
 )
 
-// maxBBInsns caps decoded basic block length defensively.
-const maxBBInsns = 512
-
-// bbInfo is one decoded guest basic block. Its body lives in the TOL's
-// scratch arenas and is good until the next decode that resets them.
+// bbInfo is one decoded guest basic block as a translation unit. Its
+// body is a view of the front end's decoded block.
 type bbInfo struct {
 	entry  uint32
 	insts  []guest.Inst // body, excluding the terminator
-	pcs    []uint32
-	term   guest.Inst // terminating instruction
+	term   guest.Inst   // terminating instruction
 	termPC uint32
 	nextPC uint32 // fall-through PC after the terminator
+}
+
+// bbOf cuts b into body and terminator. ok is false when b has no
+// terminator: the decoder cut it at guestvm.MaxBlockInsns, or a fetch
+// error ended it.
+func bbOf(b *guestvm.Block) (bb bbInfo, ok bool) {
+	term := b.Term()
+	if term == nil {
+		return bbInfo{}, false
+	}
+	n := len(b.Insts) - 1
+	return bbInfo{entry: b.PC, insts: b.Insts[:n:n], term: *term,
+		termPC: b.End - uint32(term.Size), nextPC: b.End}, true
+}
+
+// errCut is bbAt's error for a block the decoder cut at
+// guestvm.MaxBlockInsns: it has no terminator and is not translated.
+var errCut = fmt.Errorf("no terminator within %d instructions", guestvm.MaxBlockInsns)
+
+// bbAt decodes the basic block at pc through the front end. A block
+// without a terminator returns the error that ended its decode, or one
+// wrapping errCut.
+func (t *TOL) bbAt(pc uint32) (bbInfo, error) {
+	b, err := t.block(pc)
+	if bb, ok := bbOf(b); ok {
+		return bb, nil
+	}
+	if err == nil {
+		err = fmt.Errorf("tol: basic block at %#x: %w", pc, errCut)
+	}
+	return bbInfo{}, err
 }
 
 // staticLen reports the number of static guest instructions including
@@ -33,50 +61,25 @@ func (bb *bbInfo) staticLen() int {
 	return n
 }
 
-// decodeBB decodes the basic block starting at pc onto the end of the
-// scratch arenas.
-func (t *TOL) decodeBB(pc uint32) (bbInfo, error) {
-	s := &t.scratch
-	first := len(s.insts)
-	for cur := pc; len(s.insts)-first < maxBBInsns; {
-		in, err := t.Fetch(cur)
-		if err != nil {
-			return bbInfo{}, err
-		}
-		if in.Op.EndsBasicBlock() || !translatable(in.Op) {
-			n := len(s.insts)
-			return bbInfo{entry: pc, insts: s.insts[first:n:n], pcs: s.pcs[first:n:n],
-				term: in, termPC: cur, nextPC: cur + uint32(in.Len())}, nil
-		}
-		s.insts = append(s.insts, in)
-		s.pcs = append(s.pcs, cur)
-		cur += uint32(in.Len())
+// bbRegion translates a basic block, terminator included, into the
+// scratch region: the one front half of every BB translation, live or
+// replayed by the debug API.
+func (t *TOL) bbRegion(bb *bbInfo) (*xlate, error) {
+	x := t.scratch.newXlate(bb.entry, false, t.Cfg.EagerFlags)
+	if err := x.translateBody(bb); err != nil {
+		return nil, err
 	}
-	return bbInfo{}, fmt.Errorf("tol: basic block at %#x exceeds %d instructions", pc, maxBBInsns)
-}
-
-// bbRegion decodes the basic block at pc and translates it, terminator
-// included, into the scratch region: the one front half of every BB
-// translation, live or replayed by the debug API.
-func (t *TOL) bbRegion(pc uint32) (*xlate, bbInfo, error) {
-	t.scratch.insts, t.scratch.pcs = t.scratch.insts[:0], t.scratch.pcs[:0]
-	bb, err := t.decodeBB(pc)
-	if err != nil {
-		return nil, bb, err
-	}
-	x := t.scratch.newXlate(pc, false, t.Cfg.EagerFlags)
-	if err := x.translateBody(&bb); err != nil {
-		return nil, bb, err
-	}
-	return x, bb, x.translateTerminator(&bb)
+	return x, x.translateTerminator(bb)
 }
 
 // translateBody translates the straight-line body of a basic block.
 func (x *xlate) translateBody(bb *bbInfo) error {
+	pc := bb.entry
 	for i := range bb.insts {
-		if err := x.inst(bb.pcs[i], &bb.insts[i]); err != nil {
+		if err := x.inst(pc, &bb.insts[i]); err != nil {
 			return err
 		}
+		pc += uint32(bb.insts[i].Size)
 	}
 	return nil
 }
@@ -201,16 +204,19 @@ func lowerRegion(r *ir.Region, superblock bool, maxSpec int, level OptLevel, mut
 	return gen, sched, err
 }
 
-// translateBB builds a BBM block for the basic block at pc. It returns
-// nil (no error) when the block is not translatable (e.g. it begins with
-// a system call or string instruction).
-func (t *TOL) translateBB(pc uint32) (*codecache.Block, error) {
-	x, bb, err := t.bbRegion(pc)
+// translateBB builds a BBM block for b, the block decoded at its entry.
+// It returns nil (no error) when the block is not translated: it is
+// only an untranslatable instruction (a system call or string
+// instruction, say), or the decoder cut it at guestvm.MaxBlockInsns. A
+// block a fetch error ended early returns derr, that error.
+func (t *TOL) translateBB(b *guestvm.Block, derr error) (*codecache.Block, error) {
+	bb, ok := bbOf(b)
+	if !ok || len(bb.insts) == 0 && !translatable(bb.term.Op) {
+		return nil, derr
+	}
+	x, err := t.bbRegion(&bb)
 	if err != nil {
 		return nil, err
-	}
-	if len(bb.insts) == 0 && !translatable(bb.term.Op) {
-		return nil, nil
 	}
 	return t.lowerBB(x, &bb, LevelDCE)
 }

@@ -101,14 +101,10 @@ func recordTranslations(tb testing.TB, profile string) *translationReplay {
 	return rp
 }
 
-// clonePlan copies a plan and the decoded blocks it points into.
+// clonePlan copies a plan out of the scratch; its steps' bodies are
+// views of cached decoded blocks, which never change.
 func clonePlan(p *sbPlan) *sbPlan {
-	cp := &sbPlan{entry: p.entry, unrolled: p.unrolled, steps: append([]sbStep(nil), p.steps...)}
-	for i := range cp.steps {
-		bb := &cp.steps[i].bb
-		bb.insts, bb.pcs = append([]guest.Inst(nil), bb.insts...), append([]uint32(nil), bb.pcs...)
-	}
-	return cp
+	return &sbPlan{entry: p.entry, unrolled: p.unrolled, steps: append([]sbStep(nil), p.steps...)}
 }
 
 // replay makes every recorded translation again; the code cache is
@@ -117,7 +113,7 @@ func (rp *translationReplay) replay(tb testing.TB) {
 	for _, st := range rp.steps {
 		var err error
 		if st.plan == nil {
-			_, err = rp.tl.translateBB(st.bb)
+			_, err = rp.tl.translateBB(rp.tl.block(st.bb))
 		} else {
 			_, _, err = rp.tl.translateSuperblock(st.plan, st.opts)
 		}
@@ -133,7 +129,7 @@ func BenchmarkTranslateBB(b *testing.B) {
 	tl := setupTOLB(b, loopProgram)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blk, err := tl.translateBB(0x100c) // the loop body
+		blk, err := tl.translateBB(tl.block(0x100c)) // the loop body
 		if err != nil || blk == nil {
 			b.Fatalf("translate: %v %v", blk, err)
 		}

@@ -19,7 +19,11 @@ import (
 func (t *TOL) RetranslateAtLevel(blk *codecache.Block, level OptLevel) (*codecache.Block, error) {
 	if blk.Kind == codecache.KindBB {
 		// BBM blocks run a fixed basic pipeline; level still applies.
-		x, bb, err := t.bbRegion(blk.Entry)
+		bb, err := t.bbAt(blk.Entry)
+		if err != nil {
+			return nil, err
+		}
+		x, err := t.bbRegion(&bb)
 		if err != nil {
 			return nil, err
 		}
@@ -39,7 +43,11 @@ func (t *TOL) RetranslateAtLevel(blk *codecache.Block, level OptLevel) (*codecac
 // block, for debug listings.
 func (t *TOL) BuildRegionIR(blk *codecache.Block) (*ir.Region, error) {
 	if blk.Kind == codecache.KindBB {
-		x, _, err := t.bbRegion(blk.Entry)
+		bb, err := t.bbAt(blk.Entry)
+		if err != nil {
+			return nil, err
+		}
+		x, err := t.bbRegion(&bb)
 		if err != nil {
 			return nil, err
 		}

@@ -241,9 +241,10 @@ func TestInstallPageDropsStraddlingInterpBlock(t *testing.T) {
 
 // TestFirstInstallKeepsPrecedingPage pins the first-install rule: a
 // page the TOL never held has nothing derived from it, so installing it
-// keeps the preceding page's cached decodes, its interpreter blocks and
-// the decoded-block links. Re-installing the same page then drops the
-// decodes and clears the links, as a rewrite must.
+// keeps the preceding page's decoded blocks. Re-installing the same page
+// drops only blocks that overlap it (TestInstallPageDropsStraddlingInterpBlock
+// has one that does); that InvalidatePage also clears the links is
+// guestvm's TestDecodeCache's.
 func TestFirstInstallKeepsPrecedingPage(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BBThreshold = 1 << 30 // stay in the interpreter
@@ -260,40 +261,24 @@ next:
 	if _, err := tl.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	a := tl.dec.Block(nil, 0x1000)
-	if a == nil {
-		t.Fatal("the interpreter cached no block at 0x1000")
+	cached := func(pc uint32) *guestvm.Block {
+		b, hit, err := tl.dec.Decode(tl.Mem, nil, pc)
+		if err != nil || !hit {
+			t.Fatalf("no cached block at %#x (%v)", pc, err)
+		}
+		return b
 	}
+	a := cached(0x1000)
 	next := tl.CPU.EIP - 1 // the halt
-	b := tl.dec.Block(a, next)
-	if b == nil {
-		t.Fatalf("the interpreter cached no block at %#x", next)
-	}
-	// A second block in the map under the same pc tells the link (which
-	// still names b) from a map lookup.
-	b2 := tl.dec.AddBlock(next, next+1, b.Insts)
-	decoded := tl.dec.LookupPtr(0x1000)
-	if decoded == nil {
-		t.Fatal("no cached decode at 0x1000")
-	}
+	b := cached(next)
 
 	tl.InstallPage(0x2000, new([guestvm.PageSize]byte))
-	if got := tl.dec.LookupPtr(0x1000); got != decoded {
-		t.Errorf("first install of 0x2000 dropped the decode at 0x1000")
+	if cached(0x1000) != a || cached(next) != b {
+		t.Errorf("first install of 0x2000 dropped a block on page 0x1000")
 	}
-	if got := tl.dec.Block(nil, 0x1000); got != a {
-		t.Errorf("first install of 0x2000 dropped the block at 0x1000")
-	}
-	if got := tl.dec.Block(a, next); got != b {
-		t.Errorf("first install of 0x2000 cleared the link from 0x1000 to %#x", next)
-	}
-
 	tl.InstallPage(0x2000, new([guestvm.PageSize]byte))
-	if tl.dec.LookupPtr(0x1000) != nil {
-		t.Errorf("re-install of 0x2000 kept the preceding page's decodes")
-	}
-	if got := tl.dec.Block(a, next); got != b2 {
-		t.Errorf("re-install of 0x2000 kept the decoded-block links")
+	if cached(0x1000) != a || cached(next) != b {
+		t.Errorf("re-install of 0x2000 dropped a block that does not overlap it")
 	}
 }
 

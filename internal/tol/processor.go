@@ -1,7 +1,6 @@
 package tol
 
 import (
-	"errors"
 	"fmt"
 
 	"darco/internal/codecache"
@@ -147,12 +146,10 @@ type TOL struct {
 	// prof holds the per-entry profile records (see profEntry).
 	prof map[uint32]*profEntry
 
-	// dec is the interpreter's front end: the decode cache every fetch
-	// goes through and the decoded blocks the interpreter replays.
-	// InstallPage invalidates it when the controller (re)writes a page.
-	// irec is the buffer a block being recorded grows in.
-	dec  guestvm.DecodeCache
-	irec []guest.Inst
+	// dec is the front end: the decoder every read of guest code goes
+	// through (see block). InstallPage invalidates it when the
+	// controller rewrites a page.
+	dec guestvm.DecodeCache
 
 	// scratch is the translation working memory (see its type).
 	scratch scratch
@@ -208,21 +205,20 @@ func New(cfg Config) *TOL {
 
 // InstallPage installs a page image into the emulated guest memory.
 // Re-installing a page the memory already maps invalidates every
-// artifact derived from its previous content: the decoded instructions
-// and interpreter blocks, and any translated code-cache blocks whose
-// decoded guest bytes touch the page (along with their per-entry
-// translation decisions — the new code may translate differently). The
-// controller must install pages through this method, not through Mem
-// directly: the seed decoded straight into an append-only map and kept
-// serving stale instructions after a page was re-installed or
-// rewritten.
+// artifact derived from its previous content: the decoded blocks, and
+// any translated code-cache blocks whose decoded guest bytes touch the
+// page (along with their per-entry translation decisions — the new code
+// may translate differently). The controller must install pages through
+// this method, not through Mem directly: the seed decoded straight into
+// an append-only map and kept serving stale instructions after a page
+// was re-installed or rewritten.
 //
 // A first install invalidates nothing. Memory is strict and every fetch
 // reads exactly the instruction's bytes, so a page never mapped has no
-// decode, block, translation or profile entry covering it — nor has the
-// preceding page a decode straddling into it. The controller installs
+// block, translation or profile entry covering it — nor has the
+// preceding page a block straddling into it. The controller installs
 // each page once, on first touch, so its page transfers never discard
-// the preceding page's decodes or the decoded-block links.
+// the decoded-block links.
 func (t *TOL) InstallPage(pageAddr uint32, data *[guestvm.PageSize]byte) {
 	held := t.Mem.HasPage(pageAddr)
 	t.Mem.InstallPage(pageAddr, data)
@@ -312,11 +308,19 @@ func (t *TOL) Halted() bool { return t.halted }
 // SetHalted force-stops the component (controller use, on SysExit).
 func (t *TOL) SetHalted() { t.halted = true }
 
-// Fetch decodes the guest instruction at pc from the emulated memory,
-// through the decode cache. It returns a page-fault error when the code
-// page has not been transferred yet.
+// Fetch decodes the guest instruction at pc from the emulated memory.
+// It returns a page-fault error when the code page has not been
+// transferred yet.
 func (t *TOL) Fetch(pc uint32) (guest.Inst, error) {
-	in, hit, err := t.dec.Fetch(t.Mem, pc)
+	in, err := guestvm.Fetch(t.Mem, pc)
+	return in, tolErr(err)
+}
+
+// block returns the block the front end's decoder returns at pc (see
+// guestvm.DecodeCache.Decode), counting one decode hit when it came
+// from the block cache and one miss when it was decoded.
+func (t *TOL) block(pc uint32) (*guestvm.Block, error) {
+	b, hit, err := t.dec.Decode(t.Mem, nil, pc)
 	if c := t.Cfg.Counters; c != nil {
 		if hit {
 			c.DecodeHits.Add(1)
@@ -324,13 +328,16 @@ func (t *TOL) Fetch(pc uint32) (guest.Inst, error) {
 			c.DecodeMisses.Add(1)
 		}
 	}
-	if err != nil {
-		if errors.As(err, new(guestvm.UndecodableError)) {
-			err = fmt.Errorf("tol: %w", err)
-		}
-		return guest.Inst{}, err
+	return b, tolErr(err)
+}
+
+// tolErr names the TOL in an undecodable-instruction error; a page
+// fault stays as the memory raised it.
+func tolErr(err error) error {
+	if _, ok := err.(guestvm.UndecodableError); ok {
+		return fmt.Errorf("tol: %w", err)
 	}
-	return *in, nil
+	return err
 }
 
 // flushOverhead folds the per-dispatch overhead accumulator into the
@@ -380,35 +387,35 @@ func (t *TOL) dispatch() (RunResult, bool, error) {
 		t.Cfg.Counters.BlockMisses.Add(1)
 	}
 
-	in, err := t.Fetch(pc)
-	if err != nil {
-		return t.pageFaultResult(err)
+	b, derr := t.block(pc)
+	if len(b.Insts) == 0 {
+		return t.pageFaultResult(derr)
 	}
-	if in.Op == guest.SYSCALL {
+	if op := b.Insts[0].Op; op == guest.SYSCALL {
 		t.Stats.Syscalls++
 		return RunResult{Event: EvSyscall}, true, nil
-	}
-	if !translatable(in.Op) {
+	} else if !translatable(op) {
 		// Safety net: interpret the complex instruction directly.
-		return t.interpretBB(pc)
+		return t.interpretBBWith(pc, t.prof1(pc), b, derr)
 	}
 
 	p := t.prof1(pc)
 	p.repCount++
 	if p.repCount >= t.Cfg.BBThreshold && !p.noTranslate {
-		if err := t.doBBTranslation(pc, p); err != nil {
+		if err := t.doBBTranslation(b, derr, p); err != nil {
 			return t.pageFaultResult(err)
 		}
 		if !p.noTranslate {
 			return RunResult{}, false, nil // next dispatch executes it
 		}
 	}
-	return t.interpretBBWith(pc, p)
+	return t.interpretBBWith(pc, p, b, derr)
 }
 
-// doBBTranslation translates and installs the basic block at pc.
-func (t *TOL) doBBTranslation(pc uint32, p *profEntry) error {
-	blk, err := t.translateBB(pc)
+// doBBTranslation translates and installs b, the block decoded at its
+// entry; derr is the error that ended its decode early.
+func (t *TOL) doBBTranslation(b *guestvm.Block, derr error, p *profEntry) error {
+	blk, err := t.translateBB(b, derr)
 	if err != nil {
 		return err
 	}
@@ -425,7 +432,7 @@ func (t *TOL) doBBTranslation(pc uint32, p *profEntry) error {
 		}
 	}
 	t.Stats.BBTranslations++
-	t.observe(TranslationEvent{Kind: TransBB, Entry: pc,
+	t.observe(TranslationEvent{Kind: TransBB, Entry: blk.Entry,
 		GuestInsns: blk.GuestInsns, HostInsns: len(blk.Code)})
 	return nil
 }

@@ -65,7 +65,7 @@ func superblockAt(t testing.TB, tl *TOL, pc uint32) *codecache.Block {
 
 func bbAt(t testing.TB, tl *TOL, pc uint32) *codecache.Block {
 	t.Helper()
-	blk, err := tl.translateBB(pc)
+	blk, err := tl.translateBB(tl.block(pc))
 	if err != nil || blk == nil {
 		t.Fatalf("translateBB(%#x) = %v, %v", pc, blk, err)
 	}

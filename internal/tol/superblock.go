@@ -1,6 +1,8 @@
 package tol
 
 import (
+	"errors"
+
 	"darco/internal/codecache"
 	"darco/internal/guest"
 	"darco/internal/ir"
@@ -85,7 +87,6 @@ type sbPlan struct {
 // formSuperblock walks the biased path from start.
 func (t *TOL) formSuperblock(start uint32) (*sbPlan, error) {
 	cfg := t.SBCfg
-	t.scratch.insts, t.scratch.pcs = t.scratch.insts[:0], t.scratch.pcs[:0]
 	plan := &t.scratch.plan
 	*plan = sbPlan{entry: start, steps: plan.steps[:0]}
 	pc := start
@@ -102,7 +103,13 @@ func (t *TOL) formSuperblock(start uint32) (*sbPlan, error) {
 	prob := 1.0
 	insns := 0
 	for {
-		bb, err := t.decodeBB(pc)
+		bb, err := t.bbAt(pc)
+		if errors.Is(err, errCut) && len(plan.steps) > 0 {
+			// The block stays in the interpreter: the region ends
+			// before it.
+			plan.steps[len(plan.steps)-1].isLast = true
+			return plan, nil
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -258,7 +258,7 @@ func TestDecodeBBStopsAtTerminators(t *testing.T) {
     halt
 `
 	tl := setupTOL(t, src, DefaultConfig())
-	bb, err := tl.decodeBB(0x1000)
+	bb, err := tl.bbAt(0x1000)
 	if err != nil {
 		t.Fatal(err)
 	}

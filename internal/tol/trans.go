@@ -91,11 +91,9 @@ type xlate struct {
 // hands out (BuildRegionIR's region, whatever its passes return) is
 // valid until the next translation or debug-API call on the same TOL.
 type scratch struct {
-	ir    ir.Scratch
-	x     xlate
-	insts []guest.Inst
-	pcs   []uint32
-	plan  sbPlan
+	ir   ir.Scratch
+	x    xlate
+	plan sbPlan
 }
 
 // newXlate resets the translator state for a new region.

@@ -14,8 +14,10 @@ import "sync/atomic"
 // /metrics reads fleet-wide totals — or allocated per run, as
 // darco-bench -obs does for a per-scenario column.
 type EngineCounters struct {
-	// Decode cache: per-page predecoded guest instructions. A miss
-	// decodes the x86 instruction from guest memory.
+	// Decode cache: one hit is one guest block the TOL's front end
+	// served from its decoded-block cache (to the interpreter, the BB
+	// translator or superblock formation); one miss is one block it
+	// decoded from guest memory instead.
 	DecodeHits   atomic.Uint64
 	DecodeMisses atomic.Uint64
 
