@@ -88,6 +88,42 @@ func TestLongBlocks(t *testing.T) {
 	}
 }
 
+// TestLongBlockLockstep steps the 5000-instruction loop body one
+// dispatch at a time and validates at every basic-block boundary, the
+// way internal/debug's lockstep run does. The cut piece pauses mid-block;
+// the translated rest retires the basic block, so each iteration must
+// end block-aligned and be validated there.
+func TestLongBlockLockstep(t *testing.T) {
+	const iters = 400
+	im, err := guest.Assemble(longLoop(5000, iters))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.ValidateEveryNSyncs = 0
+	c, err := New(im, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aligned := 0
+	for !c.CoD.Halted() {
+		if err := c.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		if c.CoD.MidBB() {
+			continue
+		}
+		aligned++
+		if err := c.StepValidate(); err != nil {
+			t.Fatalf("after %d block-aligned stops: %v", aligned, err)
+		}
+	}
+	if aligned < iters || c.CoD.Stats.BBTranslations == 0 {
+		t.Errorf("%d block-aligned stops over %d iterations, %d BB translations",
+			aligned, iters, c.CoD.Stats.BBTranslations)
+	}
+}
+
 // faultOrderProgram's block at blk stores to the data page 0x5000, then
 // runs on into the code page 0x2000 through an instruction that
 // straddles the boundary. Neither page is transferred when the block

@@ -33,22 +33,23 @@ func bbOf(b *guestvm.Block) (bb bbInfo, ok bool) {
 		termPC: b.End - uint32(term.Size), nextPC: b.End}, true
 }
 
-// errCut is bbAt's error for a block the decoder cut at
-// guestvm.MaxBlockInsns: it has no terminator and is not translated.
-var errCut = fmt.Errorf("no terminator within %d instructions", guestvm.MaxBlockInsns)
-
-// bbAt decodes the basic block at pc through the front end. A block
-// without a terminator returns the error that ended its decode, or one
-// wrapping errCut.
+// bbAt decodes the basic block at pc through the front end.
 func (t *TOL) bbAt(pc uint32) (bbInfo, error) {
 	b, err := t.block(pc)
 	if bb, ok := bbOf(b); ok {
 		return bb, nil
 	}
-	if err == nil {
-		err = fmt.Errorf("tol: basic block at %#x: %w", pc, errCut)
+	return bbInfo{}, noBB(pc, err)
+}
+
+// noBB is the error for the block at pc that bbOf cannot cut: derr, the
+// error that ended its decode, or, for a block cut at
+// guestvm.MaxBlockInsns, one saying so.
+func noBB(pc uint32, derr error) error {
+	if derr != nil {
+		return derr
 	}
-	return bbInfo{}, err
+	return fmt.Errorf("tol: basic block at %#x has no terminator within %d instructions", pc, guestvm.MaxBlockInsns)
 }
 
 // staticLen reports the number of static guest instructions including

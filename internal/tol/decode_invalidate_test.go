@@ -241,10 +241,10 @@ func TestInstallPageDropsStraddlingInterpBlock(t *testing.T) {
 
 // TestFirstInstallKeepsPrecedingPage pins the first-install rule: a
 // page the TOL never held has nothing derived from it, so installing it
-// keeps the preceding page's decoded blocks. Re-installing the same page
-// drops only blocks that overlap it (TestInstallPageDropsStraddlingInterpBlock
-// has one that does); that InvalidatePage also clears the links is
-// guestvm's TestDecodeCache's.
+// keeps the preceding page's decoded blocks and the links between them.
+// Re-installing the same page then clears the links, as a rewrite must
+// (it drops only the blocks that overlap the page;
+// TestInstallPageDropsStraddlingInterpBlock has one that does).
 func TestFirstInstallKeepsPrecedingPage(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BBThreshold = 1 << 30 // stay in the interpreter
@@ -261,23 +261,33 @@ next:
 	if _, err := tl.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	cached := func(pc uint32) *guestvm.Block {
-		b, hit, err := tl.dec.Decode(tl.Mem, nil, pc)
+	// cached looks pc up after prev, which links a hit to prev.
+	cached := func(prev *guestvm.Block, pc uint32) *guestvm.Block {
+		b, hit, err := tl.dec.Decode(tl.Mem, prev, pc)
 		if err != nil || !hit {
 			t.Fatalf("no cached block at %#x (%v)", pc, err)
 		}
 		return b
 	}
-	a := cached(0x1000)
+	a := cached(nil, 0x1000)
 	next := tl.CPU.EIP - 1 // the halt
-	b := cached(next)
+	b := cached(a, next)
+	if a.Next(next) != b {
+		t.Fatalf("no link from 0x1000 to %#x", next)
+	}
 
 	tl.InstallPage(0x2000, new([guestvm.PageSize]byte))
-	if cached(0x1000) != a || cached(next) != b {
+	if cached(nil, 0x1000) != a || cached(nil, next) != b {
 		t.Errorf("first install of 0x2000 dropped a block on page 0x1000")
 	}
+	if a.Next(next) != b {
+		t.Errorf("first install of 0x2000 cleared the link from 0x1000 to %#x", next)
+	}
 	tl.InstallPage(0x2000, new([guestvm.PageSize]byte))
-	if cached(0x1000) != a || cached(next) != b {
+	if a.Next(next) != nil {
+		t.Errorf("re-install of 0x2000 kept the decoded-block links")
+	}
+	if cached(nil, 0x1000) != a || cached(nil, next) != b {
 		t.Errorf("re-install of 0x2000 dropped a block that does not overlap it")
 	}
 }

@@ -167,7 +167,8 @@ type TOL struct {
 }
 
 // MidBB reports whether execution is paused in the middle of a guest
-// basic block (after a mid-block page fault or at a syscall). State
+// basic block (after a mid-block page fault, at a syscall, or after the
+// interpreter ran a block cut at guestvm.MaxBlockInsns). State
 // comparison against the authoritative component is only meaningful at
 // basic-block boundaries.
 func (t *TOL) MidBB() bool { return t.midBB }
@@ -466,6 +467,10 @@ func (t *TOL) execBlock(blk *codecache.Block) (RunResult, bool, error) {
 	t.Stats.GuestBBs += rstats.GuestBBs
 	t.Stats.HostInsnsBBM += rstats.HostInsnsBB
 	t.Stats.HostInsnsSBM += rstats.HostInsnsSB
+	if rstats.GuestBBs > 0 {
+		// The basic block a cut interpreted piece began is retired.
+		t.midBB = false
+	}
 
 	// Superblock promotion for blocks that crossed the hot threshold.
 	for _, hot := range t.VM.DrainHot() {

@@ -1,8 +1,6 @@
 package tol
 
 import (
-	"errors"
-
 	"darco/internal/codecache"
 	"darco/internal/guest"
 	"darco/internal/ir"
@@ -103,15 +101,16 @@ func (t *TOL) formSuperblock(start uint32) (*sbPlan, error) {
 	prob := 1.0
 	insns := 0
 	for {
-		bb, err := t.bbAt(pc)
-		if errors.Is(err, errCut) && len(plan.steps) > 0 {
-			// The block stays in the interpreter: the region ends
+		b, err := t.block(pc)
+		bb, ok := bbOf(b)
+		if !ok && err == nil && len(plan.steps) > 0 {
+			// A cut block stays in the interpreter: the region ends
 			// before it.
 			plan.steps[len(plan.steps)-1].isLast = true
 			return plan, nil
 		}
-		if err != nil {
-			return nil, err
+		if !ok {
+			return nil, noBB(pc, err)
 		}
 		step := sbStep{bb: bb}
 		insns += bb.staticLen()
