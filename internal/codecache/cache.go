@@ -73,6 +73,7 @@ type ExitInfo struct {
 // Exit is one exit site of a block. Next is the resident successor while
 // the instruction at Idx is CHAINED and nil while it is EXIT: Chain and
 // Invalidate set and clear it where they patch the op, nothing else does.
+// It is the only record of a chain.
 type Exit struct {
 	Idx   int // index of the exit instruction in Code
 	Info  ExitInfo
@@ -196,11 +197,9 @@ func (c *Cache) Invalidate(b *Block) {
 		if !ok {
 			continue
 		}
-		in := &src.Code[ref.instIdx]
-		if in.Op == host.CHAINED && in.Link == b.ID {
-			in.Op = host.EXIT
-			in.Link = 0
-			src.Exit(ref.instIdx).Next = nil
+		if e := src.Exit(ref.instIdx); e.Next == b {
+			src.Code[ref.instIdx].Op = host.EXIT
+			e.Next = nil
 			c.ChainsCut++
 		}
 	}
@@ -241,7 +240,6 @@ func (c *Cache) Chain(src *Block, instIdx int, dst *Block) error {
 		return fmt.Errorf("codecache: exit targets %#x, block entry is %#x", in.Target, dst.Entry)
 	}
 	in.Op = host.CHAINED
-	in.Link = dst.ID
 	e.Next = dst
 	dst.incoming = append(dst.incoming, exitRef{blockID: src.ID, instIdx: instIdx})
 	c.ChainsMade++

@@ -69,7 +69,7 @@ func TestChainAndUnchain(t *testing.T) {
 	if err := c.Chain(a, 4, b); err != nil {
 		t.Fatal(err)
 	}
-	if a.Code[4].Op != host.CHAINED || a.Code[4].Link != b.ID || a.Exit(4).Next != b {
+	if a.Code[4].Op != host.CHAINED || a.Exit(4).Next != b {
 		t.Fatalf("chain not installed: %v, next %v", a.Code[4], a.Exit(4).Next)
 	}
 	// Invalidating b must unchain a's exit.

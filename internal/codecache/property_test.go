@@ -13,10 +13,9 @@ import (
 //
 //   - Used() equals the sum of resident block sizes,
 //   - every Lookup result is resident under its own entry,
-//   - no CHAINED instruction links to a non-resident block
-//     (invalidation must unchain),
-//   - an exit's Next is nil exactly while its instruction is EXIT, and
-//     otherwise the resident block the instruction's Link names,
+//   - an exit's Next is set exactly while its instruction is CHAINED,
+//     and then names a resident block (invalidation must unchain) whose
+//     entry is the exit's target,
 //   - Len() matches the number of resident blocks.
 func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
@@ -42,21 +41,24 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 					t.Fatalf("seed %d step %d: block %d not reachable via its entry", seed, step, b.ID)
 				}
 				for i := range b.Code {
-					in := &b.Code[i]
-					if in.Op == host.CHAINED {
-						if _, ok := c.Get(in.Link); !ok {
-							t.Fatalf("seed %d step %d: dangling chain %d -> %d", seed, step, b.ID, in.Link)
-						}
+					if b.Code[i].Op == host.CHAINED && b.Exit(i) == nil {
+						t.Fatalf("seed %d step %d: block %d chains untabled instruction %d", seed, step, b.ID, i)
 					}
 				}
 				for i := range b.Exits {
 					e := &b.Exits[i]
 					in := &b.Code[e.Idx]
-					if (e.Next == nil) != (in.Op == host.EXIT) {
+					if (e.Next != nil) != (in.Op == host.CHAINED) {
 						t.Fatalf("seed %d step %d: block %d exit %d is %v with Next %v", seed, step, b.ID, e.Idx, in.Op, e.Next)
 					}
-					if next, _ := c.Get(in.Link); e.Next != nil && (e.Next != next || next.ID != in.Link) {
-						t.Fatalf("seed %d step %d: block %d exit %d links %d, Next is block %d", seed, step, b.ID, e.Idx, in.Link, e.Next.ID)
+					if e.Next == nil {
+						continue
+					}
+					if next, ok := c.Get(e.Next.ID); !ok || next != e.Next {
+						t.Fatalf("seed %d step %d: block %d exit %d chains to block %d, not resident", seed, step, b.ID, e.Idx, e.Next.ID)
+					}
+					if e.Next.Entry != in.Target {
+						t.Fatalf("seed %d step %d: block %d exit %d targets %#x, chains to entry %#x", seed, step, b.ID, e.Idx, in.Target, e.Next.Entry)
 					}
 				}
 			}

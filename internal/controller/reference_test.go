@@ -137,23 +137,48 @@ func TestMatchesCacheFreeReference(t *testing.T) {
 		programs = append(programs, program{fmt.Sprint(p.Name, "@", scale), im, DefaultConfig(), int64(2000 + i)})
 	}
 	for _, p := range programs {
-		got := runAt(t, p.im, p.cfg, 0)
-		want := reference(t, p.im)
-		for _, side := range []struct {
-			name string
-			cpu  *guest.CPU
-		}{{"authoritative", &got.CPU}, {"co-designed", &got.CoDCPU}} {
-			if !sameRegs(side.cpu, &want.CPU) {
-				t.Errorf("%s: %s CPU\n got %+v\nwant %+v", p.name, side.name, *side.cpu, want.CPU)
-			}
+		matchesReference(t, p.name, runAt(t, p.im, p.cfg, 0), reference(t, p.im))
+	}
+}
+
+// FuzzMatchesCacheFreeReference holds a random program, run with the
+// shadow publishing at an interval the input chooses (0 never
+// publishes), to the reference the same way. Most random programs load
+// FP constants with fldi, so the translated FLI's immediate is held end
+// to end as well.
+func FuzzMatchesCacheFreeReference(f *testing.F) {
+	f.Add(uint64(0), uint16(0))
+	f.Add(uint64(2), uint16(1))
+	f.Add(uint64(13), uint16(1000))
+	f.Fuzz(func(t *testing.T, seed uint64, interval uint16) {
+		im, err := workload.RandomProgram(seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if memDigest(got.Mem) != memDigest(want.Mem) {
-			t.Errorf("%s: memory digest differs", p.name)
+		name := fmt.Sprintf("random-%d at interval %d", seed, interval)
+		matchesReference(t, name, runAt(t, im, randomConfig(), uint64(interval)), reference(t, im))
+	})
+}
+
+// matchesReference compares a run with the reference: the final
+// registers (authoritative and co-designed), a digest of the
+// authoritative memory, the output and the exit code.
+func matchesReference(t *testing.T, name string, got, want outcome) {
+	t.Helper()
+	for _, side := range []struct {
+		name string
+		cpu  *guest.CPU
+	}{{"authoritative", &got.CPU}, {"co-designed", &got.CoDCPU}} {
+		if !sameRegs(side.cpu, &want.CPU) {
+			t.Errorf("%s: %s CPU\n got %+v\nwant %+v", name, side.name, *side.cpu, want.CPU)
 		}
-		if string(got.Output) != string(want.Output) || got.ExitCode != want.ExitCode {
-			t.Errorf("%s: output %x exit %d, reference output %x exit %d",
-				p.name, got.Output, got.ExitCode, want.Output, want.ExitCode)
-		}
+	}
+	if memDigest(got.Mem) != memDigest(want.Mem) {
+		t.Errorf("%s: memory digest differs", name)
+	}
+	if string(got.Output) != string(want.Output) || got.ExitCode != want.ExitCode {
+		t.Errorf("%s: output %x exit %d, reference output %x exit %d",
+			name, got.Output, got.ExitCode, want.Output, want.ExitCode)
 	}
 }
 

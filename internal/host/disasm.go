@@ -19,7 +19,7 @@ func (in *Inst) String() string {
 	case LI:
 		return fmt.Sprintf("li %s, %d", r(in.Rd), in.Imm)
 	case FLI:
-		return fmt.Sprintf("fli %s, %g", f(in.Rd), in.F64)
+		return fmt.Sprintf("fli %s, %g", f(in.Rd), in.F64())
 	case MOVH:
 		return fmt.Sprintf("mov %s, %s", r(in.Rd), r(in.Ra))
 	case FMOVH, FABSH, FNEGH, FSQRTH:
@@ -41,7 +41,7 @@ func (in *Inst) String() string {
 	case EXIT:
 		return fmt.Sprintf("exit @%#x", in.Target)
 	case CHAINED:
-		return fmt.Sprintf("chained @%#x -> block %d", in.Target, in.Link)
+		return fmt.Sprintf("chained @%#x", in.Target)
 	case EXITIND:
 		return fmt.Sprintf("exitind %s", r(in.Ra))
 	case ASSERTH:

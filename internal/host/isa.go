@@ -5,7 +5,10 @@
 // checkpoint/commit.
 package host
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+)
 
 // Register file geometry.
 const (
@@ -85,9 +88,9 @@ const (
 	_
 
 	// Code cache exits. EXIT leaves to a statically known guest PC
-	// (Target); after chaining it is rewritten to CHAINED with Link
-	// pointing at the successor block. EXITIND leaves to the guest PC
-	// held in Ra and is served by the IBTC.
+	// (Target); chaining rewrites it to CHAINED, and the exit's entry in
+	// the block's exit table names the successor block. EXITIND leaves
+	// to the guest PC held in Ra and is served by the IBTC.
 	EXIT
 	CHAINED
 	EXITIND
@@ -154,17 +157,36 @@ const (
 
 // Inst is one host instruction. The host emulator executes slices of
 // these; the timing simulator consumes the retired stream.
+//
+// Every field is at most 4 bytes wide, so an Inst is 20 bytes: a
+// translated block's code is a slice of them, and its size is most of
+// what a translation allocates. FLI is the one opcode with a 64-bit
+// operand; it reads no Imm and no Target, so its immediate's bits are
+// split across the two: the low word in Imm, the high word in Target.
+// FLIInst writes that encoding and F64 reads it. A chained exit's
+// successor is recorded in the block's exit table (codecache.Exit.Next),
+// not here.
 type Inst struct {
 	Op     Op
 	Rd     uint8 // destination (or store source)
 	Ra     uint8
 	Rb     uint8
-	Imm    int32
-	F64    float64 // FLI immediate
-	Spec   bool    // speculatively reordered memory access
-	Target uint32  // guest PC for EXIT/COMMIT; rollback PC for ASSERTH
-	Link   int     // code cache block id for CHAINED
-	GPC    uint32  // guest PC this instruction emulates (profiling/debug)
+	Imm    int32  // FLI: low word of the immediate
+	Target uint32 // guest PC for EXIT/CHAINED/COMMIT; rollback PC for ASSERTH; FLI: high word of the immediate
+	GPC    uint32 // guest PC this instruction emulates (profiling/debug)
+	Spec   bool   // speculatively reordered memory access
+}
+
+// FLIInst returns the FLI that loads v into FP register rd, emulating
+// guest PC gpc.
+func FLIInst(rd uint8, v float64, gpc uint32) Inst {
+	bits := math.Float64bits(v)
+	return Inst{Op: FLI, Rd: rd, Imm: int32(uint32(bits)), Target: uint32(bits >> 32), GPC: gpc}
+}
+
+// F64 returns an FLI's immediate, bit for bit as FLIInst was given it.
+func (in *Inst) F64() float64 {
+	return math.Float64frombits(uint64(in.Target)<<32 | uint64(uint32(in.Imm)))
 }
 
 // Desc describes a host opcode.

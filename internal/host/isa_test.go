@@ -2,7 +2,9 @@ package host
 
 import (
 	"fmt"
+	"math"
 	"testing"
+	"unsafe"
 )
 
 // TestDescTableComplete: every defined opcode has a latency, and the
@@ -127,7 +129,7 @@ func TestABIRegistersDisjoint(t *testing.T) {
 // TestDisasmAllOps: the disassembler renders every opcode.
 func TestDisasmAllOps(t *testing.T) {
 	for op := range 256 {
-		in := Inst{Op: Op(op), Rd: 1, Ra: 2, Rb: 3, Imm: 4, Target: 0x1000, Link: 7}
+		in := Inst{Op: Op(op), Rd: 1, Ra: 2, Rb: 3, Imm: 4, Target: 0x1000}
 		if s := in.String(); s == "" {
 			t.Errorf("op %v renders empty", op)
 		}
@@ -135,5 +137,41 @@ func TestDisasmAllOps(t *testing.T) {
 	in := Inst{Op: LD, Rd: 5, Ra: 6, Imm: -8, Spec: true}
 	if got := in.String(); got != "ld.s r5, [r6-8]" {
 		t.Errorf("spec load renders %q", got)
+	}
+	in = FLIInst(3, -6.25, 0)
+	if got := in.String(); got != "fli f3, -6.25" {
+		t.Errorf("fli renders %q", got)
+	}
+}
+
+// TestInstSize: an instruction is the 20 bytes of its 4-byte-aligned
+// fields and nothing else; a translated block's code is a slice of them.
+func TestInstSize(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n != 20 {
+		t.Errorf("Inst is %d bytes, want 20", n)
+	}
+}
+
+// TestFLIImmediateRoundTrip: FLIInst and F64 carry every float64 bit
+// pattern through Imm and Target unchanged, signed zeros, subnormals,
+// infinities and NaN payloads included, and FLIInst sets nothing else.
+func TestFLIImmediateRoundTrip(t *testing.T) {
+	bits := []uint64{
+		0, 1 << 63, // +0, -0
+		1, 0x000F_FFFF_FFFF_FFFF, 1<<63 | 1, // subnormals
+		0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000, // ±Inf
+		0x7FF8_0000_0000_0000, 0x7FF0_0000_0000_0001, 0x7FF4_0000_DEAD_BEEF, 0xFFFF_FFFF_FFFF_FFFF, 0xFFF8_0000_0000_0001, // NaNs
+		math.Float64bits(1), math.Float64bits(-6.25), math.Float64bits(math.Pi), math.Float64bits(math.MaxFloat64),
+		0x0000_0001_8000_0000, 0x8000_0000_0000_0001, 0x0000_0000_FFFF_FFFF, 0xFFFF_FFFF_0000_0000, // words apart
+	}
+	for _, want := range bits {
+		in := FLIInst(7, math.Float64frombits(want), 0x1234)
+		if got := math.Float64bits(in.F64()); got != want {
+			t.Errorf("%#016x: F64 returns %#016x (Imm %#x, Target %#x)", want, got, uint32(in.Imm), in.Target)
+		}
+		in.Imm, in.Target = 0, 0
+		if in != (Inst{Op: FLI, Rd: 7, GPC: 0x1234}) {
+			t.Errorf("%#016x: FLIInst sets %+v beside the immediate", want, in)
+		}
 	}
 }

@@ -234,7 +234,7 @@ func genInst(r *rand.Rand, op host.Op, entry uint32) host.Inst {
 			in.Ra = genOne
 		}
 	case host.FLI:
-		in.Rd, in.F64 = freg(), genFloat(r, false)
+		in = host.FLIInst(freg(), genFloat(r, false), 0)
 	case host.FMOVH, host.FSQRTH, host.FABSH, host.FNEGH:
 		in.Rd, in.Ra = freg(), freg()
 	case host.FADDH, host.FSUBH, host.FMULH, host.FDIVH:
@@ -287,6 +287,7 @@ type side struct {
 	run      func(*codecache.Block, uint64) (Result, RunStats, error)
 	count    func(*codecache.Block, *codecache.Exit) uint64 // the per-exit counter, wherever this side keeps it
 	register func(*codecache.Block)
+	chain    func(src *codecache.Block, instIdx int, dst *codecache.Block)
 	cache    *codecache.Cache
 	made     []*codecache.Block // every block built, in order
 	events   []retired
@@ -310,15 +311,25 @@ func newSide(p *program, oracle bool, m mode) *side {
 	s.run = s.vm.Run
 	s.count = func(_ *codecache.Block, e *codecache.Exit) uint64 { return e.Count }
 	s.register = func(*codecache.Block) {}
+	s.chain = func(src *codecache.Block, instIdx int, dst *codecache.Block) {
+		_ = s.cache.Chain(src, instIdx, dst) // refused when already chained, as in execBlock
+	}
 	if oracle {
 		o := &oracleVM{VM: s.vm, exitMeta: map[*codecache.Block]map[int]codecache.ExitInfo{},
-			exitCounts: map[*codecache.Block]map[int]uint64{}, resolve: s.cache.Get}
+			exitCounts: map[*codecache.Block]map[int]uint64{}, resolve: s.cache.Get,
+			links: map[*codecache.Block]map[int]int{}}
 		s.run = o.Run
 		s.count = func(b *codecache.Block, e *codecache.Exit) uint64 { return o.exitCounts[b][e.Idx] }
 		s.register = func(b *codecache.Block) {
 			o.exitMeta[b] = map[int]codecache.ExitInfo{}
 			for _, e := range b.Exits {
 				o.exitMeta[b][e.Idx] = e.Info
+			}
+			o.links[b] = map[int]int{}
+		}
+		s.chain = func(src *codecache.Block, instIdx int, dst *codecache.Block) {
+			if s.cache.Chain(src, instIdx, dst) == nil {
+				o.links[src][instIdx] = dst.ID
 			}
 		}
 	}
@@ -475,7 +486,7 @@ func lockstep(t *testing.T, seed int64, p *program, m mode, deep bool, cov *cove
 				for i, s := range sides {
 					if src, ok := s.cache.Get(res[i].Block.ID); ok {
 						if dst, ok := s.cache.Lookup(pc); ok {
-							_ = s.cache.Chain(src, k.ExitIdx, dst) // refused when already chained, as in execBlock
+							s.chain(src, k.ExitIdx, dst)
 						}
 					}
 				}

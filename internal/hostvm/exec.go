@@ -304,7 +304,7 @@ func (vm *VM) runBlock(b *codecache.Block, t *codecache.Tally) (Result, uint64, 
 			return Result{Kind: ExitToTOL, NextPC: in.Target, Block: b, ExitIdx: i}, n, nil
 		case host.CHAINED:
 			if observed {
-				vm.observe(in, blockPC(b.ID, i), true, blockPC(in.Link, 0))
+				vm.observe(in, blockPC(b.ID, i), true, blockPC(b.Exit(i).Next.ID, 0))
 			}
 			return Result{Kind: ExitToTOL, NextPC: in.Target, Block: b, ExitIdx: i}, n, nil
 		case host.EXITIND:
@@ -337,7 +337,7 @@ func (vm *VM) runBlock(b *codecache.Block, t *codecache.Tally) (Result, uint64, 
 			}
 
 		case host.FLI:
-			r.F[in.Rd] = in.F64
+			r.F[in.Rd] = in.F64()
 		case host.FMOVH:
 			r.F[in.Rd] = r.F[in.Ra]
 		case host.FADDH:

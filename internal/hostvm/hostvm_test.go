@@ -264,19 +264,24 @@ func TestPageFaultRollsBack(t *testing.T) {
 
 func TestChainFollowing(t *testing.T) {
 	vm := newVM()
-	b2 := &codecache.Block{ID: 2, Entry: 0x1100, Kind: codecache.KindSuperblock, Code: []host.Inst{
+	b2 := &codecache.Block{Entry: 0x1100, Kind: codecache.KindSuperblock, Code: []host.Inst{
 		{Op: host.CHKPT},
 		{Op: host.LI, Rd: 21, Imm: 5},
 		{Op: host.COMMIT},
 		{Op: host.EXIT, Target: 0x1200},
 	}, Exits: exits(3, 2)}
-	b1 := &codecache.Block{ID: 1, Entry: 0x1000, Kind: codecache.KindSuperblock, Code: []host.Inst{
+	b1 := &codecache.Block{Entry: 0x1000, Kind: codecache.KindSuperblock, Code: []host.Inst{
 		{Op: host.CHKPT},
 		{Op: host.LI, Rd: 20, Imm: 4},
 		{Op: host.COMMIT},
-		{Op: host.CHAINED, Target: 0x1100, Link: 2},
+		{Op: host.EXIT, Target: 0x1100},
 	}, Exits: exits(3, 3)}
-	b1.Exits[0].Next = b2
+	c := codecache.New(0)
+	c.Insert(b1)
+	c.Insert(b2)
+	if err := c.Chain(b1, 3, b2); err != nil {
+		t.Fatal(err)
+	}
 	res, st, err := vm.Run(b1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -339,9 +344,9 @@ func TestSpillOps(t *testing.T) {
 		{Op: host.SPILLI, Rd: 20, Imm: 7},
 		{Op: host.LI, Rd: 20, Imm: 0},
 		{Op: host.UNSPILLI, Rd: 21, Imm: 7},
-		{Op: host.FLI, Rd: 10, F64: 2.5},
+		host.FLIInst(10, 2.5, 0),
 		{Op: host.SPILLF, Rd: 10, Imm: 3},
-		{Op: host.FLI, Rd: 10, F64: 0},
+		host.FLIInst(10, 0, 0),
 		{Op: host.UNSPILLF, Rd: 11, Imm: 3},
 		{Op: host.COMMIT},
 		{Op: host.EXIT, Target: 0x2000},
@@ -380,7 +385,7 @@ func TestFPOpsAndConversion(t *testing.T) {
 	vm := newVM()
 	code := []host.Inst{
 		{Op: host.CHKPT},
-		{Op: host.FLI, Rd: 10, F64: -6.25},
+		host.FLIInst(10, -6.25, 0),
 		{Op: host.FABSH, Rd: 11, Ra: 10},
 		{Op: host.FNEGH, Rd: 12, Ra: 11},
 		{Op: host.FSQRTH, Rd: 13, Ra: 11},
@@ -406,13 +411,17 @@ func TestFPOpsAndConversion(t *testing.T) {
 
 func TestFuelStopsAtBlockBoundary(t *testing.T) {
 	vm := newVM()
-	self := &codecache.Block{ID: 5, Entry: 0x1000, Code: []host.Inst{
+	self := &codecache.Block{Entry: 0x1000, Code: []host.Inst{
 		{Op: host.CHKPT},
 		{Op: host.ADDI, Rd: 20, Ra: 20, Imm: 1},
 		{Op: host.COMMIT},
-		{Op: host.CHAINED, Target: 0x1000, Link: 5},
+		{Op: host.EXIT, Target: 0x1000},
 	}, Exits: exits(3, 1)}
-	self.Exits[0].Next = self
+	c := codecache.New(0)
+	c.Insert(self)
+	if err := c.Chain(self, 3, self); err != nil {
+		t.Fatal(err)
+	}
 	res, _, err := vm.Run(self, 100)
 	if err != nil {
 		t.Fatal(err)

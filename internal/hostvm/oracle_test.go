@@ -13,8 +13,9 @@ import (
 // checkpoint, rollback and the retirement bookkeeping of the parent
 // commit, with the exit accounting in maps keyed by instruction index
 // (Block.ExitMeta, Block.ExitCounts and Block.CountExit there), chains
-// resolved through VM.Resolve and the whole register file copied at
-// every checkpoint. It is the executable specification the generator in
+// resolved through VM.Resolve from the block id each CHAINED instruction
+// carried (Inst.Link there, kept in a map here that the harness fills
+// as it chains) and the whole register file copied at every checkpoint. It is the executable specification the generator in
 // differential_test.go holds the table-driven runner to.
 //
 // oracleVM embeds the VM under test's type for its state and for the
@@ -27,7 +28,11 @@ type oracleVM struct {
 	exitMeta   map[*codecache.Block]map[int]codecache.ExitInfo // ExitMeta
 	exitCounts map[*codecache.Block]map[int]uint64             // ExitCounts
 	resolve    func(id int) (*codecache.Block, bool)           // Resolve
+	links      map[*codecache.Block]map[int]int                // Inst.Link, by block and instruction index
 }
+
+// link is the parent's Inst.Link of instruction instIdx of b.
+func (vm *oracleVM) link(b *codecache.Block, instIdx int) int { return vm.links[b][instIdx] }
 
 // countExit is the parent's Block.CountExit.
 func (vm *oracleVM) countExit(b *codecache.Block, instIdx int) {
@@ -123,7 +128,7 @@ func (vm *oracleVM) Run(block *codecache.Block, fuel uint64) (Result, RunStats, 
 			// Follow a chain installed by a previous dispatch.
 			in := &cur.Code[res.ExitIdx]
 			if in.Op == host.CHAINED {
-				if next, ok := vm.resolve(in.Link); ok {
+				if next, ok := vm.resolve(vm.link(cur, res.ExitIdx)); ok {
 					vm.ChainFollows++
 					if stop {
 						res.NextPC = next.Entry
@@ -367,7 +372,7 @@ func (vm *oracleVM) runBlock(b *codecache.Block) (Result, error) {
 			vm.retire(in, blockPC(b.ID, i), true, TOLDispatchPC)
 			return Result{Kind: ExitToTOL, NextPC: in.Target, Block: b, ExitIdx: i}, nil
 		case host.CHAINED:
-			vm.retire(in, blockPC(b.ID, i), true, blockPC(in.Link, 0))
+			vm.retire(in, blockPC(b.ID, i), true, blockPC(vm.link(b, i), 0))
 			return Result{Kind: ExitToTOL, NextPC: in.Target, Block: b, ExitIdx: i}, nil
 		case host.EXITIND:
 			next := r.R[in.Ra]
@@ -395,7 +400,7 @@ func (vm *oracleVM) runBlock(b *codecache.Block) (Result, error) {
 			}
 
 		case host.FLI:
-			r.F[in.Rd] = in.F64
+			r.F[in.Rd] = in.F64()
 		case host.FMOVH:
 			r.F[in.Rd] = r.F[in.Ra]
 		case host.FADDH:

@@ -121,7 +121,7 @@ func (g *gen) readFP(v ValueID, scr uint8, gpc uint32) uint8 {
 		g.emit(host.Inst{Op: host.UNSPILLF, Rd: scr, Imm: int32(l.N), GPC: gpc})
 		return scr
 	case LocImm:
-		g.emit(host.Inst{Op: host.FLI, Rd: scr, F64: g.constF(v), GPC: gpc})
+		g.emit(host.FLIInst(scr, g.constF(v), gpc))
 		return scr
 	}
 	g.fail("value v%d has no location", v)
@@ -186,7 +186,7 @@ func (g *gen) inst(in *Inst) {
 			return
 		}
 		fd := g.dstFP(in.Dst)
-		g.emit(host.Inst{Op: host.FLI, Rd: fd, F64: in.ImmF, GPC: gpc})
+		g.emit(host.FLIInst(fd, in.ImmF, gpc))
 	case Mov:
 		ra := g.readInt(in.A, IntScr1, gpc)
 		rd := g.dstInt(in.Dst)
@@ -356,7 +356,7 @@ func (g *gen) emitMove(m move, src int, gpc uint32) {
 	case m.srcLoc.Kind == LocImm && !m.fp:
 		in = host.Inst{Op: host.LI, Rd: m.dst, Imm: g.constI(m.srcVal), GPC: gpc}
 	case m.srcLoc.Kind == LocImm:
-		in = host.Inst{Op: host.FLI, Rd: m.dst, F64: g.constF(m.srcVal), GPC: gpc}
+		in = host.FLIInst(m.dst, g.constF(m.srcVal), gpc)
 	case m.srcLoc.Kind == LocSlot && !m.fp:
 		in = host.Inst{Op: host.UNSPILLI, Rd: m.dst, Imm: int32(m.srcLoc.N), GPC: gpc}
 	case m.srcLoc.Kind == LocSlot:

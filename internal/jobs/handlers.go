@@ -157,7 +157,7 @@ func (k *Kernel) handleCancel(w http.ResponseWriter, r *http.Request) {
 	// daemon that dies before the job observes it (it may still be deep
 	// in the queue) must not re-run a job its client already cancelled.
 	j.mu.Lock()
-	first := !j.cancelRequested && !j.state.Terminal()
+	first := !j.cancelRequested && !j.settled && !j.state.Terminal()
 	j.cancelRequested = true
 	j.mu.Unlock()
 	if first {

@@ -128,6 +128,9 @@ type Job struct {
 	cancelRequested bool
 	runSpan         string     // id of the current run span, set at worker pickup
 	spans           []obs.Span // the job's recorded (finished) spans
+	// settled is set once finish has fixed the job's terminal state: a
+	// cancel from then on has nothing left to stop and journals nothing.
+	settled bool
 
 	// The result: rows land by scenario index (wall metrics included
 	// when the runner has them — the superset every export view derives
@@ -260,17 +263,35 @@ func (j *Job) resultRows() (rows []export.Row, wallMS float64, parallelism int, 
 	return j.rows, j.wallMS, j.parallelism, nil
 }
 
-// end is the terminal transition of a sealed job. State and results
-// flip together: a client that reads a terminal status can fetch the
-// exports.
-func (j *Job) end(out Outcome) {
+// ending is a job's terminal transition, fixed before anyone can see
+// it: the kernel journals it, then end applies it.
+type ending struct {
+	Outcome
+	finished time.Time
+	wallMS   float64
+}
+
+// settle fixes the terminal transition of a sealed job from out,
+// leaving the job's visible state as it was.
+func (j *Job) settle(out Outcome) ending {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state, j.err, j.parallelism, j.sealed = out.State, out.Err, out.Parallelism, true
-	j.finished = time.Now()
+	j.settled = true
+	e := ending{Outcome: out, finished: time.Now()}
 	if !j.started.IsZero() {
-		j.wallMS = float64(j.finished.Sub(j.started).Nanoseconds()) / 1e6
+		e.wallMS = float64(e.finished.Sub(j.started).Nanoseconds()) / 1e6
 	}
+	return e
+}
+
+// end applies a journaled terminal transition. State and results flip
+// together: a client that reads a terminal status can fetch the
+// exports, and a restart from then on restores the same status.
+func (j *Job) end(e ending) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.state, j.err, j.parallelism, j.sealed = e.State, e.Err, e.Parallelism, true
+	j.finished, j.wallMS = e.finished, e.wallMS
 }
 
 // registry is the concurrency-safe job index. Jobs are never evicted:

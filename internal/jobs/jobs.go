@@ -266,25 +266,23 @@ func (k *Kernel) Journal(rec store.Record) {
 	}
 }
 
-// journalEnd journals a terminal job's closing record and freezes its
+// journalEnd journals job id's closing record, e, and freezes its
 // records into its snapshot.
-func (k *Kernel) journalEnd(j *Job) {
-	j.mu.Lock()
-	rec := store.Record{Kind: store.KindFinished, Job: j.ID, Time: j.finished,
-		Finished: &store.FinishedRecord{State: string(j.state), WallMS: j.wallMS, Parallelism: j.parallelism}}
-	if j.err != nil {
-		rec.Finished.Error = j.err.Error()
+func (k *Kernel) journalEnd(id string, e ending) {
+	rec := store.Record{Kind: store.KindFinished, Job: id, Time: e.finished,
+		Finished: &store.FinishedRecord{State: string(e.State), WallMS: e.wallMS, Parallelism: e.Parallelism}}
+	if e.Err != nil {
+		rec.Finished.Error = e.Err.Error()
 	}
-	if j.state == JobInterrupted {
+	if e.State == JobInterrupted {
 		rec.Kind, rec.Interrupted, rec.Finished = store.KindInterrupted, &store.InterruptedRecord{Reason: rec.Finished.Error}, nil
 	}
-	j.mu.Unlock()
 	k.Journal(rec)
 	if k.cfg.Store == nil || k.halted.Load() {
 		return
 	}
-	if err := k.cfg.Store.CompactJob(j.ID); err != nil {
-		k.log.Error("snapshot compaction failed", "job_id", j.ID, "err", err)
+	if err := k.cfg.Store.CompactJob(id); err != nil {
+		k.log.Error("snapshot compaction failed", "job_id", id, "err", err)
 	}
 }
 
@@ -339,7 +337,14 @@ func (k *Kernel) runJob(j *Job) {
 	// job ever run. The cancel endpoint's extra calls are no-ops.
 	defer j.cancel()
 	defer j.events.Close()
-	if err := j.ctx.Err(); err != nil {
+	// A stop cancels baseCtx first and reaches the jobs under it one at
+	// a time: the job it just freed this worker from may end before this
+	// one's context is cancelled, so baseCtx is asked first.
+	err := k.baseCtx.Err()
+	if err == nil {
+		err = j.ctx.Err()
+	}
+	if err != nil {
 		j.mu.Lock()
 		clientCancel := j.cancelRequested
 		j.mu.Unlock()
@@ -369,17 +374,19 @@ func (k *Kernel) runJob(j *Job) {
 }
 
 // finish ends a live job: a row for every index nobody committed, the
-// terminal state, the closing spans, the terminal record and snapshot,
-// and the final state frame.
+// closing spans, the terminal record and snapshot, the terminal state,
+// and the final state frame. The state flips last (write-ahead): a
+// client that reads a terminal status reads what a crash would keep.
 func (k *Kernel) finish(j *Job, out Outcome) {
 	reason := out.Err
 	if reason == nil {
 		reason = errors.New("scenario never ran")
 	}
 	j.seal(reason)
-	j.end(out)
-	k.finishSpans(j)
-	k.journalEnd(j)
+	e := j.settle(out)
+	k.finishSpans(j, e)
+	k.journalEnd(j.ID, e)
+	j.end(e)
 	st := j.Status()
 	k.log.Info("job finished", "job_id", j.ID, "trace_id", j.TraceID, "state", string(st.State),
 		"completed", st.Completed, "scenarios", st.Scenarios, "failed", st.Failed)

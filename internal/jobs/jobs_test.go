@@ -328,6 +328,32 @@ func TestCancel(t *testing.T) {
 	h.get("/api/v1/jobs/job-9", http.StatusNotFound)
 }
 
+// TestTerminalStatusIsJournaled: the terminal record is journaled
+// before the status turns terminal (write-ahead), so a client that polls
+// a job to its end finds the journal already ending in finished. Many
+// short jobs, each polled without pause while it runs, give the window
+// between the two every chance to show.
+func TestTerminalStatusIsJournaled(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	run := func(ctx context.Context, j *jobs.Job) jobs.Outcome {
+		time.Sleep(time.Millisecond)
+		return runAll(ctx, j)
+	}
+	h := start(t, jobs.Config{Runner: &fakeRunner{run: run}, Store: st})
+	const body = `{"scenarios":[{"profile":"429.mcf"}]}`
+	for i := 0; i < 50; i++ {
+		id := h.submit(body, http.StatusAccepted).ID
+		for deadline := time.Now().Add(30 * time.Second); !h.status(id).State.Terminal(); {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never ended", id)
+			}
+		}
+		if lines := testutil.JournalLines(t, st, id); lines[len(lines)-1] != "finished" {
+			t.Fatalf("%s reads terminal, journal is %s", id, strings.Join(lines, ","))
+		}
+	}
+}
+
 // TestQueueFull: a submission the queue has no room for leaves nothing
 // behind — not in the registry, not in the journal, not in the id
 // sequence — and a stopped kernel answers 503.
@@ -371,6 +397,25 @@ func TestQueueFull(t *testing.T) {
 
 	h.stop()
 	h.submit(twoScenarios, http.StatusServiceUnavailable)
+}
+
+// TestStopNeverStartsQueued: a stop cancels every job's context at
+// once, but the cancellation reaches the jobs one at a time. The worker
+// that the running job frees must not start the queued job in that gap:
+// each round here must end with the queued job never run.
+func TestStopNeverStartsQueued(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		started := make(chan string, 2)
+		h := start(t, jobs.Config{Runner: &fakeRunner{run: untilCancelled(started)}})
+		h.submit(twoScenarios, http.StatusAccepted)
+		<-started
+		h.submit(twoScenarios, http.StatusAccepted)
+		h.stop()
+		if got := h.status("job-2"); !strings.Contains(got.Error, "cancelled while queued") {
+			t.Fatalf("round %d: the queued job ran after the stop: %+v", round, got)
+		}
+		h.ts.Close()
+	}
 }
 
 // TestShutdownWhileQueued is the stop-versus-cancel rule: the daemon's

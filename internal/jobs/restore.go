@@ -96,7 +96,8 @@ func (k *Kernel) restoreJobs() []*Job {
 			// journaled and count like any other, so the status reads
 			// the same now and after every later restart.
 			j.seal(err)
-			k.journalEnd(j)
+			k.journalEnd(j.ID, ending{Outcome: Outcome{State: state, Err: err, Parallelism: j.parallelism},
+				finished: j.finished, wallMS: j.wallMS})
 			k.log.Info("job ended by the restart", "job_id", j.ID, "trace_id", j.TraceID,
 				"state", string(state), "preserved_rows", len(h.Rows), "scenarios", h.Scenarios)
 		}

@@ -40,14 +40,14 @@ func (j *Job) Spans() []obs.Span {
 	return append([]obs.Span(nil), j.spans...)
 }
 
-// finishSpans records the spans only the terminal transition can close:
-// the run span (worker pickup to completion) and the job root span. A
-// job cancelled while queued never ran, so it gets only the root.
-func (k *Kernel) finishSpans(j *Job) {
+// finishSpans records the spans only the terminal transition e can
+// close: the run span (worker pickup to completion) and the job root
+// span. A job cancelled while queued never ran, so it gets only the root.
+func (k *Kernel) finishSpans(j *Job, e ending) {
 	j.mu.Lock()
-	run, state := j.runSpan, j.state
-	submitted, started, finished := j.submitted, j.started, j.finished
+	run, submitted, started := j.runSpan, j.submitted, j.started
 	j.mu.Unlock()
+	state, finished := e.State, e.finished
 	if run != "" {
 		rs := obs.NewSpan(j.TraceID, j.rootSpan, "run", k.cfg.Service, started, finished)
 		rs.SpanID = run

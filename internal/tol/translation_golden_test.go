@@ -42,8 +42,16 @@ func blockDigest(blk *codecache.Block) string {
 		uint64(blk.GuestInsns), uint64(blk.GuestLo), uint64(blk.GuestHi), uint64(len(blk.Code)))
 	for i := range blk.Code {
 		in := &blk.Code[i]
-		put(uint64(in.Op), uint64(in.Rd), uint64(in.Ra), uint64(in.Rb), uint64(uint32(in.Imm)),
-			math.Float64bits(in.F64), b2u(in.Spec), uint64(in.Target), uint64(in.Link), uint64(in.GPC))
+		// The goldens hash each instruction as the tuple it was when an
+		// FLI immediate had a float64 field of its own and a chained exit
+		// a link id: an FLI's Imm and Target were 0, and the link is 0
+		// because a block is hashed before anything chains it.
+		imm, f64, target := uint64(uint32(in.Imm)), uint64(0), uint64(in.Target)
+		if in.Op == host.FLI {
+			imm, f64, target = 0, math.Float64bits(in.F64()), 0
+		}
+		put(uint64(in.Op), uint64(in.Rd), uint64(in.Ra), uint64(in.Rb), imm,
+			f64, b2u(in.Spec), target, 0, uint64(in.GPC))
 	}
 	for _, e := range blk.Exits { // ascending Idx
 		put(uint64(e.Idx), uint64(e.Info.GuestInsns), uint64(e.Info.GuestBBs), b2u(e.Info.Taken))
