@@ -15,7 +15,8 @@ import (
 // (Block.ExitMeta, Block.ExitCounts and Block.CountExit there), chains
 // resolved through VM.Resolve from the block id each CHAINED instruction
 // carried (Inst.Link there, kept in a map here that the harness fills
-// as it chains) and the whole register file copied at every checkpoint. It is the executable specification the generator in
+// as it chains) and the whole register file copied at every checkpoint.
+// It is the executable specification the generator in
 // differential_test.go holds the table-driven runner to.
 //
 // oracleVM embeds the VM under test's type for its state and for the
