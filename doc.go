@@ -51,7 +51,7 @@
 // README.md covers installation, the command-line tools and the
 // package map; ARCHITECTURE.md documents the simulated system, the
 // flat index-addressed hot-path design (two-level guest memory, decode
-// and basic-block caches, InstallPage invalidation, single-lookup
+// and basic-block caches, immutable guest code, single-lookup
 // profiling) and the results pipeline (retire stream, campaign
 // exports, the BENCH_<n>.json performance trajectory), along with the
 // determinism contract all of it obeys.

@@ -38,12 +38,6 @@ type Block struct {
 	GuestInsns int      // static guest instructions covered
 	BBs        []uint32 // entry PCs of the constituent guest basic blocks
 
-	// GuestLo/GuestHi bound the guest byte range [GuestLo, GuestHi) the
-	// translation decoded (terminator included). Invalidation by code
-	// page uses it; zero-range blocks are never page-invalidated.
-	GuestLo uint32
-	GuestHi uint32
-
 	// Exits is the block's exit table: one entry per exit site
 	// (EXIT/CHAINED/EXITIND instruction), in ascending Idx order.
 	Exits []Exit

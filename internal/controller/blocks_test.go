@@ -13,7 +13,8 @@ import (
 
 // longLoop is a loop of iters iterations whose body is one straight-line
 // basic block of n addri (plus the loop's inc, cmpri and jl); it writes
-// EAX out and exits.
+// EAX out through a data page above the code (a 5000-instruction body
+// runs past 0x8000) and exits.
 func longLoop(n, iters int) string {
 	var b strings.Builder
 	b.WriteString(".org 0x1000\n.entry start\nstart:\n    movri eax, 0\n    movri ecx, 0\nloop:\n")
@@ -23,11 +24,11 @@ func longLoop(n, iters int) string {
 	fmt.Fprintf(&b, `    inc ecx
     cmpri ecx, %d
     jl loop
-    movri ebp, 0x8000
+    movri ebp, 0x40000
     store [ebp+0], eax
     movri eax, 4
     movri ebx, 1
-    movri ecx, 0x8000
+    movri ecx, 0x40000
     movri edx, 4
     syscall
     movri eax, 1

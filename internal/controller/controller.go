@@ -190,7 +190,9 @@ func (c *Controller) transferPage(addr uint32) error {
 	if err != nil {
 		return err
 	}
-	c.CoD.InstallPage(addr&^uint32(guestvm.PageSize-1), page)
+	if err := c.CoD.InstallPage(addr&^uint32(guestvm.PageSize-1), page); err != nil {
+		return err
+	}
 	c.PageTransfers++
 	c.notify(SyncPageTransfer, addr&^uint32(guestvm.PageSize-1))
 	return nil

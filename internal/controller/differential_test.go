@@ -283,8 +283,13 @@ func TestValidationCatchesInjectedCorruption(t *testing.T) {
 	if len(pages) == 0 {
 		t.Fatal("no pages")
 	}
-	b, _ := c.CoD.Mem.Load8(pages[0] + 5)
-	c.CoD.Mem.Store8(pages[0]+5, b^0xFF)
+	// Through the page itself: the first page may hold code, which the
+	// guest cannot store to.
+	page, err := c.CoD.Mem.Page(pages[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	page[5] ^= 0xFF
 	err = c.Validate()
 	mm, ok := err.(*MismatchError)
 	if !ok {
@@ -294,7 +299,10 @@ func TestValidationCatchesInjectedCorruption(t *testing.T) {
 		t.Errorf("mismatch kind %q", mm.What)
 	}
 	// Register corruption too.
-	c.CoD.Mem.Store8(pages[0]+5, b)
+	page[5] ^= 0xFF
+	if err := c.Validate(); err != nil {
+		t.Fatalf("memory restored: %v", err)
+	}
 	c.CoD.CPU.R[3] ^= 1
 	if err := c.Validate(); err == nil {
 		t.Errorf("register corruption not detected")

@@ -24,8 +24,12 @@ import (
 //
 // Decoded blocks live in a map keyed by entry pc; the block is the unit
 // of caching, so an instruction is decoded again only for another block
-// that covers it. InvalidatePage drops the blocks a page write can make
-// stale. The zero value is ready to use.
+// that covers it. The zero value is ready to use.
+//
+// Guest code is immutable: Decode makes code of the pages of every
+// block it decodes (both pages of a block that straddles a boundary),
+// and a store to a code page fails with *CodeWriteError, whichever
+// emulator or path makes it. So a cached block never goes stale.
 type DecodeCache struct {
 	blocks  map[uint32]*Block
 	scratch []guest.Inst // the block being decoded
@@ -35,8 +39,8 @@ type DecodeCache struct {
 // pieces of at most this many instructions.
 const MaxBlockInsns = 4096
 
-// Block is one decoded block (see DecodeCache for where it ends). A
-// cached block is never modified; InvalidatePage only forgets it.
+// Block is one decoded block (see DecodeCache for where it ends). It is
+// never modified, and the guest bytes it was decoded from cannot change.
 type Block struct {
 	Insts   []guest.Inst
 	PC, End uint32 // guest bytes [PC, End) the instructions were decoded from
@@ -107,9 +111,9 @@ func Fetch(mem *Memory, pc uint32) (in guest.Inst, err error) {
 // an instruction cannot be fetched, Decode returns the instructions
 // before it (possibly none) as a block it does not cache, with Fetch's
 // error: the caller runs that prefix, and the error stands once
-// execution reaches the instruction. prev, when non-nil, is the block
-// that ran just before: a cached block becomes its most recent link
-// (see Next).
+// execution reaches the instruction. Either way the pages of the bytes
+// decoded become code. prev, when non-nil, is the block that ran just
+// before: a cached block becomes its most recent link (see Next).
 func (d *DecodeCache) Decode(mem *Memory, prev *Block, pc uint32) (*Block, bool, error) {
 	if b := d.blocks[pc]; b != nil {
 		if prev != nil {
@@ -132,6 +136,7 @@ func (d *DecodeCache) Decode(mem *Memory, prev *Block, pc uint32) (*Block, bool,
 		}
 	}
 	b := &Block{Insts: append([]guest.Inst(nil), d.scratch...), PC: pc, End: at}
+	mem.markCode(pc, at)
 	if err == nil {
 		if d.blocks == nil {
 			d.blocks = make(map[uint32]*Block)
@@ -139,24 +144,4 @@ func (d *DecodeCache) Decode(mem *Memory, prev *Block, pc uint32) (*Block, bool,
 		d.blocks[pc] = b
 	}
 	return b, false, err
-}
-
-// InvalidatePage drops what a write to the page containing addr can
-// make stale: every block whose bytes overlap the page, a block that
-// straddles into it from the preceding page included. It also clears
-// every block's links, so none can reach a dropped block. The
-// co-designed component calls it when the controller rewrites a page it
-// already holds; a first install has nothing to drop.
-func (d *DecodeCache) InvalidatePage(addr uint32) {
-	lo := addr &^ (PageSize - 1)
-	hi := lo + PageSize
-	if hi < lo { // top-of-address-space page
-		hi = ^uint32(0)
-	}
-	for pc, b := range d.blocks {
-		if b.PC < hi && lo < b.End {
-			delete(d.blocks, pc)
-		}
-		b.succ = [2]*Block{}
-	}
 }

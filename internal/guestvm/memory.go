@@ -29,6 +29,13 @@ const (
 	numGroups = 1 << (32 - PageShift - groupBits)
 )
 
+// pageGroup is one slab of the two-level table: groupSize page pointers
+// and, beside each, whether the page holds guest code (see markCode).
+type pageGroup struct {
+	pages [groupSize]*[PageSize]byte
+	code  [groupSize]bool
+}
+
 // PageFaultError reports an access to a page the memory does not hold.
 // The co-designed component surfaces it to the controller as a data
 // request; the authoritative memory never returns it (it allocates
@@ -42,22 +49,39 @@ func (e *PageFaultError) Error() string {
 	return fmt.Sprintf("page fault at %#x (page %#x)", e.Addr, e.Page)
 }
 
+// CodeWriteError reports a store to guest code: a page a DecodeCache
+// has decoded a block from. Guest code is immutable (see DecodeCache),
+// so the store is refused and nothing on that page is written.
+type CodeWriteError struct {
+	Addr uint32 // the first byte of the store that lies on the code page
+}
+
+func (e *CodeWriteError) Error() string {
+	return fmt.Sprintf("store to guest code at %#x", e.Addr)
+}
+
 // Memory is a sparse paged guest memory. The zero value is ready to use.
 // With Strict unset, touching an unmapped page allocates it zero-filled
 // (authoritative behaviour). With Strict set, loads and stores to
-// unmapped pages return *PageFaultError (co-designed behaviour).
+// unmapped pages return *PageFaultError (co-designed behaviour). A
+// store to a page that holds guest code returns *CodeWriteError in
+// either mode.
 //
 // Pages live in a two-level table (group directory of page-pointer
-// slabs) fronted by a one-entry MRU cache, so the emulation hot loops
-// pay index arithmetic instead of map hashing per access.
+// slabs) fronted by one-entry MRU caches, so the emulation hot loops
+// pay index arithmetic instead of map hashing per access. Loads and
+// stores have an MRU page each; the store MRU never holds a code page,
+// so a store that hits it is checked by that one compare.
 type Memory struct {
-	groups [numGroups][]*[PageSize]byte
+	groups [numGroups]*pageGroup
 	count  int
 
-	// MRU page cache: mru is nil when the cache is empty, so page
-	// number 0 needs no sentinel.
+	// MRU page caches: a nil page means empty, so page number 0 needs
+	// no sentinel.
 	mruPN uint32
 	mru   *[PageSize]byte
+	stPN  uint32
+	st    *[PageSize]byte
 
 	Strict bool
 }
@@ -78,12 +102,9 @@ func (m *Memory) page(addr uint32) (*[PageSize]byte, error) {
 
 // pageSlow is the two-level walk behind the MRU cache.
 func (m *Memory) pageSlow(addr, pn uint32) (*[PageSize]byte, error) {
-	g := m.groups[pn>>groupBits]
-	if g != nil {
-		if p := g[pn&groupMask]; p != nil {
-			m.mruPN, m.mru = pn, p
-			return p, nil
-		}
+	if p := m.lookupPage(pn); p != nil {
+		m.mruPN, m.mru = pn, p
+		return p, nil
 	}
 	if m.Strict {
 		return nil, &PageFaultError{Addr: addr, Page: pn << PageShift}
@@ -94,17 +115,58 @@ func (m *Memory) pageSlow(addr, pn uint32) (*[PageSize]byte, error) {
 	return p, nil
 }
 
+// storePage returns the page a store to addr writes: the page as page
+// returns it, unless it holds guest code.
+func (m *Memory) storePage(addr uint32) (*[PageSize]byte, error) {
+	pn := addr >> PageShift
+	if m.st != nil && m.stPN == pn {
+		return m.st, nil
+	}
+	return m.storePageSlow(addr, pn)
+}
+
+// storePageSlow is the code check and page behind the store MRU.
+func (m *Memory) storePageSlow(addr, pn uint32) (*[PageSize]byte, error) {
+	if g := m.groups[pn>>groupBits]; g != nil && g.code[pn&groupMask] {
+		return nil, &CodeWriteError{Addr: addr}
+	}
+	p, err := m.page(addr)
+	if err != nil {
+		return nil, err
+	}
+	m.stPN, m.st = pn, p
+	return p, nil
+}
+
+// markCode makes code of every mapped page holding a byte of
+// [lo, hi), none when lo == hi: from now on a store to one of them
+// returns *CodeWriteError. A page it marks leaves the store MRU.
+func (m *Memory) markCode(lo, hi uint32) {
+	for a := lo; lo != hi; a += PageSize {
+		pn := a >> PageShift
+		if g := m.groups[pn>>groupBits]; g != nil {
+			g.code[pn&groupMask] = true
+		}
+		if m.stPN == pn {
+			m.st = nil
+		}
+		if pn == (hi-1)>>PageShift {
+			return
+		}
+	}
+}
+
 // setPage installs p as page pn, allocating its group on demand.
 func (m *Memory) setPage(pn uint32, p *[PageSize]byte) {
 	g := m.groups[pn>>groupBits]
 	if g == nil {
-		g = make([]*[PageSize]byte, groupSize)
+		g = new(pageGroup)
 		m.groups[pn>>groupBits] = g
 	}
-	if g[pn&groupMask] == nil {
+	if g.pages[pn&groupMask] == nil {
 		m.count++
 	}
-	g[pn&groupMask] = p
+	g.pages[pn&groupMask] = p
 }
 
 // lookupPage returns page pn if mapped, without allocating or faulting.
@@ -113,17 +175,16 @@ func (m *Memory) lookupPage(pn uint32) *[PageSize]byte {
 	if g == nil {
 		return nil
 	}
-	return g[pn&groupMask]
+	return g.pages[pn&groupMask]
 }
 
 // forEachPage visits every mapped page in ascending page-number order.
 func (m *Memory) forEachPage(f func(pn uint32, p *[PageSize]byte)) {
-	for gi := range m.groups {
-		g := m.groups[gi]
+	for gi, g := range m.groups {
 		if g == nil {
 			continue
 		}
-		for pi, p := range g {
+		for pi, p := range g.pages {
 			if p != nil {
 				f(uint32(gi)<<groupBits|uint32(pi), p)
 			}
@@ -131,7 +192,8 @@ func (m *Memory) forEachPage(f func(pn uint32, p *[PageSize]byte)) {
 	}
 }
 
-// Clone deep-copies the memory (debug toolchain replay).
+// Clone deep-copies the memory's content, no code marks, for the debug
+// toolchain's replay.
 func (m *Memory) Clone() *Memory {
 	out := NewMemory(m.Strict)
 	m.forEachPage(func(pn uint32, p *[PageSize]byte) {
@@ -142,7 +204,7 @@ func (m *Memory) Clone() *Memory {
 }
 
 // InstallPage maps a page image at the page containing addr. An already
-// mapped page is overwritten in place.
+// mapped page is overwritten in place, code or not.
 func (m *Memory) InstallPage(pageAddr uint32, data *[PageSize]byte) {
 	pn := pageAddr >> PageShift
 	if p := m.lookupPage(pn); p != nil {
@@ -186,7 +248,7 @@ func (m *Memory) Load8(addr uint32) (uint8, error) {
 
 // Store8 implements guest.Memory.
 func (m *Memory) Store8(addr uint32, v uint8) error {
-	p, err := m.page(addr)
+	p, err := m.storePage(addr)
 	if err != nil {
 		return err
 	}
@@ -215,10 +277,12 @@ func (m *Memory) Load32(addr uint32) (uint32, error) {
 	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
-// Store32 implements guest.Memory.
+// Store32 implements guest.Memory. A store that straddles pages is
+// written byte by byte: the bytes before a page that refuses it stay
+// written.
 func (m *Memory) Store32(addr uint32, v uint32) error {
 	if addr&(PageSize-1) <= PageSize-4 {
-		p, err := m.page(addr)
+		p, err := m.storePage(addr)
 		if err != nil {
 			return err
 		}
@@ -256,10 +320,10 @@ func (m *Memory) Load64(addr uint32) (uint64, error) {
 	return uint64(hi)<<32 | uint64(lo), nil
 }
 
-// Store64 implements guest.Memory.
+// Store64 implements guest.Memory, as two Store32 when it straddles.
 func (m *Memory) Store64(addr uint32, v uint64) error {
 	if off := addr & (PageSize - 1); off <= PageSize-8 {
-		p, err := m.page(addr)
+		p, err := m.storePage(addr)
 		if err != nil {
 			return err
 		}
@@ -285,21 +349,20 @@ func (m *Memory) ReadBytes(addr uint32, n int) ([]byte, error) {
 	return out, nil
 }
 
-// WriteBytes stores b starting at addr.
-func (m *Memory) WriteBytes(addr uint32, b []byte) error {
-	for i, v := range b {
-		if err := m.Store8(addr+uint32(i), v); err != nil {
-			return err
-		}
-	}
-	return nil
+// StoreCheck returns the error a one-byte store to addr would return,
+// writing nothing: nil, *PageFaultError or *CodeWriteError.
+func (m *Memory) StoreCheck(addr uint32) error {
+	_, err := m.storePage(addr)
+	return err
 }
 
-// LoadImage installs every segment of an image.
+// LoadImage stores every segment of an image.
 func (m *Memory) LoadImage(im *guest.Image) error {
 	for _, s := range im.Segments {
-		if err := m.WriteBytes(s.Addr, s.Data); err != nil {
-			return err
+		for i, v := range s.Data {
+			if err := m.Store8(s.Addr+uint32(i), v); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

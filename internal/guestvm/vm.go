@@ -56,9 +56,9 @@ type VM struct {
 	BBFreq map[uint32]uint64
 
 	// decode is the VM's front end. Run executes each decoded block in
-	// one guest.RunBlock call and follows the blocks' links. The VM
-	// never invalidates it: self-modifying code is out of scope for the
-	// reproduction (the paper's workloads do not exercise it either).
+	// one guest.RunBlock call and follows the blocks' links. A store to
+	// a page it decoded from fails (see DecodeCache), so its blocks
+	// never go stale.
 	decode  DecodeCache
 	bbStart uint32
 	inBB    bool

@@ -380,19 +380,21 @@ func (vm *VM) specFail(b *codecache.Block) Result {
 	return Result{Kind: ExitMemSpecFail, NextPC: b.Entry, Block: b}
 }
 
-// probeResident touches the first and last byte of a store about to be
-// buffered, so COMMIT cannot fault.
+// probeResident checks the first and last byte of a store about to be
+// buffered by the memory's store rule, so COMMIT cannot fail: a page
+// fault or a store to guest code ends the block at the store.
 func (vm *VM) probeResident(addr uint32, width uint8) error {
-	_, err := vm.Mem.Load8(addr)
+	err := vm.Mem.StoreCheck(addr)
 	if last := addr + uint32(width) - 1; err == nil && last>>guestvm.PageShift != addr>>guestvm.PageShift {
-		_, err = vm.Mem.Load8(last)
+		err = vm.Mem.StoreCheck(last)
 	}
 	return err
 }
 
 // memFail ends the block on a failed guest memory access: a page fault
 // and a partial store-to-load forward roll back to the checkpoint,
-// anything else is an emulator error. n passes through to the caller.
+// anything else (a store to guest code, an emulator error) ends the
+// run. n passes through to the caller.
 func (vm *VM) memFail(b *codecache.Block, n uint64, err error) (Result, uint64, error) {
 	if pf, ok := err.(*guestvm.PageFaultError); ok {
 		vm.rollback()

@@ -384,9 +384,9 @@ func (vm *VM) rollback() {
 	vm.Rollbacks++
 }
 
-// commit drains the store buffer to memory. The controller guarantees
-// pages are resident before commit because every buffered store address
-// was probed at execute time.
+// commit drains the store buffer to memory. No store fails: every
+// buffered store address was probed at execute time (probeResident),
+// and no page becomes resident or code while a block runs.
 func (vm *VM) commit() error {
 	for _, s := range vm.stbuf {
 		var err error

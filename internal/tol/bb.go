@@ -234,8 +234,6 @@ func (t *TOL) lowerBB(x *xlate, bb *bbInfo, level OptLevel) (*codecache.Block, e
 		Kind:       codecache.KindBB,
 		GuestInsns: bb.staticLen(),
 		BBs:        []uint32{bb.entry},
-		GuestLo:    bb.entry,
-		GuestHi:    bb.nextPC,
 	}, gen), nil
 }
 

@@ -10,8 +10,8 @@ import (
 // dispatch pc (see block), decoded whole the first time and served from
 // the block cache after that. Running a cached decode is sound because
 // every non-terminating guest instruction advances EIP linearly
-// (control transfers all end basic blocks) and because InstallPage
-// drops cached blocks whose bytes it rewrote.
+// (control transfers all end basic blocks) and because guest code is
+// immutable: a store to a page a block was decoded from fails.
 
 // interpretBB interprets the basic block at pc (IM).
 func (t *TOL) interpretBB(pc uint32) (RunResult, bool, error) {

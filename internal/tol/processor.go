@@ -147,8 +147,7 @@ type TOL struct {
 	prof map[uint32]*profEntry
 
 	// dec is the front end: the decoder every read of guest code goes
-	// through (see block). InstallPage invalidates it when the
-	// controller rewrites a page.
+	// through (see block).
 	dec guestvm.DecodeCache
 
 	// scratch is the translation working memory (see its type).
@@ -204,52 +203,17 @@ func New(cfg Config) *TOL {
 	return t
 }
 
-// InstallPage installs a page image into the emulated guest memory.
-// Re-installing a page the memory already maps invalidates every
-// artifact derived from its previous content: the decoded blocks, and
-// any translated code-cache blocks whose decoded guest bytes touch the
-// page (along with their per-entry translation decisions — the new code
-// may translate differently). The controller must install pages through
-// this method, not through Mem directly: the seed decoded straight into
-// an append-only map and kept serving stale instructions after a page
-// was re-installed or rewritten.
-//
-// A first install invalidates nothing. Memory is strict and every fetch
-// reads exactly the instruction's bytes, so a page never mapped has no
-// block, translation or profile entry covering it — nor has the
-// preceding page a block straddling into it. The controller installs
-// each page once, on first touch, so its page transfers never discard
-// the decoded-block links.
-func (t *TOL) InstallPage(pageAddr uint32, data *[guestvm.PageSize]byte) {
-	held := t.Mem.HasPage(pageAddr)
+// InstallPage installs a page image the emulated guest memory does not
+// hold yet; the controller installs each page once, on first touch.
+// Memory is strict and every fetch reads exactly the instruction's
+// bytes, so nothing was derived from the page before, and guest code
+// is immutable (see guestvm.DecodeCache), so nothing derived is dropped.
+func (t *TOL) InstallPage(pageAddr uint32, data *[guestvm.PageSize]byte) error {
+	if t.Mem.HasPage(pageAddr) {
+		return fmt.Errorf("tol: page %#x is already installed", pageAddr&^uint32(guestvm.PageSize-1))
+	}
 	t.Mem.InstallPage(pageAddr, data)
-	if !held {
-		return
-	}
-	t.dec.InvalidatePage(pageAddr)
-
-	lo := pageAddr &^ uint32(guestvm.PageSize-1)
-	hi := lo + guestvm.PageSize
-	if hi < lo { // top-of-address-space page
-		hi = ^uint32(0)
-	}
-	reset := func(entry uint32) {
-		if p := t.prof[entry]; p != nil {
-			p.noTranslate = false
-			p.sbOpts = sbOptions{}
-		}
-	}
-	for _, blk := range t.Cache.Blocks() {
-		if blk.GuestLo < hi && lo < blk.GuestHi {
-			t.Cache.Invalidate(blk)
-			reset(blk.Entry)
-		}
-	}
-	for pc := range t.prof {
-		if pc >= lo && pc < hi {
-			reset(pc)
-		}
-	}
+	return nil
 }
 
 // prof1 returns (allocating if needed) the profile entry for pc.

@@ -199,11 +199,6 @@ func (t *TOL) translateSuperblock(plan *sbPlan, opts sbOptions) (*codecache.Bloc
 	if err != nil {
 		return nil, st, err
 	}
-	lo, hi := plan.entry, plan.entry
-	for i := range plan.steps {
-		lo = min(lo, plan.steps[i].bb.entry)
-		hi = max(hi, plan.steps[i].bb.nextPC)
-	}
 	return ownResult(&codecache.Block{
 		Entry:      plan.entry,
 		Kind:       codecache.KindSuperblock,
@@ -211,8 +206,6 @@ func (t *TOL) translateSuperblock(plan *sbPlan, opts sbOptions) (*codecache.Bloc
 		Unrolled:   plan.unrolled,
 		GuestInsns: staticInsns,
 		BBs:        bbs,
-		GuestLo:    lo,
-		GuestHi:    hi,
 	}, gen), st, nil
 }
 

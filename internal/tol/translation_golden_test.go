@@ -15,6 +15,7 @@ import (
 	"darco/internal/codecache"
 	"darco/internal/controller"
 	"darco/internal/guest"
+	"darco/internal/guestvm"
 	"darco/internal/host"
 	"darco/internal/tol"
 	"darco/internal/workload"
@@ -24,8 +25,21 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/translations_*.g
 
 // blockDigest hashes everything a translation hands the code cache:
 // entry, kind, shape, every field of every host instruction, the exit
-// metadata in exit order, and the guest blocks covered.
-func blockDigest(blk *codecache.Block) string {
+// metadata in exit order, and the guest blocks covered. The goldens
+// also hash the guest byte range the blocks cover, which the block
+// recorded itself when code could be rewritten; it is rebuilt here by
+// decoding each block from mem, the memory it was translated from.
+func blockDigest(t *testing.T, blk *codecache.Block, mem *guestvm.Memory) string {
+	t.Helper()
+	var dec guestvm.DecodeCache
+	lo, hi := blk.Entry, blk.Entry
+	for _, pc := range blk.BBs {
+		b, _, err := dec.Decode(mem, nil, pc)
+		if err != nil {
+			t.Fatalf("block %#x of the translation at %#x: %v", pc, blk.Entry, err)
+		}
+		lo, hi = min(lo, b.PC), max(hi, b.End)
+	}
 	var b bytes.Buffer
 	put := func(vs ...uint64) {
 		for _, v := range vs {
@@ -39,7 +53,7 @@ func blockDigest(blk *codecache.Block) string {
 		return 0
 	}
 	put(uint64(blk.Entry), uint64(blk.Kind), b2u(blk.UseAsserts), uint64(blk.Unrolled),
-		uint64(blk.GuestInsns), uint64(blk.GuestLo), uint64(blk.GuestHi), uint64(len(blk.Code)))
+		uint64(blk.GuestInsns), uint64(lo), uint64(hi), uint64(len(blk.Code)))
 	for i := range blk.Code {
 		in := &blk.Code[i]
 		// The goldens hash each instruction as the tuple it was when an
@@ -86,7 +100,7 @@ func translationLog(t *testing.T, im *guest.Image, cfg controller.Config) []stri
 		if !ok {
 			t.Fatalf("translation %v @%#x not resident in its own observer", ev.Kind, ev.Entry)
 		}
-		log = append(log, fmt.Sprintf("%08x %s %s", ev.Entry, blk.Kind, blockDigest(blk)))
+		log = append(log, fmt.Sprintf("%08x %s %s", ev.Entry, blk.Kind, blockDigest(t, blk, ctl.CoD.Mem)))
 		for i := range blk.Code {
 			emitted[blk.Code[i].Op] = true
 		}

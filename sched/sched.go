@@ -53,11 +53,11 @@
 // — or a restarted worker reports the shard job interrupted — the
 // coordinator re-dispatches only the scenarios whose rows it has not
 // yet gathered, on the next worker, with capped exponential backoff.
-// Rows from a shard that ended cancelled or interrupted are
-// quarantined if they carry errors (a restarted daemon synthesizes
-// error rows for never-finished scenarios; those must not leak into
-// the merged export), while errorless rows count immediately — that is
-// what "resuming from rows already gathered" means here. A shard that
+// Errorless rows count as they stream in — that is what "resuming
+// from rows already gathered" means here — while errored rows enter
+// only through the harvest of a shard that ended done or failed (a
+// restarted daemon synthesizes error rows for never-finished
+// scenarios; those must not leak into the merged export). A shard that
 // exhausts its retry budget degrades the job: the campaign ends in the
 // coordinator-only "degraded" terminal state with synthesized error
 // rows for the scenarios no worker could run.

@@ -382,18 +382,17 @@ func (c *Coordinator) submitShard(ctx context.Context, w *worker, body []byte, t
 }
 
 // gatherShard consumes the shard job's event stream until it reports a
-// terminal state, committing rows into the federated merge as they
-// arrive. Errored rows are quarantined until the shard ends done or
-// failed: a shard that instead ends cancelled or interrupted (worker
-// died, restarted daemon synthesized "interrupted" rows) must not leak
-// those synthetic errors into the merged export — its missing
-// scenarios get re-dispatched and only genuinely-produced rows count.
-// A broken stream reconnects (the worker's replay ring resends the
-// prefix; commit dedupes) before the attempt is abandoned.
+// terminal state, committing errorless rows into the federated merge as
+// they arrive. Errored rows enter only through the harvest of a shard
+// that ended done or failed: a shard that instead ends cancelled or
+// interrupted (worker died, restarted daemon synthesized "interrupted"
+// rows) must not leak those synthetic errors into the merged export —
+// its missing scenarios get re-dispatched and only genuinely-produced
+// rows count. A broken stream reconnects (the worker's replay ring
+// resends the prefix; commit dedupes) before the attempt is abandoned.
 func (c *Coordinator) gatherShard(j *fedJob, w *worker, wid string, globals []int) error {
-	pending := make(map[int]export.Row)
 	for reconnects := 0; ; reconnects++ {
-		final, streamErr := c.consumeStream(j, w, wid, globals, pending)
+		final, streamErr := c.consumeStream(j, w, wid, globals)
 		if err := j.ctx.Err(); err != nil {
 			return err
 		}
@@ -417,12 +416,7 @@ func (c *Coordinator) gatherShard(j *fedJob, w *worker, wid string, globals []in
 		case jobs.JobDone, jobs.JobFailed:
 			// The shard ran to completion; its errored rows are genuine
 			// deterministic scenario failures, part of the campaign
-			// result.
-			for gi, row := range pending {
-				if j.Commit(gi, row) {
-					w.noteRows(1)
-				}
-			}
+			// result, and the harvest commits them.
 			return c.harvestShard(j, w, wid, globals)
 		default: // cancelled, interrupted
 			return fmt.Errorf("shard job %s on %s ended %s", wid, w.url, final)
@@ -438,9 +432,10 @@ type streamFrame struct {
 
 // consumeStream reads one connection's worth of the shard job's NDJSON
 // event stream, mapping shard-local scenario indices through globals
-// into the federated job. It returns the terminal state if one was
-// seen, or "" with the transport error when the stream broke first.
-func (c *Coordinator) consumeStream(j *fedJob, w *worker, wid string, globals []int, pending map[int]export.Row) (jobs.JobState, error) {
+// into the federated job. It commits errorless rows only (see
+// gatherShard). It returns the terminal state if one was seen, or ""
+// with the transport error when the stream broke first.
+func (c *Coordinator) consumeStream(j *fedJob, w *worker, wid string, globals []int) (jobs.JobState, error) {
 	req, err := http.NewRequestWithContext(j.ctx, http.MethodGet,
 		w.url+"/api/v1/jobs/"+wid+"/events?format=ndjson", nil)
 	if err != nil {
@@ -478,10 +473,7 @@ func (c *Coordinator) consumeStream(j *fedJob, w *worker, wid string, globals []
 			if ev.Index < 0 || ev.Index >= len(globals) {
 				continue
 			}
-			gi := globals[ev.Index]
-			if ev.Row.Error != "" {
-				pending[gi] = ev.Row
-			} else if j.Commit(gi, ev.Row) {
+			if ev.Row.Error == "" && j.Commit(globals[ev.Index], ev.Row) {
 				w.noteRows(1)
 			}
 		case jobs.EventTelemetry:
@@ -526,8 +518,9 @@ func (c *Coordinator) shardStatus(ctx context.Context, w *worker, wid string) (j
 	return st, json.NewDecoder(resp.Body).Decode(&st)
 }
 
-// harvestShard backfills rows the event stream may have lost (dropped
-// frames under load) from the completed shard job's export.ndjson,
+// harvestShard backfills the rows the event stream did not commit, the
+// errored ones and any it lost (dropped frames under load), from the
+// completed shard job's export.ndjson,
 // whose lines are in shard scenario order — i.e. positionally aligned
 // with globals. commit dedupes rows the stream already delivered.
 func (c *Coordinator) harvestShard(j *fedJob, w *worker, wid string, globals []int) error {
