@@ -119,7 +119,11 @@ func TestCodeWriteIsAnError(t *testing.T) {
 					t.Errorf("interval %d: the storing block ran as %s, want %s", interval, kind, c.kind)
 				}
 				if interval == 0 {
-					text = err.Error()
+					// The store's own error: a translated store fails at
+					// its instruction, not when COMMIT drains it.
+					if text = err.Error(); text != cw.Error() {
+						t.Errorf("error %q, want the store's own %q", text, cw.Error())
+					}
 				} else if err.Error() != text {
 					t.Errorf("interval %d: error %q, serial run %q", interval, err, text)
 				}
