@@ -294,51 +294,12 @@ func ablationRun(b *testing.B, mutate func(*darco.Config)) (app, overhead uint64
 	return res.HostAppInsns, res.Overhead.Total()
 }
 
-// BenchmarkAblationEagerFlags quantifies lazy flag materialization: the
-// extra host instructions when every flag is computed eagerly.
-func BenchmarkAblationEagerFlags(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base, _ := ablationRun(b, nil)
-		eager, _ := ablationRun(b, func(c *darco.Config) { c.TOL.EagerFlags = true })
-		b.ReportMetric(float64(eager)/float64(base), "app-insn-ratio")
-	}
-}
-
-// BenchmarkAblationNoAsserts compares single-exit (asserts + rollback)
-// superblocks against multi-exit superblocks.
-func BenchmarkAblationNoAsserts(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base, _ := ablationRun(b, nil)
-		multi, _ := ablationRun(b, func(c *darco.Config) { c.TOL.SB.NoAsserts = true })
-		b.ReportMetric(float64(multi)/float64(base), "app-insn-ratio")
-	}
-}
-
-// BenchmarkAblationNoChaining measures the dispatch overhead chaining
-// and the IBTC remove.
-func BenchmarkAblationNoChaining(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, base := ablationRun(b, nil)
-		_, noChain := ablationRun(b, func(c *darco.Config) { c.TOL.DisableChaining = true })
-		b.ReportMetric(float64(noChain)/float64(base), "overhead-ratio")
-	}
-}
-
 // BenchmarkAblationNoUnroll disables single-BB loop unrolling.
 func BenchmarkAblationNoUnroll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		base, _ := ablationRun(b, nil)
 		noUnroll, _ := ablationRun(b, func(c *darco.Config) { c.TOL.SB.UnrollFactor = 1 })
 		b.ReportMetric(float64(noUnroll)/float64(base), "app-insn-ratio")
-	}
-}
-
-// BenchmarkAblationNoMemSpec disables speculative memory reordering.
-func BenchmarkAblationNoMemSpec(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base, _ := ablationRun(b, nil)
-		noSpec, _ := ablationRun(b, func(c *darco.Config) { c.TOL.SB.MaxSpecLoads = 0 })
-		b.ReportMetric(float64(noSpec)/float64(base), "app-insn-ratio")
 	}
 }
 
