@@ -275,33 +275,8 @@ func BenchmarkCaseStudyWarmup(b *testing.B) {
 	}
 }
 
-// --- Ablations of the design choices DESIGN.md calls out ---
-
-// ablationRun reports (host app instructions, TOL overhead) for 429.mcf
-// under a config mutation.
-func ablationRun(b *testing.B, mutate func(*darco.Config)) (app, overhead uint64) {
-	b.Helper()
-	p, _ := workload.ByName("429.mcf")
-	im, err := workload.CachedImage(p.Scale(0.25))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := darco.DefaultConfig()
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	res := benchRun(b, im, cfg)
-	return res.HostAppInsns, res.Overhead.Total()
-}
-
-// BenchmarkAblationNoUnroll disables single-BB loop unrolling.
-func BenchmarkAblationNoUnroll(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base, _ := ablationRun(b, nil)
-		noUnroll, _ := ablationRun(b, func(c *darco.Config) { c.TOL.SB.UnrollFactor = 1 })
-		b.ReportMetric(float64(noUnroll)/float64(base), "app-insn-ratio")
-	}
-}
+// The design-toggle ablations are pinned over the whole roster by
+// internal/experiments' TestAblationGolden.
 
 // BenchmarkAblationThresholds sweeps the superblock promotion threshold
 // (the startup-delay vs optimization-coverage trade-off of §III).

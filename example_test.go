@@ -127,6 +127,6 @@ func ExampleSession_SubscribeRetires() {
 	fmt.Println("synchronization markers:", syncs)
 	// Output:
 	// stream saw every app host instruction: true
-	// branches retired: 1463
+	// branches retired: 1980
 	// synchronization markers: 7
 }

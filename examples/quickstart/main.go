@@ -16,7 +16,7 @@ import (
 // A tiny guest program: sum the first 100000 integers, write the result
 // through a system call, and exit. The hot loop is interpreted first,
 // then promoted to a basic-block translation, and finally optimized into
-// an unrolled superblock.
+// a superblock.
 const program = `
 .org 0x1000
 .entry start

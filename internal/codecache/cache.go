@@ -33,7 +33,6 @@ type Block struct {
 	Kind       BlockKind
 	Code       []host.Inst
 	UseAsserts bool // single-entry single-exit superblock (speculated control flow)
-	Unrolled   int  // loop unroll factor applied (0 or 1 = none)
 
 	GuestInsns int      // static guest instructions covered
 	BBs        []uint32 // entry PCs of the constituent guest basic blocks

@@ -83,8 +83,8 @@ func TestSmokeEndToEnd(t *testing.T) {
 	}
 	st := &c.CoD.Stats
 	t.Logf("guest insns: IM=%d BBM=%d SBM=%d", st.GuestInsnsIM, st.GuestInsnsBBM, st.GuestInsnsSBM)
-	t.Logf("translations: BB=%d SB=%d rebuilds(assert=%d spec=%d) unrolled=%d",
-		st.BBTranslations, st.SBTranslations, st.AssertRebuilds, st.SpecRebuilds, st.UnrolledLoops)
+	t.Logf("translations: BB=%d SB=%d rebuilds(assert=%d spec=%d)",
+		st.BBTranslations, st.SBTranslations, st.AssertRebuilds, st.SpecRebuilds)
 	if st.SBTranslations == 0 {
 		t.Errorf("expected superblock promotions, got none")
 	}

@@ -28,7 +28,6 @@ var ablationToggles = []ablationToggle{
 	{"DisableChaining", func(c *darco.Config) { c.TOL.DisableChaining = true }, false},
 	{"SB.NoAsserts", func(c *darco.Config) { c.TOL.SB.NoAsserts = true }, true},
 	{"SB.MaxSpecLoads=0", func(c *darco.Config) { c.TOL.SB.MaxSpecLoads = 0 }, true},
-	{"SB.UnrollFactor=1", func(c *darco.Config) { c.TOL.SB.UnrollFactor = 1 }, false},
 }
 
 // ablationCounts sums one suite's (or the roster's) deterministic counts.
@@ -86,7 +85,7 @@ var ablationSuiteNames = [4]string{workload.SuiteINT, workload.SuiteFP, workload
 // exact count. go test -run TestAblationGolden -update re-records it.
 func TestAblationGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the roster 15 times")
+		t.Skip("runs the roster 13 times")
 	}
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%-5s %-18s %-12s %12s %12s %9s %9s %9s\n",

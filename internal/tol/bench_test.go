@@ -104,7 +104,7 @@ func recordTranslations(tb testing.TB, profile string) *translationReplay {
 // clonePlan copies a plan out of the scratch; its steps' bodies are
 // views of cached decoded blocks, which never change.
 func clonePlan(p *sbPlan) *sbPlan {
-	return &sbPlan{entry: p.entry, unrolled: p.unrolled, steps: append([]sbStep(nil), p.steps...)}
+	return &sbPlan{entry: p.entry, steps: append([]sbStep(nil), p.steps...)}
 }
 
 // replay makes every recorded translation again; the code cache is

@@ -33,7 +33,6 @@ type TranslationEvent struct {
 	Entry      uint32 // guest PC of the region's single entry
 	GuestInsns int    // static guest instructions covered
 	HostInsns  int    // emitted host instructions
-	Unrolled   int    // loop unroll factor applied (0 or 1 = none)
 }
 
 // observe reports a translation event to the configured observer.

@@ -1,8 +1,8 @@
 // Package tol implements the Translation Optimization Layer and the
 // co-designed processor built around it: the three-mode execution engine
 // (interpretation, basic-block translation, superblock optimization),
-// profiling, superblock formation with control speculation and loop
-// unrolling, block chaining, the IBTC, and the TOL-overhead cost
+// profiling, superblock formation with control speculation, block
+// chaining, the IBTC, and the TOL-overhead cost
 // accounting the paper's evaluation is built on.
 package tol
 

@@ -17,8 +17,8 @@ import (
 // translate regions of very different sizes back to back on one TOL.
 
 // scratchProgram has a hot loop whose one basic block is long — loads,
-// stores, FP and flag traffic, 4x unrolled into a superblock of some
-// 180 guest instructions — followed by a two-instruction block.
+// stores, FP and flag traffic, some 45 guest instructions — followed by
+// a two-instruction block.
 func scratchProgram() string {
 	var b strings.Builder
 	b.WriteString(".org 0x1000\n.entry start\nstart:\n    movri ebp, 0x100000\n    movri ecx, 0\n    fldi f1, 1.5\nloop:\n")
@@ -75,9 +75,9 @@ func bbAt(t testing.TB, tl *TOL, pc uint32) *codecache.Block {
 func TestScratchReuseMatchesFreshTOL(t *testing.T) {
 	tl, loop, small := warmTOL(t)
 	got := []*codecache.Block{superblockAt(t, tl, loop), bbAt(t, tl, small), superblockAt(t, tl, loop)}
-	if got[0].Unrolled < 2 || len(got[0].Code) < 20*len(got[1].Code) {
-		t.Fatalf("superblock (unrolled %d, %d host insns) is not large beside the basic block (%d)",
-			got[0].Unrolled, len(got[0].Code), len(got[1].Code))
+	if len(got[0].Code) < 20*len(got[1].Code) {
+		t.Fatalf("superblock (%d host insns) is not large beside the basic block (%d)",
+			len(got[0].Code), len(got[1].Code))
 	}
 	for i, blk := range got {
 		fresh, _, _ := warmTOL(t)

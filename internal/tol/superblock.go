@@ -10,8 +10,7 @@ import (
 // the biased direction of branches recorded by the BBM software edge
 // counters, forming a single-entry region. With control speculation
 // enabled the inter-block branches become asserts (single-exit); after
-// excessive assert failures the region is recreated multi-exit. Single-
-// basic-block loops are unrolled.
+// excessive assert failures the region is recreated multi-exit.
 
 // SBConfig parameterises superblock formation.
 type SBConfig struct {
@@ -19,7 +18,6 @@ type SBConfig struct {
 	MaxBBs       int     // superblock basic-block budget
 	BiasThresh   float64 // minimum branch bias to speculate a direction
 	MinReach     float64 // minimum cumulative probability to extend
-	UnrollFactor int     // single-BB loop unroll factor
 	MaxSpecLoads int     // speculative load budget per region
 	NoAsserts    bool    // ablation: always build multi-exit superblocks
 	AssertLimit  uint64  // assert failures before rebuilding multi-exit
@@ -33,7 +31,6 @@ func DefaultSBConfig() SBConfig {
 		MaxBBs:       16,
 		BiasThresh:   0.9,
 		MinReach:     0.35,
-		UnrollFactor: 4,
 		MaxSpecLoads: 12,
 		AssertLimit:  16,
 		SpecLimit:    8,
@@ -77,9 +74,8 @@ type sbStep struct {
 // TOL's scratch: forming the next plan, or translating a basic block,
 // overwrites it.
 type sbPlan struct {
-	entry    uint32
-	steps    []sbStep
-	unrolled int // >1 when the region is an unrolled single-BB loop
+	entry uint32
+	steps []sbStep
 }
 
 // formSuperblock walks the biased path from start.
@@ -146,11 +142,6 @@ func (t *TOL) formSuperblock(start uint32) (*sbPlan, error) {
 			if prob < cfg.MinReach {
 				return stop(), nil
 			}
-			if next == start && len(plan.steps) == 0 && step.dirTaken && cfg.UnrollFactor > 1 {
-				// Single-basic-block loop: unroll.
-				plan.unrolled = cfg.UnrollFactor
-				return stop(), nil
-			}
 			if visited(next) {
 				return stop(), nil // larger loop: end the region
 			}
@@ -203,7 +194,6 @@ func (t *TOL) translateSuperblock(plan *sbPlan, opts sbOptions) (*codecache.Bloc
 		Entry:      plan.entry,
 		Kind:       codecache.KindSuperblock,
 		UseAsserts: useAsserts,
-		Unrolled:   plan.unrolled,
 		GuestInsns: staticInsns,
 		BBs:        bbs,
 	}, gen), st, nil
@@ -212,7 +202,7 @@ func (t *TOL) translateSuperblock(plan *sbPlan, opts sbOptions) (*codecache.Bloc
 // buildSuperblockIR translates a superblock plan into the scratch region.
 func (t *TOL) buildSuperblockIR(plan *sbPlan, useAsserts bool) (*xlate, []uint32, int, error) {
 	x := t.scratch.newXlate(plan.entry, useAsserts, t.Cfg.EagerFlags)
-	bbs := make([]uint32, 0, max(len(plan.steps), plan.unrolled))
+	bbs := make([]uint32, 0, len(plan.steps))
 	staticInsns := 0
 
 	emitStep := func(step *sbStep) error {
@@ -225,8 +215,7 @@ func (t *TOL) buildSuperblockIR(plan *sbPlan, useAsserts bool) (*xlate, []uint32
 		if step.isLast {
 			return x.translateTerminator(bb)
 		}
-		// Interior conditional branch (or unrolled iteration): follow
-		// the speculated direction.
+		// Interior conditional branch: follow the speculated direction.
 		x.gpc = bb.termPC
 		d := bb.term.Op.Desc()
 		switch {
@@ -255,15 +244,6 @@ func (t *TOL) buildSuperblockIR(plan *sbPlan, useAsserts bool) (*xlate, []uint32
 		return nil
 	}
 
-	// An unrolled loop repeats its one block with the branch speculated
-	// taken; the final iteration, the plan's own step, keeps the branch.
-	iter := sbStep{dirTaken: true}
-	for it := 1; it < plan.unrolled; it++ {
-		iter.bb = plan.steps[0].bb
-		if err := emitStep(&iter); err != nil {
-			return nil, nil, 0, err
-		}
-	}
 	for i := range plan.steps {
 		if err := emitStep(&plan.steps[i]); err != nil {
 			return nil, nil, 0, err

@@ -67,9 +67,6 @@ func TestModesProgression(t *testing.T) {
 	if tl.CPU.R[guest.EAX] != 6000 {
 		t.Errorf("result %d", tl.CPU.R[guest.EAX])
 	}
-	if st.UnrolledLoops == 0 {
-		t.Errorf("single-BB loop should be unrolled")
-	}
 }
 
 func TestOverheadCategoriesPopulated(t *testing.T) {

@@ -51,7 +51,6 @@ type TranslationEvent struct {
 	Entry      uint32 // guest PC of the region's single entry
 	GuestInsns int    // static guest instructions covered
 	HostInsns  int    // emitted host instructions
-	Unrolled   int    // loop unroll factor applied (0 or 1 = none)
 }
 
 // SyncKind classifies controller synchronization events.
@@ -154,7 +153,6 @@ func translationEvent(ev tol.TranslationEvent) TranslationEvent {
 		Entry:      ev.Entry,
 		GuestInsns: ev.GuestInsns,
 		HostInsns:  ev.HostInsns,
-		Unrolled:   ev.Unrolled,
 	}
 }
 

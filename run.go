@@ -148,9 +148,8 @@ func (r *Result) Summary() string {
 	fmt.Fprintf(&b, "host insns    %d app + %d TOL (overhead %.1f%%)\n",
 		r.HostAppInsns, r.Overhead.Total(), 100*r.TOLOverheadFrac())
 	fmt.Fprintf(&b, "emulation     %.2f host/guest in SBM\n", r.EmulationCostSBM())
-	fmt.Fprintf(&b, "translations  %d BB, %d SB (%d unrolled, %d/%d rebuilds)\n",
-		r.Stats.BBTranslations, r.Stats.SBTranslations, r.Stats.UnrolledLoops,
-		r.Stats.AssertRebuilds, r.Stats.SpecRebuilds)
+	fmt.Fprintf(&b, "translations  %d BB, %d SB (%d/%d rebuilds)\n",
+		r.Stats.BBTranslations, r.Stats.SBTranslations, r.Stats.AssertRebuilds, r.Stats.SpecRebuilds)
 	fmt.Fprintf(&b, "speed         %.2f guest MIPS, %.2f host MIPS\n", r.GuestMIPS, r.HostMIPS)
 	if r.Timing != nil {
 		fmt.Fprintf(&b, "timing        %d cycles, IPC %.3f, bpred %.2f%%, L1D miss %.2f%%\n",
