@@ -43,7 +43,6 @@ func ablationSums(t *testing.T, scale float64, cfg darco.Config) [4]ablationCoun
 	if err != nil {
 		t.Fatal(err)
 	}
-	suites := [3]string{workload.SuiteINT, workload.SuiteFP, workload.SuitePhysics}
 	var out [4]ablationCounts
 	for i := range rs {
 		r := rs[i].Res
@@ -55,8 +54,8 @@ func ablationSums(t *testing.T, scale float64, cfg darco.Config) [4]ablationCoun
 		if r.Timing != nil {
 			c.cycles = r.Timing.Cycles
 		}
-		for s := range suites {
-			if rs[i].Profile.Suite == suites[s] {
+		for s, suite := range ablationSuiteNames[:3] {
+			if rs[i].Profile.Suite == suite {
 				out[s].add(c)
 			}
 		}
