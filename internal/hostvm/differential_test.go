@@ -524,6 +524,25 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// sameSpills compares two spill banks bit for bit, reading a slot past
+// a bank's end as zero, the value a slot holds before anything spills
+// to it: each side grows its banks only to the slots it has named.
+func sameSpills[T uint32 | float64](a, b []T, bits func(T) uint64) bool {
+	for i := range max(len(a), len(b)) {
+		var x, y uint64
+		if i < len(a) {
+			x = bits(a[i])
+		}
+		if i < len(b) {
+			y = bits(b[i])
+		}
+		if x != y {
+			return false
+		}
+	}
+	return true
+}
+
 func sameRegs(a, b *Regs) bool {
 	return a.R == b.R && sameBits(a.F[:], b.F[:])
 }
@@ -550,7 +569,8 @@ func diff(a, b *side, deep bool) string {
 	if !deep {
 		return ""
 	}
-	if va.spillI != vb.spillI || !sameBits(va.spillF[:], vb.spillF[:]) {
+	if !sameSpills(va.spillI, vb.spillI, func(v uint32) uint64 { return uint64(v) }) ||
+		!sameSpills(va.spillF, vb.spillF, math.Float64bits) {
 		return "spill area"
 	}
 	if ok, at := va.Mem.Equal(vb.Mem); !ok || fmt.Sprint(va.Mem.Pages()) != fmt.Sprint(vb.Mem.Pages()) {

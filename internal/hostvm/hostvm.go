@@ -173,12 +173,16 @@ type VM struct {
 	alias []aliasEntry
 
 	// TOL-private spill area serviced by SPILLI/UNSPILLI; invisible to
-	// guest memory and therefore to state validation.
-	spillI [MaxSpillSlots]uint32
-	spillF [MaxSpillSlots]float64
+	// guest memory and therefore to state validation. Each bank grows
+	// to the largest slot a spill instruction has named, plus one (see
+	// growSpill), so a run whose regions never spill allocates none.
+	spillI []uint32
+	spillF []float64
 }
 
-// MaxSpillSlots bounds per-region register spilling.
+// MaxSpillSlots bounds the slot a spill instruction may name, in either
+// bank: one naming a slot outside [0, MaxSpillSlots) ends its run with
+// an error where the bank would grow to hold it.
 const MaxSpillSlots = 4096
 
 // DrainHot returns and clears the queued superblock promotion
@@ -413,15 +417,15 @@ func overlap(a uint32, aw uint8, b uint32, bw uint8) bool {
 
 // bufLoad reads width bytes at addr, forwarding from the newest
 // overlapping buffered store when it covers the access exactly;
-// a partial overlap conservatively fails speculation.
-func (vm *VM) bufLoad(addr uint32, width uint8) (uint64, bool, error) {
+// a partial overlap conservatively fails speculation (errPartialForward).
+func (vm *VM) bufLoad(addr uint32, width uint8) (uint64, error) {
 	for i := len(vm.stbuf) - 1; i >= 0; i-- {
 		s := vm.stbuf[i]
 		if s.addr == addr && s.width == width {
-			return s.val, true, nil
+			return s.val, nil
 		}
 		if overlap(addr, width, s.addr, s.width) {
-			return 0, false, errPartialForward
+			return 0, errPartialForward
 		}
 	}
 	var v uint64
@@ -438,7 +442,7 @@ func (vm *VM) bufLoad(addr uint32, width uint8) (uint64, bool, error) {
 	case 8:
 		v, err = vm.Mem.Load64(addr)
 	}
-	return v, true, err
+	return v, err
 }
 
 var errPartialForward = fmt.Errorf("hostvm: partial store-to-load forward")

@@ -3,6 +3,7 @@ package hostvm
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -336,8 +337,24 @@ func TestIBTCHitAndMiss(t *testing.T) {
 	}
 }
 
+// TestSpillOps: spilled values reload, each spill bank grows to exactly
+// the largest slot named plus one, a slot reloaded before anything
+// spilled to it reads zero, blocks that never spill leave the area
+// unallocated, and a later block naming lower slots neither grows nor
+// moves the banks.
 func TestSpillOps(t *testing.T) {
 	vm := newVM()
+	run(t, vm, block([]host.Inst{
+		{Op: host.CHKPT},
+		{Op: host.LI, Rd: 20, Imm: 5},
+		{Op: host.ADD, Rd: 21, Ra: 20, Rb: 20},
+		{Op: host.COMMIT},
+		{Op: host.EXIT, Target: 0x2000},
+	}))
+	if vm.spillI != nil || vm.spillF != nil {
+		t.Fatalf("a run without spills allocated spill banks of %d and %d slots", len(vm.spillI), len(vm.spillF))
+	}
+	vm.Regs.F[12] = 9
 	code := []host.Inst{
 		{Op: host.CHKPT},
 		{Op: host.LI, Rd: 20, Imm: 1234},
@@ -348,6 +365,7 @@ func TestSpillOps(t *testing.T) {
 		{Op: host.SPILLF, Rd: 10, Imm: 3},
 		host.FLIInst(10, 0, 0),
 		{Op: host.UNSPILLF, Rd: 11, Imm: 3},
+		{Op: host.UNSPILLF, Rd: 12, Imm: 5},
 		{Op: host.COMMIT},
 		{Op: host.EXIT, Target: 0x2000},
 	}
@@ -357,6 +375,48 @@ func TestSpillOps(t *testing.T) {
 	}
 	if vm.Regs.F[11] != 2.5 {
 		t.Errorf("fp spill roundtrip %g", vm.Regs.F[11])
+	}
+	if vm.Regs.F[12] != 0 {
+		t.Errorf("a slot nothing spilled to reloaded %g", vm.Regs.F[12])
+	}
+	if len(vm.spillI) != 8 || len(vm.spillF) != 6 {
+		t.Fatalf("spill banks of %d and %d slots, want 8 and 6", len(vm.spillI), len(vm.spillF))
+	}
+	ints, fps := &vm.spillI[0], &vm.spillF[0]
+	run(t, vm, block([]host.Inst{
+		{Op: host.CHKPT},
+		{Op: host.SPILLI, Rd: 20, Imm: 2},
+		{Op: host.UNSPILLF, Rd: 11, Imm: 3},
+		{Op: host.COMMIT},
+		{Op: host.EXIT, Target: 0x2000},
+	}))
+	if len(vm.spillI) != 8 || len(vm.spillF) != 6 || &vm.spillI[0] != ints || &vm.spillF[0] != fps {
+		t.Fatalf("lower slots changed the banks: %d and %d slots", len(vm.spillI), len(vm.spillF))
+	}
+	if vm.Regs.F[11] != 2.5 {
+		t.Errorf("fp spill roundtrip across blocks %g", vm.Regs.F[11])
+	}
+}
+
+// TestSpillSlotOutOfRange: a spill instruction naming a slot outside
+// [0, MaxSpillSlots) ends the run with an error naming the slot, and
+// grows nothing.
+func TestSpillSlotOutOfRange(t *testing.T) {
+	for _, in := range []host.Inst{
+		{Op: host.SPILLI, Rd: 20, Imm: MaxSpillSlots},
+		{Op: host.UNSPILLI, Rd: 20, Imm: -1},
+		{Op: host.SPILLF, Rd: 10, Imm: -7},
+		{Op: host.UNSPILLF, Rd: 10, Imm: MaxSpillSlots + 100},
+	} {
+		vm := newVM()
+		_, _, err := vm.Run(block([]host.Inst{{Op: host.CHKPT}, in, {Op: host.COMMIT}, {Op: host.EXIT, Target: 0x2000}}), 0)
+		want := fmt.Sprintf("%v in block 0 at 1 names spill slot %d", in.Op, in.Imm)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v slot %d: error %v, want one containing %q", in.Op, in.Imm, err, want)
+		}
+		if vm.spillI != nil || vm.spillF != nil {
+			t.Errorf("%v slot %d grew the banks to %d and %d slots", in.Op, in.Imm, len(vm.spillI), len(vm.spillF))
+		}
 	}
 }
 

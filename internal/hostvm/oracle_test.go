@@ -43,6 +43,35 @@ func (vm *oracleVM) countExit(b *codecache.Block, instIdx int) {
 	vm.exitCounts[b][instIdx]++
 }
 
+// spill runs the spill instruction at b.Code[i]. The parent indexed
+// fixed arrays of MaxSpillSlots; the banks are slices now, grown by the
+// runner's own growSpill, so the oracle holds the runner to the values
+// it spills and reloads, not to how it grows.
+func (vm *oracleVM) spill(b *codecache.Block, i int) error {
+	in := &b.Code[i]
+	bank := len(vm.spillI)
+	if in.Op == host.SPILLF || in.Op == host.UNSPILLF {
+		bank = len(vm.spillF)
+	}
+	if int(in.Imm) < 0 || int(in.Imm) >= bank {
+		if err := vm.growSpill(b, i); err != nil {
+			return err
+		}
+	}
+	r := &vm.Regs
+	switch in.Op {
+	case host.SPILLI:
+		vm.spillI[in.Imm] = r.R[in.Rd]
+	case host.UNSPILLI:
+		r.R[in.Rd] = vm.spillI[in.Imm]
+	case host.SPILLF:
+		vm.spillF[in.Imm] = r.F[in.Rd]
+	case host.UNSPILLF:
+		r.F[in.Rd] = vm.spillF[in.Imm]
+	}
+	return nil
+}
+
 // faultAddr extracts the faulting address if err is a guest page fault.
 func faultAddr(err error) (uint32, bool) {
 	if pf, ok := err.(*guestvm.PageFaultError); ok {
@@ -252,14 +281,10 @@ func (vm *oracleVM) runBlock(b *codecache.Block) (Result, error) {
 			r.R[in.Rd] = uint32(int32(r.R[in.Ra]) >> (uint32(in.Imm) & 31))
 		case host.MULH:
 			r.R[in.Rd] = uint32(uint64(int64(int32(r.R[in.Ra]))*int64(int32(r.R[in.Rb]))) >> 32)
-		case host.SPILLI:
-			vm.spillI[in.Imm] = r.R[in.Rd]
-		case host.UNSPILLI:
-			r.R[in.Rd] = vm.spillI[in.Imm]
-		case host.SPILLF:
-			vm.spillF[in.Imm] = r.F[in.Rd]
-		case host.UNSPILLF:
-			r.F[in.Rd] = vm.spillF[in.Imm]
+		case host.SPILLI, host.UNSPILLI, host.SPILLF, host.UNSPILLF:
+			if err := vm.spill(b, i); err != nil {
+				return Result{}, err
+			}
 		case host.SLT:
 			r.R[in.Rd] = b2u(int32(r.R[in.Ra]) < int32(r.R[in.Rb]))
 		case host.SLTU:
@@ -275,7 +300,7 @@ func (vm *oracleVM) runBlock(b *codecache.Block) (Result, error) {
 				width = 1
 			}
 			addr := r.R[in.Ra] + uint32(in.Imm)
-			v, ok, err := vm.bufLoad(addr, width)
+			v, err := vm.bufLoad(addr, width)
 			if err != nil {
 				if fa, isPF := faultAddr(err); isPF {
 					return vm.fault(b, fa), nil
@@ -284,9 +309,6 @@ func (vm *oracleVM) runBlock(b *codecache.Block) (Result, error) {
 					return vm.specFail(b), nil
 				}
 				return Result{}, err
-			}
-			if !ok {
-				return vm.specFail(b), nil
 			}
 			if in.Spec && !vm.recordSpecLoad(addr, width) {
 				return vm.specFail(b), nil
@@ -294,7 +316,7 @@ func (vm *oracleVM) runBlock(b *codecache.Block) (Result, error) {
 			r.R[in.Rd] = uint32(v)
 		case host.FLDH:
 			addr := r.R[in.Ra] + uint32(in.Imm)
-			v, ok, err := vm.bufLoad(addr, 8)
+			v, err := vm.bufLoad(addr, 8)
 			if err != nil {
 				if fa, isPF := faultAddr(err); isPF {
 					return vm.fault(b, fa), nil
@@ -303,9 +325,6 @@ func (vm *oracleVM) runBlock(b *codecache.Block) (Result, error) {
 					return vm.specFail(b), nil
 				}
 				return Result{}, err
-			}
-			if !ok {
-				return vm.specFail(b), nil
 			}
 			if in.Spec && !vm.recordSpecLoad(addr, 8) {
 				return vm.specFail(b), nil

@@ -66,7 +66,7 @@ func (bb *bbInfo) staticLen() int {
 // scratch region: the one front half of every BB translation, live or
 // replayed by the debug API.
 func (t *TOL) bbRegion(bb *bbInfo) (*xlate, error) {
-	x := t.scratch.newXlate(bb.entry, false, t.Cfg.EagerFlags)
+	x := t.work().newXlate(bb.entry, false, t.Cfg.EagerFlags)
 	if err := x.translateBody(bb); err != nil {
 		return nil, err
 	}

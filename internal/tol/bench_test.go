@@ -3,8 +3,6 @@ package tol
 import (
 	"testing"
 
-	"darco/internal/guest"
-	"darco/internal/guestvm"
 	"darco/internal/workload"
 )
 
@@ -63,37 +61,13 @@ func recordTranslations(tb testing.TB, profile string) *translationReplay {
 			rp.steps = append(rp.steps, replayStep{plan: clonePlan(&rp.tl.scratch.plan), opts: opts})
 		}
 	}
-	tl := New(cfg)
-	rp.tl = tl
-	tl.Mem.Strict = false
-	if err := tl.Mem.LoadImage(im); err != nil {
+	tl, err := loadTOL(im, cfg)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	tl.CPU.EIP = im.Entry
-	tl.CPU.R[guest.ESP] = guestvm.StackTop
-	env := guestvm.NewEnv()
-	for !tl.Halted() {
-		res, err := tl.Run(0)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if res.Event != EvSyscall {
-			continue
-		}
-		in, err := tl.Fetch(tl.CPU.EIP)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if _, err := guest.Step(&tl.CPU, tl.Mem, &in); err != nil {
-			tb.Fatal(err)
-		}
-		if err := env.Service(&tl.CPU, tl.Mem); err != nil {
-			tb.Fatal(err)
-		}
-		tl.ClearMidBB()
-		if env.Exited {
-			tl.SetHalted()
-		}
+	rp.tl = tl
+	if err := runAlone(tl); err != nil {
+		tb.Fatal(err)
 	}
 	if tl.Stats.SBTranslations == 0 {
 		tb.Fatalf("%s promoted no superblock", profile)

@@ -10,8 +10,9 @@ import (
 // without touching the live code cache, so the debugger can replay each
 // pipeline stage in isolation. Both build in the TOL's translation
 // scratch: a returned Block owns its code, a returned Region (and
-// whatever its passes return) is valid until the next translation or
-// debug-API call on this TOL.
+// whatever its passes return) is valid until the next translation,
+// debug-API call or halt on this TOL (a halt hands the scratch to the
+// next TOL that translates).
 
 // RetranslateAtLevel rebuilds the translation for a cached block with
 // only the first `level` optimization stages enabled. The result is not

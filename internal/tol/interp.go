@@ -59,7 +59,7 @@ func (t *TOL) interpretBBWith(pc uint32, p *profEntry, b *guestvm.Block, derr er
 	t.Stats.GuestBBs++
 	t.midBB = false
 	if ev == guest.EvHalt {
-		t.halted = true
+		t.halt()
 		return RunResult{Event: EvHalt}, true, nil
 	}
 	return RunResult{}, false, nil

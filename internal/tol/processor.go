@@ -153,8 +153,10 @@ type TOL struct {
 	// through (see block).
 	dec guestvm.DecodeCache
 
-	// scratch is the translation working memory (see its type).
-	scratch scratch
+	// scratch is the translation working memory (see its type): nil
+	// until the first translation borrows one (see work), nil again
+	// once the guest halts and it goes back to the pool.
+	scratch *scratch
 
 	// ov accumulates overhead charges within the current dispatch; it
 	// is flushed into Overhead once per dispatch by Run.
@@ -274,7 +276,18 @@ func (t *TOL) Thresholds() (bb uint32, sb uint64) {
 func (t *TOL) Halted() bool { return t.halted }
 
 // SetHalted force-stops the component (controller use, on SysExit).
-func (t *TOL) SetHalted() { t.halted = true }
+func (t *TOL) SetHalted() { t.halt() }
+
+// halt stops the component and returns its translation scratch to the
+// pool: a halted guest translates nothing more, and the next session's
+// TOL starts warm.
+func (t *TOL) halt() {
+	t.halted = true
+	if s := t.scratch; s != nil {
+		t.scratch = nil
+		s.release()
+	}
+}
 
 // Fetch decodes the guest instruction at pc from the emulated memory.
 // It returns a page-fault error when the code page has not been

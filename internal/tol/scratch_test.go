@@ -3,12 +3,15 @@ package tol
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"darco/internal/codecache"
 	"darco/internal/guest"
 	"darco/internal/host"
+	"darco/internal/workload"
 )
 
 // The translation scratch is reset, not reallocated, per region, so the
@@ -149,6 +152,174 @@ func TestWarmTranslationAllocations(t *testing.T) {
 		c.translate() // warm the scratch
 		if n := testing.AllocsPerRun(5, c.translate) / float64(c.n); n >= 10 {
 			t.Errorf("%s: %.1f allocations per warm translation, want fewer than 10", c.name, n)
+		}
+	}
+}
+
+// translations runs im to the guest's exit on a TOL alone, starting
+// with scratch sc (nil: borrowed from the pool at the first
+// translation), and returns a copy of every block it translated, taken
+// in the observer, before anything runs or chains the block.
+func translations(im *guest.Image, sc *scratch) ([]codecache.Block, *TOL, error) {
+	var tl *TOL
+	var blocks []codecache.Block
+	var err error
+	cfg := DefaultConfig()
+	cfg.OnTranslation = func(ev TranslationEvent) {
+		if ev.Kind != TransBB && ev.Kind != TransSB {
+			return
+		}
+		blk, ok := tl.Cache.Lookup(ev.Entry)
+		if !ok {
+			err = fmt.Errorf("translation %v @%#x not resident in its own observer", ev.Kind, ev.Entry)
+			return
+		}
+		c := *blk
+		c.Code, c.Exits, c.BBs = slices.Clone(blk.Code), slices.Clone(blk.Exits), slices.Clone(blk.BBs)
+		blocks = append(blocks, c)
+	}
+	if tl, err = loadTOL(im, cfg); err != nil {
+		return nil, nil, err
+	}
+	tl.scratch = sc
+	if rerr := runAlone(tl); rerr != nil {
+		return nil, nil, rerr
+	}
+	return blocks, tl, err
+}
+
+// digests returns BlockDigest of each block tl translated.
+func digests(t *testing.T, blocks []codecache.Block, tl *TOL) []string {
+	t.Helper()
+	out := make([]string, len(blocks))
+	for i := range blocks {
+		out[i] = BlockDigest(t, &blocks[i], tl.Mem)
+	}
+	return out
+}
+
+// suiteImage generates a roster profile at scale.
+func suiteImage(t *testing.T, name string, scale float64) *guest.Image {
+	t.Helper()
+	p, ok := workload.ByName(name)
+	if !ok {
+		t.Fatalf("no profile %s", name)
+	}
+	im, err := p.Scale(scale).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im
+}
+
+// TestBorrowedScratchMatchesFreshTOL: a TOL gives its scratch back when
+// the guest halts, and the scratch then translates another program
+// exactly as a fresh one does, while nothing the halted TOL keeps
+// aliases it. TOL A runs scratchProgram to halt; TOL B runs a suite
+// profile on A's scratch (handed over directly: the pool decides which
+// scratch a Get returns), and on a fresh one.
+func TestBorrowedScratchMatchesFreshTOL(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BBThreshold = 2
+	cfg.SBThreshold = 20
+	a := setupTOL(t, scratchProgram(), cfg)
+	s := a.work()
+	if _, err := a.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if !a.Halted() || a.scratch != nil {
+		t.Fatalf("after the run: halted %v, scratch still held %v", a.Halted(), a.scratch != nil)
+	}
+	if a.Stats.SBTranslations == 0 {
+		t.Fatal("A promoted no superblock; its scratch would not be warm")
+	}
+	resident := a.Cache.Blocks()
+	before := make([]codecache.Block, len(resident))
+	for i, blk := range resident {
+		before[i] = codecache.Block{Code: slices.Clone(blk.Code), Exits: slices.Clone(blk.Exits), BBs: slices.Clone(blk.BBs)}
+	}
+
+	im := suiteImage(t, "429.mcf", 0.05)
+	onA, b, err := translations(im, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, bFresh, err := translations(im, new(scratch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Stats.SBTranslations == 0 {
+		t.Fatal("B promoted no superblock")
+	}
+	got, want := digests(t, onA, b), digests(t, fresh, bFresh)
+	if len(got) != len(want) {
+		t.Fatalf("B on A's scratch made %d translations, on a fresh scratch %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("translation %d @%#x on A's scratch %s, on a fresh scratch %s", i, onA[i].Entry, got[i], want[i])
+		}
+	}
+	for i, blk := range resident {
+		w := &before[i]
+		if !slices.Equal(blk.Code, w.Code) || !slices.Equal(blk.Exits, w.Exits) || !slices.Equal(blk.BBs, w.BBs) {
+			t.Errorf("A's block %d @%#x changed while B translated on A's scratch", blk.ID, blk.Entry)
+		}
+	}
+}
+
+// TestScratchPoolAcrossGoroutines: TOLs running to halt on several
+// goroutines at once, each borrowing its scratch from the pool and
+// handing it back, make the translations a TOL makes on a fresh
+// scratch. The pool is all their scratches pass through, so -race
+// checks the hand-off here.
+func TestScratchPoolAcrossGoroutines(t *testing.T) {
+	im, err := guest.Assemble(scratchProgram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := []*guest.Image{im, suiteImage(t, "429.mcf", 0.05), suiteImage(t, "433.milc", 0.05)}
+	want := make([][]string, len(images))
+	for i, im := range images {
+		blocks, tl, err := translations(im, new(scratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = digests(t, blocks, tl)
+	}
+	const workers, runs = 4, 3
+	type result struct {
+		img    int
+		blocks []codecache.Block
+		tl     *TOL
+		err    error
+	}
+	results := make([][]result, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range runs {
+				i := (w + k) % len(images)
+				blocks, tl, err := translations(images[i], nil)
+				results[w] = append(results[w], result{i, blocks, tl, err})
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range results {
+		for k, r := range results[w] {
+			if r.err != nil {
+				t.Fatalf("worker %d run %d: %v", w, k, r.err)
+			}
+			if got := digests(t, r.blocks, r.tl); !slices.Equal(got, want[r.img]) {
+				t.Errorf("worker %d run %d (image %d): %d translations differ from a fresh scratch's %d",
+					w, k, r.img, len(got), len(want[r.img]))
+			}
+			if r.tl.scratch != nil {
+				t.Errorf("worker %d run %d: the halted TOL still holds its scratch", w, k)
+			}
 		}
 	}
 }

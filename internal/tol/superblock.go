@@ -81,7 +81,7 @@ type sbPlan struct {
 // formSuperblock walks the biased path from start.
 func (t *TOL) formSuperblock(start uint32) (*sbPlan, error) {
 	cfg := t.SBCfg
-	plan := &t.scratch.plan
+	plan := &t.work().plan
 	*plan = sbPlan{entry: start, steps: plan.steps[:0]}
 	pc := start
 	// visited reports whether the path already holds the block at next:
@@ -201,7 +201,7 @@ func (t *TOL) translateSuperblock(plan *sbPlan, opts sbOptions) (*codecache.Bloc
 
 // buildSuperblockIR translates a superblock plan into the scratch region.
 func (t *TOL) buildSuperblockIR(plan *sbPlan, useAsserts bool) (*xlate, []uint32, int, error) {
-	x := t.scratch.newXlate(plan.entry, useAsserts, t.Cfg.EagerFlags)
+	x := t.work().newXlate(plan.entry, useAsserts, t.Cfg.EagerFlags)
 	bbs := make([]uint32, 0, len(plan.steps))
 	staticInsns := 0
 

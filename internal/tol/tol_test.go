@@ -16,14 +16,53 @@ func setupTOL(t testing.TB, src string, cfg Config) *TOL {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tl, err := loadTOL(im, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl
+}
+
+// loadTOL is setupTOL for an assembled image.
+func loadTOL(im *guest.Image, cfg Config) (*TOL, error) {
 	tl := New(cfg)
 	tl.Mem.Strict = false
 	if err := tl.Mem.LoadImage(im); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	tl.CPU.EIP = im.Entry
 	tl.CPU.R[guest.ESP] = guestvm.StackTop
-	return tl
+	return tl, nil
+}
+
+// runAlone runs a loaded TOL to the guest's exit, servicing syscalls in
+// place.
+func runAlone(tl *TOL) error {
+	env := guestvm.NewEnv()
+	for !tl.Halted() {
+		res, err := tl.Run(0)
+		if err != nil {
+			return err
+		}
+		if res.Event != EvSyscall {
+			continue
+		}
+		in, err := tl.Fetch(tl.CPU.EIP)
+		if err != nil {
+			return err
+		}
+		if _, err := guest.Step(&tl.CPU, tl.Mem, &in); err != nil {
+			return err
+		}
+		if err := env.Service(&tl.CPU, tl.Mem); err != nil {
+			return err
+		}
+		tl.ClearMidBB()
+		if env.Exited {
+			tl.SetHalted()
+		}
+	}
+	return nil
 }
 
 const loopProgram = `

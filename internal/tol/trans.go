@@ -2,6 +2,7 @@ package tol
 
 import (
 	"fmt"
+	"sync"
 
 	"darco/internal/guest"
 	"darco/internal/ir"
@@ -89,11 +90,38 @@ type xlate struct {
 // may alias it — a codecache.Block owns copies of its code and metadata,
 // because chaining patches block code in place — and what the debug API
 // hands out (BuildRegionIR's region, whatever its passes return) is
-// valid until the next translation or debug-API call on the same TOL.
+// valid until the next translation, debug-API call or halt on the same
+// TOL.
+//
+// A scratch outlives its TOL: the TOL borrows one from scratchPool at
+// its first translation and gives it back when the guest halts, so a
+// campaign's sessions translate in memory the previous ones grew. It
+// has one owner at a time — the TOL holding it, or the pool — and the
+// pool's hand-off orders each owner's use after the previous one's.
 type scratch struct {
 	ir   ir.Scratch
 	x    xlate
 	plan sbPlan
+}
+
+// scratchPool holds the scratches of halted TOLs.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// work returns the TOL's translation scratch, borrowing one from the
+// pool when it holds none (after New, or after a halt).
+func (t *TOL) work() *scratch {
+	if t.scratch == nil {
+		t.scratch = scratchPool.Get().(*scratch)
+	}
+	return t.scratch
+}
+
+// release hands s back to the pool. The plan's steps are views of the
+// owner's decoded blocks; they are dropped so a pooled scratch keeps
+// none of its last owner's memory alive.
+func (s *scratch) release() {
+	clear(s.plan.steps[:cap(s.plan.steps)])
+	scratchPool.Put(s)
 }
 
 // newXlate resets the translator state for a new region.
