@@ -43,19 +43,22 @@ func (vm *oracleVM) countExit(b *codecache.Block, instIdx int) {
 	vm.exitCounts[b][instIdx]++
 }
 
-// spill runs the spill instruction at b.Code[i]. The parent indexed
-// fixed arrays of MaxSpillSlots; the banks are slices now, grown by the
-// runner's own growSpill, so the oracle holds the runner to the values
-// it spills and reloads, not to how it grows.
+// spill runs the spill instruction at b.Code[i]. It checks and grows
+// the banks itself, so the runner's growSpill is held to the reference
+// and not to its own bound.
 func (vm *oracleVM) spill(b *codecache.Block, i int) error {
 	in := &b.Code[i]
-	bank := len(vm.spillI)
-	if in.Op == host.SPILLF || in.Op == host.UNSPILLF {
-		bank = len(vm.spillF)
+	slot := int(in.Imm)
+	if slot < 0 || slot >= MaxSpillSlots {
+		return fmt.Errorf("oracle: %v in block %d names spill slot %d, outside [0, %d)", in.Op, b.ID, slot, MaxSpillSlots)
 	}
-	if int(in.Imm) < 0 || int(in.Imm) >= bank {
-		if err := vm.growSpill(b, i); err != nil {
-			return err
+	if in.Op == host.SPILLI || in.Op == host.UNSPILLI {
+		for len(vm.spillI) <= slot {
+			vm.spillI = append(vm.spillI, 0)
+		}
+	} else {
+		for len(vm.spillF) <= slot {
+			vm.spillF = append(vm.spillF, 0)
 		}
 	}
 	r := &vm.Regs

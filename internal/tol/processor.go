@@ -155,7 +155,7 @@ type TOL struct {
 
 	// scratch is the translation working memory (see its type): nil
 	// until the first translation borrows one (see work), nil again
-	// once the guest halts and it goes back to the pool.
+	// once the guest halts and it goes back to the free list.
 	scratch *scratch
 
 	// ov accumulates overhead charges within the current dispatch; it
@@ -279,8 +279,8 @@ func (t *TOL) Halted() bool { return t.halted }
 func (t *TOL) SetHalted() { t.halt() }
 
 // halt stops the component and returns its translation scratch to the
-// pool: a halted guest translates nothing more, and the next session's
-// TOL starts warm.
+// free list (see scratchFree): a halted guest translates nothing more,
+// and the next session's TOL starts warm.
 func (t *TOL) halt() {
 	t.halted = true
 	if s := t.scratch; s != nil {

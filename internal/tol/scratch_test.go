@@ -84,6 +84,7 @@ func TestScratchReuseMatchesFreshTOL(t *testing.T) {
 	}
 	for i, blk := range got {
 		fresh, _, _ := warmTOL(t)
+		fresh.scratch = new(scratch) // not one from the free list
 		want := bbAt
 		if blk.Kind == codecache.KindSuperblock {
 			want = superblockAt
@@ -157,7 +158,7 @@ func TestWarmTranslationAllocations(t *testing.T) {
 }
 
 // translations runs im to the guest's exit on a TOL alone, starting
-// with scratch sc (nil: borrowed from the pool at the first
+// with scratch sc (nil: borrowed from the free list at the first
 // translation), and returns a copy of every block it translated, taken
 // in the observer, before anything runs or chains the block.
 func translations(im *guest.Image, sc *scratch) ([]codecache.Block, *TOL, error) {
@@ -212,12 +213,42 @@ func suiteImage(t *testing.T, name string, scale float64) *guest.Image {
 	return im
 }
 
+// detachScratch removes s from the free list and returns how many times
+// the list held it.
+func detachScratch(s *scratch) int {
+	scratchFree.Lock()
+	defer scratchFree.Unlock()
+	n := 0
+	scratchFree.s = slices.DeleteFunc(scratchFree.s, func(f *scratch) bool {
+		if f == s {
+			n++
+		}
+		return f == s
+	})
+	return n
+}
+
+// checkFreeListOwners fails t if the free list holds a scratch twice:
+// two TOLs would then borrow it at once.
+func checkFreeListOwners(t *testing.T) {
+	t.Helper()
+	scratchFree.Lock()
+	defer scratchFree.Unlock()
+	seen := make(map[*scratch]bool, len(scratchFree.s))
+	for _, s := range scratchFree.s {
+		if seen[s] {
+			t.Fatalf("the free list holds scratch %p twice", s)
+		}
+		seen[s] = true
+	}
+}
+
 // TestBorrowedScratchMatchesFreshTOL: a TOL gives its scratch back when
 // the guest halts, and the scratch then translates another program
 // exactly as a fresh one does, while nothing the halted TOL keeps
 // aliases it. TOL A runs scratchProgram to halt; TOL B runs a suite
-// profile on A's scratch (handed over directly: the pool decides which
-// scratch a Get returns), and on a fresh one.
+// profile on A's scratch, taken off the free list and handed over
+// directly, and on a fresh one.
 func TestBorrowedScratchMatchesFreshTOL(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BBThreshold = 2
@@ -229,6 +260,9 @@ func TestBorrowedScratchMatchesFreshTOL(t *testing.T) {
 	}
 	if !a.Halted() || a.scratch != nil {
 		t.Fatalf("after the run: halted %v, scratch still held %v", a.Halted(), a.scratch != nil)
+	}
+	if n := detachScratch(s); n != 1 {
+		t.Fatalf("A's halt put its scratch on the free list %d times, want 1", n)
 	}
 	if a.Stats.SBTranslations == 0 {
 		t.Fatal("A promoted no superblock; its scratch would not be warm")
@@ -251,6 +285,10 @@ func TestBorrowedScratchMatchesFreshTOL(t *testing.T) {
 	if b.Stats.SBTranslations == 0 {
 		t.Fatal("B promoted no superblock")
 	}
+	if n := detachScratch(s); n != 1 {
+		t.Fatalf("B's halt put A's scratch on the free list %d times, want 1", n)
+	}
+	checkFreeListOwners(t)
 	got, want := digests(t, onA, b), digests(t, fresh, bFresh)
 	if len(got) != len(want) {
 		t.Fatalf("B on A's scratch made %d translations, on a fresh scratch %d", len(got), len(want))
@@ -268,12 +306,12 @@ func TestBorrowedScratchMatchesFreshTOL(t *testing.T) {
 	}
 }
 
-// TestScratchPoolAcrossGoroutines: TOLs running to halt on several
-// goroutines at once, each borrowing its scratch from the pool and
+// TestScratchFreeListAcrossGoroutines: TOLs running to halt on several
+// goroutines at once, each borrowing its scratch from the free list and
 // handing it back, make the translations a TOL makes on a fresh
-// scratch. The pool is all their scratches pass through, so -race
+// scratch. The free list is all their scratches pass through, so -race
 // checks the hand-off here.
-func TestScratchPoolAcrossGoroutines(t *testing.T) {
+func TestScratchFreeListAcrossGoroutines(t *testing.T) {
 	im, err := guest.Assemble(scratchProgram())
 	if err != nil {
 		t.Fatal(err)
@@ -322,4 +360,5 @@ func TestScratchPoolAcrossGoroutines(t *testing.T) {
 			}
 		}
 	}
+	checkFreeListOwners(t)
 }

@@ -93,35 +93,56 @@ type xlate struct {
 // valid until the next translation, debug-API call or halt on the same
 // TOL.
 //
-// A scratch outlives its TOL: the TOL borrows one from scratchPool at
+// A scratch outlives its TOL: the TOL borrows one from scratchFree at
 // its first translation and gives it back when the guest halts, so a
 // campaign's sessions translate in memory the previous ones grew. It
-// has one owner at a time — the TOL holding it, or the pool — and the
-// pool's hand-off orders each owner's use after the previous one's.
+// has one owner at a time — the TOL holding it, or the free list — and
+// the list's mutex orders each owner's use after the previous one's.
 type scratch struct {
 	ir   ir.Scratch
 	x    xlate
 	plan sbPlan
 }
 
-// scratchPool holds the scratches of halted TOLs.
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// scratchFree holds the scratches of halted TOLs, last in first out, so
+// serial sessions hand one scratch on from each to the next.
+var scratchFree struct {
+	sync.Mutex
+	s []*scratch
+}
 
 // work returns the TOL's translation scratch, borrowing one from the
-// pool when it holds none (after New, or after a halt).
+// free list when it holds none (after New, or after a halt).
 func (t *TOL) work() *scratch {
 	if t.scratch == nil {
-		t.scratch = scratchPool.Get().(*scratch)
+		t.scratch = borrowScratch()
 	}
 	return t.scratch
 }
 
-// release hands s back to the pool. The plan's steps are views of the
-// owner's decoded blocks; they are dropped so a pooled scratch keeps
+// borrowScratch pops the most recently released scratch, or allocates
+// one when the list is empty.
+func borrowScratch() *scratch {
+	scratchFree.Lock()
+	defer scratchFree.Unlock()
+	n := len(scratchFree.s)
+	if n == 0 {
+		return new(scratch)
+	}
+	s := scratchFree.s[n-1]
+	scratchFree.s[n-1] = nil
+	scratchFree.s = scratchFree.s[:n-1]
+	return s
+}
+
+// release hands s back to the free list. The plan's steps are views of
+// the owner's decoded blocks; they are dropped so a free scratch keeps
 // none of its last owner's memory alive.
 func (s *scratch) release() {
 	clear(s.plan.steps[:cap(s.plan.steps)])
-	scratchPool.Put(s)
+	scratchFree.Lock()
+	scratchFree.s = append(scratchFree.s, s)
+	scratchFree.Unlock()
 }
 
 // newXlate resets the translator state for a new region.
