@@ -153,6 +153,9 @@ func replayMatchesReference(blk *codecache.Block, preCPU guest.CPU, preMem *gues
 	vm := hostvm.New(tMem, hostvm.DefaultConfig())
 	tCPU := preCPU
 	vm.Regs.LoadGuest(&tCPU)
+	if err := vm.ReserveSpill(blk); err != nil {
+		return false, fmt.Sprintf("host execution error: %v", err)
+	}
 	res, _, err := vm.Run(blk, 1_000_000)
 	if err != nil {
 		return false, fmt.Sprintf("host execution error: %v", err)

@@ -310,7 +310,11 @@ func newSide(p *program, oracle bool, m mode) *side {
 	}
 	s.run = s.vm.Run
 	s.count = func(_ *codecache.Block, e *codecache.Exit) uint64 { return e.Count }
-	s.register = func(*codecache.Block) {}
+	s.register = func(b *codecache.Block) { // install, as the TOL's
+		if err := s.vm.ReserveSpill(b); err != nil {
+			panic(err)
+		}
+	}
 	s.chain = func(src *codecache.Block, instIdx int, dst *codecache.Block) {
 		_ = s.cache.Chain(src, instIdx, dst) // refused when already chained, as in execBlock
 	}

@@ -214,32 +214,12 @@ func (vm *VM) runBlock(b *codecache.Block, t *codecache.Tally) (Result, uint64, 
 		case host.MULH:
 			r.R[in.Rd] = uint32(uint64(int64(int32(r.R[in.Ra]))*int64(int32(r.R[in.Rb]))) >> 32)
 		case host.SPILLI:
-			if uint32(in.Imm) >= uint32(len(vm.spillI)) {
-				if err := vm.growSpill(b, i); err != nil {
-					return Result{}, n, err
-				}
-			}
 			vm.spillI[in.Imm] = r.R[in.Rd]
 		case host.UNSPILLI:
-			if uint32(in.Imm) >= uint32(len(vm.spillI)) {
-				if err := vm.growSpill(b, i); err != nil {
-					return Result{}, n, err
-				}
-			}
 			r.R[in.Rd] = vm.spillI[in.Imm]
 		case host.SPILLF:
-			if uint32(in.Imm) >= uint32(len(vm.spillF)) {
-				if err := vm.growSpill(b, i); err != nil {
-					return Result{}, n, err
-				}
-			}
 			vm.spillF[in.Imm] = r.F[in.Rd]
 		case host.UNSPILLF:
-			if uint32(in.Imm) >= uint32(len(vm.spillF)) {
-				if err := vm.growSpill(b, i); err != nil {
-					return Result{}, n, err
-				}
-			}
 			r.F[in.Rd] = vm.spillF[in.Imm]
 		case host.SLT:
 			r.R[in.Rd] = b2u(int32(r.R[in.Ra]) < int32(r.R[in.Rb]))
@@ -385,27 +365,6 @@ func (vm *VM) runBlock(b *codecache.Block, t *codecache.Tally) (Result, uint64, 
 		i++
 	}
 	return Result{}, n, fmt.Errorf("hostvm: block %d fell off the end (guest entry %#x)", b.ID, b.Entry)
-}
-
-// growSpill grows the bank the spill instruction at b.Code[i] names a
-// slot past the end of, to that slot plus one, or refuses a slot outside
-// [0, MaxSpillSlots). Kept out of line: a run reaches it at most once
-// per slot it first names.
-//
-//go:noinline
-func (vm *VM) growSpill(b *codecache.Block, i int) error {
-	in := &b.Code[i]
-	slot := int(in.Imm)
-	if slot < 0 || slot >= MaxSpillSlots {
-		return fmt.Errorf("hostvm: %v in block %d at %d names spill slot %d, outside [0, MaxSpillSlots)",
-			in.Op, b.ID, i, slot)
-	}
-	if in.Op == host.SPILLI || in.Op == host.UNSPILLI {
-		vm.spillI = append(vm.spillI, make([]uint32, slot+1-len(vm.spillI))...)
-	} else {
-		vm.spillF = append(vm.spillF, make([]float64, slot+1-len(vm.spillF))...)
-	}
-	return nil
 }
 
 func (vm *VM) specFail(b *codecache.Block) Result {

@@ -174,16 +174,50 @@ type VM struct {
 
 	// TOL-private spill area serviced by SPILLI/UNSPILLI; invisible to
 	// guest memory and therefore to state validation. Each bank grows
-	// to the largest slot a spill instruction has named, plus one (see
-	// growSpill), so a run whose regions never spill allocates none.
+	// to the largest slot a reserved block names, plus one (see
+	// ReserveSpill), so a run whose regions never spill allocates none.
 	spillI []uint32
 	spillF []float64
 }
 
 // MaxSpillSlots bounds the slot a spill instruction may name, in either
-// bank: one naming a slot outside [0, MaxSpillSlots) ends its run with
-// an error where the bank would grow to hold it.
+// bank: ReserveSpill refuses a block naming a slot outside
+// [0, MaxSpillSlots).
 const MaxSpillSlots = 4096
+
+// ReserveSpill grows the spill banks to hold every slot the spill
+// instructions of b name, so that runBlock indexes them without a
+// check of its own. Whoever hands b to Run reserves it first: the TOL
+// as it installs a translation, the debugger before it replays one. A
+// slot outside [0, MaxSpillSlots) is refused with an error naming it,
+// and nothing grows.
+func (vm *VM) ReserveSpill(b *codecache.Block) error {
+	ni, nf := len(vm.spillI), len(vm.spillF)
+	for i := range b.Code {
+		in := &b.Code[i]
+		n := &ni
+		switch in.Op {
+		case host.SPILLI, host.UNSPILLI:
+		case host.SPILLF, host.UNSPILLF:
+			n = &nf
+		default:
+			continue
+		}
+		slot := int(in.Imm)
+		if slot < 0 || slot >= MaxSpillSlots {
+			return fmt.Errorf("hostvm: %v in block @%#x at %d names spill slot %d, outside [0, MaxSpillSlots)",
+				in.Op, b.Entry, i, slot)
+		}
+		*n = max(*n, slot+1)
+	}
+	if ni > len(vm.spillI) {
+		vm.spillI = append(vm.spillI, make([]uint32, ni-len(vm.spillI))...)
+	}
+	if nf > len(vm.spillF) {
+		vm.spillF = append(vm.spillF, make([]float64, nf-len(vm.spillF))...)
+	}
+	return nil
+}
 
 // DrainHot returns and clears the queued superblock promotion
 // candidates (guest entry PCs of BBM blocks that crossed HotThreshold).

@@ -344,7 +344,17 @@ func TestIBTCHitAndMiss(t *testing.T) {
 // moves the banks.
 func TestSpillOps(t *testing.T) {
 	vm := newVM()
-	run(t, vm, block([]host.Inst{
+	// install reserves b's spill slots, as the TOL does before a
+	// translation can run.
+	install := func(code []host.Inst) *codecache.Block {
+		t.Helper()
+		b := block(code)
+		if err := vm.ReserveSpill(b); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	run(t, vm, install([]host.Inst{
 		{Op: host.CHKPT},
 		{Op: host.LI, Rd: 20, Imm: 5},
 		{Op: host.ADD, Rd: 21, Ra: 20, Rb: 20},
@@ -352,7 +362,7 @@ func TestSpillOps(t *testing.T) {
 		{Op: host.EXIT, Target: 0x2000},
 	}))
 	if vm.spillI != nil || vm.spillF != nil {
-		t.Fatalf("a run without spills allocated spill banks of %d and %d slots", len(vm.spillI), len(vm.spillF))
+		t.Fatalf("a block without spills allocated spill banks of %d and %d slots", len(vm.spillI), len(vm.spillF))
 	}
 	vm.Regs.F[12] = 9
 	code := []host.Inst{
@@ -369,7 +379,11 @@ func TestSpillOps(t *testing.T) {
 		{Op: host.COMMIT},
 		{Op: host.EXIT, Target: 0x2000},
 	}
-	run(t, vm, block(code))
+	b := install(code)
+	if len(vm.spillI) != 8 || len(vm.spillF) != 6 {
+		t.Fatalf("spill banks of %d and %d slots, want 8 and 6", len(vm.spillI), len(vm.spillF))
+	}
+	run(t, vm, b)
 	if vm.Regs.R[21] != 1234 {
 		t.Errorf("int spill roundtrip %d", vm.Regs.R[21])
 	}
@@ -379,11 +393,8 @@ func TestSpillOps(t *testing.T) {
 	if vm.Regs.F[12] != 0 {
 		t.Errorf("a slot nothing spilled to reloaded %g", vm.Regs.F[12])
 	}
-	if len(vm.spillI) != 8 || len(vm.spillF) != 6 {
-		t.Fatalf("spill banks of %d and %d slots, want 8 and 6", len(vm.spillI), len(vm.spillF))
-	}
 	ints, fps := &vm.spillI[0], &vm.spillF[0]
-	run(t, vm, block([]host.Inst{
+	run(t, vm, install([]host.Inst{
 		{Op: host.CHKPT},
 		{Op: host.SPILLI, Rd: 20, Imm: 2},
 		{Op: host.UNSPILLF, Rd: 11, Imm: 3},
@@ -398,9 +409,10 @@ func TestSpillOps(t *testing.T) {
 	}
 }
 
-// TestSpillSlotOutOfRange: a spill instruction naming a slot outside
-// [0, MaxSpillSlots) ends the run with an error naming the slot, and
-// grows nothing.
+// TestSpillSlotOutOfRange: a block with a spill instruction naming a
+// slot outside [0, MaxSpillSlots) is refused where it is reserved, with
+// an error naming the slot, and grows nothing, not even for the valid
+// spill before it.
 func TestSpillSlotOutOfRange(t *testing.T) {
 	for _, in := range []host.Inst{
 		{Op: host.SPILLI, Rd: 20, Imm: MaxSpillSlots},
@@ -409,8 +421,9 @@ func TestSpillSlotOutOfRange(t *testing.T) {
 		{Op: host.UNSPILLF, Rd: 10, Imm: MaxSpillSlots + 100},
 	} {
 		vm := newVM()
-		_, _, err := vm.Run(block([]host.Inst{{Op: host.CHKPT}, in, {Op: host.COMMIT}, {Op: host.EXIT, Target: 0x2000}}), 0)
-		want := fmt.Sprintf("%v in block 0 at 1 names spill slot %d", in.Op, in.Imm)
+		err := vm.ReserveSpill(block([]host.Inst{{Op: host.CHKPT}, {Op: host.SPILLF, Rd: 10, Imm: 3}, in,
+			{Op: host.COMMIT}, {Op: host.EXIT, Target: 0x2000}}))
+		want := fmt.Sprintf("%v in block @0x1000 at 2 names spill slot %d", in.Op, in.Imm)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%v slot %d: error %v, want one containing %q", in.Op, in.Imm, err, want)
 		}

@@ -406,6 +406,9 @@ func (t *TOL) doBBTranslation(b *guestvm.Block, derr error, p *profEntry) error 
 	}
 	c := &t.Cfg.Costs
 	t.ov[OvBBTrans] += c.BBTransFixed + c.BBTransPerInsn*uint64(blk.GuestInsns)
+	if err := t.VM.ReserveSpill(blk); err != nil {
+		return err
+	}
 	if t.Cache.Insert(blk) {
 		t.IBTC.Flush()
 		if t.Cfg.Counters != nil {
@@ -537,6 +540,9 @@ func (t *TOL) promote(entry uint32) error {
 	}
 	c := &t.Cfg.Costs
 	t.ov[OvSBTrans] += c.SBTransFixed + c.SBTransPerInsn*uint64(blk.GuestInsns)
+	if err := t.VM.ReserveSpill(blk); err != nil {
+		return err
+	}
 	if t.Cache.Insert(blk) {
 		t.IBTC.Flush()
 		if t.Cfg.Counters != nil {
