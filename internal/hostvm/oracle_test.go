@@ -44,7 +44,7 @@ func (vm *oracleVM) countExit(b *codecache.Block, instIdx int) {
 }
 
 // spill runs the spill instruction at b.Code[i]. It checks and grows
-// the banks itself, so the runner's growSpill is held to the reference
+// the banks itself, so the runner's ReserveSpill is held to the reference
 // and not to its own bound.
 func (vm *oracleVM) spill(b *codecache.Block, i int) error {
 	in := &b.Code[i]
