@@ -157,6 +157,9 @@ func NewFrom(x86 *guestvm.VM, cfg Config) *Controller {
 	// The process tracker pauses the x86 component (the EXECVE
 	// analogue) and the controller forwards the initial state.
 	cod.CPU = x86.CPU
+	// Both components run the same immutable guest code: they decode
+	// it into one table, and a block both decode the same is held once.
+	cod.ShareCode(x86.Code())
 	return &Controller{X86: x86, CoD: cod, Cfg: cfg, bbOffset: x86.BBCount}
 }
 

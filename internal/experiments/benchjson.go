@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	darco "darco"
@@ -40,6 +41,18 @@ func measure(f func() error) (perf.Bench, error) {
 	}, err
 }
 
+// measureSession is measure for one session's row. It collects first and
+// holds the collector off until f returns: a collection empties runtime
+// caches (the central list of parked-goroutine records, sync.Pools) that
+// the session's two goroutines then allocate again, so a row's allocs/op
+// moved with whether and when the collector ran, by up to 1 % at
+// GOGC=10. A session allocates under a megabyte.
+func measureSession(f func() error) (perf.Bench, error) {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return measure(f)
+}
+
 // CollectBenchSnapshot measures the Table-Speed benches and the
 // Figs. 4–7 suite campaign at the given workload scale, writing the
 // schema-2 snapshot shape: every measured row carries its engine
@@ -73,7 +86,7 @@ func CollectBenchSnapshot(ctx context.Context, scale float64) (*perf.Snapshot, e
 	speed := func(name string, cfg darco.Config, windowed bool) error {
 		opts := []darco.Option{darco.WithConfig(cfg), darco.WithObsCounters(&obs.EngineCounters{})}
 		var res *darco.Result
-		entry, err := measure(func() error {
+		entry, err := measureSession(func() error {
 			eng, err := darco.NewEngine(opts...)
 			if err != nil {
 				return err

@@ -16,15 +16,18 @@ import (
 //	FormB:   Imm is a signed displacement relative to the next instruction.
 //	FormF64: R1 is the FPR, F64 the immediate.
 //	FormImm: Imm is the 32-bit immediate.
+//
+// The byte fields come first and F64 last, so an Inst packs into 24
+// bytes: a decoded block is a slice of them.
 type Inst struct {
 	Op    Op
 	R1    uint8
 	R2    uint8
 	R3    uint8
 	Scale uint8
+	Size  uint8 // encoded length in bytes
 	Imm   int32
 	F64   float64
-	Size  uint8 // encoded length in bytes
 }
 
 // Len reports the encoded length of the instruction in bytes.

@@ -1,10 +1,12 @@
 package guest
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // randInst builds a random valid instruction for roundtrip testing.
@@ -103,6 +105,41 @@ func TestDecodeGarbage(t *testing.T) {
 		buf := make([]byte, r.Intn(12))
 		r.Read(buf)
 		Decode(buf) // must not panic
+	}
+}
+
+// FuzzDecodeEncodeRoundTrip is the decoder's inverse property from the
+// bytes' side: Decode never panics, rejects with BAD and a zero count,
+// and whatever it accepts is one whole instruction of its form's length,
+// recorded in Size, that re-encodes to exactly the bytes it consumed.
+func FuzzDecodeEncodeRoundTrip(f *testing.F) {
+	r := rand.New(rand.NewSource(3))
+	for range 64 {
+		in := randInst(r)
+		f.Add(in.Encode(nil))
+	}
+	f.Fuzz(func(t *testing.T, code []byte) {
+		in, n := Decode(code)
+		if n == 0 {
+			if in.Op != BAD {
+				t.Fatalf("% x: rejected as %v", code, in.Op)
+			}
+			return
+		}
+		if n > len(code) || n != in.Len() || int(in.Size) != n {
+			t.Fatalf("% x: consumed %d, Len %d, Size %d", code, n, in.Len(), in.Size)
+		}
+		if got := in.Encode(nil); !bytes.Equal(got, code[:n]) {
+			t.Fatalf("%v: decoded from % x, encodes to % x", &in, code[:n], got)
+		}
+	})
+}
+
+// TestInstSize: the byte fields packed ahead of Imm and F64 leave an
+// instruction 24 bytes; a decoded block is a slice of them.
+func TestInstSize(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n != 24 {
+		t.Errorf("Inst is %d bytes, want 24", n)
 	}
 }
 

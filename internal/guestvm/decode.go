@@ -2,15 +2,17 @@ package guestvm
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 
 	"darco/internal/guest"
 )
 
 // DecodeCache is one functional emulator's guest front end: its one
-// block decoder and the blocks it decoded. The authoritative VM and the
-// TOL own one each, and every consumer reads guest code as the blocks
-// Decode returns: VM.Run, the TOL's interpreter, its basic-block
-// translation and its superblock formation.
+// block decoder and the blocks it decoded. Every consumer reads guest
+// code as the blocks Decode returns: VM.Run, the TOL's interpreter, its
+// basic-block translation and its superblock formation.
 //
 // The block rule: a block begins at its entry pc and ends with the
 // first instruction that ends a basic block (guest.Op.EndsBasicBlock,
@@ -22,17 +24,68 @@ import (
 // its terminator; a cut block stays in the interpreter, the way a block
 // made of one untranslatable instruction does.
 //
-// Decoded blocks live in a map keyed by entry pc; the block is the unit
-// of caching, so an instruction is decoded again only for another block
-// that covers it. The zero value is ready to use.
+// Decoded blocks live in a CodeTable keyed by entry pc; the block is the
+// unit of caching, so an instruction is decoded again only for another
+// block that covers it. A session's authoritative VM and TOL share one
+// table (see Share), so the guest code they both run is held once. Each
+// front end still decodes a block from its own memory the first time it
+// meets it, and takes the table's block only when the instructions are
+// the same; a block decoded differently stays its own. The zero value
+// is ready to use, with a table of its own.
 //
 // Guest code is immutable: Decode makes code of the pages of every
 // block it decodes (both pages of a block that straddles a boundary),
 // and a store to a code page fails with *CodeWriteError, whichever
 // emulator or path makes it. So a cached block never goes stale.
 type DecodeCache struct {
-	blocks  map[uint32]*Block
+	table *CodeTable
+	seen  uint8 // this front end's bit in Block.seen
+
+	// own holds the blocks this front end decoded to other instructions
+	// than the table's block at the same pc: its memory and the other
+	// front end's disagree there, and each runs what it decoded.
+	own     map[uint32]*Block
 	scratch []guest.Inst // the block being decoded
+}
+
+// CodeTable is the decoded blocks the front ends of one guest program
+// share, keyed by entry pc. It is the one guestvm state both goroutines
+// of a running session touch, so mu guards the map and every block's
+// seen mask; a block's instructions are written before it enters the
+// map and never after. The zero value is ready to use.
+type CodeTable struct {
+	mu     sync.Mutex
+	blocks map[uint32]*Block
+	users  uint8 // the seen bits handed out (see join)
+}
+
+// join hands out the next seen bit. A session's table has two users;
+// eight is the most a mask can tell apart.
+func (t *CodeTable) join() uint8 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	bit := (t.users + 1) &^ t.users
+	if bit == 0 {
+		panic("guestvm: more than 8 front ends share one CodeTable")
+	}
+	t.users |= bit
+	return bit
+}
+
+// Table returns the table d decodes through, giving d one of its own on
+// first use.
+func (d *DecodeCache) Table() *CodeTable {
+	if d.table == nil {
+		d.Share(new(CodeTable))
+	}
+	return d.table
+}
+
+// Share makes d decode through t, which other front ends may share, and
+// drops what d decoded before. Blocks in t that another front end
+// decoded count as misses until d decodes them itself.
+func (d *DecodeCache) Share(t *CodeTable) {
+	d.table, d.seen, d.own = t, t.join(), nil
 }
 
 // MaxBlockInsns caps a decoded block: a longer basic block is cut into
@@ -48,8 +101,13 @@ type Block struct {
 	// succ are the two blocks last seen to follow this one, most recent
 	// first: both ways of a conditional branch stay linked. A link is
 	// taken only when its pc is where control went; an indirect branch
-	// with more targets goes back to the map.
+	// with more targets goes back to the map. Only VM.Run follows and
+	// writes links (the TOL passes no prev), so they need no lock.
 	succ [2]*Block
+
+	// seen has the bit of every front end that decoded the block
+	// itself (see CodeTable.join); guarded by the table's mu.
+	seen uint8
 }
 
 // Next returns the block linked from b whose entry is pc, or nil (also
@@ -114,8 +172,13 @@ func Fetch(mem *Memory, pc uint32) (in guest.Inst, err error) {
 // execution reaches the instruction. Either way the pages of the bytes
 // decoded become code. prev, when non-nil, is the block that ran just
 // before: a cached block becomes its most recent link (see Next).
+//
+// A block counts as cached only when d decoded it before: one another
+// front end put in the table is decoded from mem all the same, with the
+// same faults and code marks, and then taken from the table when its
+// instructions are the same.
 func (d *DecodeCache) Decode(mem *Memory, prev *Block, pc uint32) (*Block, bool, error) {
-	if b := d.blocks[pc]; b != nil {
+	if b := d.Cached(pc); b != nil {
 		if prev != nil {
 			prev.succ[1], prev.succ[0] = prev.succ[0], b
 		}
@@ -135,13 +198,60 @@ func (d *DecodeCache) Decode(mem *Memory, prev *Block, pc uint32) (*Block, bool,
 			break
 		}
 	}
-	b := &Block{Insts: append([]guest.Inst(nil), d.scratch...), PC: pc, End: at}
 	mem.markCode(pc, at)
-	if err == nil {
-		if d.blocks == nil {
-			d.blocks = make(map[uint32]*Block)
-		}
-		d.blocks[pc] = b
+	if err != nil {
+		return d.block(pc, at), false, err
 	}
-	return b, false, err
+	t := d.Table()
+	t.mu.Lock()
+	b := t.blocks[pc]
+	switch {
+	case b == nil: // the first front end to decode it
+		b = d.block(pc, at)
+		if t.blocks == nil {
+			t.blocks = make(map[uint32]*Block)
+		}
+		t.blocks[pc] = b
+	case !slices.EqualFunc(b.Insts, d.scratch, sameInst):
+		b = nil // decoded differently: it stays this front end's own
+	}
+	if b != nil {
+		b.seen |= d.seen
+	}
+	t.mu.Unlock()
+	if b == nil {
+		b = d.block(pc, at)
+		if d.own == nil {
+			d.own = make(map[uint32]*Block)
+		}
+		d.own[pc] = b
+	}
+	return b, false, nil
+}
+
+// Cached returns the block a Decode at pc would find cached, or nil. It
+// decodes nothing and links nothing.
+func (d *DecodeCache) Cached(pc uint32) *Block {
+	if b := d.own[pc]; b != nil || d.table == nil {
+		return b
+	}
+	d.table.mu.Lock()
+	defer d.table.mu.Unlock()
+	if b := d.table.blocks[pc]; b != nil && b.seen&d.seen != 0 {
+		return b
+	}
+	return nil
+}
+
+// block copies the instructions just decoded, [pc, end), into a block.
+func (d *DecodeCache) block(pc, end uint32) *Block {
+	return &Block{Insts: slices.Clone(d.scratch), PC: pc, End: end}
+}
+
+// sameInst reports whether x and y are the same instruction, comparing
+// F64 bit for bit: == would take -0 for +0 and no NaN for itself.
+func sameInst(x, y guest.Inst) bool {
+	fx, fy := math.Float64bits(x.F64), math.Float64bits(y.F64)
+	x.F64, y.F64 = 0, 0
+	return x == y && fx == fy
 }

@@ -2,10 +2,14 @@ package guestvm
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"darco/internal/guest"
+	"darco/internal/workload"
 )
 
 // TestDecodeCache covers the block rule: a block ends with its
@@ -145,5 +149,117 @@ func TestDecodeMarksCodePages(t *testing.T) {
 	}
 	if _, err := mem.Load32(0x2ffe); err != nil {
 		t.Errorf("loads from code: %v", err)
+	}
+}
+
+// TestDecodeCacheShare holds two front ends over one CodeTable, each
+// with its own memory. A block the other decoded is a miss the first
+// time: it is decoded from this front end's memory, marking its pages,
+// and the table's block comes back without an allocation. From then on
+// it is a hit. A block whose bytes differ between the memories is
+// decoded into a block of its own, which the table never holds, and an
+// F64 immediate counts as the same only bit for bit.
+func TestDecodeCacheShare(t *testing.T) {
+	src := ".org 0x1000\nstart:\n    movri eax, 1\n    jmp next\nnext:\n    fldi f0, 0.0\n    halt\nlast:\n    inc eax\n    halt\n"
+	im, err := guest.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(im *guest.Image) *Memory {
+		mem := NewMemory(false)
+		if err := mem.LoadImage(im); err != nil {
+			t.Fatal(err)
+		}
+		return mem
+	}
+	// The second memory holds -0.0 where the first holds 0.0.
+	negZero, err := guest.Assemble(strings.Replace(src, "fldi f0, 0.0", "fldi f0, -0.0", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	memA, memB := load(im), load(negZero)
+	var a, b DecodeCache
+	b.Share(a.Table())
+
+	start, next, last := im.Entry, im.Labels["next"], im.Labels["last"]
+	x, hit, err := a.Decode(memA, nil, start)
+	if err != nil || hit {
+		t.Fatalf("first decode: hit=%v err=%v", hit, err)
+	}
+	if _, _, err := b.Decode(memB, nil, last); err != nil { // warms b's scratch
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	y, hit, err := b.Decode(memB, nil, start)
+	runtime.ReadMemStats(&after)
+	if err != nil || hit || y != x {
+		t.Fatalf("other front end's first decode: same=%v hit=%v err=%v", y == x, hit, err)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("taking the table's block allocated %d times", n)
+	}
+	if err := memB.Store8(start, 0); !errors.As(err, new(*CodeWriteError)) {
+		t.Errorf("the decode did not mark the second memory's page: %v", err)
+	}
+	if y, hit, _ := b.Decode(memB, nil, start); y != x || !hit {
+		t.Errorf("second decode: same=%v hit=%v", y == x, hit)
+	}
+	if b.Cached(next) != nil {
+		t.Errorf("a block only the other front end decoded is cached")
+	}
+
+	p, _, _ := a.Decode(memA, nil, next)
+	q, hit, err := b.Decode(memB, nil, next)
+	if err != nil || hit || q == p || q.Insts[0].F64 != 0 || !math.Signbit(q.Insts[0].F64) {
+		t.Fatalf("divergent block: same=%v hit=%v err=%v insts=%v", q == p, hit, err, q.Insts)
+	}
+	if b.Cached(next) != q || a.Cached(next) != p {
+		t.Errorf("each front end does not keep its own block at %#x", next)
+	}
+	if q2, hit, _ := b.Decode(memB, nil, next); q2 != q || !hit {
+		t.Errorf("the divergent block is not cached: same=%v hit=%v", q2 == q, hit)
+	}
+}
+
+// TestDecodeCacheShareConcurrent decodes one program through two front
+// ends on two goroutines at once, the way a session's TOL and trailing
+// authoritative VM do; run under -race. Every block ends up one block,
+// seen by both.
+func TestDecodeCacheShareConcurrent(t *testing.T) {
+	p, _ := workload.ByName("429.mcf")
+	im, err := p.Scale(0.02).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b DecodeCache
+	b.Share(a.Table())
+	code := im.Segments[0]
+	var wg sync.WaitGroup
+	for _, d := range []*DecodeCache{&a, &b} {
+		mem := NewMemory(false)
+		if err := mem.LoadImage(im); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range code.Data {
+				d.Decode(mem, nil, code.Addr+uint32(i))
+			}
+		}()
+	}
+	wg.Wait()
+	n := 0
+	for i := range code.Data {
+		pc := code.Addr + uint32(i)
+		if x := a.Cached(pc); x != b.Cached(pc) {
+			t.Fatalf("block at %#x: two blocks", pc)
+		} else if x != nil {
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("nothing decoded")
 	}
 }

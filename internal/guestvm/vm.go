@@ -58,7 +58,8 @@ type VM struct {
 	// decode is the VM's front end. Run executes each decoded block in
 	// one guest.RunBlock call and follows the blocks' links. A store to
 	// a page it decoded from fails (see DecodeCache), so its blocks
-	// never go stale.
+	// never go stale. Its table is the one the controller shares with
+	// the TOL (see Code).
 	decode  DecodeCache
 	bbStart uint32
 	inBB    bool
@@ -74,6 +75,15 @@ func New(im *guest.Image) (*VM, error) {
 	vm.CPU.R[guest.ESP] = StackTop
 	return vm, nil
 }
+
+// Code returns the table of decoded blocks the VM's front end reads
+// through, for another emulator of the same program to share (see
+// DecodeCache.Share).
+func (vm *VM) Code() *CodeTable { return vm.decode.Table() }
+
+// Decoded returns the block the VM decoded at pc, or nil when it has
+// decoded none there (see DecodeCache.Cached).
+func (vm *VM) Decoded(pc uint32) *Block { return vm.decode.Cached(pc) }
 
 // Fetch decodes the instruction at pc from memory. The memory is not
 // strict, so every error is an undecodable instruction.

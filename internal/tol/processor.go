@@ -150,7 +150,8 @@ type TOL struct {
 	prof map[uint32]*profEntry
 
 	// dec is the front end: the decoder every read of guest code goes
-	// through (see block).
+	// through (see block). Its table is its own, or the authoritative
+	// VM's when the controller shares it (see ShareCode).
 	dec guestvm.DecodeCache
 
 	// scratch is the translation working memory (see its type): nil
@@ -207,6 +208,15 @@ func New(cfg Config) *TOL {
 	t.Overhead.Charge(OvOther, cfg.Costs.Init)
 	return t
 }
+
+// ShareCode makes the front end decode through c, the table of blocks
+// the authoritative component decodes into: a block both decode the
+// same is held once (see guestvm.DecodeCache). Call it before Run.
+func (t *TOL) ShareCode(c *guestvm.CodeTable) { t.dec.Share(c) }
+
+// Decoded returns the block the front end decoded at pc, or nil when it
+// has decoded none there (see guestvm.DecodeCache.Cached).
+func (t *TOL) Decoded(pc uint32) *guestvm.Block { return t.dec.Cached(pc) }
 
 // InstallPage installs a page image the emulated guest memory does not
 // hold yet; the controller installs each page once, on first touch.
