@@ -41,12 +41,11 @@ func measure(f func() error) (perf.Bench, error) {
 	}, err
 }
 
-// measureSession is measure for one session's row. It collects first and
-// holds the collector off until f returns: a collection empties runtime
-// caches (the central list of parked-goroutine records, sync.Pools) that
-// the session's two goroutines then allocate again, so a row's allocs/op
-// moved with whether and when the collector ran, by up to 1 % at
-// GOGC=10. A session allocates under a megabyte.
+// measureSession is measure for one session's row. It collects first
+// and holds the collector off until f returns, so the row's allocs/op do
+// not depend on whether and when a collection ran: at GOGC=10 one
+// collection during a row added up to 1 % to its allocations, at no
+// site of the simulator's own. A session allocates under a megabyte.
 func measureSession(f func() error) (perf.Bench, error) {
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
