@@ -3,8 +3,10 @@ package guestvm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"darco/internal/guest"
 )
@@ -39,7 +41,7 @@ import (
 // emulator or path makes it. So a cached block never goes stale.
 type DecodeCache struct {
 	table *CodeTable
-	seen  uint8 // this front end's bit in Block.seen
+	seen  uint32 // this front end's bit in Block.seen
 
 	// own holds the blocks this front end decoded to other instructions
 	// than the table's block at the same pc: its memory and the other
@@ -50,23 +52,106 @@ type DecodeCache struct {
 
 // CodeTable is the decoded blocks the front ends of one guest program
 // share, keyed by entry pc. It is the one guestvm state both goroutines
-// of a running session touch, so mu guards the map and every block's
-// seen mask; a block's instructions are written before it enters the
-// map and never after. The zero value is ready to use.
+// of a running session touch. A lookup takes no lock and writes nothing
+// shared, so a front end finding a block it decoded before never waits
+// for, or disturbs the cache of, the other goroutine: the slots array
+// is published whole, a filled slot never changes, and a block's
+// instructions are written before it enters a slot and never after. mu
+// serializes only what a miss writes: filling a slot and growing the
+// array. The zero value is ready to use.
 type CodeTable struct {
-	mu     sync.Mutex
-	blocks map[uint32]*Block
-	users  uint8 // the seen bits handed out (see join)
+	slots atomic.Pointer[codeSlots]
+
+	mu    sync.Mutex
+	n     int    // blocks held; guarded by mu
+	users uint32 // the seen bits handed out (see join); guarded by mu
+}
+
+// codeSlots is an open-addressed table of blocks keyed by entry pc,
+// probed linearly from a multiplicative hash of the pc. A power of two
+// long and never more than three quarters full, so a probe ends at the
+// block or at an empty slot.
+type codeSlots struct {
+	shift uint // 32 - log2(len(slot))
+	slot  []atomic.Pointer[Block]
+}
+
+// find returns the block at pc, or nil and the empty slot it would go in.
+func (s *codeSlots) find(pc uint32) (*Block, int) {
+	mask := len(s.slot) - 1
+	for i := int(pc * 0x9e3779b1 >> s.shift); ; i = (i + 1) & mask {
+		if b := s.slot[i].Load(); b == nil || b.PC == pc {
+			return b, i
+		}
+	}
+}
+
+// lookup returns the block at pc, or nil; it takes no lock. A lookup
+// racing an insert may read the array from before it and return nil;
+// the caller's own insert then finds the block under mu. A block a
+// front end saw itself is in every array it reads after.
+func (t *CodeTable) lookup(pc uint32) *Block {
+	s := t.slots.Load()
+	if s == nil {
+		return nil
+	}
+	b, _ := s.find(pc)
+	return b
+}
+
+// minSlots is a new table's length. The benchmark rosters' programs
+// decode 50 to 330 blocks: a session's table ends at 128 or 512 slots.
+const minSlots = 64
+
+// insert puts b in the table unless it holds a block at b.PC already,
+// and returns the block it holds there. b is made before the lock is
+// taken, so nothing allocates under it but a growth.
+func (t *CodeTable) insert(b *Block) *Block {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.slots.Load()
+	if s != nil {
+		if old, _ := s.find(b.PC); old != nil {
+			return old
+		}
+	}
+	if s == nil || 4*(t.n+1) > 3*len(s.slot) {
+		s = t.grow(s)
+	}
+	_, i := s.find(b.PC)
+	s.slot[i].Store(b)
+	t.n++
+	return b
+}
+
+// grow publishes an array twice as long as old (minSlots for none)
+// holding old's blocks. Called with mu held.
+func (t *CodeTable) grow(old *codeSlots) *codeSlots {
+	n := minSlots
+	if old != nil {
+		n = 2 * len(old.slot)
+	}
+	s := &codeSlots{shift: uint(33 - bits.Len(uint(n))), slot: make([]atomic.Pointer[Block], n)}
+	if old != nil {
+		for i := range old.slot {
+			if b := old.slot[i].Load(); b != nil {
+				_, j := s.find(b.PC)
+				s.slot[j].Store(b)
+			}
+		}
+	}
+	t.slots.Store(s)
+	return s
 }
 
 // join hands out the next seen bit. A session's table has two users;
-// eight is the most a mask can tell apart.
-func (t *CodeTable) join() uint8 {
+// 32 is the most a mask can tell apart.
+func (t *CodeTable) join() uint32 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	bit := (t.users + 1) &^ t.users
 	if bit == 0 {
-		panic("guestvm: more than 8 front ends share one CodeTable")
+		panic("guestvm: more than 32 front ends share one CodeTable")
 	}
 	t.users |= bit
 	return bit
@@ -106,8 +191,9 @@ type Block struct {
 	succ [2]*Block
 
 	// seen has the bit of every front end that decoded the block
-	// itself (see CodeTable.join); guarded by the table's mu.
-	seen uint8
+	// itself (see CodeTable.join). A front end sets and tests only its
+	// own bit, so a test reads what its own goroutine wrote.
+	seen atomic.Uint32
 }
 
 // Next returns the block linked from b whose entry is pc, or nil (also
@@ -203,41 +289,30 @@ func (d *DecodeCache) Decode(mem *Memory, prev *Block, pc uint32) (*Block, bool,
 		return d.block(pc, at), false, err
 	}
 	t := d.Table()
-	t.mu.Lock()
-	b := t.blocks[pc]
-	switch {
-	case b == nil: // the first front end to decode it
-		b = d.block(pc, at)
-		if t.blocks == nil {
-			t.blocks = make(map[uint32]*Block)
-		}
-		t.blocks[pc] = b
-	case !slices.EqualFunc(b.Insts, d.scratch, sameInst):
-		b = nil // decoded differently: it stays this front end's own
+	b := t.lookup(pc)
+	if b == nil { // the first front end to decode it, unless it races the other
+		b = t.insert(d.block(pc, at))
 	}
-	if b != nil {
-		b.seen |= d.seen
-	}
-	t.mu.Unlock()
-	if b == nil {
+	if !slices.EqualFunc(b.Insts, d.scratch, sameInst) {
+		// Decoded differently: it stays this front end's own.
 		b = d.block(pc, at)
 		if d.own == nil {
 			d.own = make(map[uint32]*Block)
 		}
 		d.own[pc] = b
+		return b, false, nil
 	}
+	b.seen.Or(d.seen)
 	return b, false, nil
 }
 
 // Cached returns the block a Decode at pc would find cached, or nil. It
-// decodes nothing and links nothing.
+// decodes nothing, links nothing and takes no lock.
 func (d *DecodeCache) Cached(pc uint32) *Block {
 	if b := d.own[pc]; b != nil || d.table == nil {
 		return b
 	}
-	d.table.mu.Lock()
-	defer d.table.mu.Unlock()
-	if b := d.table.blocks[pc]; b != nil && b.seen&d.seen != 0 {
+	if b := d.table.lookup(pc); b != nil && b.seen.Load()&d.seen != 0 {
 		return b
 	}
 	return nil
