@@ -127,17 +127,15 @@ func (t *CodeTable) insert(b *Block) *Block {
 // grow publishes an array twice as long as old (minSlots for none)
 // holding old's blocks. Called with mu held.
 func (t *CodeTable) grow(old *codeSlots) *codeSlots {
-	n := minSlots
+	n, held := minSlots, []atomic.Pointer[Block](nil)
 	if old != nil {
-		n = 2 * len(old.slot)
+		n, held = 2*len(old.slot), old.slot
 	}
 	s := &codeSlots{shift: uint(33 - bits.Len(uint(n))), slot: make([]atomic.Pointer[Block], n)}
-	if old != nil {
-		for i := range old.slot {
-			if b := old.slot[i].Load(); b != nil {
-				_, j := s.find(b.PC)
-				s.slot[j].Store(b)
-			}
+	for i := range held {
+		if b := held[i].Load(); b != nil {
+			_, j := s.find(b.PC)
+			s.slot[j].Store(b)
 		}
 	}
 	t.slots.Store(s)
