@@ -102,7 +102,10 @@ func WithScenarioDone(fn func(i int, sr *ScenarioResult)) CampaignOption {
 // callbacks, hooks are NOT serialized: they run concurrently on the
 // worker goroutines, so fn must be safe for concurrent calls. Scenarios
 // that fail before a session exists (generation or configuration
-// errors, campaign already cancelled) never invoke the hook. Like
+// errors, campaign already cancelled) never invoke the hook. The
+// session is valid until its Run returns: its memory then goes to the
+// next session the process runs, so a hook may keep nothing that reads
+// the session afterwards (the retire stream's events are copies). Like
 // WithScenarioDone, the option composes: every hook runs, in the order
 // the options were given.
 func WithScenarioSession(fn func(i int, sc *Scenario, s *Session)) CampaignOption {
@@ -307,7 +310,7 @@ func (e *Engine) runScenario(ctx context.Context, i int, sc Scenario, cc *campai
 	for _, fn := range cc.onSession {
 		fn(i, &out.Scenario, sess)
 	}
-	res, err := sess.Run(ctx)
+	res, err := sess.runOnce(ctx)
 	if err != nil {
 		out.Err = fmt.Errorf("%s: %w", sc.name(), err)
 		return out

@@ -163,13 +163,15 @@ func clonePtr[T any](p *T) *T {
 func (e *Engine) CheckInterval() uint64 { return e.interval }
 
 // Run builds a session for im and drives it to completion — the
-// one-shot convenience over NewSession + Session.Run.
+// one-shot convenience over NewSession + Session.Run. The session's
+// memory then goes to the next session the process runs; a session
+// built with NewSession keeps its own.
 func (e *Engine) Run(ctx context.Context, im *guest.Image) (*Result, error) {
 	s, err := e.NewSession(im)
 	if err != nil {
 		return nil, err
 	}
-	return s.Run(ctx)
+	return s.runOnce(ctx)
 }
 
 // derive builds a new engine that starts from this engine's

@@ -7,6 +7,7 @@ package codecache
 import (
 	"fmt"
 
+	"darco/internal/freelist"
 	"darco/internal/host"
 )
 
@@ -93,6 +94,16 @@ type exitRef struct {
 // Cache is the code cache. Capacity is expressed in host instructions;
 // exceeding it flushes the whole cache (the strategy production
 // translators like Dynamo use, and the simplest correct one).
+//
+// Block code lives in chunks of ChunkInsts host instructions that Code
+// hands out bump-allocated, a region of memory as a hardware code cache
+// is; a block longer than a chunk gets an allocation of its own. The
+// chunks are storage only: capacity and Used count the resident blocks'
+// instructions, and the host addresses the timing simulator sees are
+// synthetic (derived from block IDs), so where a block's code sits
+// changes nothing simulated. Release hands the chunks to a free list the
+// next cache takes them from; Flush leaves them to the collector, since
+// a block it drops may still be referenced and must keep its own code.
 type Cache struct {
 	Capacity int
 
@@ -103,6 +114,11 @@ type Cache struct {
 	nblocks int
 	byEntry map[uint32]*Block
 	used    int
+
+	// chunks are the chunks Code has cut blocks from since the last
+	// flush; free is the unused tail of the newest one.
+	chunks [][]host.Inst
+	free   []host.Inst
 
 	// Statistics.
 	Inserts     uint64
@@ -125,6 +141,43 @@ func New(capacity int) *Cache {
 		Capacity: capacity,
 		byEntry:  make(map[uint32]*Block),
 	}
+}
+
+// ChunkInsts is the size of a code chunk in host instructions.
+const ChunkInsts = 8192
+
+// chunkFree holds the chunks of released caches.
+var chunkFree freelist.List[[]host.Inst]
+
+// Code returns storage for a block of n host instructions, to be filled
+// by the caller: the next n instructions of the newest chunk, or of a
+// chunk taken from the free list (or allocated) when it has fewer left.
+// Its contents are whatever the chunk last held. The slice's capacity is
+// n, so appending to it never writes into a neighbour's code.
+func (c *Cache) Code(n int) []host.Inst {
+	if n > ChunkInsts {
+		return make([]host.Inst, n)
+	}
+	if len(c.free) < n {
+		ch, ok := chunkFree.Get()
+		if !ok {
+			ch = make([]host.Inst, ChunkInsts)
+		}
+		c.chunks = append(c.chunks, ch)
+		c.free = ch
+	}
+	code := c.free[:n:n]
+	c.free = c.free[n:]
+	return code
+}
+
+// Release empties the cache and hands its chunks to the free list, for
+// the next cache's blocks. The cache's blocks and every slice Code
+// returned become invalid: their owner is done with them (a finished
+// session's TOL). Releasing an empty or released cache does nothing.
+func (c *Cache) Release() {
+	chunkFree.Put(c.chunks...)
+	c.drop()
 }
 
 // Used reports resident host instructions.
@@ -210,16 +263,26 @@ func (c *Cache) Invalidate(b *Block) {
 // (block IDs seed the synthetic host addresses the timing simulator
 // sees, and reused IDs would alias old code addresses). Exit.Next links
 // are left alone: every block goes at once, so none stays reachable.
+//
+// The chunks go to the collector, not to the free list: a dropped block
+// may still be held (the block whose insertion flushed has its code in
+// them), and it must never see another block's code.
 func (c *Cache) Flush() {
+	c.drop()
+	c.Flushes++
+}
+
+// drop removes every block, advancing base past their IDs, and forgets
+// the chunks.
+func (c *Cache) drop() {
 	c.base += len(c.blocks)
-	for i := range c.blocks {
-		c.blocks[i] = nil // release for GC; the slice itself is reused
-	}
+	clear(c.blocks) // release for GC; the slices themselves are reused
 	c.blocks = c.blocks[:0]
 	c.nblocks = 0
-	c.byEntry = make(map[uint32]*Block)
+	clear(c.byEntry)
 	c.used = 0
-	c.Flushes++
+	clear(c.chunks)
+	c.chunks, c.free = c.chunks[:0], nil
 }
 
 // Chain rewrites the EXIT at instIdx in src to jump directly to dst,

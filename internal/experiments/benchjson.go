@@ -82,11 +82,30 @@ func CollectBenchSnapshot(ctx context.Context, scale float64) (*perf.Snapshot, e
 	// speed measures one session over im. windowed attaches a
 	// default-interval telemetry windower first, the subscription every
 	// served job's sessions carry.
+	//
+	// The same session runs twice unmeasured before, each released as a
+	// campaign's sessions are (Engine.Run). The first leaves on the free
+	// lists every page, page group, code chunk and translation scratch
+	// the measured session takes, so it allocates none of them whatever
+	// ran before it in the process; the second leaves the runtime's own
+	// caches (goroutines, sudogs, timers) as the measured run finds
+	// them. The measured session takes its own counters.
 	speed := func(name string, cfg darco.Config, windowed bool) error {
-		opts := []darco.Option{darco.WithConfig(cfg), darco.WithObsCounters(&obs.EngineCounters{})}
+		newEngine := func() (*darco.Engine, error) {
+			return darco.NewEngine(darco.WithConfig(cfg), darco.WithObsCounters(&obs.EngineCounters{}))
+		}
+		for range 2 {
+			eng, err := newEngine()
+			if err != nil {
+				return err
+			}
+			if _, err := eng.Run(ctx, im); err != nil {
+				return err
+			}
+		}
 		var res *darco.Result
 		entry, err := measureSession(func() error {
-			eng, err := darco.NewEngine(opts...)
+			eng, err := newEngine()
 			if err != nil {
 				return err
 			}

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"darco/internal/freelist"
 	"darco/internal/guest"
 )
 
@@ -72,6 +73,10 @@ func (e *CodeWriteError) Error() string {
 // pay index arithmetic instead of map hashing per access. Loads and
 // stores have an MRU page each; the store MRU never holds a code page,
 // so a store that hits it is checked by that one compare.
+//
+// Pages and groups come from free lists that Release fills, so a process
+// that runs sessions back to back maps each one's memory in the pages
+// the previous ones left.
 type Memory struct {
 	groups [numGroups]*pageGroup
 	count  int
@@ -84,6 +89,22 @@ type Memory struct {
 	st    *[PageSize]byte
 
 	Strict bool
+}
+
+// pageFree and groupFree hold the pages and groups of released memories.
+// A group on the list is empty: no pages, no code marks.
+var (
+	pageFree  freelist.List[*[PageSize]byte]
+	groupFree freelist.List[*pageGroup]
+)
+
+// newPage returns a page from the free list, its contents whatever its
+// last memory left, or a zero-filled new one.
+func newPage() *[PageSize]byte {
+	if p, ok := pageFree.Get(); ok {
+		return p
+	}
+	return new([PageSize]byte)
 }
 
 // NewMemory returns an empty memory.
@@ -109,7 +130,8 @@ func (m *Memory) pageSlow(addr, pn uint32) (*[PageSize]byte, error) {
 	if m.Strict {
 		return nil, &PageFaultError{Addr: addr, Page: pn << PageShift}
 	}
-	p := new([PageSize]byte)
+	p := newPage()
+	*p = [PageSize]byte{}
 	m.setPage(pn, p)
 	m.mruPN, m.mru = pn, p
 	return p, nil
@@ -160,7 +182,10 @@ func (m *Memory) markCode(lo, hi uint32) {
 func (m *Memory) setPage(pn uint32, p *[PageSize]byte) {
 	g := m.groups[pn>>groupBits]
 	if g == nil {
-		g = new(pageGroup)
+		var ok bool
+		if g, ok = groupFree.Get(); !ok {
+			g = new(pageGroup)
+		}
 		m.groups[pn>>groupBits] = g
 	}
 	if g.pages[pn&groupMask] == nil {
@@ -197,8 +222,9 @@ func (m *Memory) forEachPage(f func(pn uint32, p *[PageSize]byte)) {
 func (m *Memory) Clone() *Memory {
 	out := NewMemory(m.Strict)
 	m.forEachPage(func(pn uint32, p *[PageSize]byte) {
-		cp := *p
-		out.setPage(pn, &cp)
+		cp := newPage()
+		*cp = *p
+		out.setPage(pn, cp)
 	})
 	return out
 }
@@ -211,8 +237,32 @@ func (m *Memory) InstallPage(pageAddr uint32, data *[PageSize]byte) {
 		*p = *data
 		return
 	}
-	cp := *data
-	m.setPage(pn, &cp)
+	cp := newPage()
+	*cp = *data
+	m.setPage(pn, cp)
+}
+
+// Release empties the memory and hands every page and group it held to
+// the free lists, for the next memory to map. The caller is done with
+// the memory and with every page it returned (Page): no goroutine may
+// still read or write one. A released memory is empty and stays usable;
+// releasing it again hands back nothing.
+func (m *Memory) Release() {
+	for gi, g := range m.groups {
+		if g == nil {
+			continue
+		}
+		for _, p := range g.pages {
+			if p != nil {
+				pageFree.Put(p)
+			}
+		}
+		*g = pageGroup{}
+		groupFree.Put(g)
+		m.groups[gi] = nil
+	}
+	m.count = 0
+	m.mru, m.st = nil, nil
 }
 
 // Page returns the page containing addr: the memory's own storage, not

@@ -6,7 +6,6 @@ import (
 	"darco/internal/codecache"
 	"darco/internal/guest"
 	"darco/internal/guestvm"
-	"darco/internal/host"
 	"darco/internal/ir"
 )
 
@@ -229,7 +228,7 @@ func (t *TOL) lowerBB(x *xlate, bb *bbInfo, level OptLevel) (*codecache.Block, e
 	if err != nil {
 		return nil, err
 	}
-	return ownResult(&codecache.Block{
+	return t.ownResult(&codecache.Block{
 		Entry:      bb.entry,
 		Kind:       codecache.KindBB,
 		GuestInsns: bb.staticLen(),
@@ -238,10 +237,11 @@ func (t *TOL) lowerBB(x *xlate, bb *bbInfo, level OptLevel) (*codecache.Block, e
 }
 
 // ownResult gives the block its own exact-size copy of the generated
-// code and its exit table: the GenResult is scratch the next
-// translation overwrites, and chaining patches a block's code in place.
-func ownResult(blk *codecache.Block, gen *ir.GenResult) *codecache.Block {
-	blk.Code = make([]host.Inst, len(gen.Code))
+// code, in storage the code cache hands out, and of its exit table: the
+// GenResult is scratch the next translation overwrites, and chaining
+// patches a block's code in place.
+func (t *TOL) ownResult(blk *codecache.Block, gen *ir.GenResult) *codecache.Block {
+	blk.Code = t.Cache.Code(len(gen.Code))
 	copy(blk.Code, gen.Code)
 	blk.Exits = make([]codecache.Exit, len(gen.Exits))
 	for i, e := range gen.Exits {

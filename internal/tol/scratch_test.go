@@ -213,29 +213,41 @@ func suiteImage(t *testing.T, name string, scale float64) *guest.Image {
 	return im
 }
 
+// freeScratches takes every scratch off the free list, top first.
+func freeScratches() (out []*scratch) {
+	for {
+		s, ok := scratchFree.Get()
+		if !ok {
+			return out
+		}
+		out = append(out, s)
+	}
+}
+
+// putBack returns scratches taken by freeScratches in their order.
+func putBack(ss []*scratch) {
+	slices.Reverse(ss)
+	scratchFree.Put(ss...)
+}
+
 // detachScratch removes s from the free list and returns how many times
 // the list held it.
 func detachScratch(s *scratch) int {
-	scratchFree.Lock()
-	defer scratchFree.Unlock()
-	n := 0
-	scratchFree.s = slices.DeleteFunc(scratchFree.s, func(f *scratch) bool {
-		if f == s {
-			n++
-		}
-		return f == s
-	})
-	return n
+	all := freeScratches()
+	n := len(all)
+	all = slices.DeleteFunc(all, func(f *scratch) bool { return f == s })
+	putBack(all)
+	return n - len(all)
 }
 
 // checkFreeListOwners fails t if the free list holds a scratch twice:
 // two TOLs would then borrow it at once.
 func checkFreeListOwners(t *testing.T) {
 	t.Helper()
-	scratchFree.Lock()
-	defer scratchFree.Unlock()
-	seen := make(map[*scratch]bool, len(scratchFree.s))
-	for _, s := range scratchFree.s {
+	all := freeScratches()
+	defer putBack(all)
+	seen := make(map[*scratch]bool, len(all))
+	for _, s := range all {
 		if seen[s] {
 			t.Fatalf("the free list holds scratch %p twice", s)
 		}

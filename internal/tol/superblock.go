@@ -190,7 +190,7 @@ func (t *TOL) translateSuperblock(plan *sbPlan, opts sbOptions) (*codecache.Bloc
 	if err != nil {
 		return nil, st, err
 	}
-	return ownResult(&codecache.Block{
+	return t.ownResult(&codecache.Block{
 		Entry:      plan.entry,
 		Kind:       codecache.KindSuperblock,
 		UseAsserts: useAsserts,

@@ -2,8 +2,8 @@ package tol
 
 import (
 	"fmt"
-	"sync"
 
+	"darco/internal/freelist"
 	"darco/internal/guest"
 	"darco/internal/ir"
 )
@@ -87,52 +87,36 @@ type xlate struct {
 // guest→IR translator state, the arenas decoded basic blocks point into
 // and the superblock plan. Each translation resets what it uses and
 // reallocates nothing once warm. Nothing that outlives a translation
-// may alias it — a codecache.Block owns copies of its code and metadata,
-// because chaining patches block code in place — and what the debug API
-// hands out (BuildRegionIR's region, whatever its passes return) is
-// valid until the next translation, debug-API call or halt on the same
-// TOL.
+// may alias it — a codecache.Block's code is a copy in the code cache's
+// own chunks (see ownResult), because chaining patches block code in
+// place — and what the debug API hands out (BuildRegionIR's region,
+// whatever its passes return) is valid until the next translation,
+// debug-API call or halt on the same TOL.
 //
 // A scratch outlives its TOL: the TOL borrows one from scratchFree at
 // its first translation and gives it back when the guest halts, so a
-// campaign's sessions translate in memory the previous ones grew. It
-// has one owner at a time — the TOL holding it, or the free list — and
-// the list's mutex orders each owner's use after the previous one's.
+// campaign's sessions translate in memory the previous ones grew.
 type scratch struct {
 	ir   ir.Scratch
 	x    xlate
 	plan sbPlan
 }
 
-// scratchFree holds the scratches of halted TOLs, last in first out, so
-// serial sessions hand one scratch on from each to the next.
-var scratchFree struct {
-	sync.Mutex
-	s []*scratch
-}
+// scratchFree holds the scratches of halted TOLs.
+var scratchFree freelist.List[*scratch]
 
 // work returns the TOL's translation scratch, borrowing one from the
-// free list when it holds none (after New, or after a halt).
+// free list when it holds none (after New, or after a halt), or
+// allocating one when the list is empty.
 func (t *TOL) work() *scratch {
 	if t.scratch == nil {
-		t.scratch = borrowScratch()
+		s, ok := scratchFree.Get()
+		if !ok {
+			s = new(scratch)
+		}
+		t.scratch = s
 	}
 	return t.scratch
-}
-
-// borrowScratch pops the most recently released scratch, or allocates
-// one when the list is empty.
-func borrowScratch() *scratch {
-	scratchFree.Lock()
-	defer scratchFree.Unlock()
-	n := len(scratchFree.s)
-	if n == 0 {
-		return new(scratch)
-	}
-	s := scratchFree.s[n-1]
-	scratchFree.s[n-1] = nil
-	scratchFree.s = scratchFree.s[:n-1]
-	return s
 }
 
 // release hands s back to the free list. The plan's steps are views of
@@ -140,9 +124,7 @@ func borrowScratch() *scratch {
 // none of its last owner's memory alive.
 func (s *scratch) release() {
 	clear(s.plan.steps[:cap(s.plan.steps)])
-	scratchFree.Lock()
-	scratchFree.s = append(scratchFree.s, s)
-	scratchFree.Unlock()
+	scratchFree.Put(s)
 }
 
 // newXlate resets the translator state for a new region.

@@ -141,6 +141,18 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 	return s.Step(ctx, 0)
 }
 
+// runOnce runs the session to completion, then hands its guest pages
+// and translated code to the free lists the process's next sessions take
+// theirs from. Only Engine.Run and the campaign workers call it: they
+// own the session and never read it again past its final snapshot. The
+// release is a plain call, not a defer: a panic out of Run leaves the
+// memories alone, since the shadow may not have been joined.
+func (s *Session) runOnce(ctx context.Context) (*Result, error) {
+	res, err := s.Run(ctx)
+	s.ctl.Release()
+	return res, err
+}
+
 // Step advances the session by up to budget guest instructions (0 =
 // run to completion) and returns a snapshot of everything produced so
 // far. Once the guest has halted, further Steps return the final result
