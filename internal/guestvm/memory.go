@@ -91,17 +91,32 @@ type Memory struct {
 	Strict bool
 }
 
-// pageFree and groupFree hold the pages and groups of released memories.
-// A group on the list is empty: no pages, no code marks.
+// pageFree holds the pages of released memories, one list per mode
+// (indexed by strictIdx), and groupFree their groups, each empty: no
+// pages, no code marks. Release pushes a memory's pages from its highest
+// page number down, so the next memory of the same mode takes them from
+// the lowest up: a program that touches its pages in the order the last
+// one did maps them to the same host pages, in the same address order,
+// as the allocator laid them out for the first session. One list for
+// both modes, popped in the reverse of that order, cost fp-steady about
+// 2 % of its guest MIPS (docs/pr43-benchmark-runs.md).
 var (
-	pageFree  freelist.List[*[PageSize]byte]
+	pageFree  [2]freelist.List[*[PageSize]byte]
 	groupFree freelist.List[*pageGroup]
 )
 
-// newPage returns a page from the free list, its contents whatever its
-// last memory left, or a zero-filled new one.
-func newPage() *[PageSize]byte {
-	if p, ok := pageFree.Get(); ok {
+// strictIdx is pageFree's index of a memory's mode.
+func strictIdx(strict bool) int {
+	if strict {
+		return 1
+	}
+	return 0
+}
+
+// newPage returns a page from the free list of m's mode, its contents
+// whatever its last memory left, or a zero-filled new one.
+func (m *Memory) newPage() *[PageSize]byte {
+	if p, ok := pageFree[strictIdx(m.Strict)].Get(); ok {
 		return p
 	}
 	return new([PageSize]byte)
@@ -130,7 +145,7 @@ func (m *Memory) pageSlow(addr, pn uint32) (*[PageSize]byte, error) {
 	if m.Strict {
 		return nil, &PageFaultError{Addr: addr, Page: pn << PageShift}
 	}
-	p := newPage()
+	p := m.newPage()
 	*p = [PageSize]byte{}
 	m.setPage(pn, p)
 	m.mruPN, m.mru = pn, p
@@ -222,7 +237,7 @@ func (m *Memory) forEachPage(f func(pn uint32, p *[PageSize]byte)) {
 func (m *Memory) Clone() *Memory {
 	out := NewMemory(m.Strict)
 	m.forEachPage(func(pn uint32, p *[PageSize]byte) {
-		cp := newPage()
+		cp := out.newPage()
 		*cp = *p
 		out.setPage(pn, cp)
 	})
@@ -237,7 +252,7 @@ func (m *Memory) InstallPage(pageAddr uint32, data *[PageSize]byte) {
 		*p = *data
 		return
 	}
-	cp := newPage()
+	cp := m.newPage()
 	*cp = *data
 	m.setPage(pn, cp)
 }
@@ -248,13 +263,15 @@ func (m *Memory) InstallPage(pageAddr uint32, data *[PageSize]byte) {
 // still read or write one. A released memory is empty and stays usable;
 // releasing it again hands back nothing.
 func (m *Memory) Release() {
-	for gi, g := range m.groups {
+	free := &pageFree[strictIdx(m.Strict)]
+	for gi := len(m.groups) - 1; gi >= 0; gi-- {
+		g := m.groups[gi]
 		if g == nil {
 			continue
 		}
-		for _, p := range g.pages {
-			if p != nil {
-				pageFree.Put(p)
+		for pi := len(g.pages) - 1; pi >= 0; pi-- {
+			if p := g.pages[pi]; p != nil {
+				free.Put(p)
 			}
 		}
 		*g = pageGroup{}

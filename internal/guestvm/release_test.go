@@ -10,10 +10,10 @@ import (
 // its next memory still holding its last owner's bytes, and a page
 // mapped by two live memories at once.
 
-// freePages takes every page off the free list, top first.
+// freePages takes every page off the non-strict free list, top first.
 func freePages() (out []*[PageSize]byte) {
 	for {
-		p, ok := pageFree.Get()
+		p, ok := pageFree[0].Get()
 		if !ok {
 			return out
 		}
@@ -24,7 +24,7 @@ func freePages() (out []*[PageSize]byte) {
 // putPagesBack returns pages taken by freePages in their order.
 func putPagesBack(ps []*[PageSize]byte) {
 	slices.Reverse(ps)
-	pageFree.Put(ps...)
+	pageFree[0].Put(ps...)
 }
 
 // dirtyMemory maps n pages from 0x10000 up, every byte 0xa5, and code
@@ -53,7 +53,7 @@ func pagesOf(m *Memory) []*[PageSize]byte {
 // TestRecycledPageReadsZero: a non-strict memory maps a page another
 // memory released zero-filled, at the address the page had before and
 // at another, and a recycled group carries no code marks; a strict
-// memory's InstallPage overwrites every byte of the recycled page.
+// memory's InstallPage overwrites every byte of a recycled page.
 func TestRecycledPageReadsZero(t *testing.T) {
 	const n = 8
 	a := dirtyMemory(t, false, n)
@@ -89,17 +89,48 @@ func TestRecycledPageReadsZero(t *testing.T) {
 		t.Fatal("no released page was mapped again; the test checked nothing")
 	}
 
+	b.Release()
+
 	var img [PageSize]byte
 	for i := range img {
 		img[i] = byte(i)
 	}
-	b.Release()
+	d := dirtyMemory(t, true, 1)
+	dirty, _ := d.Page(0x10000)
+	d.Release()
 	c := NewMemory(true)
 	c.InstallPage(0x20000, &img)
 	p, err := c.Page(0x20000)
-	if err != nil || *p != img {
-		t.Fatalf("installed page differs from its image (%v)", err)
+	if err != nil || p != dirty || *p != img {
+		t.Fatalf("installed page differs from its image, or is not the released one (%v)", err)
 	}
+}
+
+// TestReleaseKeepsPageOrder: a memory that maps pages in the order the
+// last memory of its mode did gets the same host pages for the same
+// page numbers, so a session's pages keep the address order the
+// allocator gave the first one.
+func TestReleaseKeepsPageOrder(t *testing.T) {
+	held := freePages()
+	defer putPagesBack(held)
+
+	touch := func() (*Memory, []*[PageSize]byte) {
+		m := NewMemory(false)
+		for k := uint32(0); k < 40; k++ {
+			if _, err := m.Load8(0x3ff000 + k*PageSize); err != nil { // crosses a group
+				t.Fatal(err)
+			}
+		}
+		return m, pagesOf(m)
+	}
+	a, first := touch()
+	a.Release()
+	b, second := touch()
+	if !slices.Equal(first, second) {
+		t.Fatal("the second memory mapped the released pages in another order")
+	}
+	b.Release()
+	freePages()
 }
 
 // TestReleaseTwice: a memory released twice hands each page back once,
