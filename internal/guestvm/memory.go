@@ -99,7 +99,7 @@ type Memory struct {
 // one did maps them to the same host pages, in the same address order,
 // as the allocator laid them out for the first session. One list for
 // both modes, popped in the reverse of that order, cost fp-steady about
-// 2 % of its guest MIPS (docs/pr43-benchmark-runs.md).
+// 2 % of its guest MIPS.
 var (
 	pageFree  [2]freelist.List[*[PageSize]byte]
 	groupFree freelist.List[*pageGroup]
