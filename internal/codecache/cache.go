@@ -101,24 +101,26 @@ type exitRef struct {
 // chunks are storage only: capacity and Used count the resident blocks'
 // instructions, and the host addresses the timing simulator sees are
 // synthetic (derived from block IDs), so where a block's code sits
-// changes nothing simulated. Release hands the chunks to a free list the
-// next cache takes them from; Flush leaves them to the collector, since
-// a block it drops may still be referenced and must keep its own code.
+// changes nothing simulated. NewBlock cuts the block records, exit
+// tables and constituent entries from slabs of their own the same way.
+// Release hands every slab, and the block index, to free lists the next
+// cache takes them from; Flush leaves the slabs to the collector, since
+// a block it drops may still be referenced and must keep its own code
+// and record.
 type Cache struct {
 	Capacity int
 
 	// blocks[i] holds the block with ID base+i (IDs are dense and
 	// monotonic; a flush advances base so IDs are never reused).
+	// blocks and byEntry are the block index: nil until the first
+	// insert takes one (see index).
 	blocks  []*Block
 	base    int
 	nblocks int
 	byEntry map[uint32]*Block
 	used    int
 
-	// chunks are the chunks Code has cut blocks from since the last
-	// flush; free is the unused tail of the newest one.
-	chunks [][]host.Inst
-	free   []host.Inst
+	slabs slabs
 
 	// Statistics.
 	Inserts     uint64
@@ -139,45 +141,79 @@ func New(capacity int) *Cache {
 	}
 	return &Cache{
 		Capacity: capacity,
-		byEntry:  make(map[uint32]*Block),
+		slabs: slabs{
+			code:  freelist.NewSlab(&chunkFree, ChunkInsts),
+			recs:  freelist.NewSlab(&recFree, 256),
+			exits: freelist.NewSlab(&exitFree, 512),
+			pcs:   freelist.NewSlab(&pcFree, 1024),
+		},
 	}
 }
 
 // ChunkInsts is the size of a code chunk in host instructions.
 const ChunkInsts = 8192
 
-// chunkFree holds the chunks of released caches.
-var chunkFree freelist.List[[]host.Inst]
+// slabs are what a cache cuts its blocks from: their code, records,
+// exit tables and constituent block entries.
+type slabs struct {
+	code  freelist.Slab[host.Inst]
+	recs  freelist.Slab[Block]
+	exits freelist.Slab[Exit]
+	pcs   freelist.Slab[uint32]
+}
+
+// The chunks of released caches' slabs, and their block indexes
+// (cleared): the blocks slice and byEntry map keep the room they grew.
+var (
+	chunkFree freelist.List[[]host.Inst]
+	recFree   freelist.List[[]Block]
+	exitFree  freelist.List[[]Exit]
+	pcFree    freelist.List[[]uint32]
+	indexFree freelist.List[index]
+)
+
+// index is a cache's blocks and byEntry, handed from a released cache to
+// the next one's first insert.
+type index struct {
+	blocks  []*Block
+	byEntry map[uint32]*Block
+}
 
 // Code returns storage for a block of n host instructions, to be filled
 // by the caller: the next n instructions of the newest chunk, or of a
 // chunk taken from the free list (or allocated) when it has fewer left.
-// Its contents are whatever the chunk last held. The slice's capacity is
-// n, so appending to it never writes into a neighbour's code.
-func (c *Cache) Code(n int) []host.Inst {
-	if n > ChunkInsts {
-		return make([]host.Inst, n)
-	}
-	if len(c.free) < n {
-		ch, ok := chunkFree.Get()
-		if !ok {
-			ch = make([]host.Inst, ChunkInsts)
-		}
-		c.chunks = append(c.chunks, ch)
-		c.free = ch
-	}
-	code := c.free[:n:n]
-	c.free = c.free[n:]
-	return code
+// The slice's capacity is n, so appending to it never writes into a
+// neighbour's code.
+func (c *Cache) Code(n int) []host.Inst { return c.slabs.code.Make(n) }
+
+// NewBlock returns a zero block record with storage for its code (code
+// instructions, see Code), its exit table (exits entries) and its
+// constituent block entries (bbs), each cut from the cache's slabs, for
+// the caller to fill.
+func (c *Cache) NewBlock(code, exits, bbs int) *Block {
+	b := c.slabs.recs.New()
+	b.Code = c.Code(code)
+	b.Exits = c.slabs.exits.Make(exits)
+	b.BBs = c.slabs.pcs.Make(bbs)
+	return b
 }
 
-// Release empties the cache and hands its chunks to the free list, for
-// the next cache's blocks. The cache's blocks and every slice Code
-// returned become invalid: their owner is done with them (a finished
-// session's TOL). Releasing an empty or released cache does nothing.
+// Release empties the cache and hands its slabs and block index to the
+// free lists, for the next cache's blocks. The cache's blocks and every
+// slice Code or NewBlock returned become invalid: their owner is done
+// with them (a finished session's TOL). Releasing an empty or released
+// cache does nothing.
 func (c *Cache) Release() {
-	chunkFree.Put(c.chunks...)
 	c.drop()
+	s := &c.slabs
+	s.code.Release()
+	s.recs.Release()
+	s.exits.Release()
+	s.pcs.Release()
+	if c.byEntry != nil {
+		indexFree.Put(index{c.blocks, c.byEntry})
+		c.blocks, c.byEntry = nil, nil
+	}
 }
 
 // Used reports resident host instructions.
@@ -220,6 +256,13 @@ func (c *Cache) Insert(b *Block) (flushed bool) {
 	if c.used+len(b.Code) > c.Capacity {
 		c.Flush()
 		flushed = true
+	}
+	if c.byEntry == nil {
+		x, ok := indexFree.Get()
+		if !ok {
+			x.byEntry = make(map[uint32]*Block)
+		}
+		c.blocks, c.byEntry = x.blocks, x.byEntry
 	}
 	if old, ok := c.byEntry[b.Entry]; ok {
 		c.Invalidate(old)
@@ -264,16 +307,20 @@ func (c *Cache) Invalidate(b *Block) {
 // sees, and reused IDs would alias old code addresses). Exit.Next links
 // are left alone: every block goes at once, so none stays reachable.
 //
-// The chunks go to the collector, not to the free list: a dropped block
-// may still be held (the block whose insertion flushed has its code in
-// them), and it must never see another block's code.
+// The slabs go to the collector, not to the free lists: a dropped block
+// may still be held (the block whose insertion flushed has its code and
+// record in them), and it must never see another block's.
 func (c *Cache) Flush() {
 	c.drop()
+	s := &c.slabs
+	s.code.Forget()
+	s.recs.Forget()
+	s.exits.Forget()
+	s.pcs.Forget()
 	c.Flushes++
 }
 
-// drop removes every block, advancing base past their IDs, and forgets
-// the chunks.
+// drop removes every block, advancing base past their IDs.
 func (c *Cache) drop() {
 	c.base += len(c.blocks)
 	clear(c.blocks) // release for GC; the slices themselves are reused
@@ -281,8 +328,6 @@ func (c *Cache) drop() {
 	c.nblocks = 0
 	clear(c.byEntry)
 	c.used = 0
-	clear(c.chunks)
-	c.chunks, c.free = c.chunks[:0], nil
 }
 
 // Chain rewrites the EXIT at instIdx in src to jump directly to dst,

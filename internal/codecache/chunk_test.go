@@ -1,10 +1,12 @@
 package codecache
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
 
+	"darco/internal/freelist"
 	"darco/internal/host"
 )
 
@@ -105,7 +107,7 @@ func TestFlushKeepsDroppedCode(t *testing.T) {
 	if !holds(first, 1) || !holds(b.Code, 2) {
 		t.Fatal("a block dropped by the flush saw another block's code")
 	}
-	want := len(c.chunks)
+	want := c.slabs.code.Chunks()
 	c.Release()
 	if n := chunkFree.Len(); n != want {
 		t.Fatalf("Release put %d chunks on the free list, want the %d cut since the flush", n, want)
@@ -143,4 +145,95 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 	if !overlaps(next, b.Code) {
 		t.Fatal("the next cache did not cut its code from the released chunk")
 	}
+}
+
+// drain takes every item off l, top first; refill puts them back in
+// their order.
+func drain[T any](l *freelist.List[T]) (out []T) {
+	for {
+		x, ok := l.Get()
+		if !ok {
+			return out
+		}
+		out = append(out, x)
+	}
+}
+
+func refill[T any](l *freelist.List[T], xs []T) {
+	slices.Reverse(xs)
+	l.Put(xs...)
+}
+
+// TestReleaseRecyclesRecords: Release hands the block records, exit
+// tables, constituent entries and block index back once, however often
+// it is called, each zero or cleared; the next cache cuts its first
+// block from the same places and inserts into the same index.
+func TestReleaseRecyclesRecords(t *testing.T) {
+	hr, he, hp, hx := drain(&recFree), drain(&exitFree), drain(&pcFree), drain(&indexFree)
+	defer refill(&recFree, hr)
+	defer refill(&exitFree, he)
+	defer refill(&pcFree, hp)
+	defer refill(&indexFree, hx)
+
+	a := New(0)
+	b := a.NewBlock(10, 2, 3)
+	b.Entry, b.Exits[1].Count, b.BBs[2] = 0x1000, 9, 0x1000
+	a.Insert(b)
+	byEntry := a.byEntry
+	a.Release()
+	a.Release()
+	if a.byEntry != nil || a.blocks != nil {
+		t.Fatal("a released cache keeps its block index")
+	}
+	if r, e, p, x := recFree.Len(), exitFree.Len(), pcFree.Len(), indexFree.Len(); r != 1 || e != 1 || p != 1 || x != 1 {
+		t.Fatalf("free lists hold %d record, %d exit, %d entry chunks and %d indexes after two releases of one each", r, e, p, x)
+	}
+	if b.Entry != 0 || b.Code != nil || b.Exits != nil || b.BBs != nil {
+		t.Fatal("a released record is not zero")
+	}
+	c := New(0)
+	nb := c.NewBlock(10, 2, 3)
+	if nb != b || &nb.Exits[0] != &b.Exits[0] || &nb.BBs[0] != &b.BBs[0] {
+		t.Fatal("the next cache did not cut its block from the released slabs")
+	}
+	if nb.Exits[1].Count != 0 || nb.BBs[2] != 0 {
+		t.Fatal("a recycled exit table or entry list is not zero")
+	}
+	nb.Entry = 0x2000
+	c.Insert(nb)
+	if len(c.byEntry) != 1 || reflect.ValueOf(c.byEntry).UnsafePointer() != reflect.ValueOf(byEntry).UnsafePointer() {
+		t.Fatal("the next cache did not insert into the released, cleared index")
+	}
+	c.Release()
+}
+
+// TestFlushKeepsDroppedRecords: a flush leaves the record slabs to the
+// collector like the code chunks, so a dropped block keeps its record,
+// exit table and entries while the cache translates on.
+func TestFlushKeepsDroppedRecords(t *testing.T) {
+	hr, he, hp := drain(&recFree), drain(&exitFree), drain(&pcFree)
+	defer refill(&recFree, hr)
+	defer refill(&exitFree, he)
+	defer refill(&pcFree, hp)
+
+	c := New(64)
+	first := c.NewBlock(40, 1, 1)
+	first.Entry, first.Exits[0].Idx, first.BBs[0] = 0x1000, 39, 0x1000
+	c.Insert(first)
+	second := c.NewBlock(40, 1, 1)
+	second.Entry = 0x2000
+	if !c.Insert(second) {
+		t.Fatal("the second block did not flush")
+	}
+	if r, e, p := recFree.Len(), exitFree.Len(), pcFree.Len(); r+e+p != 0 {
+		t.Fatalf("the flush put %d record, %d exit and %d entry chunks on the free lists", r, e, p)
+	}
+	for range 2000 {
+		b := c.NewBlock(1, 1, 1)
+		b.Entry, b.Exits[0].Idx, b.BBs[0] = 0xdead, 7, 0xdead
+	}
+	if first.Entry != 0x1000 || first.Exits[0].Idx != 39 || first.BBs[0] != 0x1000 {
+		t.Fatal("a block dropped by the flush saw another block's record")
+	}
+	c.Release()
 }

@@ -495,16 +495,17 @@ func (c *Controller) RunContext(ctx context.Context, budget uint64) (err error) 
 	return nil
 }
 
-// Release hands both components' memories and the code cache to the free
-// lists the next session's take them from, leaving all three empty. Call
-// it only once RunContext has returned, so the shadow has been joined,
-// and only when nothing will read the components again: their pages and
-// translated code then belong to another session. A panic out of
-// RunContext must not be followed by it.
+// Release hands the session's working memory to the free lists the next
+// session's take theirs from: both components' memories, the table of
+// blocks both decoded, and the co-designed component's code cache and
+// profile (see tol.TOL.Release). Call it only once RunContext has
+// returned, so the shadow has been joined, and only when nothing will
+// read the components again: what they hold then belongs to another
+// session. A panic out of RunContext must not be followed by it.
 func (c *Controller) Release() {
 	c.X86.Mem.Release()
-	c.CoD.Mem.Release()
-	c.CoD.Cache.Release()
+	c.X86.Code().Release()
+	c.CoD.Release()
 }
 
 // Output returns the program's syscall output (authoritative side).

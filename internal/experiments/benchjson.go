@@ -41,15 +41,38 @@ func measure(f func() error) (perf.Bench, error) {
 	}, err
 }
 
-// measureSession is measure for one session's row. It collects first
-// and holds the collector off until f returns, so the row's allocs/op do
-// not depend on whether and when a collection ran: at GOGC=10 one
-// collection during a row added up to 1 % to its allocations, at no
-// site of the simulator's own. A session allocates under a megabyte.
-func measureSession(f func() error) (perf.Bench, error) {
+// sessionsPerRow is how many measured sessions a single-session row
+// averages. What the runtime allocates when a per-processor cache of
+// goroutines, sudogs or timers misses depends on which processor each of
+// a session's two goroutines ran on: one session's count spread by up
+// to a dozen allocations between collections, 3 % of a row's count once
+// sessions recycled their working memory, while the gate tolerates 1 %.
+// The caches miss about once per window, not once per session, so the
+// mean of eight spreads an eighth as wide.
+const sessionsPerRow = 8
+
+// measureSessions is measure for a single-session row: it runs session
+// n times and reports the mean cost of one. It collects first and holds
+// the collector off until the last session returns, so the row's
+// allocs/op do not depend on whether and when a collection ran: at
+// GOGC=10 one collection during a row added up to 1 % to its
+// allocations, at no site of the simulator's own. A session allocates
+// under a megabyte.
+func measureSessions(n int, session func() error) (perf.Bench, error) {
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	return measure(f)
+	b, err := measure(func() error {
+		for range n {
+			if err := session(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	b.NsPerOp /= float64(n)
+	b.AllocsPerOp /= float64(n)
+	b.BytesPerOp /= float64(n)
+	return b, err
 }
 
 // CollectBenchSnapshot measures the Table-Speed benches and the
@@ -74,53 +97,52 @@ func CollectBenchSnapshot(ctx context.Context, scale float64) (*perf.Snapshot, e
 	if !ok {
 		return nil, fmt.Errorf("experiments: 429.mcf missing from roster")
 	}
-	im, err := workload.CachedImage(p.Scale(scale))
-	if err != nil {
-		return nil, err
-	}
 
-	// speed measures one session over im. windowed attaches a
-	// default-interval telemetry windower first, the subscription every
-	// served job's sessions carry.
+	// speed measures the sessions of one row, each 429.mcf at scale
+	// run as a served job's are: a one-scenario campaign, which releases
+	// the session's working memory to the next one, with counters of its
+	// own. windowed attaches a default-interval telemetry windower
+	// first, the subscription every served job's sessions carry.
 	//
-	// The same session runs twice unmeasured before, each released as a
-	// campaign's sessions are (Engine.Run). The first leaves on the free
-	// lists every page, page group, code chunk and translation scratch
-	// the measured session takes, so it allocates none of them whatever
-	// ran before it in the process; the second leaves the runtime's own
-	// caches (goroutines, sudogs, timers) as the measured run finds
-	// them. The measured session takes its own counters.
+	// Two sessions run unmeasured first. The first leaves on the free
+	// lists everything a session takes from them, so the measured ones
+	// allocate none of it whatever ran before them in the process; the
+	// second leaves the runtime's own caches (goroutines, sudogs,
+	// timers) as the measured sessions find them. The row is the mean
+	// of sessionsPerRow measured sessions (see measureSessions), its
+	// counters the last one's.
 	speed := func(name string, cfg darco.Config, windowed bool) error {
-		newEngine := func() (*darco.Engine, error) {
-			return darco.NewEngine(darco.WithConfig(cfg), darco.WithObsCounters(&obs.EngineCounters{}))
-		}
-		for range 2 {
-			eng, err := newEngine()
-			if err != nil {
-				return err
-			}
-			if _, err := eng.Run(ctx, im); err != nil {
-				return err
-			}
+		eng, err := darco.NewEngine(darco.WithConfig(cfg))
+		if err != nil {
+			return err
 		}
 		var res *darco.Result
-		entry, err := measureSession(func() error {
-			eng, err := newEngine()
-			if err != nil {
-				return err
-			}
-			sess, err := eng.NewSession(im)
-			if err != nil {
-				return err
-			}
+		session := func() error {
+			sc := darco.Scenario{Profile: p, Scale: scale,
+				Options: []darco.Option{darco.WithObsCounters(&obs.EngineCounters{})}}
+			opts := []darco.CampaignOption{darco.WithParallelism(1)}
+			var wd *telemetry.Windower
 			if windowed {
-				wd := telemetry.NewWindower(telemetry.DefaultInterval, func(telemetry.Window) {})
-				wd.Attach(sess)
-				defer wd.Flush()
+				wd = telemetry.NewWindower(telemetry.DefaultInterval, func(telemetry.Window) {})
+				opts = append(opts, darco.WithScenarioSession(func(_ int, _ *darco.Scenario, s *darco.Session) { wd.Attach(s) }))
 			}
-			res, err = sess.Run(ctx)
-			return err
-		})
+			rep, err := eng.RunCampaign(ctx, []darco.Scenario{sc}, opts...)
+			if err != nil {
+				return err
+			}
+			if wd != nil {
+				wd.Flush()
+			}
+			sr := &rep.Results[0]
+			res = sr.Result
+			return sr.Err
+		}
+		for range 2 {
+			if err := session(); err != nil {
+				return err
+			}
+		}
+		entry, err := measureSessions(sessionsPerRow, session)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"darco/internal/freelist"
 	"darco/internal/guest"
 )
 
@@ -40,14 +41,26 @@ import (
 // and a store to a code page fails with *CodeWriteError, whichever
 // emulator or path makes it. So a cached block never goes stale.
 type DecodeCache struct {
-	table *CodeTable
-	seen  uint32 // this front end's bit in Block.seen
+	table   *CodeTable
+	front   *front       // d's share of table
+	scratch []guest.Inst // the block being decoded
+}
+
+// front is one front end's share of a CodeTable: its bit in Block.seen,
+// its own blocks and the slabs it cuts its blocks from. Only the front
+// end's goroutine touches it until the table is released.
+type front struct {
+	seen uint32
 
 	// own holds the blocks this front end decoded to other instructions
 	// than the table's block at the same pc: its memory and the other
 	// front end's disagree there, and each runs what it decoded.
-	own     map[uint32]*Block
-	scratch []guest.Inst // the block being decoded
+	own map[uint32]*Block
+
+	// blocks and insts are where the front end's blocks and their
+	// instructions are cut from, the table's blocks and its own alike.
+	blocks freelist.Slab[Block]
+	insts  freelist.Slab[guest.Inst]
 }
 
 // CodeTable is the decoded blocks the front ends of one guest program
@@ -59,13 +72,26 @@ type DecodeCache struct {
 // instructions are written before it enters a slot and never after. mu
 // serializes only what a miss writes: filling a slot and growing the
 // array. The zero value is ready to use.
+//
+// The blocks and slot arrays live as long as the table: Release hands
+// them all to free lists the next session's table takes them from.
 type CodeTable struct {
 	slots atomic.Pointer[codeSlots]
 
-	mu    sync.Mutex
-	n     int    // blocks held; guarded by mu
-	users uint32 // the seen bits handed out (see join); guarded by mu
+	mu      sync.Mutex
+	n       int          // blocks held; guarded by mu
+	users   uint32       // the seen bits handed out (see join); guarded by mu
+	fronts  []*front     // one per join; guarded by mu
+	retired []*codeSlots // arrays grow replaced, which a lookup may still read; guarded by mu
 }
+
+// The chunks of released tables' slabs, and their slot arrays, one list
+// per length (indexed by log2), every slot empty.
+var (
+	blockFree freelist.List[[]Block]
+	instFree  freelist.List[[]guest.Inst]
+	slotFree  [33]freelist.List[*codeSlots]
+)
 
 // codeSlots is an open-addressed table of blocks keyed by entry pc,
 // probed linearly from a multiplicative hash of the pc. A power of two
@@ -125,13 +151,18 @@ func (t *CodeTable) insert(b *Block) *Block {
 }
 
 // grow publishes an array twice as long as old (minSlots for none)
-// holding old's blocks. Called with mu held.
+// holding old's blocks, and retires old. Called with mu held.
 func (t *CodeTable) grow(old *codeSlots) *codeSlots {
 	n, held := minSlots, []atomic.Pointer[Block](nil)
 	if old != nil {
 		n, held = 2*len(old.slot), old.slot
+		t.retired = append(t.retired, old)
 	}
-	s := &codeSlots{shift: uint(33 - bits.Len(uint(n))), slot: make([]atomic.Pointer[Block], n)}
+	lg := bits.Len(uint(n)) - 1
+	s, ok := slotFree[lg].Get()
+	if !ok {
+		s = &codeSlots{shift: uint(32 - lg), slot: make([]atomic.Pointer[Block], n)}
+	}
 	for i := range held {
 		if b := held[i].Load(); b != nil {
 			_, j := s.find(b.PC)
@@ -142,9 +173,10 @@ func (t *CodeTable) grow(old *codeSlots) *codeSlots {
 	return s
 }
 
-// join hands out the next seen bit. A session's table has two users;
-// 32 is the most a mask can tell apart.
-func (t *CodeTable) join() uint32 {
+// join hands out the next seen bit with a front end's share of the
+// table. A session's table has two users; 32 is the most a mask can
+// tell apart.
+func (t *CodeTable) join() *front {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	bit := (t.users + 1) &^ t.users
@@ -152,7 +184,43 @@ func (t *CodeTable) join() uint32 {
 		panic("guestvm: more than 32 front ends share one CodeTable")
 	}
 	t.users |= bit
-	return bit
+	f := &front{
+		seen:   bit,
+		blocks: freelist.NewSlab(&blockFree, 256),
+		insts:  freelist.NewSlab(&instFree, 2048),
+	}
+	t.fronts = append(t.fronts, f)
+	return f
+}
+
+// Release empties the table and hands every block its front ends
+// decoded, their instructions and the table's slot arrays to free lists,
+// for the next session's table. Call it only when no front end will
+// decode through the table again and nothing holds a block it returned:
+// the goroutines of the session are done. The front ends keep their
+// bits; a released table is empty and stays usable, and releasing it
+// again hands back nothing.
+func (t *CodeTable) Release() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, f := range t.fronts {
+		f.own = nil
+		f.blocks.Release()
+		f.insts.Release()
+	}
+	if s := t.slots.Load(); s != nil {
+		t.retired = append(t.retired, s)
+		t.slots.Store(nil)
+	}
+	for _, s := range t.retired {
+		for i := range s.slot {
+			s.slot[i].Store(nil)
+		}
+		slotFree[bits.Len(uint(len(s.slot)))-1].Put(s)
+	}
+	clear(t.retired)
+	t.retired = t.retired[:0]
+	t.n = 0
 }
 
 // Table returns the table d decodes through, giving d one of its own on
@@ -168,7 +236,7 @@ func (d *DecodeCache) Table() *CodeTable {
 // drops what d decoded before. Blocks in t that another front end
 // decoded count as misses until d decodes them itself.
 func (d *DecodeCache) Share(t *CodeTable) {
-	d.table, d.seen, d.own = t, t.join(), nil
+	d.table, d.front = t, t.join()
 }
 
 // MaxBlockInsns caps a decoded block: a longer basic block is cut into
@@ -283,10 +351,10 @@ func (d *DecodeCache) Decode(mem *Memory, prev *Block, pc uint32) (*Block, bool,
 		}
 	}
 	mem.markCode(pc, at)
+	t := d.Table()
 	if err != nil {
 		return d.block(pc, at), false, err
 	}
-	t := d.Table()
 	b := t.lookup(pc)
 	if b == nil { // the first front end to decode it, unless it races the other
 		b = t.insert(d.block(pc, at))
@@ -294,31 +362,42 @@ func (d *DecodeCache) Decode(mem *Memory, prev *Block, pc uint32) (*Block, bool,
 	if !slices.EqualFunc(b.Insts, d.scratch, sameInst) {
 		// Decoded differently: it stays this front end's own.
 		b = d.block(pc, at)
-		if d.own == nil {
-			d.own = make(map[uint32]*Block)
+		f := d.front
+		if f.own == nil {
+			f.own = make(map[uint32]*Block)
 		}
-		d.own[pc] = b
+		f.own[pc] = b
 		return b, false, nil
 	}
-	b.seen.Or(d.seen)
+	b.seen.Or(d.front.seen)
 	return b, false, nil
 }
 
 // Cached returns the block a Decode at pc would find cached, or nil. It
 // decodes nothing, links nothing and takes no lock.
 func (d *DecodeCache) Cached(pc uint32) *Block {
-	if b := d.own[pc]; b != nil || d.table == nil {
+	f := d.front
+	if f == nil {
+		return nil
+	}
+	if b := f.own[pc]; b != nil {
 		return b
 	}
-	if b := d.table.lookup(pc); b != nil && b.seen.Load()&d.seen != 0 {
+	if b := d.table.lookup(pc); b != nil && b.seen.Load()&f.seen != 0 {
 		return b
 	}
 	return nil
 }
 
-// block copies the instructions just decoded, [pc, end), into a block.
+// block copies the instructions just decoded, [pc, end), into a block
+// cut from d's slabs. Call it with d's table set.
 func (d *DecodeCache) block(pc, end uint32) *Block {
-	return &Block{Insts: slices.Clone(d.scratch), PC: pc, End: end}
+	f := d.front
+	b := f.blocks.New()
+	b.Insts = f.insts.Make(len(d.scratch))
+	copy(b.Insts, d.scratch)
+	b.PC, b.End = pc, end
+	return b
 }
 
 // sameInst reports whether x and y are the same instruction, comparing

@@ -74,11 +74,11 @@ func (e *CodeWriteError) Error() string {
 // stores have an MRU page each; the store MRU never holds a code page,
 // so a store that hits it is checked by that one compare.
 //
-// Pages and groups come from free lists that Release fills, so a process
-// that runs sessions back to back maps each one's memory in the pages
-// the previous ones left.
+// Pages, groups and the group directory come from free lists that
+// Release fills, so a process that runs sessions back to back maps each
+// one's memory in the pages the previous ones left.
 type Memory struct {
-	groups [numGroups]*pageGroup
+	groups *directory // nil until the first page is mapped
 	count  int
 
 	// MRU page caches: a nil page means empty, so page number 0 needs
@@ -103,7 +103,20 @@ type Memory struct {
 var (
 	pageFree  [2]freelist.List[*[PageSize]byte]
 	groupFree freelist.List[*pageGroup]
+	dirFree   freelist.List[*directory]
 )
+
+// directory is a memory's group directory, indexed by the top groupBits
+// of a page number. A free one is all nil.
+type directory [numGroups]*pageGroup
+
+// group returns the group holding page pn, or nil.
+func (m *Memory) group(pn uint32) *pageGroup {
+	if m.groups == nil {
+		return nil
+	}
+	return m.groups[pn>>groupBits]
+}
 
 // strictIdx is pageFree's index of a memory's mode.
 func strictIdx(strict bool) int {
@@ -164,7 +177,7 @@ func (m *Memory) storePage(addr uint32) (*[PageSize]byte, error) {
 
 // storePageSlow is the code check and page behind the store MRU.
 func (m *Memory) storePageSlow(addr, pn uint32) (*[PageSize]byte, error) {
-	if g := m.groups[pn>>groupBits]; g != nil && g.code[pn&groupMask] {
+	if g := m.group(pn); g != nil && g.code[pn&groupMask] {
 		return nil, &CodeWriteError{Addr: addr}
 	}
 	p, err := m.page(addr)
@@ -181,7 +194,7 @@ func (m *Memory) storePageSlow(addr, pn uint32) (*[PageSize]byte, error) {
 func (m *Memory) markCode(lo, hi uint32) {
 	for a := lo; lo != hi; a += PageSize {
 		pn := a >> PageShift
-		if g := m.groups[pn>>groupBits]; g != nil {
+		if g := m.group(pn); g != nil {
 			g.code[pn&groupMask] = true
 		}
 		if m.stPN == pn {
@@ -193,8 +206,15 @@ func (m *Memory) markCode(lo, hi uint32) {
 	}
 }
 
-// setPage installs p as page pn, allocating its group on demand.
+// setPage installs p as page pn, taking the directory and its group on
+// demand.
 func (m *Memory) setPage(pn uint32, p *[PageSize]byte) {
+	if m.groups == nil {
+		var ok bool
+		if m.groups, ok = dirFree.Get(); !ok {
+			m.groups = new(directory)
+		}
+	}
 	g := m.groups[pn>>groupBits]
 	if g == nil {
 		var ok bool
@@ -211,7 +231,7 @@ func (m *Memory) setPage(pn uint32, p *[PageSize]byte) {
 
 // lookupPage returns page pn if mapped, without allocating or faulting.
 func (m *Memory) lookupPage(pn uint32) *[PageSize]byte {
-	g := m.groups[pn>>groupBits]
+	g := m.group(pn)
 	if g == nil {
 		return nil
 	}
@@ -220,6 +240,9 @@ func (m *Memory) lookupPage(pn uint32) *[PageSize]byte {
 
 // forEachPage visits every mapped page in ascending page-number order.
 func (m *Memory) forEachPage(f func(pn uint32, p *[PageSize]byte)) {
+	if m.groups == nil {
+		return
+	}
 	for gi, g := range m.groups {
 		if g == nil {
 			continue
@@ -257,12 +280,16 @@ func (m *Memory) InstallPage(pageAddr uint32, data *[PageSize]byte) {
 	m.setPage(pn, cp)
 }
 
-// Release empties the memory and hands every page and group it held to
-// the free lists, for the next memory to map. The caller is done with
-// the memory and with every page it returned (Page): no goroutine may
-// still read or write one. A released memory is empty and stays usable;
-// releasing it again hands back nothing.
+// Release empties the memory and hands every page and group it held,
+// and its directory, to the free lists, for the next memory to map. The
+// caller is done with the memory and with every page it returned (Page):
+// no goroutine may still read or write one. A released memory is empty
+// and stays usable, taking a fresh directory at its next page; releasing
+// it again hands back nothing.
 func (m *Memory) Release() {
+	if m.groups == nil {
+		return
+	}
 	free := &pageFree[strictIdx(m.Strict)]
 	for gi := len(m.groups) - 1; gi >= 0; gi-- {
 		g := m.groups[gi]
@@ -278,6 +305,8 @@ func (m *Memory) Release() {
 		groupFree.Put(g)
 		m.groups[gi] = nil
 	}
+	dirFree.Put(m.groups)
+	m.groups = nil
 	m.count = 0
 	m.mru, m.st = nil, nil
 }

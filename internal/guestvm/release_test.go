@@ -1,8 +1,13 @@
 package guestvm
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
+
+	"darco/internal/freelist"
+	"darco/internal/guest"
 )
 
 // A released memory's pages and groups map the next memories' pages.
@@ -175,4 +180,217 @@ func TestReleaseTwice(t *testing.T) {
 	}
 	b.Release()
 	c.Release()
+}
+
+// drain takes every item off l, top first; refill puts them back in
+// their order.
+func drain[T any](l *freelist.List[T]) (out []T) {
+	for {
+		x, ok := l.Get()
+		if !ok {
+			return out
+		}
+		out = append(out, x)
+	}
+}
+
+func refill[T any](l *freelist.List[T], xs []T) {
+	slices.Reverse(xs)
+	l.Put(xs...)
+}
+
+// TestRecycledDirectory: a released memory hands back its directory
+// cleared, so the memory that takes it next maps none of the released
+// memory's groups; and a released memory used again takes a directory
+// of its own, never the one the next memory took.
+func TestRecycledDirectory(t *testing.T) {
+	heldDirs, heldGroups := drain(&dirFree), drain(&groupFree)
+	defer refill(&dirFree, heldDirs)
+	defer refill(&groupFree, heldGroups)
+
+	a := dirtyMemory(t, false, 4)
+	if _, err := a.Load8(0x800000); err != nil { // a second group
+		t.Fatal(err)
+	}
+	dir := a.groups
+	a.Release()
+	if a.groups != nil {
+		t.Fatal("a released memory keeps its directory")
+	}
+	for gi, g := range dir {
+		if g != nil {
+			t.Fatalf("the released directory still holds group %d", gi)
+		}
+	}
+
+	b := NewMemory(true)
+	var img [PageSize]byte
+	b.InstallPage(0x1000000, &img) // another group than a's
+	if b.groups != dir {
+		t.Fatal("the next memory did not take the released directory")
+	}
+	c := NewMemory(false)
+	if _, err := c.Load8(0x10000); err != nil { // takes a released group
+		t.Fatal(err)
+	}
+	if b.HasPage(0x10000) || b.PageCount() != 1 {
+		t.Fatalf("the memory with the recycled directory maps another memory's page (%d pages)", b.PageCount())
+	}
+	if _, err := a.Load8(0x10000); err != nil {
+		t.Fatal(err)
+	}
+	if a.groups == nil || a.groups == b.groups || a.groups == c.groups {
+		t.Fatal("a released memory used again shares a live memory's directory")
+	}
+	a.Release()
+	b.Release()
+	c.Release()
+}
+
+// chainProgram assembles n blocks, each one instruction and a jump to
+// the next, then a halt.
+func chainProgram(t *testing.T, n int) *guest.Image {
+	t.Helper()
+	var src strings.Builder
+	src.WriteString(".org 0x1000\nstart:\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&src, "b%d:\n    inc eax\n    jmp b%d\n", i, i+1)
+	}
+	fmt.Fprintf(&src, "b%d:\n    halt\n", n)
+	im, err := guest.Assemble(src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im
+}
+
+// decodeAll decodes the n+1 blocks of chainProgram through d, in order.
+func decodeAll(t *testing.T, d *DecodeCache, mem *Memory, im *guest.Image, n int) (out []*Block) {
+	t.Helper()
+	for i := 0; i <= n; i++ {
+		b, _, err := d.Decode(mem, nil, im.Labels[fmt.Sprintf("b%d", i)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// TestCodeTableReleaseTwice: a table released twice, after two front
+// ends decoded into it (one a block of its own) and its slot array grew
+// twice, hands each block chunk, instruction chunk and slot array back
+// once, each zero; the front ends then find nothing cached.
+func TestCodeTableReleaseTwice(t *testing.T) {
+	heldB, heldI := drain(&blockFree), drain(&instFree)
+	defer refill(&blockFree, heldB)
+	defer refill(&instFree, heldI)
+	var heldS [len(slotFree)][]*codeSlots
+	for i := range slotFree {
+		heldS[i] = drain(&slotFree[i])
+	}
+	defer func() {
+		for i := range slotFree {
+			refill(&slotFree[i], heldS[i])
+		}
+	}()
+
+	const n = 100 // past 48 and 96 blocks: 64 → 128 → 256 slots
+	im := chainProgram(t, n)
+	memA, memB := NewMemory(false), NewMemory(false)
+	for _, m := range []*Memory{memA, memB} {
+		if err := m.LoadImage(im); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := memB.Store8(im.Labels["b7"], byte(guest.HALT)); err != nil { // b's own block
+		t.Fatal(err)
+	}
+	var a, b DecodeCache
+	b.Share(a.Table())
+	decodeAll(t, &a, memA, im, n)
+	decodeAll(t, &b, memB, im, n)
+	if b.front.own == nil {
+		t.Fatal("the second front end decoded no block of its own")
+	}
+	tab := a.Table()
+	tab.Release()
+	tab.Release()
+
+	if a.Cached(im.Entry) != nil || b.Cached(im.Labels["b7"]) != nil {
+		t.Fatal("a front end of the released table still finds a block")
+	}
+	seen := make(map[any]bool)
+	once := func(what string, p any) {
+		if seen[p] {
+			t.Fatalf("a %s is on its free list twice", what)
+		}
+		seen[p] = true
+	}
+	blocks, insts := drain(&blockFree), drain(&instFree)
+	if len(blocks) != 2 || len(insts) != 2 {
+		t.Fatalf("%d block and %d instruction chunks on the lists, want 2 of each (one per front end)", len(blocks), len(insts))
+	}
+	for _, ch := range blocks {
+		once("block chunk", &ch[0])
+		for i := range ch {
+			if ch[i].PC != 0 || ch[i].Insts != nil || ch[i].seen.Load() != 0 || ch[i].succ != [2]*Block{} {
+				t.Fatal("a released block chunk is not zero")
+			}
+		}
+	}
+	for _, ch := range insts {
+		once("instruction chunk", &ch[0])
+		if slices.ContainsFunc(ch, func(in guest.Inst) bool { return in != guest.Inst{} }) {
+			t.Fatal("a released instruction chunk is not zero")
+		}
+	}
+	arrays := 0
+	for i := range slotFree {
+		for _, s := range drain(&slotFree[i]) {
+			once("slot array", s)
+			arrays++
+			if len(s.slot) != 1<<i {
+				t.Fatalf("a slot array of %d on the list of %d", len(s.slot), 1<<i)
+			}
+			for j := range s.slot {
+				if s.slot[j].Load() != nil {
+					t.Fatal("a released slot array holds a block")
+				}
+			}
+		}
+	}
+	if arrays != 3 {
+		t.Fatalf("%d slot arrays on the lists, want 3", arrays)
+	}
+}
+
+// TestCodeTableReleaseKeepsOrder: the next table cuts the same blocks,
+// decoded in the same order, from the released table's chunks at the
+// same places, so a session's decoded code keeps the layout the first
+// one had.
+func TestCodeTableReleaseKeepsOrder(t *testing.T) {
+	heldB, heldI := drain(&blockFree), drain(&instFree)
+	defer refill(&blockFree, heldB)
+	defer refill(&instFree, heldI)
+
+	const n = 600 // three block chunks
+	im := chainProgram(t, n)
+	mem := NewMemory(false)
+	if err := mem.LoadImage(im); err != nil {
+		t.Fatal(err)
+	}
+	var a DecodeCache
+	first := decodeAll(t, &a, mem, im, n)
+	a.Table().Release()
+	var b DecodeCache
+	second := decodeAll(t, &b, mem, im, n)
+	for i := range first {
+		if first[i] != second[i] || &first[i].Insts[0] != &second[i].Insts[0] {
+			t.Fatalf("block %d was cut from another place than the released table's", i)
+		}
+	}
+	b.Table().Release()
+	drain(&blockFree)
+	drain(&instFree)
 }

@@ -228,22 +228,20 @@ func (t *TOL) lowerBB(x *xlate, bb *bbInfo, level OptLevel) (*codecache.Block, e
 	if err != nil {
 		return nil, err
 	}
-	return t.ownResult(&codecache.Block{
-		Entry:      bb.entry,
-		Kind:       codecache.KindBB,
-		GuestInsns: bb.staticLen(),
-		BBs:        []uint32{bb.entry},
-	}, gen), nil
+	blk := t.ownResult(gen, 1)
+	blk.Entry, blk.Kind, blk.GuestInsns = bb.entry, codecache.KindBB, bb.staticLen()
+	blk.BBs[0] = bb.entry
+	return blk, nil
 }
 
-// ownResult gives the block its own exact-size copy of the generated
-// code, in storage the code cache hands out, and of its exit table: the
-// GenResult is scratch the next translation overwrites, and chaining
-// patches a block's code in place.
-func (t *TOL) ownResult(blk *codecache.Block, gen *ir.GenResult) *codecache.Block {
-	blk.Code = t.Cache.Code(len(gen.Code))
+// ownResult returns a block record the code cache cuts from its slabs,
+// holding its own exact-size copy of the generated code and exit table
+// and room for nbbs constituent block entries: the GenResult is scratch
+// the next translation overwrites, and chaining patches a block's code
+// in place.
+func (t *TOL) ownResult(gen *ir.GenResult, nbbs int) *codecache.Block {
+	blk := t.Cache.NewBlock(len(gen.Code), len(gen.Exits), nbbs)
 	copy(blk.Code, gen.Code)
-	blk.Exits = make([]codecache.Exit, len(gen.Exits))
 	for i, e := range gen.Exits {
 		blk.Exits[i] = codecache.Exit{Idx: e.Idx, Info: codecache.ExitInfo(e.Meta)}
 	}

@@ -58,7 +58,7 @@ func (t *TOL) BuildRegionIR(blk *codecache.Block) (*ir.Region, error) {
 	if err != nil {
 		return nil, err
 	}
-	x, _, _, err := t.buildSuperblockIR(plan, !t.profOpts(blk.Entry).noAsserts)
+	x, _, err := t.buildSuperblockIR(plan, !t.profOpts(blk.Entry).noAsserts)
 	if err != nil {
 		return nil, err
 	}

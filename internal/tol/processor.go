@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"darco/internal/codecache"
+	"darco/internal/freelist"
 	"darco/internal/guest"
 	"darco/internal/guestvm"
 	"darco/internal/hostvm"
@@ -146,8 +147,12 @@ type TOL struct {
 	Overhead Overhead
 	Stats    Stats
 
-	// prof holds the per-entry profile records (see profEntry).
-	prof map[uint32]*profEntry
+	// prof holds the per-entry profile records (see profEntry), cut
+	// from profSlab. The map is nil until the first record: it comes
+	// from profFree, where Release leaves it cleared with the room it
+	// grew.
+	prof     map[uint32]*profEntry
+	profSlab freelist.Slab[profEntry]
 
 	// dec is the front end: the decoder every read of guest code goes
 	// through (see block). Its table is its own, or the authoritative
@@ -198,7 +203,8 @@ func New(cfg Config) *TOL {
 		Cache: codecache.New(cfg.CacheSize),
 		Cfg:   cfg,
 		SBCfg: cfg.SB,
-		prof:  make(map[uint32]*profEntry),
+
+		profSlab: freelist.NewSlab(&profEntryFree, 512),
 	}
 	t.IBTC = NewIBTC(t.Cache)
 	vmCfg := cfg.HostCfg
@@ -231,14 +237,42 @@ func (t *TOL) InstallPage(pageAddr uint32, data *[guestvm.PageSize]byte) error {
 	return nil
 }
 
-// prof1 returns (allocating if needed) the profile entry for pc.
+// The profile maps and record chunks of released TOLs.
+var (
+	profFree      freelist.List[map[uint32]*profEntry]
+	profEntryFree freelist.List[[]profEntry]
+)
+
+// prof1 returns (making if needed) the profile entry for pc.
 func (t *TOL) prof1(pc uint32) *profEntry {
 	if p := t.prof[pc]; p != nil {
 		return p
 	}
-	p := &profEntry{}
+	if t.prof == nil {
+		var ok bool
+		if t.prof, ok = profFree.Get(); !ok {
+			t.prof = make(map[uint32]*profEntry)
+		}
+	}
+	p := t.profSlab.New()
 	t.prof[pc] = p
 	return p
+}
+
+// Release empties the component and hands its memory to the free lists
+// the next session's components take theirs from: the guest pages (see
+// guestvm.Memory.Release), the code cache (see codecache.Cache.Release)
+// and the profile. Call it only when nothing will run or read the
+// component again. Releasing it again hands back nothing.
+func (t *TOL) Release() {
+	t.Mem.Release()
+	t.Cache.Release()
+	if t.prof != nil {
+		clear(t.prof)
+		profFree.Put(t.prof)
+		t.prof = nil
+	}
+	t.profSlab.Release()
 }
 
 // profOpts reads the rebuild options for entry without allocating.

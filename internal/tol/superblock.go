@@ -173,7 +173,7 @@ type sbOptions struct {
 // translateSuperblock lowers a plan to a code cache block.
 func (t *TOL) translateSuperblock(plan *sbPlan, opts sbOptions) (*codecache.Block, ir.SchedStats, error) {
 	useAsserts := !opts.noAsserts
-	x, bbs, staticInsns, err := t.buildSuperblockIR(plan, useAsserts)
+	x, staticInsns, err := t.buildSuperblockIR(plan, useAsserts)
 	if err != nil {
 		return nil, ir.SchedStats{}, err
 	}
@@ -190,24 +190,22 @@ func (t *TOL) translateSuperblock(plan *sbPlan, opts sbOptions) (*codecache.Bloc
 	if err != nil {
 		return nil, st, err
 	}
-	return t.ownResult(&codecache.Block{
-		Entry:      plan.entry,
-		Kind:       codecache.KindSuperblock,
-		UseAsserts: useAsserts,
-		GuestInsns: staticInsns,
-		BBs:        bbs,
-	}, gen), st, nil
+	blk := t.ownResult(gen, len(plan.steps))
+	blk.Entry, blk.Kind, blk.UseAsserts, blk.GuestInsns = plan.entry, codecache.KindSuperblock, useAsserts, staticInsns
+	for i := range plan.steps {
+		blk.BBs[i] = plan.steps[i].bb.entry
+	}
+	return blk, st, nil
 }
 
-// buildSuperblockIR translates a superblock plan into the scratch region.
-func (t *TOL) buildSuperblockIR(plan *sbPlan, useAsserts bool) (*xlate, []uint32, int, error) {
+// buildSuperblockIR translates a superblock plan into the scratch region
+// and counts the static guest instructions it covers.
+func (t *TOL) buildSuperblockIR(plan *sbPlan, useAsserts bool) (*xlate, int, error) {
 	x := t.work().newXlate(plan.entry, useAsserts, t.Cfg.EagerFlags)
-	bbs := make([]uint32, 0, len(plan.steps))
 	staticInsns := 0
 
 	emitStep := func(step *sbStep) error {
 		bb := &step.bb
-		bbs = append(bbs, bb.entry)
 		staticInsns += bb.staticLen()
 		if err := x.translateBody(bb); err != nil {
 			return err
@@ -246,8 +244,8 @@ func (t *TOL) buildSuperblockIR(plan *sbPlan, useAsserts bool) (*xlate, []uint32
 
 	for i := range plan.steps {
 		if err := emitStep(&plan.steps[i]); err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 	}
-	return x, bbs, staticInsns, nil
+	return x, staticInsns, nil
 }

@@ -27,7 +27,8 @@ func TestTrigBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blk := (&TOL{Cache: codecache.New(0)}).ownResult(&codecache.Block{Entry: 0x1000}, gen)
+			blk := (&TOL{Cache: codecache.New(0)}).ownResult(gen, 1)
+			blk.Entry, blk.BBs[0] = 0x1000, 0x1000
 			vm := hostvm.New(nil, hostvm.DefaultConfig())
 			r, _, err := vm.Run(blk, 0)
 			if err != nil {
