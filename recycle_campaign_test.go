@@ -76,7 +76,7 @@ func runCampaign(t *testing.T, scs []darco.Scenario, par int) *darco.CampaignRep
 	return rep
 }
 
-var updateRecycled = flag.Bool("update", false, "rewrite testdata/recycled_campaign.golden from this tree")
+var updateRecycled = flag.Bool("update", false, "rewrite the recycling tests' goldens under testdata from this tree")
 
 // recycledGolden holds the roster's result keys, one line per scenario,
 // as the code before decoded blocks, directories, profiles and block
