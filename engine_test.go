@@ -323,9 +323,9 @@ func TestSessionStepAndSnapshotIsolation(t *testing.T) {
 	}
 	g1 := first.Stats.GuestInsns()
 	c1 := first.Timing.Cycles
-	core1 := first.Core.Stats.Cycles
-	if g1 == 0 || c1 == 0 {
-		t.Fatalf("first step empty: %d insns, %d cycles", g1, c1)
+	act1 := *first.Activity
+	if g1 == 0 || c1 == 0 || act1.L1D.Accesses == 0 || act1.BPLookups == 0 {
+		t.Fatalf("first step empty: %d insns, %d cycles, %+v", g1, c1, act1)
 	}
 
 	// Drive the session to completion; the first snapshot must not move.
@@ -333,9 +333,12 @@ func TestSessionStepAndSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Stats.GuestInsns() != g1 || first.Timing.Cycles != c1 || first.Core.Stats.Cycles != core1 {
-		t.Errorf("earlier snapshot mutated by later execution: %d/%d cycles now %d/%d",
-			c1, core1, first.Timing.Cycles, first.Core.Stats.Cycles)
+	if first.Stats.GuestInsns() != g1 || first.Timing.Cycles != c1 || *first.Activity != act1 {
+		t.Errorf("earlier snapshot mutated by later execution: %d cycles %+v now %d cycles %+v",
+			c1, act1, first.Timing.Cycles, *first.Activity)
+	}
+	if final.Activity.L1D.Accesses <= act1.L1D.Accesses || final.Activity.BPLookups <= act1.BPLookups {
+		t.Errorf("activity did not advance: %+v -> %+v", act1, *final.Activity)
 	}
 	if final.Stats.GuestInsns() <= g1 {
 		t.Errorf("no forward progress: %d -> %d", g1, final.Stats.GuestInsns())

@@ -16,6 +16,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 
 	darco "darco"
 	"darco/internal/tol"
@@ -277,11 +278,6 @@ func EncodeJSON(v any) ([]byte, error) {
 func round2(v float64) float64 { return math.Round(v*100) / 100 }
 func round4(v float64) float64 { return math.Round(v*10000) / 10000 }
 
-// ftoa formats floats for CSV deterministically.
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func itoa(v uint64) string { return strconv.FormatUint(v, 10) }
-
 // csvHeader returns the CSV column list for the given options. The
 // deterministic columns come first; wall-clock columns are appended
 // only under WithWallTimes so default exports are byte-comparable.
@@ -304,29 +300,104 @@ func csvHeader(cfg *config) []string {
 	return h
 }
 
-// csvRecord renders one row in csvHeader order.
-func csvRecord(row *Row, cfg *config) []string {
-	status := "ok"
-	if row.Error != "" {
-		status = "error: " + row.Error
+// csvLine renders one CSV record at a time into a buffer it reuses:
+// numbers through strconv's appenders (floats formatted 'g' with the
+// shortest exact digits), text quoted when it holds a comma, quote or
+// line break, or left raw for a consumer that does its own escaping.
+// Every field is followed by a comma; the writer turns the last one
+// into the newline.
+type csvLine struct {
+	raw  bool // leave text unquoted
+	b    []byte
+	ends []int // where each field ends in b
+}
+
+func (l *csvLine) end() {
+	l.ends = append(l.ends, len(l.b))
+	l.b = append(l.b, ',')
+}
+
+func (l *csvLine) text(s string) {
+	if l.raw || !strings.ContainsAny(s, ",\"\n\r") {
+		l.b = append(l.b, s...)
+	} else {
+		l.b = append(l.b, '"')
+		for i := 0; i < len(s); i++ {
+			if s[i] == '"' {
+				l.b = append(l.b, '"')
+			}
+			l.b = append(l.b, s[i])
+		}
+		l.b = append(l.b, '"')
 	}
-	rec := []string{
-		row.Scenario, row.Suite, ftoa(row.Scale), status,
-		itoa(row.GuestInsns), ftoa(row.IMPct), ftoa(row.BBMPct), ftoa(row.SBMPct),
-		itoa(row.HostAppInsns), itoa(row.TOLInsns), ftoa(row.TOLPct), ftoa(row.SBMCost),
-		itoa(row.BBTranslations), itoa(row.SBTranslations), itoa(row.UnrolledLoops),
-		itoa(row.AssertRebuilds), itoa(row.SpecRebuilds), itoa(row.Dispatches),
-		itoa(row.Validations), itoa(row.PageTransfers), itoa(row.SyscallSyncs),
-		strconv.FormatInt(int64(row.ExitCode), 10),
+	l.end()
+}
+
+func (l *csvLine) uint(v uint64) {
+	l.b = strconv.AppendUint(l.b, v, 10)
+	l.end()
+}
+
+func (l *csvLine) float(v float64) {
+	l.b = strconv.AppendFloat(l.b, v, 'g', -1, 64)
+	l.end()
+}
+
+// header renders the column names for cfg.
+func (l *csvLine) header(cfg *config) {
+	l.b, l.ends = l.b[:0], l.ends[:0]
+	for _, h := range csvHeader(cfg) {
+		l.text(h)
 	}
+}
+
+// record renders row in csvHeader order.
+func (l *csvLine) record(row *Row, cfg *config) {
+	l.b, l.ends = l.b[:0], l.ends[:0]
+	l.text(row.Scenario)
+	l.text(row.Suite)
+	l.float(row.Scale)
+	if row.Error == "" {
+		l.text("ok")
+	} else {
+		l.text("error: " + row.Error)
+	}
+	l.uint(row.GuestInsns)
+	l.float(row.IMPct)
+	l.float(row.BBMPct)
+	l.float(row.SBMPct)
+	l.uint(row.HostAppInsns)
+	l.uint(row.TOLInsns)
+	l.float(row.TOLPct)
+	l.float(row.SBMCost)
+	for _, v := range [...]uint64{row.BBTranslations, row.SBTranslations, row.UnrolledLoops,
+		row.AssertRebuilds, row.SpecRebuilds, row.Dispatches,
+		row.Validations, row.PageTransfers, row.SyscallSyncs} {
+		l.uint(v)
+	}
+	l.b = strconv.AppendInt(l.b, int64(row.ExitCode), 10)
+	l.end()
 	for _, oc := range overheadCats {
-		rec = append(rec, itoa(row.Overhead[oc.slug]))
+		l.uint(row.Overhead[oc.slug])
 	}
-	rec = append(rec, itoa(row.Cycles), ftoa(row.IPC))
+	l.uint(row.Cycles)
+	l.float(row.IPC)
 	if cfg.wallTimes {
-		rec = append(rec, ftoa(row.WallMS), ftoa(row.GuestMIPS), ftoa(row.HostMIPS))
+		l.float(row.WallMS)
+		l.float(row.GuestMIPS)
+		l.float(row.HostMIPS)
 	}
-	return rec
+}
+
+// fields returns the rendered record's fields one string each.
+func (l *csvLine) fields() []string {
+	out := make([]string, len(l.ends))
+	start := 0
+	for i, end := range l.ends {
+		out[i] = string(l.b[start:end])
+		start = end + 1
+	}
+	return out
 }
 
 // WriteCSV writes the campaign as CSV: a header line, then one record
@@ -341,62 +412,42 @@ func WriteCSV(w io.Writer, rep *darco.CampaignReport, opts ...Option) error {
 // as given.
 func WriteCSVRows(w io.Writer, rows []Row, opts ...Option) error {
 	cfg := newConfig(opts)
-	cw := newCSVWriter(w)
-	if err := cw.write(csvHeader(&cfg)); err != nil {
+	cw := &csvWriter{w: w}
+	if err := cw.header(&cfg); err != nil {
 		return err
 	}
 	for i := range rows {
-		if err := cw.write(csvRecord(&rows[i], &cfg)); err != nil {
+		if err := cw.record(&rows[i], &cfg); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// csvWriter is a minimal RFC-4180 record writer. encoding/csv would do,
-// but a local one keeps quoting rules (and therefore golden bytes)
-// pinned by this package alone.
-type csvWriter struct{ w io.Writer }
-
-func newCSVWriter(w io.Writer) *csvWriter { return &csvWriter{w: w} }
-
-func (c *csvWriter) write(fields []string) error {
-	for i, f := range fields {
-		if i > 0 {
-			if _, err := io.WriteString(c.w, ","); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(c.w, csvQuote(f)); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(c.w, "\n")
-	return err
+// csvWriter is a minimal RFC-4180 record writer: one Write per record.
+// encoding/csv would do, but a local one keeps quoting rules (and
+// therefore golden bytes) pinned by this package alone.
+type csvWriter struct {
+	w    io.Writer
+	line csvLine
 }
 
-// csvQuote quotes a field when it contains a comma, quote or newline.
-func csvQuote(f string) string {
-	needs := false
-	for i := 0; i < len(f); i++ {
-		switch f[i] {
-		case ',', '"', '\n', '\r':
-			needs = true
-		}
-	}
-	if !needs {
-		return f
-	}
-	out := make([]byte, 0, len(f)+2)
-	out = append(out, '"')
-	for i := 0; i < len(f); i++ {
-		if f[i] == '"' {
-			out = append(out, '"', '"')
-		} else {
-			out = append(out, f[i])
-		}
-	}
-	return string(append(out, '"'))
+func (c *csvWriter) header(cfg *config) error {
+	c.line.header(cfg)
+	return c.flush()
+}
+
+func (c *csvWriter) record(row *Row, cfg *config) error {
+	c.line.record(row, cfg)
+	return c.flush()
+}
+
+// flush writes the rendered record, its last comma made the newline.
+func (c *csvWriter) flush() error {
+	b := c.line.b
+	b[len(b)-1] = '\n'
+	_, err := c.w.Write(b)
+	return err
 }
 
 // rowSequencer is the row-reordering core behind the streaming writers
@@ -469,13 +520,13 @@ type CSVStream struct {
 // scenario rows.
 func NewCSVStream(w io.Writer, n int, opts ...Option) (*CSVStream, error) {
 	cfg := newConfig(opts)
-	cw := newCSVWriter(w)
-	if err := cw.write(csvHeader(&cfg)); err != nil {
+	cw := &csvWriter{w: w}
+	if err := cw.header(&cfg); err != nil {
 		return nil, err
 	}
 	s := &CSVStream{}
 	s.seq = newRowSequencer("csv", n, cfg, func(row *Row) error {
-		return cw.write(csvRecord(row, &cfg))
+		return cw.record(row, &cfg)
 	})
 	return s, nil
 }

@@ -327,8 +327,10 @@ func WriteHTMLRows(w io.Writer, rows []Row, opts ...Option) error {
 		)
 	}
 	d.Header = csvHeader(&cfg)
+	line := csvLine{raw: true}
 	for i := range rows {
-		d.Records = append(d.Records, csvRecord(&rows[i], &cfg))
+		line.record(&rows[i], &cfg)
+		d.Records = append(d.Records, line.fields())
 	}
 	return dashTmpl.Execute(w, &d)
 }

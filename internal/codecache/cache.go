@@ -52,9 +52,9 @@ type Block struct {
 	// allocated on the block's first run under an attached histogram.
 	Tally *Tally
 
-	// incoming records chained exits from other blocks targeting this
-	// block, so invalidation can unchain them.
-	incoming []exitRef
+	// incoming lists the chained exits of other blocks that target
+	// this block, newest first, so invalidation can unchain them.
+	incoming *exitRef
 }
 
 // ExitInfo is the translator-recorded retirement metadata of one exit.
@@ -86,9 +86,12 @@ func (b *Block) Exit(instIdx int) *Exit {
 	return nil
 }
 
+// exitRef names one chained exit, the instruction at instIdx of block
+// blockID, in its target's incoming list.
 type exitRef struct {
 	blockID int
 	instIdx int
+	next    *exitRef
 }
 
 // Cache is the code cache. Capacity is expressed in host instructions;
@@ -102,7 +105,8 @@ type exitRef struct {
 // instructions, and the host addresses the timing simulator sees are
 // synthetic (derived from block IDs), so where a block's code sits
 // changes nothing simulated. NewBlock cuts the block records, exit
-// tables and constituent entries from slabs of their own the same way.
+// tables and constituent entries from slabs of their own the same way,
+// and Chain the entries of the blocks' incoming lists.
 // Release hands every slab, and the block index, to free lists the next
 // cache takes them from; Flush leaves the slabs to the collector, since
 // a block it drops may still be referenced and must keep its own code
@@ -146,6 +150,7 @@ func New(capacity int) *Cache {
 			recs:  freelist.NewSlab(&recFree, 256),
 			exits: freelist.NewSlab(&exitFree, 512),
 			pcs:   freelist.NewSlab(&pcFree, 1024),
+			refs:  freelist.NewSlab(&refFree, 256),
 		},
 	}
 }
@@ -154,12 +159,13 @@ func New(capacity int) *Cache {
 const ChunkInsts = 8192
 
 // slabs are what a cache cuts its blocks from: their code, records,
-// exit tables and constituent block entries.
+// exit tables, constituent block entries and incoming chain entries.
 type slabs struct {
 	code  freelist.Slab[host.Inst]
 	recs  freelist.Slab[Block]
 	exits freelist.Slab[Exit]
 	pcs   freelist.Slab[uint32]
+	refs  freelist.Slab[exitRef]
 }
 
 // The chunks of released caches' slabs, and their block indexes
@@ -169,6 +175,7 @@ var (
 	recFree   freelist.List[[]Block]
 	exitFree  freelist.List[[]Exit]
 	pcFree    freelist.List[[]uint32]
+	refFree   freelist.List[[]exitRef]
 	indexFree freelist.List[index]
 )
 
@@ -210,6 +217,7 @@ func (c *Cache) Release() {
 	s.recs.Release()
 	s.exits.Release()
 	s.pcs.Release()
+	s.refs.Release()
 	if c.byEntry != nil {
 		indexFree.Put(index{c.blocks, c.byEntry})
 		c.blocks, c.byEntry = nil, nil
@@ -281,7 +289,7 @@ func (c *Cache) Invalidate(b *Block) {
 	if got, ok := c.Get(b.ID); !ok || got != b {
 		return
 	}
-	for _, ref := range b.incoming {
+	for ref := b.incoming; ref != nil; ref = ref.next {
 		src, ok := c.Get(ref.blockID)
 		if !ok {
 			continue
@@ -317,6 +325,7 @@ func (c *Cache) Flush() {
 	s.recs.Forget()
 	s.exits.Forget()
 	s.pcs.Forget()
+	s.refs.Forget()
 	c.Flushes++
 }
 
@@ -342,7 +351,9 @@ func (c *Cache) Chain(src *Block, instIdx int, dst *Block) error {
 	}
 	in.Op = host.CHAINED
 	e.Next = dst
-	dst.incoming = append(dst.incoming, exitRef{blockID: src.ID, instIdx: instIdx})
+	r := c.slabs.refs.New()
+	*r = exitRef{blockID: src.ID, instIdx: instIdx, next: dst.incoming}
+	dst.incoming = r
 	c.ChainsMade++
 	return nil
 }

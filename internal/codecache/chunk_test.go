@@ -237,3 +237,90 @@ func TestFlushKeepsDroppedRecords(t *testing.T) {
 	}
 	c.Release()
 }
+
+// TestChainEntriesRecycled: Chain cuts a target's incoming entries from
+// a slab. Invalidating the target unchains every exit in its list
+// whatever order it holds them in; a flush leaves the entries to the
+// collector, so a dropped block keeps its list; Release hands them back
+// once, zero, for the next cache's first chain.
+func TestChainEntriesRecycled(t *testing.T) {
+	defer refill(&refFree, drain(&refFree))
+
+	c := New(1000)
+	dst := mkBlock(0x2000, 5)
+	srcs := []*Block{mkBlock(0x1000, 5), mkBlock(0x1100, 5), mkBlock(0x1200, 5)}
+	c.Insert(dst)
+	for _, src := range srcs {
+		src.Code[4].Target = 0x2000
+		c.Insert(src)
+		if err := c.Chain(src, 4, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	for r := dst.incoming; r != nil; r = r.next {
+		n++
+	}
+	if n != 3 {
+		t.Fatalf("incoming list holds %d entries after three chains", n)
+	}
+	c.Invalidate(dst)
+	for _, src := range srcs {
+		if src.Code[4].Op != host.EXIT || src.Exit(4).Next != nil {
+			t.Fatalf("exit of block %#x not unchained", src.Entry)
+		}
+	}
+	if c.ChainsCut != 3 {
+		t.Fatalf("chains cut %d, want 3", c.ChainsCut)
+	}
+
+	kept := mkBlock(0x3000, 5)
+	c.Insert(kept)
+	srcs[0].Code[4].Target = 0x3000
+	c.Insert(srcs[0])
+	if err := c.Chain(srcs[0], 4, kept); err != nil {
+		t.Fatal(err)
+	}
+	c.Flush()
+	if n := refFree.Len(); n != 0 {
+		t.Fatalf("the flush put %d entry chunks on the free list", n)
+	}
+	ref := kept.incoming
+	c.Release()
+	if ref == nil || ref.blockID != srcs[0].ID || ref.instIdx != 4 || ref.next != nil {
+		t.Fatalf("a block dropped by the flush lost its incoming list: %+v", ref)
+	}
+	if n := refFree.Len(); n != 0 {
+		t.Fatalf("release after a flush put %d entry chunks on the free list, want none", n)
+	}
+
+	a, b := mkBlock(0x1000, 5), mkBlock(0x2000, 5)
+	a.Code[4].Target = 0x2000
+	next := New(1000)
+	next.Insert(a)
+	next.Insert(b)
+	if err := next.Chain(a, 4, b); err != nil {
+		t.Fatal(err)
+	}
+	held := b.incoming
+	next.Release()
+	next.Release()
+	if n := refFree.Len(); n != 1 {
+		t.Fatalf("free list holds %d entry chunks after two releases of one", n)
+	}
+	if *held != (exitRef{}) {
+		t.Fatal("a released incoming entry is not zero")
+	}
+	last := New(1000)
+	a, b = mkBlock(0x1000, 5), mkBlock(0x2000, 5)
+	a.Code[4].Target = 0x2000
+	last.Insert(a)
+	last.Insert(b)
+	if err := last.Chain(a, 4, b); err != nil {
+		t.Fatal(err)
+	}
+	if b.incoming != held {
+		t.Fatal("the next cache did not cut its first chain entry from the released slab")
+	}
+	last.Release()
+}

@@ -41,14 +41,14 @@ import (
 // and a store to a code page fails with *CodeWriteError, whichever
 // emulator or path makes it. So a cached block never goes stale.
 type DecodeCache struct {
-	table   *CodeTable
-	front   *front       // d's share of table
-	scratch []guest.Inst // the block being decoded
+	table *CodeTable
+	front *front // d's share of table
 }
 
 // front is one front end's share of a CodeTable: its bit in Block.seen,
-// its own blocks and the slabs it cuts its blocks from. Only the front
-// end's goroutine touches it until the table is released.
+// its own blocks, the slabs it cuts its blocks from and the scratch it
+// decodes into. Only the front end's goroutine touches it until the
+// table is released.
 type front struct {
 	seen uint32
 
@@ -61,6 +61,10 @@ type front struct {
 	// instructions are cut from, the table's blocks and its own alike.
 	blocks freelist.Slab[Block]
 	insts  freelist.Slab[guest.Inst]
+
+	// scratch holds the block being decoded: MaxBlockInsns of room,
+	// taken from scratchFree at the first decode.
+	scratch []guest.Inst
 }
 
 // CodeTable is the decoded blocks the front ends of one guest program
@@ -85,12 +89,14 @@ type CodeTable struct {
 	retired []*codeSlots // arrays grow replaced, which a lookup may still read; guarded by mu
 }
 
-// The chunks of released tables' slabs, and their slot arrays, one list
-// per length (indexed by log2), every slot empty.
+// The chunks of released tables' slabs, their slot arrays, one list per
+// length (indexed by log2), every slot empty, and their front ends'
+// decode scratches.
 var (
-	blockFree freelist.List[[]Block]
-	instFree  freelist.List[[]guest.Inst]
-	slotFree  [33]freelist.List[*codeSlots]
+	blockFree   freelist.List[[]Block]
+	instFree    freelist.List[[]guest.Inst]
+	slotFree    [33]freelist.List[*codeSlots]
+	scratchFree freelist.List[[]guest.Inst]
 )
 
 // codeSlots is an open-addressed table of blocks keyed by entry pc,
@@ -194,8 +200,8 @@ func (t *CodeTable) join() *front {
 }
 
 // Release empties the table and hands every block its front ends
-// decoded, their instructions and the table's slot arrays to free lists,
-// for the next session's table. Call it only when no front end will
+// decoded, their instructions, their decode scratches and the table's
+// slot arrays to free lists, for the next session's table. Call it only when no front end will
 // decode through the table again and nothing holds a block it returned:
 // the goroutines of the session are done. The front ends keep their
 // bits; a released table is empty and stays usable, and releasing it
@@ -207,6 +213,10 @@ func (t *CodeTable) Release() {
 		f.own = nil
 		f.blocks.Release()
 		f.insts.Release()
+		if f.scratch != nil {
+			scratchFree.Put(f.scratch[:0])
+			f.scratch = nil
+		}
 	}
 	if s := t.slots.Load(); s != nil {
 		t.retired = append(t.retired, s)
@@ -336,22 +346,30 @@ func (d *DecodeCache) Decode(mem *Memory, prev *Block, pc uint32) (*Block, bool,
 		}
 		return b, true, nil
 	}
-	d.scratch = d.scratch[:0]
+	t := d.Table()
+	f := d.front
+	if f.scratch == nil {
+		s, ok := scratchFree.Get()
+		if !ok {
+			s = make([]guest.Inst, 0, MaxBlockInsns)
+		}
+		f.scratch = s
+	}
+	f.scratch = f.scratch[:0]
 	at := pc
 	var err error
-	for len(d.scratch) < MaxBlockInsns {
+	for len(f.scratch) < MaxBlockInsns {
 		var in guest.Inst
 		if in, err = Fetch(mem, at); err != nil {
 			break
 		}
-		d.scratch = append(d.scratch, in)
+		f.scratch = append(f.scratch, in)
 		at += uint32(in.Size)
 		if in.Op.EndsBasicBlock() {
 			break
 		}
 	}
 	mem.markCode(pc, at)
-	t := d.Table()
 	if err != nil {
 		return d.block(pc, at), false, err
 	}
@@ -359,17 +377,16 @@ func (d *DecodeCache) Decode(mem *Memory, prev *Block, pc uint32) (*Block, bool,
 	if b == nil { // the first front end to decode it, unless it races the other
 		b = t.insert(d.block(pc, at))
 	}
-	if !slices.EqualFunc(b.Insts, d.scratch, sameInst) {
+	if !slices.EqualFunc(b.Insts, f.scratch, sameInst) {
 		// Decoded differently: it stays this front end's own.
 		b = d.block(pc, at)
-		f := d.front
 		if f.own == nil {
 			f.own = make(map[uint32]*Block)
 		}
 		f.own[pc] = b
 		return b, false, nil
 	}
-	b.seen.Or(d.front.seen)
+	b.seen.Or(f.seen)
 	return b, false, nil
 }
 
@@ -394,8 +411,8 @@ func (d *DecodeCache) Cached(pc uint32) *Block {
 func (d *DecodeCache) block(pc, end uint32) *Block {
 	f := d.front
 	b := f.blocks.New()
-	b.Insts = f.insts.Make(len(d.scratch))
-	copy(b.Insts, d.scratch)
+	b.Insts = f.insts.Make(len(f.scratch))
+	copy(b.Insts, f.scratch)
 	b.PC, b.End = pc, end
 	return b
 }

@@ -280,11 +280,13 @@ func decodeAll(t *testing.T, d *DecodeCache, mem *Memory, im *guest.Image, n int
 // TestCodeTableReleaseTwice: a table released twice, after two front
 // ends decoded into it (one a block of its own) and its slot array grew
 // twice, hands each block chunk, instruction chunk and slot array back
-// once, each zero; the front ends then find nothing cached.
+// once, each zero, and each front end's decode scratch once; the front
+// ends then find nothing cached.
 func TestCodeTableReleaseTwice(t *testing.T) {
-	heldB, heldI := drain(&blockFree), drain(&instFree)
+	heldB, heldI, heldD := drain(&blockFree), drain(&instFree), drain(&scratchFree)
 	defer refill(&blockFree, heldB)
 	defer refill(&instFree, heldI)
+	defer refill(&scratchFree, heldD)
 	var heldS [len(slotFree)][]*codeSlots
 	for i := range slotFree {
 		heldS[i] = drain(&slotFree[i])
@@ -362,6 +364,23 @@ func TestCodeTableReleaseTwice(t *testing.T) {
 	}
 	if arrays != 3 {
 		t.Fatalf("%d slot arrays on the lists, want 3", arrays)
+	}
+	scratches := drain(&scratchFree)
+	if len(scratches) != 2 {
+		t.Fatalf("%d decode scratches on the list, want 2 (one per front end)", len(scratches))
+	}
+	for _, sc := range scratches {
+		once("decode scratch", &sc[:1][0])
+		if len(sc) != 0 || cap(sc) != MaxBlockInsns {
+			t.Fatalf("a released decode scratch has length %d and capacity %d", len(sc), cap(sc))
+		}
+	}
+	refill(&scratchFree, scratches)
+	if _, _, err := a.Decode(memA, nil, im.Entry); err != nil {
+		t.Fatal(err)
+	}
+	if n := scratchFree.Len(); n != 1 {
+		t.Fatalf("%d decode scratches on the list after one front end decoded again, want 1", n)
 	}
 }
 

@@ -88,25 +88,25 @@ func New(e Energies, freqMHz float64) *Model {
 	return &Model{E: e, FreqMHz: freqMHz}
 }
 
-// Analyze converts core activity into energy and power.
-func (m *Model) Analyze(c *timing.Core) *Report {
+// Analyze converts a core's activity into energy and power: st is its
+// Stats (TOL instructions charged) and a what its structures counted.
+func (m *Model) Analyze(st *timing.Stats, a *timing.Activity) *Report {
 	pj := func(n uint64, e float64) float64 { return float64(n) * e * 1e-12 }
-	st := &c.Stats
 	comp := make(map[string]float64)
 
 	comp["frontend"] = pj(st.Insns, m.E.FetchPerInsn+m.E.DecodePerInsn) +
-		pj(c.BP.Lookups, m.E.BPLookup) +
-		pj(c.L1I.Accesses, m.E.L1IAccess)
+		pj(a.BPLookups, m.E.BPLookup) +
+		pj(a.L1I.Accesses, m.E.L1IAccess)
 	comp["issue+regfile"] = pj(st.Insns, m.E.IssuePerInsn) +
 		pj(2*st.Insns, m.E.RegRead) + pj(st.Insns, m.E.RegWrite)
 	comp["alu"] = pj(st.ClassCount[host.ClassSimple], m.E.SimpleOp) +
 		pj(st.ClassCount[host.ClassComplex], m.E.ComplexOp) +
 		pj(st.ClassCount[host.ClassBranch], m.E.BranchOp)
 	comp["lsu"] = pj(st.ClassCount[host.ClassMemory], m.E.MemoryOp) +
-		pj(c.L1D.Accesses, m.E.L1DAccess) +
-		pj(c.TLBs.L1D.Accesses()+c.TLBs.L1I.Accesses()+c.TLBs.L2.Accesses(), m.E.TLBAccess)
-	comp["l2"] = pj(c.L2.Accesses, m.E.L2Access)
-	comp["dram"] = pj(c.L2.Misses, m.E.DRAMRead)
+		pj(a.L1D.Accesses, m.E.L1DAccess) +
+		pj(a.DTLB.Accesses+a.ITLB.Accesses+a.L2TLB.Accesses, m.E.TLBAccess)
+	comp["l2"] = pj(a.L2.Accesses, m.E.L2Access)
+	comp["dram"] = pj(a.L2.Misses, m.E.DRAMRead)
 	// The TOL's own instructions burn core energy too.
 	comp["tol"] = pj(st.TOLInsns, m.E.FetchPerInsn+m.E.DecodePerInsn+m.E.IssuePerInsn+m.E.SimpleOp)
 

@@ -17,9 +17,15 @@ func loadedCore(n int) *timing.Core {
 	return core
 }
 
+// analyze reports on core as a session's snapshot does.
+func analyze(m *Model, core *timing.Core) *Report {
+	act := core.Activity()
+	return m.Analyze(&core.Stats, &act)
+}
+
 func TestAnalyzeBasics(t *testing.T) {
 	m := New(DefaultEnergies(), 1000)
-	rep := m.Analyze(loadedCore(10000))
+	rep := analyze(m, loadedCore(10000))
 	if rep.DynamicJ <= 0 || rep.StaticJ <= 0 || rep.TotalJ <= rep.DynamicJ {
 		t.Errorf("energy accounting: %+v", rep)
 	}
@@ -40,16 +46,16 @@ func TestAnalyzeBasics(t *testing.T) {
 
 func TestMoreWorkMoreEnergy(t *testing.T) {
 	m := New(DefaultEnergies(), 1000)
-	small := m.Analyze(loadedCore(1000))
-	big := m.Analyze(loadedCore(10000))
+	small := analyze(m, loadedCore(1000))
+	big := analyze(m, loadedCore(10000))
 	if big.DynamicJ <= small.DynamicJ {
 		t.Errorf("10x work should cost more energy: %g vs %g", big.DynamicJ, small.DynamicJ)
 	}
 }
 
 func TestFrequencyAffectsPowerNotEnergy(t *testing.T) {
-	slow := New(DefaultEnergies(), 500).Analyze(loadedCore(5000))
-	fast := New(DefaultEnergies(), 2000).Analyze(loadedCore(5000))
+	slow := analyze(New(DefaultEnergies(), 500), loadedCore(5000))
+	fast := analyze(New(DefaultEnergies(), 2000), loadedCore(5000))
 	if slow.DynamicJ != fast.DynamicJ {
 		t.Errorf("dynamic energy should be frequency independent")
 	}
@@ -65,9 +71,9 @@ func TestFrequencyAffectsPowerNotEnergy(t *testing.T) {
 func TestTOLEnergyCharged(t *testing.T) {
 	core := loadedCore(1000)
 	m := New(DefaultEnergies(), 1000)
-	before := m.Analyze(core).ByComponent["tol"]
+	before := analyze(m, core).ByComponent["tol"]
 	core.AddTOL(50_000)
-	after := m.Analyze(core).ByComponent["tol"]
+	after := analyze(m, core).ByComponent["tol"]
 	if after <= before {
 		t.Errorf("TOL energy not charged: %g -> %g", before, after)
 	}

@@ -27,19 +27,27 @@ type BPred struct {
 
 // NewBPred builds a predictor.
 func NewBPred(cfg BPredConfig) *BPred {
+	p := new(BPred)
+	p.init(cfg)
+	return p
+}
+
+// init makes p a predictor of configuration cfg that has seen no branch,
+// its tables cut from the ones p holds when those are long enough (see
+// resize).
+func (p *BPred) init(cfg BPredConfig) {
 	size := 1 << cfg.GShareBits
-	p := &BPred{
+	*p = BPred{
 		cfg:        cfg,
-		table:      make([]uint8, size),
+		table:      resize(p.table, size),
 		mask:       uint32(size - 1),
-		btbTags:    make([]uint32, cfg.BTBEntries),
-		btbTargets: make([]uint32, cfg.BTBEntries),
+		btbTags:    resize(p.btbTags, cfg.BTBEntries),
+		btbTargets: resize(p.btbTargets, cfg.BTBEntries),
 		btbMask:    uint32(cfg.BTBEntries - 1),
 	}
 	for i := range p.table {
 		p.table[i] = 1 // weakly not taken
 	}
-	return p
 }
 
 // Predict processes one dynamic branch: it returns whether the front-end
@@ -85,11 +93,13 @@ func (p *BPred) Predict(pc uint32, taken bool, target uint32, conditional bool) 
 }
 
 // Accuracy reports the direction prediction accuracy.
-func (p *BPred) Accuracy() float64 {
-	if p.Lookups == 0 {
+func (p *BPred) Accuracy() float64 { return accuracy(p.Lookups, p.DirMispredicts) }
+
+func accuracy(lookups, mispredicts uint64) float64 {
+	if lookups == 0 {
 		return 1
 	}
-	return 1 - float64(p.DirMispredicts)/float64(p.Lookups)
+	return 1 - float64(mispredicts)/float64(lookups)
 }
 
 func b2u32(b bool) uint32 {

@@ -28,9 +28,9 @@ type Cache struct {
 	lineBits uint32
 	// mru is the tag place stored last. Nothing has been placed since,
 	// so that line is still way 0 of its set, and an Access to it is a
-	// hit that changes nothing. Probe never moves a line and Clone
-	// copies the field with the tags, so neither breaks the invariant;
-	// the zero value matches no line because every tag has validBit.
+	// hit that changes nothing. Probe never moves a line and init clears
+	// the field with the tags, so neither breaks the invariant; the zero
+	// value matches no line because every tag has validBit.
 	mru uint64
 
 	Accesses uint64
@@ -42,12 +42,18 @@ const validBit = uint64(1) << 63
 
 // NewCache builds a cache.
 func NewCache(cfg CacheConfig) *Cache {
-	c := &Cache{cfg: cfg, setMask: uint32(cfg.Sets - 1)}
-	c.tags = make([]uint64, cfg.Sets*cfg.Ways)
+	c := new(Cache)
+	c.init(cfg)
+	return c
+}
+
+// init makes c an empty cache of geometry cfg, its tags cut from the
+// array c holds when that is long enough (see resize).
+func (c *Cache) init(cfg CacheConfig) {
+	*c = Cache{cfg: cfg, tags: resize(c.tags, cfg.Sets*cfg.Ways), setMask: uint32(cfg.Sets - 1)}
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		c.lineBits++
 	}
-	return c
 }
 
 // Config returns the cache geometry.
@@ -115,9 +121,6 @@ func (c *Cache) Prefill(addr uint32) {
 func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 
 // MissRate reports the miss ratio.
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}
+func (c *Cache) MissRate() float64 { return c.activity().MissRate() }
+
+func (c *Cache) activity() CacheActivity { return CacheActivity{c.Accesses, c.Misses, c.Prefills} }

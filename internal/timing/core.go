@@ -3,6 +3,7 @@ package timing
 import (
 	"fmt"
 
+	"darco/internal/freelist"
 	"darco/internal/host"
 	"darco/internal/hostvm"
 )
@@ -117,10 +118,6 @@ type Core struct {
 
 	Stats Stats
 
-	// ops is the per-opcode operand and resource table Consume runs
-	// from, built once by New (see opRow).
-	ops [256]opRow
-
 	// Scoreboard: cycle at which each register's value is ready, the
 	// two register banks in one array (see the slot constants).
 	ready [numSlots]uint64
@@ -154,37 +151,106 @@ type Core struct {
 	iqPos int
 
 	tolCarry float64
+
+	// tabs holds what BP, the caches, TLBs and PF point at, and the
+	// arrays of the IQ and the unit pools; nil once released.
+	tabs *tables
 }
 
-// New builds a core.
+// tables are a core's structures and the arrays they run on: the
+// predictor with its gshare and BTB tables, the caches and TLBs with
+// their tag arrays, the prefetcher with its entries, the instruction
+// queue and the unit pools. Release zeroes every array and hands the
+// set through tableFree to the next core New builds, which resets each
+// structure to what a fresh one is and cuts its arrays from the ones the
+// set holds when they are long enough.
+type tables struct {
+	bp                BPred
+	l1i, l1d, l2      Cache
+	itlb, dtlb, l2tlb TLB
+	tlbs              TLBHierarchy
+	pf                StridePrefetcher
+	iq                []uint64
+	units             [numPools][]uint64
+}
+
+// tableFree holds released cores' tables.
+var tableFree freelist.List[*tables]
+
+// resize returns s cut to n items, or n new ones when s cannot hold
+// them. Either way they are zero: a table's array is zero to its
+// capacity when it is made and when Release hands it on.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// New builds a core, on a released core's tables when there are any.
 func New(cfg Config) *Core {
-	c := &Core{
-		Cfg: cfg,
-		BP:  NewBPred(cfg.BPred),
-		L1I: NewCache(cfg.L1I),
-		L1D: NewCache(cfg.L1D),
-		L2:  NewCache(cfg.L2),
-		PF:  NewStridePrefetcher(cfg.PrefetchEntries, cfg.PrefetchDegree),
-		iq:  make([]uint64, cfg.IQSize),
+	t, ok := tableFree.Get()
+	if !ok {
+		t = new(tables)
+	}
+	t.bp.init(cfg.BPred)
+	t.l1i.init(cfg.L1I)
+	t.l1d.init(cfg.L1D)
+	t.l2.init(cfg.L2)
+	t.itlb.init(cfg.ITLB)
+	t.dtlb.init(cfg.DTLB)
+	t.l2tlb.init(cfg.L2TLB)
+	t.tlbs = TLBHierarchy{L1I: &t.itlb, L1D: &t.dtlb, L2: &t.l2tlb, WalkLat: cfg.WalkLat}
+	t.pf.init(cfg.PrefetchEntries, cfg.PrefetchDegree)
+	t.iq = resize(t.iq, cfg.IQSize)
+	t.units[poolSimple] = resize(t.units[poolSimple], cfg.SimpleUnits)
+	t.units[poolComplex] = resize(t.units[poolComplex], cfg.ComplexUnits)
+	return &Core{
+		Cfg:   cfg,
+		BP:    &t.bp,
+		L1I:   &t.l1i,
+		L1D:   &t.l1d,
+		L2:    &t.l2,
+		TLBs:  &t.tlbs,
+		PF:    &t.pf,
+		units: t.units,
+		iq:    t.iq,
+		tabs:  t,
 
 		lineMask:   ^uint32(cfg.L1I.LineBytes - 1),
 		frontDepth: uint64(cfg.FrontendDepth),
 		l2Pen:      uint64(cfg.L2.Latency),
 		memPen:     uint64(cfg.L2.Latency + cfg.MemLatency),
 	}
-	c.TLBs = &TLBHierarchy{
-		L1I:     NewTLB(cfg.ITLB),
-		L1D:     NewTLB(cfg.DTLB),
-		L2:      NewTLB(cfg.L2TLB),
-		WalkLat: cfg.WalkLat,
-	}
-	c.units = [numPools][]uint64{
-		poolSimple:  make([]uint64, cfg.SimpleUnits),
-		poolComplex: make([]uint64, cfg.ComplexUnits),
-	}
-	c.ops = buildOps()
-	return c
 }
+
+// Release hands the core's structures and tables, every array zeroed,
+// to the next core New builds, and leaves the core zero: its
+// structures are nil, so a released core used again fails at once
+// instead of counting into another core's tables. Call it only when
+// nothing will read the core again. Releasing a released core does
+// nothing.
+func (c *Core) Release() {
+	t := c.tabs
+	if t == nil {
+		return
+	}
+	for _, x := range []*Cache{&t.l1i, &t.l1d, &t.l2, &t.itlb.cache, &t.dtlb.cache, &t.l2tlb.cache} {
+		zero(x.tags)
+	}
+	zero(t.bp.table)
+	zero(t.bp.btbTags)
+	zero(t.bp.btbTargets)
+	zero(t.pf.entries)
+	zero(t.iq)
+	zero(t.units[poolSimple])
+	zero(t.units[poolComplex])
+	*c = Core{}
+	tableFree.Put(t)
+}
+
+// zero clears s up to its capacity.
+func zero[T any](s []T) { clear(s[:cap(s)]) }
 
 // Scoreboard slots: the integer and FP banks back to back, then
 // slotZero, which nothing writes (an absent source reads it and never
@@ -267,10 +333,14 @@ var opShapes = []struct {
 	{fRd, noSrc, noDst, []host.Op{host.SPILLF}},
 }
 
+// ops is the per-opcode operand and resource table Consume runs from
+// (see opRow). It is the same for every core and never written.
+var ops = buildOps()
+
 // buildOps expands opShapes and the host ISA's descriptors into the
 // table. Undefined opcodes time as NOPH, which is how Op.Desc describes
 // them.
-func buildOps() (ops [256]opRow) {
+func buildOps() (rows [256]opRow) {
 	for _, sh := range opShapes {
 		for _, op := range sh.ops {
 			d := op.Desc()
@@ -298,21 +368,21 @@ func buildOps() (ops [256]opRow) {
 			case host.BEQZ, host.ASSERTH:
 				row.flags |= flagConditional
 			}
-			ops[op] = row
+			rows[op] = row
 		}
 	}
-	for op := range ops {
+	for op := range rows {
 		if !host.Op(op).Defined() {
-			ops[op] = ops[host.NOPH]
+			rows[op] = rows[host.NOPH]
 		}
 	}
-	return ops
+	return rows
 }
 
 // Consume simulates one retired application instruction.
 func (c *Core) Consume(ev hostvm.RetireEvent) {
 	in := ev.Inst
-	row := &c.ops[in.Op]
+	row := &ops[in.Op]
 	c.Stats.Insns++
 	c.Stats.ClassCount[row.class]++
 
@@ -447,14 +517,35 @@ func (c *Core) Consume(ev hostvm.RetireEvent) {
 // stream is modelled with an aggregate CPI rather than replayed
 // instruction by instruction (DESIGN.md §2).
 func (c *Core) AddTOL(n uint64) {
+	adv, carry := c.tolCharge(n)
+	c.tolCarry = carry
 	c.Stats.TOLInsns += n
-	c.tolCarry += float64(n) * c.Cfg.TOLCPI
-	adv := uint64(c.tolCarry)
-	c.tolCarry -= float64(adv)
 	c.Stats.TOLCycles += adv
 	c.Stats.Cycles += adv
 	c.fetchCycle += adv
 	c.lastIssue += adv
+}
+
+// ChargedStats returns the core's Stats with tolInsns more TOL host
+// instructions charged as AddTOL charges them, and leaves the core as
+// it is: a session's snapshot charges the TOL's overhead so far this
+// way, while the live core goes on consuming application instructions
+// only.
+func (c *Core) ChargedStats(tolInsns uint64) Stats {
+	adv, _ := c.tolCharge(tolInsns)
+	st := c.Stats
+	st.TOLInsns += tolInsns
+	st.TOLCycles += adv
+	st.Cycles += adv
+	return st
+}
+
+// tolCharge returns the whole cycles n more TOL host instructions
+// advance the clock by and the fraction of a cycle left to carry.
+func (c *Core) tolCharge(n uint64) (adv uint64, carry float64) {
+	carry = c.tolCarry + float64(n)*c.Cfg.TOLCPI
+	adv = uint64(carry)
+	return adv, carry - float64(adv)
 }
 
 // Validate reports the first parameter, by field name, that the core

@@ -24,11 +24,15 @@ type strideEntry struct {
 // NewStridePrefetcher builds a prefetcher with the given table size
 // (power of two) and prefetch degree.
 func NewStridePrefetcher(entries, degree int) *StridePrefetcher {
-	return &StridePrefetcher{
-		Degree:  degree,
-		entries: make([]strideEntry, entries),
-		mask:    uint32(entries - 1),
-	}
+	p := new(StridePrefetcher)
+	p.init(entries, degree)
+	return p
+}
+
+// init makes p an untrained prefetcher, its table cut from the one p
+// holds when that is long enough (see resize).
+func (p *StridePrefetcher) init(entries, degree int) {
+	*p = StridePrefetcher{Degree: degree, entries: resize(p.entries, entries), mask: uint32(entries - 1)}
 }
 
 // Observe trains on a demand access from load PC pc to addr and issues

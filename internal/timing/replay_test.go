@@ -68,39 +68,14 @@ func runTimed(tb testing.TB, bench string, scale float64, limit int) (*timing.Co
 	return core, events
 }
 
-type cacheCounters struct{ Accesses, Misses, Prefills uint64 }
-
-type tlbCounters struct{ Accesses, Misses uint64 }
-
 // coreGolden is everything the simulator reports for one run: Stats
 // plus every component counter the power model and the reports read.
 type coreGolden struct {
-	Stats             timing.Stats
-	L1I, L1D, L2      cacheCounters
-	ITLB, DTLB, L2TLB tlbCounters
-	TLBWalks          uint64
-	BPLookups         uint64
-	BPDirMispredicts  uint64
-	BTBMisses         uint64
-	PFTrained         uint64
-	PFIssued          uint64
+	Stats timing.Stats
+	timing.Activity
 }
 
-func snapshotCore(c *timing.Core) coreGolden {
-	cc := func(x *timing.Cache) cacheCounters { return cacheCounters{x.Accesses, x.Misses, x.Prefills} }
-	tc := func(x *timing.TLB) tlbCounters { return tlbCounters{x.Accesses(), x.Misses()} }
-	return coreGolden{
-		Stats: c.Stats,
-		L1I:   cc(c.L1I), L1D: cc(c.L1D), L2: cc(c.L2),
-		ITLB: tc(c.TLBs.L1I), DTLB: tc(c.TLBs.L1D), L2TLB: tc(c.TLBs.L2),
-		TLBWalks:         c.TLBs.Walks,
-		BPLookups:        c.BP.Lookups,
-		BPDirMispredicts: c.BP.DirMispredicts,
-		BTBMisses:        c.BP.BTBMisses,
-		PFTrained:        c.PF.Trained,
-		PFIssued:         c.PF.Issued,
-	}
-}
+func snapshotCore(c *timing.Core) coreGolden { return coreGolden{c.Stats, c.Activity()} }
 
 // TestCoreGolden pins the whole timing report — Stats and the
 // per-component counters — for two full runs against values captured

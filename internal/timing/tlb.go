@@ -11,18 +11,20 @@ type TLBConfig struct {
 // pages.
 type TLB struct {
 	cfg   TLBConfig
-	cache *Cache
+	cache Cache
 }
 
 // NewTLB builds a TLB.
 func NewTLB(cfg TLBConfig) *TLB {
-	sets := cfg.Entries / cfg.Ways
-	if sets < 1 {
-		sets = 1
-	}
-	return &TLB{cfg: cfg, cache: NewCache(CacheConfig{
-		Sets: sets, Ways: cfg.Ways, LineBytes: 4096, Latency: cfg.Latency,
-	})}
+	t := new(TLB)
+	t.init(cfg)
+	return t
+}
+
+// init makes t an empty TLB of geometry cfg (see Cache.init).
+func (t *TLB) init(cfg TLBConfig) {
+	t.cfg = cfg
+	t.cache.init(CacheConfig{Sets: max(cfg.Entries/cfg.Ways, 1), Ways: cfg.Ways, LineBytes: 4096, Latency: cfg.Latency})
 }
 
 // Access translates the page containing addr, filling on miss.
@@ -33,6 +35,8 @@ func (t *TLB) Accesses() uint64 { return t.cache.Accesses }
 
 // Misses reports misses.
 func (t *TLB) Misses() uint64 { return t.cache.Misses }
+
+func (t *TLB) activity() TLBActivity { return TLBActivity{t.cache.Accesses, t.cache.Misses} }
 
 // Latency reports the hit latency.
 func (t *TLB) Latency() int { return t.cfg.Latency }

@@ -21,7 +21,7 @@ const recycledTimingGolden = "testdata/recycled_timing.golden"
 // predictor accuracy and L1D miss rate the summary prints (bit for bit).
 func timingKey(r *darco.Result) string {
 	return fmt.Sprintf("%+v power=%+v bp=%x l1d=%x",
-		*r.Timing, *r.Power, r.Core.BP.Accuracy(), r.Core.L1D.MissRate())
+		*r.Timing, *r.Power, r.Activity.BPAccuracy(), r.Activity.L1D.MissRate())
 }
 
 // TestRecycledTimingRosterMatchesGolden runs a timing roster with the

@@ -75,9 +75,13 @@ type Result struct {
 	GuestMIPS float64
 	HostMIPS  float64
 
-	Timing *timing.Stats
-	Core   *timing.Core // full simulator state for detailed inspection
-	Power  *power.Report
+	// Timing is the timing simulator's Stats, TOL overhead charged, and
+	// Activity what the simulated core's structures (predictor, caches,
+	// TLBs, prefetcher) counted; both nil without the simulator. Power
+	// is the power model's report on them.
+	Timing   *timing.Stats
+	Activity *timing.Activity
+	Power    *power.Report
 
 	Validations   uint64
 	PageTransfers uint64
@@ -153,7 +157,7 @@ func (r *Result) Summary() string {
 	fmt.Fprintf(&b, "speed         %.2f guest MIPS, %.2f host MIPS\n", r.GuestMIPS, r.HostMIPS)
 	if r.Timing != nil {
 		fmt.Fprintf(&b, "timing        %d cycles, IPC %.3f, bpred %.2f%%, L1D miss %.2f%%\n",
-			r.Timing.Cycles, r.Timing.IPC(), 100*r.Core.BP.Accuracy(), 100*r.Core.L1D.MissRate())
+			r.Timing.Cycles, r.Timing.IPC(), 100*r.Activity.BPAccuracy(), 100*r.Activity.L1D.MissRate())
 	}
 	if r.Power != nil {
 		fmt.Fprintf(&b, "power         %s\n", r.Power)

@@ -70,7 +70,7 @@ func TestRunWithTimingAndPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Timing == nil || res.Power == nil || res.Core == nil {
+	if res.Timing == nil || res.Power == nil || res.Activity == nil {
 		t.Fatal("simulators missing")
 	}
 	if res.Timing.Cycles == 0 || res.Timing.IPC() <= 0 {

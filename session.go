@@ -141,15 +141,19 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 	return s.Step(ctx, 0)
 }
 
-// runOnce runs the session to completion, then hands its guest pages
-// and translated code to the free lists the process's next sessions take
-// theirs from. Only Engine.Run and the campaign workers call it: they
-// own the session and never read it again past its final snapshot. The
-// release is a plain call, not a defer: a panic out of Run leaves the
-// memories alone, since the shadow may not have been joined.
+// runOnce runs the session to completion, then hands its working
+// memory and its timing core's tables to the free lists the process's
+// next sessions take theirs from. Only Engine.Run and the campaign
+// workers call it: they own the session and never read it again past
+// its final snapshot. The release is a plain call, not a defer: a panic
+// out of Run leaves the memories alone, since the shadow may not have
+// been joined.
 func (s *Session) runOnce(ctx context.Context) (*Result, error) {
 	res, err := s.Run(ctx)
 	s.ctl.Release()
+	if s.core != nil {
+		s.core.Release()
+	}
 	return res, err
 }
 
@@ -191,9 +195,10 @@ func (s *Session) Err() error { return s.err }
 
 // Snapshot captures the session's cumulative results without executing
 // anything. The snapshot shares no mutable state with the session:
-// stepping further never mutates a previously returned Result, and the
-// attached timing core (if any) is a deep copy with the TOL overhead
-// accumulated so far charged onto it.
+// stepping further never mutates a previously returned Result. With the
+// timing simulator attached it copies the core's Stats, with the TOL
+// overhead accumulated so far charged onto them, and what the core's
+// structures counted.
 func (s *Session) Snapshot() *Result {
 	ctl := s.ctl
 	res := &Result{
@@ -218,25 +223,21 @@ func (s *Session) Snapshot() *Result {
 		res.GuestMIPS = float64(res.Stats.GuestInsns()) / secs / 1e6
 		res.HostMIPS = float64(res.HostInsns) / secs / 1e6
 	}
-	if s.core != nil {
-		// Charge TOL overhead onto a deep copy: the live core keeps
-		// consuming only application instructions, so snapshots stay
-		// consistent and idempotent.
-		core := s.core.Clone()
-		core.AddTOL(res.Overhead.Total())
-		st := core.Stats
-		res.Timing = &st
-		res.Core = core
-		if s.eng.cfg.Power != nil {
-			m := power.New(*s.eng.cfg.Power, s.eng.cfg.FreqMHz)
-			res.Power = m.Analyze(core)
+	if c := s.core; c != nil {
+		// The TOL overhead is charged onto a copy of the Stats: the live
+		// core keeps consuming only application instructions, so
+		// snapshots stay consistent and idempotent.
+		st, act := c.ChargedStats(res.Overhead.Total()), c.Activity()
+		res.Timing, res.Activity = &st, &act
+		if en := s.eng.cfg.Power; en != nil {
+			res.Power = power.New(*en, s.eng.cfg.FreqMHz).Analyze(&st, &act)
 		}
 	}
 	return res
 }
 
-// progress builds the observer's periodic snapshot (cheap: no core
-// clone, no output copy).
+// progress builds the observer's periodic snapshot (cheap: no timing
+// copy, no output copy).
 func (s *Session) progress() Progress {
 	st := &s.ctl.CoD.Stats
 	wall := s.wall
