@@ -62,8 +62,9 @@ type front struct {
 	blocks freelist.Slab[Block]
 	insts  freelist.Slab[guest.Inst]
 
-	// scratch holds the block being decoded: MaxBlockInsns of room,
-	// taken from scratchFree at the first decode.
+	// scratch holds the block being decoded. The first decode takes the
+	// one a released table handed back, if any, grown to the longest
+	// block its sessions decoded; it grows from there as needed.
 	scratch []guest.Inst
 }
 
@@ -213,10 +214,10 @@ func (t *CodeTable) Release() {
 		f.own = nil
 		f.blocks.Release()
 		f.insts.Release()
-		if f.scratch != nil {
+		if cap(f.scratch) > 0 {
 			scratchFree.Put(f.scratch[:0])
-			f.scratch = nil
 		}
+		f.scratch = nil
 	}
 	if s := t.slots.Load(); s != nil {
 		t.retired = append(t.retired, s)
@@ -349,11 +350,7 @@ func (d *DecodeCache) Decode(mem *Memory, prev *Block, pc uint32) (*Block, bool,
 	t := d.Table()
 	f := d.front
 	if f.scratch == nil {
-		s, ok := scratchFree.Get()
-		if !ok {
-			s = make([]guest.Inst, 0, MaxBlockInsns)
-		}
-		f.scratch = s
+		f.scratch, _ = scratchFree.Get()
 	}
 	f.scratch = f.scratch[:0]
 	at := pc
