@@ -118,6 +118,13 @@ type Core struct {
 
 	Stats Stats
 
+	// ops is the per-opcode operand and resource table Consume runs
+	// from (see opRow), New's copy of the package's. As a field, Consume
+	// reads it off the register that holds the core; indexing the
+	// package table in place takes a register of its own and adds
+	// spills to Consume.
+	ops [256]opRow
+
 	// Scoreboard: cycle at which each register's value is ready, the
 	// two register banks in one array (see the slot constants).
 	ready [numSlots]uint64
@@ -206,6 +213,7 @@ func New(cfg Config) *Core {
 	t.units[poolSimple] = resize(t.units[poolSimple], cfg.SimpleUnits)
 	t.units[poolComplex] = resize(t.units[poolComplex], cfg.ComplexUnits)
 	return &Core{
+		ops:   ops,
 		Cfg:   cfg,
 		BP:    &t.bp,
 		L1I:   &t.l1i,
@@ -333,8 +341,7 @@ var opShapes = []struct {
 	{fRd, noSrc, noDst, []host.Op{host.SPILLF}},
 }
 
-// ops is the per-opcode operand and resource table Consume runs from
-// (see opRow). It is the same for every core and never written.
+// ops is the table every core copies (see Core.ops), built once.
 var ops = buildOps()
 
 // buildOps expands opShapes and the host ISA's descriptors into the
@@ -382,7 +389,7 @@ func buildOps() (rows [256]opRow) {
 // Consume simulates one retired application instruction.
 func (c *Core) Consume(ev hostvm.RetireEvent) {
 	in := ev.Inst
-	row := &ops[in.Op]
+	row := &c.ops[in.Op]
 	c.Stats.Insns++
 	c.Stats.ClassCount[row.class]++
 
