@@ -29,9 +29,11 @@ func timingKey(r *darco.Result) string {
 // workers, the second run's sessions on the timing tables the first
 // run's released (and, on two workers, releasing and taking them at
 // once), and requires every session's report to equal the committed
-// golden: a recycled table that is not what a fresh one would be — a
-// predictor not refilled, a cache that remembers a line — moves a
-// report. It runs under -short, so the race step covers it.
+// golden: a recycled table that is not what a fresh one would be, such
+// as a predictor not refilled, moves a report. (A cache that keeps its
+// last line's shortcut only moves one miss later on these programs;
+// TestRecycledCoreIsFresh in internal/timing catches that.) It runs
+// under -short, so the race step covers it.
 func TestRecycledTimingRosterMatchesGolden(t *testing.T) {
 	var scs []darco.Scenario
 	for _, name := range []string{"429.mcf", "433.milc", "401.bzip2"} {
